@@ -145,13 +145,14 @@ def _paired_vertices(t: Theory) -> tuple:
     return tuple(mat_vec(t.inner.gram, v) for v in t.vertices)
 
 
-def _positivity_rows(t: Theory, p: LinearProgram, idx, na: int, nb: int, extra: int) -> None:
+def _positivity_rows(t: Theory, p: LinearProgram, idx, na: int, nb: int) -> None:
     ctx = t.ctx
     d = t.dim
     nv = p.n_vars
+    paired_verts = _paired_vertices(t)
     for a in range(na):
         for b in range(nb):
-            for paired in _paired_vertices(t):
+            for paired in paired_verts:
                 row = [ctx.zero()] * nv
                 for c in range(d):
                     row[idx(a, b, c)] = paired[c]
@@ -164,7 +165,7 @@ def is_jointly_measurable(t: Theory, f: Measurement, g: Measurement) -> Compatib
     na, nb, d = f.n_outcomes, g.n_outcomes, t.dim
     idx, nvars = _cell_vars(na, nb, d)
     p = LinearProgram(n_vars=nvars, objective=[ctx.zero()] * nvars)
-    _positivity_rows(t, p, idx, na, nb, 0)
+    _positivity_rows(t, p, idx, na, nb)
     for a in range(na):
         for c in range(d):
             row = [ctx.zero()] * nvars
@@ -214,7 +215,7 @@ def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
     p = LinearProgram(n_vars=nvars, objective=[ctx.zero()] * ncells + [ctx.one(), ctx.one()])
     lower = [None] * ncells + [ctx.zero(), ctx.zero()]
     p.lower = lower
-    _positivity_rows(t, p, idx, na, nb, 2)
+    _positivity_rows(t, p, idx, na, nb)
     # total equals the unit effect
     for c in range(d):
         row = [ctx.zero()] * nvars
@@ -274,7 +275,7 @@ def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool 
         lower=[None] * ncells + [ctx.zero()],
         upper=[None] * ncells + [ctx.one()],
     )
-    _positivity_rows(t, p, idx, na, nb, 1)
+    _positivity_rows(t, p, idx, na, nb)
     half_u = vscale(1 / ctx.convert(2), t.unit_effect)
     for a in range(na):
         for c in range(d):

@@ -98,34 +98,32 @@ def prepare_conforming(t: Theory) -> Theory:
     return canonicalize(t).theory
 
 
-def witness_candidates(t: Theory, j: JointMeasurement) -> list:
-    """All cell states m_ab / <u, m_ab> with positive mass, checked in Omega."""
-    ctx = t.ctx
-    out = []
-    for row in j.effects:
-        for e in row:
-            mass = t.inner.pair(t.unit_effect, e)
-            if not ctx.gt(mass, 0):
-                continue
-            state = vscale(1 / mass, e)
-            if not in_state_space(t, state):
-                raise ValueError(
-                    "joint cell does not normalize into the state space; "
-                    "theory is not in a conforming representation"
-                )
-            out.append(state)
-    return out
+def _cell_states(t: Theory, j: JointMeasurement, check: bool = False) -> list:
+    """((a, b), m_ab / <u, m_ab>) for every cell of positive mass, in grid order.
 
-
-def _cell_states_with_mass(t: Theory, j: JointMeasurement) -> list:
+    With ``check`` every state is tested for membership in Omega, and a
+    cell that leaves it raises ValueError.
+    """
     ctx = t.ctx
     out = []
     for a, row in zip(j.row_labels, j.effects):
         for b, e in zip(j.col_labels, row):
             mass = t.inner.pair(t.unit_effect, e)
-            if ctx.gt(mass, 0):
-                out.append(((a, b), mass, vscale(1 / mass, e)))
+            if not ctx.gt(mass, 0):
+                continue
+            state = vscale(1 / mass, e)
+            if check and not in_state_space(t, state):
+                raise ValueError(
+                    "joint cell does not normalize into the state space; "
+                    "theory is not in a conforming representation"
+                )
+            out.append(((a, b), state))
     return out
+
+
+def witness_candidates(t: Theory, j: JointMeasurement) -> list:
+    """All cell states m_ab / <u, m_ab> with positive mass, checked in Omega."""
+    return [state for _ab, state in _cell_states(t, j, check=True)]
 
 
 def verify_thm1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
@@ -138,14 +136,12 @@ def verify_thm1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
     w2 = error_bar_width(t, mg, g, eps2)
     eps = eps1 + eps2
 
-    cells = _cell_states_with_mass(t, j)
+    cells = _cell_states(t, j, check=True)
     metric_f, metric_g = metric_of(f), metric_of(g)
     witness, ineqs = None, []
     # the proof's scan functional: ball mass of F around a' plus of G around b'
     best_score, best_ok = None, False
-    for (a, b), _mass, state in cells:
-        if not in_state_space(t, state):
-            raise ValueError("candidate left the state space; nonconforming input")
+    for (a, b), state in cells:
         df = distribution(t, f, state, check_state=False)
         dg = distribution(t, g, state, check_state=False)
         score = sum(df.probs[i] for i in metric_f.ball(a, w1, t.ctx)) + sum(
@@ -190,7 +186,7 @@ def verify_cor1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
     dw_g = werner_distance(t, mg, g)
     eps = eps1 + eps2
     witness, ineqs = None, []
-    for (_ab, _mass, state) in _cell_states_with_mass(t, j):
+    for _ab, state in _cell_states(t, j):
         df = distribution(t, f, state, check_state=False)
         dg = distribution(t, g, state, check_state=False)
         wf = overall_width(df, eps, t.ctx)
@@ -226,7 +222,7 @@ def verify_thm2(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
     d_g = linf_distance(t, mg, g)
     lhs = d_f + d_g
     witness, ineqs = None, []
-    for (_ab, _mass, state) in _cell_states_with_mass(t, j):
+    for _ab, state in _cell_states(t, j):
         le_f = localization_error(distribution(t, f, state, check_state=False))
         le_g = localization_error(distribution(t, g, state, check_state=False))
         if lhs >= le_f + le_g - SLACK:

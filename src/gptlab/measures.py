@@ -191,42 +191,61 @@ def error_bar_width(t: Theory, f_approx: Measurement, f_ideal: Measurement, eps)
 def werner_distance(t: Theory, f_approx: Measurement, f_ideal: Measurement):
     """Worst expectation gap over the Lipschitz ball of outcome functions.
 
-    The objective is shift-invariant, so the function value at the first
-    outcome is pinned to zero; for each vertex one LP maximises the gap
-    (the ball is symmetric, so the absolute value costs nothing), and the
-    state supremum is attained at a vertex because the gap is |affine|.
+    The gap is |affine| in the state, so its supremum is attained at a
+    vertex.  With two outcomes the ball only constrains
+    |h(a_1) - h(a_0)| <= d(a_1, a_0), and the gap on a vertex is the
+    Kantorovich-Rubinstein closed form |delta_1| * d(a_1, a_0): exactly the
+    value :func:`_lipschitz_ball_lp` returns, zero included when |delta_1|
+    is within the tolerance.  Larger outcome sets solve that LP per vertex.
     """
     ctx = t.ctx
     metric = _shared_metric(f_ideal, f_approx)
     k = len(metric.points)
     if k == 1:
         return ctx.zero()
+    d10 = ctx.convert(metric.dist[1][0])
     best = ctx.zero()
     for v in t.vertices:
-        deltas = [
-            effect_eval(t, ea, v) - effect_eval(t, ei, v)
-            for ea, ei in zip(f_approx.effects, f_ideal.effects)
-        ]
-        # variables: h(a_1) ... h(a_{k-1}), with h(a_0) = 0 pinned
-        p = LinearProgram(n_vars=k - 1, objective=deltas[1:], sense="max")
-        for i in range(1, k):
+        if k == 2:
+            delta = effect_eval(t, f_approx.effects[1], v) - effect_eval(t, f_ideal.effects[1], v)
+            value = ctx.zero() if ctx.is_zero(delta) else abs(delta) * d10
+        else:
+            deltas = [
+                effect_eval(t, ea, v) - effect_eval(t, ei, v)
+                for ea, ei in zip(f_approx.effects, f_ideal.effects)
+            ]
+            value = _lipschitz_ball_lp(metric, deltas, ctx)
+        if ctx.gt(value, best):
+            best = value
+    return best
+
+
+def _lipschitz_ball_lp(metric: FiniteMetricSpace, deltas, ctx: Context):
+    """max sum_k h(a_k) deltas[k] over 1-Lipschitz h on the metric.
+
+    The objective is shift-invariant (the deltas sum to zero), so h(a_0)
+    is pinned to zero; the ball is symmetric, so the maximum is also the
+    largest absolute gap.
+    """
+    k = len(metric.points)
+    # variables: h(a_1) ... h(a_{k-1})
+    p = LinearProgram(n_vars=k - 1, objective=deltas[1:], sense="max")
+    for i in range(1, k):
+        row = [ctx.zero()] * (k - 1)
+        row[i - 1] = ctx.one()
+        p.add(row, LE, metric.dist[i][0])
+        p.add(row, GE, -metric.dist[i][0])
+    for i in range(1, k):
+        for j in range(i + 1, k):
             row = [ctx.zero()] * (k - 1)
             row[i - 1] = ctx.one()
-            p.add(row, LE, metric.dist[i][0])
-            p.add(row, GE, -metric.dist[i][0])
-        for i in range(1, k):
-            for j in range(i + 1, k):
-                row = [ctx.zero()] * (k - 1)
-                row[i - 1] = ctx.one()
-                row[j - 1] = -ctx.one()
-                p.add(row, LE, metric.dist[i][j])
-                p.add(row, GE, -metric.dist[i][j])
-        res = lp_solve(p, ctx)
-        if res.status != "optimal":
-            raise RuntimeError(f"Lipschitz-ball LP ended {res.status}")
-        if ctx.gt(res.value, best):
-            best = res.value
-    return best
+            row[j - 1] = -ctx.one()
+            p.add(row, LE, metric.dist[i][j])
+            p.add(row, GE, -metric.dist[i][j])
+    res = lp_solve(p, ctx)
+    if res.status != "optimal":
+        raise RuntimeError(f"Lipschitz-ball LP ended {res.status}")
+    return res.value
 
 
 def linf_distance(t: Theory, f_approx: Measurement, f_ideal: Measurement):

@@ -17,10 +17,10 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
-from .cones import Cone, affine_hull_check, cone_member, dual_cone
-from .linprog import EQ, LinearProgram, lp_feasible
+from .cones import Cone, LinealityError, affine_hull_check, cone_member, dual_cone
 from .scalars import (
     Context,
     EXACT,
@@ -29,11 +29,7 @@ from .scalars import (
     dot,
     float_mat,
     float_vec,
-    identity,
-    mat_vec,
-    transpose,
     vadd,
-    vscale,
 )
 
 if TYPE_CHECKING:
@@ -68,6 +64,23 @@ class Theory:
     def cone(self) -> Cone:
         """Positive cone: rays over the pure states."""
         return Cone(self.vertices)
+
+    @cached_property
+    def facet_normals(self) -> tuple:
+        """Inward facet normals of the positive cone (its H-representation).
+
+        These are the extreme rays of the Euclidean dual cone, found by
+        double description on first use and kept on this instance.
+        Raises ValueError when the vertices do not span the ambient space.
+        """
+        try:
+            dual = dual_cone(self.cone, InnerProduct.euclidean(self.dim, self.ctx), self.ctx)
+        except LinealityError as exc:
+            raise ValueError(
+                f"the state space of theory {self.name!r} in R^{self.dim} "
+                f"has no facet description: {exc}"
+            ) from exc
+        return dual.generators
 
     def with_group(self, group) -> "Theory":
         return replace(self, group_cache=group)
@@ -105,15 +118,15 @@ def effect_eval(t: Theory, e, omega, check_state: bool = False):
 
 
 def in_state_space(t: Theory, omega) -> bool:
-    """Convex-combination LP over the vertices."""
+    """omega is normalised (<u, omega> = 1) and on the inner side of every facet.
+
+    The facet normals are cached on the theory (:attr:`Theory.facet_normals`);
+    both tests compare with the context tolerance.
+    """
     ctx = t.ctx
-    k = t.n_vertices
-    p = LinearProgram(n_vars=k, objective=[ctx.zero()] * k, lower=ctx.zero())
-    cols = transpose(t.vertices)
-    for i in range(t.dim):
-        p.add(cols[i], EQ, omega[i])
-    p.add([ctx.one()] * k, EQ, ctx.one())
-    return lp_feasible(p, ctx).feasible
+    if not ctx.eq(t.inner.pair(t.unit_effect, omega), 1):
+        return False
+    return all(ctx.ge(dot(n, omega), 0) for n in t.facet_normals)
 
 
 def is_valid_effect(t: Theory, e) -> bool:
@@ -194,17 +207,10 @@ def validate_theory(t: Theory) -> None:
 
 
 def _vertex_extreme(t: Theory, i: int) -> bool:
-    ctx = t.ctx
-    others = [v for j, v in enumerate(t.vertices) if j != i]
-    if not others:
-        return True
-    k = len(others)
-    p = LinearProgram(n_vars=k, objective=[ctx.zero()] * k, lower=ctx.zero())
-    cols = transpose(others)
-    for r in range(t.dim):
-        p.add(cols[r], EQ, t.vertices[i][r])
-    p.add([ctx.one()] * k, EQ, ctx.one())
-    return not lp_feasible(p, ctx).feasible
+    # the unit effect is one on every vertex, so any conic combination of
+    # the others that reaches vertex i has weights summing to one
+    others = t.vertices[:i] + t.vertices[i + 1:]
+    return not others or not cone_member(Cone(others), t.vertices[i], t.ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,13 @@ class TestWitnessCandidates:
             states = harness.witness_candidates(t, j)  # raises on failure
             assert len(states) == 4
 
+    def test_nonconforming_cell_rejected(self):
+        # raw even polygons are not self-dual: eigenstates leave the state space
+        t = make_polygon(6)
+        j = product_joint(binary_ideal_measurement(t, 0))
+        with pytest.raises(ValueError, match="conforming representation"):
+            harness.witness_candidates(t, j)
+
 
 class TestRandomInputs:
     def test_random_joints_always_valid(self):

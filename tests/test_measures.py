@@ -1,7 +1,9 @@
 """Distribution widths and measurement-error measures."""
 
 import math
+from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +15,11 @@ from gptlab.ideal import (
     perpendicular_ideal_pair,
     psi_transform,
 )
+from gptlab import measures
 from gptlab.measures import (
     FiniteMetricSpace,
     OutcomeDistribution,
+    _lipschitz_ball_lp,
     distribution,
     error_bar_width,
     linf_distance,
@@ -24,8 +28,8 @@ from gptlab.measures import (
     overall_width,
     werner_distance,
 )
-from gptlab.model import Measurement, make_classical, make_polygon
-from gptlab.scalars import FLOAT
+from gptlab.model import Measurement, effect_eval, make_classical, make_polygon, theory_to_float
+from gptlab.scalars import EXACT, FLOAT
 
 
 def two_point():
@@ -209,6 +213,84 @@ class TestWernerDistance:
         g = binary_ideal_measurement(t, 1)
         g = Measurement(f.outcomes, g.effects, f.metric)
         assert werner_distance(t, g, f) > 1e-3
+
+
+def _werner_by_lp(t, f_approx, f_ideal):
+    """The Lipschitz-ball LP on every vertex, through the same max sweep."""
+    best = t.ctx.zero()
+    for v in t.vertices:
+        deltas = [effect_eval(t, a, v) - effect_eval(t, i, v)
+                  for a, i in zip(f_approx.effects, f_ideal.effects)]
+        value = _lipschitz_ball_lp(f_ideal.metric, deltas, t.ctx)
+        if t.ctx.gt(value, best):
+            best = value
+    return best
+
+
+def _with_metric(m, metric):
+    return Measurement(m.outcomes, m.effects, metric)
+
+
+class TestWernerClosedForm:
+    """The two-outcome closed form equals the Lipschitz-ball LP exactly."""
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_single_vertex_value_is_lp_value(self, ctx, scale):
+        rng = np.random.default_rng(5)
+        metric = FiniteMetricSpace.discrete((0, 1), scale=scale)
+        if ctx.exact:
+            gaps = [Fr(int(a), int(b)) for a, b in rng.integers(1, 50, size=(20, 2))] + [Fr(0)]
+        else:
+            gaps = list(rng.uniform(0, 1, size=20)) + [0.0, 1e-10, 1e-9, 2e-9, 1e-7]
+        for gap in gaps:
+            for delta in (gap, -gap):
+                lp = _lipschitz_ball_lp(metric, [-delta, delta], ctx)
+                closed = ctx.zero() if ctx.is_zero(delta) else abs(delta) * scale
+                assert lp == closed, (delta, lp, closed)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_random_binary_pairs(self, exact, scale):
+        rng = np.random.default_rng(17 + scale)
+        metric = FiniteMetricSpace.discrete((0, 1), scale=scale)
+        theories = [make_classical(n) for n in (1, 2, 3)]
+        if not exact:
+            theories = [theory_to_float(t) for t in theories]
+            theories += [make_polygon(n) for n in range(3, 13)]
+        compared = 0
+        for t in theories:
+            for _ in range(4):
+                i, j = (int(a) for a in rng.integers(0, 2 * t.n_vertices, size=2))
+                lam = Fr(int(rng.integers(0, 8)), 8) if exact else float(rng.uniform())
+                ideal = _with_metric(binary_ideal_measurement(t, i), metric)
+                approx = _with_metric(fuzzify(t, binary_ideal_measurement(t, j), lam), metric)
+                assert werner_distance(t, approx, ideal) == _werner_by_lp(t, approx, ideal)
+                compared += 1
+        assert compared == 4 * len(theories)
+
+    def test_gap_within_tolerance_is_zero(self):
+        # the gap is within the tolerance, three times the gap is not
+        t = make_polygon(7)
+        f = _with_metric(binary_ideal_measurement(t, 3),
+                         FiniteMetricSpace.discrete((0, 1), scale=3))
+        near = fuzzify(t, f, 1 - 1.8e-9)
+        assert 0 < linf_distance(t, near, f) <= FLOAT.tol < 3 * linf_distance(t, near, f)
+        assert werner_distance(t, near, f) == _werner_by_lp(t, near, f) == 0
+
+    def test_lp_only_beyond_two_outcomes(self, monkeypatch):
+        calls = []
+        real = measures.lp_solve
+        monkeypatch.setattr(measures, "lp_solve", lambda p, ctx: calls.append(1) or real(p, ctx))
+        t = make_classical(2)
+        f = binary_ideal_measurement(t, 0)
+        werner_distance(t, fuzzify(t, f, Fr(1, 3)), f)
+        assert not calls
+        from gptlab.ideal import enumerate_ideal_measurements
+
+        g = next(m for m in enumerate_ideal_measurements(t, 3) if m.n_outcomes == 3)
+        werner_distance(t, fuzzify(t, g, Fr(1, 2)), g)
+        assert len(calls) == t.n_vertices
 
 
 class TestLinfDistance:

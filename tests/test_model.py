@@ -2,10 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
+from gptlab.cones import cone_member
 from gptlab.measures import FiniteMetricSpace
 from gptlab.model import (
     Measurement,
@@ -23,10 +26,13 @@ from gptlab.model import (
     measurement_violations,
     save_theory,
     theory_from_dict,
+    theory_to_float,
     validate_measurement,
     validate_theory,
 )
-from gptlab.scalars import EXACT, InnerProduct
+from gptlab.scalars import EXACT, InnerProduct, float_vec, vadd, vscale, vsub
+
+from helpers import _same_direction, facet_normals_bruteforce, member_bruteforce
 
 SQ2 = math.sqrt(2)
 
@@ -199,6 +205,131 @@ class TestStateMembership:
     def test_outside(self):
         t = make_polygon(9)
         assert not in_state_space(t, (2.0, 0.0, 1.0))
+
+
+def _random_rational_polygon(rng) -> Theory:
+    """Convex hull of random integer points, lifted to the plane z = 1."""
+    while True:
+        pts = sorted({(Fr(int(x)), Fr(int(y))) for x, y in rng.integers(-6, 7, size=(7, 2))})
+        hull = []
+        for sweep in (pts, pts[::-1]):  # monotone chain, collinear points dropped
+            half = []
+            for q in sweep:
+                while len(half) >= 2 and (
+                    (half[-1][0] - half[-2][0]) * (q[1] - half[-2][1])
+                    - (half[-1][1] - half[-2][1]) * (q[0] - half[-2][0])
+                ) <= 0:
+                    half.pop()
+                half.append(q)
+            hull += half[:-1]
+        if len(hull) >= 3:
+            return Theory(
+                name=f"rational-{len(hull)}-gon",
+                vertices=tuple((x, y, Fr(1)) for x, y in hull),
+                unit_effect=(Fr(0), Fr(0), Fr(1)),
+                inner=InnerProduct.euclidean(3, EXACT),
+                ctx=EXACT,
+            )
+
+
+def _random_triangular_prism(rng) -> Theory:
+    while True:
+        tri = [tuple(Fr(int(a)) for a in rng.integers(-5, 6, size=2)) for _ in range(3)]
+        (ax, ay), (bx, by), (cx, cy) = tri
+        if (bx - ax) * (cy - ay) != (by - ay) * (cx - ax):
+            break
+    h = Fr(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+    return Theory(
+        name="rational-prism",
+        vertices=tuple((x, y, z, Fr(1)) for z in (Fr(0), h) for x, y in tri),
+        unit_effect=(Fr(0), Fr(0), Fr(0), Fr(1)),
+        inner=InnerProduct.euclidean(4, EXACT),
+        ctx=EXACT,
+    )
+
+
+def _membership_queries(t: Theory, rng) -> list:
+    """(point, expected) pairs: vertices, midpoints, mixtures, points just outside."""
+    verts = t.vertices
+    n = len(verts)
+    centroid = vscale(Fr(1, n), _vsum(verts))
+    out = [(v, True) for v in verts]
+    out += [(vscale(Fr(1, 2), vadd(verts[i], verts[j])), True)
+            for i in range(n) for j in range(i + 1, n)]
+    for _ in range(3):
+        w = [Fr(int(a)) for a in rng.integers(1, 10, size=n)]
+        out.append((vscale(1 / sum(w), _vsum(vscale(a, v) for a, v in zip(w, verts))), True))
+    for normal in facet_normals_bruteforce(verts, EXACT):
+        face = [v for v in verts if sum(a * b for a, b in zip(normal, v)) == 0]
+        p = vscale(Fr(1, len(face)), _vsum(face))
+        # outward and parallel to the state plane, so still normalised
+        out.append((vadd(p, vscale(Fr(1, 10**6), vsub(p, centroid))), False))
+    out.append((vscale(2, centroid), False))  # in the cone, not normalised
+    return out
+
+
+def _vsum(vs):
+    vs = list(vs)
+    total = vs[0]
+    for v in vs[1:]:
+        total = vadd(total, v)
+    return total
+
+
+class TestFacetMembership:
+    """Facet-based membership against the LP and brute-force facet oracles."""
+
+    @staticmethod
+    def _theories():
+        rng = np.random.default_rng(20)
+        return (
+            [_random_rational_polygon(rng) for _ in range(6)]
+            + [make_classical(n) for n in (1, 2, 3)]
+            + [_random_triangular_prism(rng) for _ in range(3)]
+        )
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_matches_lp_and_bruteforce(self, exact):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for t_exact in self._theories():
+            queries = _membership_queries(t_exact, rng)
+            t = t_exact if exact else theory_to_float(t_exact)
+            ctx = t.ctx
+            for point, expected in queries:
+                omega = point if exact else float_vec(point)
+                normalised = ctx.eq(effect_eval(t, t.unit_effect, omega), 1)
+                lp = cone_member(t.cone, omega, ctx) and normalised
+                brute = member_bruteforce(t.vertices, omega, ctx) and normalised
+                assert in_state_space(t, omega) == lp == brute == expected, (t.name, point)
+                checked += 1
+        assert checked > 250
+
+    def test_facets_match_bruteforce(self):
+        for t in self._theories():
+            validate_theory(t)
+            brute = facet_normals_bruteforce(t.vertices, t.ctx)
+            assert len(t.facet_normals) == len(brute)
+            for n in t.facet_normals:
+                assert any(_same_direction(n, m, t.ctx) for m in brute)
+
+    def test_facets_are_lazy_and_per_instance(self):
+        t = make_polygon(6)
+        assert "facet_normals" not in vars(t)
+        assert in_state_space(t, t.vertices[0])
+        assert len(vars(t)["facet_normals"]) == 6
+        assert "facet_normals" not in vars(replace(t, name="copy"))
+
+    def test_non_spanning_vertices_fail_loudly(self):
+        flat = Theory(
+            name="segment-in-3d",
+            vertices=((Fr(1), Fr(0), Fr(1)), (Fr(0), Fr(1), Fr(1))),
+            unit_effect=(Fr(0), Fr(0), Fr(1)),
+            inner=InnerProduct.euclidean(3, EXACT),
+            ctx=EXACT,
+        )
+        with pytest.raises(ValueError, match="span only a 2-dimensional subspace"):
+            in_state_space(flat, (Fr(1, 2), Fr(1, 2), Fr(1)))
 
 
 class TestTheoryValidation:
