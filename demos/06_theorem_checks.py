@@ -42,17 +42,12 @@ print()
 print("=== the even-polygon route (re-express, then verify) ===")
 raw = make_polygon(6)
 f6, g6 = ideal_pair_for(raw)
-from gptlab.compat import JointMeasurement
-from gptlab.ideal import psi_map_effect, psi_map_measurement
+from gptlab.ideal import psi_map_joint, psi_map_measurement
 from gptlab.ideal import psi_transform
 
 hat = psi_transform(raw)
 jh = random_joint(hat, psi_map_measurement(f6, 6), psi_map_measurement(g6, 6), rng)
-j_raw = JointMeasurement(
-    jh.row_labels, jh.col_labels,
-    tuple(tuple(psi_map_effect(e, 6, inverse=True) for e in row) for row in jh.effects),
-    jh.row_metric, jh.col_metric,
-)
+j_raw = psi_map_joint(jh, 6, inverse=True)
 rep = verify_thm3_even(6, f6, g6, j_raw, "thm2")
 print(f"{rep.check}: passed={rep.passed}, "
       f"probability deviation across the re-expression: "

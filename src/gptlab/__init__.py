@@ -14,7 +14,7 @@ Library layout:
 - ``cli``: the ``gptlab`` command
 """
 
-from .scalars import Context, EXACT, FLOAT, InnerProduct, gram_inner
+from .scalars import Context, EXACT, FLOAT, InnerProduct
 from .cones import Cone, LinealityError, affine_hull_check, cone_member, cones_equal, dual_cone
 from .linprog import FeasibilityResult, LinearProgram, LpResult, lp_feasible, lp_solve
 from .model import (
@@ -54,6 +54,7 @@ from .ideal import (
     fuzzify,
     indecomposable_pure_effects,
     perpendicular_ideal_pair,
+    psi_map_joint,
     psi_map_measurement,
     psi_transform,
 )

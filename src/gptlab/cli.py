@@ -28,6 +28,8 @@ from .ideal import (
     binary_ideal_measurement,
     enumerate_ideal_measurements,
     perpendicular_ideal_pair,
+    psi_map_joint,
+    psi_map_measurement,
     psi_transform,
 )
 from .measures import (
@@ -208,17 +210,10 @@ def cmd_verify(args) -> None:
         raw = make_polygon(n)
         f, g = harness.ideal_pair_for(raw)
         hat = psi_transform(raw)
-        from .ideal import psi_map_effect, psi_map_measurement
-
         fh, gh = psi_map_measurement(f, n), psi_map_measurement(g, n)
         reports = []
         for _ in range(args.random):
-            jh = harness.random_joint(hat, fh, gh, rng)
-            jraw = jh.__class__(
-                jh.row_labels, jh.col_labels,
-                tuple(tuple(psi_map_effect(e, n, inverse=True) for e in row) for row in jh.effects),
-                jh.row_metric, jh.col_metric,
-            )
+            jraw = psi_map_joint(harness.random_joint(hat, fh, gh, rng), n, inverse=True)
             reports.append(
                 harness.verify_thm3_even(n, f, g, jraw, args.mode, args.eps1, args.eps2).to_dict()
             )
@@ -240,15 +235,7 @@ def cmd_verify(args) -> None:
     reports = []
     for _ in range(args.random):
         j = harness.random_joint(t, f, g, rng)
-        if which == "thm1":
-            rep = harness.verify_thm1(t, f, g, j, args.eps1, args.eps2)
-        elif which == "cor1":
-            rep = harness.verify_cor1(t, f, g, j, args.eps1, args.eps2)
-        elif which == "thm2":
-            rep = harness.verify_thm2(t, f, g, j)
-        else:
-            raise SystemExit(f"unknown verify command {which!r}")
-        reports.append(rep.to_dict())
+        reports.append(harness.verify_mode(which, t, f, g, j, args.eps1, args.eps2).to_dict())
     _emit({"passed": all(r["passed"] for r in reports), "reports": reports})
 
 

@@ -19,7 +19,7 @@ from .model import Measurement, Theory, effect_eval
 from .scalars import vadd, vscale
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointMeasurement:
     """Effects indexed by outcome pairs, with the parent outcome labels."""
 
@@ -30,7 +30,9 @@ class JointMeasurement:
     col_metric: object = None
 
     def __post_init__(self):
-        self.effects = tuple(tuple(tuple(e) for e in row) for row in self.effects)
+        object.__setattr__(
+            self, "effects", tuple(tuple(tuple(e) for e in row) for row in self.effects)
+        )
         if len(self.effects) != len(self.row_labels) or any(
             len(r) != len(self.col_labels) for r in self.effects
         ):

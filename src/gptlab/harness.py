@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,7 @@ from .ideal import (
     enumerate_ideal_measurements,
     fuzzify,
     perpendicular_ideal_pair,
-    psi_map_effect,
+    psi_map_joint,
     psi_map_measurement,
     psi_transform,
 )
@@ -58,7 +58,7 @@ from .symmetry import canonicalize
 SLACK = 1e-9  # absolute slack granted to the ">=" side of every inequality
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """Self-contained record of one theorem check, replayable from inputs."""
 
@@ -126,6 +126,44 @@ def witness_candidates(t: Theory, j: JointMeasurement) -> list:
     return [state for _ab, state in _cell_states(t, j, check=True)]
 
 
+def _cell_scan(t: Theory, f: Measurement, g: Measurement, j: JointMeasurement,
+               check: bool = False):
+    """(cell, state, F distribution, G distribution) per cell state, in grid order."""
+    for cell, state in _cell_states(t, j, check):
+        yield (cell, state, distribution(t, f, state, check_state=False),
+               distribution(t, g, state, check_state=False))
+
+
+def _holds(rows) -> bool:
+    """Every (label, lhs, rhs) row satisfies lhs >= rhs up to SLACK."""
+    return all(lhs >= rhs - SLACK for _label, lhs, rhs in rows)
+
+
+def _witness_report(check: str, t: Theory, params: dict, candidates, fail: tuple,
+                    tail: tuple = (), extra: Optional[dict] = None) -> VerificationReport:
+    """Report on the first (state, rows) candidate whose rows all hold.
+
+    Its rows become the passing inequalities; when no candidate holds,
+    the single (label, lhs, rhs) ``fail`` row is reported instead.  The
+    ``tail`` rows are checked and appended either way and also gate
+    ``passed``; ``extra`` is kept only when a witness was found.
+    """
+    witness, rows = next(((s, r) for s, r in candidates if _holds(r)), (None, [fail]))
+    found = witness is not None
+    checked = [(row, found) for row in rows] + [(row, _holds([row])) for row in tail]
+    ineqs = [{"label": label, "lhs": float(lhs), "rhs": float(rhs), "ok": ok}
+             for (label, lhs, rhs), ok in checked]
+    return VerificationReport(
+        check=check,
+        theory=t.name,
+        params=params,
+        inequalities=ineqs,
+        witness=[float(x) for x in witness] if found else None,
+        passed=all(iq["ok"] for iq in ineqs),
+        extra=(extra or {}) if found else {},
+    )
+
+
 def verify_thm1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
                 j: JointMeasurement, eps1: float, eps2: float) -> VerificationReport:
     """Error-bar widths of the marginals bound overall widths on a witness."""
@@ -135,44 +173,25 @@ def verify_thm1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
     w1 = error_bar_width(t, mf, f, eps1)
     w2 = error_bar_width(t, mg, g, eps2)
     eps = eps1 + eps2
-
-    cells = _cell_states(t, j, check=True)
     metric_f, metric_g = metric_of(f), metric_of(g)
-    witness, ineqs = None, []
-    # the proof's scan functional: ball mass of F around a' plus of G around b'
-    best_score, best_ok = None, False
-    for (a, b), state in cells:
-        df = distribution(t, f, state, check_state=False)
-        dg = distribution(t, g, state, check_state=False)
-        score = sum(df.probs[i] for i in metric_f.ball(a, w1, t.ctx)) + sum(
-            dg.probs[i] for i in metric_g.ball(b, w2, t.ctx)
-        )
-        wf = overall_width(df, eps, t.ctx)
-        wg = overall_width(dg, eps, t.ctx)
-        ok = w1 >= wf - SLACK and w2 >= wg - SLACK
-        if best_score is None or score > best_score:
-            best_score, best_ok = score, ok
-        if ok and witness is None:
-            witness = state
-            ineqs = [
-                {"label": "errorbar_F >= overall_F", "lhs": float(w1), "rhs": float(wf), "ok": True},
-                {"label": "errorbar_G >= overall_G", "lhs": float(w2), "rhs": float(wg), "ok": True},
-            ]
-    passed = witness is not None
+    # (the proof's scan functional: ball mass of F around a' plus of G around
+    # b', state, rows) for every cell, not just up to the first witness
+    scored = [
+        (sum(df.probs[i] for i in metric_f.ball(a, w1, t.ctx))
+         + sum(dg.probs[i] for i in metric_g.ball(b, w2, t.ctx)),
+         state,
+         [("errorbar_F >= overall_F", w1, overall_width(df, eps, t.ctx)),
+          ("errorbar_G >= overall_G", w2, overall_width(dg, eps, t.ctx))])
+        for (a, b), state, df, dg in _cell_scan(t, f, g, j, check=True)
+    ]
     # proof-faithfulness: the cell maximizing the scan functional must itself
     # be a passing witness
-    extra = {"proof_candidate_ok": bool(best_ok)} if passed else {}
-    if not passed:
-        ineqs = [{"label": "no candidate satisfied both width bounds",
-                  "lhs": float(w1), "rhs": float(w2), "ok": False}]
-    return VerificationReport(
-        check="thm1",
-        theory=t.name,
-        params={"eps1": eps1, "eps2": eps2},
-        inequalities=ineqs,
-        witness=[float(x) for x in witness] if witness is not None else None,
-        passed=passed,
-        extra=extra,
+    best = max(scored, key=lambda c: c[0], default=None)
+    return _witness_report(
+        "thm1", t, {"eps1": eps1, "eps2": eps2},
+        [(state, rows) for _score, state, rows in scored],
+        ("no candidate satisfied both width bounds", w1, w2),
+        extra={"proof_candidate_ok": best is not None and _holds(best[2])},
     )
 
 
@@ -185,32 +204,14 @@ def verify_cor1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
     dw_f = werner_distance(t, mf, f)
     dw_g = werner_distance(t, mg, g)
     eps = eps1 + eps2
-    witness, ineqs = None, []
-    for _ab, state in _cell_states(t, j):
-        df = distribution(t, f, state, check_state=False)
-        dg = distribution(t, g, state, check_state=False)
-        wf = overall_width(df, eps, t.ctx)
-        wg = overall_width(dg, eps, t.ctx)
-        if dw_f >= eps1 / 2 * wf - SLACK and dw_g >= eps2 / 2 * wg - SLACK:
-            witness = state
-            ineqs = [
-                {"label": "D_W(F) >= eps1/2 * overall_F", "lhs": float(dw_f),
-                 "rhs": float(eps1 / 2 * wf), "ok": True},
-                {"label": "D_W(G) >= eps2/2 * overall_G", "lhs": float(dw_g),
-                 "rhs": float(eps2 / 2 * wg), "ok": True},
-            ]
-            break
-    passed = witness is not None
-    if not passed:
-        ineqs = [{"label": "no candidate satisfied both scaled width bounds",
-                  "lhs": float(dw_f), "rhs": float(dw_g), "ok": False}]
-    return VerificationReport(
-        check="cor1",
-        theory=t.name,
-        params={"eps1": eps1, "eps2": eps2},
-        inequalities=ineqs,
-        witness=[float(x) for x in witness] if witness is not None else None,
-        passed=passed,
+    return _witness_report(
+        "cor1", t, {"eps1": eps1, "eps2": eps2},
+        ((state, [("D_W(F) >= eps1/2 * overall_F", dw_f,
+                   eps1 / 2 * overall_width(df, eps, t.ctx)),
+                  ("D_W(G) >= eps2/2 * overall_G", dw_g,
+                   eps2 / 2 * overall_width(dg, eps, t.ctx))])
+         for _ab, state, df, dg in _cell_scan(t, f, g, j)),
+        ("no candidate satisfied both scaled width bounds", dw_f, dw_g),
     )
 
 
@@ -221,30 +222,28 @@ def verify_thm2(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
     d_f = linf_distance(t, mf, f)
     d_g = linf_distance(t, mg, g)
     lhs = d_f + d_g
-    witness, ineqs = None, []
-    for _ab, state in _cell_states(t, j):
-        le_f = localization_error(distribution(t, f, state, check_state=False))
-        le_g = localization_error(distribution(t, g, state, check_state=False))
-        if lhs >= le_f + le_g - SLACK:
-            witness = state
-            ineqs = [{"label": "D_inf(F)+D_inf(G) >= LE(F)+LE(G)",
-                      "lhs": float(lhs), "rhs": float(le_f + le_g), "ok": True}]
-            break
-    passed = witness is not None
     # cross-module law: the sum also dominates the global vertex minimum
     mls = min_le_sum(t, f, g)
-    global_ok = lhs >= mls.value - SLACK
-    ineqs.append({"label": "D_inf sum >= min_LE_sum", "lhs": float(lhs),
-                  "rhs": float(mls.value), "ok": bool(global_ok)})
-    passed = passed and global_ok
-    return VerificationReport(
-        check="thm2",
-        theory=t.name,
-        params={},
-        inequalities=ineqs,
-        witness=[float(x) for x in witness] if witness is not None else None,
-        passed=passed,
+    return _witness_report(
+        "thm2", t, {},
+        ((state, [("D_inf(F)+D_inf(G) >= LE(F)+LE(G)", lhs,
+                   localization_error(df) + localization_error(dg))])
+         for _ab, state, df, dg in _cell_scan(t, f, g, j)),
+        ("no candidate satisfied the localization-error bound", d_f, d_g),
+        tail=(("D_inf sum >= min_LE_sum", lhs, mls.value),),
     )
+
+
+def verify_mode(mode: str, t: Theory, f: IdealMeasurement, g: IdealMeasurement,
+                j: JointMeasurement, eps1: float, eps2: float) -> VerificationReport:
+    """Run the verifier named by ``mode``: "thm1", "cor1" or "thm2"."""
+    if mode == "thm1":
+        return verify_thm1(t, f, g, j, eps1, eps2)
+    if mode == "cor1":
+        return verify_cor1(t, f, g, j, eps1, eps2)
+    if mode == "thm2":
+        return verify_thm2(t, f, g, j)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def verify_thm3_even(n: int, f: IdealMeasurement, g: IdealMeasurement,
@@ -262,13 +261,7 @@ def verify_thm3_even(n: int, f: IdealMeasurement, g: IdealMeasurement,
     hat = psi_transform(raw)
     f_hat = psi_map_measurement(f, n)
     g_hat = psi_map_measurement(g, n)
-    j_hat = JointMeasurement(
-        row_labels=j.row_labels,
-        col_labels=j.col_labels,
-        effects=tuple(tuple(psi_map_effect(e, n) for e in row) for row in j.effects),
-        row_metric=j.row_metric,
-        col_metric=j.col_metric,
-    )
+    j_hat = psi_map_joint(j, n)
     # probability covariance across the re-expression
     max_dev = 0.0
     for meas_raw, meas_hat in ((f, f_hat), (g, g_hat)):
@@ -276,19 +269,14 @@ def verify_thm3_even(n: int, f: IdealMeasurement, g: IdealMeasurement,
             for e_raw, e_hat in zip(meas_raw.effects, meas_hat.effects):
                 dev = abs(effect_eval(raw, e_raw, v_raw) - effect_eval(hat, e_hat, v_hat))
                 max_dev = max(max_dev, dev)
-    if mode == "thm1":
-        rep = verify_thm1(hat, f_hat, g_hat, j_hat, eps1, eps2)
-    elif mode == "cor1":
-        rep = verify_cor1(hat, f_hat, g_hat, j_hat, eps1, eps2)
-    elif mode == "thm2":
-        rep = verify_thm2(hat, f_hat, g_hat, j_hat)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    rep.check = f"thm3[{mode}]"
-    rep.theory = f"polygon-{n}"
-    rep.extra["psi_probability_deviation"] = max_dev
-    rep.passed = rep.passed and max_dev < 1e-9
-    return rep
+    rep = verify_mode(mode, hat, f_hat, g_hat, j_hat, eps1, eps2)
+    return replace(
+        rep,
+        check=f"thm3[{mode}]",
+        theory=f"polygon-{n}",
+        passed=rep.passed and max_dev < 1e-9,
+        extra={**rep.extra, "psi_probability_deviation": max_dev},
+    )
 
 
 def verify_propc(t: Theory, f_approx: Measurement, f_ideal: Measurement,
@@ -462,14 +450,7 @@ def run_report(config: Optional[dict] = None, out_dir: str = "report",
         f_hat, g_hat = psi_map_measurement(f_raw, n), psi_map_measurement(g_raw, n)
         for k in range(cfg["joints_per_case"]):
             j_hat = random_joint(hat, f_hat, g_hat, rng)
-            j_raw = JointMeasurement(
-                row_labels=j_hat.row_labels, col_labels=j_hat.col_labels,
-                effects=tuple(
-                    tuple(psi_map_effect(e, n, inverse=True) for e in row)
-                    for row in j_hat.effects
-                ),
-                row_metric=j_hat.row_metric, col_metric=j_hat.col_metric,
-            )
+            j_raw = psi_map_joint(j_hat, n, inverse=True)
             note(verify_thm3_even(n, f_raw, g_raw, j_raw, "thm2"), n, f"joint{k}")
 
     for t in [prepare_conforming(make_polygon(n)) for n in (5, 8)]:

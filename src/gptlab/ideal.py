@@ -25,12 +25,13 @@ from .model import (
     in_state_space,
     is_valid_effect,
     is_zero_effect,
+    polygon_radius,
 )
 from .scalars import Context, mat_vec, vadd, vscale, vsub
 from .symmetry import is_self_dual
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdealMeasurement(Measurement):
     """Measurement whose outcomes carry index-set provenance per the ideal form."""
 
@@ -40,7 +41,7 @@ class IdealMeasurement(Measurement):
 def polygon_raw_pure_effects(t: Theory) -> tuple:
     """Extreme (pure, indecomposable) effects of a raw polygon theory."""
     n = t.n
-    r = math.sqrt(1.0 / math.cos(math.pi / n))
+    r = polygon_radius(n)
     out = []
     if n % 2 == 0:
         for i in range(n):
@@ -129,7 +130,7 @@ def fuzzify(t: Theory, m: Measurement, lam) -> Measurement:
 # affine re-expression of even polygons
 
 def psi_matrix(n: int, inverse: bool = False) -> tuple:
-    r = math.sqrt(1.0 / math.cos(math.pi / n))
+    r = polygon_radius(n)
     s = 1.0 / r if inverse else r
     return ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, 1.0))
 
@@ -173,12 +174,14 @@ def psi_map_effect(e, n: int, inverse: bool = False):
 
 def psi_map_measurement(m: Measurement, n: int, inverse: bool = False) -> Measurement:
     """Map measurement effects into (or back from) the re-expressed polygon."""
-    effects = tuple(psi_map_effect(e, n, inverse) for e in m.effects)
-    if isinstance(m, IdealMeasurement):
-        return IdealMeasurement(
-            outcomes=m.outcomes, effects=effects, metric=m.metric, provenance=m.provenance
-        )
-    return Measurement(outcomes=m.outcomes, effects=effects, metric=m.metric)
+    return replace(m, effects=tuple(psi_map_effect(e, n, inverse) for e in m.effects))
+
+
+def psi_map_joint(j, n: int, inverse: bool = False):
+    """Map every cell of a joint measurement into (or back from) the re-expressed polygon."""
+    return replace(j, effects=tuple(
+        tuple(psi_map_effect(e, n, inverse) for e in row) for row in j.effects
+    ))
 
 
 # ---------------------------------------------------------------------------

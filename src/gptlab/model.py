@@ -37,7 +37,7 @@ if TYPE_CHECKING:
     from .symmetry import SymmetryGroup
 
 
-@dataclass
+@dataclass(frozen=True)
 class Theory:
     """A polytopic state space with unit effect and evaluation pairing."""
 
@@ -86,7 +86,7 @@ class Theory:
         return replace(self, group_cache=group)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Measurement:
     """Labelled effects summing to the unit effect, plus an outcome metric."""
 
@@ -97,8 +97,8 @@ class Measurement:
     def __post_init__(self):
         if len(self.outcomes) != len(self.effects):
             raise ValueError("outcomes and effects must align")
-        self.outcomes = tuple(self.outcomes)
-        self.effects = tuple(tuple(e) for e in self.effects)
+        object.__setattr__(self, "outcomes", tuple(self.outcomes))
+        object.__setattr__(self, "effects", tuple(tuple(e) for e in self.effects))
 
     @property
     def n_outcomes(self) -> int:

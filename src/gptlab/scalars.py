@@ -193,10 +193,10 @@ def rank(rows: Sequence[Sequence], ctx: Context) -> int:
     return r
 
 
-def solve(a, b, ctx: Context) -> Optional[tuple]:
-    """Solve the square system a x = b; None when singular."""
+def _gauss_jordan(a, rhs, ctx: Context) -> Optional[list]:
+    """Reduce [a | rhs] to [I | a^-1 rhs]; the rows of a^-1 rhs, or None when singular."""
     d = len(a)
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    m = [list(row) + list(extra) for row, extra in zip(a, rhs)]
     for c in range(d):
         pivot = _pivot_order([abs(m[i][c]) for i in range(c, d)], ctx)
         if pivot is None:
@@ -212,30 +212,19 @@ def solve(a, b, ctx: Context) -> Optional[tuple]:
             if f == 0:
                 continue
             m[i] = [u - f * v for u, v in zip(m[i], m[c])]
-    return tuple(m[i][d] for i in range(d))
+    return [row[d:] for row in m]
+
+
+def solve(a, b, ctx: Context) -> Optional[tuple]:
+    """Solve the square system a x = b; None when singular."""
+    rows = _gauss_jordan(a, [(rhs,) for rhs in b], ctx)
+    return None if rows is None else tuple(row[0] for row in rows)
 
 
 def inverse(a, ctx: Context) -> Optional[tuple]:
     """Matrix inverse by Gauss-Jordan; None when singular."""
-    d = len(a)
-    one, zero = ctx.one(), ctx.zero()
-    m = [list(row) + [one if i == j else zero for j in range(d)] for i, row in enumerate(a)]
-    for c in range(d):
-        pivot = _pivot_order([abs(m[i][c]) for i in range(c, d)], ctx)
-        if pivot is None:
-            return None
-        p = c + pivot
-        m[c], m[p] = m[p], m[c]
-        pv = m[c][c]
-        m[c] = [v / pv for v in m[c]]
-        for i in range(d):
-            if i == c:
-                continue
-            f = m[i][c]
-            if f == 0:
-                continue
-            m[i] = [u - f * v for u, v in zip(m[i], m[c])]
-    return tuple(tuple(m[i][d:]) for i in range(d))
+    rows = _gauss_jordan(a, identity(len(a), ctx), ctx)
+    return None if rows is None else tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -282,15 +271,6 @@ class InnerProduct:
                     continue
                 m[i] = [a - f * b for a, b in zip(m[i], m[k])]
         return True
-
-
-def gram_inner(g: InnerProduct, x, y):
-    """Pair two vectors through a Gram matrix: x' . gram . y."""
-    if len(x) != g.dim or len(y) != g.dim:
-        raise ValueError(
-            f"dimension mismatch: gram is {g.dim}x{g.dim}, vectors {len(x)}, {len(y)}"
-        )
-    return g.pair(x, y)
 
 
 def as_context_of(x) -> Context:

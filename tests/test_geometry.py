@@ -16,7 +16,7 @@ from gptlab.cones import (
     normalize_ray,
 )
 from gptlab.model import make_classical, make_polygon
-from gptlab.scalars import EXACT, FLOAT, InnerProduct, gram_inner
+from gptlab.scalars import EXACT, FLOAT, InnerProduct
 
 from helpers import member_bruteforce
 
@@ -26,27 +26,27 @@ SQ2 = math.sqrt(2)
 class TestGramInner:
     def test_euclidean_norm(self):
         g = InnerProduct.euclidean(3, FLOAT)
-        assert gram_inner(g, (1.0, 0.0, 1.0), (1.0, 0.0, 1.0)) == pytest.approx(2.0)
+        assert g.pair((1.0, 0.0, 1.0), (1.0, 0.0, 1.0)) == pytest.approx(2.0)
 
     def test_polygon_state_against_mixed(self):
         g = InnerProduct.euclidean(3, FLOAT)
-        assert gram_inner(g, (SQ2, 0.0, 1.0), (0.0, 0.0, 1.0)) == pytest.approx(1.0)
+        assert g.pair((SQ2, 0.0, 1.0), (0.0, 0.0, 1.0)) == pytest.approx(1.0)
 
     def test_diagonal_gram(self):
         g = InnerProduct(((Fr(2), Fr(0)), (Fr(0), Fr(1))))
-        assert gram_inner(g, (Fr(1), Fr(0)), (Fr(1), Fr(0))) == Fr(2)
+        assert g.pair((Fr(1), Fr(0)), (Fr(1), Fr(0))) == Fr(2)
 
     def test_dimension_mismatch(self):
         g = InnerProduct.euclidean(2, FLOAT)
         with pytest.raises(ValueError):
-            gram_inner(g, (1.0, 0.0, 0.0), (1.0, 0.0))
+            g.pair((1.0, 0.0, 0.0), (1.0, 0.0))
 
     def test_symmetry_bilinearity(self):
         g = InnerProduct(((2.0, 0.5, 0.0), (0.5, 1.0, 0.0), (0.0, 0.0, 3.0)))
         x, y, z = (1.0, 2.0, -1.0), (0.5, -1.0, 2.0), (3.0, 0.0, 1.0)
-        assert gram_inner(g, x, y) == pytest.approx(gram_inner(g, y, x))
-        lhs = gram_inner(g, tuple(a + 2 * b for a, b in zip(x, z)), y)
-        rhs = gram_inner(g, x, y) + 2 * gram_inner(g, z, y)
+        assert g.pair(x, y) == pytest.approx(g.pair(y, x))
+        lhs = g.pair(tuple(a + 2 * b for a, b in zip(x, z)), y)
+        rhs = g.pair(x, y) + 2 * g.pair(z, y)
         assert lhs == pytest.approx(rhs)
 
     def test_non_spd_rejected(self):

@@ -3,17 +3,18 @@
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gptlab import cli, harness
-from gptlab.compat import joint_violations, product_joint, uniform_joint
+from gptlab.compat import joint_violations, marginals, product_joint, uniform_joint
 from gptlab.ideal import (
     binary_ideal_measurement,
     fuzzify,
     perpendicular_ideal_pair,
-    psi_map_effect,
+    psi_map_joint,
     psi_map_measurement,
     psi_transform,
 )
@@ -24,7 +25,7 @@ from gptlab.model import (
     save_theory,
     validate_measurement,
 )
-from gptlab.compat import JointMeasurement
+from gptlab.measures import error_bar_width, linf_distance, min_le_sum, werner_distance
 
 
 class TestWitnessCandidates:
@@ -138,6 +139,51 @@ class TestVerifiers:
         assert rep.passed
         assert rep.inequalities[0]["lhs"] >= 1 - 1 / math.sqrt(2) - 1e-9
 
+    def test_thm2_failed_scan_reports_failing_row(self, monkeypatch):
+        # no cell state meets the bound, yet the global min_LE_sum row (which
+        # measures computes with its own localization_error) still holds
+        monkeypatch.setattr(harness, "localization_error", lambda p: 1.0)
+        t = harness.prepare_conforming(make_polygon(5))
+        f, g = harness.ideal_pair_for(t)
+        rep = harness.verify_thm2(t, f, g, harness.random_joint(t, f, g, np.random.default_rng(2)))
+        assert rep.passed is False
+        assert rep.inequalities[-1]["label"] == "D_inf sum >= min_LE_sum"
+        assert rep.inequalities[-1]["ok"]
+        assert any(not iq["ok"] for iq in rep.inequalities)
+
+    def test_thm2_global_row_gates_pass(self, monkeypatch):
+        monkeypatch.setattr(harness, "min_le_sum", lambda t, f, g: SimpleNamespace(value=10.0))
+        t = make_polygon(5)
+        f = binary_ideal_measurement(t, 0)
+        rep = harness.verify_thm2(t, f, f, product_joint(f))
+        assert rep.witness is not None and rep.inequalities[0]["ok"]
+        assert rep.inequalities[-1]["ok"] is False and rep.passed is False
+
+    def test_failure_rows(self, monkeypatch):
+        monkeypatch.setattr(harness, "SLACK", -10.0)  # no inequality can hold
+        t = harness.prepare_conforming(make_polygon(5))
+        f, g = harness.ideal_pair_for(t)
+        j = harness.random_joint(t, f, g, np.random.default_rng(1))
+        mf, mg = marginals(j)
+        d_f, d_g = linf_distance(t, mf, f), linf_distance(t, mg, g)
+
+        def row(label, lhs, rhs, ok=False):
+            return {"label": label, "lhs": float(lhs), "rhs": float(rhs), "ok": ok}
+
+        expected = {
+            "thm1": [row("no candidate satisfied both width bounds",
+                         error_bar_width(t, mf, f, 0.2), error_bar_width(t, mg, g, 0.3))],
+            "cor1": [row("no candidate satisfied both scaled width bounds",
+                         werner_distance(t, mf, f), werner_distance(t, mg, g))],
+            "thm2": [row("no candidate satisfied the localization-error bound", d_f, d_g),
+                     row("D_inf sum >= min_LE_sum", d_f + d_g, min_le_sum(t, f, g).value)],
+        }
+        for rep in (harness.verify_thm1(t, f, g, j, 0.2, 0.3),
+                    harness.verify_cor1(t, f, g, j, 0.2, 0.3),
+                    harness.verify_thm2(t, f, g, j)):
+            assert rep.passed is False and rep.witness is None and rep.extra == {}
+            assert rep.inequalities == expected[rep.check]
+
     def test_thm1_eps_validation(self):
         t = make_polygon(5)
         f = binary_ideal_measurement(t, 0)
@@ -155,12 +201,7 @@ class TestVerifiers:
 
         res = is_jointly_measurable(hat, fuzzify(hat, fh, 0.5), fuzzify(hat, gh, 0.5))
         assert res.compatible
-        j_raw = JointMeasurement(
-            res.witness.row_labels, res.witness.col_labels,
-            tuple(tuple(psi_map_effect(e, n, inverse=True) for e in row)
-                  for row in res.witness.effects),
-            res.witness.row_metric, res.witness.col_metric,
-        )
+        j_raw = psi_map_joint(res.witness, n, inverse=True)
         rep = harness.verify_thm3_even(n, f, g, j_raw, "thm2")
         assert rep.passed
         assert rep.extra["psi_probability_deviation"] < 1e-9

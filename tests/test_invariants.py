@@ -1,11 +1,13 @@
 """Cross-module structural laws checked on families of inputs."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from gptlab.compat import is_jointly_measurable
+from gptlab.compat import JointMeasurement, is_jointly_measurable, product_joint
+from gptlab.harness import verify_thm2
 from gptlab.ideal import (
     binary_ideal_measurement,
     enumerate_ideal_measurements,
@@ -13,7 +15,7 @@ from gptlab.ideal import (
     psi_transform,
 )
 from gptlab.measures import error_bar_width
-from gptlab.model import effect_eval, in_state_space, make_classical, make_polygon
+from gptlab.model import Measurement, effect_eval, in_state_space, make_classical, make_polygon
 from gptlab.symmetry import automorphism_group, averaged_inner_product, canonicalize
 
 
@@ -100,3 +102,16 @@ class TestVanishingDistances:
         other = Measurement(f.outcomes, binary_ideal_measurement(t, 1).effects, f.metric)
         assert werner_distance(t, other, f) > 1e-6
         assert linf_distance(t, other, f) > 1e-6
+
+
+class TestFrozenValues:
+    def test_field_assignment_raises(self):
+        t = make_polygon(5)
+        f = binary_ideal_measurement(t, 0)
+        j = JointMeasurement([0, 1], [0], [[list(e)] for e in f.effects])
+        assert j.effects == tuple((e,) for e in f.effects)  # normalised on construction
+        values = [t, f, Measurement(outcomes=[0, 1], effects=[list(e) for e in f.effects]), j,
+                  verify_thm2(t, f, f, product_joint(f))]
+        for value, name in zip(values, ("name", "provenance", "effects", "effects", "passed")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
