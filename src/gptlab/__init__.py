@@ -3,7 +3,7 @@
 Library layout:
 
 - ``scalars``: exact/float contexts, tuples-as-vectors linear algebra
-- ``linprog``: two-phase simplex (exact pivoting in exact mode)
+- ``linprog``: two-phase simplex (Fraction lists in exact mode, a float64 array for larger float LPs)
 - ``cones``: dual cones (double description), membership, equality
 - ``model``: theories, effects, measurements, built-ins, JSON files
 - ``symmetry``: automorphism groups, invariant product, canonical form

@@ -125,8 +125,10 @@ def uniform_joint(t: Theory, f: Measurement, g: Measurement) -> JointMeasurement
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompatibilityResult:
+    """Joint measurability of a pair, with a joint measurement when compatible."""
+
     compatible: bool
     witness: Optional[JointMeasurement] = None
 
@@ -202,8 +204,10 @@ def _grid_from_point(t: Theory, point, f: Measurement, g: Measurement) -> JointM
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MurResult:
+    """The least total sup-gap of `min_mur_linf` and a joint measurement attaining it."""
+
     value: object
     joint: JointMeasurement
 

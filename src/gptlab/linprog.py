@@ -1,20 +1,31 @@
 """Self-contained two-phase simplex solver.
 
 Used for cone membership certificates, joint-measurability feasibility,
-measurement-error minimisation, and Lipschitz-ball optimisation.  The
-instances in this package are tiny (at most a few hundred variables), and
-exact pivoting over rationals is needed for cone certificates, so we ship
-our own dense tableau simplex instead of binding an external solver.
+measurement-error minimisation, and Lipschitz-ball optimisation.  Exact
+pivoting over rationals is needed for cone certificates, so we ship our
+own dense tableau simplex instead of binding an external solver.
 
-Bland's anti-cycling rule is always on: entering variable is the lowest
-index with a negative reduced cost, ties in the ratio test break toward
-the lowest basis index.  Correctness over speed at this scale.
+Two tableaux run the same algorithm.  Exact mode pivots on lists of
+Fractions (:class:`_Tableau`).  Float mode keeps the rows and right-hand
+side of all but the smallest LPs in one float64 array
+(:class:`_ArrayTableau`), so a pivot is one rank-1 update instead of a
+Python loop per row.  Both apply Bland's anti-cycling rule on every
+pivot: the entering variable is the lowest index with a negative reduced
+cost, and ties in the ratio test break toward the lowest basis index.
+The array tableau does the same scalar operations in the same order as
+the list tableau, so a float LP takes the same pivots and returns the
+same floats either way.  Float LP data must be finite; a nan or inf
+raises a ValueError before any pivot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .scalars import Context, FLOAT, dot
 
@@ -56,8 +67,10 @@ class LinearProgram:
         return b
 
 
-@dataclass
+@dataclass(frozen=True)
 class LpResult:
+    """What `lp_solve` found; value and point are set when the status is optimal."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: object = None
     point: Optional[tuple] = None
@@ -67,8 +80,10 @@ class LpResult:
         return self.status == "optimal"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeasibilityResult:
+    """What `lp_feasible` found, with a witness point when feasible."""
+
     feasible: bool
     witness: Optional[tuple] = None
 
@@ -81,10 +96,6 @@ class _Tableau:
         self.rhs = list(rhs)
         self.ctx = ctx
         self.basis = [-1] * len(rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
 
     def price_out(self, cost):
         """Objective row (reduced costs) for the current basis, plus -z."""
@@ -118,18 +129,19 @@ class _Tableau:
             rhs[i] -= f * rhs[r]
         self.basis[r] = c
 
-    def run(self, cost, allowed_cols):
-        """Minimise cost over the current basis; returns (status, obj_row, z)."""
+    def run(self, cost, nenter):
+        """Minimise cost over the current basis, entering only columns below
+        `nenter`; returns (status, z)."""
         ctx = self.ctx
         obj, zval = self.price_out(cost)
         for _ in range(_MAX_PIVOTS):
             enter = -1
-            for j in allowed_cols:
+            for j in range(nenter):
                 if ctx.lt(obj[j], 0):
                     enter = j  # Bland: lowest index
                     break
             if enter < 0:
-                return "optimal", obj, zval
+                return "optimal", zval
             leave, best = -1, None
             for i, row in enumerate(self.rows):
                 a = row[enter]
@@ -141,7 +153,7 @@ class _Tableau:
                 ):
                     leave, best = i, ratio
             if leave < 0:
-                return "unbounded", obj, zval
+                return "unbounded", zval
             self.pivot(leave, enter)
             # update the objective row with the normalized pivot row
             fobj = obj[enter]
@@ -151,6 +163,149 @@ class _Tableau:
                     obj[j] -= fobj * prow[j]
                 zval -= fobj * self.rhs[leave]
         raise RuntimeError("simplex exceeded pivot budget (cycling?)")
+
+    # phase-1 steps
+
+    def unit_columns(self, ncols):
+        """Per row, the highest of the first `ncols` columns that is the unit
+        vector with its 1 in that row, or -1."""
+        one, nrows = self.ctx.one(), len(self.rows)
+        found = []
+        for i, row in enumerate(self.rows):
+            found.append(-1)
+            for j in range(ncols - 1, -1, -1):
+                if row[j] == one and all(self.rows[k][j] == 0 for k in range(nrows) if k != i):
+                    found[i] = j
+                    break
+        return found
+
+    def add_artificials(self, need):
+        """Append a unit column for each row in `need`, make it basic there,
+        and return the new column indices."""
+        zero, one = self.ctx.zero(), self.ctx.one()
+        base = len(self.rows[0])
+        for k, i in enumerate(need):
+            for r in range(len(self.rows)):
+                self.rows[r].append(one if r == i else zero)
+            self.basis[i] = base + k
+        return list(range(base, base + len(need)))
+
+    def first_nonzero(self, i, ncols):
+        """Lowest of the first `ncols` columns where row i is not zero, or -1."""
+        for j in range(ncols):
+            if not self.ctx.is_zero(self.rows[i][j]):
+                return j
+        return -1
+
+    def drop(self, drop_rows, ncols):
+        """Delete the given rows and every column from `ncols` on."""
+        for i in sorted(drop_rows, reverse=True):
+            del self.rows[i]
+            del self.rhs[i]
+            del self.basis[i]
+        for row in self.rows:
+            del row[ncols:]
+
+
+class _ArrayTableau:
+    """The float-mode tableau: rows and right-hand side in one float64 array.
+
+    The last column holds the right-hand side, and the objective row carries
+    -z in its last entry, so a pivot updates both with the rows.  Every
+    entry goes through the same IEEE operations, in the same order, as in
+    :class:`_Tableau`, so both take the same pivots to the same floats.
+    """
+
+    def __init__(self, rows, rhs, ctx):
+        self.t = np.empty((len(rows), len(rows[0]) + 1))
+        self.t[:, :-1] = rows
+        self.t[:, -1] = rhs
+        self.tol = ctx.tol
+        self.basis = [-1] * len(rows)
+
+    @property
+    def rhs(self):
+        return self.t[:, -1].tolist()
+
+    def price_out(self, cost):
+        obj = np.append(np.asarray(cost, dtype=float), 0.0)
+        for i, bj in enumerate(self.basis):
+            cb = cost[bj]
+            if cb == 0:
+                continue
+            obj -= cb * self.t[i]
+        return obj
+
+    def pivot(self, r, c):
+        t = self.t
+        t[r] *= 1 / t[r, c]
+        f = t[:, c].copy()
+        f[r] = 0.0
+        nz = np.flatnonzero(f)
+        t[nz] -= np.outer(f[nz], t[r])
+        self.basis[r] = c
+
+    def run(self, cost, nenter):
+        tol, t = self.tol, self.t
+        obj = self.price_out(cost)
+        for _ in range(_MAX_PIVOTS):
+            negative = np.flatnonzero(~(0 <= obj[:nenter] + tol))
+            if not negative.size:
+                return "optimal", float(obj[-1])
+            enter = int(negative[0])  # Bland: lowest index
+            col = t[:, enter]
+            rows = np.flatnonzero(~(col <= tol))
+            if not rows.size:
+                return "unbounded", float(obj[-1])
+            ratios = t[rows, -1] / col[rows]
+            tied = rows[ratios == ratios.min()]
+            leave = int(min(tied, key=self.basis.__getitem__))
+            self.pivot(leave, enter)
+            fobj = obj[enter]
+            if fobj != 0:
+                obj -= fobj * t[leave]
+        raise RuntimeError("simplex exceeded pivot budget (cycling?)")
+
+    def unit_columns(self, ncols):
+        block = self.t[:, :ncols]
+        unit = (block == 1) & ((block != 0).sum(axis=0) == 1)
+        return [int(js[-1]) if js.size else -1 for js in map(np.flatnonzero, unit)]
+
+    def add_artificials(self, need):
+        base = self.t.shape[1] - 1
+        art = np.zeros((len(self.basis), len(need)))
+        art[need, range(len(need))] = 1.0
+        self.t = np.hstack([self.t[:, :base], art, self.t[:, base:]])
+        for k, i in enumerate(need):
+            self.basis[i] = base + k
+        return list(range(base, base + len(need)))
+
+    def first_nonzero(self, i, ncols):
+        js = np.flatnonzero(~(np.abs(self.t[i, :ncols]) <= self.tol))
+        return int(js[0]) if js.size else -1
+
+    def drop(self, drop_rows, ncols):
+        keep = [i for i in range(len(self.basis)) if i not in drop_rows]
+        self.t = np.hstack([self.t[keep, :ncols], self.t[keep, -1:]])
+        self.basis = [self.basis[i] for i in keep]
+
+
+# Below this many cells numpy's per-call overhead outweighs the vectorised
+# pivot: float LPs of three rows (cone membership while a theory is built)
+# ran 2-3x slower on the array, and break-even lay at 300-500 cells
+# (rows x columns of the standard form, random dense LPs).
+_ARRAY_MIN_CELLS = 500
+
+
+def _tableau(rows, rhs, ctx: Context):
+    """Fraction lists in exact mode; in float mode lists for small LPs, else the array.
+
+    Both float tableaux return bit-identical results, so the size only
+    decides the speed.
+    """
+    if ctx.exact or len(rows) * len(rows[0]) < _ARRAY_MIN_CELLS:
+        return _Tableau(rows, rhs, ctx)
+    return _ArrayTableau(rows, rhs, ctx)
 
 
 def _standardize(p: LinearProgram, ctx: Context):
@@ -226,6 +381,9 @@ def _standardize(p: LinearProgram, ctx: Context):
         rhs.append(b)
         rels.append(rel)
 
+    if not ctx.exact and not all(map(math.isfinite, chain(cost, (const,), rhs, *rows))):
+        raise ValueError("LP objective, constraints and bounds must be finite")
+
     # slacks; then flip rows with negative rhs so b >= 0
     nslack = sum(1 for r in rels if r != EQ)
     srow = 0
@@ -254,75 +412,52 @@ def _standardize(p: LinearProgram, ctx: Context):
     return rows, rhs, cost, recover, const, ncol + nslack
 
 
-def _phase1(tab: _Tableau, nstruct: int, ctx: Context):
+def _phase1(tab, nstruct: int, ctx: Context) -> str:
     """Install a basis: slack columns where possible, artificials elsewhere."""
-    zero, one = ctx.zero(), ctx.one()
-    nrows = len(tab.rows)
     need_artificial = []
-    for i, row in enumerate(tab.rows):
-        found = -1
-        for j in range(nstruct - 1, -1, -1):
-            if row[j] == one and all(tab.rows[k][j] == 0 for k in range(nrows) if k != i):
-                found = j
-                break
+    for i, found in enumerate(tab.unit_columns(nstruct)):
         if found >= 0:
             tab.basis[i] = found
         else:
             need_artificial.append(i)
     if not need_artificial:
-        return "optimal", []
-    base = nstruct
-    art_cols = []
-    for k, i in enumerate(need_artificial):
-        for r in range(nrows):
-            tab.rows[r].append(one if r == i else zero)
-        tab.basis[i] = base + k
-        art_cols.append(base + k)
-    cost = [zero] * (nstruct + len(art_cols))
-    for c in art_cols:
-        cost[c] = one
-    allowed = list(range(nstruct))  # artificials never re-enter
-    status, _obj, zval = tab.run(cost, allowed)
+        return "optimal"
+    art_cols = tab.add_artificials(need_artificial)
+    cost = [ctx.zero()] * nstruct + [ctx.one()] * len(art_cols)
+    status, zval = tab.run(cost, nstruct)  # artificials never re-enter
     if status != "optimal":
         raise RuntimeError("phase 1 cannot be unbounded")
     if ctx.gt(-zval, 0):  # min sum of artificials > 0
-        return "infeasible", art_cols
+        return "infeasible"
     # drive leftover artificials out of the basis
     art_set = set(art_cols)
     drop_rows = []
-    for i in range(nrows):
+    for i in range(len(tab.basis)):
         if tab.basis[i] in art_set:
-            piv = -1
-            for j in range(nstruct):
-                if not ctx.is_zero(tab.rows[i][j]):
-                    piv = j
-                    break
+            piv = tab.first_nonzero(i, nstruct)
             if piv >= 0:
                 tab.pivot(i, piv)
             else:
                 drop_rows.append(i)  # redundant row
-    for i in sorted(drop_rows, reverse=True):
-        del tab.rows[i]
-        del tab.rhs[i]
-        del tab.basis[i]
-    for r in range(len(tab.rows)):
-        del tab.rows[r][nstruct:]
-    return "optimal", []
+    tab.drop(drop_rows, nstruct)
+    return "optimal"
+
+
+def _basic_point(tab, nstruct: int, ctx: Context) -> list:
+    point = [ctx.zero()] * nstruct
+    for bj, value in zip(tab.basis, tab.rhs):
+        point[bj] = value
+    return point
 
 
 def _solve_standard(rows, rhs, cost, ctx, nstruct):
-    tab = _Tableau(rows, rhs, ctx)
-    status, _ = _phase1(tab, nstruct, ctx)
-    if status == "infeasible":
+    tab = _tableau(rows, rhs, ctx)
+    if _phase1(tab, nstruct, ctx) == "infeasible":
         return "infeasible", None, None
-    allowed = list(range(nstruct))
-    status, _obj, zval = tab.run(cost, allowed)
+    status, zval = tab.run(cost, nstruct)
     if status == "unbounded":
         return "unbounded", None, None
-    point = [ctx.zero()] * nstruct
-    for i, bj in enumerate(tab.basis):
-        point[bj] = tab.rhs[i]
-    return "optimal", -zval, point
+    return "optimal", -zval, _basic_point(tab, nstruct, ctx)
 
 
 def _certify(p: LinearProgram, x, ctx: Context):
@@ -372,13 +507,9 @@ def lp_feasible(p: LinearProgram, ctx: Context = FLOAT) -> FeasibilityResult:
     rows, rhs, cost, recover, _const, nstruct = _standardize(p, ctx)
     if not rows:
         return FeasibilityResult(True, recover([ctx.zero()] * nstruct))
-    tab = _Tableau(rows, rhs, ctx)
-    status, _ = _phase1(tab, nstruct, ctx)
-    if status == "infeasible":
+    tab = _tableau(rows, rhs, ctx)
+    if _phase1(tab, nstruct, ctx) == "infeasible":
         return FeasibilityResult(False, None)
-    point = [ctx.zero()] * nstruct
-    for i, bj in enumerate(tab.basis):
-        point[bj] = tab.rhs[i]
-    x = recover(point)
+    x = recover(_basic_point(tab, nstruct, ctx))
     _certify(p, x, ctx)
     return FeasibilityResult(True, x)

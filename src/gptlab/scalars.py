@@ -196,6 +196,11 @@ def rank(rows: Sequence[Sequence], ctx: Context) -> int:
 def _gauss_jordan(a, rhs, ctx: Context) -> Optional[list]:
     """Reduce [a | rhs] to [I | a^-1 rhs]; the rows of a^-1 rhs, or None when singular."""
     d = len(a)
+    widths = sorted({len(row) for row in a})
+    if widths not in ([], [d]) or len(rhs) != d:
+        shape = f"{d}x{widths[0] if widths else 0}" if len(widths) <= 1 else f"{d}-row ragged"
+        raise ValueError(f"expected a square matrix and a right-hand side of the same "
+                         f"length, got a {shape} matrix and a right-hand side of length {len(rhs)}")
     m = [list(row) + list(extra) for row, extra in zip(a, rhs)]
     for c in range(d):
         pivot = _pivot_order([abs(m[i][c]) for i in range(c, d)], ctx)

@@ -16,7 +16,7 @@ from gptlab.cones import (
     normalize_ray,
 )
 from gptlab.model import make_classical, make_polygon
-from gptlab.scalars import EXACT, FLOAT, InnerProduct
+from gptlab.scalars import EXACT, FLOAT, InnerProduct, inverse, solve
 
 from helpers import member_bruteforce
 
@@ -54,6 +54,30 @@ class TestGramInner:
         assert not InnerProduct(((0.0, 0.0), (0.0, 1.0))).is_positive_definite(FLOAT)
         assert not InnerProduct(((1.0, 0.5), (0.4, 1.0))).is_positive_definite(FLOAT)
         assert InnerProduct(((2.0, 0.5), (0.5, 1.0))).is_positive_definite(FLOAT)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_solves_and_inverts(self, ctx):
+        a = ctx.mat(((2, 1), (1, 1)))
+        assert solve(a, ctx.vec((3, 2)), ctx) == ctx.vec((1, 1))
+        assert inverse(a, ctx) == ctx.mat(((1, -1), (-1, 2)))
+        assert solve(ctx.mat(((1, 2), (2, 4))), ctx.vec((1, 2)), ctx) is None
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    @pytest.mark.parametrize("a, b, shapes", [
+        (((1, 0), (0, 1)), (1,), "2x2 matrix and a right-hand side of length 1"),
+        (((1, 0), (0, 1)), (1, 2, 3), "2x2 matrix and a right-hand side of length 3"),
+        (((1, 0, 5), (0, 1, 7)), (1, 2), "2x3 matrix and a right-hand side of length 2"),
+        (((1, 0), (0, 1, 7)), (1, 2), "2-row ragged matrix"),
+    ], ids=["short-rhs", "long-rhs", "non-square", "ragged"])
+    def test_shape_mismatch_raises(self, ctx, a, b, shapes):
+        with pytest.raises(ValueError, match=shapes):
+            solve(ctx.mat(a), ctx.vec(b), ctx)
+
+    def test_non_square_inverse_raises(self):
+        with pytest.raises(ValueError, match="2x3 matrix"):
+            inverse(((1.0, 0.0, 5.0), (0.0, 1.0, 7.0)), FLOAT)
 
 
 def orthant(d=3):

@@ -6,7 +6,12 @@ import random
 
 import pytest
 
-from gptlab.compat import JointMeasurement, is_jointly_measurable, product_joint
+from gptlab.compat import (
+    JointMeasurement,
+    is_jointly_measurable,
+    min_mur_linf,
+    product_joint,
+)
 from gptlab.harness import verify_thm2
 from gptlab.ideal import (
     binary_ideal_measurement,
@@ -14,6 +19,7 @@ from gptlab.ideal import (
     indecomposable_pure_effects,
     psi_transform,
 )
+from gptlab.linprog import LinearProgram, lp_feasible, lp_solve
 from gptlab.measures import error_bar_width
 from gptlab.model import Measurement, effect_eval, in_state_space, make_classical, make_polygon
 from gptlab.symmetry import automorphism_group, averaged_inner_product, canonicalize
@@ -110,8 +116,13 @@ class TestFrozenValues:
         f = binary_ideal_measurement(t, 0)
         j = JointMeasurement([0, 1], [0], [[list(e)] for e in f.effects])
         assert j.effects == tuple((e,) for e in f.effects)  # normalised on construction
+        lp = LinearProgram(n_vars=1, objective=[1.0], lower=0.0)
         values = [t, f, Measurement(outcomes=[0, 1], effects=[list(e) for e in f.effects]), j,
-                  verify_thm2(t, f, f, product_joint(f))]
-        for value, name in zip(values, ("name", "provenance", "effects", "effects", "passed")):
+                  verify_thm2(t, f, f, product_joint(f)), lp_solve(lp), lp_feasible(lp),
+                  is_jointly_measurable(t, f, f), min_mur_linf(t, f, f)]
+        names = ("name", "provenance", "effects", "effects", "passed", "value", "witness",
+                 "compatible", "joint")
+        assert len(names) == len(values)
+        for value, name in zip(values, names):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, name, None)

@@ -1,63 +1,119 @@
-"""Simplex solver: worked examples, duality, exact-arithmetic behaviour."""
+"""Simplex solver: worked examples, duality, exact arithmetic, and two oracles
+for float mode (the list tableau, bit for bit, and scipy's HiGHS)."""
 
 from fractions import Fraction as Fr
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptlab.linprog import EQ, GE, LE, LinearProgram, lp_feasible, lp_solve
-from gptlab.scalars import EXACT, dot
+from gptlab import compat, linprog, measures
+from gptlab.cones import Cone, cone_member
+from gptlab.ideal import binary_ideal_measurement, perpendicular_ideal_pair, psi_transform
+from gptlab.linprog import EQ, GE, LE, LinearProgram, LpResult, lp_feasible, lp_solve
+from gptlab.measures import FiniteMetricSpace
+from gptlab.model import make_polygon
+from gptlab.scalars import EXACT, FLOAT, dot
+
+
+def max_bounded_segment():
+    return LinearProgram(n_vars=1, objective=[1.0], sense="max").add([1.0], LE, 1.0).add(
+        [1.0], GE, 0.0)
+
+
+def contradictory_equalities():
+    return LinearProgram(n_vars=1, objective=[0.0]).add([1.0], EQ, 1.0).add([1.0], EQ, 2.0)
+
+
+def simplex_face():
+    return LinearProgram(n_vars=2, objective=[1.0, 1.0], sense="max", lower=0.0).add(
+        [1.0, 1.0], LE, 1.0)
+
+
+def unbounded_ray():
+    return LinearProgram(n_vars=1, objective=[1.0], sense="max").add([1.0], GE, 0.0)
+
+
+def free_and_bounded_variables():
+    # min x + y with x free, y in [-2, 5], x + y >= 1
+    return LinearProgram(n_vars=2, objective=[0.0, 1.0], lower=[None, -2.0],
+                         upper=[None, 5.0]).add([1.0, 1.0], GE, 1.0)
+
+
+def pinned_in_box():
+    return LinearProgram(n_vars=1, objective=[0.0], lower=0.0, upper=1.0).add([1.0], EQ, 0.5)
+
+
+def infeasible_box():
+    return LinearProgram(n_vars=1, objective=[0.0]).add([1.0], GE, 0.0).add([1.0], LE, -1.0)
+
+
+def simplex_with_cut():
+    return LinearProgram(n_vars=3, objective=[1.0, -2.0, 0.5], lower=0.0).add(
+        [1.0, 1.0, 1.0], EQ, 1.0).add([1.0, -1.0, 0.0], LE, 0.25)
+
+
+def redundant_rows():
+    # x + y = 1 three times over: phase 1 drops the two redundant rows
+    p = LinearProgram(n_vars=2, objective=[1.0, 2.0], lower=0.0)
+    return p.add([1.0, 1.0], EQ, 1.0).add([1.0, 1.0], EQ, 1.0).add([2.0, 2.0], EQ, 2.0)
+
+
+def degenerate_vertex(ctx=FLOAT):
+    # classic degenerate vertex; Bland's rule must terminate
+    c = ctx.convert
+    p = LinearProgram(n_vars=4, objective=[c("-3/4"), c(150), c("-1/50"), c(6)], lower=c(0))
+    p.add([c("1/4"), c(-60), c("-1/25"), c(9)], LE, c(0))
+    p.add([c("1/2"), c(-90), c("-1/50"), c(3)], LE, c(0))
+    return p.add([c(0), c(0), c(1), c(0)], LE, c(1))
+
+
+def bounds_only():
+    return [LinearProgram(n_vars=1, objective=[-1.0], upper=[5.0]),
+            LinearProgram(n_vars=1, objective=[1.0], sense="max", upper=[5.0]),
+            LinearProgram(n_vars=1, objective=[1.0], upper=[5.0]),
+            LinearProgram(n_vars=1, objective=[1.0], lower=[2.0])]
 
 
 def test_max_bounded_segment():
-    p = LinearProgram(n_vars=1, objective=[1.0], sense="max")
-    p.add([1.0], LE, 1.0)
-    p.add([1.0], GE, 0.0)
-    res = lp_solve(p)
+    res = lp_solve(max_bounded_segment())
     assert res.optimal and res.value == pytest.approx(1.0)
     assert res.point[0] == pytest.approx(1.0)
 
 
 def test_contradictory_equalities_infeasible():
-    p = LinearProgram(n_vars=1, objective=[0.0])
-    p.add([1.0], EQ, 1.0)
-    p.add([1.0], EQ, 2.0)
-    assert lp_solve(p).status == "infeasible"
+    assert lp_solve(contradictory_equalities()).status == "infeasible"
 
 
 def test_simplex_face_optimum():
-    p = LinearProgram(n_vars=2, objective=[1.0, 1.0], sense="max", lower=0.0)
-    p.add([1.0, 1.0], LE, 1.0)
-    res = lp_solve(p)
+    res = lp_solve(simplex_face())
     assert res.value == pytest.approx(1.0)
 
 
 def test_unbounded_detected():
-    p = LinearProgram(n_vars=1, objective=[1.0], sense="max")
-    p.add([1.0], GE, 0.0)
-    assert lp_solve(p).status == "unbounded"
+    assert lp_solve(unbounded_ray()).status == "unbounded"
 
 
 def test_free_variables_and_bounds():
-    # min x + y with x free, y in [-2, 5], x + y >= 1
-    p = LinearProgram(n_vars=2, objective=[0.0, 1.0], lower=[None, -2.0], upper=[None, 5.0])
-    p.add([1.0, 1.0], GE, 1.0)
-    res = lp_solve(p)
+    res = lp_solve(free_and_bounded_variables())
     assert res.optimal and res.value == pytest.approx(-2.0)
 
 
 def test_feasibility_witness():
-    p = LinearProgram(n_vars=1, objective=[0.0], lower=0.0, upper=1.0)
-    p.add([1.0], EQ, 0.5)
-    res = lp_feasible(p)
+    res = lp_feasible(pinned_in_box())
     assert res.feasible and res.witness[0] == pytest.approx(0.5)
 
 
 def test_infeasible_box():
-    p = LinearProgram(n_vars=1, objective=[0.0])
-    p.add([1.0], GE, 0.0)
-    p.add([1.0], LE, -1.0)
-    assert not lp_feasible(p).feasible
+    assert not lp_feasible(infeasible_box()).feasible
+
+
+def test_redundant_rows_dropped():
+    res = lp_solve(redundant_rows())
+    assert res.optimal and res.value == 1.0 and res.point == (1.0, 0.0)
+    res = lp_solve(redundant_rows(), EXACT)
+    assert res.value == 1 and res.point == (1, 0)
 
 
 def test_exact_rational_optimum():
@@ -70,22 +126,14 @@ def test_exact_rational_optimum():
 
 
 def test_objective_recomputes_at_point():
-    p = LinearProgram(n_vars=3, objective=[1.0, -2.0, 0.5], lower=0.0)
-    p.add([1.0, 1.0, 1.0], EQ, 1.0)
-    p.add([1.0, -1.0, 0.0], LE, 0.25)
+    p = simplex_with_cut()
     res = lp_solve(p)
     assert res.optimal
     assert dot(p.objective, res.point) == pytest.approx(res.value, abs=1e-9)
 
 
 def test_degenerate_does_not_cycle():
-    # classic degenerate vertex; Bland's rule must terminate
-    p = LinearProgram(n_vars=4, objective=[Fr(-3, 4), Fr(150), Fr(-1, 50), Fr(6)],
-                      lower=Fr(0))
-    p.add([Fr(1, 4), Fr(-60), Fr(-1, 25), Fr(9)], LE, Fr(0))
-    p.add([Fr(1, 2), Fr(-90), Fr(-1, 50), Fr(3)], LE, Fr(0))
-    p.add([Fr(0), Fr(0), Fr(1), Fr(0)], LE, Fr(1))
-    res = lp_solve(p, EXACT)
+    res = lp_solve(degenerate_vertex(EXACT), EXACT)
     assert res.optimal and res.value == Fr(-1, 20)
 
 
@@ -131,10 +179,277 @@ def test_malformed_constraint_dimension():
 
 
 def test_bounds_only_no_rows():
-    res = lp_solve(LinearProgram(n_vars=1, objective=[-1.0], upper=[5.0]))
+    below, above, unbounded, shifted = bounds_only()
+    res = lp_solve(below)
     assert res.optimal and res.value == pytest.approx(-5.0)
-    res = lp_solve(LinearProgram(n_vars=1, objective=[1.0], sense="max", upper=[5.0]))
+    res = lp_solve(above)
     assert res.optimal and res.value == pytest.approx(5.0)
-    assert lp_solve(LinearProgram(n_vars=1, objective=[1.0], upper=[5.0])).status == "unbounded"
-    res = lp_solve(LinearProgram(n_vars=1, objective=[1.0], lower=[2.0]))
+    assert lp_solve(unbounded).status == "unbounded"
+    res = lp_solve(shifted)
     assert res.optimal and res.value == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# float mode: the array tableau against the list tableau, bit for bit
+
+def _run_on(tableau, solver, p):
+    """`solver` on `p` in float mode, with every tableau of class `tableau`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linprog, "_tableau", tableau)
+        try:
+            return solver(p, FLOAT)
+        except RuntimeError as exc:
+            return f"RuntimeError: {exc}"
+
+
+def assert_same_on_both_tableaux(solver, p):
+    """`solver` returns the same record, to the last bit, on either float tableau."""
+    fast, slow = (_run_on(tableau, solver, p) for tableau in (linprog._ArrayTableau,
+                                                               linprog._Tableau))
+    assert fast == slow and repr(fast) == repr(slow)
+    if isinstance(fast, LpResult):
+        scalars = ([] if fast.value is None else [fast.value]) + list(fast.point or ())
+    elif isinstance(fast, str):
+        scalars = []
+    else:
+        scalars = list(fast.witness or ())
+    assert all(type(x) is float for x in scalars)
+
+
+@pytest.mark.parametrize("bad", ["coefficient", "rhs", "bound", "objective"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_float_data_rejected(bad, value):
+    p = LinearProgram(n_vars=2, objective=[value if bad == "objective" else 1.0, 1.0],
+                      lower=0.0, upper=[value if bad == "bound" else 2.0, None])
+    p.add([value if bad == "coefficient" else 1.0, 1.0], GE, value if bad == "rhs" else 1.0)
+    for solver in (lp_solve, lp_feasible):
+        with pytest.raises(ValueError, match="must be finite"):
+            solver(p)
+
+def test_tableau_follows_context_and_size():
+    small = [[1.0, 0.0]], [1.0]
+    large = [[1.0] * 50] * 10, [1.0] * 10
+    assert isinstance(linprog._tableau(*small, FLOAT), linprog._Tableau)
+    assert isinstance(linprog._tableau(*large, FLOAT), linprog._ArrayTableau)
+    assert isinstance(linprog._tableau(*large, EXACT), linprog._Tableau)
+
+
+def _tableau_state(tab):
+    if isinstance(tab, linprog._ArrayTableau):
+        return repr((tab.t.tolist(), tab.basis))
+    return repr(([row + [b] for row, b in zip(tab.rows, tab.rhs)], tab.basis))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tableau_steps_bit_identical(data):
+    # price-out and one pivot on a random tableau with signed zeros, then a
+    # full run from the slack basis of [rows | I]
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    m = data.draw(st.integers(min_value=1, max_value=n))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                      st.floats(min_value=-10, max_value=10, allow_subnormal=False))
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    rhs = [abs(data.draw(entry)) for _ in range(m)]
+    cost = [data.draw(entry) for _ in range(n)]
+    basis = data.draw(st.permutations(range(n)))[:m]
+    pair = (linprog._Tableau(rows, rhs, FLOAT), linprog._ArrayTableau(rows, rhs, FLOAT))
+    for tab in pair:
+        tab.basis = list(basis)
+    obj, zval = pair[0].price_out(cost)
+    assert repr(obj + [zval]) == repr(pair[1].price_out(cost).tolist())
+    r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
+    if rows[r][c] != 0:
+        for tab in pair:
+            tab.pivot(r, c)
+        assert _tableau_state(pair[0]) == _tableau_state(pair[1])
+    slack_rows = [row + [float(i == k) for k in range(m)] for i, row in enumerate(rows)]
+    pair = (linprog._Tableau(slack_rows, rhs, FLOAT), linprog._ArrayTableau(slack_rows, rhs, FLOAT))
+    for tab in pair:
+        tab.basis = list(range(n, n + m))
+    assert repr(pair[0].run(cost + [0.0] * m, n)) == repr(pair[1].run(cost + [0.0] * m, n))
+    assert _tableau_state(pair[0]) == _tableau_state(pair[1])
+
+
+WORKED = [max_bounded_segment, contradictory_equalities, simplex_face, unbounded_ray,
+          free_and_bounded_variables, pinned_in_box, infeasible_box, simplex_with_cut,
+          redundant_rows, degenerate_vertex]
+
+
+@pytest.mark.parametrize("build", WORKED, ids=lambda b: b.__name__)
+def test_worked_examples_bit_identical(build):
+    for solver in (lp_solve, lp_feasible):
+        assert_same_on_both_tableaux(solver, build())
+
+
+def test_bounds_only_bit_identical():
+    for p in bounds_only():
+        assert_same_on_both_tableaux(lp_solve, p)
+
+
+@lru_cache(maxsize=None)
+def compat_lps(n: int, skew: bool = False) -> tuple:
+    """(family, solver, LP) for every LP the compat layer solves on one pair.
+
+    The pair is the perpendicular ideal pair of the psi-re-expressed n-gon,
+    or with `skew` two ideal measurements three pure effects apart.  The
+    compatible self-pair (f, f) adds a feasible joint-measurability LP.
+    """
+    t = psi_transform(make_polygon(n))
+    if skew:
+        f, g = binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 3)
+    else:
+        f, g = perpendicular_ideal_pair(t)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for solver in (lp_solve, lp_feasible):
+            def record(p, ctx, solver=solver):
+                seen.append((family, solver, p))  # the family of the call in progress
+                return solver(p, ctx)
+            mp.setattr(compat, solver.__name__, record)
+        for family, call, args in (("max_fuzz_lambda", compat.max_fuzz_lambda, (f, g)),
+                                   ("min_mur_linf", compat.min_mur_linf, (f, g)),
+                                   ("is_jointly_measurable", compat.is_jointly_measurable, (f, g)),
+                                   ("is_jointly_measurable", compat.is_jointly_measurable, (f, f))):
+            call(t, *args)
+    return tuple(seen)
+
+
+# list-tableau solves cost seconds from n = 12 on, so the bit-identity test takes
+# one pair per polygon class (n = 4 mod 8, 0 mod 8) plus the largest, n = 16
+COMPAT_CASES = [(4, False), (8, False), (16, False), (8, True)]
+
+
+@pytest.mark.parametrize("n, skew", COMPAT_CASES)
+def test_compat_lps_bit_identical(n, skew):
+    lps = compat_lps(n, skew)
+    assert [family for family, _, _ in lps] == ["max_fuzz_lambda", "min_mur_linf",
+                                                "is_jointly_measurable", "is_jointly_measurable"]
+    for _family, solver, p in lps:
+        assert_same_on_both_tableaux(solver, p)
+
+
+def lipschitz_ball_lps() -> list:
+    """The LPs behind the Werner distance for three- and four-outcome metrics."""
+    rng = np.random.default_rng(5)
+    metrics = [FiniteMetricSpace.line((0, 1, 2)), FiniteMetricSpace.line((0, 1, 3, 7)),
+               FiniteMetricSpace.discrete((0, 1, 2, 3), scale=2)]
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "lp_solve", lambda p, ctx: seen.append(p) or lp_solve(p, ctx))
+        for metric in metrics:
+            for _ in range(3):
+                deltas = rng.normal(size=len(metric.points))
+                measures._lipschitz_ball_lp(metric, [float(x) for x in deltas - deltas.mean()],
+                                            FLOAT)
+    return seen
+
+
+def test_lipschitz_ball_lps_bit_identical():
+    for p in lipschitz_ball_lps():
+        assert_same_on_both_tableaux(lp_solve, p)
+
+
+NUMBERS = [-3.0, -2.0, -1.0, -0.5, 0.0, 0.0, 0.25, 1.0, 1.0, 2.0, 3.0]
+
+
+@st.composite
+def small_lps(draw, numbers=NUMBERS):
+    """Random small LPs: any relations, bounds and sense, with a repeated row at times."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    num = st.sampled_from(numbers)
+    bound = st.one_of(st.none(), st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0]))
+    p = LinearProgram(n_vars=n, objective=[draw(num) for _ in range(n)],
+                      sense=draw(st.sampled_from(["min", "max"])),
+                      lower=[draw(bound) for _ in range(n)],
+                      upper=[draw(bound) for _ in range(n)])
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        p.add([draw(num) for _ in range(n)], draw(st.sampled_from([LE, EQ, GE])), draw(num))
+    if p.constraints and draw(st.booleans()):
+        p.add(*p.constraints[0])
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps(numbers=NUMBERS + [1 / 3, 0.1, -0.7]))
+def test_random_lps_bit_identical(p):
+    for solver in (lp_solve, lp_feasible):
+        assert_same_on_both_tableaux(solver, p)
+
+
+# ---------------------------------------------------------------------------
+# float mode against scipy's HiGHS (test-only; skipped without scipy)
+
+def highs(p: LinearProgram, feasibility: bool = False):
+    """(status, value) of the same LP under HiGHS, statuses named as in lp_solve."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sign = -1.0 if p.sense == "max" else 1.0
+    ub, ub_rhs, eq, eq_rhs = [], [], [], []
+    for coeffs, rel, rhs in p.constraints:
+        row = [float(a) for a in coeffs]
+        if rel == EQ:
+            eq.append(row)
+            eq_rhs.append(float(rhs))
+        else:
+            flip = -1.0 if rel == GE else 1.0
+            ub.append([flip * a for a in row])
+            ub_rhs.append(flip * float(rhs))
+    bounds = [tuple(None if b is None else float(b) for b in (p._bound("lo", j), p._bound("up", j)))
+              for j in range(p.n_vars)]
+    cost = [0.0] * p.n_vars if feasibility else [sign * float(c) for c in p.objective]
+    res = optimize.linprog(cost, A_ub=ub or None, b_ub=ub_rhs or None, A_eq=eq or None,
+                           b_eq=eq_rhs or None, bounds=bounds, method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, sign * res.fun if status == "optimal" else None
+
+
+@pytest.mark.parametrize("n, skew", COMPAT_CASES + [(12, False), (20, False), (12, True)])
+def test_compat_lps_match_highs(n, skew):
+    for family, solver, p in compat_lps(n, skew):
+        if solver is lp_solve:
+            ours = lp_solve(p, FLOAT)
+            status, value = highs(p)
+            assert ours.optimal and status == "optimal", family
+            assert ours.value == pytest.approx(value, abs=1e-7), family
+        else:
+            assert lp_feasible(p, FLOAT).feasible == (highs(p, feasibility=True)[0] == "optimal")
+
+
+def test_compat_feasibility_verdicts_both_ways():
+    # perpendicular pairs are incompatible, the self-pair is compatible
+    verdicts = [lp_feasible(p, FLOAT).feasible
+                for _, solver, p in compat_lps(8) if solver is lp_feasible]
+    assert verdicts == [False, True]
+
+
+def test_lipschitz_ball_lps_match_highs():
+    for p in lipschitz_ball_lps():
+        status, value = highs(p)
+        assert status == "optimal"
+        assert lp_solve(p, FLOAT).value == pytest.approx(value, abs=1e-7)
+
+
+def test_cone_membership_verdicts_match_highs():
+    cone = Cone(((1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (-1.0, 0.0, 1.0), (0.0, -1.0, 1.0)))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("gptlab.cones.lp_feasible",
+                   lambda p, ctx: seen.append(p) or lp_feasible(p, ctx))
+        for x in ((0.0, 0.0, 1.0), (0.5, 0.5, 1.0), (0.6, 0.6, 1.0), (1.0, 0.0, 1.0),
+                  (2.0, 0.0, 1.0), (0.0, 0.0, -1.0)):
+            cone_member(cone, x, FLOAT)
+    verdicts = [lp_feasible(p, FLOAT).feasible for p in seen]
+    assert verdicts == [True, True, False, True, False, False]
+    assert verdicts == [highs(p, feasibility=True)[0] == "optimal" for p in seen]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_lps())
+def test_random_lps_match_highs(p):
+    feasible = lp_feasible(p, FLOAT).feasible
+    assert feasible == (highs(p, feasibility=True)[0] == "optimal")
+    ours = lp_solve(p, FLOAT)
+    status, value = highs(p)
+    assert ours.status == status
+    if ours.optimal:
+        assert ours.value == pytest.approx(value, abs=1e-7)
