@@ -11,15 +11,25 @@ state.
 For built-in theories the group is written down in closed form
 (permutation matrices for simplices, the dihedral group for polygons).
 For user theories a backtracking search over vertex permutations is run,
-pruned by the congruence-invariant form Q = sum_i v_i v_i^T; each
-surviving permutation is extended to a linear map on a spanning subset
-and verified on every remaining vertex.
+pruned by the congruence-invariant form Q = sum_i v_i v_i^T and stopped
+with a ValueError after a fixed number of search nodes.  Each surviving
+permutation is extended to a linear map on a spanning subset and then
+verified on every vertex, so only maps that carry the polytope onto
+itself are kept.
+
+In exact mode the search and the group averages run on integer
+numerators over one common denominator (``_cleared``): vertices,
+spanning-basis inverse and group elements become int matrices, and a
+Fraction is built only for each stored entry and each averaged one.
+Float mode runs the same float operations as the plain formulas, so its
+results are bit-identical to them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional
 
 from .cones import cone_member, cones_equal, dual_cone
@@ -121,6 +131,24 @@ def automorphism_group(t: Theory, force_search: bool = False) -> SymmetryGroup:
     return _search_group(t)
 
 
+def _cleared(rows, ctx: Context):
+    """``(numerators, den)`` with ``rows == numerators / den``.
+
+    Exact rows become int rows over the lcm of their denominators, so
+    products and comparisons run on Python ints instead of Fractions;
+    float rows come back unchanged over 1.
+    """
+    if not ctx.exact:
+        return rows, 1
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
+# backtracking nodes before the search gives up; the largest in-repo search
+# (the tesseract) visits about 5 k, depending on the vertex order
+_MAX_SEARCH_NODES = 1_000_000
+
+
 def _search_group(t: Theory) -> SymmetryGroup:
     ctx = t.ctx
     verts = t.vertices
@@ -133,7 +161,8 @@ def _search_group(t: Theory) -> SymmetryGroup:
     qinv = inverse(q, ctx)
     if qinv is None:
         raise ValueError("vertices do not span the ambient space")
-    m = [[dot(verts[i], mat_vec(qinv, verts[j])) for j in range(nv)] for i in range(nv)]
+    qv = [mat_vec(qinv, v) for v in verts]
+    m, _ = _cleared([[dot(verts[i], qv[j]) for j in range(nv)] for i in range(nv)], ctx)
 
     span_idx: list[int] = []
     for i in range(nv):
@@ -141,14 +170,26 @@ def _search_group(t: Theory) -> SymmetryGroup:
             span_idx.append(i)
         if len(span_idx) == d:
             break
-    basis_cols = transpose([verts[i] for i in span_idx])
-    basis_inv = inverse(basis_cols, ctx)
+    # vertices w / vden, spanning-basis inverse wa / aden: a candidate map is
+    # T = (w_img / vden)(wa / aden), i.e. t / wden with t = w_img wa
+    w, vden = _cleared(verts, ctx)
+    wa, aden = _cleared(inverse(transpose([verts[i] for i in span_idx]), ctx), ctx)
+    wden = vden * aden
+    target = [vscale(wden, x) for x in w]
 
     found_mats, found_perms = [], []
     perm = [-1] * nv
     used = [False] * nv
+    nodes = 0
 
     def extend(i: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > _MAX_SEARCH_NODES:
+            raise ValueError(
+                f"automorphism search on theory {t.name!r} ({nv} vertices) visited "
+                f"{_MAX_SEARCH_NODES} nodes without finishing"
+            )
         if i == nv:
             _materialize(tuple(perm))
             return
@@ -163,13 +204,16 @@ def _search_group(t: Theory) -> SymmetryGroup:
                 perm[i] = -1
 
     def _materialize(p: tuple) -> None:
-        # linear extension from the spanning subset, then full verification
-        img_cols = transpose([verts[p[i]] for i in span_idx])
-        t_mat = mat_mul(img_cols, basis_inv)
+        # linear extension from the spanning subset on integer numerators,
+        # then verification on every vertex: T v_j = v_p(j) iff
+        # t w_j = wden w_p(j); this check is what makes T an automorphism
+        t_num = mat_mul(transpose([w[p[i]] for i in span_idx]), wa)
         for j in range(nv):
-            if not ctx.vec_eq(mat_vec(t_mat, verts[j]), verts[p[j]]):
+            if not ctx.vec_eq(mat_vec(t_num, w[j]), target[p[j]]):
                 return
-        found_mats.append(tuple(tuple(row) for row in t_mat))
+        if ctx.exact:
+            t_num = tuple(tuple(Fraction(x, wden) for x in row) for row in t_num)
+        found_mats.append(t_num)
         found_perms.append(p)
 
     extend(0)
@@ -194,8 +238,10 @@ def maximally_mixed(t: Theory, g: Optional[SymmetryGroup] = None):
         total = tuple(a + b for a, b in zip(total, v))
     k = ctx.convert(t.n_vertices)
     omega_m = tuple(a / k for a in total)
+    (w,), _ = _cleared((omega_m,), ctx)
     for mat in g.elements:
-        if not ctx.vec_eq(mat_vec(mat, omega_m), omega_m):
+        num, den = _cleared(mat, ctx)
+        if not ctx.vec_eq(mat_vec(num, w), vscale(den, w)):
             raise RuntimeError("group element does not fix the vertex average")
     return omega_m
 
@@ -231,15 +277,22 @@ def rescale_unit_norm(t: Theory, g: Optional[SymmetryGroup] = None) -> Theory:
 
 
 def averaged_inner_product(g: SymmetryGroup, ctx: Context = FLOAT) -> InnerProduct:
-    """Group average of the Euclidean inner product: gram = avg T^T T."""
+    """Group average of the Euclidean inner product: gram = avg T^T T.
+
+    Exact elements are summed as integer numerators over one common
+    denominator and divided once.
+    """
     if not g.elements:
         raise ValueError("empty group")
-    d = len(g.elements[0])
+    cleared = [_cleared(mat, ctx) for mat in g.elements]
+    den = math.lcm(*(c for _, c in cleared))
     total = None
-    for mat in g.elements:
-        term = mat_mul(transpose(mat), mat)
+    for num, c in cleared:
+        if c != den:
+            num = mat_scale(den // c, num)
+        term = mat_mul(transpose(num), num)
         total = term if total is None else mat_add(total, term)
-    return InnerProduct(mat_scale(1 / ctx.convert(g.order), total))
+    return InnerProduct(mat_scale(1 / ctx.convert(g.order * den * den), total))
 
 
 def projector_pm(g: SymmetryGroup, ctx: Context = FLOAT):
@@ -252,7 +305,7 @@ def projector_pm(g: SymmetryGroup, ctx: Context = FLOAT):
     return mat_scale(1 / ctx.convert(g.order), total)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CanonicalForm:
     """Orthonormal invariant coordinates with the mixed state as last axis."""
 

@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own code paths: membership goes
 through exhaustive facet enumeration, groups through a raw permutation
-search, so the LP/double-description implementations have something
+search or the plain Fraction backtracking search, so the LP,
+double-description and integer-numerator implementations have something
 honest to be compared against.
 """
 
 from itertools import combinations, permutations
 
-from gptlab.scalars import Context, dot, mat_vec, rank, solve, transpose
+from gptlab.scalars import Context, dot, inverse, mat_add, mat_mul, mat_vec, rank, solve, transpose
+from gptlab.symmetry import SymmetryGroup
 
 
 def facet_normals_bruteforce(generators, ctx: Context):
@@ -98,8 +100,6 @@ def automorphism_orders_bruteforce(vertices, ctx: Context) -> int:
             span.append(i)
         if len(span) == d:
             break
-    from gptlab.scalars import inverse, mat_mul
-
     base = inverse(transpose([vertices[i] for i in span]), ctx)
     count = 0
     for perm in permutations(range(nv)):
@@ -108,3 +108,64 @@ def automorphism_orders_bruteforce(vertices, ctx: Context) -> int:
         if all(ctx.vec_eq(mat_vec(t_mat, vertices[j]), vertices[perm[j]]) for j in range(nv)):
             count += 1
     return count
+
+
+def search_group_reference(t) -> SymmetryGroup:
+    """The automorphism backtracking search on the theory's own scalars.
+
+    Same pruning, spanning subset and per-vertex verification as
+    ``symmetry._search_group``, with every product in Fractions (exact
+    mode) or floats, no common denominators and no node budget.
+    """
+    ctx = t.ctx
+    verts = t.vertices
+    nv = len(verts)
+    d = t.dim
+    q = None
+    for v in verts:
+        vvt = tuple(tuple(a * b for b in v) for a in v)
+        q = vvt if q is None else mat_add(q, vvt)
+    qinv = inverse(q, ctx)
+    if qinv is None:
+        raise ValueError("vertices do not span the ambient space")
+    m = [[dot(verts[i], mat_vec(qinv, verts[j])) for j in range(nv)] for i in range(nv)]
+
+    span_idx: list[int] = []
+    for i in range(nv):
+        if rank([verts[j] for j in span_idx] + [verts[i]], ctx) > len(span_idx):
+            span_idx.append(i)
+        if len(span_idx) == d:
+            break
+    basis_cols = transpose([verts[i] for i in span_idx])
+    basis_inv = inverse(basis_cols, ctx)
+
+    found_mats, found_perms = [], []
+    perm = [-1] * nv
+    used = [False] * nv
+
+    def extend(i: int) -> None:
+        if i == nv:
+            _materialize(tuple(perm))
+            return
+        for c in range(nv):
+            if used[c] or not ctx.eq(m[c][c], m[i][i]):
+                continue
+            if all(ctx.eq(m[perm[j]][c], m[j][i]) for j in range(i)):
+                perm[i] = c
+                used[c] = True
+                extend(i + 1)
+                used[c] = False
+                perm[i] = -1
+
+    def _materialize(p: tuple) -> None:
+        # linear extension from the spanning subset, then full verification
+        img_cols = transpose([verts[p[i]] for i in span_idx])
+        t_mat = mat_mul(img_cols, basis_inv)
+        for j in range(nv):
+            if not ctx.vec_eq(mat_vec(t_mat, verts[j]), verts[p[j]]):
+                return
+        found_mats.append(tuple(tuple(row) for row in t_mat))
+        found_perms.append(p)
+
+    extend(0)
+    return SymmetryGroup(tuple(found_mats), tuple(found_perms))

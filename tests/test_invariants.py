@@ -119,9 +119,9 @@ class TestFrozenValues:
         lp = LinearProgram(n_vars=1, objective=[1.0], lower=0.0)
         values = [t, f, Measurement(outcomes=[0, 1], effects=[list(e) for e in f.effects]), j,
                   verify_thm2(t, f, f, product_joint(f)), lp_solve(lp), lp_feasible(lp),
-                  is_jointly_measurable(t, f, f), min_mur_linf(t, f, f)]
+                  is_jointly_measurable(t, f, f), min_mur_linf(t, f, f), canonicalize(t)]
         names = ("name", "provenance", "effects", "effects", "passed", "value", "witness",
-                 "compatible", "joint")
+                 "compatible", "joint", "theory")
         assert len(names) == len(values)
         for value, name in zip(values, names):
             with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,13 +1,21 @@
 """Automorphism groups, invariant products, canonical forms, self-duality."""
 
+import importlib.util
+import json
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gptlab.model import Theory, make_classical, make_polygon
-from gptlab.scalars import EXACT, FLOAT, InnerProduct, mat_mul, mat_vec, transpose
+import gptlab.symmetry
+from gptlab.cli import main as cli_main
+from gptlab.cones import dual_cone
+from gptlab.model import Theory, load_theory, make_classical, make_polygon
+from gptlab.scalars import EXACT, FLOAT, InnerProduct, mat_add, mat_mul, mat_scale, mat_vec, transpose
 from gptlab.symmetry import (
     automorphism_group,
     averaged_inner_product,
@@ -20,7 +28,9 @@ from gptlab.symmetry import (
     xi_canonicalize,
 )
 
-from helpers import automorphism_orders_bruteforce
+from helpers import automorphism_orders_bruteforce, search_group_reference
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def trapezoid():
@@ -309,3 +319,226 @@ class TestXiCanonicalize:
         with pytest.raises(ValueError):
             # positive but does not map the cone onto its dual
             xi_canonicalize(t, ((5.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator search against the plain Fraction search
+
+
+def structure_theory_files(workdir, seed):
+    """{name: JSON path} of the benchmark's seven structure polytopes.
+
+    Built by the benchmark's own set-up: a seeded vertex relabelling and a
+    seeded signed permutation of the in-plane axes of each polytope.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    st_ = workloads.setup_structure(None, seed, False, str(workdir))
+    return {name: path for name, path, _dim in st_["files"]}
+
+
+RATIONAL_SHAPES = {
+    "triangle": [(1, 0), (0, 1), (-1, -1)],
+    "square": [(1, 1), (-1, 1), (-1, -1), (1, -1)],
+    "hexagon": [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    "parallelogram": [(2, 0), (1, 1), (-2, 0), (-1, -1)],
+    "kite": [(0, 2), (1, 0), (0, -1), (-1, 0)],
+    "pentagon": [(3, 0), (1, 2), (-2, 1), (-2, -1), (1, -2)],
+}
+
+
+def sheared_polygon(name, pts):
+    """A polygon under a rational scaling, shear and shift: denominators 2..315."""
+    vs = tuple((Fr(3, 2) * x + Fr(1, 3) * y + Fr(1, 5), Fr(5, 7) * y - Fr(2, 9), Fr(1))
+               for x, y in pts)
+    return Theory(f"sheared-{name}", vs, (Fr(0), Fr(0), Fr(1)), InnerProduct.euclidean(3, EXACT), EXACT)
+
+
+def naive_average(g, ctx):
+    total = None
+    for mat in g.elements:
+        term = mat_mul(transpose(mat), mat)
+        total = term if total is None else mat_add(total, term)
+    return mat_scale(1 / ctx.convert(g.order), total)
+
+
+def assert_same_as_reference(t):
+    got = automorphism_group(t, force_search=True)
+    ref = search_group_reference(t)
+    assert got.elements == ref.elements
+    assert got.perms == ref.perms
+    assert repr(got) == repr(ref)  # same scalar types; floats bit for bit
+    return got
+
+
+class TestIntegerNumeratorSearch:
+    def test_structure_polytopes(self, tmp_path):
+        for name, path in structure_theory_files(tmp_path, seed=5).items():
+            t = load_theory(path)
+            g = assert_same_as_reference(t)
+            assert averaged_inner_product(g, t.ctx).gram == naive_average(g, t.ctx)
+
+    def test_rational_sheared_polygons(self):
+        for name, pts in RATIONAL_SHAPES.items():
+            t = sheared_polygon(name, pts)
+            assert max(a.denominator for v in t.vertices for a in v) > 1
+            g = assert_same_as_reference(t)
+            assert g.order == automorphism_orders_bruteforce(t.vertices, t.ctx)
+            gram = averaged_inner_product(g, t.ctx).gram
+            assert gram == naive_average(g, t.ctx)
+            assert all(isinstance(a, Fr) for row in gram for a in row)
+            if is_transitive(g, t):
+                assert maximally_mixed(t, g) == tuple(
+                    sum(v[i] for v in t.vertices) / t.n_vertices for i in range(3))
+
+    def test_mixed_state_check_rejects_non_fixing_element(self):
+        t = sheared_polygon("square", RATIONAL_SHAPES["square"])
+        g = automorphism_group(t)
+        half = tuple(tuple(Fr(1, 2) if i == j else Fr(0) for j in range(3)) for i in range(3))
+        bad = replace(g, elements=g.elements + (half,), perms=g.perms + (g.perms[0],))
+        with pytest.raises(RuntimeError, match="does not fix"):
+            maximally_mixed(t, bad)
+
+    def test_vertex_check_rejects_what_pruning_admits(self):
+        # the pruning form is scale-free while the float tolerance is absolute:
+        # at coordinates of 1e6 a shift of 1e-4 passes the pruning, and only
+        # the per-vertex check rejects the six maps of the square it breaks
+        vs = ((1e6 + 1e-4, 1e6, 1.0), (-1e6, 1e6, 1.0), (-1e6, -1e6, 1.0), (1e6, -1e6, 1.0))
+        t = Theory("big-square", vs, (0.0, 0.0, 1.0), InnerProduct.euclidean(3, FLOAT), FLOAT)
+        assert assert_same_as_reference(t).order == 2
+
+    def test_float_polygons_bit_identical(self):
+        for n in range(3, 13):
+            t = make_polygon(n)
+            g = assert_same_as_reference(t)
+            assert repr(averaged_inner_product(g, t.ctx)) == repr(
+                InnerProduct(naive_average(g, t.ctx)))
+
+    def test_small_orders_match_bruteforce(self, tmp_path):
+        for name, path in structure_theory_files(tmp_path, seed=5).items():
+            t = load_theory(path)
+            if t.n_vertices <= 6:
+                assert automorphism_group(t).order == automorphism_orders_bruteforce(
+                    t.vertices, t.ctx)
+
+    def test_node_budget(self, tmp_path, monkeypatch):
+        cross4 = load_theory(structure_theory_files(tmp_path, seed=5)["cross4"])
+        monkeypatch.setattr(gptlab.symmetry, "_MAX_SEARCH_NODES", 100)
+        with pytest.raises(ValueError, match=r"'cross4' \(8 vertices\) visited 100 nodes"):
+            automorphism_group(cross4)
+
+    def test_node_budget_leaves_room(self, tmp_path, monkeypatch):
+        # the largest in-repo search fits a hundred times over
+        tesseract = load_theory(structure_theory_files(tmp_path, seed=5)["tesseract"])
+        budget = gptlab.symmetry._MAX_SEARCH_NODES
+        monkeypatch.setattr(gptlab.symmetry, "_MAX_SEARCH_NODES", budget // 100)
+        assert automorphism_group(tesseract).order == 384
+
+
+class TestAnalyzeCli:
+    @pytest.mark.parametrize("name", ["cross4", "tesseract"])
+    def test_relabelled_polytope(self, name, tmp_path, capsys):
+        recorded = json.loads((PERFBENCH / "reference.json").read_text())
+        path = structure_theory_files(tmp_path, seed=13)[name]
+        assert cli_main(["theory", "analyze", "--theory", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["group_order"] == 384
+        assert out["transitive"] is True
+        assert out["self_dual"] == recorded["structure"]["polytopes"][name]["self_dual"]
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties on random rational polytopes
+
+fracs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+def _circle_point(s):
+    # rational point of the unit circle; distinct parameters give distinct points
+    return ((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s))
+
+
+def _theory(name, pts):
+    d = len(pts[0]) + 1
+    return Theory(name, tuple(tuple(Fr(a) for a in p) + (Fr(1),) for p in pts),
+                  (Fr(0),) * (d - 1) + (Fr(1),), InnerProduct.euclidean(d, EXACT), EXACT)
+
+
+@st.composite
+def rational_polygons(draw, max_size=5):
+    """Points on the unit circle, so always in convex position.
+
+    Mirrored polygons take two of the points with their reflections in
+    both axes, so their group holds at least the Klein four-group.
+    """
+    pts = {_circle_point(s) for s in draw(st.lists(fracs, min_size=2, max_size=max_size))}
+    if draw(st.booleans()):
+        pts = {(sx * x, sy * y) for x, y in sorted(pts)[:2] for sx in (1, -1) for sy in (1, -1)}
+    if len(pts) < 3:
+        pts |= {(Fr(-1), Fr(0)), (Fr(0), Fr(1)), (Fr(0), Fr(-1))}
+    return sorted(pts)
+
+
+@st.composite
+def rational_polytopes(draw):
+    kind = draw(st.sampled_from(["polygon", "simplex", "prism"]))
+    if kind == "polygon":
+        return _theory("rational-polygon", draw(rational_polygons()))
+    if kind == "prism":
+        h = draw(st.fractions(min_value=Fr(1, 3), max_value=3, max_denominator=4))
+        base = draw(rational_polygons(max_size=3))
+        return _theory("rational-prism", [p + (z,) for p in base for z in (Fr(0), h)])
+    k = draw(st.integers(1, 3))
+    pts = [tuple(draw(fracs) for _ in range(k)) for _ in range(k + 1)]
+    assume(_det([tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]) != 0)
+    return _theory(f"rational-simplex-{k}", pts)
+
+
+def _det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** c * rows[0][c] * _det([r[:c] + r[c + 1:] for r in rows[1:]])
+               for c in range(len(rows)))
+
+
+def _affine_map(draw, k):
+    """A random invertible rational affine map of R^k (unit lower times upper triangular)."""
+    lower = [[Fr(1) if i == j else (draw(fracs) if j < i else Fr(0)) for j in range(k)]
+             for i in range(k)]
+    upper = [[draw(fracs.filter(bool)) if i == j else (draw(fracs) if j > i else Fr(0))
+              for j in range(k)] for i in range(k)]
+    m = [[sum(lower[i][l] * upper[l][j] for l in range(k)) for j in range(k)] for i in range(k)]
+    shift = [draw(fracs) for _ in range(k)]
+    return lambda p: tuple(sum(m[i][j] * p[j] for j in range(k)) + shift[i] for i in range(k))
+
+
+def _in_plane(t):
+    return [v[:-1] for v in t.vertices]
+
+
+class TestMetamorphic:
+    @settings(max_examples=30, deadline=None)
+    @given(rational_polytopes(), st.data())
+    def test_relabelling_and_affine_maps_keep_group(self, t, data):
+        g = automorphism_group(t)
+        pts = _in_plane(t)
+        relabelled = data.draw(st.permutations(pts))
+        f = _affine_map(data.draw, len(pts[0]))
+        for other in (_theory("relabelled", relabelled), _theory("mapped", [f(p) for p in pts])):
+            h = automorphism_group(other)
+            assert h.order == g.order
+            assert is_transitive(h, other) == is_transitive(g, t)
+
+    @settings(max_examples=20, deadline=None)
+    @given(rational_polytopes(), st.data())
+    def test_signed_axis_permutation_keeps_duality(self, t, data):
+        pts = _in_plane(t)
+        k = len(pts[0])
+        axes = data.draw(st.permutations(range(k)))
+        signs = [data.draw(st.sampled_from((-1, 1))) for _ in range(k)]
+        other = _theory("signed", [tuple(signs[a] * p[axes[a]] for a in range(k)) for p in pts])
+        assert is_self_dual(other) == is_self_dual(t)
+        rays = [len(dual_cone(s.cone, s.inner, s.ctx).generators) for s in (t, other)]
+        assert rays[0] == rays[1]
