@@ -49,7 +49,7 @@ print("=== degree-of-incompatibility bounds vs side count ===")
 print(f"{'n':>4} {'max-lambda':>11} {'bound(LP-free)':>15} {'closed form':>12} "
       f"{'min LE sum':>11} {'min MUR':>9}")
 rows = []
-for n in (4, 8, 12, 16, 20):
+for n in range(4, 49, 4):
     t = psi_transform(make_polygon(n))
     f, g = perpendicular_ideal_pair(t)
     lam = float(max_fuzz_lambda(t, f, g))

@@ -42,10 +42,11 @@ from .measures import (
     werner_distance,
 )
 from .model import (
+    BUILTIN_KINDS,
     Theory,
+    builtin_theory,
     load_measurement,
     load_theory,
-    make_classical,
     make_disc_approx,
     make_polygon,
     measurement_to_dict,
@@ -66,12 +67,8 @@ def resolve_theory(spec: str) -> Theory:
     if ":" in spec:
         kind, _, arg = spec.partition(":")
         n = int(arg)
-        if kind == "classical":
-            return make_classical(n)
-        if kind == "polygon":
-            return make_polygon(n)
-        if kind == "polygon-psi":
-            return psi_transform(make_polygon(n))
+        if kind in BUILTIN_KINDS:
+            return builtin_theory(kind, n)
         if kind == "disc":
             return make_disc_approx(n)
     raise SystemExit(f"cannot resolve theory {spec!r}: not a file or builtin shorthand")

@@ -2,9 +2,13 @@
 
 A joint measurement is a measurement on the outcome grid A x B; its row
 and column marginals approximate the two target measurements.  All
-feasibility and optimisation questions here are linear: positivity of a
-joint effect only needs checking on the vertices of the state space
-(exact for polytopes), and marginal matching is coordinatewise affine.
+feasibility and optimisation questions here are linear.  An effect is
+nonnegative on every state exactly when it lies in the effect cone, the
+dual of the state cone, so each joint cell is written as a nonnegative
+combination of that cone's generating rays (taken from the theory's
+cached facet normals).  Marginal matching is then coordinatewise
+equality, and the LP has the same number of rows whatever the number of
+vertices.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .linprog import EQ, GE, LE, LinearProgram, lp_feasible, lp_solve
+from .linprog import EQ, LinearProgram, lp_feasible, lp_solve
 from .measures import metric_of
 from .model import Measurement, Theory, effect_eval
-from .scalars import vadd, vscale
+from .scalars import inverse, mat_vec, vadd, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -98,31 +102,28 @@ def validate_joint(t: Theory, j: JointMeasurement) -> bool:
     return not joint_violations(t, j)
 
 
+def _joint(f: Measurement, g: Measurement, cells) -> JointMeasurement:
+    """The joint on f's and g's outcomes with cell (a, b) = cells[a * nb + b]."""
+    nb = g.n_outcomes
+    return JointMeasurement(
+        row_labels=f.outcomes,
+        col_labels=g.outcomes,
+        effects=tuple(tuple(cells[a * nb:(a + 1) * nb]) for a in range(f.n_outcomes)),
+        row_metric=metric_of(f),
+        col_metric=metric_of(g),
+    )
+
+
 def product_joint(f: Measurement) -> JointMeasurement:
     """The diagonal joint measurement of a measurement with itself."""
     k = f.n_outcomes
     zero = tuple(0 * c for c in f.effects[0])
-    grid = tuple(
-        tuple(f.effects[i] if i == jdx else zero for jdx in range(k)) for i in range(k)
-    )
-    m = metric_of(f)
-    return JointMeasurement(
-        row_labels=f.outcomes, col_labels=f.outcomes, effects=grid, row_metric=m, col_metric=m
-    )
+    return _joint(f, f, [f.effects[i] if i == j else zero for i in range(k) for j in range(k)])
 
 
 def uniform_joint(t: Theory, f: Measurement, g: Measurement) -> JointMeasurement:
-    ctx = t.ctx
-    na, nb = f.n_outcomes, g.n_outcomes
-    cell = vscale(1 / ctx.convert(na * nb), t.unit_effect)
-    grid = tuple(tuple(cell for _ in range(nb)) for _ in range(na))
-    return JointMeasurement(
-        row_labels=f.outcomes,
-        col_labels=g.outcomes,
-        effects=grid,
-        row_metric=metric_of(f),
-        col_metric=metric_of(g),
-    )
+    ncells = f.n_outcomes * g.n_outcomes
+    return _joint(f, g, [vscale(1 / t.ctx.convert(ncells), t.unit_effect)] * ncells)
 
 
 @dataclass(frozen=True)
@@ -133,75 +134,65 @@ class CompatibilityResult:
     witness: Optional[JointMeasurement] = None
 
 
-def _cell_vars(na: int, nb: int, d: int):
-    """Column index of coordinate c of cell (a, b) in the LP variable vector."""
+def _cone_lp(t: Theory, n_blocks: int, eqs, objective=(), sense="min", upper=None):
+    """One LP over `n_blocks` effects ``E_i = sum_k mu_ik r_k``, ``mu >= 0``.
 
-    def idx(a, b, c):
-        return (a * nb + b) * d + c
-
-    return idx, na * nb * d
-
-
-def _paired_vertices(t: Theory) -> tuple:
-    """Gram-paired vertices: effect evaluation is a plain dot with these."""
-    from .scalars import mat_vec
-
-    return tuple(mat_vec(t.inner.gram, v) for v in t.vertices)
-
-
-def _positivity_rows(t: Theory, p: LinearProgram, idx, na: int, nb: int) -> None:
+    The rays ``r_k = G^-1 n_k`` (cached facet normals ``n_k``, Gram matrix
+    ``G``) generate exactly the effects nonnegative on every state.  Then
+    come nonnegative scalars ``s_j``, one per `objective` entry, below
+    `upper` if given.  Each ``(blocks, scalars, rhs)`` in `eqs` is one row
+    per coordinate of ``sum_i c_i E_i + sum_j s_j w_j = rhs``, with `blocks`
+    mapping ``i`` to ``c_i`` and `scalars` mapping ``j`` to ``w_j``.
+    Returns the LP and a map from a point to its first ``count`` effects.
+    """
     ctx = t.ctx
-    d = t.dim
-    nv = p.n_vars
-    paired_verts = _paired_vertices(t)
-    for a in range(na):
-        for b in range(nb):
-            for paired in paired_verts:
-                row = [ctx.zero()] * nv
-                for c in range(d):
-                    row[idx(a, b, c)] = paired[c]
-                p.add(row, GE, ctx.zero())
+    ginv = inverse(t.inner.gram, ctx)
+    rays = tuple(mat_vec(ginv, n) for n in t.facet_normals)
+    k, zero = len(rays), ctx.zero()
+    nmu = n_blocks * k
+    nvars = nmu + len(objective)
+    p = LinearProgram(
+        n_vars=nvars,
+        objective=[zero] * nmu + list(objective),
+        sense=sense,
+        lower=zero,
+        upper=None if upper is None else [None] * nmu + list(upper),
+    )
+    for blocks, scalars, rhs in eqs:
+        for c in range(t.dim):
+            row = [zero] * nvars
+            for i, coef in blocks.items():
+                row[i * k:(i + 1) * k] = [coef * r[c] for r in rays]
+            for j, w in scalars.items():
+                row[nmu + j] = w[c]
+            p.add(row, EQ, rhs[c])
+
+    def effects(point, count: int) -> list:
+        return [
+            tuple(sum((m * r[c] for m, r in zip(point[i * k:(i + 1) * k], rays) if m), zero)
+                  for c in range(t.dim))
+            for i in range(count)
+        ]
+
+    return p, effects
+
+
+def _marginal_cells(na: int, nb: int) -> list:
+    """Per row outcome, then per column outcome, the cells that sum to its marginal."""
+    rows = [{a * nb + b: 1 for b in range(nb)} for a in range(na)]
+    return rows + [{a * nb + b: 1 for a in range(na)} for b in range(nb)]
 
 
 def is_jointly_measurable(t: Theory, f: Measurement, g: Measurement) -> CompatibilityResult:
     """Feasibility of the exact joint-measurement constraints."""
-    ctx = t.ctx
-    na, nb, d = f.n_outcomes, g.n_outcomes, t.dim
-    idx, nvars = _cell_vars(na, nb, d)
-    p = LinearProgram(n_vars=nvars, objective=[ctx.zero()] * nvars)
-    _positivity_rows(t, p, idx, na, nb)
-    for a in range(na):
-        for c in range(d):
-            row = [ctx.zero()] * nvars
-            for b in range(nb):
-                row[idx(a, b, c)] = ctx.one()
-            p.add(row, EQ, f.effects[a][c])
-    for b in range(nb):
-        for c in range(d):
-            row = [ctx.zero()] * nvars
-            for a in range(na):
-                row[idx(a, b, c)] = ctx.one()
-            p.add(row, EQ, g.effects[b][c])
-    res = lp_feasible(p, ctx)
+    ncells = f.n_outcomes * g.n_outcomes
+    eqs = [(cells, {}, e) for cells, e in
+           zip(_marginal_cells(f.n_outcomes, g.n_outcomes), f.effects + g.effects)]
+    p, effects = _cone_lp(t, ncells, eqs)
+    res = lp_feasible(p, t.ctx)
     if not res.feasible:
         return CompatibilityResult(False, None)
-    return CompatibilityResult(True, _grid_from_point(t, res.witness, f, g))
-
-
-def _grid_from_point(t: Theory, point, f: Measurement, g: Measurement) -> JointMeasurement:
-    na, nb, d = f.n_outcomes, g.n_outcomes, t.dim
-    idx, _ = _cell_vars(na, nb, d)
-    grid = tuple(
-        tuple(tuple(point[idx(a, b, c)] for c in range(d)) for b in range(nb))
-        for a in range(na)
-    )
-    return JointMeasurement(
-        row_labels=f.outcomes,
-        col_labels=g.outcomes,
-        effects=grid,
-        row_metric=metric_of(f),
-        col_metric=metric_of(g),
-    )
+    return CompatibilityResult(True, _joint(f, g, effects(res.witness, ncells)))
 
 
 @dataclass(frozen=True)
@@ -213,52 +204,35 @@ class MurResult:
 
 
 def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
-    """Minimise D_inf(row marginal, F) + D_inf(col marginal, G) in one LP."""
+    """Minimise D_inf(row marginal, F) + D_inf(col marginal, G) in one LP.
+
+    The sup-gap bound ``|<marginal - target, omega>| <= s`` holds on every
+    state exactly when ``s u - (marginal - target)`` and
+    ``s u + (marginal - target)`` are both effects, so each bound is two
+    more cone blocks next to the joint's cells.  The two deviations of a
+    binary marginal are opposite, so its first outcome's bound covers both.
+    Bounding the second as well would put the same effects in two more
+    blocks, and on that degenerate LP the float simplex cycles.
+    """
     ctx = t.ctx
-    na, nb, d = f.n_outcomes, g.n_outcomes, t.dim
-    idx, ncells = _cell_vars(na, nb, d)
-    nvars = ncells + 2  # trailing: t1, t2
-    p = LinearProgram(n_vars=nvars, objective=[ctx.zero()] * ncells + [ctx.one(), ctx.one()])
-    lower = [None] * ncells + [ctx.zero(), ctx.zero()]
-    p.lower = lower
-    _positivity_rows(t, p, idx, na, nb)
-    # total equals the unit effect
-    for c in range(d):
-        row = [ctx.zero()] * nvars
-        for a in range(na):
-            for b in range(nb):
-                row[idx(a, b, c)] = ctx.one()
-        p.add(row, EQ, t.unit_effect[c])
-    # |row-marginal deviation| <= t1 and |col-marginal deviation| <= t2 on vertices
-    paired_verts = _paired_vertices(t)
-    for a in range(na):
-        for v, paired in zip(t.vertices, paired_verts):
-            fval = effect_eval(t, f.effects[a], v)
-            row = [ctx.zero()] * nvars
-            for b in range(nb):
-                for c in range(d):
-                    row[idx(a, b, c)] = paired[c]
-            row[ncells] = -ctx.one()
-            p.add(row, LE, fval)
-            row2 = list(row)
-            row2[ncells] = ctx.one()
-            p.add(row2, GE, fval)
-    for b in range(nb):
-        for v, paired in zip(t.vertices, paired_verts):
-            gval = effect_eval(t, g.effects[b], v)
-            row = [ctx.zero()] * nvars
-            for a in range(na):
-                for c in range(d):
-                    row[idx(a, b, c)] = paired[c]
-            row[ncells + 1] = -ctx.one()
-            p.add(row, LE, gval)
-            row2 = list(row)
-            row2[ncells + 1] = ctx.one()
-            p.add(row2, GE, gval)
+    u = t.unit_effect
+    minus_u = vscale(-ctx.one(), u)
+    na, nb = f.n_outcomes, g.n_outcomes
+    ncells = na * nb
+    cells = _marginal_cells(na, nb)
+    eqs = [({i: 1 for i in range(ncells)}, {}, u)]
+    n_blocks = ncells
+    for s, (marginal_cells, m) in enumerate(((cells[:na], f), (cells[na:], g))):
+        bounded = 1 if m.n_outcomes == 2 else m.n_outcomes
+        for sums, e in zip(marginal_cells[:bounded], m.effects):
+            eqs.append(({**sums, n_blocks: 1}, {s: minus_u}, e))
+            eqs.append(({**sums, n_blocks + 1: -1}, {s: u}, e))
+            n_blocks += 2
+    p, effects = _cone_lp(t, n_blocks, eqs, objective=[ctx.one()] * 2)
     res = lp_solve(p, ctx)
     if res.status != "optimal":
         raise RuntimeError(f"measurement-error LP ended {res.status}")
-    return MurResult(value=res.value, joint=_grid_from_point(t, res.point, f, g))
+    return MurResult(value=res.value, joint=_joint(f, g, effects(res.point, ncells)))
 
 
 def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool = False):
@@ -271,37 +245,16 @@ def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool 
     ctx = t.ctx
     if f.n_outcomes != 2 or g.n_outcomes != 2:
         raise ValueError("the fuzzing family is defined for binary measurements")
-    na, nb, d = 2, 2, t.dim
-    idx, ncells = _cell_vars(na, nb, d)
-    nvars = ncells + 1  # trailing: lambda
-    p = LinearProgram(
-        n_vars=nvars,
-        objective=[ctx.zero()] * ncells + [ctx.one()],
-        sense="max",
-        lower=[None] * ncells + [ctx.zero()],
-        upper=[None] * ncells + [ctx.one()],
-    )
-    _positivity_rows(t, p, idx, na, nb)
     half_u = vscale(1 / ctx.convert(2), t.unit_effect)
-    for a in range(na):
-        for c in range(d):
-            row = [ctx.zero()] * nvars
-            for b in range(nb):
-                row[idx(a, b, c)] = ctx.one()
-            row[ncells] = -(f.effects[a][c] - half_u[c])
-            p.add(row, EQ, half_u[c])
-    for b in range(nb):
-        for c in range(d):
-            row = [ctx.zero()] * nvars
-            for a in range(na):
-                row[idx(a, b, c)] = ctx.one()
-            row[ncells] = -(g.effects[b][c] - half_u[c])
-            p.add(row, EQ, half_u[c])
+    # marginal = lambda e + (1 - lambda) u/2, i.e. marginal + lambda (u/2 - e) = u/2
+    eqs = [(cells, {0: vsub(half_u, e)}, half_u)
+           for cells, e in zip(_marginal_cells(2, 2), f.effects + g.effects)]
+    p, effects = _cone_lp(t, 4, eqs, objective=[ctx.one()], sense="max", upper=[ctx.one()])
     res = lp_solve(p, ctx)
     if res.status != "optimal":
         raise RuntimeError(f"fuzzing LP ended {res.status}")
     if with_joint:
-        return res.value, _grid_from_point(t, res.point, f, g)
+        return res.value, _joint(f, g, effects(res.point, 4))
     return res.value
 
 

@@ -29,6 +29,7 @@ from .scalars import (
     dot,
     float_mat,
     float_vec,
+    rank,
     vadd,
 )
 
@@ -207,10 +208,17 @@ def validate_theory(t: Theory) -> None:
 
 
 def _vertex_extreme(t: Theory, i: int) -> bool:
-    # the unit effect is one on every vertex, so any conic combination of
-    # the others that reaches vertex i has weights summing to one
-    others = t.vertices[:i] + t.vertices[i + 1:]
-    return not others or not cone_member(Cone(others), t.vertices[i], t.ctx)
+    """Vertex i spans an extreme ray of the state cone and no other vertex equals it.
+
+    A ray of a pointed cone is extreme exactly when the facet normals
+    tight at it have rank d - 1.  The unit effect is one on every vertex,
+    so a second vertex on the same ray is the same point.
+    """
+    ctx, v = t.ctx, t.vertices[i]
+    if any(ctx.vec_eq(w, v) for j, w in enumerate(t.vertices) if j != i):
+        return False
+    tight = [n for n in t.facet_normals if ctx.is_zero(dot(n, v))]
+    return rank(tight, ctx) == t.dim - 1
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +277,20 @@ def make_disc_approx(m: int) -> Theory:
     return replace(t, name=f"disc-approx-{m}")
 
 
+BUILTIN_KINDS = ("classical", "polygon", "polygon-psi")
+
+
+def builtin_theory(kind: str, n: int) -> Theory:
+    """The classical theory on n + 1 levels, the n-gon, or the re-expressed n-gon."""
+    if kind not in BUILTIN_KINDS:
+        raise ValueError(f"unknown built-in theory kind {kind!r}")
+    if kind == "classical":
+        return make_classical(n)
+    from .ideal import psi_transform
+
+    return psi_transform(make_polygon(n)) if kind == "polygon-psi" else make_polygon(n)
+
+
 def theory_to_float(t: Theory) -> Theory:
     """Demote an exact theory to float mode (idempotent)."""
     if not t.ctx.exact:
@@ -287,9 +309,20 @@ def theory_to_float(t: Theory) -> Theory:
 # JSON interchange
 #
 # Theory files: {"name": str, "dim": int, "vertices": [[num|"p/q", ...], ...],
-#                "unit_effect": [num|"p/q", ...]}
+#                "unit_effect": [num|"p/q", ...], optionally "kind": str, "n": int}
 # Entries that are ints or "p/q" strings load exactly; any bare float makes
-# the whole theory run in float mode.
+# the whole theory run in float mode.  "kind" and "n" name a built-in theory,
+# whose closed forms then apply; a file may name one only if it holds
+# exactly that theory's vertices and unit effect, in its mode.
+
+def _is_builtin(t: Theory) -> bool:
+    try:
+        ref = builtin_theory(t.kind, t.n)
+    except (ValueError, TypeError):
+        return False
+    return ((ref.ctx, ref.inner, ref.vertices, ref.unit_effect)
+            == (t.ctx, t.inner, t.vertices, t.unit_effect))
+
 
 def _num_to_json(x):
     if isinstance(x, Fraction):
@@ -306,12 +339,15 @@ def _num_from_json(x):
 
 
 def theory_to_dict(t: Theory) -> dict:
-    return {
+    out = {
         "name": t.name,
         "dim": t.dim,
         "vertices": [[_num_to_json(a) for a in v] for v in t.vertices],
         "unit_effect": [_num_to_json(a) for a in t.unit_effect],
     }
+    if _is_builtin(t):
+        out["kind"], out["n"] = t.kind, t.n
+    return out
 
 
 def theory_from_dict(data: dict, validate: bool = True) -> Theory:
@@ -331,6 +367,12 @@ def theory_from_dict(data: dict, validate: bool = True) -> Theory:
     )
     if int(data["dim"]) != t.dim:
         raise ValueError("declared dim does not match vertex length")
+    if t.kind != "custom" and not _is_builtin(t):
+        raise ValueError(
+            f"theory {t.name!r} declares kind {t.kind!r} with n={t.n!r}, but it is not that "
+            f"built-in theory (kinds {', '.join(BUILTIN_KINDS)}; vertices, unit effect and "
+            "mode must match)"
+        )
     if validate:
         validate_theory(t)
     return t

@@ -4,11 +4,15 @@ These deliberately avoid the library's own code paths: membership goes
 through exhaustive facet enumeration, groups through a raw permutation
 search or the plain Fraction backtracking search, so the LP,
 double-description and integer-numerator implementations have something
-honest to be compared against.
+honest to be compared against.  LPs go to scipy's HiGHS, and the
+compatibility LPs also come in their older vertex-by-vertex form.
 """
 
 from itertools import combinations, permutations
 
+import pytest
+
+from gptlab.linprog import EQ, GE, LE, LinearProgram
 from gptlab.scalars import Context, dot, inverse, mat_add, mat_mul, mat_vec, rank, solve, transpose
 from gptlab.symmetry import SymmetryGroup
 
@@ -169,3 +173,109 @@ def search_group_reference(t) -> SymmetryGroup:
 
     extend(0)
     return SymmetryGroup(tuple(found_mats), tuple(found_perms))
+
+
+# ---------------------------------------------------------------------------
+# linear programs: scipy's HiGHS, and the compatibility LPs in vertex (H-row) form
+
+def highs(p: LinearProgram, feasibility: bool = False):
+    """(status, value) of the same LP under scipy's HiGHS, statuses named as in lp_solve.
+
+    Test-only: skips the calling test when scipy is not installed.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    sign = -1.0 if p.sense == "max" else 1.0
+    ub, ub_rhs, eq, eq_rhs = [], [], [], []
+    for coeffs, rel, rhs in p.constraints:
+        row = [float(a) for a in coeffs]
+        if rel == EQ:
+            eq.append(row)
+            eq_rhs.append(float(rhs))
+        else:
+            flip = -1.0 if rel == GE else 1.0
+            ub.append([flip * a for a in row])
+            ub_rhs.append(flip * float(rhs))
+    bounds = [tuple(None if b is None else float(b) for b in (p._bound("lo", j), p._bound("up", j)))
+              for j in range(p.n_vars)]
+    cost = [0.0] * p.n_vars if feasibility else [sign * float(c) for c in p.objective]
+    res = optimize.linprog(cost, A_ub=ub or None, b_ub=ub_rhs or None, A_eq=eq or None,
+                           b_eq=eq_rhs or None, bounds=bounds, method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, sign * res.fun if status == "optimal" else None
+
+
+def _hrow_lp(t, n_cells: int, n_extra: int, **kw):
+    """Free cell coordinates, then `n_extra` trailing scalars, with one
+    positivity row per cell and vertex: <cell, v> >= 0."""
+    ctx, d = t.ctx, t.dim
+    nvars = n_cells * d + n_extra
+    p = LinearProgram(n_vars=nvars, **kw)
+    paired = [mat_vec(t.inner.gram, v) for v in t.vertices]
+    for i in range(n_cells):
+        for pv in paired:
+            row = [ctx.zero()] * nvars
+            row[i * d:(i + 1) * d] = pv
+            p.add(row, GE, ctx.zero())
+    return p, paired
+
+
+def hrow_compat_lp(family: str, t, f, g):
+    """The LP of `family` ("is_jointly_measurable", "max_fuzz_lambda" or
+    "min_mur_linf") with positivity and sup-gap bounds checked vertex by vertex.
+
+    Cell (a, b) holds coordinates ``(a * nb + b) * d ...`` of the point;
+    trailing scalars are lambda, or the two sup-gaps.  The optimum has the
+    same value as the library's effect-cone LP.
+    """
+    ctx, d = t.ctx, t.dim
+    na, nb = f.n_outcomes, g.n_outcomes
+    ncells = na * nb
+    zero, one = ctx.zero(), ctx.one()
+    row_cells = [[a * nb + b for b in range(nb)] for a in range(na)]
+    col_cells = [[a * nb + b for a in range(na)] for b in range(nb)]
+    marginals = list(zip(row_cells + col_cells, f.effects + g.effects))
+    if family == "is_jointly_measurable":
+        p, _ = _hrow_lp(t, ncells, 0, objective=[zero] * (ncells * d))
+        for cells, e in marginals:
+            for c in range(d):
+                row = [zero] * p.n_vars
+                for i in cells:
+                    row[i * d + c] = one
+                p.add(row, EQ, e[c])
+        return p
+    if family == "max_fuzz_lambda":
+        nv = ncells * d + 1
+        p, _ = _hrow_lp(t, ncells, 1, objective=[zero] * (nv - 1) + [one], sense="max",
+                        lower=[None] * (nv - 1) + [zero], upper=[None] * (nv - 1) + [one])
+        half_u = tuple(x / 2 for x in t.unit_effect)
+        for cells, e in marginals:
+            for c in range(d):
+                row = [zero] * nv
+                for i in cells:
+                    row[i * d + c] = one
+                row[-1] = -(e[c] - half_u[c])
+                p.add(row, EQ, half_u[c])
+        return p
+    if family == "min_mur_linf":
+        nv = ncells * d + 2
+        p, paired = _hrow_lp(t, ncells, 2, objective=[zero] * (nv - 2) + [one, one],
+                             lower=[None] * (nv - 2) + [zero, zero])
+        for c in range(d):
+            row = [zero] * nv
+            for i in range(ncells):
+                row[i * d + c] = one
+            p.add(row, EQ, t.unit_effect[c])
+        for m, (cells, e) in enumerate(marginals):
+            s = nv - 2 if m < na else nv - 1
+            for pv in paired:
+                target = dot(e, pv)
+                row = [zero] * nv
+                for i in cells:
+                    row[i * d:(i + 1) * d] = pv
+                row[s] = -one
+                p.add(row, LE, target)
+                row = list(row)
+                row[s] = one
+                p.add(row, GE, target)
+        return p
+    raise ValueError(f"unknown compatibility LP {family!r}")

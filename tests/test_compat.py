@@ -1,7 +1,10 @@
 """Joint measurability, marginals, error minimisation, fuzzing thresholds."""
 
 import math
+import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gptlab.compat import (
@@ -23,8 +26,11 @@ from gptlab.ideal import (
     perpendicular_ideal_pair,
     psi_transform,
 )
+from gptlab.linprog import lp_feasible, lp_solve
 from gptlab.measures import linf_distance, min_le_sum
-from gptlab.model import make_classical, make_polygon, validate_measurement
+from gptlab.model import Measurement, make_classical, make_polygon, validate_measurement
+from gptlab.scalars import InnerProduct, inverse, mat_vec
+from helpers import highs, hrow_compat_lp
 
 INV_SQ2 = 1 / math.sqrt(2)
 
@@ -224,3 +230,160 @@ class TestDegreeBounds:
             assert float(min_le_sum(t, f, g).value) == pytest.approx(
                 1 - float(degree_bound_rhs(t, f, g)), abs=1e-12
             )
+
+
+# ---------------------------------------------------------------------------
+# the effect-cone LPs against the same LPs written with one H-row per vertex
+
+def hrow_answer(family, t, f, g, solver="simplex"):
+    """The vertex-form LP's verdict (joint measurability) or optimum, solved by
+    the library simplex or, with ``solver="highs"``, by scipy's HiGHS."""
+    p = hrow_compat_lp(family, t, f, g)
+    feasibility = family == "is_jointly_measurable"
+    if solver == "highs":
+        status, value = highs(p, feasibility=feasibility)
+        return status == "optimal" if feasibility else value
+    return lp_feasible(p, t.ctx).feasible if feasibility else lp_solve(p, t.ctx).value
+
+
+def assert_matches_hrow(t, f, g, mur_solver="simplex"):
+    assert is_jointly_measurable(t, f, g).compatible == hrow_answer(
+        "is_jointly_measurable", t, f, g)
+    assert max_fuzz_lambda(t, f, g) == pytest.approx(
+        hrow_answer("max_fuzz_lambda", t, f, g), abs=1e-9)
+    assert min_mur_linf(t, f, g).value == pytest.approx(
+        hrow_answer("min_mur_linf", t, f, g, mur_solver), abs=1e-9)
+
+
+class TestAgainstVertexForm:
+    # the vertex-form MUR LP fails on the library simplex from n = 28 on and
+    # takes seconds from n = 24, so larger n compare against it under HiGHS
+    @pytest.mark.parametrize("n", range(4, 33, 4))
+    def test_perpendicular_pair(self, n):
+        t = psi_transform(make_polygon(n))
+        assert_matches_hrow(t, *perpendicular_ideal_pair(t),
+                            mur_solver="simplex" if n <= 20 else "highs")
+
+    def test_skew_pair(self):
+        t = psi_transform(make_polygon(8))
+        assert_matches_hrow(t, binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 3))
+
+    def test_random_binary_pairs(self):
+        rng = np.random.default_rng(2024)
+        for n in (5, 6, 7, 10, 12, 16):
+            t = make_polygon(n) if n % 2 else psi_transform(make_polygon(n))
+            for _ in range(2):
+                i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+                assert_matches_hrow(t, binary_ideal_measurement(t, i),
+                                    binary_ideal_measurement(t, j))
+
+    def test_three_outcome_marginal(self):
+        # a trine against a binary ideal measurement: every outcome of the
+        # three-outcome marginal gets its own sup-gap bound
+        t = psi_transform(make_polygon(8))
+        c = 1 / (3 * max(math.hypot(v[0], v[1]) for v in t.vertices))
+        trine = Measurement((0, 1, 2), tuple(
+            (c * math.cos(2 * math.pi * k / 3), c * math.sin(2 * math.pi * k / 3), 1 / 3)
+            for k in range(3)))
+        assert validate_measurement(t, trine)
+        f = binary_ideal_measurement(t, 2)
+        for pair in ((f, trine), (trine, f)):
+            assert is_jointly_measurable(t, *pair).compatible == hrow_answer(
+                "is_jointly_measurable", t, *pair)
+            res = min_mur_linf(t, *pair)
+            assert res.value > 1e-3
+            assert res.value == pytest.approx(hrow_answer("min_mur_linf", t, *pair), abs=1e-9)
+            assert not joint_violations(t, res.joint)
+
+    def test_gram_pairing(self):
+        # the same theory under the pairing G = diag(2, 3, 1): effects e become
+        # G^-1 e, so every LP keeps its answer, and the cone rays are G^-1 n_k
+        t = psi_transform(make_polygon(8))
+        gram = ((2.0, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 0.0, 1.0))
+        tg = replace(t, inner=InnerProduct(gram), kind="custom", n=None)
+        ginv = inverse(gram, t.ctx)
+        f, g = (Measurement(m.outcomes, tuple(mat_vec(ginv, e) for e in m.effects))
+                for m in (binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 3)))
+        assert_matches_hrow(tg, f, g)
+        lam, joint = max_fuzz_lambda(tg, f, g, with_joint=True)
+        assert lam == pytest.approx(max_fuzz_lambda(t, binary_ideal_measurement(t, 0),
+                                                    binary_ideal_measurement(t, 3)), abs=1e-9)
+        assert not joint_violations(tg, joint)
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 4, 5])
+    def test_exact_classical_listings(self, n_levels):
+        # the structure benchmark's inputs: a binary and a three-outcome ideal
+        # measurement of the classical theory
+        t = make_classical(n_levels)
+        ms = enumerate_ideal_measurements(t, 3)
+        binary = [m for m in ms if m.n_outcomes == 2]
+        ternary = [m for m in ms if m.n_outcomes == 3]
+        rng = np.random.default_rng(n_levels)
+        for _ in range(2):
+            f = binary[int(rng.integers(len(binary)))]
+            g = ternary[int(rng.integers(len(ternary)))]
+            res = is_jointly_measurable(t, f, g)
+            assert res.compatible == hrow_answer("is_jointly_measurable", t, f, g)
+            assert not joint_violations(t, res.witness)
+            mf, mg = marginals(res.witness)
+            assert mf.effects == f.effects and mg.effects == g.effects
+
+
+# ---------------------------------------------------------------------------
+# LPs that failed while positivity was one H-row per vertex: "phase 1 cannot
+# be unbounded", "fuzzing LP ended infeasible" and failed certification
+
+FUZZ_DEFECTS = [(40, None), (40, (1, 30)), (40, (17, 13)), (40, (2, 1)),
+                (44, (34, 14)), (44, (6, 43)), (44, (11, 4)),
+                (52, None), (52, (15, 4))]
+
+
+def ideal_pair(t, pair):
+    """The perpendicular pair, or the binary ideal measurements at two indices."""
+    if pair is None:
+        return perpendicular_ideal_pair(t)
+    return tuple(binary_ideal_measurement(t, i) for i in pair)
+
+
+@pytest.mark.parametrize("n, pair", FUZZ_DEFECTS)
+def test_fuzz_defects_solve(n, pair):
+    t = psi_transform(make_polygon(n))
+    f, g = ideal_pair(t, pair)
+    lam, joint = max_fuzz_lambda(t, f, g, with_joint=True)
+    if pair is None and n % 8 == 0:
+        expected = degree_bound_closed_form(n)
+    else:
+        expected = hrow_answer("max_fuzz_lambda", t, f, g, "highs")
+    assert lam == pytest.approx(expected, abs=1e-9)
+    assert not joint_violations(t, joint)
+    for got, want in zip(marginals(joint), (fuzzify(t, f, lam), fuzzify(t, g, lam))):
+        assert all(t.ctx.vec_eq(a, b) for a, b in zip(got.effects, want.effects))
+
+
+# the vertex form also returned 1.0025 as "optimal" for the skew pair (0, 3) at n = 40
+@pytest.mark.parametrize("n, pair", [(28, None), (40, None), (40, (0, 3))])
+def test_mur_defects_solve(n, pair):
+    t = psi_transform(make_polygon(n))
+    f, g = ideal_pair(t, pair)
+    res = min_mur_linf(t, f, g)
+    if pair is None and n % 8 == 0:
+        expected = 1 - degree_bound_closed_form(n)
+    else:
+        expected = hrow_answer("min_mur_linf", t, f, g, "highs")
+    assert res.value == pytest.approx(expected, abs=1e-9)
+    assert not joint_violations(t, res.joint)
+    # the joint's marginals sit exactly the optimal sup-gaps from the targets
+    mf, mg = marginals(res.joint)
+    assert linf_distance(t, mf, f) + linf_distance(t, mg, g) == pytest.approx(res.value, abs=1e-9)
+
+
+def test_mur_fast_at_sixteen():
+    # best of three, so that one slow moment on a shared host does not decide
+    t = psi_transform(make_polygon(16))
+    f, g = perpendicular_ideal_pair(t)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        min_mur_linf(t, f, g)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1

@@ -15,6 +15,7 @@ from gptlab.linprog import EQ, GE, LE, LinearProgram, LpResult, lp_feasible, lp_
 from gptlab.measures import FiniteMetricSpace
 from gptlab.model import make_polygon
 from gptlab.scalars import EXACT, FLOAT, dot
+from helpers import highs
 
 
 def max_bounded_segment():
@@ -380,30 +381,8 @@ def test_random_lps_bit_identical(p):
 # ---------------------------------------------------------------------------
 # float mode against scipy's HiGHS (test-only; skipped without scipy)
 
-def highs(p: LinearProgram, feasibility: bool = False):
-    """(status, value) of the same LP under HiGHS, statuses named as in lp_solve."""
-    optimize = pytest.importorskip("scipy.optimize")
-    sign = -1.0 if p.sense == "max" else 1.0
-    ub, ub_rhs, eq, eq_rhs = [], [], [], []
-    for coeffs, rel, rhs in p.constraints:
-        row = [float(a) for a in coeffs]
-        if rel == EQ:
-            eq.append(row)
-            eq_rhs.append(float(rhs))
-        else:
-            flip = -1.0 if rel == GE else 1.0
-            ub.append([flip * a for a in row])
-            ub_rhs.append(flip * float(rhs))
-    bounds = [tuple(None if b is None else float(b) for b in (p._bound("lo", j), p._bound("up", j)))
-              for j in range(p.n_vars)]
-    cost = [0.0] * p.n_vars if feasibility else [sign * float(c) for c in p.objective]
-    res = optimize.linprog(cost, A_ub=ub or None, b_ub=ub_rhs or None, A_eq=eq or None,
-                           b_eq=eq_rhs or None, bounds=bounds, method="highs")
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
-    return status, sign * res.fun if status == "optimal" else None
-
-
-@pytest.mark.parametrize("n, skew", COMPAT_CASES + [(12, False), (20, False), (12, True)])
+@pytest.mark.parametrize("n, skew", COMPAT_CASES + [(n, False) for n in range(12, 49, 4)
+                                                     if n != 16] + [(12, True), (48, True)])
 def test_compat_lps_match_highs(n, skew):
     for family, solver, p in compat_lps(n, skew):
         if solver is lp_solve:
@@ -413,6 +392,19 @@ def test_compat_lps_match_highs(n, skew):
             assert ours.value == pytest.approx(value, abs=1e-7), family
         else:
             assert lp_feasible(p, FLOAT).feasible == (highs(p, feasibility=True)[0] == "optimal")
+
+
+# equality rows per LP, for a binary pair in d = 3: the marginal rows, and
+# for MUR the unit-sum rows plus two sup-gap cone blocks per binary marginal
+COMPAT_EQ_ROWS = {"max_fuzz_lambda": (2 + 2) * 3, "is_jointly_measurable": (2 + 2) * 3,
+                  "min_mur_linf": (1 + 2 + 2) * 3}
+
+
+def test_compat_lp_rows_do_not_grow_with_n():
+    for n in (8, 16, 32):
+        for family, _solver, p in compat_lps(n):
+            assert sum(rel == EQ for _, rel, _ in p.constraints) == COMPAT_EQ_ROWS[family]
+            assert all(rel == EQ for _, rel, _ in p.constraints), family
 
 
 def test_compat_feasibility_verdicts_both_ways():

@@ -8,7 +8,9 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+import gptlab.symmetry
 from gptlab.cones import cone_member
+from gptlab.ideal import psi_transform
 from gptlab.measures import FiniteMetricSpace
 from gptlab.model import (
     Measurement,
@@ -31,6 +33,7 @@ from gptlab.model import (
     validate_theory,
 )
 from gptlab.scalars import EXACT, InnerProduct, float_vec, vadd, vscale, vsub
+from gptlab.symmetry import automorphism_group
 
 from helpers import _same_direction, facet_normals_bruteforce, member_bruteforce
 
@@ -391,6 +394,56 @@ class TestJsonRoundTrip:
         assert not back.ctx.exact
         for v, w in zip(t.vertices, back.vertices):
             assert v == pytest.approx(w)
+
+    @pytest.mark.parametrize("make", [lambda: make_classical(3), lambda: make_polygon(7),
+                                      lambda: psi_transform(make_polygon(8)),
+                                      lambda: make_disc_approx(12)])
+    def test_builtin_round_trip_keeps_closed_form_group(self, make, tmp_path, monkeypatch):
+        t = make()
+        path = tmp_path / "builtin.json"
+        save_theory(t, path)
+        back = load_theory(path)
+        assert (back.kind, back.n) == (t.kind, t.n)
+
+        def no_search(_t):
+            raise AssertionError("a built-in theory ran the group search")
+
+        monkeypatch.setattr(gptlab.symmetry, "_search_group", no_search)
+        assert automorphism_group(back).order == automorphism_group(t).order
+
+    def test_transformed_builtin_saves_as_custom(self, tmp_path):
+        # kind "polygon", but the vertices in another order: the closed-form
+        # dihedral group would pair the wrong vertices
+        t = make_polygon(6)
+        t = replace(t, vertices=t.vertices[1:] + t.vertices[:1])
+        path = tmp_path / "shifted.json"
+        save_theory(t, path)
+        assert "kind" not in json.loads(path.read_text())
+        assert load_theory(path).kind == "custom"
+
+    @pytest.mark.parametrize("kind, n, match", [
+        ("polygon", 4, "'sq' declares kind 'polygon' with n=4"),
+        ("classical", 2, "'sq' declares kind 'classical' with n=2"),
+        ("polygon", None, "'sq' declares kind 'polygon' with n=None"),
+        ("hexagon", 6, "'sq' declares kind 'hexagon' with n=6"),
+    ])
+    def test_declared_kind_must_match_builtin(self, kind, n, match):
+        # an exact square is none of these built-ins
+        data = {"name": "sq", "dim": 3, "kind": kind, "n": n,
+                "vertices": [[1, 1, 1], [-1, 1, 1], [-1, -1, 1], [1, -1, 1]],
+                "unit_effect": [0, 0, 1]}
+        for validate in (True, False):
+            with pytest.raises(ValueError, match=match):
+                theory_from_dict(data, validate=validate)
+
+    def test_builtin_kind_in_another_mode_rejected(self):
+        # the classical bit's vertices, but in float mode
+        data = {"name": "bit", "dim": 2, "kind": "classical", "n": 1,
+                "vertices": [[1.0, 0.0], [0.0, 1.0]], "unit_effect": [1.0, 1.0]}
+        with pytest.raises(ValueError, match="'bit' declares kind 'classical'"):
+            theory_from_dict(data)
+        del data["kind"], data["n"]
+        assert theory_from_dict(data).kind == "custom"
 
     def test_measurement_round_trip(self):
         t = make_polygon(4)

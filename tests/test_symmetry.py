@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gptlab.model
 import gptlab.symmetry
 from gptlab.cli import main as cli_main
-from gptlab.cones import dual_cone
+from gptlab.cones import Cone, cone_member, dual_cone
 from gptlab.model import Theory, load_theory, make_classical, make_polygon
 from gptlab.scalars import EXACT, FLOAT, InnerProduct, mat_add, mat_mul, mat_scale, mat_vec, transpose
 from gptlab.symmetry import (
@@ -448,6 +449,17 @@ class TestAnalyzeCli:
         assert out["transitive"] is True
         assert out["self_dual"] == recorded["structure"]["polytopes"][name]["self_dual"]
 
+    def test_mismatched_builtin_kind_rejected(self, tmp_path):
+        # an exact square declared as the float 4-gon used to reach the
+        # dihedral closed form and die with a RuntimeError
+        path = tmp_path / "sq.json"
+        path.write_text(json.dumps({
+            "name": "sq", "dim": 3, "kind": "polygon", "n": 4,
+            "vertices": [[1, 1, 1], [-1, 1, 1], [-1, -1, 1], [1, -1, 1]],
+            "unit_effect": [0, 0, 1]}))
+        with pytest.raises(ValueError, match="'sq' declares kind 'polygon' with n=4"):
+            cli_main(["theory", "analyze", "--theory", str(path)])
+
 
 # ---------------------------------------------------------------------------
 # metamorphic properties on random rational polytopes
@@ -542,3 +554,26 @@ class TestMetamorphic:
         assert is_self_dual(other) == is_self_dual(t)
         rays = [len(dual_cone(s.cone, s.inner, s.ctx).generators) for s in (t, other)]
         assert rays[0] == rays[1]
+
+
+class TestVertexExtremality:
+    @settings(max_examples=40, deadline=None)
+    @given(rational_polytopes(), st.data())
+    def test_facet_signs_match_lp(self, t, data):
+        # extremality from the facet normals against the LP path: vertex i is
+        # extreme exactly when no conic combination of the others reaches it
+        pts = _in_plane(t)
+        extra = []
+        for _ in range(data.draw(st.integers(0, 2))):
+            if data.draw(st.booleans()):
+                extra.append(data.draw(st.sampled_from(pts)))  # a duplicated vertex
+            else:  # a convex combination: an interior or a boundary point
+                chosen = data.draw(st.lists(st.sampled_from(pts), min_size=2, max_size=4))
+                weights = [data.draw(st.integers(1, 4)) for _ in chosen]
+                extra.append(tuple(sum(w * p[c] for w, p in zip(weights, chosen)) / sum(weights)
+                                   for c in range(len(pts[0]))))
+        other = _theory("with-extra", data.draw(st.permutations(pts + extra)))
+        for i, v in enumerate(other.vertices):
+            others = other.vertices[:i] + other.vertices[i + 1:]
+            assert gptlab.model._vertex_extreme(other, i) == (
+                not cone_member(Cone(others), v, EXACT))
