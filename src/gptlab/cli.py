@@ -64,8 +64,8 @@ from .symmetry import (
 def resolve_theory(spec: str) -> Theory:
     if os.path.exists(spec):
         return load_theory(spec)
-    if ":" in spec:
-        kind, _, arg = spec.partition(":")
+    kind, _, arg = spec.partition(":")
+    if arg.isdecimal():
         n = int(arg)
         if kind in BUILTIN_KINDS:
             return builtin_theory(kind, n)

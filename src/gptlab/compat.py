@@ -19,8 +19,8 @@ from typing import Optional
 
 from .linprog import EQ, LinearProgram, lp_feasible, lp_solve
 from .measures import metric_of
-from .model import Measurement, Theory, effect_eval
-from .scalars import inverse, mat_vec, vadd, vscale, vsub
+from .model import Measurement, Theory, effect_cone_rays, effect_eval
+from .scalars import vadd, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ class CompatibilityResult:
 def _cone_lp(t: Theory, n_blocks: int, eqs, objective=(), sense="min", upper=None):
     """One LP over `n_blocks` effects ``E_i = sum_k mu_ik r_k``, ``mu >= 0``.
 
-    The rays ``r_k = G^-1 n_k`` (cached facet normals ``n_k``, Gram matrix
-    ``G``) generate exactly the effects nonnegative on every state.  Then
+    The rays ``r_k`` of :func:`~gptlab.model.effect_cone_rays` generate
+    exactly the effects nonnegative on every state.  Then
     come nonnegative scalars ``s_j``, one per `objective` entry, below
     `upper` if given.  Each ``(blocks, scalars, rhs)`` in `eqs` is one row
     per coordinate of ``sum_i c_i E_i + sum_j s_j w_j = rhs``, with `blocks`
@@ -146,8 +146,7 @@ def _cone_lp(t: Theory, n_blocks: int, eqs, objective=(), sense="min", upper=Non
     Returns the LP and a map from a point to its first ``count`` effects.
     """
     ctx = t.ctx
-    ginv = inverse(t.inner.gram, ctx)
-    rays = tuple(mat_vec(ginv, n) for n in t.facet_normals)
+    rays = effect_cone_rays(t)
     k, zero = len(rays), ctx.zero()
     nmu = n_blocks * k
     nvars = nmu + len(objective)

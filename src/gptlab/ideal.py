@@ -23,7 +23,6 @@ from .model import (
     Theory,
     effect_eval,
     in_state_space,
-    is_valid_effect,
     is_zero_effect,
     polygon_radius,
 )
@@ -231,23 +230,22 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
     sums = _valid_sums(t, pures)
     u = t.unit_effect
 
-    raw_candidates = []  # (tag, indices, vec) in deterministic order
-    for s in sorted(sums, key=lambda s: (len(s), sorted(s))):
-        raw_candidates.append(("sum", s, sums[s]))
-    for s in sorted(sums, key=lambda s: (len(s), sorted(s))):
-        comp = vsub(u, sums[s])
-        if not is_zero_effect(t, comp):
-            raw_candidates.append(("complement", s, comp))
-    by_key = {}
-    candidates = []
-    for cand in raw_candidates:  # dedupe by coordinates, sum form preferred
-        key = _veckey(cand[2], ctx)
-        if key not in by_key:
-            by_key[key] = len(candidates)
-            candidates.append(cand)
-    # outcome probabilities per candidate; the search tracks the remainder's
-    # vertex values, which only decrease as effects are added
-    evals = [tuple(effect_eval(t, c[2], v) for v in t.vertices) for c in candidates]
+    # one candidate per coordinate vector, sums before complements; only valid
+    # effects (in [0, 1] on every vertex, enough by convexity) enter the
+    # search, which tracks the remainder's vertex values as they decrease
+    order = sorted(sums, key=lambda s: (len(s), sorted(s)))
+    seen, candidates, evals = set(), [], []
+    for tag, s in [("sum", s) for s in order] + [("complement", s) for s in order]:
+        vec = sums[s] if tag == "sum" else vsub(u, sums[s])
+        key = _veckey(vec, ctx)
+        if key in seen or is_zero_effect(t, vec):
+            continue
+        seen.add(key)
+        row = tuple(effect_eval(t, vec, v) for v in t.vertices)
+        if all(ctx.ge(p, 0) and ctx.le(p, 1) for p in row):
+            candidates.append((tag, s, vec))
+            evals.append(row)
+    by_key = {_veckey(c[2], ctx): i for i, c in enumerate(candidates)}
     u_evals = tuple(effect_eval(t, u, v) for v in t.vertices)
 
     found = {}
@@ -292,9 +290,9 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
         )
 
     search(0, [], u, u_evals)
-    out = [m for m in found.values() if all(is_valid_effect(t, e) for e in m.effects)]
-    out.sort(key=lambda m: (m.n_outcomes, tuple(_veckey(e, ctx) for e in m.effects)))
-    return tuple(out)
+    return tuple(sorted(
+        found.values(), key=lambda m: (m.n_outcomes, tuple(_veckey(e, ctx) for e in m.effects))
+    ))
 
 
 def binary_ideal_measurement(t: Theory, index: int) -> IdealMeasurement:

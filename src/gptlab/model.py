@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
-from .cones import Cone, LinealityError, affine_hull_check, cone_member, dual_cone
+from .cones import Cone, LinealityError, affine_hull_check, dual_cone
 from .scalars import (
     Context,
     EXACT,
@@ -29,6 +29,8 @@ from .scalars import (
     dot,
     float_mat,
     float_vec,
+    inverse,
+    mat_vec,
     rank,
     vadd,
 )
@@ -173,15 +175,6 @@ def assert_valid_measurement(t: Theory, m: Measurement) -> None:
         raise ValueError("invalid measurement: " + "; ".join(problems))
 
 
-def effect_space_member(t: Theory, e) -> bool:
-    """Duality route: e and u - e both in the internal dual cone of V+."""
-    dual = dual_cone(t.cone, t.inner, t.ctx)
-    u_minus_e = tuple(u - a for u, a in zip(t.unit_effect, e))
-    ok_e = is_zero_effect(t, e) or cone_member(dual, e, t.ctx)
-    ok_c = is_zero_effect(t, u_minus_e) or cone_member(dual, u_minus_e, t.ctx)
-    return ok_e and ok_c
-
-
 def validate_theory(t: Theory) -> None:
     """Check the structural invariants; raises ValueError on the first failure."""
     ctx = t.ctx
@@ -205,6 +198,18 @@ def validate_theory(t: Theory) -> None:
     for i in range(t.n_vertices):
         if not _vertex_extreme(t, i):
             raise ValueError(f"vertex {i} is a convex combination of the others")
+
+
+def effect_cone_rays(t: Theory, inner: Optional[InnerProduct] = None) -> tuple:
+    """Rays ``G^-1 n_k`` (cached facet normals ``n_k``) spanning the state cone's dual.
+
+    ``G`` is the Gram matrix of `inner`, by default the theory's own pairing,
+    under which the rays span exactly the effects nonnegative on every state.
+    """
+    ginv = inverse((t.inner if inner is None else inner).gram, t.ctx)
+    if ginv is None:
+        raise ValueError("the pairing's Gram matrix is singular")
+    return tuple(mat_vec(ginv, n) for n in t.facet_normals)
 
 
 def _vertex_extreme(t: Theory, i: int) -> bool:

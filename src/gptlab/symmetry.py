@@ -8,6 +8,11 @@ projection onto the invariant subspace, and the canonical (Bloch)
 coordinates in which the unit effect coincides with the maximally mixed
 state.
 
+Self-duality under a pairing G and the J-positivity checks of
+``xi_canonicalize`` solve no LP: they are sign checks of vertices against
+vertices under G, and of the dual cone's rays ``G^-1 n_k`` against the
+cached facet normals ``n_k``.
+
 For built-in theories the group is written down in closed form
 (permutation matrices for simplices, the dihedral group for polygons).
 For user theories a backtracking search over vertex permutations is run,
@@ -32,8 +37,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .cones import cone_member, cones_equal, dual_cone
-from .model import Theory, theory_to_float
+from .model import Theory, effect_cone_rays, theory_to_float
 from .scalars import (
     Context,
     FLOAT,
@@ -372,6 +376,17 @@ def canonicalize(t: Theory) -> CanonicalForm:
     return CanonicalForm(basis=tuple(basis), transform=transform, theory=theory_c, group=new_group)
 
 
+def _in_dual(t: Theory, points, gram: InnerProduct) -> bool:
+    """Every point pairs nonnegatively with every vertex: it lies in the `gram`-dual cone."""
+    g_vertices = [mat_vec(gram.gram, v) for v in t.vertices]  # <x, v>_G = x . (G v)
+    return all(t.ctx.ge(dot(x, gv), 0) for x in points for gv in g_vertices)
+
+
+def _in_cone(t: Theory, points) -> bool:
+    """Every point is on the inner side of every facet of the state cone."""
+    return all(t.ctx.ge(dot(n, x), 0) for x in points for n in t.facet_normals)
+
+
 def is_self_dual(t: Theory, gram: Optional[InnerProduct] = None) -> bool:
     """Is the positive cone equal to its internal dual under the given product?
 
@@ -379,7 +394,7 @@ def is_self_dual(t: Theory, gram: Optional[InnerProduct] = None) -> bool:
     """
     if gram is None:
         gram = averaged_inner_product(automorphism_group(t), t.ctx)
-    return cones_equal(t.cone, dual_cone(t.cone, gram, t.ctx), t.ctx)
+    return _in_dual(t, t.vertices, gram) and _in_cone(t, effect_cone_rays(t, gram))
 
 
 def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theory:
@@ -405,14 +420,11 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
         raise ValueError("J is not self-adjoint for the averaged inner product")
     if not InnerProduct(gj).is_positive_definite(ctx):
         raise ValueError("J is not strictly positive for the averaged inner product")
-    dual = dual_cone(t.cone, gram, ctx)
+    if not _in_dual(t, [mat_vec(j_map, v) for v in t.vertices], gram):
+        raise ValueError("J does not map the positive cone into the dual cone")
     jinv = inverse(j_map, ctx)
-    for v in t.vertices:
-        if not cone_member(dual, mat_vec(j_map, v), ctx):
-            raise ValueError("J does not map the positive cone into the dual cone")
-    for ray in dual.generators:
-        if not cone_member(t.cone, mat_vec(jinv, ray), ctx):
-            raise ValueError("J does not map the positive cone onto the dual cone")
+    if not _in_cone(t, [mat_vec(jinv, r) for r in effect_cone_rays(t, gram)]):
+        raise ValueError("J does not map the positive cone onto the dual cone")
 
     omega_m = maximally_mixed(t, g)
     # normalize so the invariant component of the average has coefficient one;

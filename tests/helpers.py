@@ -4,14 +4,18 @@ These deliberately avoid the library's own code paths: membership goes
 through exhaustive facet enumeration, groups through a raw permutation
 search or the plain Fraction backtracking search, so the LP,
 double-description and integer-numerator implementations have something
-honest to be compared against.  LPs go to scipy's HiGHS, and the
-compatibility LPs also come in their older vertex-by-vertex form.
+honest to be compared against.  The theory layer's facet-sign checks
+(effect validity, self-duality, J-positivity) are compared with LP
+routes over `dual_cone` and `cone_member`.  LPs go to scipy's HiGHS,
+and the compatibility LPs also come in their older vertex-by-vertex
+form.
 """
 
 from itertools import combinations, permutations
 
 import pytest
 
+from gptlab.cones import cone_member, cones_equal, dual_cone
 from gptlab.linprog import EQ, GE, LE, LinearProgram
 from gptlab.scalars import Context, dot, inverse, mat_add, mat_mul, mat_vec, rank, solve, transpose
 from gptlab.symmetry import SymmetryGroup
@@ -92,6 +96,27 @@ def member_bruteforce(generators, x, ctx: Context) -> bool:
         raise ValueError("brute-force membership oracle needs a full-dimensional cone")
     normals = facet_normals_bruteforce(generators, ctx)
     return all(ctx.ge(dot(n, x), 0) for n in normals)
+
+
+def effect_space_member(t, e) -> bool:
+    """Duality route: e and u - e both in the internal dual cone of V+ (LPs)."""
+    dual = dual_cone(t.cone, t.inner, t.ctx)
+    u_minus_e = tuple(u - a for u, a in zip(t.unit_effect, e))
+    return all(all(t.ctx.is_zero(a) for a in x) or cone_member(dual, x, t.ctx)
+               for x in (e, u_minus_e))
+
+
+def self_dual_lp(t, gram) -> bool:
+    """The state cone equals its dual under `gram`: double description, then LPs."""
+    return cones_equal(t.cone, dual_cone(t.cone, gram, t.ctx), t.ctx)
+
+
+def j_positive_lp(t, j_map, gram) -> tuple:
+    """(J maps the state cone into its `gram`-dual, J^-1 maps the dual into the cone) by LPs."""
+    dual = dual_cone(t.cone, gram, t.ctx)
+    jinv = inverse(j_map, t.ctx)
+    return (all(cone_member(dual, mat_vec(j_map, v), t.ctx) for v in t.vertices),
+            all(cone_member(t.cone, mat_vec(jinv, r), t.ctx) for r in dual.generators))
 
 
 def automorphism_orders_bruteforce(vertices, ctx: Context) -> int:

@@ -275,6 +275,11 @@ class TestCli:
                        "--max-outcomes", "2")
         assert len(out) == 5
 
+    @pytest.mark.parametrize("spec", ["polygon:abc", "classical:", "disc:8.5", "polygon:-3", "nope"])
+    def test_unresolvable_theory_exits_with_message(self, spec):
+        with pytest.raises(SystemExit, match=f"cannot resolve theory '{spec}'"):
+            cli.main(["theory", "analyze", "--theory", spec])
+
     def test_theory_export(self, capsys):
         out = self.run(capsys, "theory", "export", "--theory", "classical:2")
         assert out["vertices"][0] == [1, 0, 0]

@@ -16,7 +16,6 @@ from gptlab.model import (
     Measurement,
     Theory,
     effect_eval,
-    effect_space_member,
     in_state_space,
     is_valid_effect,
     load_theory,
@@ -35,7 +34,7 @@ from gptlab.model import (
 from gptlab.scalars import EXACT, InnerProduct, float_vec, vadd, vscale, vsub
 from gptlab.symmetry import automorphism_group
 
-from helpers import _same_direction, facet_normals_bruteforce, member_bruteforce
+from helpers import _same_direction, effect_space_member, facet_normals_bruteforce, member_bruteforce
 
 SQ2 = math.sqrt(2)
 

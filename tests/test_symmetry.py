@@ -11,12 +11,19 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gptlab.compat
+import gptlab.cones
 import gptlab.model
 import gptlab.symmetry
 from gptlab.cli import main as cli_main
 from gptlab.cones import Cone, cone_member, dual_cone
+from gptlab.harness import prepare_conforming
+from gptlab.ideal import indecomposable_pure_effects
 from gptlab.model import Theory, load_theory, make_classical, make_polygon
-from gptlab.scalars import EXACT, FLOAT, InnerProduct, mat_add, mat_mul, mat_scale, mat_vec, transpose
+from gptlab.scalars import (
+    EXACT, FLOAT, InnerProduct, identity, inverse, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
+    transpose,
+)
 from gptlab.symmetry import (
     automorphism_group,
     averaged_inner_product,
@@ -29,7 +36,9 @@ from gptlab.symmetry import (
     xi_canonicalize,
 )
 
-from helpers import automorphism_orders_bruteforce, search_group_reference
+from helpers import (
+    automorphism_orders_bruteforce, j_positive_lp, search_group_reference, self_dual_lp,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,6 +55,13 @@ def stretched_square():
           (Fr(-2), Fr(0), Fr(1)), (Fr(0), Fr(-1), Fr(1)))
     return Theory("stretched-square", vs, (Fr(0), Fr(0), Fr(1)),
                   InnerProduct.euclidean(3, EXACT), EXACT)
+
+
+def stretched_pentagon():
+    t = make_polygon(5)
+    stretch = ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0))
+    return replace(t, name="pentagon-stretched", kind="custom",
+                   vertices=tuple(mat_vec(stretch, v) for v in t.vertices), group_cache=None)
 
 
 class TestAutomorphismGroup:
@@ -301,16 +317,10 @@ class TestXiCanonicalize:
         assert out.vertices == t.vertices
 
     def test_stretched_pentagon_recovered(self):
-        t = make_polygon(5)
-        stretch = ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0))
-        stretched = replace(
-            t, name="pentagon-stretched", kind="custom",
-            vertices=tuple(mat_vec(stretch, v) for v in t.vertices), group_cache=None,
-        )
         j = ((0.25, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 1.0))
-        out = xi_canonicalize(stretched, j)
+        out = xi_canonicalize(stretched_pentagon(), j)
         assert is_self_dual(out)
-        for v, w in zip(out.vertices, t.vertices):
+        for v, w in zip(out.vertices, make_polygon(5).vertices):
             assert v == pytest.approx(w, abs=1e-9)
 
     def test_invalid_j_rejected(self):
@@ -439,15 +449,16 @@ class TestIntegerNumeratorSearch:
 
 
 class TestAnalyzeCli:
-    @pytest.mark.parametrize("name", ["cross4", "tesseract"])
+    @pytest.mark.parametrize(
+        "name", ["square", "hexagon", "prism", "octahedron", "cube", "cross4", "tesseract"])
     def test_relabelled_polytope(self, name, tmp_path, capsys):
         recorded = json.loads((PERFBENCH / "reference.json").read_text())
         path = structure_theory_files(tmp_path, seed=13)[name]
         assert cli_main(["theory", "analyze", "--theory", path]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["group_order"] == 384
-        assert out["transitive"] is True
-        assert out["self_dual"] == recorded["structure"]["polytopes"][name]["self_dual"]
+        expected = recorded["structure"]["polytopes"][name]
+        assert {k: out[k] for k in ("group_order", "transitive", "self_dual")} == {
+            k: expected[k] for k in ("group_order", "transitive", "self_dual")}
 
     def test_mismatched_builtin_kind_rejected(self, tmp_path):
         # an exact square declared as the float 4-gon used to reach the
@@ -515,13 +526,18 @@ def _det(rows):
                for c in range(len(rows)))
 
 
-def _affine_map(draw, k):
-    """A random invertible rational affine map of R^k (unit lower times upper triangular)."""
-    lower = [[Fr(1) if i == j else (draw(fracs) if j < i else Fr(0)) for j in range(k)]
-             for i in range(k)]
+def _invertible(draw, d):
+    """A random invertible rational matrix: unit lower times upper triangular."""
+    lower = [[Fr(1) if i == j else (draw(fracs) if j < i else Fr(0)) for j in range(d)]
+             for i in range(d)]
     upper = [[draw(fracs.filter(bool)) if i == j else (draw(fracs) if j > i else Fr(0))
-              for j in range(k)] for i in range(k)]
-    m = [[sum(lower[i][l] * upper[l][j] for l in range(k)) for j in range(k)] for i in range(k)]
+              for j in range(d)] for i in range(d)]
+    return mat_mul(lower, upper)
+
+
+def _affine_map(draw, k):
+    """A random invertible rational affine map of R^k."""
+    m = _invertible(draw, k)
     shift = [draw(fracs) for _ in range(k)]
     return lambda p: tuple(sum(m[i][j] * p[j] for j in range(k)) + shift[i] for i in range(k))
 
@@ -577,3 +593,100 @@ class TestVertexExtremality:
             others = other.vertices[:i] + other.vertices[i + 1:]
             assert gptlab.model._vertex_extreme(other, i) == (
                 not cone_member(Cone(others), v, EXACT))
+
+
+# ---------------------------------------------------------------------------
+# self-duality and J-positivity: facet-sign checks against the LP route
+
+
+class TestSignChecks:
+    @settings(max_examples=20, deadline=None)
+    @given(rational_polytopes(), st.data())
+    def test_self_duality_matches_lp(self, t, data):
+        spd = _invertible(data.draw, t.dim)
+        grams = (InnerProduct.euclidean(t.dim, EXACT), InnerProduct(mat_mul(spd, transpose(spd))),
+                 averaged_inner_product(automorphism_group(t), EXACT))
+        for gram in grams:
+            assert is_self_dual(t, gram) == self_dual_lp(t, gram)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_pushed_simplices_are_self_dual(self, data):
+        # the cone over the columns of M is self-dual under G = M^-T M^-1;
+        # M is a random invertible map, times a rational triangle's vertex
+        # matrix for triangles
+        if data.draw(st.booleans()):
+            d = data.draw(st.integers(2, 5))  # classical N = 1..4
+            base = identity(d, EXACT)
+        else:
+            d = 3
+            pts = [tuple(data.draw(fracs) for _ in range(2)) + (Fr(1),) for _ in range(3)]
+            assume(_det(pts) != 0)
+            base = transpose(pts)
+        m = mat_mul(_invertible(data.draw, d), base)
+        minv = inverse(m, EXACT)
+        t = Theory("pushed-simplex", transpose(m), mat_vec(transpose(minv), (Fr(1),) * d),
+                   InnerProduct.euclidean(d, EXACT), EXACT)
+        gram = InnerProduct(mat_mul(transpose(minv), minv))
+        assert is_self_dual(t, gram)
+        assert self_dual_lp(t, gram)
+
+    @pytest.mark.parametrize("t", [make_polygon(n) for n in range(3, 21)]
+                             + [make_classical(n) for n in range(1, 6)], ids=lambda t: t.name)
+    def test_builtin_self_duality_matches_lp(self, t):
+        for gram in (InnerProduct.euclidean(t.dim, t.ctx),
+                     averaged_inner_product(automorphism_group(t), t.ctx)):
+            assert is_self_dual(t, gram) == self_dual_lp(t, gram)
+
+    def test_singular_pairing_rejected(self):
+        t = make_classical(2)
+        gram = InnerProduct(((Fr(1), Fr(0), Fr(0)), (Fr(0), Fr(1), Fr(0)), (Fr(0),) * 3))
+        with pytest.raises(ValueError, match="Gram matrix is singular"):
+            is_self_dual(t, gram)
+
+    @pytest.mark.parametrize("make", [lambda: make_polygon(3), lambda: make_polygon(5),
+                                      lambda: make_polygon(7), lambda: make_polygon(9),
+                                      stretched_pentagon, lambda: make_classical(2)],
+                             ids=["polygon-3", "polygon-5", "polygon-7", "polygon-9",
+                                  "stretched-pentagon", "classical-2"])
+    def test_xi_checks_match_lp(self, make):
+        # J = P_M + s P_perp: s < 1 shrinks the cone, s > 1 widens it; the
+        # stretched pentagon needs s = 1/4
+        t = make()
+        g = automorphism_group(t)
+        ctx, gram, pm = t.ctx, averaged_inner_product(g, t.ctx), projector_pm(g, t.ctx)
+        for s in (Fr(1, 4), Fr(1, 2), Fr(1), Fr(3, 2)):
+            j = mat_add(pm, mat_scale(ctx.convert(s), mat_sub(identity(t.dim, ctx), pm)))
+            into, onto = j_positive_lp(t, j, gram)
+            if into and onto:
+                xi_canonicalize(t, j, g)
+            else:
+                with pytest.raises(ValueError, match="into" if not into else "onto"):
+                    xi_canonicalize(t, j, g)
+
+
+def test_theory_layer_solves_no_lp(monkeypatch, tmp_path, capsys):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the theory layer solved an LP")
+
+    for module, name in ((gptlab.cones, "lp_feasible"), (gptlab.compat, "lp_feasible"),
+                         (gptlab.compat, "lp_solve")):
+        monkeypatch.setattr(module, name, no_lp)
+    with pytest.raises(AssertionError, match="solved an LP"):
+        cone_member(make_polygon(5).cone, (0.0, 0.0, 1.0))
+
+    for n in (4, 5):
+        assert is_self_dual(make_polygon(n)) == (n == 5)
+    j = ((0.25, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 1.0))
+    recovered = xi_canonicalize(stretched_pentagon(), j)
+    assert is_self_dual(recovered)
+    with pytest.raises(ValueError, match="onto"):
+        xi_canonicalize(make_polygon(5), ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 1.0)))
+    files = structure_theory_files(tmp_path, seed=13)
+    cube = load_theory(files["cube"])
+    assert not is_self_dual(prepare_conforming(cube))
+    for t in (make_classical(3), make_polygon(7), recovered):
+        assert len(indecomposable_pure_effects(prepare_conforming(t))) == t.n_vertices
+    for path in files.values():
+        assert cli_main(["theory", "analyze", "--theory", path]) == 0
+    capsys.readouterr()
