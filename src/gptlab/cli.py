@@ -50,6 +50,7 @@ from .model import (
     make_disc_approx,
     make_polygon,
     measurement_to_dict,
+    measurement_violations,
     theory_to_dict,
 )
 from .symmetry import (
@@ -74,10 +75,30 @@ def resolve_theory(spec: str) -> Theory:
     raise SystemExit(f"cannot resolve theory {spec!r}: not a file or builtin shorthand")
 
 
+def _load_valid_measurement(path, t):
+    """The measurement in `path`; exits naming the file if it is not one of `t`."""
+    try:
+        m = load_measurement(path, t.ctx)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(f"invalid measurement file {path!r}: {exc}")
+    if any(len(e) != t.dim for e in m.effects):
+        problems = [f"every effect needs {t.dim} coordinates"]
+    else:
+        problems = measurement_violations(t, m)
+    if not problems and m.metric is not None:
+        try:
+            m.metric.validate(t.ctx)
+        except ValueError as exc:
+            problems = [f"metric: {exc}"]
+    if problems:
+        raise SystemExit(f"invalid measurement file {path!r}: " + "; ".join(problems))
+    return m
+
+
 def _measurement(args, t, attr, required=True):
     path = getattr(args, attr, None)
     if path is not None:
-        return load_measurement(path, t.ctx)
+        return _load_valid_measurement(path, t)
     if getattr(args, "pair", False):
         f, g = perpendicular_ideal_pair(t)
         return f if attr in ("first", "measurement", "ideal") else g

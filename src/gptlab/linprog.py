@@ -5,16 +5,14 @@ measurement-error minimisation, and Lipschitz-ball optimisation.  Exact
 pivoting over rationals is needed for cone certificates, so we ship our
 own dense tableau simplex instead of binding an external solver.
 
-Two tableaux run the same algorithm.  Exact mode pivots on lists of
-Fractions (:class:`_Tableau`).  Float mode keeps the rows and right-hand
-side of all but the smallest LPs in one float64 array
-(:class:`_ArrayTableau`), so a pivot is one rank-1 update instead of a
-Python loop per row.  Both apply Bland's anti-cycling rule on every
-pivot: the entering variable is the lowest index with a negative reduced
-cost, and ties in the ratio test break toward the lowest basis index.
-The array tableau does the same scalar operations in the same order as
-the list tableau, so a float LP takes the same pivots and returns the
-same floats either way.  Float LP data must be finite; a nan or inf
+One tableau serves both scalar modes (:class:`_Tableau`): its rows and
+right-hand side sit in one numpy array, float64 in float mode and
+Fractions (object dtype) in exact mode, so a pivot is one rank-1 update
+instead of a Python loop per row, and the pivot, ratio test, price-out
+and phase-1 steps are the same code in either mode.  Every pivot follows
+Bland's anti-cycling rule: the entering variable is the lowest index
+with a negative reduced cost, and ties in the ratio test break toward
+the lowest basis index.  Float LP data must be finite; a nan or inf
 raises a ValueError before any pivot.
 """
 
@@ -49,6 +47,15 @@ class LinearProgram:
     constraints: list = field(default_factory=list)
     lower: object = None
     upper: object = None
+
+    def __post_init__(self):
+        if len(self.objective) != self.n_vars:
+            raise ValueError(
+                f"objective has {len(self.objective)} coefficients, expected {self.n_vars}")
+        for name in ("lower", "upper"):
+            b = getattr(self, name)
+            if isinstance(b, (list, tuple)) and len(b) != self.n_vars:
+                raise ValueError(f"{name} has {len(b)} bounds, expected {self.n_vars}")
 
     def add(self, coeffs, rel, rhs):
         if len(coeffs) != self.n_vars:
@@ -89,138 +96,22 @@ class FeasibilityResult:
 
 
 class _Tableau:
-    """Dense simplex tableau in standard form: min c.y, A y = b, y >= 0."""
+    """Dense simplex tableau in standard form: min c.y, A y = b, y >= 0.
 
-    def __init__(self, rows, rhs, ctx):
-        self.rows = [list(r) for r in rows]
-        self.rhs = list(rhs)
-        self.ctx = ctx
-        self.basis = [-1] * len(rows)
-
-    def price_out(self, cost):
-        """Objective row (reduced costs) for the current basis, plus -z."""
-        ctx = self.ctx
-        obj = list(cost)
-        zval = ctx.zero()
-        for i, bj in enumerate(self.basis):
-            cb = cost[bj]
-            if cb == 0:
-                continue
-            row = self.rows[i]
-            for j in range(len(obj)):
-                obj[j] -= cb * row[j]
-            zval -= cb * self.rhs[i]
-        return obj, zval
-
-    def pivot(self, r, c):
-        rows, rhs = self.rows, self.rhs
-        prow = rows[r]
-        pv = prow[c]
-        inv = 1 / pv
-        rows[r] = prow = [v * inv for v in prow]
-        rhs[r] *= inv
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f == 0:
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-            rhs[i] -= f * rhs[r]
-        self.basis[r] = c
-
-    def run(self, cost, nenter):
-        """Minimise cost over the current basis, entering only columns below
-        `nenter`; returns (status, z)."""
-        ctx = self.ctx
-        obj, zval = self.price_out(cost)
-        for _ in range(_MAX_PIVOTS):
-            enter = -1
-            for j in range(nenter):
-                if ctx.lt(obj[j], 0):
-                    enter = j  # Bland: lowest index
-                    break
-            if enter < 0:
-                return "optimal", zval
-            leave, best = -1, None
-            for i, row in enumerate(self.rows):
-                a = row[enter]
-                if not ctx.gt(a, 0):
-                    continue
-                ratio = self.rhs[i] / a
-                if best is None or ratio < best or (
-                    ratio == best and self.basis[i] < self.basis[leave]
-                ):
-                    leave, best = i, ratio
-            if leave < 0:
-                return "unbounded", zval
-            self.pivot(leave, enter)
-            # update the objective row with the normalized pivot row
-            fobj = obj[enter]
-            if fobj != 0:
-                prow = self.rows[leave]
-                for j in range(len(obj)):
-                    obj[j] -= fobj * prow[j]
-                zval -= fobj * self.rhs[leave]
-        raise RuntimeError("simplex exceeded pivot budget (cycling?)")
-
-    # phase-1 steps
-
-    def unit_columns(self, ncols):
-        """Per row, the highest of the first `ncols` columns that is the unit
-        vector with its 1 in that row, or -1."""
-        one, nrows = self.ctx.one(), len(self.rows)
-        found = []
-        for i, row in enumerate(self.rows):
-            found.append(-1)
-            for j in range(ncols - 1, -1, -1):
-                if row[j] == one and all(self.rows[k][j] == 0 for k in range(nrows) if k != i):
-                    found[i] = j
-                    break
-        return found
-
-    def add_artificials(self, need):
-        """Append a unit column for each row in `need`, make it basic there,
-        and return the new column indices."""
-        zero, one = self.ctx.zero(), self.ctx.one()
-        base = len(self.rows[0])
-        for k, i in enumerate(need):
-            for r in range(len(self.rows)):
-                self.rows[r].append(one if r == i else zero)
-            self.basis[i] = base + k
-        return list(range(base, base + len(need)))
-
-    def first_nonzero(self, i, ncols):
-        """Lowest of the first `ncols` columns where row i is not zero, or -1."""
-        for j in range(ncols):
-            if not self.ctx.is_zero(self.rows[i][j]):
-                return j
-        return -1
-
-    def drop(self, drop_rows, ncols):
-        """Delete the given rows and every column from `ncols` on."""
-        for i in sorted(drop_rows, reverse=True):
-            del self.rows[i]
-            del self.rhs[i]
-            del self.basis[i]
-        for row in self.rows:
-            del row[ncols:]
-
-
-class _ArrayTableau:
-    """The float-mode tableau: rows and right-hand side in one float64 array.
-
-    The last column holds the right-hand side, and the objective row carries
-    -z in its last entry, so a pivot updates both with the rows.  Every
-    entry goes through the same IEEE operations, in the same order, as in
-    :class:`_Tableau`, so both take the same pivots to the same floats.
+    Rows and right-hand side live in one array, float64 in float mode and
+    Fractions (object dtype) in exact mode.  The last column holds the
+    right-hand side, and the objective row carries -z in its last entry,
+    so a pivot updates both with the rows.
     """
 
     def __init__(self, rows, rhs, ctx):
-        self.t = np.empty((len(rows), len(rows[0]) + 1))
+        self.t = np.empty((len(rows), len(rows[0]) + 1), dtype=object if ctx.exact else float)
         self.t[:, :-1] = rows
         self.t[:, -1] = rhs
-        self.tol = ctx.tol
+        self.ctx = ctx
+        # pivot and entering tests compare with this; exact mode needs a
+        # Fraction zero, since adding the float 0.0 would turn entries into floats
+        self.tol = ctx.zero() if ctx.exact else ctx.tol
         self.basis = [-1] * len(rows)
 
     @property
@@ -228,7 +119,8 @@ class _ArrayTableau:
         return self.t[:, -1].tolist()
 
     def price_out(self, cost):
-        obj = np.append(np.asarray(cost, dtype=float), 0.0)
+        """Objective row (reduced costs) for the current basis, then -z."""
+        obj = np.array(cost + [self.ctx.zero()], dtype=self.t.dtype)
         for i, bj in enumerate(self.basis):
             cb = cost[bj]
             if cb == 0:
@@ -240,23 +132,25 @@ class _ArrayTableau:
         t = self.t
         t[r] *= 1 / t[r, c]
         f = t[:, c].copy()
-        f[r] = 0.0
+        f[r] = 0
         nz = np.flatnonzero(f)
         t[nz] -= np.outer(f[nz], t[r])
         self.basis[r] = c
 
     def run(self, cost, nenter):
+        """Minimise cost over the current basis, entering only columns below
+        `nenter`; returns (status, z)."""
         tol, t = self.tol, self.t
         obj = self.price_out(cost)
         for _ in range(_MAX_PIVOTS):
             negative = np.flatnonzero(~(0 <= obj[:nenter] + tol))
             if not negative.size:
-                return "optimal", float(obj[-1])
+                return "optimal", obj.item(-1)
             enter = int(negative[0])  # Bland: lowest index
             col = t[:, enter]
             rows = np.flatnonzero(~(col <= tol))
             if not rows.size:
-                return "unbounded", float(obj[-1])
+                return "unbounded", obj.item(-1)
             ratios = t[rows, -1] / col[rows]
             tied = rows[ratios == ratios.min()]
             leave = int(min(tied, key=self.basis.__getitem__))
@@ -266,46 +160,36 @@ class _ArrayTableau:
                 obj -= fobj * t[leave]
         raise RuntimeError("simplex exceeded pivot budget (cycling?)")
 
+    # phase-1 steps
+
     def unit_columns(self, ncols):
+        """Per row, the highest of the first `ncols` columns that is the unit
+        vector with its 1 in that row, or -1."""
         block = self.t[:, :ncols]
         unit = (block == 1) & ((block != 0).sum(axis=0) == 1)
         return [int(js[-1]) if js.size else -1 for js in map(np.flatnonzero, unit)]
 
     def add_artificials(self, need):
+        """Append a unit column for each row in `need`, make it basic there,
+        and return the new column indices."""
         base = self.t.shape[1] - 1
-        art = np.zeros((len(self.basis), len(need)))
-        art[need, range(len(need))] = 1.0
+        art = np.full((len(self.basis), len(need)), self.ctx.zero(), dtype=self.t.dtype)
+        art[need, range(len(need))] = self.ctx.one()
         self.t = np.hstack([self.t[:, :base], art, self.t[:, base:]])
         for k, i in enumerate(need):
             self.basis[i] = base + k
         return list(range(base, base + len(need)))
 
     def first_nonzero(self, i, ncols):
+        """Lowest of the first `ncols` columns where row i is not zero, or -1."""
         js = np.flatnonzero(~(np.abs(self.t[i, :ncols]) <= self.tol))
         return int(js[0]) if js.size else -1
 
     def drop(self, drop_rows, ncols):
+        """Delete the given rows and every column from `ncols` on."""
         keep = [i for i in range(len(self.basis)) if i not in drop_rows]
         self.t = np.hstack([self.t[keep, :ncols], self.t[keep, -1:]])
         self.basis = [self.basis[i] for i in keep]
-
-
-# Below this many cells numpy's per-call overhead outweighs the vectorised
-# pivot: float LPs of three rows (cone membership while a theory is built)
-# ran 2-3x slower on the array, and break-even lay at 300-500 cells
-# (rows x columns of the standard form, random dense LPs).
-_ARRAY_MIN_CELLS = 500
-
-
-def _tableau(rows, rhs, ctx: Context):
-    """Fraction lists in exact mode; in float mode lists for small LPs, else the array.
-
-    Both float tableaux return bit-identical results, so the size only
-    decides the speed.
-    """
-    if ctx.exact or len(rows) * len(rows[0]) < _ARRAY_MIN_CELLS:
-        return _Tableau(rows, rhs, ctx)
-    return _ArrayTableau(rows, rhs, ctx)
 
 
 def _standardize(p: LinearProgram, ctx: Context):
@@ -451,7 +335,7 @@ def _basic_point(tab, nstruct: int, ctx: Context) -> list:
 
 
 def _solve_standard(rows, rhs, cost, ctx, nstruct):
-    tab = _tableau(rows, rhs, ctx)
+    tab = _Tableau(rows, rhs, ctx)
     if _phase1(tab, nstruct, ctx) == "infeasible":
         return "infeasible", None, None
     status, zval = tab.run(cost, nstruct)
@@ -481,7 +365,12 @@ def _certify(p: LinearProgram, x, ctx: Context):
 
 
 def lp_solve(p: LinearProgram, ctx: Context = FLOAT) -> LpResult:
-    """Solve to a certified global optimum (two-phase simplex, Bland's rule)."""
+    """Two-phase simplex with Bland's rule.
+
+    An optimal point is checked by substituting it back into every
+    constraint and bound; the optimal value and an infeasible or
+    unbounded verdict are not certified.
+    """
     rows, rhs, cost, recover, const, nstruct = _standardize(p, ctx)
     if not rows:
         # standard form minimises cost.y over y >= 0 with no rows: the optimum
@@ -507,7 +396,7 @@ def lp_feasible(p: LinearProgram, ctx: Context = FLOAT) -> FeasibilityResult:
     rows, rhs, cost, recover, _const, nstruct = _standardize(p, ctx)
     if not rows:
         return FeasibilityResult(True, recover([ctx.zero()] * nstruct))
-    tab = _tableau(rows, rhs, ctx)
+    tab = _Tableau(rows, rhs, ctx)
     if _phase1(tab, nstruct, ctx) == "infeasible":
         return FeasibilityResult(False, None)
     x = recover(_basic_point(tab, nstruct, ctx))

@@ -152,6 +152,8 @@ def measurement_violations(t: Theory, m: Measurement) -> list:
     problems = []
     if m.n_outcomes < 2:
         problems.append("trivial measurement: fewer than 2 outcomes")
+    if not m.effects:
+        return problems
     total = m.effects[0]
     for e in m.effects[1:]:
         total = vadd(total, e)

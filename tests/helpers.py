@@ -6,9 +6,9 @@ search or the plain Fraction backtracking search, so the LP,
 double-description and integer-numerator implementations have something
 honest to be compared against.  The theory layer's facet-sign checks
 (effect validity, self-duality, J-positivity) are compared with LP
-routes over `dual_cone` and `cone_member`.  LPs go to scipy's HiGHS,
-and the compatibility LPs also come in their older vertex-by-vertex
-form.
+routes over `dual_cone` and `cone_member`.  LPs go to the simplex on
+Python lists that the numpy tableau replaced and to scipy's HiGHS, and
+the compatibility LPs also come in their older vertex-by-vertex form.
 """
 
 from itertools import combinations, permutations
@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 import pytest
 
 from gptlab.cones import cone_member, cones_equal, dual_cone
-from gptlab.linprog import EQ, GE, LE, LinearProgram
+from gptlab.linprog import _MAX_PIVOTS, EQ, GE, LE, LinearProgram
 from gptlab.scalars import Context, dot, inverse, mat_add, mat_mul, mat_vec, rank, solve, transpose
 from gptlab.symmetry import SymmetryGroup
 
@@ -201,7 +201,133 @@ def search_group_reference(t) -> SymmetryGroup:
 
 
 # ---------------------------------------------------------------------------
-# linear programs: scipy's HiGHS, and the compatibility LPs in vertex (H-row) form
+# linear programs: the list tableau, scipy's HiGHS, and the compatibility LPs in
+# vertex (H-row) form
+
+class ListTableau:
+    """Dense simplex tableau in standard form: min c.y, A y = b, y >= 0.
+
+    The oracle for `linprog._Tableau`: the same Bland pivots on Python
+    lists of scalars, one loop per row, with every scalar operation in the
+    same order as the numpy tableau, so both reach the same floats or
+    Fractions.
+    """
+
+    def __init__(self, rows, rhs, ctx):
+        self.rows = [list(r) for r in rows]
+        self.rhs = list(rhs)
+        self.ctx = ctx
+        self.basis = [-1] * len(rows)
+
+    def price_out(self, cost):
+        """Objective row (reduced costs) for the current basis, plus -z."""
+        ctx = self.ctx
+        obj = list(cost)
+        zval = ctx.zero()
+        for i, bj in enumerate(self.basis):
+            cb = cost[bj]
+            if cb == 0:
+                continue
+            row = self.rows[i]
+            for j in range(len(obj)):
+                obj[j] -= cb * row[j]
+            zval -= cb * self.rhs[i]
+        return obj, zval
+
+    def pivot(self, r, c):
+        rows, rhs = self.rows, self.rhs
+        prow = rows[r]
+        pv = prow[c]
+        inv = 1 / pv
+        rows[r] = prow = [v * inv for v in prow]
+        rhs[r] *= inv
+        for i in range(len(rows)):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f == 0:
+                continue
+            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+            rhs[i] -= f * rhs[r]
+        self.basis[r] = c
+
+    def run(self, cost, nenter):
+        """Minimise cost over the current basis, entering only columns below
+        `nenter`; returns (status, z)."""
+        ctx = self.ctx
+        obj, zval = self.price_out(cost)
+        for _ in range(_MAX_PIVOTS):
+            enter = -1
+            for j in range(nenter):
+                if ctx.lt(obj[j], 0):
+                    enter = j  # Bland: lowest index
+                    break
+            if enter < 0:
+                return "optimal", zval
+            leave, best = -1, None
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if not ctx.gt(a, 0):
+                    continue
+                ratio = self.rhs[i] / a
+                if best is None or ratio < best or (
+                    ratio == best and self.basis[i] < self.basis[leave]
+                ):
+                    leave, best = i, ratio
+            if leave < 0:
+                return "unbounded", zval
+            self.pivot(leave, enter)
+            # update the objective row with the normalized pivot row
+            fobj = obj[enter]
+            if fobj != 0:
+                prow = self.rows[leave]
+                for j in range(len(obj)):
+                    obj[j] -= fobj * prow[j]
+                zval -= fobj * self.rhs[leave]
+        raise RuntimeError("simplex exceeded pivot budget (cycling?)")
+
+    # phase-1 steps
+
+    def unit_columns(self, ncols):
+        """Per row, the highest of the first `ncols` columns that is the unit
+        vector with its 1 in that row, or -1."""
+        one, nrows = self.ctx.one(), len(self.rows)
+        found = []
+        for i, row in enumerate(self.rows):
+            found.append(-1)
+            for j in range(ncols - 1, -1, -1):
+                if row[j] == one and all(self.rows[k][j] == 0 for k in range(nrows) if k != i):
+                    found[i] = j
+                    break
+        return found
+
+    def add_artificials(self, need):
+        """Append a unit column for each row in `need`, make it basic there,
+        and return the new column indices."""
+        zero, one = self.ctx.zero(), self.ctx.one()
+        base = len(self.rows[0])
+        for k, i in enumerate(need):
+            for r in range(len(self.rows)):
+                self.rows[r].append(one if r == i else zero)
+            self.basis[i] = base + k
+        return list(range(base, base + len(need)))
+
+    def first_nonzero(self, i, ncols):
+        """Lowest of the first `ncols` columns where row i is not zero, or -1."""
+        for j in range(ncols):
+            if not self.ctx.is_zero(self.rows[i][j]):
+                return j
+        return -1
+
+    def drop(self, drop_rows, ncols):
+        """Delete the given rows and every column from `ncols` on."""
+        for i in sorted(drop_rows, reverse=True):
+            del self.rows[i]
+            del self.rhs[i]
+            del self.basis[i]
+        for row in self.rows:
+            del row[ncols:]
+
 
 def highs(p: LinearProgram, feasibility: bool = False):
     """(status, value) of the same LP under scipy's HiGHS, statuses named as in lp_solve.

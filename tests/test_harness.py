@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from gptlab.ideal import (
 from gptlab.model import (
     make_classical,
     make_polygon,
+    measurement_to_dict,
     save_measurement,
     save_theory,
     validate_measurement,
@@ -306,6 +308,35 @@ class TestCli:
         out = self.run(capsys, "measure", "werner", "--theory", "polygon-psi:8",
                        "--approx", str(fa), "--ideal", str(fi))
         assert out["value"] == pytest.approx(0.25, abs=1e-9)
+
+    @staticmethod
+    def measurement_file(tmp_path, name, **data):
+        """A file with polygon:5's first binary ideal measurement, `data` replacing its keys."""
+        doc = measurement_to_dict(binary_ideal_measurement(make_polygon(5), 0))
+        doc.update(data)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("data, problem", [
+        ({"effects": [[0.9, 0, 0.9], [0, 0, 0.3]]}, "effects do not sum to the unit effect"),
+        ({"effects": [[0.5, 0.5], [-0.5, 0.5]]}, "every effect needs 3 coordinates"),
+        ({"metric": {"points": [0, 1], "dist": [[0, -3], [2, 0]]}},
+         "metric: distance matrix is not symmetric"),
+        ({"outcomes": [], "effects": []}, "trivial measurement"),
+        ({"outcomes": [0, 1, 2]}, "outcomes and effects must align"),
+    ], ids=["sum", "length", "metric", "empty", "unaligned"])
+    def test_invalid_measurement_file_exits_with_message(self, tmp_path, data, problem):
+        bad = self.measurement_file(tmp_path, "bad.json", **data)
+        good = self.measurement_file(tmp_path, "good.json")
+        message = re.escape(f"invalid measurement file {bad!r}: ") + ".*" + re.escape(problem)
+        for argv in (["measure", "linf", "--approx", bad, "--ideal", good],
+                     ["measure", "werner", "--approx", good, "--ideal", bad],
+                     ["measure", "overall-width", "--measurement", bad, "--state", "0,0,1"],
+                     ["compat", "check", "--first", bad, "--second", good],
+                     ["verify", "thm2", "--first", good, "--second", bad, "--random", "1"]):
+            with pytest.raises(SystemExit, match=message):
+                cli.main(argv + ["--theory", "polygon:5"])
 
     def test_compat_check_and_max_lambda(self, capsys):
         out = self.run(capsys, "compat", "check", "--theory", "polygon-psi:4", "--pair")

@@ -1,5 +1,5 @@
-"""Simplex solver: worked examples, duality, exact arithmetic, and two oracles
-for float mode (the list tableau, bit for bit, and scipy's HiGHS)."""
+"""Simplex solver: worked examples, duality, exact arithmetic, and two oracles:
+the list tableau, bit for bit in float and exact mode, and scipy's HiGHS."""
 
 from fractions import Fraction as Fr
 from functools import lru_cache
@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from gptlab import compat, linprog, measures
 from gptlab.cones import Cone, cone_member
-from gptlab.ideal import binary_ideal_measurement, perpendicular_ideal_pair, psi_transform
+from gptlab.ideal import (binary_ideal_measurement, enumerate_ideal_measurements,
+                          perpendicular_ideal_pair, psi_transform)
 from gptlab.linprog import EQ, GE, LE, LinearProgram, LpResult, lp_feasible, lp_solve
 from gptlab.measures import FiniteMetricSpace
-from gptlab.model import make_polygon
+from gptlab.model import make_classical, make_polygon
 from gptlab.scalars import EXACT, FLOAT, dot
-from helpers import highs
+from helpers import ListTableau, highs
 
 
 def max_bounded_segment():
@@ -179,6 +180,17 @@ def test_malformed_constraint_dimension():
         p.add([1.0], LE, 1.0)
 
 
+@pytest.mark.parametrize("n_vars, kw, message", [
+    (2, dict(objective=[1.0]), "objective has 1 coefficients, expected 2"),
+    (1, dict(objective=[1.0, -5.0]), "objective has 2 coefficients, expected 1"),
+    (2, dict(objective=[1.0, 1.0], lower=[0.0]), "lower has 1 bounds, expected 2"),
+    (2, dict(objective=[1.0, 1.0], upper=(1.0, 2.0, 3.0)), "upper has 3 bounds, expected 2"),
+])
+def test_malformed_shape_rejected_when_built(n_vars, kw, message):
+    with pytest.raises(ValueError, match=message):
+        LinearProgram(n_vars=n_vars, **kw)
+
+
 def test_bounds_only_no_rows():
     below, above, unbounded, shifted = bounds_only()
     res = lp_solve(below)
@@ -191,22 +203,23 @@ def test_bounds_only_no_rows():
 
 
 # ---------------------------------------------------------------------------
-# float mode: the array tableau against the list tableau, bit for bit
+# the numpy tableau against the list tableau, bit for bit, in both modes
 
-def _run_on(tableau, solver, p):
-    """`solver` on `p` in float mode, with every tableau of class `tableau`."""
+def _run_on(tableau, solver, p, ctx):
+    """`solver` on `p` in `ctx`, with every tableau of class `tableau`."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linprog, "_tableau", tableau)
+        mp.setattr(linprog, "_Tableau", tableau)
         try:
-            return solver(p, FLOAT)
+            return solver(p, ctx)
         except RuntimeError as exc:
             return f"RuntimeError: {exc}"
 
 
-def assert_same_on_both_tableaux(solver, p):
-    """`solver` returns the same record, to the last bit, on either float tableau."""
-    fast, slow = (_run_on(tableau, solver, p) for tableau in (linprog._ArrayTableau,
-                                                               linprog._Tableau))
+def assert_same_on_both_tableaux(solver, p, ctx=FLOAT):
+    """`solver` returns the same record, to the last bit, on either tableau,
+    with every scalar of the context's type."""
+    fast, slow = (_run_on(tableau, solver, p, ctx) for tableau in (linprog._Tableau,
+                                                                    ListTableau))
     assert fast == slow and repr(fast) == repr(slow)
     if isinstance(fast, LpResult):
         scalars = ([] if fast.value is None else [fast.value]) + list(fast.point or ())
@@ -214,7 +227,7 @@ def assert_same_on_both_tableaux(solver, p):
         scalars = []
     else:
         scalars = list(fast.witness or ())
-    assert all(type(x) is float for x in scalars)
+    assert all(type(x) is type(ctx.zero()) for x in scalars)
 
 
 @pytest.mark.parametrize("bad", ["coefficient", "rhs", "bound", "objective"])
@@ -227,34 +240,57 @@ def test_non_finite_float_data_rejected(bad, value):
         with pytest.raises(ValueError, match="must be finite"):
             solver(p)
 
-def test_tableau_follows_context_and_size():
-    small = [[1.0, 0.0]], [1.0]
-    large = [[1.0] * 50] * 10, [1.0] * 10
-    assert isinstance(linprog._tableau(*small, FLOAT), linprog._Tableau)
-    assert isinstance(linprog._tableau(*large, FLOAT), linprog._ArrayTableau)
-    assert isinstance(linprog._tableau(*large, EXACT), linprog._Tableau)
+def test_one_tableau_for_both_modes():
+    assert [name for name in vars(linprog) if "Tableau" in name] == ["_Tableau"]
+    runs = []
+
+    class Recording(linprog._Tableau):
+        def run(self, cost, nenter):
+            entries = {type(x) for row in self.t.tolist() for x in row}
+            runs.append((self.ctx.exact, self.t.dtype.kind, frozenset(entries)))
+            return super().run(cost, nenter)
+
+    # neither LP has a unit column, so phase 1 runs with artificial columns
+    small = LinearProgram(n_vars=1, objective=[1.0], lower=0.0).add([2.0], GE, 1.0)
+    large = LinearProgram(n_vars=50, objective=[1.0] * 50, lower=0.0)
+    for i in range(10):
+        large.add([float(j <= i) for j in range(50)], GE, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linprog, "_Tableau", Recording)
+        for ctx in (FLOAT, EXACT):
+            for p in (small, large):
+                assert lp_solve(p, ctx).optimal
+    assert runs == ([(False, "f", frozenset({float}))] * 4 + [(True, "O", frozenset({Fr}))] * 4)
+
+
+def test_exact_mode_sees_values_below_float_range():
+    # 10**-400 rounds to 0.0 as a float: a reduced cost that small must still
+    # enter, and a pivot entry that small must still count as nonzero
+    eps = Fr(1, 10**400)
+    p = LinearProgram(n_vars=1, objective=[eps], sense="max", lower=Fr(0)).add([Fr(1)], LE, Fr(1))
+    assert lp_solve(p, EXACT) == LpResult("optimal", eps, (Fr(1),))
+    p = LinearProgram(n_vars=2, objective=[Fr(0), Fr(0)], lower=Fr(0)).add([eps, Fr(0)], EQ, eps)
+    assert lp_feasible(p, EXACT).witness == (Fr(1), Fr(0))
 
 
 def _tableau_state(tab):
-    if isinstance(tab, linprog._ArrayTableau):
+    if isinstance(tab, linprog._Tableau):
         return repr((tab.t.tolist(), tab.basis))
     return repr(([row + [b] for row, b in zip(tab.rows, tab.rhs)], tab.basis))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_tableau_steps_bit_identical(data):
-    # price-out and one pivot on a random tableau with signed zeros, then a
-    # full run from the slack basis of [rows | I]
+def check_tableau_steps(data, ctx):
+    """Price-out and one pivot on a random tableau with signed zeros, then a
+    full run from the slack basis of [rows | I], on both tableaux."""
     n = data.draw(st.integers(min_value=1, max_value=6))
     m = data.draw(st.integers(min_value=1, max_value=n))
     entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-                      st.floats(min_value=-10, max_value=10, allow_subnormal=False))
+                      st.floats(min_value=-10, max_value=10, allow_subnormal=False)).map(ctx.convert)
     rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
     rhs = [abs(data.draw(entry)) for _ in range(m)]
     cost = [data.draw(entry) for _ in range(n)]
     basis = data.draw(st.permutations(range(n)))[:m]
-    pair = (linprog._Tableau(rows, rhs, FLOAT), linprog._ArrayTableau(rows, rhs, FLOAT))
+    pair = (ListTableau(rows, rhs, ctx), linprog._Tableau(rows, rhs, ctx))
     for tab in pair:
         tab.basis = list(basis)
     obj, zval = pair[0].price_out(cost)
@@ -264,12 +300,26 @@ def test_tableau_steps_bit_identical(data):
         for tab in pair:
             tab.pivot(r, c)
         assert _tableau_state(pair[0]) == _tableau_state(pair[1])
-    slack_rows = [row + [float(i == k) for k in range(m)] for i, row in enumerate(rows)]
-    pair = (linprog._Tableau(slack_rows, rhs, FLOAT), linprog._ArrayTableau(slack_rows, rhs, FLOAT))
+    zero, one = ctx.zero(), ctx.one()
+    slack_rows = [row + [one if i == k else zero for k in range(m)] for i, row in enumerate(rows)]
+    pair = (ListTableau(slack_rows, rhs, ctx), linprog._Tableau(slack_rows, rhs, ctx))
     for tab in pair:
         tab.basis = list(range(n, n + m))
-    assert repr(pair[0].run(cost + [0.0] * m, n)) == repr(pair[1].run(cost + [0.0] * m, n))
+    runs = [tab.run(cost + [zero] * m, n) for tab in pair]
+    assert repr(runs[0]) == repr(runs[1])
     assert _tableau_state(pair[0]) == _tableau_state(pair[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tableau_steps_bit_identical(data):
+    check_tableau_steps(data, FLOAT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_tableau_steps_bit_identical(data):
+    check_tableau_steps(data, EXACT)
 
 
 WORKED = [max_bounded_segment, contradictory_equalities, simplex_face, unbounded_ray,
@@ -279,13 +329,30 @@ WORKED = [max_bounded_segment, contradictory_equalities, simplex_face, unbounded
 
 @pytest.mark.parametrize("build", WORKED, ids=lambda b: b.__name__)
 def test_worked_examples_bit_identical(build):
-    for solver in (lp_solve, lp_feasible):
-        assert_same_on_both_tableaux(solver, build())
+    for ctx in (FLOAT, EXACT):
+        for solver in (lp_solve, lp_feasible):
+            assert_same_on_both_tableaux(solver, build(), ctx)
 
 
 def test_bounds_only_bit_identical():
-    for p in bounds_only():
-        assert_same_on_both_tableaux(lp_solve, p)
+    for ctx in (FLOAT, EXACT):
+        for p in bounds_only():
+            assert_same_on_both_tableaux(lp_solve, p, ctx)
+
+
+def record_lps(calls) -> tuple:
+    """(family, solver, LP) for every LP that the compat calls
+    `(family, function, args)` hand to `lp_solve` or `lp_feasible`."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for solver in (lp_solve, lp_feasible):
+            def record(p, ctx, solver=solver):
+                seen.append((family, solver, p))  # the family of the call in progress
+                return solver(p, ctx)
+            mp.setattr(compat, solver.__name__, record)
+        for family, call, args in calls:
+            call(*args)
+    return tuple(seen)
 
 
 @lru_cache(maxsize=None)
@@ -301,19 +368,10 @@ def compat_lps(n: int, skew: bool = False) -> tuple:
         f, g = binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 3)
     else:
         f, g = perpendicular_ideal_pair(t)
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        for solver in (lp_solve, lp_feasible):
-            def record(p, ctx, solver=solver):
-                seen.append((family, solver, p))  # the family of the call in progress
-                return solver(p, ctx)
-            mp.setattr(compat, solver.__name__, record)
-        for family, call, args in (("max_fuzz_lambda", compat.max_fuzz_lambda, (f, g)),
-                                   ("min_mur_linf", compat.min_mur_linf, (f, g)),
-                                   ("is_jointly_measurable", compat.is_jointly_measurable, (f, g)),
-                                   ("is_jointly_measurable", compat.is_jointly_measurable, (f, f))):
-            call(t, *args)
-    return tuple(seen)
+    return record_lps([("max_fuzz_lambda", compat.max_fuzz_lambda, (t, f, g)),
+                       ("min_mur_linf", compat.min_mur_linf, (t, f, g)),
+                       ("is_jointly_measurable", compat.is_jointly_measurable, (t, f, g)),
+                       ("is_jointly_measurable", compat.is_jointly_measurable, (t, f, f))])
 
 
 # list-tableau solves cost seconds from n = 12 on, so the bit-identity test takes
@@ -328,6 +386,31 @@ def test_compat_lps_bit_identical(n, skew):
                                                 "is_jointly_measurable", "is_jointly_measurable"]
     for _family, solver, p in lps:
         assert_same_on_both_tableaux(solver, p)
+
+
+@lru_cache(maxsize=None)
+def classical_lps(n_levels: int) -> tuple:
+    """(family, solver, LP) for the exact compat LPs of the classical theory:
+    every family on its first and last binary ideal measurement, and joint
+    measurability of the first against a three-outcome one if there is one."""
+    t = make_classical(n_levels)
+    ms = enumerate_ideal_measurements(t, 3)
+    binary = [m for m in ms if m.n_outcomes == 2]
+    f, g = binary[0], binary[-1]
+    calls = [(family, getattr(compat, family), (t, f, g))
+             for family in ("max_fuzz_lambda", "min_mur_linf", "is_jointly_measurable")]
+    calls += [("is_jointly_measurable", compat.is_jointly_measurable, (t, f, m))
+              for m in ms if m.n_outcomes == 3][:1]
+    return record_lps(calls)
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5])
+def test_exact_compat_lps_bit_identical(n_levels):
+    lps = classical_lps(n_levels)
+    assert {family for family, _, _ in lps} == {"max_fuzz_lambda", "min_mur_linf",
+                                                "is_jointly_measurable"}
+    for _family, solver, p in lps:
+        assert_same_on_both_tableaux(solver, p, EXACT)
 
 
 def lipschitz_ball_lps() -> list:
@@ -376,6 +459,13 @@ def small_lps(draw, numbers=NUMBERS):
 def test_random_lps_bit_identical(p):
     for solver in (lp_solve, lp_feasible):
         assert_same_on_both_tableaux(solver, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps(numbers=[Fr(x) for x in NUMBERS] + [Fr(1, 3), Fr(1, 10), Fr(-7, 10)]))
+def test_random_exact_lps_bit_identical(p):
+    for solver in (lp_solve, lp_feasible):
+        assert_same_on_both_tableaux(solver, p, EXACT)
 
 
 # ---------------------------------------------------------------------------
