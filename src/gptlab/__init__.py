@@ -3,9 +3,9 @@
 Library layout:
 
 - ``scalars``: exact/float contexts, tuples-as-vectors linear algebra
-- ``linprog``: two-phase simplex (Fraction lists in exact mode, a float64 array for larger float LPs)
+- ``linprog``: two-phase simplex on one numpy tableau (float64, or Fractions in exact mode)
 - ``cones``: dual cones (double description), membership, equality
-- ``model``: theories, effects, measurements, built-ins, JSON files
+- ``model``: theories, effects, per-vertex probability tables, measurements, built-ins, JSON files
 - ``symmetry``: automorphism groups, invariant product, canonical form
 - ``ideal``: pure indecomposable effects, ideal measurements, fuzzing
 - ``measures``: widths, localization error, error-bar/Lipschitz/sup gaps
@@ -27,6 +27,7 @@ from .model import (
     make_classical,
     make_disc_approx,
     make_polygon,
+    prob_table,
     save_theory,
     theory_from_dict,
     theory_to_dict,

@@ -45,6 +45,7 @@ from .model import (
     BUILTIN_KINDS,
     Theory,
     builtin_theory,
+    in_state_space,
     load_measurement,
     load_theory,
     make_disc_approx,
@@ -66,12 +67,11 @@ def resolve_theory(spec: str) -> Theory:
     if os.path.exists(spec):
         return load_theory(spec)
     kind, _, arg = spec.partition(":")
-    if arg.isdecimal():
-        n = int(arg)
-        if kind in BUILTIN_KINDS:
-            return builtin_theory(kind, n)
-        if kind == "disc":
-            return make_disc_approx(n)
+    if arg.isdecimal() and (kind in BUILTIN_KINDS or kind == "disc"):
+        try:
+            return make_disc_approx(int(arg)) if kind == "disc" else builtin_theory(kind, int(arg))
+        except ValueError as exc:
+            raise SystemExit(f"cannot resolve theory {spec!r}: {exc}")
     raise SystemExit(f"cannot resolve theory {spec!r}: not a file or builtin shorthand")
 
 
@@ -126,7 +126,16 @@ def _emit(obj) -> None:
 def _state(args, t):
     if args.state is None:
         raise SystemExit("missing --state (comma-separated coordinates)")
-    return t.ctx.vec([x for x in args.state.split(",")])
+    need = f"--state needs {t.dim} comma-separated coordinates for theory {t.name!r}"
+    try:
+        omega = t.ctx.vec(args.state.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SystemExit(f"{need}: {exc}")
+    if len(omega) != t.dim:
+        raise SystemExit(f"{need}, got {len(omega)}: {args.state!r}")
+    if not in_state_space(t, omega):
+        raise SystemExit(f"--state {args.state!r} is not a state of theory {t.name!r}")
+    return omega
 
 
 def cmd_theory_analyze(args) -> None:

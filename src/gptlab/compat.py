@@ -13,13 +13,14 @@ vertices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .linprog import EQ, LinearProgram, lp_feasible, lp_solve
 from .measures import metric_of
-from .model import Measurement, Theory, effect_cone_rays, effect_eval
+from .model import Measurement, Theory, effect_cone_rays, prob_table
 from .scalars import vadd, vscale, vsub
 
 
@@ -84,16 +85,10 @@ def marginals(j: JointMeasurement) -> tuple:
 
 def joint_violations(t: Theory, j: JointMeasurement) -> list:
     ctx = t.ctx
-    problems = []
-    total = None
-    for row in j.effects:
-        for e in row:
-            total = e if total is None else vadd(total, e)
-            for v in t.vertices:
-                if not ctx.ge(effect_eval(t, e, v), 0):
-                    problems.append("joint effect negative on a vertex")
-                    break
-    if total is None or not ctx.vec_eq(total, t.unit_effect):
+    cells = [e for row in j.effects for e in row]
+    problems = ["joint effect negative on a vertex"
+                for row in prob_table(t, cells) if not all(ctx.ge(p, 0) for p in row)]
+    if not cells or not ctx.vec_eq(functools.reduce(vadd, cells), t.unit_effect):
         problems.append("joint effects do not sum to the unit effect")
     return problems
 
@@ -261,14 +256,8 @@ def degree_bound_rhs(t: Theory, f: Measurement, g: Measurement):
     """max over states of (max_i f_i + max_j g_j) - 1, exact on vertices."""
     if f.n_outcomes != 2 or g.n_outcomes != 2:
         raise ValueError("degree-of-incompatibility bound is for binary measurements")
-    best = None
-    for v in t.vertices:
-        val = max(effect_eval(t, e, v) for e in f.effects) + max(
-            effect_eval(t, e, v) for e in g.effects
-        )
-        if best is None or val > best:
-            best = val
-    return best - 1
+    pf, pg = prob_table(t, f.effects), prob_table(t, g.effects)
+    return max(max(cf) + max(cg) for cf, cg in zip(zip(*pf), zip(*pg))) - 1
 
 
 def degree_bound_closed_form(n) -> float:

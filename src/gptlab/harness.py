@@ -51,7 +51,7 @@ from .measures import (
     overall_width,
     werner_distance,
 )
-from .model import Measurement, Theory, effect_eval, in_state_space, make_classical, make_polygon
+from .model import Measurement, Theory, in_state_space, make_classical, make_polygon, prob_table
 from .scalars import vadd, vscale
 from .symmetry import canonicalize
 
@@ -265,10 +265,9 @@ def verify_thm3_even(n: int, f: IdealMeasurement, g: IdealMeasurement,
     # probability covariance across the re-expression
     max_dev = 0.0
     for meas_raw, meas_hat in ((f, f_hat), (g, g_hat)):
-        for v_raw, v_hat in zip(raw.vertices, hat.vertices):
-            for e_raw, e_hat in zip(meas_raw.effects, meas_hat.effects):
-                dev = abs(effect_eval(raw, e_raw, v_raw) - effect_eval(hat, e_hat, v_hat))
-                max_dev = max(max_dev, dev)
+        for row_raw, row_hat in zip(prob_table(raw, meas_raw.effects),
+                                    prob_table(hat, meas_hat.effects)):
+            max_dev = max(max_dev, *(abs(p - q) for p, q in zip(row_raw, row_hat)))
     rep = verify_mode(mode, hat, f_hat, g_hat, j_hat, eps1, eps2)
     return replace(
         rep,

@@ -25,6 +25,7 @@ from .model import (
     in_state_space,
     is_zero_effect,
     polygon_radius,
+    prob_table,
 )
 from .scalars import Context, mat_vec, vadd, vscale, vsub
 from .symmetry import is_self_dual
@@ -205,7 +206,7 @@ def _valid_sums(t: Theory, pures) -> dict:
     def grow(start: int, idx: frozenset, vec) -> None:
         for i in range(start, n):
             cand = vadd(vec, pures[i]) if vec is not None else pures[i]
-            if all(ctx.le(effect_eval(t, cand, v), 1) for v in t.vertices):
+            if all(ctx.le(p, 1) for p in prob_table(t, [cand])[0]):
                 s = idx | {i}
                 out[frozenset(s)] = cand
                 grow(i + 1, frozenset(s), cand)
@@ -234,19 +235,18 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
     # effects (in [0, 1] on every vertex, enough by convexity) enter the
     # search, which tracks the remainder's vertex values as they decrease
     order = sorted(sums, key=lambda s: (len(s), sorted(s)))
-    seen, candidates, evals = set(), [], []
+    seen, unique = set(), []
     for tag, s in [("sum", s) for s in order] + [("complement", s) for s in order]:
         vec = sums[s] if tag == "sum" else vsub(u, sums[s])
         key = _veckey(vec, ctx)
-        if key in seen or is_zero_effect(t, vec):
-            continue
-        seen.add(key)
-        row = tuple(effect_eval(t, vec, v) for v in t.vertices)
-        if all(ctx.ge(p, 0) and ctx.le(p, 1) for p in row):
-            candidates.append((tag, s, vec))
-            evals.append(row)
+        if key not in seen and not is_zero_effect(t, vec):
+            seen.add(key)
+            unique.append((tag, s, vec))
+    *rows, u_evals = prob_table(t, [c[2] for c in unique] + [u])
+    kept = [(c, row) for c, row in zip(unique, rows)
+            if all(ctx.ge(p, 0) and ctx.le(p, 1) for p in row)]
+    candidates, evals = [c for c, _ in kept], [row for _, row in kept]
     by_key = {_veckey(c[2], ctx): i for i, c in enumerate(candidates)}
-    u_evals = tuple(effect_eval(t, u, v) for v in t.vertices)
 
     found = {}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linprog import GE, LE, LinearProgram, lp_solve
-from .model import Measurement, Theory, effect_eval, in_state_space
+from .model import Measurement, Theory, effect_eval, in_state_space, prob_table
 from .scalars import Context, FLOAT
 
 
@@ -142,19 +142,13 @@ def _require_conforming(t: Theory) -> None:
         )
 
 
-def eigenstate_face_vertices(t: Theory, effect) -> tuple:
-    """Vertices on which the effect evaluates to one (its eigenstate face)."""
-    ctx = t.ctx
-    return tuple(v for v in t.vertices if ctx.eq(effect_eval(t, effect, v), 1))
-
-
 def error_bar_width(t: Theory, f_approx: Measurement, f_ideal: Measurement, eps):
     """Spread of the approximating outcomes around each ideal outcome.
 
     For every outcome the constraint is checked on the vertices of that
-    outcome's eigenstate face; the face is a polytope face, so vertex
-    checks are exhaustive.  An outcome with an empty face signals a
-    non-ideal reference measurement.
+    outcome's eigenstate face (where its ideal effect is one); the face is
+    a polytope face, so vertex checks are exhaustive.  An outcome with an
+    empty face signals a non-ideal reference measurement.
     """
     ctx = t.ctx
     _require_conforming(t)
@@ -163,27 +157,20 @@ def error_bar_width(t: Theory, f_approx: Measurement, f_ideal: Measurement, eps)
         raise ValueError("confidence parameter must lie in [0, 1]")
     metric = _shared_metric(f_ideal, f_approx)
     faces = []
-    for label, e in zip(f_ideal.outcomes, f_ideal.effects):
-        verts = eigenstate_face_vertices(t, e)
-        if not verts:
+    for label, row in zip(f_ideal.outcomes, prob_table(t, f_ideal.effects)):
+        face = [v for v, p in enumerate(row) if ctx.eq(p, 1)]
+        if not face:
             raise ValueError(
                 f"outcome {label!r} has no eigenstate among the vertices; "
                 "reference measurement is not ideal in this representation"
             )
-        faces.append((label, verts))
+        faces.append(face)
+    approx = prob_table(t, f_approx.effects)
     need = 1 - eps
     for w in metric.width_candidates():
-        ok = True
-        for label, verts in faces:
-            ball = metric.ball(label, w, ctx)
-            for v in verts:
-                mass = sum(effect_eval(t, f_approx.effects[j], v) for j in ball)
-                if not ctx.ge(mass, need):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        balls = [metric.ball(label, w, ctx) for label in f_ideal.outcomes]
+        if all(ctx.ge(sum(approx[j][v] for j in ball), need)
+               for ball, face in zip(balls, faces) for v in face):
             return w
     raise RuntimeError("width candidates exhausted")
 
@@ -205,16 +192,13 @@ def werner_distance(t: Theory, f_approx: Measurement, f_ideal: Measurement):
         return ctx.zero()
     d10 = ctx.convert(metric.dist[1][0])
     best = ctx.zero()
-    for v in t.vertices:
+    approx, ideal = prob_table(t, f_approx.effects), prob_table(t, f_ideal.effects)
+    for pa, pi in zip(zip(*approx), zip(*ideal)):
         if k == 2:
-            delta = effect_eval(t, f_approx.effects[1], v) - effect_eval(t, f_ideal.effects[1], v)
+            delta = pa[1] - pi[1]
             value = ctx.zero() if ctx.is_zero(delta) else abs(delta) * d10
         else:
-            deltas = [
-                effect_eval(t, ea, v) - effect_eval(t, ei, v)
-                for ea, ei in zip(f_approx.effects, f_ideal.effects)
-            ]
-            value = _lipschitz_ball_lp(metric, deltas, ctx)
+            value = _lipschitz_ball_lp(metric, [a - i for a, i in zip(pa, pi)], ctx)
         if ctx.gt(value, best):
             best = value
     return best
@@ -253,11 +237,9 @@ def linf_distance(t: Theory, f_approx: Measurement, f_ideal: Measurement):
     if tuple(f_approx.outcomes) != tuple(f_ideal.outcomes):
         raise ValueError("measurements must share one outcome set")
     best = t.ctx.zero()
-    for v in t.vertices:
-        for ea, ei in zip(f_approx.effects, f_ideal.effects):
-            gap = abs(effect_eval(t, ea, v) - effect_eval(t, ei, v))
-            if gap > best:
-                best = gap
+    for ra, ri in zip(prob_table(t, f_approx.effects), prob_table(t, f_ideal.effects)):
+        for pa, pi in zip(ra, ri):
+            best = max(best, abs(pa - pi))
     return best
 
 
@@ -274,10 +256,9 @@ def min_le_sum(t: Theory, f: Measurement, g: Measurement) -> MinLeSum:
     hence concave; a concave sum attains its minimum at a vertex.
     """
     best, arg = None, None
-    for v in t.vertices:
-        le_f = 1 - max(effect_eval(t, e, v) for e in f.effects)
-        le_g = 1 - max(effect_eval(t, e, v) for e in g.effects)
-        s = le_f + le_g
+    pf, pg = prob_table(t, f.effects), prob_table(t, g.effects)
+    for v, cf, cg in zip(t.vertices, zip(*pf), zip(*pg)):
+        s = (1 - max(cf)) + (1 - max(cg))
         if best is None or s < best:
             best, arg = s, v
     return MinLeSum(value=best, argmin=arg)

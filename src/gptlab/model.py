@@ -6,9 +6,13 @@ evaluate effects on states.  Built-in constructors cover classical
 simplices (exact rational mode) and regular polygon theories (float
 mode, since the vertex coordinates involve cos/sin).
 
-Effects are plain coordinate tuples; ``effect_eval`` evaluates them
-through the theory's pairing.  After canonicalisation the pairing is the
-identity, so evaluation is an ordinary dot product.
+Effects are plain coordinate tuples; ``effect_eval`` evaluates one on a
+state through the theory's pairing.  Extrema over states of affine or
+concave functions of the outcome probabilities sit on the vertices, so
+the measures and validity checks read ``prob_table``: every effect of a
+list on every vertex, with one Gram product per vertex.  After
+canonicalisation the pairing is the identity, so evaluation is an
+ordinary dot product.
 """
 
 from __future__ import annotations
@@ -120,6 +124,17 @@ def effect_eval(t: Theory, e, omega, check_state: bool = False):
     return t.inner.pair(e, omega)
 
 
+def prob_table(t: Theory, effects) -> tuple:
+    """``P[i][v]``: the probability of ``effects[i]`` on vertex ``v``.
+
+    Each entry is ``e . (G v)``, the arithmetic of :func:`effect_eval`, so
+    it equals ``effect_eval(t, effects[i], t.vertices[v])`` bit for bit.
+    An effect of the wrong length raises ValueError.
+    """
+    gvs = [mat_vec(t.inner.gram, v) for v in t.vertices]
+    return tuple(tuple(dot(e, gv) for gv in gvs) for e in effects)
+
+
 def in_state_space(t: Theory, omega) -> bool:
     """omega is normalised (<u, omega> = 1) and on the inner side of every facet.
 
@@ -135,11 +150,7 @@ def in_state_space(t: Theory, omega) -> bool:
 def is_valid_effect(t: Theory, e) -> bool:
     """0 <= e(omega) <= 1 on every vertex; enough by convexity."""
     ctx = t.ctx
-    for v in t.vertices:
-        val = effect_eval(t, e, v)
-        if not (ctx.ge(val, 0) and ctx.le(val, 1)):
-            return False
-    return True
+    return all(ctx.ge(p, 0) and ctx.le(p, 1) for p in prob_table(t, [e])[0])
 
 
 def is_zero_effect(t: Theory, e) -> bool:
@@ -159,22 +170,16 @@ def measurement_violations(t: Theory, m: Measurement) -> list:
         total = vadd(total, e)
     if not ctx.vec_eq(total, t.unit_effect):
         problems.append("effects do not sum to the unit effect")
-    for label, e in zip(m.outcomes, m.effects):
+    for label, e, row in zip(m.outcomes, m.effects, prob_table(t, m.effects)):
         if is_zero_effect(t, e):
             problems.append(f"effect for outcome {label!r} is zero")
-        elif not is_valid_effect(t, e):
+        elif not all(ctx.ge(p, 0) and ctx.le(p, 1) for p in row):
             problems.append(f"effect for outcome {label!r} is not in the effect space")
     return problems
 
 
 def validate_measurement(t: Theory, m: Measurement) -> bool:
     return not measurement_violations(t, m)
-
-
-def assert_valid_measurement(t: Theory, m: Measurement) -> None:
-    problems = measurement_violations(t, m)
-    if problems:
-        raise ValueError("invalid measurement: " + "; ".join(problems))
 
 
 def validate_theory(t: Theory) -> None:
@@ -187,8 +192,8 @@ def validate_theory(t: Theory) -> None:
         raise ValueError("inconsistent ambient dimensions")
     if not t.inner.is_positive_definite(ctx):
         raise ValueError("pairing gram matrix is not symmetric positive definite")
-    for v in t.vertices:
-        if not ctx.eq(effect_eval(t, t.unit_effect, v), 1):
+    for v, p in zip(t.vertices, prob_table(t, [t.unit_effect])[0]):
+        if not ctx.eq(p, 1):
             raise ValueError(f"unit effect does not evaluate to 1 on vertex {v}")
     hull = affine_hull_check(t.vertices, ctx)
     if not hull.origin_outside:

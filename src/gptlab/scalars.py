@@ -130,10 +130,6 @@ def identity(d: int, ctx: Context = FLOAT):
     return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
 
 
-def outer(x, y):
-    return tuple(tuple(a * b for b in y) for a in x)
-
-
 def mat_add(a, b):
     return tuple(vadd(r, s) for r, s in zip(a, b))
 
@@ -144,10 +140,6 @@ def mat_sub(a, b):
 
 def mat_scale(c, m):
     return tuple(vscale(c, r) for r in m)
-
-
-def norm2_euclid(x):
-    return sum(a * a for a in x)
 
 
 def _pivot_order(col_abs, ctx):
@@ -276,11 +268,6 @@ class InnerProduct:
                     continue
                 m[i] = [a - f * b for a, b in zip(m[i], m[k])]
         return True
-
-
-def as_context_of(x) -> Context:
-    """Infer the scalar context of a value (Fraction -> exact, else float)."""
-    return EXACT if isinstance(x, Fraction) else FLOAT
 
 
 def float_vec(x):

@@ -277,10 +277,37 @@ class TestCli:
                        "--max-outcomes", "2")
         assert len(out) == 5
 
-    @pytest.mark.parametrize("spec", ["polygon:abc", "classical:", "disc:8.5", "polygon:-3", "nope"])
+    UNRESOLVABLE = {
+        "polygon:abc": "not a file or builtin shorthand",
+        "classical:": "not a file or builtin shorthand",
+        "disc:8.5": "not a file or builtin shorthand",
+        "polygon:-3": "not a file or builtin shorthand",
+        "nope": "not a file or builtin shorthand",
+        "polygon:2": "polygon theory needs n >= 3",
+        "classical:0": "classical theory needs N >= 1",
+        "disc:5": "disc approximation needs m >= 8",
+        "polygon-psi:5": "the re-expression is defined for even polygons only",
+    }
+
+    @pytest.mark.parametrize("spec", list(UNRESOLVABLE))
     def test_unresolvable_theory_exits_with_message(self, spec):
-        with pytest.raises(SystemExit, match=f"cannot resolve theory '{spec}'"):
+        message = f"cannot resolve theory '{spec}': {self.UNRESOLVABLE[spec]}"
+        with pytest.raises(SystemExit, match=re.escape(message)):
             cli.main(["theory", "analyze", "--theory", spec])
+
+    @pytest.mark.parametrize("theory, state, problem", [
+        ("polygon:5", "1,2", "needs 3 comma-separated coordinates for theory 'polygon-5', got 2"),
+        ("polygon:5", "0,0,1,1", "needs 3 comma-separated coordinates for theory 'polygon-5', got 4"),
+        ("polygon:5", "a,b,c", "needs 3 comma-separated coordinates for theory 'polygon-5'"),
+        ("classical:2", "1/2,x,1/2", "needs 3 comma-separated coordinates for theory 'classical-2'"),
+        ("classical:2", "1/0,0,1", "needs 3 comma-separated coordinates for theory 'classical-2'"),
+        ("polygon:5", "2,0,1", "'2,0,1' is not a state of theory 'polygon-5'"),
+    ], ids=["short", "long", "letters", "exact-letter", "zero-denominator", "outside"])
+    def test_bad_state_exits_with_message(self, theory, state, problem):
+        for which in ("overall-width", "localization-error"):
+            with pytest.raises(SystemExit, match=re.escape(f"--state {problem}")):
+                cli.main(["measure", which, "--theory", theory, "--ideal-index", "0",
+                          "--state", state])
 
     def test_theory_export(self, capsys):
         out = self.run(capsys, "theory", "export", "--theory", "classical:2")

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gptlab.ideal import (
     binary_ideal_measurement,
     eigenstate,
+    enumerate_ideal_measurements,
     fuzzify,
     indecomposable_pure_effects,
     perpendicular_ideal_pair,
@@ -184,6 +185,39 @@ class TestErrorBarWidth:
         noise = Measurement((0, 1), ((0.0, 0.0, 0.5), (0.0, 0.0, 0.5)), metric=f.metric)
         with pytest.raises(ValueError, match="eigenstate"):
             error_bar_width(t, f, noise, 0.1)
+
+
+def _error_bar_by_definition(t, f_approx, f_ideal, eps):
+    """Smallest candidate width whose balls carry 1 - eps on every eigenstate vertex."""
+    ctx, metric = t.ctx, measures.metric_of(f_ideal)
+    for w in metric.width_candidates():
+        if all(ctx.ge(sum(effect_eval(t, f_approx.effects[j], v)
+                          for j in metric.ball(a, w, ctx)), 1 - eps)
+               for a, e in zip(f_ideal.outcomes, f_ideal.effects)
+               for v in t.vertices if ctx.eq(effect_eval(t, e, v), 1)):
+            return w
+
+
+class TestErrorBarByDefinition:
+    """Exact classical measurements against the definition, vertex by vertex.
+
+    On a simplex every column-stochastic matrix is a measurement, and the
+    eigenstate face of a complement outcome holds several vertices, each
+    of which can fail on its own.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=4), st.data())
+    def test_random_stochastic_approximations(self, n, data):
+        t = make_classical(n)
+        f = data.draw(st.sampled_from(enumerate_ideal_measurements(t, 3)))
+        k = f.n_outcomes
+        cols = [data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)
+                          .filter(lambda c: sum(c) > 0)) for _ in t.vertices]
+        approx = Measurement(f.outcomes, tuple(
+            tuple(Fr(c[i], sum(c)) for c in cols) for i in range(k)), f.metric)
+        eps = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
+        assert error_bar_width(t, approx, f, eps) == _error_bar_by_definition(t, approx, f, eps)
 
 
 class TestWernerDistance:

@@ -7,10 +7,11 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gptlab.symmetry
 from gptlab.cones import cone_member
-from gptlab.ideal import psi_transform
+from gptlab.ideal import indecomposable_pure_effects, psi_transform
 from gptlab.measures import FiniteMetricSpace
 from gptlab.model import (
     Measurement,
@@ -25,14 +26,15 @@ from gptlab.model import (
     measurement_from_dict,
     measurement_to_dict,
     measurement_violations,
+    prob_table,
     save_theory,
     theory_from_dict,
     theory_to_float,
     validate_measurement,
     validate_theory,
 )
-from gptlab.scalars import EXACT, InnerProduct, float_vec, vadd, vscale, vsub
-from gptlab.symmetry import automorphism_group
+from gptlab.scalars import EXACT, InnerProduct, float_vec, solve, vadd, vscale, vsub
+from gptlab.symmetry import automorphism_group, averaged_inner_product
 
 from helpers import _same_direction, effect_space_member, facet_normals_bruteforce, member_bruteforce
 
@@ -133,6 +135,79 @@ class TestEffectEval:
         t = make_polygon(3)
         with pytest.raises(ValueError):
             effect_eval(t, t.unit_effect, (5.0, 5.0, 1.0), check_state=True)
+
+
+def assert_table_is_effect_eval(t, effects):
+    """Every entry of prob_table is effect_eval's value, equal in value, repr and type."""
+    table = prob_table(t, effects)
+    assert len(table) == len(effects)
+    for e, row in zip(effects, table):
+        assert len(row) == t.n_vertices
+        for v, p in zip(t.vertices, row):
+            want = effect_eval(t, e, v)
+            assert p == want and repr(p) == repr(want)
+            assert type(p) is (Fr if t.ctx.exact else float)
+
+
+def _averaged_triangle():
+    """A rational triangle under its group-averaged pairing, whose Gram matrix is not I."""
+    t = Theory(
+        name="rational-triangle",
+        vertices=((Fr(0), Fr(0), Fr(1)), (Fr(3), Fr(0), Fr(1)), (Fr(0), Fr(1, 2), Fr(1))),
+        unit_effect=(Fr(0), Fr(0), Fr(1)),
+        inner=InnerProduct.euclidean(3, EXACT),
+        ctx=EXACT,
+    )
+    inner = averaged_inner_product(automorphism_group(t), EXACT)
+    return replace(t, inner=inner, unit_effect=solve(inner.gram, t.unit_effect, EXACT))
+
+
+class TestProbTable:
+    """prob_table against effect_eval, entry by entry."""
+
+    @staticmethod
+    def _effects(t):
+        pures = list(indecomposable_pure_effects(t))
+        return pures + [vsub(t.unit_effect, e) for e in pures] + [t.unit_effect, *t.vertices]
+
+    def test_builtins(self):
+        theories = ([make_classical(n) for n in range(1, 6)]
+                    + [make_polygon(n) for n in range(3, 13)]
+                    + [psi_transform(make_polygon(n)) for n in range(4, 17, 2)])
+        for t in theories:
+            assert_table_is_effect_eval(t, self._effects(t))
+
+    def test_non_identity_gram(self):
+        t = _averaged_triangle()
+        assert t.inner != InnerProduct.euclidean(3, EXACT)
+        validate_theory(t)
+        for tt in (t, theory_to_float(t)):
+            assert tt.inner.gram[0][0] != 1
+            assert_table_is_effect_eval(tt, list(tt.vertices) + [tt.unit_effect, (1, -2, 3)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
+                             min_size=3, max_size=3), min_size=1, max_size=4))
+    def test_random_exact_effects(self, effects):
+        for t in (make_classical(2), _averaged_triangle()):
+            assert_table_is_effect_eval(t, [tuple(e) for e in effects])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.floats(min_value=-3, max_value=3), min_size=3, max_size=3),
+                    min_size=1, max_size=4))
+    def test_random_float_effects(self, effects):
+        for t in (make_polygon(7), psi_transform(make_polygon(8)),
+                  theory_to_float(_averaged_triangle())):
+            assert_table_is_effect_eval(t, [tuple(e) for e in effects])
+
+    def test_wrong_length_rejected(self):
+        for t in (make_classical(2), make_polygon(5)):
+            for e in ((1, 0), (1, 0, 0, 0)):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    prob_table(t, [t.unit_effect, e])
+
+    def test_empty_effect_list(self):
+        assert prob_table(make_polygon(5), []) == ()
 
 
 class TestValidEffect:
