@@ -305,6 +305,19 @@ def verify_propc(t: Theory, f_approx: Measurement, f_ideal: Measurement,
 # ---------------------------------------------------------------------------
 # randomized inputs (deterministic under a seeded generator)
 
+def _distribution(ctx, p) -> list:
+    """A drawn probability vector in the scalars of ``ctx``.
+
+    Exact entries are rescaled by their exact sum: the float draw sums to 1
+    only up to rounding, and the Fractions would carry that error.
+    """
+    q = [ctx.convert(x) for x in p]
+    if ctx.exact:
+        total = sum(q)
+        q = [x / total for x in q]
+    return q
+
+
 def random_joint(t: Theory, f: Measurement, g: Measurement,
                  rng: np.random.Generator) -> JointMeasurement:
     """A valid random joint on the F x G outcome grid, feasible by construction.
@@ -319,8 +332,8 @@ def random_joint(t: Theory, f: Measurement, g: Measurement,
     lam_f, lam_g = rng.uniform(), rng.uniform()
     ft = fuzzify(t, f, ctx.convert(lam_f))
     gt = fuzzify(t, g, ctx.convert(lam_g))
-    qa = rng.dirichlet(np.ones(na))
-    qb = rng.dirichlet(np.ones(nb))
+    qa = _distribution(ctx, rng.dirichlet(np.ones(na)))
+    qb = _distribution(ctx, rng.dirichlet(np.ones(nb)))
 
     components = []
     if na == nb:
@@ -332,24 +345,24 @@ def random_joint(t: Theory, f: Measurement, g: Measurement,
             tuple(gt.effects[b] if a == b else zero for b in range(nb)) for a in range(na)
         ))
     components.append(tuple(
-        tuple(vscale(ctx.convert(qb[b]), ft.effects[a]) for b in range(nb)) for a in range(na)
+        tuple(vscale(qb[b], ft.effects[a]) for b in range(nb)) for a in range(na)
     ))
     components.append(tuple(
-        tuple(vscale(ctx.convert(qa[a]), gt.effects[b]) for b in range(nb)) for a in range(na)
+        tuple(vscale(qa[a], gt.effects[b]) for b in range(nb)) for a in range(na)
     ))
     ucell = vscale(1 / ctx.convert(na * nb), t.unit_effect)
     components.append(tuple(tuple(ucell for _ in range(nb)) for _ in range(na)))
 
-    weights = rng.dirichlet(np.ones(len(components)))
-    weights = weights * 0.9
-    weights[-1] += 0.1  # keep every cell strictly positive in mass
+    weights = _distribution(ctx, rng.dirichlet(np.ones(len(components))))
+    weights = [w * ctx.convert("9/10") for w in weights]
+    weights[-1] += ctx.convert("1/10")  # keep every cell strictly positive in mass
     grid = []
     for a in range(na):
         row = []
         for b in range(nb):
             cell = tuple(ctx.zero() for _ in range(t.dim))
             for w, comp in zip(weights, components):
-                cell = vadd(cell, vscale(ctx.convert(w), comp[a][b]))
+                cell = vadd(cell, vscale(w, comp[a][b]))
             row.append(cell)
         grid.append(tuple(row))
     j = JointMeasurement(

@@ -95,9 +95,14 @@ FLOAT = Context(exact=False, tol=1e-9)
 # vector / matrix helpers (tuples in, tuples out)
 
 def dot(x, y):
+    """Sum of the products, added in order from zero on every Python version
+    (``sum`` compensates float rounding from 3.12 on)."""
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return sum(a * b for a, b in zip(x, y))
+    total = 0
+    for a, b in zip(x, y):
+        total += a * b
+    return total
 
 
 def vadd(x, y):

@@ -15,19 +15,24 @@ cached facet normals ``n_k``.
 
 For built-in theories the group is written down in closed form
 (permutation matrices for simplices, the dihedral group for polygons).
-For user theories a backtracking search over vertex permutations is run,
-pruned by the congruence-invariant form Q = sum_i v_i v_i^T and stopped
-with a ValueError after a fixed number of search nodes.  Each surviving
-permutation is extended to a linear map on a spanning subset and then
-verified on every vertex, so only maps that carry the polytope onto
-itself are kept.
+For user theories a backtracking search runs over the images of a
+spanning subset of the vertices only, pruned by the congruence-invariant
+form Q = sum_i v_i v_i^T and stopped with a ValueError after a fixed
+number of search nodes.  Those images fix a linear map; the maps of all
+leaves are built in one batch and checked on every vertex, so only maps
+that permute the vertices, and so carry the polytope onto itself, are
+kept, in lexicographic order of their permutation.
 
-In exact mode the search and the group averages run on integer
-numerators over one common denominator (``_cleared``): vertices,
-spanning-basis inverse and group elements become int matrices, and a
-Fraction is built only for each stored entry and each averaged one.
-Float mode runs the same float operations as the plain formulas, so its
-results are bit-identical to them.
+Exact and float mode share one code path on numpy arrays: ``_stacked``
+turns a list of matrices into one ``(k, rows, cols)`` array of numerators
+over one denominator, Python ints (object dtype) in exact mode and
+float64 in float mode.  The group averages (invariant product, the fixed
+point check of the mixed state, invariant projection, the conjugation
+into canonical coordinates) run on the stack of all group elements with
+one batched product, ``_matmul``, which sums the inner index in order
+from zero as ``scalars.dot`` does, so float results are bit-identical to
+the tuple formulas.  A Fraction is built only for each distinct stored
+entry.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from .model import Theory, effect_cone_rays, theory_to_float
 from .scalars import (
@@ -135,22 +142,76 @@ def automorphism_group(t: Theory, force_search: bool = False) -> SymmetryGroup:
     return _search_group(t)
 
 
-def _cleared(rows, ctx: Context):
-    """``(numerators, den)`` with ``rows == numerators / den``.
+def _stacked(mats, ctx: Context):
+    """``(stack, den)``: the matrices as one ``(k, rows, cols)`` array of numerators over ``den``.
 
-    Exact rows become int rows over the lcm of their denominators, so
-    products and comparisons run on Python ints instead of Fractions;
-    float rows come back unchanged over 1.
+    Exact matrices become Python ints (object dtype) over the lcm of all
+    their denominators, so products and comparisons run on ints instead
+    of Fractions; float matrices become float64 over 1.
     """
     if not ctx.exact:
-        return rows, 1
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+        return np.array(mats, dtype=float), 1
+    den = math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
+    return np.array([[[x.numerator * (den // x.denominator) for x in row] for row in mat]
+                     for mat in mats], dtype=object), den
+
+
+def _matmul(a, b):
+    """``a @ b`` over the last two axes, broadcast over the leading ones.
+
+    Each entry sums over the inner index in order, starting from zero, as
+    ``scalars.dot`` does, so float entries are bit-identical to ``mat_mul``.
+    """
+    total = 0
+    for i in range(a.shape[-1]):
+        total = total + a[..., :, i, None] * b[..., None, i, :]
+    return total
+
+
+def _as_tuples(arr, den=1):
+    """The entries of an array as nested tuples: ints become Fractions ``x / den``
+    (one per distinct value), floats stay as they are."""
+    if arr.dtype == object:
+        values, where = np.unique(arr, return_inverse=True)
+        fractions = np.array([Fraction(x, den) for x in values.tolist()], dtype=object)
+        arr = fractions[where].reshape(arr.shape)
+    return _nested_tuples(arr.tolist())
+
+
+def _nested_tuples(rows: list) -> tuple:
+    return tuple(map(_nested_tuples, rows)) if isinstance(rows[0], list) else tuple(rows)
 
 
 # backtracking nodes before the search gives up; the largest in-repo search
-# (the tesseract) visits about 5 k, depending on the vertex order
+# (the tesseract) visits 0.7 k to 1.3 k, depending on the vertex order
 _MAX_SEARCH_NODES = 1_000_000
+
+
+# vertex-image comparisons per batch of candidate maps: bounds the memory
+# of the check on polytopes with many vertices or many search leaves
+_BATCH_CELLS = 1 << 20
+
+
+def _vertex_perms(maps, w, target, ctx):
+    """``(perms, maps)`` of the stacked candidate maps that permute the vertices.
+
+    ``maps`` holds ``(k, d, d)`` numerators ``t``, ``w`` the vertex rows and
+    ``target`` the rows ``t`` must reach: ``t w_j`` has to equal some
+    ``target[c]`` for every vertex ``j``, and those ``c`` have to be a
+    permutation.  The survivors come in lexicographic order of their
+    permutation, each as a tuple of ints.
+    """
+    step = max(1, _BATCH_CELLS // (len(w) * w.size))
+    found = []
+    for start in range(0, len(maps), step):
+        images = np.swapaxes(_matmul(maps[start:start + step], w.T), 1, 2)  # t_k w_j
+        hit = ctx.eq(images[:, :, None, :], target).all(axis=-1)  # hit[k, j, c]
+        perms = hit.argmax(axis=-1)
+        ok = hit.any(axis=-1).all(axis=-1)  # every image is a target row
+        ok &= (np.sort(perms, axis=-1) == np.arange(len(w))).all(axis=-1)  # and a bijection
+        found += [(tuple(perms[k].tolist()), start + k) for k in np.flatnonzero(ok)]
+    found.sort()
+    return [p for p, _ in found], maps[[k for _, k in found]]
 
 
 def _search_group(t: Theory) -> SymmetryGroup:
@@ -158,15 +219,14 @@ def _search_group(t: Theory) -> SymmetryGroup:
     verts = t.vertices
     nv = len(verts)
     d = t.dim
-    q = None
-    for v in verts:
-        vvt = tuple(tuple(a * b for b in v) for a in v)
-        q = vvt if q is None else mat_add(q, vvt)
-    qinv = inverse(q, ctx)
+    (w,), vden = _stacked([verts], ctx)  # vertices w / vden
+    # the pruning form m = V Q^-1 V^T with Q = sum_v v v^T, on numerators
+    # (a positive factor off in exact mode, which no comparison sees)
+    qinv = inverse(_as_tuples(_matmul(w.T, w), vden * vden), ctx)
     if qinv is None:
         raise ValueError("vertices do not span the ambient space")
-    qv = [mat_vec(qinv, v) for v in verts]
-    m, _ = _cleared([[dot(verts[i], qv[j]) for j in range(nv)] for i in range(nv)], ctx)
+    (qi,), _ = _stacked([qinv], ctx)
+    m = _matmul(w, _matmul(qi, w.T)).tolist()
 
     span_idx: list[int] = []
     for i in range(nv):
@@ -174,19 +234,18 @@ def _search_group(t: Theory) -> SymmetryGroup:
             span_idx.append(i)
         if len(span_idx) == d:
             break
-    # vertices w / vden, spanning-basis inverse wa / aden: a candidate map is
+    # spanning-basis inverse wa / aden: a candidate map is
     # T = (w_img / vden)(wa / aden), i.e. t / wden with t = w_img wa
-    w, vden = _cleared(verts, ctx)
-    wa, aden = _cleared(inverse(transpose([verts[i] for i in span_idx]), ctx), ctx)
+    (wa,), aden = _stacked([inverse(transpose([verts[i] for i in span_idx]), ctx)], ctx)
     wden = vden * aden
-    target = [vscale(wden, x) for x in w]
 
-    found_mats, found_perms = [], []
-    perm = [-1] * nv
+    # backtracking over the images of the spanning vertices only: they fix the map
+    leaves = []
+    img = [-1] * d
     used = [False] * nv
     nodes = 0
 
-    def extend(i: int) -> None:
+    def extend(k: int) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > _MAX_SEARCH_NODES:
@@ -194,34 +253,26 @@ def _search_group(t: Theory) -> SymmetryGroup:
                 f"automorphism search on theory {t.name!r} ({nv} vertices) visited "
                 f"{_MAX_SEARCH_NODES} nodes without finishing"
             )
-        if i == nv:
-            _materialize(tuple(perm))
+        if k == d:
+            leaves.append(tuple(img))
             return
+        i = span_idx[k]
         for c in range(nv):
             if used[c] or not ctx.eq(m[c][c], m[i][i]):
                 continue
-            if all(ctx.eq(m[perm[j]][c], m[j][i]) for j in range(i)):
-                perm[i] = c
+            if all(ctx.eq(m[img[j]][c], m[span_idx[j]][i]) for j in range(k)):
+                img[k] = c
                 used[c] = True
-                extend(i + 1)
+                extend(k + 1)
                 used[c] = False
-                perm[i] = -1
-
-    def _materialize(p: tuple) -> None:
-        # linear extension from the spanning subset on integer numerators,
-        # then verification on every vertex: T v_j = v_p(j) iff
-        # t w_j = wden w_p(j); this check is what makes T an automorphism
-        t_num = mat_mul(transpose([w[p[i]] for i in span_idx]), wa)
-        for j in range(nv):
-            if not ctx.vec_eq(mat_vec(t_num, w[j]), target[p[j]]):
-                return
-        if ctx.exact:
-            t_num = tuple(tuple(Fraction(x, wden) for x in row) for row in t_num)
-        found_mats.append(t_num)
-        found_perms.append(p)
+                img[k] = -1
 
     extend(0)
-    return SymmetryGroup(tuple(found_mats), tuple(found_perms))
+    # t = w_img^T wa for every leaf at once; T v_j = v_p(j) iff t w_j = wden w_p(j),
+    # and this check on every vertex is what makes T an automorphism
+    maps = _matmul(np.swapaxes(w[np.array(leaves)], 1, 2), wa)
+    perms, maps = _vertex_perms(maps, w, wden * w, ctx)
+    return SymmetryGroup(_as_tuples(maps, wden), tuple(perms))
 
 
 def is_transitive(g: SymmetryGroup, t: Theory) -> bool:
@@ -242,11 +293,10 @@ def maximally_mixed(t: Theory, g: Optional[SymmetryGroup] = None):
         total = tuple(a + b for a, b in zip(total, v))
     k = ctx.convert(t.n_vertices)
     omega_m = tuple(a / k for a in total)
-    (w,), _ = _cleared((omega_m,), ctx)
-    for mat in g.elements:
-        num, den = _cleared(mat, ctx)
-        if not ctx.vec_eq(mat_vec(num, w), vscale(den, w)):
-            raise RuntimeError("group element does not fix the vertex average")
+    (w,), _ = _stacked([[omega_m]], ctx)
+    stack, den = _stacked(g.elements, ctx)
+    if not ctx.eq(_matmul(stack, w.T), den * w.T).all():
+        raise RuntimeError("group element does not fix the vertex average")
     return omega_m
 
 
@@ -283,30 +333,27 @@ def rescale_unit_norm(t: Theory, g: Optional[SymmetryGroup] = None) -> Theory:
 def averaged_inner_product(g: SymmetryGroup, ctx: Context = FLOAT) -> InnerProduct:
     """Group average of the Euclidean inner product: gram = avg T^T T.
 
-    Exact elements are summed as integer numerators over one common
-    denominator and divided once.
+    The elements are stacked over one common denominator, the terms are
+    added in element order and divided once, so exact results need no
+    Fraction arithmetic and float ones equal the sum of the ``mat_mul``
+    terms bit for bit.
     """
     if not g.elements:
         raise ValueError("empty group")
-    cleared = [_cleared(mat, ctx) for mat in g.elements]
-    den = math.lcm(*(c for _, c in cleared))
-    total = None
-    for num, c in cleared:
-        if c != den:
-            num = mat_scale(den // c, num)
-        term = mat_mul(transpose(num), num)
-        total = term if total is None else mat_add(total, term)
-    return InnerProduct(mat_scale(1 / ctx.convert(g.order * den * den), total))
+    stack, den = _stacked(g.elements, ctx)
+    total = np.add.accumulate(_matmul(np.swapaxes(stack, 1, 2), stack))[-1]
+    return InnerProduct(mat_scale(1 / ctx.convert(g.order * den * den), total.tolist()))
 
 
 def projector_pm(g: SymmetryGroup, ctx: Context = FLOAT):
-    """Group average of the elements themselves: the invariant projection."""
+    """Group average of the elements themselves: the invariant projection.
+
+    The elements are added in order, as in ``averaged_inner_product``.
+    """
     if not g.elements:
         raise ValueError("empty group")
-    total = None
-    for mat in g.elements:
-        total = mat if total is None else mat_add(total, mat)
-    return mat_scale(1 / ctx.convert(g.order), total)
+    stack, den = _stacked(g.elements, ctx)
+    return mat_scale(1 / ctx.convert(g.order * den), np.add.accumulate(stack)[-1].tolist())
 
 
 @dataclass(frozen=True)
@@ -331,9 +378,9 @@ def canonicalize(t: Theory) -> CanonicalForm:
         raise ValueError("canonicalization requires a transitive theory")
     tf = theory_to_float(t)
     ctx = tf.ctx
-    gf = SymmetryGroup(
-        tuple(tuple(tuple(float(a) for a in row) for row in m) for m in g.elements), g.perms
-    )
+    stack, den = _stacked(g.elements, t.ctx)
+    stack = (stack / den).astype(float)
+    gf = SymmetryGroup(_as_tuples(stack), g.perms)
     tf = tf.with_group(gf)
     tf = rescale_unit_norm(tf, gf)
     omega_m = maximally_mixed(tf, gf)
@@ -362,7 +409,7 @@ def canonicalize(t: Theory) -> CanonicalForm:
     inv_tt = transpose(inv_t)
     new_u = mat_vec(inv_tt, mat_vec(tf.inner.gram, tf.unit_effect))
     new_group = SymmetryGroup(
-        tuple(mat_mul(mat_mul(transform, m), inv_t) for m in gf.elements), gf.perms
+        _as_tuples(_matmul(_matmul(np.array(transform), stack), np.array(inv_t))), gf.perms
     )
     theory_c = replace(
         tf,

@@ -2,23 +2,29 @@
 
 These deliberately avoid the library's own code paths: membership goes
 through exhaustive facet enumeration, groups through a raw permutation
-search or the plain Fraction backtracking search, so the LP,
-double-description and integer-numerator implementations have something
-honest to be compared against.  The theory layer's facet-sign checks
+search, the plain Fraction backtracking search or the full-depth
+integer-numerator search, and group averages through one element at a
+time, so the LP, double-description, spanning-basis and stacked-array
+implementations have something honest to be compared against.  The theory layer's facet-sign checks
 (effect validity, self-duality, J-positivity) are compared with LP
 routes over `dual_cone` and `cone_member`.  LPs go to the simplex on
 Python lists that the numpy tableau replaced and to scipy's HiGHS, and
 the compatibility LPs also come in their older vertex-by-vertex form.
 """
 
+import math
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
 from gptlab.cones import cone_member, cones_equal, dual_cone
 from gptlab.linprog import _MAX_PIVOTS, EQ, GE, LE, LinearProgram
-from gptlab.scalars import Context, dot, inverse, mat_add, mat_mul, mat_vec, rank, solve, transpose
-from gptlab.symmetry import SymmetryGroup
+from gptlab.scalars import (
+    FLOAT, Context, InnerProduct, dot, inverse, mat_add, mat_mul, mat_scale, mat_vec, rank, solve,
+    transpose, vscale,
+)
+from gptlab.symmetry import SymmetryGroup, is_transitive
 
 
 def facet_normals_bruteforce(generators, ctx: Context):
@@ -198,6 +204,130 @@ def search_group_reference(t) -> SymmetryGroup:
 
     extend(0)
     return SymmetryGroup(tuple(found_mats), tuple(found_perms))
+
+
+def _cleared(rows, ctx: Context):
+    """``(numerators, den)`` with ``rows == numerators / den``: int rows over
+    the lcm of the denominators in exact mode, the rows themselves over 1 in
+    float mode."""
+    if not ctx.exact:
+        return rows, 1
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
+def search_group_full_depth(t) -> SymmetryGroup:
+    """The integer-numerator search that assigns the image of every vertex.
+
+    The backtracking runs to full depth over all vertices, pruned on every
+    vertex pair, and each complete permutation is extended from the
+    spanning subset on integer numerators and verified on every vertex,
+    so the maps come out in lexicographic order of their permutation.
+    ``symmetry._search_group`` stops at the spanning vertices instead and
+    checks the leaves in one batch; this has no node budget.
+    """
+    ctx = t.ctx
+    verts = t.vertices
+    nv = len(verts)
+    d = t.dim
+    q = None
+    for v in verts:
+        vvt = tuple(tuple(a * b for b in v) for a in v)
+        q = vvt if q is None else mat_add(q, vvt)
+    qinv = inverse(q, ctx)
+    if qinv is None:
+        raise ValueError("vertices do not span the ambient space")
+    qv = [mat_vec(qinv, v) for v in verts]
+    m, _ = _cleared([[dot(verts[i], qv[j]) for j in range(nv)] for i in range(nv)], ctx)
+
+    span_idx: list[int] = []
+    for i in range(nv):
+        if rank([verts[j] for j in span_idx] + [verts[i]], ctx) > len(span_idx):
+            span_idx.append(i)
+        if len(span_idx) == d:
+            break
+    w, vden = _cleared(verts, ctx)
+    wa, aden = _cleared(inverse(transpose([verts[i] for i in span_idx]), ctx), ctx)
+    wden = vden * aden
+    target = [vscale(wden, x) for x in w]
+
+    found_mats, found_perms = [], []
+    perm = [-1] * nv
+    used = [False] * nv
+
+    def extend(i: int) -> None:
+        if i == nv:
+            _materialize(tuple(perm))
+            return
+        for c in range(nv):
+            if used[c] or not ctx.eq(m[c][c], m[i][i]):
+                continue
+            if all(ctx.eq(m[perm[j]][c], m[j][i]) for j in range(i)):
+                perm[i] = c
+                used[c] = True
+                extend(i + 1)
+                used[c] = False
+                perm[i] = -1
+
+    def _materialize(p: tuple) -> None:
+        t_num = mat_mul(transpose([w[p[i]] for i in span_idx]), wa)
+        for j in range(nv):
+            if not ctx.vec_eq(mat_vec(t_num, w[j]), target[p[j]]):
+                return
+        if ctx.exact:
+            t_num = tuple(tuple(Fraction(x, wden) for x in row) for row in t_num)
+        found_mats.append(t_num)
+        found_perms.append(p)
+
+    extend(0)
+    return SymmetryGroup(tuple(found_mats), tuple(found_perms))
+
+
+def averaged_gram_per_element(g: SymmetryGroup, ctx: Context) -> InnerProduct:
+    """``avg T^T T`` summed one element at a time, each over its own denominator."""
+    cleared = [_cleared(mat, ctx) for mat in g.elements]
+    den = math.lcm(*(c for _, c in cleared))
+    total = None
+    for num, c in cleared:
+        if c != den:
+            num = mat_scale(den // c, num)
+        term = mat_mul(transpose(num), num)
+        total = term if total is None else mat_add(total, term)
+    return InnerProduct(mat_scale(1 / ctx.convert(g.order * den * den), total))
+
+
+def maximally_mixed_per_element(t, g: SymmetryGroup):
+    """The vertex average, checked to be fixed by one group element at a time."""
+    if not is_transitive(g, t):
+        raise ValueError("maximally mixed state requires a transitive theory")
+    ctx = t.ctx
+    total = t.vertices[0]
+    for v in t.vertices[1:]:
+        total = tuple(a + b for a, b in zip(total, v))
+    k = ctx.convert(t.n_vertices)
+    omega_m = tuple(a / k for a in total)
+    (w,), _ = _cleared((omega_m,), ctx)
+    for mat in g.elements:
+        num, den = _cleared(mat, ctx)
+        if not ctx.vec_eq(mat_vec(num, w), vscale(den, w)):
+            raise RuntimeError("group element does not fix the vertex average")
+    return omega_m
+
+
+def projector_per_element(g: SymmetryGroup, ctx: Context):
+    """``avg T`` summed one element at a time."""
+    total = None
+    for mat in g.elements:
+        total = mat if total is None else mat_add(total, mat)
+    return mat_scale(1 / ctx.convert(g.order), total)
+
+
+def canonical_group_per_element(g: SymmetryGroup, transform) -> tuple:
+    """The elements of ``canonicalize``'s group: each one in floats, conjugated
+    one at a time as ``transform . m . transform^-1``."""
+    inv_t = inverse(transform, FLOAT)
+    return tuple(mat_mul(mat_mul(transform, tuple(tuple(float(a) for a in row) for row in m)), inv_t)
+                 for m in g.elements)
 
 
 # ---------------------------------------------------------------------------

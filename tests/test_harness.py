@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,6 +78,17 @@ class TestRandomInputs:
             for _ in range(20):
                 j = harness.random_joint(t, f, g, rng)
                 assert not joint_violations(t, j)
+
+    def test_random_joints_exact(self):
+        # exact weights are rescaled to sum to one, so exact joints validate
+        for n in (1, 2, 3):
+            t = make_classical(n)
+            f = binary_ideal_measurement(t, 0)
+            g = binary_ideal_measurement(t, n)
+            for seed in range(20):
+                j = harness.random_joint(t, f, g, np.random.default_rng(seed))
+                assert not joint_violations(t, j)
+                assert all(isinstance(a, Fraction) for row in j.effects for e in row for a in e)
 
     def test_random_postprocessed_valid(self):
         rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction as Fr
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -18,7 +19,7 @@ import gptlab.symmetry
 from gptlab.cli import main as cli_main
 from gptlab.cones import Cone, cone_member, dual_cone
 from gptlab.harness import prepare_conforming
-from gptlab.ideal import indecomposable_pure_effects
+from gptlab.ideal import indecomposable_pure_effects, psi_transform
 from gptlab.model import Theory, load_theory, make_classical, make_polygon
 from gptlab.scalars import (
     EXACT, FLOAT, InnerProduct, identity, inverse, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
@@ -37,7 +38,9 @@ from gptlab.symmetry import (
 )
 
 from helpers import (
-    automorphism_orders_bruteforce, j_positive_lp, search_group_reference, self_dual_lp,
+    averaged_gram_per_element, automorphism_orders_bruteforce, canonical_group_per_element,
+    j_positive_lp, maximally_mixed_per_element, projector_per_element, search_group_full_depth,
+    search_group_reference, self_dual_lp,
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -446,6 +449,67 @@ class TestIntegerNumeratorSearch:
         budget = gptlab.symmetry._MAX_SEARCH_NODES
         monkeypatch.setattr(gptlab.symmetry, "_MAX_SEARCH_NODES", budget // 100)
         assert automorphism_group(tesseract).order == 384
+
+
+def assert_identical(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # same scalar types; floats bit for bit
+
+
+ORACLE_FAMILIES = {
+    "structure": lambda tmp: [(load_theory(path), True) for seed in (5, 11) for path in
+                              structure_theory_files(tmp / str(seed), seed).values()],
+    "sheared": lambda tmp: [(sheared_polygon(name, pts), True)
+                            for name, pts in RATIONAL_SHAPES.items()],
+    "polygon": lambda tmp: [(make_polygon(n), force) for n in range(3, 13)
+                            for force in (False, True)],
+    "psi": lambda tmp: [(psi_transform(make_polygon(n)), force) for n in range(4, 17, 2)
+                        for force in (False, True)],
+    "classical": lambda tmp: [(make_classical(n), force) for n in range(1, 6)
+                              for force in (False, True)],
+}
+
+
+class TestAgainstPerElementOracles:
+    """The spanning-basis search and the stacked group averages, against the
+    full-depth search and averages taken one element at a time."""
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_group_and_averages(self, family, tmp_path):
+        for t, force in ORACLE_FAMILIES[family](tmp_path):
+            g = automorphism_group(t, force_search=force)
+            if force:
+                want = search_group_full_depth(t)
+                assert_identical((g.elements, g.perms), (want.elements, want.perms))
+            assert_identical(averaged_inner_product(g, t.ctx), averaged_gram_per_element(g, t.ctx))
+            assert_identical(projector_pm(g, t.ctx), projector_per_element(g, t.ctx))
+            if is_transitive(g, t):
+                assert_identical(maximally_mixed(t, g), maximally_mixed_per_element(t, g))
+                form = canonicalize(t)
+                assert_identical(form.group.elements,
+                                 canonical_group_per_element(automorphism_group(t), form.transform))
+
+    def test_batches_keep_the_group(self, tmp_path, monkeypatch):
+        files = structure_theory_files(tmp_path, seed=5)
+        want = {name: automorphism_group(load_theory(files[name])) for name in ("prism", "cube")}
+        monkeypatch.setattr(gptlab.symmetry, "_BATCH_CELLS", 1)  # one candidate map per batch
+        for name, g in want.items():
+            assert_identical(automorphism_group(load_theory(files[name])), g)
+
+    def test_vertex_perms_keeps_permutations_in_order(self):
+        # numerators over 2 of maps on the square (+-1, +-1, 1): a quarter turn,
+        # a map folding two vertices onto the others (every image a vertex, but
+        # not a bijection), a squeeze (images off the vertices), the identity
+        vs = ((1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1))
+        w = np.array(vs, dtype=object)
+        turn = ((0, -2, 0), (2, 0, 0), (0, 0, 2))
+        fold = ((2, 0, 0), (2, 0, 0), (0, 0, 2))
+        squeeze = ((2, 0, 0), (0, 1, 0), (0, 0, 2))
+        ident = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+        maps = np.array([turn, fold, squeeze, ident], dtype=object)
+        perms, kept = gptlab.symmetry._vertex_perms(maps, w, 2 * w, EXACT)
+        assert perms == [(0, 1, 2, 3), (1, 2, 3, 0)]
+        assert kept.tolist() == [[list(r) for r in ident], [list(r) for r in turn]]
 
 
 class TestAnalyzeCli:
