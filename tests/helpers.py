@@ -479,8 +479,13 @@ def highs(p: LinearProgram, feasibility: bool = False):
     bounds = [tuple(None if b is None else float(b) for b in (p._bound("lo", j), p._bound("up", j)))
               for j in range(p.n_vars)]
     cost = [0.0] * p.n_vars if feasibility else [sign * float(c) for c in p.objective]
-    res = optimize.linprog(cost, A_ub=ub or None, b_ub=ub_rhs or None, A_eq=eq or None,
-                           b_eq=eq_rhs or None, bounds=bounds, method="highs")
+    kw = dict(A_ub=ub or None, b_ub=ub_rhs or None, A_eq=eq or None, b_eq=eq_rhs or None,
+              bounds=bounds, method="highs")
+    res = optimize.linprog(cost, **kw)
+    if res.status == 2:
+        # HiGHS's presolve reports some feasible unbounded LPs as infeasible
+        # (see test_random_lps_match_highs); the solver without presolve tells them apart
+        res = optimize.linprog(cost, options={"presolve": False}, **kw)
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     return status, sign * res.fun if status == "optimal" else None
 

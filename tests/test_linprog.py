@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gptlab import compat, linprog, measures
 from gptlab.cones import Cone, cone_member
@@ -525,8 +525,17 @@ def test_cone_membership_verdicts_match_highs():
     assert verdicts == [highs(p, feasibility=True)[0] == "optimal" for p in seen]
 
 
+# feasible and unbounded (x1 = 1, x2 = -1/3 - t, x3 = t raises the objective
+# without end); HiGHS with presolve calls it infeasible
+PRESOLVE_INFEASIBLE_UNBOUNDED = LinearProgram(
+    n_vars=3, objective=[-3.0, -3.0, 0.25], sense="max",
+    constraints=[((-3.0, -3.0, -3.0), LE, -2.0), ((-3.0, 0.25, 0.25), LE, -3.0)],
+    lower=[None, None, None], upper=[1.0, None, None])
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_lps())
+@example(PRESOLVE_INFEASIBLE_UNBOUNDED)
 def test_random_lps_match_highs(p):
     feasible = lp_feasible(p, FLOAT).feasible
     assert feasible == (highs(p, feasibility=True)[0] == "optimal")
