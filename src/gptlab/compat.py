@@ -4,9 +4,9 @@ A joint measurement is a measurement on the outcome grid A x B; its row
 and column marginals approximate the two target measurements.  All
 feasibility and optimisation questions here are linear.  An effect is
 nonnegative on every state exactly when it lies in the effect cone, the
-dual of the state cone, so each joint cell is written as a nonnegative
-combination of that cone's generating rays (taken from the theory's
-cached facet normals).  Marginal matching is then coordinatewise
+dual of the state cone under the dot product, which the theory's cached
+facet normals generate; so each joint cell is written as a nonnegative
+combination of those normals.  Marginal matching is then coordinatewise
 equality, and the LP has the same number of rows whatever the number of
 vertices.
 """
@@ -20,7 +20,7 @@ from typing import Optional
 
 from .linprog import EQ, LinearProgram, lp_feasible, lp_solve
 from .measures import metric_of
-from .model import Measurement, Theory, effect_cone_rays, prob_table
+from .model import Measurement, Theory, prob_table
 from .scalars import vadd, vscale, vsub
 
 
@@ -132,7 +132,7 @@ class CompatibilityResult:
 def _cone_lp(t: Theory, n_blocks: int, eqs, objective=(), sense="min", upper=None):
     """One LP over `n_blocks` effects ``E_i = sum_k mu_ik r_k``, ``mu >= 0``.
 
-    The rays ``r_k`` of :func:`~gptlab.model.effect_cone_rays` generate
+    The rays ``r_k``, the facet normals of the state cone, generate
     exactly the effects nonnegative on every state.  Then
     come nonnegative scalars ``s_j``, one per `objective` entry, below
     `upper` if given.  Each ``(blocks, scalars, rhs)`` in `eqs` is one row
@@ -141,7 +141,7 @@ def _cone_lp(t: Theory, n_blocks: int, eqs, objective=(), sense="min", upper=Non
     Returns the LP and a map from a point to its first ``count`` effects.
     """
     ctx = t.ctx
-    rays = effect_cone_rays(t)
+    rays = t.facet_normals
     k, zero = len(rays), ctx.zero()
     nmu = n_blocks * k
     nvars = nmu + len(objective)

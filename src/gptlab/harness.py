@@ -52,8 +52,8 @@ from .measures import (
     werner_distance,
 )
 from .model import Measurement, Theory, in_state_space, make_classical, make_polygon, prob_table
-from .scalars import vadd, vscale
-from .symmetry import canonicalize
+from .scalars import dot, vadd, vscale
+from .symmetry import canonicalize, is_self_dual
 
 SLACK = 1e-9  # absolute slack granted to the ">=" side of every inequality
 
@@ -87,7 +87,8 @@ def prepare_conforming(t: Theory) -> Theory:
 
     Odd polygons and re-expressed even polygons pass through; raw even
     polygons get the stretch re-expression; anything else is
-    canonicalized (which also covers classical theories).
+    canonicalized (which also covers classical theories).  A canonical form
+    that is not self-dual under the dot product raises ValueError.
     """
     if t.kind == "polygon-psi":
         return t
@@ -95,7 +96,10 @@ def prepare_conforming(t: Theory) -> Theory:
         if t.n % 2 == 0:
             return psi_transform(t)
         return t
-    return canonicalize(t).theory
+    tc = canonicalize(t).theory
+    if not is_self_dual(tc, tc.inner):
+        raise ValueError(f"the canonical form of theory {t.name!r} is not self-dual")
+    return tc
 
 
 def _cell_states(t: Theory, j: JointMeasurement, check: bool = False) -> list:
@@ -108,7 +112,7 @@ def _cell_states(t: Theory, j: JointMeasurement, check: bool = False) -> list:
     out = []
     for a, row in zip(j.row_labels, j.effects):
         for b, e in zip(j.col_labels, row):
-            mass = t.inner.pair(t.unit_effect, e)
+            mass = dot(t.unit_effect, e)
             if not ctx.gt(mass, 0):
                 continue
             state = vscale(1 / mass, e)

@@ -27,7 +27,7 @@ from .model import (
     polygon_radius,
     prob_table,
 )
-from .scalars import Context, mat_vec, vadd, vscale, vsub
+from .scalars import Context, dot, mat_vec, vadd, vscale, vsub
 from .symmetry import is_self_dual
 
 
@@ -76,12 +76,12 @@ def indecomposable_pure_effects(t: Theory) -> tuple:
     if t.kind == "polygon" and t.n % 2 == 0:
         return polygon_raw_pure_effects(t)
     ctx = t.ctx
-    norms = [t.inner.norm2(v) for v in t.vertices]
+    norms = [dot(v, v) for v in t.vertices]
     if any(not ctx.eq(nm, norms[0]) for nm in norms[1:]):
         raise ValueError("pure states do not have equal norm; theory is not transitive")
     if not is_self_dual(t, t.inner):
         raise ValueError(
-            "no pure-effect rule available: theory is not self-dual under its pairing "
+            "no pure-effect rule available: theory is not self-dual under the dot product "
             "and is not an even polygon"
         )
     return tuple(vscale(1 / norms[0], v) for v in t.vertices)
@@ -94,7 +94,7 @@ def eigenstate(t: Theory, f, ideal: bool = False):
     one on it, which characterises effects of ideal measurements.
     """
     ctx = t.ctx
-    mass = t.inner.pair(t.unit_effect, f)
+    mass = dot(t.unit_effect, f)
     if not ctx.gt(mass, 0):
         raise ValueError("effect has zero mass on the unit effect")
     state = vscale(1 / mass, f)

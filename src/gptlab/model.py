@@ -1,18 +1,17 @@
 """GPT theories: state spaces, effects, measurements, built-in models.
 
 A theory is a polytopic state space given by its pure states (vertices)
-in R^(N+1), together with the unit effect and the pairing used to
-evaluate effects on states.  Built-in constructors cover classical
-simplices (exact rational mode) and regular polygon theories (float
-mode, since the vertex coordinates involve cos/sin).
+in R^(N+1), together with the unit effect.  Built-in constructors cover
+classical simplices (exact rational mode) and regular polygon theories
+(float mode, since the vertex coordinates involve cos/sin).
 
-Effects are plain coordinate tuples; ``effect_eval`` evaluates one on a
-state through the theory's pairing.  Extrema over states of affine or
-concave functions of the outcome probabilities sit on the vertices, so
-the measures and validity checks read ``prob_table``: every effect of a
-list on every vertex, with one Gram product per vertex.  After
-canonicalisation the pairing is the identity, so evaluation is an
-ordinary dot product.
+Effects are plain coordinate tuples that meet states through the natural
+dual pairing, the dot product of coordinates; ``effect_eval`` evaluates
+one on a state.  Extrema over states of affine or concave functions of
+the outcome probabilities sit on the vertices, so the measures and
+validity checks read ``prob_table``: every effect of a list on every
+vertex.  An inner product enters only to state self-duality
+(``symmetry.is_self_dual``).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .scalars import (
     FLOAT,
     InnerProduct,
     dot,
-    float_mat,
     float_vec,
     inverse,
     mat_vec,
@@ -46,12 +44,11 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Theory:
-    """A polytopic state space with unit effect and evaluation pairing."""
+    """A polytopic state space with its unit effect."""
 
     name: str
     vertices: tuple
     unit_effect: tuple
-    inner: InnerProduct
     ctx: Context
     kind: str = "custom"  # "classical" | "polygon" | "polygon-psi" | "custom"
     n: Optional[int] = None  # polygon side count / classical N
@@ -68,6 +65,11 @@ class Theory:
         return len(self.vertices)
 
     @property
+    def inner(self) -> InnerProduct:
+        """The Euclidean inner product, whose Gram matrix is the identity."""
+        return InnerProduct.euclidean(self.dim, self.ctx)
+
+    @property
     def cone(self) -> Cone:
         """Positive cone: rays over the pure states."""
         return Cone(self.vertices)
@@ -81,7 +83,7 @@ class Theory:
         Raises ValueError when the vertices do not span the ambient space.
         """
         try:
-            dual = dual_cone(self.cone, InnerProduct.euclidean(self.dim, self.ctx), self.ctx)
+            dual = dual_cone(self.cone, self.inner, self.ctx)
         except LinealityError as exc:
             raise ValueError(
                 f"the state space of theory {self.name!r} in R^{self.dim} "
@@ -116,33 +118,32 @@ class Measurement:
 
 
 def effect_eval(t: Theory, e, omega, check_state: bool = False):
-    """Probability of the effect on a state: <e, omega> under t.inner."""
+    """Probability of the effect on a state: the dot product ``e . omega``."""
     if len(e) != t.dim or len(omega) != t.dim:
         raise ValueError("dimension mismatch")
     if check_state and not in_state_space(t, omega):
         raise ValueError("omega is not a state of the theory")
-    return t.inner.pair(e, omega)
+    return dot(e, omega)
 
 
 def prob_table(t: Theory, effects) -> tuple:
     """``P[i][v]``: the probability of ``effects[i]`` on vertex ``v``.
 
-    Each entry is ``e . (G v)``, the arithmetic of :func:`effect_eval`, so
-    it equals ``effect_eval(t, effects[i], t.vertices[v])`` bit for bit.
+    Each entry is ``e . v``, the arithmetic of :func:`effect_eval`, so it
+    equals ``effect_eval(t, effects[i], t.vertices[v])`` bit for bit.
     An effect of the wrong length raises ValueError.
     """
-    gvs = [mat_vec(t.inner.gram, v) for v in t.vertices]
-    return tuple(tuple(dot(e, gv) for gv in gvs) for e in effects)
+    return tuple(tuple(dot(e, v) for v in t.vertices) for e in effects)
 
 
 def in_state_space(t: Theory, omega) -> bool:
-    """omega is normalised (<u, omega> = 1) and on the inner side of every facet.
+    """omega is normalised (u . omega = 1) and on the inner side of every facet.
 
     The facet normals are cached on the theory (:attr:`Theory.facet_normals`);
     both tests compare with the context tolerance.
     """
     ctx = t.ctx
-    if not ctx.eq(t.inner.pair(t.unit_effect, omega), 1):
+    if not ctx.eq(dot(t.unit_effect, omega), 1):
         return False
     return all(ctx.ge(dot(n, omega), 0) for n in t.facet_normals)
 
@@ -190,8 +191,6 @@ def validate_theory(t: Theory) -> None:
     dims = {len(v) for v in t.vertices}
     if dims != {t.dim} or len(t.unit_effect) != t.dim:
         raise ValueError("inconsistent ambient dimensions")
-    if not t.inner.is_positive_definite(ctx):
-        raise ValueError("pairing gram matrix is not symmetric positive definite")
     for v, p in zip(t.vertices, prob_table(t, [t.unit_effect])[0]):
         if not ctx.eq(p, 1):
             raise ValueError(f"unit effect does not evaluate to 1 on vertex {v}")
@@ -207,13 +206,13 @@ def validate_theory(t: Theory) -> None:
             raise ValueError(f"vertex {i} is a convex combination of the others")
 
 
-def effect_cone_rays(t: Theory, inner: Optional[InnerProduct] = None) -> tuple:
-    """Rays ``G^-1 n_k`` (cached facet normals ``n_k``) spanning the state cone's dual.
+def effect_cone_rays(t: Theory, inner: InnerProduct) -> tuple:
+    """Rays ``G^-1 n_k`` spanning the state cone's dual under `inner`, whose Gram matrix is ``G``.
 
-    ``G`` is the Gram matrix of `inner`, by default the theory's own pairing,
-    under which the rays span exactly the effects nonnegative on every state.
+    The ``n_k`` are the cached facet normals, which span the dual under the
+    dot product: the effects nonnegative on every state.
     """
-    ginv = inverse((t.inner if inner is None else inner).gram, t.ctx)
+    ginv = inverse(inner.gram, t.ctx)
     if ginv is None:
         raise ValueError("the pairing's Gram matrix is singular")
     return tuple(mat_vec(ginv, n) for n in t.facet_normals)
@@ -250,7 +249,6 @@ def make_classical(n_levels: int) -> Theory:
         name=f"classical-{n_levels}",
         vertices=vertices,
         unit_effect=u,
-        inner=InnerProduct.euclidean(d, ctx),
         ctx=ctx,
         kind="classical",
         n=n_levels,
@@ -274,7 +272,6 @@ def make_polygon(n: int) -> Theory:
         name=f"polygon-{n}",
         vertices=vertices,
         unit_effect=(0.0, 0.0, 1.0),
-        inner=InnerProduct.euclidean(3, FLOAT),
         ctx=FLOAT,
         kind="polygon",
         n=n,
@@ -311,7 +308,6 @@ def theory_to_float(t: Theory) -> Theory:
         t,
         vertices=tuple(float_vec(v) for v in t.vertices),
         unit_effect=float_vec(t.unit_effect),
-        inner=InnerProduct(float_mat(t.inner.gram)),
         ctx=FLOAT,
         group_cache=None,
     )
@@ -332,8 +328,7 @@ def _is_builtin(t: Theory) -> bool:
         ref = builtin_theory(t.kind, t.n)
     except (ValueError, TypeError):
         return False
-    return ((ref.ctx, ref.inner, ref.vertices, ref.unit_effect)
-            == (t.ctx, t.inner, t.vertices, t.unit_effect))
+    return (ref.ctx, ref.vertices, ref.unit_effect) == (t.ctx, t.vertices, t.unit_effect)
 
 
 def _num_to_json(x):
@@ -372,7 +367,6 @@ def theory_from_dict(data: dict, validate: bool = True) -> Theory:
         name=data.get("name", "theory"),
         vertices=tuple(ctx.vec(v) for v in raw_vertices),
         unit_effect=ctx.vec(raw_u),
-        inner=InnerProduct.euclidean(int(data["dim"]), ctx),
         ctx=ctx,
         kind=data.get("kind", "custom"),
         n=data.get("n"),

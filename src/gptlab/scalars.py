@@ -279,10 +279,6 @@ def float_vec(x):
     return tuple(float(a) for a in x)
 
 
-def float_mat(m):
-    return tuple(float_vec(r) for r in m)
-
-
 def sqrt_scalar(x, ctx: Context):
     """Square root, staying exact when the radicand is a perfect square."""
     if ctx.exact:

@@ -8,7 +8,7 @@ projection onto the invariant subspace, and the canonical (Bloch)
 coordinates in which the unit effect coincides with the maximally mixed
 state.
 
-Self-duality under a pairing G and the J-positivity checks of
+Self-duality under an inner product G and the J-positivity checks of
 ``xi_canonicalize`` solve no LP: they are sign checks of vertices against
 vertices under G, and of the dual cone's rays ``G^-1 n_k`` against the
 cached facet normals ``n_k``.
@@ -362,12 +362,12 @@ class CanonicalForm:
 
     basis: tuple  # rows of the rescaled-raw-coordinate basis, last = omega_M
     transform: tuple  # old (rescaled) coordinates -> canonical coordinates
-    theory: Theory  # canonical theory: identity pairing, u = omega_M = (0,..,0,1)
+    theory: Theory  # canonical theory: invariant product = dot product, u = omega_M = (0,..,0,1)
     group: SymmetryGroup
 
 
 def canonicalize(t: Theory) -> CanonicalForm:
-    """Bloch coordinates: identity pairing, unit effect = mixed state axis.
+    """Bloch coordinates: the invariant product is the dot product, unit effect = mixed state axis.
 
     The output theory always lives in float mode because the orthonormal
     basis involves square roots.  The first in-plane basis vector is
@@ -405,9 +405,8 @@ def canonicalize(t: Theory) -> CanonicalForm:
     transform = tuple(tuple(mat_vec(gram.gram, b)) for b in basis)  # rows b_l^T G
     inv_t = inverse(transform, ctx)
     new_vertices = tuple(mat_vec(transform, v) for v in tf.vertices)
-    # effects map contravariantly: e_new = (M^-1)^T . inner . e
-    inv_tt = transpose(inv_t)
-    new_u = mat_vec(inv_tt, mat_vec(tf.inner.gram, tf.unit_effect))
+    # effects map contravariantly: e_new = (M^-1)^T e
+    new_u = mat_vec(transpose(inv_t), tf.unit_effect)
     new_group = SymmetryGroup(
         _as_tuples(_matmul(_matmul(np.array(transform), stack), np.array(inv_t))), gf.perms
     )
@@ -416,7 +415,6 @@ def canonicalize(t: Theory) -> CanonicalForm:
         name=t.name if t.canonicalized else f"{t.name}-canonical",
         vertices=new_vertices,
         unit_effect=tuple(new_u),
-        inner=InnerProduct.euclidean(d, ctx),
         canonicalized=True,
         group_cache=new_group,
     )
@@ -444,6 +442,19 @@ def is_self_dual(t: Theory, gram: Optional[InnerProduct] = None) -> bool:
     return _in_dual(t, t.vertices, gram) and _in_cone(t, effect_cone_rays(t, gram))
 
 
+def _average_conjugates(g: SymmetryGroup, j_map, ctx: Context):
+    """Group average of ``M^-1 J M``, summed as in ``averaged_inner_product``.
+
+    The inverse of an element is the element whose permutation is the inverse one.
+    """
+    index = {p: k for k, p in enumerate(g.perms)}
+    inverses = [index[tuple(np.argsort(p).tolist())] for p in g.perms]
+    stack, den = _stacked(g.elements, ctx)
+    (j,), jden = _stacked([j_map], ctx)
+    total = np.add.accumulate(_matmul(_matmul(stack[inverses], j), stack))[-1]
+    return mat_scale(1 / ctx.convert(g.order * den * den * jden), total.tolist())
+
+
 def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theory:
     """Re-express a transitive self-dual theory so the cone equals its dual.
 
@@ -458,6 +469,7 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
     if not is_transitive(g, t):
         raise ValueError("xi canonicalization requires a transitive theory")
     ctx = t.ctx
+    j_map = ctx.mat(j_map)
     gram = averaged_inner_product(g, ctx)
     d = t.dim
 
@@ -481,12 +493,7 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
         raise ValueError("J is not positive on the maximally mixed state")
     j_norm = mat_scale(1 / c, j_map)
 
-    total = None
-    for mat in g.elements:
-        minv = inverse(mat, ctx)
-        term = mat_mul(minv, mat_mul(j_norm, mat))
-        total = term if total is None else mat_add(total, term)
-    j_av = mat_scale(1 / ctx.convert(g.order), total)
+    j_av = _average_conjugates(g, j_norm, ctx)
 
     pm = projector_pm(g, ctx)
     pperp = mat_sub(identity(d, ctx), pm)
@@ -516,10 +523,7 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
         pperp = tuple(tuple(float(a) for a in row) for row in pperp)
         sq = math.sqrt(float(xi))
     xi_mat = mat_add(pm, mat_scale(sq, pperp))
-    xi_inv = inverse(xi_mat, ctx)
-    inner_g = tt.inner.gram
-    inner_inv = inverse(inner_g, ctx)
-    new_u = mat_vec(inner_inv, mat_vec(transpose(xi_inv), mat_vec(inner_g, tt.unit_effect)))
+    new_u = mat_vec(transpose(inverse(xi_mat, ctx)), tt.unit_effect)
     return replace(
         tt,
         name=f"{t.name}-xi",

@@ -496,13 +496,12 @@ def _hrow_lp(t, n_cells: int, n_extra: int, **kw):
     ctx, d = t.ctx, t.dim
     nvars = n_cells * d + n_extra
     p = LinearProgram(n_vars=nvars, **kw)
-    paired = [mat_vec(t.inner.gram, v) for v in t.vertices]
     for i in range(n_cells):
-        for pv in paired:
+        for v in t.vertices:
             row = [ctx.zero()] * nvars
-            row[i * d:(i + 1) * d] = pv
+            row[i * d:(i + 1) * d] = v
             p.add(row, GE, ctx.zero())
-    return p, paired
+    return p
 
 
 def hrow_compat_lp(family: str, t, f, g):
@@ -521,7 +520,7 @@ def hrow_compat_lp(family: str, t, f, g):
     col_cells = [[a * nb + b for a in range(na)] for b in range(nb)]
     marginals = list(zip(row_cells + col_cells, f.effects + g.effects))
     if family == "is_jointly_measurable":
-        p, _ = _hrow_lp(t, ncells, 0, objective=[zero] * (ncells * d))
+        p = _hrow_lp(t, ncells, 0, objective=[zero] * (ncells * d))
         for cells, e in marginals:
             for c in range(d):
                 row = [zero] * p.n_vars
@@ -531,8 +530,8 @@ def hrow_compat_lp(family: str, t, f, g):
         return p
     if family == "max_fuzz_lambda":
         nv = ncells * d + 1
-        p, _ = _hrow_lp(t, ncells, 1, objective=[zero] * (nv - 1) + [one], sense="max",
-                        lower=[None] * (nv - 1) + [zero], upper=[None] * (nv - 1) + [one])
+        p = _hrow_lp(t, ncells, 1, objective=[zero] * (nv - 1) + [one], sense="max",
+                     lower=[None] * (nv - 1) + [zero], upper=[None] * (nv - 1) + [one])
         half_u = tuple(x / 2 for x in t.unit_effect)
         for cells, e in marginals:
             for c in range(d):
@@ -544,8 +543,8 @@ def hrow_compat_lp(family: str, t, f, g):
         return p
     if family == "min_mur_linf":
         nv = ncells * d + 2
-        p, paired = _hrow_lp(t, ncells, 2, objective=[zero] * (nv - 2) + [one, one],
-                             lower=[None] * (nv - 2) + [zero, zero])
+        p = _hrow_lp(t, ncells, 2, objective=[zero] * (nv - 2) + [one, one],
+                     lower=[None] * (nv - 2) + [zero, zero])
         for c in range(d):
             row = [zero] * nv
             for i in range(ncells):
@@ -553,11 +552,11 @@ def hrow_compat_lp(family: str, t, f, g):
             p.add(row, EQ, t.unit_effect[c])
         for m, (cells, e) in enumerate(marginals):
             s = nv - 2 if m < na else nv - 1
-            for pv in paired:
-                target = dot(e, pv)
+            for v in t.vertices:
+                target = dot(e, v)
                 row = [zero] * nv
                 for i in cells:
-                    row[i * d:(i + 1) * d] = pv
+                    row[i * d:(i + 1) * d] = v
                 row[s] = -one
                 p.add(row, LE, target)
                 row = list(row)

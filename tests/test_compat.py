@@ -2,7 +2,6 @@
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from gptlab.ideal import (
 from gptlab.linprog import lp_feasible, lp_solve
 from gptlab.measures import linf_distance, min_le_sum
 from gptlab.model import Measurement, make_classical, make_polygon, validate_measurement
-from gptlab.scalars import InnerProduct, inverse, mat_vec
 from helpers import highs, hrow_compat_lp
 
 INV_SQ2 = 1 / math.sqrt(2)
@@ -294,21 +292,6 @@ class TestAgainstVertexForm:
             assert res.value > 1e-3
             assert res.value == pytest.approx(hrow_answer("min_mur_linf", t, *pair), abs=1e-9)
             assert not joint_violations(t, res.joint)
-
-    def test_gram_pairing(self):
-        # the same theory under the pairing G = diag(2, 3, 1): effects e become
-        # G^-1 e, so every LP keeps its answer, and the cone rays are G^-1 n_k
-        t = psi_transform(make_polygon(8))
-        gram = ((2.0, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 0.0, 1.0))
-        tg = replace(t, inner=InnerProduct(gram), kind="custom", n=None)
-        ginv = inverse(gram, t.ctx)
-        f, g = (Measurement(m.outcomes, tuple(mat_vec(ginv, e) for e in m.effects))
-                for m in (binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 3)))
-        assert_matches_hrow(tg, f, g)
-        lam, joint = max_fuzz_lambda(tg, f, g, with_joint=True)
-        assert lam == pytest.approx(max_fuzz_lambda(t, binary_ideal_measurement(t, 0),
-                                                    binary_ideal_measurement(t, 3)), abs=1e-9)
-        assert not joint_violations(tg, joint)
 
     @pytest.mark.parametrize("n_levels", [2, 3, 4, 5])
     def test_exact_classical_listings(self, n_levels):

@@ -21,6 +21,7 @@ from gptlab.ideal import (
     psi_transform,
 )
 from gptlab.model import (
+    Theory,
     make_classical,
     make_polygon,
     measurement_to_dict,
@@ -29,6 +30,7 @@ from gptlab.model import (
     validate_measurement,
 )
 from gptlab.measures import error_bar_width, linf_distance, min_le_sum, werner_distance
+from gptlab.scalars import EXACT
 
 
 class TestWitnessCandidates:
@@ -119,6 +121,16 @@ class TestPrepareConforming:
         t = harness.prepare_conforming(make_classical(2))
         assert t.canonicalized
         assert t.unit_effect == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+
+    def test_custom_simplex_not_self_dual_rejected(self):
+        # canonicalization fixes the invariant product but not the in-plane
+        # scale: this triangle's canonical form is not self-dual
+        fr = Fraction
+        t = Theory("skew-triangle", ((fr(1), fr(0), fr(1)), (fr(0), fr(1), fr(1)),
+                                     (fr(-1), fr(-1), fr(1))), (fr(0), fr(0), fr(1)), EXACT)
+        with pytest.raises(ValueError, match="canonical form of theory 'skew-triangle' is not "
+                                             "self-dual"):
+            harness.prepare_conforming(t)
 
 
 class TestVerifiers:

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gptlab.symmetry
+from gptlab import harness
 from gptlab.cones import cone_member
 from gptlab.ideal import indecomposable_pure_effects, psi_transform
-from gptlab.measures import FiniteMetricSpace
+from gptlab.measures import FiniteMetricSpace, distribution
 from gptlab.model import (
     Measurement,
     Theory,
@@ -33,8 +34,8 @@ from gptlab.model import (
     validate_measurement,
     validate_theory,
 )
-from gptlab.scalars import EXACT, InnerProduct, float_vec, solve, vadd, vscale, vsub
-from gptlab.symmetry import automorphism_group, averaged_inner_product
+from gptlab.scalars import EXACT, float_vec, vadd, vscale, vsub
+from gptlab.symmetry import automorphism_group
 
 from helpers import _same_direction, effect_space_member, facet_normals_bruteforce, member_bruteforce
 
@@ -149,21 +150,22 @@ def assert_table_is_effect_eval(t, effects):
             assert type(p) is (Fr if t.ctx.exact else float)
 
 
-def _averaged_triangle():
-    """A rational triangle under its group-averaged pairing, whose Gram matrix is not I."""
-    t = Theory(
+def _rational_triangle():
+    """A rational triangle that is no built-in theory."""
+    return Theory(
         name="rational-triangle",
         vertices=((Fr(0), Fr(0), Fr(1)), (Fr(3), Fr(0), Fr(1)), (Fr(0), Fr(1, 2), Fr(1))),
         unit_effect=(Fr(0), Fr(0), Fr(1)),
-        inner=InnerProduct.euclidean(3, EXACT),
         ctx=EXACT,
     )
-    inner = averaged_inner_product(automorphism_group(t), EXACT)
-    return replace(t, inner=inner, unit_effect=solve(inner.gram, t.unit_effect, EXACT))
 
 
 class TestProbTable:
     """prob_table against effect_eval, entry by entry."""
+
+    BUILTINS = ([make_classical(n) for n in range(1, 6)]
+                + [make_polygon(n) for n in range(3, 13)]
+                + [psi_transform(make_polygon(n)) for n in range(4, 17, 2)])
 
     @staticmethod
     def _effects(t):
@@ -171,25 +173,29 @@ class TestProbTable:
         return pures + [vsub(t.unit_effect, e) for e in pures] + [t.unit_effect, *t.vertices]
 
     def test_builtins(self):
-        theories = ([make_classical(n) for n in range(1, 6)]
-                    + [make_polygon(n) for n in range(3, 13)]
-                    + [psi_transform(make_polygon(n)) for n in range(4, 17, 2)])
-        for t in theories:
+        for t in self.BUILTINS:
             assert_table_is_effect_eval(t, self._effects(t))
 
-    def test_non_identity_gram(self):
-        t = _averaged_triangle()
-        assert t.inner != InnerProduct.euclidean(3, EXACT)
-        validate_theory(t)
-        for tt in (t, theory_to_float(t)):
-            assert tt.inner.gram[0][0] != 1
-            assert_table_is_effect_eval(tt, list(tt.vertices) + [tt.unit_effect, (1, -2, 3)])
+    def test_distribution_is_effect_eval(self):
+        # on the vertices and on the cell states of a random joint, in both modes
+        rng = np.random.default_rng(0)
+        for t in self.BUILTINS + [theory_to_float(make_classical(n)) for n in range(1, 6)]:
+            f, g = harness.ideal_pair_for(t)
+            j = harness.random_joint(t, f, g, rng)
+            states = list(t.vertices) + [state for _ab, state in harness._cell_states(t, j)]
+            effects = self._effects(t)
+            m = Measurement(tuple(range(len(effects))), effects)
+            for omega in states:
+                probs = distribution(t, m, omega, check_state=False).probs
+                for e, p in zip(effects, probs, strict=True):
+                    want = effect_eval(t, e, omega)
+                    assert p == want and repr(p) == repr(want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
                              min_size=3, max_size=3), min_size=1, max_size=4))
     def test_random_exact_effects(self, effects):
-        for t in (make_classical(2), _averaged_triangle()):
+        for t in (make_classical(2), _rational_triangle()):
             assert_table_is_effect_eval(t, [tuple(e) for e in effects])
 
     @settings(max_examples=40, deadline=None)
@@ -197,7 +203,7 @@ class TestProbTable:
                     min_size=1, max_size=4))
     def test_random_float_effects(self, effects):
         for t in (make_polygon(7), psi_transform(make_polygon(8)),
-                  theory_to_float(_averaged_triangle())):
+                  theory_to_float(_rational_triangle())):
             assert_table_is_effect_eval(t, [tuple(e) for e in effects])
 
     def test_wrong_length_rejected(self):
@@ -304,7 +310,6 @@ def _random_rational_polygon(rng) -> Theory:
                 name=f"rational-{len(hull)}-gon",
                 vertices=tuple((x, y, Fr(1)) for x, y in hull),
                 unit_effect=(Fr(0), Fr(0), Fr(1)),
-                inner=InnerProduct.euclidean(3, EXACT),
                 ctx=EXACT,
             )
 
@@ -320,7 +325,6 @@ def _random_triangular_prism(rng) -> Theory:
         name="rational-prism",
         vertices=tuple((x, y, z, Fr(1)) for z in (Fr(0), h) for x, y in tri),
         unit_effect=(Fr(0), Fr(0), Fr(0), Fr(1)),
-        inner=InnerProduct.euclidean(4, EXACT),
         ctx=EXACT,
     )
 
@@ -402,7 +406,6 @@ class TestFacetMembership:
             name="segment-in-3d",
             vertices=((Fr(1), Fr(0), Fr(1)), (Fr(0), Fr(1), Fr(1))),
             unit_effect=(Fr(0), Fr(0), Fr(1)),
-            inner=InnerProduct.euclidean(3, EXACT),
             ctx=EXACT,
         )
         with pytest.raises(ValueError, match="span only a 2-dimensional subspace"):
@@ -420,7 +423,6 @@ class TestTheoryValidation:
             name="bad",
             vertices=t.vertices + ((Fr(1, 2), Fr(1, 2)),),
             unit_effect=t.unit_effect,
-            inner=t.inner,
             ctx=t.ctx,
         )
         with pytest.raises(ValueError, match="convex combination"):
@@ -431,7 +433,6 @@ class TestTheoryValidation:
             name="bad",
             vertices=((Fr(1), Fr(0)), (Fr(-1), Fr(0))),
             unit_effect=(Fr(1), Fr(1)),
-            inner=InnerProduct.euclidean(2, EXACT),
             ctx=EXACT,
         )
         with pytest.raises(ValueError):

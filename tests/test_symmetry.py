@@ -49,15 +49,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def trapezoid():
     vs = ((Fr(2), Fr(1), Fr(1)), (Fr(-2), Fr(1), Fr(1)),
           (Fr(-1), Fr(-1), Fr(1)), (Fr(1), Fr(-1), Fr(1)))
-    return Theory("trapezoid", vs, (Fr(0), Fr(0), Fr(1)),
-                  InnerProduct.euclidean(3, EXACT), EXACT)
+    return Theory("trapezoid", vs, (Fr(0), Fr(0), Fr(1)), EXACT)
 
 
 def stretched_square():
     vs = ((Fr(2), Fr(0), Fr(1)), (Fr(0), Fr(1), Fr(1)),
           (Fr(-2), Fr(0), Fr(1)), (Fr(0), Fr(-1), Fr(1)))
-    return Theory("stretched-square", vs, (Fr(0), Fr(0), Fr(1)),
-                  InnerProduct.euclidean(3, EXACT), EXACT)
+    return Theory("stretched-square", vs, (Fr(0), Fr(0), Fr(1)), EXACT)
 
 
 def stretched_pentagon():
@@ -111,7 +109,7 @@ class TestAutomorphismGroup:
 
     def test_nonspanning_vertices_rejected(self):
         t = Theory("flat", ((Fr(1), Fr(0), Fr(1)), (Fr(-1), Fr(0), Fr(1))),
-                   (Fr(0), Fr(0), Fr(1)), InnerProduct.euclidean(3, EXACT), EXACT)
+                   (Fr(0), Fr(0), Fr(1)), EXACT)
         with pytest.raises(ValueError, match="span"):
             automorphism_group(t)
 
@@ -334,6 +332,32 @@ class TestXiCanonicalize:
             # positive but does not map the cone onto its dual
             xi_canonicalize(t, ((5.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
+    def test_float_j_on_exact_theory(self):
+        t = make_classical(2)
+        out = xi_canonicalize(t, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        assert out.vertices == t.vertices
+        assert all(isinstance(a, Fr) for v in out.vertices for a in v)
+
+    def test_conjugate_average_matches_per_element(self):
+        # any J averages, so a random rational one: exact results are equal,
+        # float ones agree to 1e-12 (inverses come from the group, not Gauss-Jordan)
+        rng = np.random.default_rng(3)
+        theories = ([make_classical(n) for n in range(1, 5)]
+                    + [sheared_polygon(name, pts) for name, pts in RATIONAL_SHAPES.items()]
+                    + [make_polygon(n) for n in range(3, 13)]
+                    + [psi_transform(make_polygon(n)) for n in range(4, 17, 2)]
+                    + [stretched_pentagon()])
+        for t in theories:
+            g = automorphism_group(t)
+            j = t.ctx.mat([[Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                            for _ in range(t.dim)] for _ in range(t.dim)])
+            got = gptlab.symmetry._average_conjugates(g, j, t.ctx)
+            want = conjugate_average_per_element(g, j, t.ctx)
+            if t.ctx.exact:
+                assert got == want
+            else:
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
 
 # ---------------------------------------------------------------------------
 # the integer-numerator search against the plain Fraction search
@@ -367,13 +391,22 @@ def sheared_polygon(name, pts):
     """A polygon under a rational scaling, shear and shift: denominators 2..315."""
     vs = tuple((Fr(3, 2) * x + Fr(1, 3) * y + Fr(1, 5), Fr(5, 7) * y - Fr(2, 9), Fr(1))
                for x, y in pts)
-    return Theory(f"sheared-{name}", vs, (Fr(0), Fr(0), Fr(1)), InnerProduct.euclidean(3, EXACT), EXACT)
+    return Theory(f"sheared-{name}", vs, (Fr(0), Fr(0), Fr(1)), EXACT)
 
 
 def naive_average(g, ctx):
     total = None
     for mat in g.elements:
         term = mat_mul(transpose(mat), mat)
+        total = term if total is None else mat_add(total, term)
+    return mat_scale(1 / ctx.convert(g.order), total)
+
+
+def conjugate_average_per_element(g, j, ctx):
+    """avg M^-1 J M, one element at a time, each inverted by Gauss-Jordan."""
+    total = None
+    for mat in g.elements:
+        term = mat_mul(inverse(mat, ctx), mat_mul(j, mat))
         total = term if total is None else mat_add(total, term)
     return mat_scale(1 / ctx.convert(g.order), total)
 
@@ -420,7 +453,7 @@ class TestIntegerNumeratorSearch:
         # at coordinates of 1e6 a shift of 1e-4 passes the pruning, and only
         # the per-vertex check rejects the six maps of the square it breaks
         vs = ((1e6 + 1e-4, 1e6, 1.0), (-1e6, 1e6, 1.0), (-1e6, -1e6, 1.0), (1e6, -1e6, 1.0))
-        t = Theory("big-square", vs, (0.0, 0.0, 1.0), InnerProduct.euclidean(3, FLOAT), FLOAT)
+        t = Theory("big-square", vs, (0.0, 0.0, 1.0), FLOAT)
         assert assert_same_as_reference(t).order == 2
 
     def test_float_polygons_bit_identical(self):
@@ -550,7 +583,7 @@ def _circle_point(s):
 def _theory(name, pts):
     d = len(pts[0]) + 1
     return Theory(name, tuple(tuple(Fr(a) for a in p) + (Fr(1),) for p in pts),
-                  (Fr(0),) * (d - 1) + (Fr(1),), InnerProduct.euclidean(d, EXACT), EXACT)
+                  (Fr(0),) * (d - 1) + (Fr(1),), EXACT)
 
 
 @st.composite
@@ -689,8 +722,7 @@ class TestSignChecks:
             base = transpose(pts)
         m = mat_mul(_invertible(data.draw, d), base)
         minv = inverse(m, EXACT)
-        t = Theory("pushed-simplex", transpose(m), mat_vec(transpose(minv), (Fr(1),) * d),
-                   InnerProduct.euclidean(d, EXACT), EXACT)
+        t = Theory("pushed-simplex", transpose(m), mat_vec(transpose(minv), (Fr(1),) * d), EXACT)
         gram = InnerProduct(mat_mul(transpose(minv), minv))
         assert is_self_dual(t, gram)
         assert self_dual_lp(t, gram)
@@ -748,7 +780,8 @@ def test_theory_layer_solves_no_lp(monkeypatch, tmp_path, capsys):
         xi_canonicalize(make_polygon(5), ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 1.0)))
     files = structure_theory_files(tmp_path, seed=13)
     cube = load_theory(files["cube"])
-    assert not is_self_dual(prepare_conforming(cube))
+    with pytest.raises(ValueError, match="not self-dual"):
+        prepare_conforming(cube)
     for t in (make_classical(3), make_polygon(7), recovered):
         assert len(indecomposable_pure_effects(prepare_conforming(t))) == t.n_vertices
     for path in files.values():
