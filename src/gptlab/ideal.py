@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .model import (
     Measurement,
@@ -25,9 +26,8 @@ from .model import (
     in_state_space,
     is_zero_effect,
     polygon_radius,
-    prob_table,
 )
-from .scalars import Context, dot, mat_vec, vadd, vscale, vsub
+from .scalars import Context, dot, mat_vec, stacked, vadd, vscale, vsub
 from .symmetry import is_self_dual
 
 
@@ -193,20 +193,21 @@ def _veckey(v, ctx: Context):
     return tuple(round(float(a), 9) for a in v)
 
 
-def _valid_sums(t: Theory, pures) -> dict:
+def _valid_sums(pures, verts, one, ctx: Context) -> dict:
     """All valid nonzero effects of the form sum_{i in S} e_i, keyed by S.
 
-    Vertex values of a sum are monotone in S (pure effects are nonnegative
-    on states), so supersets of an invalid sum are pruned.
+    Effects and vertices are numerators (see ``enumerate_ideal_measurements``),
+    so an effect is at most one on a vertex when its product is at most
+    ``one``.  Vertex values of a sum are monotone in S (pure effects are
+    nonnegative on states), so supersets of an invalid sum are pruned.
     """
-    ctx = t.ctx
     n = len(pures)
     out = {}
 
     def grow(start: int, idx: frozenset, vec) -> None:
         for i in range(start, n):
             cand = vadd(vec, pures[i]) if vec is not None else pures[i]
-            if all(ctx.le(p, 1) for p in prob_table(t, [cand])[0]):
+            if all(ctx.le(dot(cand, v), one) for v in verts):
                 s = idx | {i}
                 out[frozenset(s)] = cand
                 grow(i + 1, frozenset(s), cand)
@@ -221,6 +222,14 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
     Each effect is a valid nonzero sum of pure indecomposable effects or
     the unit effect minus one; families must sum to the unit effect.
     Relabelings are collapsed by sorting the effect coordinate vectors.
+
+    The search runs on numerators: effects over one common denominator and
+    vertices over another, ints in exact mode and the floats themselves in
+    float mode.  A vertex value is then a ``dot`` of numerators, the sum
+    ``prob_table`` forms, over the product of the two denominators, and the
+    search adds, compares and keys no Fraction; sorting and keying by
+    numerators orders the effects as their values would.  Fractions are
+    built only for the effects of the result.
     """
     from .measures import FiniteMetricSpace
 
@@ -228,29 +237,33 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
         return ()
     ctx = t.ctx
     pures = indecomposable_pure_effects(t)
-    sums = _valid_sums(t, pures)
-    u = t.unit_effect
+    effects, eden = stacked(list(pures) + [t.unit_effect], ctx)
+    *pures, u = map(tuple, effects.tolist())
+    verts, vden = stacked(t.vertices, ctx)
+    verts = list(map(tuple, verts.tolist()))
+    one = eden * vden  # the numerator of a vertex value of one
+    sums = _valid_sums(pures, verts, one, ctx)
 
     # one candidate per coordinate vector, sums before complements; only valid
     # effects (in [0, 1] on every vertex, enough by convexity) enter the
     # search, which tracks the remainder's vertex values as they decrease
     order = sorted(sums, key=lambda s: (len(s), sorted(s)))
-    seen, unique = set(), []
+    seen, candidates, vals = set(), [], []
     for tag, s in [("sum", s) for s in order] + [("complement", s) for s in order]:
         vec = sums[s] if tag == "sum" else vsub(u, sums[s])
         key = _veckey(vec, ctx)
-        if key not in seen and not is_zero_effect(t, vec):
-            seen.add(key)
-            unique.append((tag, s, vec))
-    *rows, u_evals = prob_table(t, [c[2] for c in unique] + [u])
-    kept = [(c, row) for c, row in zip(unique, rows)
-            if all(ctx.ge(p, 0) and ctx.le(p, 1) for p in row)]
-    candidates, evals = [c for c, _ in kept], [row for _, row in kept]
+        if key in seen or is_zero_effect(t, vec):
+            continue
+        seen.add(key)
+        row = tuple(dot(vec, v) for v in verts)
+        if all(ctx.ge(p, 0) and ctx.le(p, one) for p in row):
+            candidates.append((tag, s, vec))
+            vals.append(row)
     by_key = {_veckey(c[2], ctx): i for i, c in enumerate(candidates)}
 
     found = {}
 
-    def search(start: int, chosen: list, rest, rest_evals) -> None:
+    def search(start: int, chosen: list, rest, rest_vals) -> None:
         if chosen and is_zero_effect(t, rest):
             if len(chosen) >= 2:
                 _record(chosen)
@@ -261,38 +274,34 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
         if chosen and slots == 1:
             i = by_key.get(_veckey(rest, ctx))
             if i is not None and i >= start:
-                _record(chosen + [candidates[i]])
+                _record(chosen + [i])
             return
         for i in range(start, len(candidates)):
-            new_evals = tuple(r - e for r, e in zip(rest_evals, evals[i]))
-            if any(ctx.lt(v, 0) for v in new_evals):
+            new_vals = tuple(r - e for r, e in zip(rest_vals, vals[i]))
+            if any(ctx.lt(v, 0) for v in new_vals):
                 continue  # remainder went negative on a vertex; dead end
-            search(
-                i,
-                chosen + [candidates[i]],
-                vsub(rest, candidates[i][2]),
-                new_evals,
-            )
+            search(i, chosen + [i], vsub(rest, candidates[i][2]), new_vals)
 
     def _record(chosen: list) -> None:
-        order = sorted(range(len(chosen)), key=lambda i: _veckey(chosen[i][2], ctx))
-        key = tuple(_veckey(chosen[i][2], ctx) for i in order)
-        if key in found:
-            return
-        effects = tuple(chosen[i][2] for i in order)
-        prov = tuple((chosen[i][0], chosen[i][1]) for i in order)
-        k = len(effects)
-        found[key] = IdealMeasurement(
-            outcomes=tuple(range(k)),
-            effects=effects,
-            metric=FiniteMetricSpace.discrete(tuple(range(k))),
-            provenance=prov,
-        )
+        order = sorted(chosen, key=lambda i: _veckey(candidates[i][2], ctx))
+        key = tuple(_veckey(candidates[i][2], ctx) for i in order)
+        if key not in found:
+            found[key] = order
 
-    search(0, [], u, u_evals)
-    return tuple(sorted(
-        found.values(), key=lambda m: (m.n_outcomes, tuple(_veckey(e, ctx) for e in m.effects))
-    ))
+    def _effect(vec) -> tuple:
+        return tuple(Fraction(x, eden) for x in vec) if ctx.exact else vec
+
+    search(0, [], u, tuple(dot(u, v) for v in verts))
+    out = []
+    for key in sorted(found, key=lambda key: (len(key), key)):
+        k = len(key)
+        out.append(IdealMeasurement(
+            outcomes=tuple(range(k)),
+            effects=tuple(_effect(candidates[i][2]) for i in found[key]),
+            metric=FiniteMetricSpace.discrete(tuple(range(k))),
+            provenance=tuple(candidates[i][:2] for i in found[key]),
+        ))
+    return tuple(out)
 
 
 def binary_ideal_measurement(t: Theory, index: int) -> IdealMeasurement:

@@ -6,26 +6,33 @@ pivoting over rationals is needed for cone certificates, so we ship our
 own dense tableau simplex instead of binding an external solver.
 
 One tableau serves both scalar modes (:class:`_Tableau`): its rows and
-right-hand side sit in one numpy array, float64 in float mode and
-Fractions (object dtype) in exact mode, so a pivot is one rank-1 update
-instead of a Python loop per row, and the pivot, ratio test, price-out
-and phase-1 steps are the same code in either mode.  Every pivot follows
-Bland's anti-cycling rule: the entering variable is the lowest index
-with a negative reduced cost, and ties in the ratio test break toward
-the lowest basis index.  Float LP data must be finite; a nan or inf
-raises a ValueError before any pivot.
+right-hand side sit in one numpy array over one denominator, float64
+over 1 in float mode and Python int numerators (object dtype) over a
+positive int in exact mode, so a pivot is one rank-1 update instead of
+a Python loop per row.  The exact pivot is fraction-free (Edmonds 1967;
+Bareiss 1968): every row is scaled by the pivot instead of divided by
+it, and the array is then reduced by its gcd.  Price-out, the entering
+test and the phase-1 steps are the same code in either mode; the pivot
+update and the ratio test have one exact branch each, where ratios
+compare as Fractions of the candidate rows.  Exact values leave the
+tableau as Fractions, equal to those of Fraction arithmetic.  Every
+pivot follows Bland's anti-cycling rule: the entering variable is the
+lowest index with a negative reduced cost, and ties in the ratio test
+break toward the lowest basis index.  Float LP data must be finite; a
+nan or inf raises a ValueError before any pivot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .scalars import Context, FLOAT, dot
+from .scalars import Context, FLOAT, dot, numerators, reduced, stacked
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -98,66 +105,83 @@ class FeasibilityResult:
 class _Tableau:
     """Dense simplex tableau in standard form: min c.y, A y = b, y >= 0.
 
-    Rows and right-hand side live in one array, float64 in float mode and
-    Fractions (object dtype) in exact mode.  The last column holds the
-    right-hand side, and the objective row carries -z in its last entry,
-    so a pivot updates both with the rows.
+    Rows and right-hand side live in one array ``t`` over one positive
+    denominator ``den``: float64 over 1 in float mode, Python int
+    numerators (object dtype) in exact mode.  The last column holds the
+    right-hand side, and the objective row, numerators over a denominator
+    of its own, carries -z in its last entry, so a pivot updates both with
+    the rows.  The exact pivot is the integer-preserving update followed
+    by a reduction to lowest terms; values leave as Fractions (``rhs``
+    and the z of :meth:`run`).
     """
 
     def __init__(self, rows, rhs, ctx):
-        self.t = np.empty((len(rows), len(rows[0]) + 1), dtype=object if ctx.exact else float)
-        self.t[:, :-1] = rows
-        self.t[:, -1] = rhs
-        self.ctx = ctx
-        # pivot and entering tests compare with this; exact mode needs a
-        # Fraction zero, since adding the float 0.0 would turn entries into floats
-        self.tol = ctx.zero() if ctx.exact else ctx.tol
+        self.t, self.den = stacked([list(row) + [b] for row, b in zip(rows, rhs)], ctx)
+        self.exact = ctx.exact
+        self.tol = 0 if ctx.exact else ctx.tol  # entering and pivot tests compare with this
         self.basis = [-1] * len(rows)
+
+    def _value(self, num, den):
+        return Fraction(num, den) if self.exact else num
 
     @property
     def rhs(self):
-        return self.t[:, -1].tolist()
+        return [self._value(b, self.den) for b in self.t[:, -1].tolist()]
 
     def price_out(self, cost):
-        """Objective row (reduced costs) for the current basis, then -z."""
-        obj = np.array(cost + [self.ctx.zero()], dtype=self.t.dtype)
+        """``(obj, oden)``: the objective row (reduced costs, then -z) for the
+        current basis, as numerators over ``oden``."""
+        cost, cden = numerators(cost) if self.exact else (cost, 1)
+        obj = np.array(cost + [0], dtype=self.t.dtype) * self.den
         for i, bj in enumerate(self.basis):
             cb = cost[bj]
             if cb == 0:
                 continue
             obj -= cb * self.t[i]
-        return obj
+        return reduced(obj, cden * self.den) if self.exact else (obj, 1)
 
     def pivot(self, r, c):
         t = self.t
-        t[r] *= 1 / t[r, c]
         f = t[:, c].copy()
         f[r] = 0
         nz = np.flatnonzero(f)
-        t[nz] -= np.outer(f[nz], t[r])
+        if self.exact:
+            # over den * p: row r becomes den t_r, every other row p t_i - t_ic t_r
+            p, prow = t[r, c], t[r].copy()
+            t *= p
+            t[r] = self.den * prow
+            t[nz] -= np.outer(f[nz], prow)
+            self.t, self.den = reduced(t, self.den * p)
+        else:
+            t[r] *= 1 / t[r, c]
+            t[nz] -= np.outer(f[nz], t[r])
         self.basis[r] = c
 
     def run(self, cost, nenter):
         """Minimise cost over the current basis, entering only columns below
         `nenter`; returns (status, z)."""
-        tol, t = self.tol, self.t
-        obj = self.price_out(cost)
+        tol = self.tol
+        obj, oden = self.price_out(cost)
         for _ in range(_MAX_PIVOTS):
             negative = np.flatnonzero(~(0 <= obj[:nenter] + tol))
             if not negative.size:
-                return "optimal", obj.item(-1)
+                return "optimal", self._value(obj.item(-1), oden)
             enter = int(negative[0])  # Bland: lowest index
+            t = self.t
             col = t[:, enter]
             rows = np.flatnonzero(~(col <= tol))
             if not rows.size:
-                return "unbounded", obj.item(-1)
-            ratios = t[rows, -1] / col[rows]
+                return "unbounded", self._value(obj.item(-1), oden)
+            # exact ratios compare as Fractions of the candidate rows
+            ratios = (_fractions if self.exact else np.divide)(t[rows, -1], col[rows])
             tied = rows[ratios == ratios.min()]
             leave = int(min(tied, key=self.basis.__getitem__))
             self.pivot(leave, enter)
             fobj = obj[enter]
-            if fobj != 0:
-                obj -= fobj * t[leave]
+            if self.exact:
+                obj, oden = reduced(obj * self.den - fobj * self.t[leave], oden * self.den)
+            elif fobj != 0:
+                obj -= fobj * self.t[leave]
         raise RuntimeError("simplex exceeded pivot budget (cycling?)")
 
     # phase-1 steps
@@ -166,15 +190,15 @@ class _Tableau:
         """Per row, the highest of the first `ncols` columns that is the unit
         vector with its 1 in that row, or -1."""
         block = self.t[:, :ncols]
-        unit = (block == 1) & ((block != 0).sum(axis=0) == 1)
+        unit = (block == self.den) & ((block != 0).sum(axis=0) == 1)
         return [int(js[-1]) if js.size else -1 for js in map(np.flatnonzero, unit)]
 
     def add_artificials(self, need):
         """Append a unit column for each row in `need`, make it basic there,
         and return the new column indices."""
         base = self.t.shape[1] - 1
-        art = np.full((len(self.basis), len(need)), self.ctx.zero(), dtype=self.t.dtype)
-        art[need, range(len(need))] = self.ctx.one()
+        art = np.zeros((len(self.basis), len(need)), dtype=self.t.dtype)
+        art[need, range(len(need))] = self.den
         self.t = np.hstack([self.t[:, :base], art, self.t[:, base:]])
         for k, i in enumerate(need):
             self.basis[i] = base + k
@@ -190,6 +214,9 @@ class _Tableau:
         keep = [i for i in range(len(self.basis)) if i not in drop_rows]
         self.t = np.hstack([self.t[keep, :ncols], self.t[keep, -1:]])
         self.basis = [self.basis[i] for i in keep]
+
+
+_fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 def _standardize(p: LinearProgram, ctx: Context):

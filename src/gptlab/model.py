@@ -33,7 +33,9 @@ from .scalars import (
     float_vec,
     inverse,
     mat_vec,
+    ordered_matmul,
     rank,
+    stacked,
     vadd,
 )
 
@@ -184,7 +186,16 @@ def validate_measurement(t: Theory, m: Measurement) -> bool:
 
 
 def validate_theory(t: Theory) -> None:
-    """Check the structural invariants; raises ValueError on the first failure."""
+    """Check the structural invariants; raises ValueError on the first failure.
+
+    Vertex i is extreme when no other vertex equals it and the facet
+    normals tight at it have rank d - 1: a ray of a pointed cone is
+    extreme exactly then, and the unit effect is one on every vertex, so a
+    second vertex on the same ray is the same point.  One facet-by-vertex
+    product, on numerators in exact mode and summed in index order as
+    ``dot`` does in float mode, gives every tight normal; the lowest
+    failing vertex is reported.
+    """
     ctx = t.ctx
     if not t.vertices:
         raise ValueError("theory has no vertices")
@@ -201,8 +212,12 @@ def validate_theory(t: Theory) -> None:
         raise ValueError(
             f"affine dimension {hull.dim} does not match ambient dimension {t.dim}"
         )
+    normals, _ = stacked(t.facet_normals, ctx)
+    verts, _ = stacked(t.vertices, ctx)
+    tight = ctx.is_zero(ordered_matmul(normals, verts.T))  # tight[k, i]: n_k . v_i = 0
+    same = ctx.eq(verts[:, None, :], verts).all(axis=-1)
     for i in range(t.n_vertices):
-        if not _vertex_extreme(t, i):
+        if same[i].sum() > 1 or rank(normals[tight[:, i]].tolist(), ctx) != t.dim - 1:
             raise ValueError(f"vertex {i} is a convex combination of the others")
 
 
@@ -216,20 +231,6 @@ def effect_cone_rays(t: Theory, inner: InnerProduct) -> tuple:
     if ginv is None:
         raise ValueError("the pairing's Gram matrix is singular")
     return tuple(mat_vec(ginv, n) for n in t.facet_normals)
-
-
-def _vertex_extreme(t: Theory, i: int) -> bool:
-    """Vertex i spans an extreme ray of the state cone and no other vertex equals it.
-
-    A ray of a pointed cone is extreme exactly when the facet normals
-    tight at it have rank d - 1.  The unit effect is one on every vertex,
-    so a second vertex on the same ray is the same point.
-    """
-    ctx, v = t.ctx, t.vertices[i]
-    if any(ctx.vec_eq(w, v) for j, w in enumerate(t.vertices) if j != i):
-        return False
-    tight = [n for n in t.facet_normals if ctx.is_zero(dot(n, v))]
-    return rank(tight, ctx) == t.dim - 1
 
 
 # ---------------------------------------------------------------------------

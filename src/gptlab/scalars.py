@@ -9,6 +9,14 @@ about which one is active.
 Vectors are plain tuples and matrices are tuples of row tuples.  Ambient
 dimensions here are tiny (rarely above five), so the helpers are pure
 Python and accept Fractions and floats alike.
+
+Exact mode runs its heavy arithmetic on Python ints over one common
+denominator: :func:`numerators` clears the denominators of a list,
+:func:`stacked` turns nested sequences into one numpy array of numerators
+(object dtype, or float64 over 1 in float mode), :func:`reduced` keeps
+such an array in lowest terms, and :func:`ordered_matmul` multiplies
+stacks of matrices with every sum taken in index order, as :func:`dot`
+does.  A Fraction is built only where a value leaves those layers.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -147,6 +157,48 @@ def mat_scale(c, m):
     return tuple(vscale(c, r) for r in m)
 
 
+def numerators(xs) -> tuple:
+    """``(nums, den)``: the rationals ``xs`` as a list of ints over the lcm of
+    their denominators, so ``xs[i] == nums[i] / den``."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def stacked(xs, ctx: Context):
+    """``(array, den)``: nested sequences of scalars as one array of numerators over ``den``.
+
+    Exact scalars become Python ints (object dtype) over the lcm of all
+    their denominators, so products and comparisons run on ints instead
+    of Fractions; floats become float64 over 1.
+    """
+    if not ctx.exact:
+        return np.array(xs, dtype=float), 1
+    arr = np.array(xs, dtype=object)
+    nums, den = numerators(arr.ravel().tolist())
+    return np.array(nums, dtype=object).reshape(arr.shape), den
+
+
+def reduced(nums, den) -> tuple:
+    """``(nums // g, den // g)`` for the int array ``nums`` over the nonzero ``den``:
+    ``g`` is the gcd of ``den`` and every entry, signed so the new ``den`` is positive."""
+    g = math.gcd(den, *nums.ravel().tolist())
+    if den < 0:
+        g = -g
+    return nums // g, den // g
+
+
+def ordered_matmul(a, b):
+    """``a @ b`` over the last two axes, broadcast over the leading ones.
+
+    Each entry sums over the inner index in order, starting from zero, as
+    :func:`dot` does, so float entries are bit-identical to ``mat_mul``.
+    """
+    total = 0
+    for i in range(a.shape[-1]):
+        total = total + a[..., :, i, None] * b[..., None, i, :]
+    return total
+
+
 def _pivot_order(col_abs, ctx):
     # float mode: partial pivoting; exact: first nonzero
     if ctx.exact:
@@ -164,7 +216,14 @@ def _pivot_order(col_abs, ctx):
 
 
 def rank(rows: Sequence[Sequence], ctx: Context) -> int:
-    """Rank by Gaussian elimination with the context's zero test."""
+    """Rank by Gaussian elimination with the context's zero test.
+
+    Exact rows are scaled to integers, which keeps the rank, and reduced by
+    fraction-free elimination (Bareiss, 1968): ``m_i <- (p m_i - m_ic m_r) / p_prev``
+    with ``p_prev`` the previous pivot, an exact integer division.
+    """
+    if ctx.exact:
+        return _int_rank([numerators(r)[0] for r in rows])
     m = [list(r) for r in rows]
     if not m:
         return 0
@@ -184,6 +243,24 @@ def rank(rows: Sequence[Sequence], ctx: Context) -> int:
             if f == 0:
                 continue
             m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
+def _int_rank(m: list) -> int:
+    r, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pv = m[r][c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], m[r])]
+        prev = pv
         r += 1
         if r == len(m):
             break

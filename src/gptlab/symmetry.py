@@ -23,22 +23,24 @@ leaves are built in one batch and checked on every vertex, so only maps
 that permute the vertices, and so carry the polytope onto itself, are
 kept, in lexicographic order of their permutation.
 
-Exact and float mode share one code path on numpy arrays: ``_stacked``
-turns a list of matrices into one ``(k, rows, cols)`` array of numerators
-over one denominator, Python ints (object dtype) in exact mode and
-float64 in float mode.  The group averages (invariant product, the fixed
-point check of the mixed state, invariant projection, the conjugation
-into canonical coordinates) run on the stack of all group elements with
-one batched product, ``_matmul``, which sums the inner index in order
-from zero as ``scalars.dot`` does, so float results are bit-identical to
-the tuple formulas.  A Fraction is built only for each distinct stored
-entry.
+Exact and float mode share one code path on numpy arrays:
+``scalars.stacked`` turns a list of matrices into one ``(k, rows, cols)``
+array of numerators over one denominator, Python ints (object dtype) in
+exact mode and float64 in float mode.  Each group keeps one such stack
+per mode (:meth:`SymmetryGroup.stack`), built at most once, and the
+search hands it the numerators it already has.  The group averages
+(invariant product, the fixed point check of the mixed state, invariant
+projection, the conjugation into canonical coordinates) run on that stack
+with one batched product, ``scalars.ordered_matmul``, which sums the
+inner index in order from zero as ``scalars.dot`` does, so float results
+are bit-identical to the tuple formulas.  A Fraction is built only for
+each distinct stored entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -57,8 +59,11 @@ from .scalars import (
     mat_scale,
     mat_sub,
     mat_vec,
+    ordered_matmul,
     rank,
+    reduced,
     sqrt_scalar,
+    stacked,
     transpose,
     vscale,
     vsub,
@@ -71,10 +76,23 @@ class SymmetryGroup:
 
     elements: tuple  # matrices
     perms: tuple  # vertex permutations aligned with elements
+    # ctx.exact -> the read-only stack of the elements in that mode
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def stack(self, ctx: Context) -> tuple:
+        """``(array, den)``: the elements as ``scalars.stacked`` gives them in
+        ctx's mode, built on first use and kept on this group."""
+        if ctx.exact not in self._stacks:
+            self._keep(ctx, *stacked(self.elements, ctx))
+        return self._stacks[ctx.exact]
+
+    def _keep(self, ctx: Context, arr, den) -> None:
+        arr.flags.writeable = False
+        self._stacks[ctx.exact] = (arr, den)
 
 
 def _perm_of_matrix(t_mat, vertices, ctx) -> Optional[tuple]:
@@ -142,32 +160,6 @@ def automorphism_group(t: Theory, force_search: bool = False) -> SymmetryGroup:
     return _search_group(t)
 
 
-def _stacked(mats, ctx: Context):
-    """``(stack, den)``: the matrices as one ``(k, rows, cols)`` array of numerators over ``den``.
-
-    Exact matrices become Python ints (object dtype) over the lcm of all
-    their denominators, so products and comparisons run on ints instead
-    of Fractions; float matrices become float64 over 1.
-    """
-    if not ctx.exact:
-        return np.array(mats, dtype=float), 1
-    den = math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
-    return np.array([[[x.numerator * (den // x.denominator) for x in row] for row in mat]
-                     for mat in mats], dtype=object), den
-
-
-def _matmul(a, b):
-    """``a @ b`` over the last two axes, broadcast over the leading ones.
-
-    Each entry sums over the inner index in order, starting from zero, as
-    ``scalars.dot`` does, so float entries are bit-identical to ``mat_mul``.
-    """
-    total = 0
-    for i in range(a.shape[-1]):
-        total = total + a[..., :, i, None] * b[..., None, i, :]
-    return total
-
-
 def _as_tuples(arr, den=1):
     """The entries of an array as nested tuples: ints become Fractions ``x / den``
     (one per distinct value), floats stay as they are."""
@@ -204,7 +196,7 @@ def _vertex_perms(maps, w, target, ctx):
     step = max(1, _BATCH_CELLS // (len(w) * w.size))
     found = []
     for start in range(0, len(maps), step):
-        images = np.swapaxes(_matmul(maps[start:start + step], w.T), 1, 2)  # t_k w_j
+        images = np.swapaxes(ordered_matmul(maps[start:start + step], w.T), 1, 2)  # t_k w_j
         hit = ctx.eq(images[:, :, None, :], target).all(axis=-1)  # hit[k, j, c]
         perms = hit.argmax(axis=-1)
         ok = hit.any(axis=-1).all(axis=-1)  # every image is a target row
@@ -219,14 +211,14 @@ def _search_group(t: Theory) -> SymmetryGroup:
     verts = t.vertices
     nv = len(verts)
     d = t.dim
-    (w,), vden = _stacked([verts], ctx)  # vertices w / vden
+    w, vden = stacked(verts, ctx)  # vertices w / vden
     # the pruning form m = V Q^-1 V^T with Q = sum_v v v^T, on numerators
     # (a positive factor off in exact mode, which no comparison sees)
-    qinv = inverse(_as_tuples(_matmul(w.T, w), vden * vden), ctx)
+    qinv = inverse(_as_tuples(ordered_matmul(w.T, w), vden * vden), ctx)
     if qinv is None:
         raise ValueError("vertices do not span the ambient space")
-    (qi,), _ = _stacked([qinv], ctx)
-    m = _matmul(w, _matmul(qi, w.T)).tolist()
+    qi, _ = stacked(qinv, ctx)
+    m = ordered_matmul(w, ordered_matmul(qi, w.T)).tolist()
 
     span_idx: list[int] = []
     for i in range(nv):
@@ -236,7 +228,7 @@ def _search_group(t: Theory) -> SymmetryGroup:
             break
     # spanning-basis inverse wa / aden: a candidate map is
     # T = (w_img / vden)(wa / aden), i.e. t / wden with t = w_img wa
-    (wa,), aden = _stacked([inverse(transpose([verts[i] for i in span_idx]), ctx)], ctx)
+    wa, aden = stacked(inverse(transpose([verts[i] for i in span_idx]), ctx), ctx)
     wden = vden * aden
 
     # backtracking over the images of the spanning vertices only: they fix the map
@@ -270,9 +262,13 @@ def _search_group(t: Theory) -> SymmetryGroup:
     extend(0)
     # t = w_img^T wa for every leaf at once; T v_j = v_p(j) iff t w_j = wden w_p(j),
     # and this check on every vertex is what makes T an automorphism
-    maps = _matmul(np.swapaxes(w[np.array(leaves)], 1, 2), wa)
+    maps = ordered_matmul(np.swapaxes(w[np.array(leaves)], 1, 2), wa)
     perms, maps = _vertex_perms(maps, w, wden * w, ctx)
-    return SymmetryGroup(_as_tuples(maps, wden), tuple(perms))
+    if ctx.exact:
+        maps, wden = reduced(maps, wden)  # lowest terms: what stacking the elements gives
+    group = SymmetryGroup(_as_tuples(maps, wden), tuple(perms))
+    group._keep(ctx, maps, wden)
+    return group
 
 
 def is_transitive(g: SymmetryGroup, t: Theory) -> bool:
@@ -293,9 +289,9 @@ def maximally_mixed(t: Theory, g: Optional[SymmetryGroup] = None):
         total = tuple(a + b for a, b in zip(total, v))
     k = ctx.convert(t.n_vertices)
     omega_m = tuple(a / k for a in total)
-    (w,), _ = _stacked([[omega_m]], ctx)
-    stack, den = _stacked(g.elements, ctx)
-    if not ctx.eq(_matmul(stack, w.T), den * w.T).all():
+    w, _ = stacked([omega_m], ctx)
+    stack, den = g.stack(ctx)
+    if not ctx.eq(ordered_matmul(stack, w.T), den * w.T).all():
         raise RuntimeError("group element does not fix the vertex average")
     return omega_m
 
@@ -340,8 +336,8 @@ def averaged_inner_product(g: SymmetryGroup, ctx: Context = FLOAT) -> InnerProdu
     """
     if not g.elements:
         raise ValueError("empty group")
-    stack, den = _stacked(g.elements, ctx)
-    total = np.add.accumulate(_matmul(np.swapaxes(stack, 1, 2), stack))[-1]
+    stack, den = g.stack(ctx)
+    total = np.add.accumulate(ordered_matmul(np.swapaxes(stack, 1, 2), stack))[-1]
     return InnerProduct(mat_scale(1 / ctx.convert(g.order * den * den), total.tolist()))
 
 
@@ -352,7 +348,7 @@ def projector_pm(g: SymmetryGroup, ctx: Context = FLOAT):
     """
     if not g.elements:
         raise ValueError("empty group")
-    stack, den = _stacked(g.elements, ctx)
+    stack, den = g.stack(ctx)
     return mat_scale(1 / ctx.convert(g.order * den), np.add.accumulate(stack)[-1].tolist())
 
 
@@ -378,9 +374,10 @@ def canonicalize(t: Theory) -> CanonicalForm:
         raise ValueError("canonicalization requires a transitive theory")
     tf = theory_to_float(t)
     ctx = tf.ctx
-    stack, den = _stacked(g.elements, t.ctx)
+    stack, den = g.stack(t.ctx)
     stack = (stack / den).astype(float)
     gf = SymmetryGroup(_as_tuples(stack), g.perms)
+    gf._keep(ctx, stack, 1)
     tf = tf.with_group(gf)
     tf = rescale_unit_norm(tf, gf)
     omega_m = maximally_mixed(tf, gf)
@@ -407,9 +404,9 @@ def canonicalize(t: Theory) -> CanonicalForm:
     new_vertices = tuple(mat_vec(transform, v) for v in tf.vertices)
     # effects map contravariantly: e_new = (M^-1)^T e
     new_u = mat_vec(transpose(inv_t), tf.unit_effect)
-    new_group = SymmetryGroup(
-        _as_tuples(_matmul(_matmul(np.array(transform), stack), np.array(inv_t))), gf.perms
-    )
+    conjugated = ordered_matmul(ordered_matmul(np.array(transform), stack), np.array(inv_t))
+    new_group = SymmetryGroup(_as_tuples(conjugated), gf.perms)
+    new_group._keep(ctx, conjugated, 1)
     theory_c = replace(
         tf,
         name=t.name if t.canonicalized else f"{t.name}-canonical",
@@ -449,9 +446,9 @@ def _average_conjugates(g: SymmetryGroup, j_map, ctx: Context):
     """
     index = {p: k for k, p in enumerate(g.perms)}
     inverses = [index[tuple(np.argsort(p).tolist())] for p in g.perms]
-    stack, den = _stacked(g.elements, ctx)
-    (j,), jden = _stacked([j_map], ctx)
-    total = np.add.accumulate(_matmul(_matmul(stack[inverses], j), stack))[-1]
+    stack, den = g.stack(ctx)
+    j, jden = stacked(j_map, ctx)
+    total = np.add.accumulate(ordered_matmul(ordered_matmul(stack[inverses], j), stack))[-1]
     return mat_scale(1 / ctx.convert(g.order * den * den * jden), total.tolist())
 
 
@@ -530,5 +527,5 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
         vertices=tuple(mat_vec(xi_mat, v) for v in tt.vertices),
         unit_effect=tuple(new_u),
         canonicalized=False,
-        group_cache=SymmetryGroup(g.elements, g.perms) if ctx is t.ctx else None,
+        group_cache=g if ctx is t.ctx else None,
     )

@@ -10,6 +10,9 @@ implementations have something honest to be compared against.  The theory layer'
 routes over `dual_cone` and `cone_member`.  LPs go to the simplex on
 Python lists that the numpy tableau replaced and to scipy's HiGHS, and
 the compatibility LPs also come in their older vertex-by-vertex form.
+The integer-numerator layers of exact mode (rank, the ideal-measurement
+search, the incidence check of ``validate_theory``) meet their earlier
+forms, which work on the theory's own scalars one value at a time.
 """
 
 import math
@@ -19,10 +22,12 @@ from itertools import combinations, permutations
 import pytest
 
 from gptlab.cones import cone_member, cones_equal, dual_cone
+from gptlab.ideal import IdealMeasurement, _veckey, indecomposable_pure_effects
 from gptlab.linprog import _MAX_PIVOTS, EQ, GE, LE, LinearProgram
+from gptlab.model import is_zero_effect, prob_table, validate_theory
 from gptlab.scalars import (
     FLOAT, Context, InnerProduct, dot, inverse, mat_add, mat_mul, mat_scale, mat_vec, rank, solve,
-    transpose, vscale,
+    transpose, vadd, vscale, vsub,
 )
 from gptlab.symmetry import SymmetryGroup, is_transitive
 
@@ -564,3 +569,122 @@ def hrow_compat_lp(family: str, t, f, g):
                 p.add(row, GE, target)
         return p
     raise ValueError(f"unknown compatibility LP {family!r}")
+
+
+# ---------------------------------------------------------------------------
+# exact mode on the theory's own scalars: rank, extremality, the ideal search
+
+def rank_fraction(rows) -> int:
+    """Rank by Gauss-Jordan elimination in Fractions, pivoting on the first nonzero."""
+    m = [[Fraction(a) for a in r] for r in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        for i in range(len(m)):
+            f = m[i][c] / m[r][c]
+            if i != r and f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
+def vertex_extreme(t, i: int) -> bool:
+    """Vertex i spans an extreme ray of the state cone and no other vertex equals it.
+
+    One vertex at a time: its dot product with every facet normal, and its
+    comparison with every other vertex.
+    """
+    ctx, v = t.ctx, t.vertices[i]
+    if any(ctx.vec_eq(w, v) for j, w in enumerate(t.vertices) if j != i):
+        return False
+    tight = [n for n in t.facet_normals if ctx.is_zero(dot(n, v))]
+    return (rank_fraction(tight) if ctx.exact else rank(tight, ctx)) == t.dim - 1
+
+
+def assert_validation_matches_oracle(t) -> None:
+    """``validate_theory`` passes exactly when every vertex is extreme by
+    :func:`vertex_extreme`, and otherwise names the lowest vertex that is not."""
+    bad = [i for i in range(t.n_vertices) if not vertex_extreme(t, i)]
+    try:
+        validate_theory(t)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == (f"vertex {bad[0]} is a convex combination of the others" if bad else None)
+
+
+def enumerate_ideal_reference(t, max_outcomes: int) -> tuple:
+    """``enumerate_ideal_measurements`` on the theory's own scalars.
+
+    Sums of pure effects, their vertex values (from ``prob_table``), the
+    remainder and its vertex values are Fractions in exact mode, and each
+    measurement is keyed by its effects' own coordinate vectors.
+    """
+    from gptlab.measures import FiniteMetricSpace
+
+    if max_outcomes < 2:
+        return ()
+    ctx = t.ctx
+    pures = indecomposable_pure_effects(t)
+    sums = {}
+
+    def grow(start, idx, vec):
+        for i in range(start, len(pures)):
+            cand = vadd(vec, pures[i]) if vec is not None else pures[i]
+            if all(ctx.le(p, 1) for p in prob_table(t, [cand])[0]):
+                sums[idx | {i}] = cand
+                grow(i + 1, idx | {i}, cand)
+
+    grow(0, frozenset(), None)
+    u = t.unit_effect
+    order = sorted(sums, key=lambda s: (len(s), sorted(s)))
+    seen, unique = set(), []
+    for tag, s in [("sum", s) for s in order] + [("complement", s) for s in order]:
+        vec = sums[s] if tag == "sum" else vsub(u, sums[s])
+        key = _veckey(vec, ctx)
+        if key not in seen and not is_zero_effect(t, vec):
+            seen.add(key)
+            unique.append((tag, s, vec))
+    *rows, u_evals = prob_table(t, [c[2] for c in unique] + [u])
+    kept = [(c, row) for c, row in zip(unique, rows)
+            if all(ctx.ge(p, 0) and ctx.le(p, 1) for p in row)]
+    candidates, evals = [c for c, _ in kept], [row for _, row in kept]
+    by_key = {_veckey(c[2], ctx): i for i, c in enumerate(candidates)}
+    found = {}
+
+    def record(chosen):
+        order = sorted(range(len(chosen)), key=lambda i: _veckey(chosen[i][2], ctx))
+        key = tuple(_veckey(chosen[i][2], ctx) for i in order)
+        if key not in found:
+            k = len(chosen)
+            found[key] = IdealMeasurement(
+                outcomes=tuple(range(k)), effects=tuple(chosen[i][2] for i in order),
+                metric=FiniteMetricSpace.discrete(tuple(range(k))),
+                provenance=tuple((chosen[i][0], chosen[i][1]) for i in order))
+
+    def search(start, chosen, rest, rest_evals):
+        if chosen and is_zero_effect(t, rest):
+            if len(chosen) >= 2:
+                record(chosen)
+            return
+        slots = max_outcomes - len(chosen)
+        if slots == 0:
+            return
+        if chosen and slots == 1:
+            i = by_key.get(_veckey(rest, ctx))
+            if i is not None and i >= start:
+                record(chosen + [candidates[i]])
+            return
+        for i in range(start, len(candidates)):
+            new_evals = tuple(r - e for r, e in zip(rest_evals, evals[i]))
+            if not any(ctx.lt(v, 0) for v in new_evals):
+                search(i, chosen + [candidates[i]], vsub(rest, candidates[i][2]), new_evals)
+
+    search(0, [], u, u_evals)
+    return tuple(sorted(found.values(), key=lambda m: (
+        m.n_outcomes, tuple(_veckey(e, ctx) for e in m.effects))))

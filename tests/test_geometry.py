@@ -16,9 +16,9 @@ from gptlab.cones import (
     normalize_ray,
 )
 from gptlab.model import make_classical, make_polygon
-from gptlab.scalars import EXACT, FLOAT, InnerProduct, inverse, solve
+from gptlab.scalars import EXACT, FLOAT, InnerProduct, inverse, rank, solve
 
-from helpers import member_bruteforce
+from helpers import member_bruteforce, rank_fraction
 
 SQ2 = math.sqrt(2)
 
@@ -226,3 +226,51 @@ class TestMembershipOracle:
         gens, point = case
         cone = Cone(gens)
         assert cone_member(cone, point, EXACT) == member_bruteforce(gens, point, EXACT)
+
+
+# ---------------------------------------------------------------------------
+# the integer rank against Fraction elimination
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+huge = st.builds(Fr, st.integers(-10**400, 10**400), st.integers(1, 10**400))
+rationals = st.one_of(small, huge)
+
+
+@st.composite
+def planted_rank_matrices(draw):
+    """``(rows, r)``: r independent echelon rows, then zero rows, duplicates and
+    rational combinations, every row rescaled and the rows shuffled."""
+    ncols = draw(st.integers(1, 7))
+    r = draw(st.integers(0, ncols))
+    pivots = sorted(draw(st.permutations(range(ncols)))[:r])
+    basis = [[Fr(0)] * c + [draw(rationals.filter(bool))]
+             + [draw(rationals) for _ in range(ncols - c - 1)] for c in pivots]
+    rows = list(basis)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "duplicate" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and basis:
+            coeffs = [draw(rationals) for _ in basis]
+            rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), Fr(0))
+                         for j in range(ncols)])
+        else:
+            rows.append([Fr(0)] * ncols)
+    rows = [[s * a for a in row] for row, s in zip(rows, [draw(rationals.filter(bool))
+                                                         for _ in rows])]
+    return draw(st.permutations(rows)), r
+
+
+class TestIntegerRank:
+    @settings(max_examples=150, deadline=None)
+    @given(planted_rank_matrices())
+    def test_matches_fraction_elimination(self, rows_r):
+        rows, r = rows_r
+        assert rank(rows, EXACT) == rank_fraction(rows) == r
+
+    def test_shapes_and_mixed_scalars(self):
+        assert rank([], EXACT) == 0
+        assert rank([[0, 0, 0]], EXACT) == 0
+        assert rank([[1, Fr(1, 3)], [3, 1], [Fr(2, 10**400), Fr(2, 3 * 10**400)]], EXACT) == 1
+        assert rank([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]], EXACT) == 2
+        assert rank([[0, 2], [0, 1], [1, 0]], EXACT) == 2

@@ -1,10 +1,13 @@
 """Pure effects, ideal measurement enumeration, eigenstates, fuzzing, psi map."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gptlab.ideal
 from gptlab.ideal import (
     binary_ideal_measurement,
     enumerate_ideal_measurements,
@@ -23,7 +26,11 @@ from gptlab.model import (
     make_polygon,
     validate_measurement,
 )
+from gptlab.model import load_theory
 from gptlab.symmetry import canonicalize
+
+from helpers import enumerate_ideal_reference
+from test_symmetry import structure_theory_files
 
 SQ2 = math.sqrt(2)
 
@@ -126,6 +133,76 @@ class TestEnumeration:
         ms = enumerate_ideal_measurements(t, 2)
         keys = {tuple(sorted(tuple(round(x, 9) for x in e) for e in m.effects)) for m in ms}
         assert len(keys) == len(ms)
+
+
+def _enumerated(enumerate_, t, k):
+    try:
+        return enumerate_(t, k)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestEnumerationAgainstFractionSearch:
+    """The search on numerators against the search on the theory's own scalars."""
+
+    @pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5])
+    def test_classical(self, n_levels):
+        t = make_classical(n_levels)
+        for k in (2, 3, 4):
+            got = enumerate_ideal_measurements(t, k)
+            want = enumerate_ideal_reference(t, k)
+            assert got == want and repr(got) == repr(want)
+        assert all(isinstance(a, Fraction) for m in got for e in m.effects for a in e)
+
+    def test_structure_polytopes(self, tmp_path):
+        # none of them is self-dual with equal vertex norms as written, so both
+        # refuse with the same message
+        for path in structure_theory_files(tmp_path, seed=5).values():
+            t = load_theory(path)
+            for k in (2, 3):
+                got = _enumerated(enumerate_ideal_measurements, t, k)
+                assert got == _enumerated(enumerate_ideal_reference, t, k)
+                assert got.startswith("ValueError")
+
+    def test_exact_enumeration_does_no_fraction_arithmetic(self, monkeypatch):
+        # once the pure effects are known, no Fraction is added, multiplied or
+        # compared: Fractions are only built for the effects of the result
+        t = make_classical(4)
+        pures = indecomposable_pure_effects(t)
+        monkeypatch.setattr(gptlab.ideal, "indecomposable_pure_effects", lambda _t: pures)
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__lt__", "__le__", "__gt__", "__ge__",
+                     "__eq__"):
+            op = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name,
+                                lambda a, b, op=op, name=name: calls.append(name) or op(a, b))
+        ms = enumerate_ideal_measurements(t, 4)
+        monkeypatch.undo()
+        assert calls == []
+        assert repr(ms) == repr(enumerate_ideal_reference(t, 4)) and len(ms) == 50
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 4])
+    def test_rotated_classical(self, n_levels):
+        # a rational rotation keeps the simplex self-dual under the dot product
+        # and gives its values denominators 5 and 25
+        t = make_classical(n_levels)
+        rot = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+
+        def turn(v):
+            return (rot[0][0] * v[0] + rot[0][1] * v[1], rot[1][0] * v[0] + rot[1][1] * v[1]) + v[2:]
+
+        t = replace(t, name="rotated", kind="custom", n=None,
+                    vertices=tuple(map(turn, t.vertices)), unit_effect=turn(t.unit_effect))
+        for k in (2, 3, 4):
+            got = enumerate_ideal_measurements(t, k)
+            assert got and repr(got) == repr(enumerate_ideal_reference(t, k))
+
+    def test_float_theories_bit_identical(self):
+        for t in (make_polygon(5), make_polygon(7), psi_transform(make_polygon(8))):
+            for k in (2, 3):
+                assert repr(enumerate_ideal_measurements(t, k)) == repr(
+                    enumerate_ideal_reference(t, k))
 
 
 class TestEigenstate:

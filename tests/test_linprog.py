@@ -242,25 +242,76 @@ def test_non_finite_float_data_rejected(bad, value):
 
 def test_one_tableau_for_both_modes():
     assert [name for name in vars(linprog) if "Tableau" in name] == ["_Tableau"]
-    runs = []
+    states = []
 
     class Recording(linprog._Tableau):
+        # the entry types and the denominator when a run starts and after every pivot
+        def record(self):
+            entries = frozenset(type(x) for row in self.t.tolist() for x in row)
+            states.append((self.exact, self.t.dtype.kind, entries, type(self.den), self.den > 0))
+
         def run(self, cost, nenter):
-            entries = {type(x) for row in self.t.tolist() for x in row}
-            runs.append((self.ctx.exact, self.t.dtype.kind, frozenset(entries)))
+            self.record()
             return super().run(cost, nenter)
+
+        def pivot(self, r, c):
+            super().pivot(r, c)
+            self.record()
 
     # neither LP has a unit column, so phase 1 runs with artificial columns
     small = LinearProgram(n_vars=1, objective=[1.0], lower=0.0).add([2.0], GE, 1.0)
     large = LinearProgram(n_vars=50, objective=[1.0] * 50, lower=0.0)
     for i in range(10):
         large.add([float(j <= i) for j in range(50)], GE, 1.0)
+    counts = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linprog, "_Tableau", Recording)
         for ctx in (FLOAT, EXACT):
             for p in (small, large):
                 assert lp_solve(p, ctx).optimal
-    assert runs == ([(False, "f", frozenset({float}))] * 4 + [(True, "O", frozenset({Fr}))] * 4)
+            counts.append(len(states))
+    # float entries over 1; exact ones int numerators over a positive int
+    assert set(states[:counts[0]]) == {(False, "f", frozenset({float}), int, True)}
+    assert set(states[counts[0]:]) == {(True, "O", frozenset({int}), int, True)}
+    assert counts[1] == 2 * counts[0] > 8  # the same runs and pivots in either mode
+
+
+def negative_drive_out():
+    # the two equalities are one row twice, with no unit column: phase 1 ends with
+    # both artificials basic at zero, and driving the first one out pivots on -2
+    c = EXACT.convert
+    p = LinearProgram(n_vars=3, objective=[c(1), c(-2), c(0)], lower=c(0))
+    p.add([c(-2), c(-1), c(3)], EQ, c(0)).add([c(2), c(1), c(-3)], EQ, c(0))
+    return p.add([c(0), c(0), c(1)], LE, c("1/3"))
+
+
+def test_negative_drive_out_pivot():
+    pivots = []
+
+    class Recording(linprog._Tableau):
+        def pivot(self, r, c):
+            pivots.append(self.t[r, c] < 0)
+            super().pivot(r, c)
+            assert self.den > 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linprog, "_Tableau", Recording)
+        assert lp_solve(negative_drive_out(), EXACT) == LpResult(
+            "optimal", Fr(-2), (Fr(0), Fr(1), Fr(1, 3)))
+    assert pivots[0] and len(pivots) == 3
+    for solver in (lp_solve, lp_feasible):
+        assert_same_on_both_tableaux(solver, negative_drive_out(), EXACT)
+
+
+def test_exact_ratio_ties_are_exact():
+    # the ratios 1/3 + 10**-30 and 1/3 round to one float, where the tie would
+    # break toward the first row's slack; exactly, the second row is the minimum
+    eps = Fr(1, 10**30)
+    p = LinearProgram(n_vars=1, objective=[Fr(1)], sense="max", lower=Fr(0))
+    p.add([Fr(3)], LE, Fr(1) + 3 * eps).add([Fr(3)], LE, Fr(1))
+    assert lp_solve(p, EXACT) == LpResult("optimal", Fr(1, 3), (Fr(1, 3),))
+    for solver in (lp_solve, lp_feasible):
+        assert_same_on_both_tableaux(solver, p, EXACT)
 
 
 def test_exact_mode_sees_values_below_float_range():
@@ -273,9 +324,15 @@ def test_exact_mode_sees_values_below_float_range():
     assert lp_feasible(p, EXACT).witness == (Fr(1), Fr(0))
 
 
+def _fractions(tab, nums, den):
+    """Entries of the numpy tableau as the list tableau holds them: Fractions
+    ``x / den`` in exact mode, the floats themselves in float mode."""
+    return [Fr(x, den) for x in nums] if tab.exact else list(nums)
+
+
 def _tableau_state(tab):
     if isinstance(tab, linprog._Tableau):
-        return repr((tab.t.tolist(), tab.basis))
+        return repr(([_fractions(tab, row, tab.den) for row in tab.t.tolist()], tab.basis))
     return repr(([row + [b] for row, b in zip(tab.rows, tab.rhs)], tab.basis))
 
 
@@ -294,7 +351,8 @@ def check_tableau_steps(data, ctx):
     for tab in pair:
         tab.basis = list(basis)
     obj, zval = pair[0].price_out(cost)
-    assert repr(obj + [zval]) == repr(pair[1].price_out(cost).tolist())
+    nums, oden = pair[1].price_out(cost)
+    assert repr(obj + [zval]) == repr(_fractions(pair[1], nums.tolist(), oden))
     r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
     if rows[r][c] != 0:
         for tab in pair:

@@ -1,5 +1,6 @@
 """Theories, effects, measurements, and the JSON interchange format."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -37,7 +38,10 @@ from gptlab.model import (
 from gptlab.scalars import EXACT, float_vec, vadd, vscale, vsub
 from gptlab.symmetry import automorphism_group
 
-from helpers import _same_direction, effect_space_member, facet_normals_bruteforce, member_bruteforce
+from helpers import (
+    _same_direction, assert_validation_matches_oracle, effect_space_member,
+    facet_normals_bruteforce, member_bruteforce,
+)
 
 SQ2 = math.sqrt(2)
 
@@ -427,6 +431,24 @@ class TestTheoryValidation:
         )
         with pytest.raises(ValueError, match="convex combination"):
             validate_theory(bad)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("extra", [(-1, 1), (0, 1), (Fr(1, 3), Fr(-1, 5))],
+                             ids=["duplicate", "midpoint", "interior"])
+    def test_reported_vertex_matches_oracle(self, extra, exact):
+        # every relabelling of a square plus one point that is not a new vertex;
+        # a duplicated pair reports its lower index
+        pts = [(1, 1), (-1, 1), (-1, -1), (1, -1), extra]
+        reported = set()
+        for perm in itertools.permutations(pts):
+            t = Theory("square-plus", tuple((Fr(x), Fr(y), Fr(1)) for x, y in perm),
+                       (Fr(0), Fr(0), Fr(1)), EXACT)
+            t = t if exact else theory_to_float(t)
+            assert_validation_matches_oracle(t)
+            with pytest.raises(ValueError, match="convex combination") as exc:
+                validate_theory(t)
+            reported.add(int(str(exc.value).split()[1]))
+        assert reported == ({0, 1, 2, 3} if extra == (-1, 1) else {0, 1, 2, 3, 4})
 
     def test_origin_in_hull_rejected(self):
         bad = Theory(

@@ -14,16 +14,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gptlab.compat
 import gptlab.cones
-import gptlab.model
 import gptlab.symmetry
 from gptlab.cli import main as cli_main
 from gptlab.cones import Cone, cone_member, dual_cone
 from gptlab.harness import prepare_conforming
 from gptlab.ideal import indecomposable_pure_effects, psi_transform
-from gptlab.model import Theory, load_theory, make_classical, make_polygon
+from gptlab.model import Theory, load_theory, make_classical, make_polygon, theory_to_float
 from gptlab.scalars import (
     EXACT, FLOAT, InnerProduct, identity, inverse, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
-    transpose,
+    stacked, transpose,
 )
 from gptlab.symmetry import (
     automorphism_group,
@@ -38,9 +37,9 @@ from gptlab.symmetry import (
 )
 
 from helpers import (
-    averaged_gram_per_element, automorphism_orders_bruteforce, canonical_group_per_element,
-    j_positive_lp, maximally_mixed_per_element, projector_per_element, search_group_full_depth,
-    search_group_reference, self_dual_lp,
+    assert_validation_matches_oracle, averaged_gram_per_element, automorphism_orders_bruteforce,
+    canonical_group_per_element, j_positive_lp, maximally_mixed_per_element, projector_per_element,
+    search_group_full_depth, search_group_reference, self_dual_lp, vertex_extreme,
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -337,6 +336,32 @@ class TestXiCanonicalize:
         out = xi_canonicalize(t, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
         assert out.vertices == t.vertices
         assert all(isinstance(a, Fr) for v in out.vertices for a in v)
+
+    def test_group_stacked_once(self, monkeypatch, tmp_path):
+        # every group average in one call reads the group's one stack; a searched
+        # group gets the search's numerators, in lowest terms, and builds none
+        sizes = []
+
+        def counting(xs, ctx):
+            sizes.append(len(xs))
+            return stacked(xs, ctx)
+
+        monkeypatch.setattr(gptlab.symmetry, "stacked", counting)
+        t = make_classical(5)
+        g = automorphism_group(t)
+        out = xi_canonicalize(t, identity(t.dim, EXACT), g)
+        assert g.order == 720 and sizes.count(720) == 1
+        assert out.vertices == t.vertices and out.group_cache is g
+        tesseract = load_theory(structure_theory_files(tmp_path, seed=5)["tesseract"])
+        sizes.clear()
+        g = automorphism_group(tesseract)
+        canonicalize(tesseract.with_group(g))
+        assert is_self_dual(tesseract, averaged_inner_product(g, EXACT)) is False
+        assert g.order == 384 and 384 not in sizes
+        arr, den = g.stack(EXACT)
+        want, want_den = stacked(g.elements, EXACT)
+        assert den == want_den and arr.tolist() == want.tolist()
+        assert not arr.flags.writeable
 
     def test_conjugate_average_matches_per_element(self):
         # any J averages, so a random rational one: exact results are equal,
@@ -688,8 +713,11 @@ class TestVertexExtremality:
         other = _theory("with-extra", data.draw(st.permutations(pts + extra)))
         for i, v in enumerate(other.vertices):
             others = other.vertices[:i] + other.vertices[i + 1:]
-            assert gptlab.model._vertex_extreme(other, i) == (
-                not cone_member(Cone(others), v, EXACT))
+            assert vertex_extreme(other, i) == (not cone_member(Cone(others), v, EXACT))
+        # validate_theory's one incidence product reports the oracle's first
+        # failing vertex, in both modes
+        for t in (other, theory_to_float(other)):
+            assert_validation_matches_oracle(t)
 
 
 # ---------------------------------------------------------------------------
