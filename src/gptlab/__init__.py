@@ -3,7 +3,7 @@
 Library layout:
 
 - ``scalars``: exact/float contexts, tuples-as-vectors linear algebra
-- ``linprog``: two-phase simplex on one numpy tableau (float64, or Fractions in exact mode)
+- ``linprog``: two-phase simplex on one numpy tableau (float64, or int numerators in exact mode)
 - ``cones``: dual cones (double description), membership, equality
 - ``model``: theories, effects, per-vertex probability tables, measurements, built-ins, JSON files
 - ``symmetry``: automorphism groups, invariant product, canonical form

@@ -47,21 +47,6 @@ class JointMeasurement:
     def shape(self) -> tuple:
         return (len(self.row_labels), len(self.col_labels))
 
-    def as_measurement(self) -> Measurement:
-        """Flatten the grid into an ordinary measurement on A x B."""
-        from .measures import FiniteMetricSpace
-
-        labels, effects = [], []
-        for a, row in zip(self.row_labels, self.effects):
-            for b, e in zip(self.col_labels, row):
-                labels.append((a, b))
-                effects.append(e)
-        return Measurement(
-            outcomes=tuple(labels),
-            effects=tuple(effects),
-            metric=FiniteMetricSpace.discrete(tuple(labels)),
-        )
-
 
 def marginals(j: JointMeasurement) -> tuple:
     """Row and column marginal measurements of the joint."""

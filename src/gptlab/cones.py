@@ -24,6 +24,7 @@ from .scalars import (
     inverse,
     mat_vec,
     rank,
+    spanning_rows,
     transpose,
     vscale,
     vsub,
@@ -105,13 +106,7 @@ def dual_cone(c: Cone, g: InnerProduct, ctx: Context = FLOAT) -> Cone:
     d = c.dim
     normals = [mat_vec(g.gram, v) for v in c.generators]
 
-    # greedy initial basis in the given insertion order
-    basis_idx: list[int] = []
-    for i in range(len(normals)):
-        if rank([normals[j] for j in basis_idx] + [normals[i]], ctx) > len(basis_idx):
-            basis_idx.append(i)
-        if len(basis_idx) == d:
-            break
+    basis_idx = spanning_rows(normals, d, ctx)  # greedy, in the given insertion order
     if len(basis_idx) < d:
         raise LinealityError(
             f"generators span only a {len(basis_idx)}-dimensional subspace; "

@@ -5,6 +5,16 @@ measurement-error minimisation, and Lipschitz-ball optimisation.  Exact
 pivoting over rationals is needed for cone certificates, so we ship our
 own dense tableau simplex instead of binding an external solver.
 
+:func:`lp_solve` and :func:`lp_feasible` share one path: bring the LP to
+standard form, run phase 1 (and phase 2 for ``lp_solve``) on the
+tableau, map the basic point back and certify it.  The standard form is
+one substitution ``x = x0 + S.y`` with ``y >= 0`` (Chvatal 1983, ch. 8):
+a lower-bounded variable is ``l + y``, one with only an upper bound is
+``u - y``, a free one is ``y+ - y-``, and an upper bound beside a lower
+bound becomes a ``<=`` row.  Every entry of the LP is converted into the
+context's scalars once; the certificate checks the point against those
+converted rows and bounds.
+
 One tableau serves both scalar modes (:class:`_Tableau`): its rows and
 right-hand side sit in one numpy array over one denominator, float64
 over 1 in float mode and Python int numerators (object dtype) over a
@@ -220,107 +230,67 @@ _fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 def _standardize(p: LinearProgram, ctx: Context):
-    """Shift/split variables to y >= 0 and build equality rows with slacks.
+    """The substitution ``x = x0 + S.y`` of the module docstring, with one
+    (variable, sign) pair per column of S, a slack per inequality row, and
+    rows with a negative right-hand side negated.
 
-    Returns (rows, rhs, cost, recover, const) where recover maps a standard
-    point y back to original coordinates and const is the objective offset.
+    Returns (rows, rhs, cost, recover, const, ncols, data): recover maps a
+    standard point y back to x, const is the objective offset, and data is
+    (constraints, lower, upper) converted, which :func:`_certify` checks.
     """
     zero, one = ctx.zero(), ctx.one()
-    cols = []  # per original var: ("shift", col, lb) | ("neg", col, ub) | ("split", c+, c-)
-    extra_rows = []  # upper-bound rows added as constraints
-    ncol = 0
-    for j in range(p.n_vars):
-        lb, ub = p._bound("lo", j), p._bound("up", j)
-        if lb is not None:
-            lb = ctx.convert(lb)
-            cols.append(("shift", ncol, lb))
-            ncol += 1
-            if ub is not None:
-                extra_rows.append((j, LE, ctx.convert(ub)))
-        elif ub is not None:
-            cols.append(("neg", ncol, ctx.convert(ub)))
-            ncol += 1
-        else:
-            cols.append(("split", ncol, ncol + 1))
-            ncol += 2
+    lower, upper = ([None if (b := p._bound(which, j)) is None else ctx.convert(b)
+                     for j in range(p.n_vars)] for which in ("lo", "up"))
+    x0 = [ub if lb is None else lb for lb, ub in zip(lower, upper)]  # None: free
+    # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-
+    cols = [(j, s) for j, (lb, ub) in enumerate(zip(lower, upper))
+            for s in ((1,) if lb is not None else (-1,) if ub is not None else (1, -1))]
 
     obj = [ctx.convert(c) for c in p.objective]
     if p.sense == "max":
         obj = [-c for c in obj]
     elif p.sense != "min":
         raise ValueError(f"unknown sense {p.sense!r}")
-
-    cost = [zero] * ncol
+    cost = [obj[j] if s > 0 else -obj[j] for j, s in cols]
     const = zero
-    for j, spec in enumerate(cols):
-        cj = obj[j]
-        kind = spec[0]
-        if kind == "shift":
-            cost[spec[1]] = cj
-            const += cj * spec[2]
-        elif kind == "neg":
-            cost[spec[1]] = -cj
-            const += cj * spec[2]
-        else:
-            cost[spec[1]] = cj
-            cost[spec[2]] = -cj
+    for cj, x0j in zip(obj, x0):
+        if x0j is not None:
+            const += cj * x0j
 
-    raw = [( [ctx.convert(a) for a in coeffs], rel, ctx.convert(rhs) )
-           for coeffs, rel, rhs in p.constraints]
-    for j, rel, bound in extra_rows:
-        unit = [zero] * p.n_vars
-        unit[j] = one
-        raw.append((unit, rel, bound))
-
-    rows, rhs, rels = [], [], []
-    for coeffs, rel, b in raw:
-        row = [zero] * ncol
-        for j, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            spec = cols[j]
-            if spec[0] == "shift":
-                row[spec[1]] += a
-                b -= a * spec[2]
-            elif spec[0] == "neg":
-                row[spec[1]] -= a
-                b -= a * spec[2]
-            else:
-                row[spec[1]] += a
-                row[spec[2]] -= a
+    constraints = [([ctx.convert(a) for a in coeffs], rel, ctx.convert(rhs))
+                   for coeffs, rel, rhs in p.constraints]
+    bound_rows = [([one if k == j else zero for k in range(p.n_vars)], LE, ub)
+                  for j, (lb, ub) in enumerate(zip(lower, upper))
+                  if lb is not None and ub is not None]
+    nslack = len([rel for _, rel, _ in constraints + bound_rows if rel != EQ])
+    rows, rhs, slack = [], [], len(cols)
+    for coeffs, rel, b in constraints + bound_rows:
+        row = [zero] * (len(cols) + nslack)
+        for k, (j, s) in enumerate(cols):  # ascending j; an offset variable has one column
+            a = coeffs[j]
+            if a != 0:
+                row[k] = a if s > 0 else -a
+                if x0[j] is not None:
+                    b -= a * x0[j]
+        if rel != EQ:
+            row[slack] = one if rel == LE else -one
+            slack += 1
+        if b < 0:
+            row, b = [-v for v in row], -b
         rows.append(row)
         rhs.append(b)
-        rels.append(rel)
 
     if not ctx.exact and not all(map(math.isfinite, chain(cost, (const,), rhs, *rows))):
         raise ValueError("LP objective, constraints and bounds must be finite")
 
-    # slacks; then flip rows with negative rhs so b >= 0
-    nslack = sum(1 for r in rels if r != EQ)
-    srow = 0
-    for i, rel in enumerate(rels):
-        rows[i] = rows[i] + [zero] * nslack
-        if rel != EQ:
-            rows[i][ncol + srow] = one if rel == LE else -one
-            srow += 1
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    cost = cost + [zero] * nslack
-
     def recover(y):
-        out = []
-        for spec in cols:
-            if spec[0] == "shift":
-                out.append(y[spec[1]] + spec[2])
-            elif spec[0] == "neg":
-                out.append(spec[2] - y[spec[1]])
-            else:
-                out.append(y[spec[1]] - y[spec[2]])
-        return tuple(out)
+        x = list(x0)
+        for (j, s), v in zip(cols, y):
+            x[j] = v if x[j] is None else x[j] + v if s > 0 else x[j] - v
+        return tuple(x)
 
-    return rows, rhs, cost, recover, const, ncol + nslack
+    return (rows, rhs, cost + [zero] * nslack, recover, const, len(cols) + nslack,
+            (constraints, lower, upper))
 
 
 def _phase1(tab, nstruct: int, ctx: Context) -> str:
@@ -354,78 +324,64 @@ def _phase1(tab, nstruct: int, ctx: Context) -> str:
     return "optimal"
 
 
-def _basic_point(tab, nstruct: int, ctx: Context) -> list:
-    point = [ctx.zero()] * nstruct
-    for bj, value in zip(tab.basis, tab.rhs):
-        point[bj] = value
-    return point
-
-
-def _solve_standard(rows, rhs, cost, ctx, nstruct):
-    tab = _Tableau(rows, rhs, ctx)
-    if _phase1(tab, nstruct, ctx) == "infeasible":
-        return "infeasible", None, None
-    status, zval = tab.run(cost, nstruct)
-    if status == "unbounded":
-        return "unbounded", None, None
-    return "optimal", -zval, _basic_point(tab, nstruct, ctx)
-
-
-def _certify(p: LinearProgram, x, ctx: Context):
-    """Re-substitute the reported point into every original constraint."""
+def _certify(p: LinearProgram, data, x, ctx: Context):
+    """Substitute the reported point into every constraint and bound of
+    ``data``, the LP as converted by :func:`_standardize`."""
+    constraints, lower, upper = data
     slack_tol = 0 if ctx.exact else 100 * ctx.tol
-    for coeffs, rel, rhs in p.constraints:
-        v = dot(tuple(ctx.convert(a) for a in coeffs), x)
-        b = ctx.convert(rhs)
+    for coeffs, rel, b in constraints:
+        v = dot(coeffs, x)
         if rel == LE and not v <= b + slack_tol:
             raise RuntimeError(f"certification failed: {v} <= {b}")
         if rel == GE and not v >= b - slack_tol:
             raise RuntimeError(f"certification failed: {v} >= {b}")
         if rel == EQ and not abs(v - b) <= slack_tol:
             raise RuntimeError(f"certification failed: {v} == {b}")
-    for j in range(p.n_vars):
-        lb, ub = p._bound("lo", j), p._bound("up", j)
-        if lb is not None and not x[j] >= ctx.convert(lb) - slack_tol:
-            raise RuntimeError(f"certification failed: bound x[{j}] >= {lb}")
-        if ub is not None and not x[j] <= ctx.convert(ub) + slack_tol:
-            raise RuntimeError(f"certification failed: bound x[{j}] <= {ub}")
+    for j, (lb, ub, xj) in enumerate(zip(lower, upper, x)):
+        if lb is not None and not xj >= lb - slack_tol:
+            raise RuntimeError(f"certification failed: bound x[{j}] >= {p._bound('lo', j)}")
+        if ub is not None and not xj <= ub + slack_tol:
+            raise RuntimeError(f"certification failed: bound x[{j}] <= {p._bound('up', j)}")
+
+
+def _solve(p: LinearProgram, ctx: Context, optimise: bool) -> tuple:
+    """(status, value, x): phase 1 on the standard form of p, then phase 2
+    when `optimise`; an optimal or feasible x is certified."""
+    rows, rhs, cost, recover, const, nstruct, data = _standardize(p, ctx)
+    status, z, y = "optimal", ctx.zero(), [ctx.zero()] * nstruct
+    if rows:
+        tab = _Tableau(rows, rhs, ctx)
+        if _phase1(tab, nstruct, ctx) == "infeasible":
+            return "infeasible", None, None
+        if optimise:
+            status, z = tab.run(cost, nstruct)
+        for bj, value in zip(tab.basis, tab.rhs):
+            y[bj] = value
+    elif optimise and not all(ctx.ge(c, 0) for c in cost):
+        # no rows: y = 0 minimises cost.y over y >= 0 unless some direction improves
+        status = "unbounded"
+    if status != "optimal":
+        return status, None, None
+    x = recover(y)
+    _certify(p, data, x, ctx)
+    value = -z + const
+    return status, -value if p.sense == "max" else value, x
 
 
 def lp_solve(p: LinearProgram, ctx: Context = FLOAT) -> LpResult:
-    """Two-phase simplex with Bland's rule.
+    """Two-phase simplex with Bland's rule on the standard form of p.
 
-    An optimal point is checked by substituting it back into every
-    constraint and bound; the optimal value and an infeasible or
-    unbounded verdict are not certified.
+    Bounds are substituted away (``x = x0 + S.y``, ``y >= 0``; see
+    :func:`_standardize`).  An optimal point is checked by substituting
+    it back into every constraint and bound; the optimal value and an
+    infeasible or unbounded verdict are not certified.
     """
-    rows, rhs, cost, recover, const, nstruct = _standardize(p, ctx)
-    if not rows:
-        # standard form minimises cost.y over y >= 0 with no rows: the optimum
-        # sits at y = 0 unless some direction strictly improves
-        if all(ctx.ge(c, 0) for c in cost):
-            x = recover([ctx.zero()] * nstruct)
-            value = const if p.sense == "min" else -const
-            return LpResult("optimal", value, x)
-        return LpResult("unbounded")
-    status, val, y = _solve_standard(rows, rhs, cost, ctx, nstruct)
-    if status != "optimal":
-        return LpResult(status)
-    x = recover(y)
-    value = val + const
-    if p.sense == "max":
-        value = -value
-    _certify(p, x, ctx)
-    return LpResult("optimal", value, x)
+    return LpResult(*_solve(p, ctx, optimise=True))
 
 
 def lp_feasible(p: LinearProgram, ctx: Context = FLOAT) -> FeasibilityResult:
-    """Phase-1 feasibility test with a witness point when feasible."""
-    rows, rhs, cost, recover, _const, nstruct = _standardize(p, ctx)
-    if not rows:
-        return FeasibilityResult(True, recover([ctx.zero()] * nstruct))
-    tab = _Tableau(rows, rhs, ctx)
-    if _phase1(tab, nstruct, ctx) == "infeasible":
-        return FeasibilityResult(False, None)
-    x = recover(_basic_point(tab, nstruct, ctx))
-    _certify(p, x, ctx)
-    return FeasibilityResult(True, x)
+    """Phase-1 feasibility test on the standard form of p, with a witness
+    point when feasible; the witness is checked like an optimum of
+    :func:`lp_solve`, and the objective must still be finite in float mode."""
+    status, _value, x = _solve(p, ctx, optimise=False)
+    return FeasibilityResult(status == "optimal", x)

@@ -45,9 +45,6 @@ class FiniteMetricSpace:
     def index(self, label) -> int:
         return self.points.index(label)
 
-    def d(self, a, b):
-        return self.dist[self.index(a)][self.index(b)]
-
     def validate(self, ctx: Context = FLOAT) -> None:
         k = len(self.points)
         if len(self.dist) != k or any(len(r) != k for r in self.dist):
@@ -91,9 +88,6 @@ class OutcomeDistribution:
 
     metric: FiniteMetricSpace
     probs: tuple
-
-    def prob(self, label):
-        return self.probs[self.metric.index(label)]
 
     def max_prob(self):
         return max(self.probs)

@@ -249,6 +249,18 @@ def rank(rows: Sequence[Sequence], ctx: Context) -> int:
     return r
 
 
+def spanning_rows(rows: Sequence[Sequence], d: int, ctx: Context) -> list:
+    """Indices of the first rows, in the given order, that each raise the
+    rank of the rows chosen before them, stopping once there are ``d``."""
+    idx: list[int] = []
+    for i, row in enumerate(rows):
+        if rank([rows[j] for j in idx] + [row], ctx) > len(idx):
+            idx.append(i)
+        if len(idx) == d:
+            break
+    return idx
+
+
 def _int_rank(m: list) -> int:
     r, prev = 0, 1
     for c in range(len(m[0]) if m else 0):

@@ -60,8 +60,8 @@ from .scalars import (
     mat_sub,
     mat_vec,
     ordered_matmul,
-    rank,
     reduced,
+    spanning_rows,
     sqrt_scalar,
     stacked,
     transpose,
@@ -95,23 +95,6 @@ class SymmetryGroup:
         self._stacks[ctx.exact] = (arr, den)
 
 
-def _perm_of_matrix(t_mat, vertices, ctx) -> Optional[tuple]:
-    imgs = [mat_vec(t_mat, v) for v in vertices]
-    perm = []
-    for img in imgs:
-        hit = -1
-        for j, v in enumerate(vertices):
-            if ctx.vec_eq(img, v):
-                hit = j
-                break
-        if hit < 0:
-            return None
-        perm.append(hit)
-    if sorted(perm) != list(range(len(vertices))):
-        return None
-    return tuple(perm)
-
-
 def _dihedral_group(t: Theory) -> SymmetryGroup:
     n = t.n
     ctx = t.ctx
@@ -125,9 +108,14 @@ def _dihedral_group(t: Theory) -> SymmetryGroup:
         c, s = math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)
         mats.append(((c, s, 0.0), (s, -c, 0.0), (0.0, 0.0, 1.0)))
         perms.append(tuple((k - i) % n for i in range(n)))
-    for m, p in zip(mats, perms):
-        if _perm_of_matrix(m, t.vertices, ctx) != p:
-            raise RuntimeError("dihedral closed form does not act as expected")
+    # each matrix must permute the vertices as claimed: _vertex_perms returns the
+    # survivors in lexicographic order of their permutation
+    maps, mden = stacked(mats, ctx)
+    w, _ = stacked(t.vertices, ctx)
+    found, kept = _vertex_perms(maps, w, mden * w, ctx)
+    claimed = sorted(range(len(perms)), key=perms.__getitem__)
+    if found != [perms[k] for k in claimed] or not np.array_equal(kept, maps[claimed]):
+        raise RuntimeError("dihedral closed form does not act as expected")
     return SymmetryGroup(tuple(mats), tuple(perms))
 
 
@@ -220,12 +208,7 @@ def _search_group(t: Theory) -> SymmetryGroup:
     qi, _ = stacked(qinv, ctx)
     m = ordered_matmul(w, ordered_matmul(qi, w.T)).tolist()
 
-    span_idx: list[int] = []
-    for i in range(nv):
-        if rank([verts[j] for j in span_idx] + [verts[i]], ctx) > len(span_idx):
-            span_idx.append(i)
-        if len(span_idx) == d:
-            break
+    span_idx = spanning_rows(verts, d, ctx)
     # spanning-basis inverse wa / aden: a candidate map is
     # T = (w_img / vden)(wa / aden), i.e. t / wden with t = w_img wa
     wa, aden = stacked(inverse(transpose([verts[i] for i in span_idx]), ctx), ctx)

@@ -8,8 +8,9 @@ time, so the LP, double-description, spanning-basis and stacked-array
 implementations have something honest to be compared against.  The theory layer's facet-sign checks
 (effect validity, self-duality, J-positivity) are compared with LP
 routes over `dual_cone` and `cone_member`.  LPs go to the simplex on
-Python lists that the numpy tableau replaced and to scipy's HiGHS, and
-the compatibility LPs also come in their older vertex-by-vertex form.
+Python lists that the numpy tableau replaced and to scipy's HiGHS, their
+standard form to the per-kind substitution that the single one replaced,
+and the compatibility LPs also come in their older vertex-by-vertex form.
 The integer-numerator layers of exact mode (rank, the ideal-measurement
 search, the incidence check of ``validate_theory``) meet their earlier
 forms, which work on the theory's own scalars one value at a time.
@@ -17,7 +18,7 @@ forms, which work on the theory's own scalars one value at a time.
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 
@@ -462,6 +463,115 @@ class ListTableau:
             del self.basis[i]
         for row in self.rows:
             del row[ncols:]
+
+
+def standardize_reference(p: LinearProgram, ctx: Context):
+    """Shift/split variables to y >= 0 and build equality rows with slacks.
+
+    The oracle for `linprog._standardize`: one kind tag per variable and
+    a branch per kind in the cost, the rows and `recover`, with every
+    scalar operation in the same order as the substitution.
+
+    Returns (rows, rhs, cost, recover, const, ncols) where recover maps a
+    standard point y back to original coordinates and const is the
+    objective offset.
+    """
+    zero, one = ctx.zero(), ctx.one()
+    cols = []  # per original var: ("shift", col, lb) | ("neg", col, ub) | ("split", c+, c-)
+    extra_rows = []  # upper-bound rows added as constraints
+    ncol = 0
+    for j in range(p.n_vars):
+        lb, ub = p._bound("lo", j), p._bound("up", j)
+        if lb is not None:
+            lb = ctx.convert(lb)
+            cols.append(("shift", ncol, lb))
+            ncol += 1
+            if ub is not None:
+                extra_rows.append((j, LE, ctx.convert(ub)))
+        elif ub is not None:
+            cols.append(("neg", ncol, ctx.convert(ub)))
+            ncol += 1
+        else:
+            cols.append(("split", ncol, ncol + 1))
+            ncol += 2
+
+    obj = [ctx.convert(c) for c in p.objective]
+    if p.sense == "max":
+        obj = [-c for c in obj]
+    elif p.sense != "min":
+        raise ValueError(f"unknown sense {p.sense!r}")
+
+    cost = [zero] * ncol
+    const = zero
+    for j, spec in enumerate(cols):
+        cj = obj[j]
+        kind = spec[0]
+        if kind == "shift":
+            cost[spec[1]] = cj
+            const += cj * spec[2]
+        elif kind == "neg":
+            cost[spec[1]] = -cj
+            const += cj * spec[2]
+        else:
+            cost[spec[1]] = cj
+            cost[spec[2]] = -cj
+
+    raw = [( [ctx.convert(a) for a in coeffs], rel, ctx.convert(rhs) )
+           for coeffs, rel, rhs in p.constraints]
+    for j, rel, bound in extra_rows:
+        unit = [zero] * p.n_vars
+        unit[j] = one
+        raw.append((unit, rel, bound))
+
+    rows, rhs, rels = [], [], []
+    for coeffs, rel, b in raw:
+        row = [zero] * ncol
+        for j, a in enumerate(coeffs):
+            if a == 0:
+                continue
+            spec = cols[j]
+            if spec[0] == "shift":
+                row[spec[1]] += a
+                b -= a * spec[2]
+            elif spec[0] == "neg":
+                row[spec[1]] -= a
+                b -= a * spec[2]
+            else:
+                row[spec[1]] += a
+                row[spec[2]] -= a
+        rows.append(row)
+        rhs.append(b)
+        rels.append(rel)
+
+    if not ctx.exact and not all(map(math.isfinite, chain(cost, (const,), rhs, *rows))):
+        raise ValueError("LP objective, constraints and bounds must be finite")
+
+    # slacks; then flip rows with negative rhs so b >= 0
+    nslack = sum(1 for r in rels if r != EQ)
+    srow = 0
+    for i, rel in enumerate(rels):
+        rows[i] = rows[i] + [zero] * nslack
+        if rel != EQ:
+            rows[i][ncol + srow] = one if rel == LE else -one
+            srow += 1
+    for i in range(len(rows)):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    cost = cost + [zero] * nslack
+
+    def recover(y):
+        out = []
+        for spec in cols:
+            if spec[0] == "shift":
+                out.append(y[spec[1]] + spec[2])
+            elif spec[0] == "neg":
+                out.append(spec[2] - y[spec[1]])
+            else:
+                out.append(y[spec[1]] - y[spec[2]])
+        return tuple(out)
+
+    return rows, rhs, cost, recover, const, ncol + nslack
 
 
 def highs(p: LinearProgram, feasibility: bool = False):

@@ -1,6 +1,8 @@
-"""Simplex solver: worked examples, duality, exact arithmetic, and two oracles:
-the list tableau, bit for bit in float and exact mode, and scipy's HiGHS."""
+"""Simplex solver: worked examples, duality, exact arithmetic, and three oracles:
+the list tableau and the per-kind standard form, bit for bit in float and
+exact mode, and scipy's HiGHS."""
 
+import random
 from fractions import Fraction as Fr
 from functools import lru_cache
 
@@ -16,7 +18,7 @@ from gptlab.linprog import EQ, GE, LE, LinearProgram, LpResult, lp_feasible, lp_
 from gptlab.measures import FiniteMetricSpace
 from gptlab.model import make_classical, make_polygon
 from gptlab.scalars import EXACT, FLOAT, dot
-from helpers import ListTableau, highs
+from helpers import ListTableau, highs, standardize_reference
 
 
 def max_bounded_segment():
@@ -524,6 +526,48 @@ def test_random_lps_bit_identical(p):
 def test_random_exact_lps_bit_identical(p):
     for solver in (lp_solve, lp_feasible):
         assert_same_on_both_tableaux(solver, p, EXACT)
+
+
+# ---------------------------------------------------------------------------
+# the substitution x = x0 + S.y against the per-kind standard form, bit for bit
+
+def assert_same_standard_form(p, ctx):
+    """`_standardize` gives the reference's rows, rhs, cost, offset and column
+    count, and its `recover` maps random nonnegative points to the same x."""
+    rows, rhs, cost, recover, const, ncols, _data = linprog._standardize(p, ctx)
+    ref_rows, ref_rhs, ref_cost, ref_recover, ref_const, ref_ncols = standardize_reference(p, ctx)
+    assert repr((rows, rhs, cost, const, ncols)) == repr((ref_rows, ref_rhs, ref_cost, ref_const,
+                                                          ref_ncols))
+    values = [ctx.convert(v) for v in (0, 1, 2, "1/3", "5/2", "1/10")]
+    if not ctx.exact:
+        values.append(-0.0)  # signed zeros come out of float pivots
+    rng = random.Random(ncols)
+    for _ in range(5):
+        y = [rng.choice(values) for _ in range(ncols)]
+        assert repr(recover(y)) == repr(ref_recover(y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps(numbers=NUMBERS + [1 / 3, 0.1, -0.7, -0.0]))
+def test_random_standard_form_matches_reference(p):
+    assert_same_standard_form(p, FLOAT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps(numbers=[Fr(x) for x in NUMBERS] + [Fr(1, 3), Fr(1, 10), Fr(-7, 10)]))
+def test_random_exact_standard_form_matches_reference(p):
+    assert_same_standard_form(p, EXACT)
+
+
+def test_solver_standard_forms_match_reference():
+    for n, skew in COMPAT_CASES:
+        for _family, _solver, p in compat_lps(n, skew):
+            assert_same_standard_form(p, FLOAT)
+    for n_levels in [1, 2, 3, 4, 5]:
+        for _family, _solver, p in classical_lps(n_levels):
+            assert_same_standard_form(p, EXACT)
+    for p in lipschitz_ball_lps():
+        assert_same_standard_form(p, FLOAT)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,14 @@ class TestAutomorphismGroup:
             t = make_classical(nn)
             assert automorphism_group(t, force_search=True).order == math.factorial(nn + 1)
 
+    def test_dihedral_self_check_rejects_a_wrong_action(self):
+        # reversed, the rotations move the vertices the other way; shifted by
+        # one, the reflections do
+        t = make_polygon(6)
+        for vertices in (t.vertices[::-1], t.vertices[1:] + t.vertices[:1]):
+            with pytest.raises(RuntimeError, match="does not act as expected"):
+                gptlab.symmetry._dihedral_group(replace(t, vertices=vertices))
+
     def test_nonspanning_vertices_rejected(self):
         t = Theory("flat", ((Fr(1), Fr(0), Fr(1)), (Fr(-1), Fr(0), Fr(1))),
                    (Fr(0), Fr(0), Fr(1)), EXACT)
