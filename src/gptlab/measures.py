@@ -79,7 +79,12 @@ class FiniteMetricSpace:
 
 
 def metric_of(m: Measurement) -> FiniteMetricSpace:
-    return m.metric if m.metric is not None else FiniteMetricSpace.discrete(m.outcomes)
+    """The measurement's metric, whose points must be its outcomes in order, or the discrete one."""
+    if m.metric is None:
+        return FiniteMetricSpace.discrete(m.outcomes)
+    if m.metric.points != m.outcomes:
+        raise ValueError(f"metric points {m.metric.points!r} are not the outcomes {m.outcomes!r}")
+    return m.metric
 
 
 @dataclass(frozen=True)

@@ -119,12 +119,10 @@ class Measurement:
         return self.effects[self.outcomes.index(label)]
 
 
-def effect_eval(t: Theory, e, omega, check_state: bool = False):
+def effect_eval(t: Theory, e, omega):
     """Probability of the effect on a state: the dot product ``e . omega``."""
     if len(e) != t.dim or len(omega) != t.dim:
         raise ValueError("dimension mismatch")
-    if check_state and not in_state_space(t, omega):
-        raise ValueError("omega is not a state of the theory")
     return dot(e, omega)
 
 
@@ -178,6 +176,8 @@ def measurement_violations(t: Theory, m: Measurement) -> list:
             problems.append(f"effect for outcome {label!r} is zero")
         elif not all(ctx.ge(p, 0) and ctx.le(p, 1) for p in row):
             problems.append(f"effect for outcome {label!r} is not in the effect space")
+    if m.metric is not None and m.metric.points != m.outcomes:
+        problems.append(f"metric points {m.metric.points!r} are not the outcomes {m.outcomes!r}")
     return problems
 
 
@@ -321,8 +321,9 @@ def theory_to_float(t: Theory) -> Theory:
 #                "unit_effect": [num|"p/q", ...], optionally "kind": str, "n": int}
 # Entries that are ints or "p/q" strings load exactly; any bare float makes
 # the whole theory run in float mode.  "kind" and "n" name a built-in theory,
-# whose closed forms then apply; a file may name one only if it holds
-# exactly that theory's vertices and unit effect, in its mode.
+# whose closed-form pure effects and re-expression then apply; a file may
+# name one only if it holds exactly that theory's vertices and unit effect,
+# in its mode.
 
 def _is_builtin(t: Theory) -> bool:
     try:
@@ -358,7 +359,7 @@ def theory_to_dict(t: Theory) -> dict:
     return out
 
 
-def theory_from_dict(data: dict, validate: bool = True) -> Theory:
+def theory_from_dict(data: dict) -> Theory:
     raw_vertices = [[_num_from_json(a) for a in v] for v in data["vertices"]]
     raw_u = [_num_from_json(a) for a in data["unit_effect"]]
     entries = [a for v in raw_vertices for a in v] + list(raw_u)
@@ -380,8 +381,7 @@ def theory_from_dict(data: dict, validate: bool = True) -> Theory:
             f"built-in theory (kinds {', '.join(BUILTIN_KINDS)}; vertices, unit effect and "
             "mode must match)"
         )
-    if validate:
-        validate_theory(t)
+    validate_theory(t)
     return t
 
 
@@ -391,9 +391,9 @@ def save_theory(t: Theory, path) -> None:
         fh.write("\n")
 
 
-def load_theory(path, validate: bool = True) -> Theory:
+def load_theory(path) -> Theory:
     with open(path) as fh:
-        return theory_from_dict(json.load(fh), validate=validate)
+        return theory_from_dict(json.load(fh))
 
 
 def measurement_to_dict(m: Measurement) -> dict:

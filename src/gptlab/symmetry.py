@@ -13,12 +13,11 @@ Self-duality under an inner product G and the J-positivity checks of
 vertices under G, and of the dual cone's rays ``G^-1 n_k`` against the
 cached facet normals ``n_k``.
 
-For built-in theories the group is written down in closed form
-(permutation matrices for simplices, the dihedral group for polygons).
-For user theories a backtracking search runs over the images of a
-spanning subset of the vertices only, pruned by the congruence-invariant
-form Q = sum_i v_i v_i^T and stopped with a ValueError after a fixed
-number of search nodes.  Those images fix a linear map; the maps of all
+Every group not already kept on the theory, built-in or custom, comes
+from one backtracking search over the images of a spanning subset of the
+vertices only, pruned by the congruence-invariant form
+Q = sum_i v_i v_i^T and stopped with a ValueError after a fixed number
+of search nodes.  Those images fix a linear map; the maps of all
 leaves are built in one batch and checked on every vertex, so only maps
 that permute the vertices, and so carry the polytope onto itself, are
 kept, in lexicographic order of their permutation.
@@ -95,56 +94,14 @@ class SymmetryGroup:
         self._stacks[ctx.exact] = (arr, den)
 
 
-def _dihedral_group(t: Theory) -> SymmetryGroup:
-    n = t.n
-    ctx = t.ctx
-    mats, perms = [], []
-    for k in range(n):
-        c, s = math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)
-        mats.append(((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)))
-        perms.append(tuple((i + k) % n for i in range(n)))
-    for k in range(n):
-        # reflection across the axis at angle pi*k/n
-        c, s = math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)
-        mats.append(((c, s, 0.0), (s, -c, 0.0), (0.0, 0.0, 1.0)))
-        perms.append(tuple((k - i) % n for i in range(n)))
-    # each matrix must permute the vertices as claimed: _vertex_perms returns the
-    # survivors in lexicographic order of their permutation
-    maps, mden = stacked(mats, ctx)
-    w, _ = stacked(t.vertices, ctx)
-    found, kept = _vertex_perms(maps, w, mden * w, ctx)
-    claimed = sorted(range(len(perms)), key=perms.__getitem__)
-    if found != [perms[k] for k in claimed] or not np.array_equal(kept, maps[claimed]):
-        raise RuntimeError("dihedral closed form does not act as expected")
-    return SymmetryGroup(tuple(mats), tuple(perms))
-
-
-def _permutation_group(t: Theory) -> SymmetryGroup:
-    import itertools
-
-    d = t.dim
-    ctx = t.ctx
-    one, zero = ctx.one(), ctx.zero()
-    mats, perms = [], []
-    for perm in itertools.permutations(range(d)):
-        mats.append(tuple(tuple(one if perm[i] == j else zero for j in range(d)) for i in range(d)))
-        perms.append(perm)
-    return SymmetryGroup(tuple(mats), tuple(perms))
-
-
-def automorphism_group(t: Theory, force_search: bool = False) -> SymmetryGroup:
+def automorphism_group(t: Theory) -> SymmetryGroup:
     """All linear bijections mapping the state space onto itself.
 
-    Built-ins use closed forms; anything else runs the permutation
-    backtracking search.
+    The group kept on the theory if it has one, else the result of the
+    spanning-basis search, built-in or not.
     """
-    if t.group_cache is not None and not force_search:
+    if t.group_cache is not None:
         return t.group_cache
-    if not force_search and not t.canonicalized:
-        if t.kind == "classical":
-            return _permutation_group(t)
-        if t.kind in ("polygon", "polygon-psi"):
-            return _dihedral_group(t)
     return _search_group(t)
 
 
@@ -279,6 +236,19 @@ def maximally_mixed(t: Theory, g: Optional[SymmetryGroup] = None):
     return omega_m
 
 
+def _float_theory(t: Theory, g: SymmetryGroup) -> tuple:
+    """``(theory, group)`` in float mode, the group kept on the theory.
+
+    Each element entry is its stacked numerator over the denominator,
+    rounded once: an int over an int rounds as ``float(Fraction)`` does.
+    """
+    stack, den = g.stack(t.ctx)
+    stack = (stack / den).astype(float)
+    gf = SymmetryGroup(_as_tuples(stack), g.perms)
+    gf._keep(FLOAT, stack, 1)
+    return theory_to_float(t).with_group(gf), gf
+
+
 def rescale_unit_norm(t: Theory, g: Optional[SymmetryGroup] = None) -> Theory:
     """Rescale so the maximally mixed state has Euclidean norm 1.
 
@@ -296,10 +266,8 @@ def rescale_unit_norm(t: Theory, g: Optional[SymmetryGroup] = None) -> Theory:
     try:
         scale = 1 / sqrt_scalar(norm2, ctx)
     except ValueError:
-        t = theory_to_float(t)
-        ctx = t.ctx
+        t, g = _float_theory(t, g)
         scale = 1 / math.sqrt(float(norm2))
-        g = SymmetryGroup(tuple(tuple(tuple(float(a) for a in r) for r in m) for m in g.elements), g.perms)
     return replace(
         t,
         vertices=tuple(vscale(scale, v) for v in t.vertices),
@@ -355,13 +323,8 @@ def canonicalize(t: Theory) -> CanonicalForm:
     g = automorphism_group(t)
     if not is_transitive(g, t):
         raise ValueError("canonicalization requires a transitive theory")
-    tf = theory_to_float(t)
+    tf, gf = _float_theory(t, g)
     ctx = tf.ctx
-    stack, den = g.stack(t.ctx)
-    stack = (stack / den).astype(float)
-    gf = SymmetryGroup(_as_tuples(stack), g.perms)
-    gf._keep(ctx, stack, 1)
-    tf = tf.with_group(gf)
     tf = rescale_unit_norm(tf, gf)
     omega_m = maximally_mixed(tf, gf)
     gram = averaged_inner_product(gf, ctx)
@@ -387,6 +350,7 @@ def canonicalize(t: Theory) -> CanonicalForm:
     new_vertices = tuple(mat_vec(transform, v) for v in tf.vertices)
     # effects map contravariantly: e_new = (M^-1)^T e
     new_u = mat_vec(transpose(inv_t), tf.unit_effect)
+    stack, _ = gf.stack(ctx)
     conjugated = ordered_matmul(ordered_matmul(np.array(transform), stack), np.array(inv_t))
     new_group = SymmetryGroup(_as_tuples(conjugated), gf.perms)
     new_group._keep(ctx, conjugated, 1)

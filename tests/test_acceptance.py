@@ -292,14 +292,12 @@ def test_criterion_11_oracle_equivalences():
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0)
     )
 
-    # (c) automorphism backtracking against the closed-form groups
+    # (c) automorphism backtracking against the closed-form group orders
     ok_c = True
     for n in (3, 4, 5, 6, 8):
-        ok_c = ok_c and automorphism_group(make_polygon(n), force_search=True).order == 2 * n
+        ok_c = ok_c and automorphism_group(make_polygon(n)).order == 2 * n
     for nn in (1, 2, 3):
-        ok_c = ok_c and automorphism_group(
-            make_classical(nn), force_search=True
-        ).order == math.factorial(nn + 1)
+        ok_c = ok_c and automorphism_group(make_classical(nn)).order == math.factorial(nn + 1)
 
     report(11, "LP/search implementations agree with independent oracles",
            ok_a and ok_b and ok_c,

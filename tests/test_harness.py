@@ -376,7 +376,9 @@ class TestCli:
          "metric: distance matrix is not symmetric"),
         ({"outcomes": [], "effects": []}, "trivial measurement"),
         ({"outcomes": [0, 1, 2]}, "outcomes and effects must align"),
-    ], ids=["sum", "length", "metric", "empty", "unaligned"])
+        ({"metric": {"points": [1, 0], "dist": [[0, 1], [1, 0]]}},
+         "metric points (1, 0) are not the outcomes (0, 1)"),
+    ], ids=["sum", "length", "metric", "empty", "unaligned", "order"])
     def test_invalid_measurement_file_exits_with_message(self, tmp_path, data, problem):
         bad = self.measurement_file(tmp_path, "bad.json", **data)
         good = self.measurement_file(tmp_path, "good.json")

@@ -152,6 +152,21 @@ class TestDistribution:
         with pytest.raises(ValueError):
             distribution(t, f, (3.0, 0.0, 1.0))
 
+    def test_metric_in_another_point_order_rejected(self):
+        # probabilities are indexed by metric position, so the same labelled
+        # metric listed as points (2, 0, 1) would give width 2, not 4
+        t = make_polygon(5)
+        pures = indecomposable_pure_effects(t)
+        e0, e1 = (tuple(a / 2 for a in pures[k]) for k in (4, 1))
+        effects = (e0, e1, tuple(u - a - b for u, a, b in zip(t.unit_effect, e0, e1)))
+        dist = ((0, 1, 3), (1, 0, 2), (3, 2, 0))
+        m = Measurement((0, 1, 2), effects, FiniteMetricSpace((0, 1, 2), dist))
+        assert overall_width(distribution(t, m, t.vertices[1]), 0.3) == 4
+        order = (2, 0, 1)
+        listed = FiniteMetricSpace(order, tuple(tuple(dist[i][j] for j in order) for i in order))
+        with pytest.raises(ValueError, match=r"metric points \(2, 0, 1\) are not the outcomes"):
+            distribution(t, Measurement((0, 1, 2), effects, listed), t.vertices[1])
+
 
 class TestErrorBarWidth:
     def test_self_distance_zero(self):

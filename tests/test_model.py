@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import gptlab.symmetry
 from gptlab import harness
 from gptlab.cones import cone_member
 from gptlab.ideal import indecomposable_pure_effects, psi_transform
@@ -137,9 +136,11 @@ class TestEffectEval:
         assert effect_eval(t, e0, t.vertices[1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_state_check(self):
+        # effect_eval is the bare dot product; distribution checks the state
         t = make_polygon(3)
-        with pytest.raises(ValueError):
-            effect_eval(t, t.unit_effect, (5.0, 5.0, 1.0), check_state=True)
+        m = Measurement((0,), (t.unit_effect,))
+        with pytest.raises(ValueError, match="not a state"):
+            distribution(t, m, (5.0, 5.0, 1.0))
 
 
 def assert_table_is_effect_eval(t, effects):
@@ -495,22 +496,17 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("make", [lambda: make_classical(3), lambda: make_polygon(7),
                                       lambda: psi_transform(make_polygon(8)),
                                       lambda: make_disc_approx(12)])
-    def test_builtin_round_trip_keeps_closed_form_group(self, make, tmp_path, monkeypatch):
+    def test_builtin_round_trip_keeps_closed_form_group(self, make, tmp_path):
         t = make()
         path = tmp_path / "builtin.json"
         save_theory(t, path)
         back = load_theory(path)
         assert (back.kind, back.n) == (t.kind, t.n)
-
-        def no_search(_t):
-            raise AssertionError("a built-in theory ran the group search")
-
-        monkeypatch.setattr(gptlab.symmetry, "_search_group", no_search)
         assert automorphism_group(back).order == automorphism_group(t).order
 
     def test_transformed_builtin_saves_as_custom(self, tmp_path):
         # kind "polygon", but the vertices in another order: the closed-form
-        # dihedral group would pair the wrong vertices
+        # pure effects and re-expression would pair the wrong vertices
         t = make_polygon(6)
         t = replace(t, vertices=t.vertices[1:] + t.vertices[:1])
         path = tmp_path / "shifted.json"
@@ -529,9 +525,8 @@ class TestJsonRoundTrip:
         data = {"name": "sq", "dim": 3, "kind": kind, "n": n,
                 "vertices": [[1, 1, 1], [-1, 1, 1], [-1, -1, 1], [1, -1, 1]],
                 "unit_effect": [0, 0, 1]}
-        for validate in (True, False):
-            with pytest.raises(ValueError, match=match):
-                theory_from_dict(data, validate=validate)
+        with pytest.raises(ValueError, match=match):
+            theory_from_dict(data)
 
     def test_builtin_kind_in_another_mode_rejected(self):
         # the classical bit's vertices, but in float mode

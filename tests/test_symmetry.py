@@ -1,6 +1,7 @@
 """Automorphism groups, invariant products, canonical forms, self-duality."""
 
 import importlib.util
+import itertools
 import json
 import math
 import sys
@@ -64,6 +65,13 @@ def stretched_pentagon():
                    vertices=tuple(mat_vec(stretch, v) for v in t.vertices), group_cache=None)
 
 
+def dihedral(n):
+    """The n-gon's vertex permutations: rotations i -> i + k and reflections
+    i -> k - i, mod n."""
+    return ({tuple((i + k) % n for i in range(n)) for k in range(n)}
+            | {tuple((k - i) % n for i in range(n)) for k in range(n)})
+
+
 class TestAutomorphismGroup:
     def test_pentagon_dihedral(self):
         g = automorphism_group(make_polygon(5))
@@ -98,21 +106,31 @@ class TestAutomorphismGroup:
                 assert any(t.ctx.mat_eq(prod, m) for m in g.elements)
 
     def test_search_matches_closed_forms(self):
-        # oracle comparison: backtracking vs closed-form dihedral/permutation
-        for n in (3, 4, 5, 6, 8):
-            t = make_polygon(n)
-            assert automorphism_group(t, force_search=True).order == 2 * n
-        for nn in (1, 2, 3):
-            t = make_classical(nn)
-            assert automorphism_group(t, force_search=True).order == math.factorial(nn + 1)
+        # the searched vertex permutations against the paper's groups: dihedral
+        # on the n-gon and the psi-n-gon, all permutations on the simplex
+        for n in range(3, 25):
+            assert set(automorphism_group(make_polygon(n)).perms) == dihedral(n)
+        for n in range(4, 25, 2):
+            assert set(automorphism_group(psi_transform(make_polygon(n))).perms) == dihedral(n)
+        for n in range(1, 5):
+            perms = automorphism_group(make_classical(n)).perms
+            assert sorted(perms) == list(itertools.permutations(range(n + 1)))
 
-    def test_dihedral_self_check_rejects_a_wrong_action(self):
-        # reversed, the rotations move the vertices the other way; shifted by
-        # one, the reflections do
-        t = make_polygon(6)
-        for vertices in (t.vertices[::-1], t.vertices[1:] + t.vertices[:1]):
-            with pytest.raises(RuntimeError, match="does not act as expected"):
-                gptlab.symmetry._dihedral_group(replace(t, vertices=vertices))
+    @pytest.mark.parametrize("n, self_dual", [(6, False), (5, True)])
+    def test_relabelled_builtin(self, n, self_dual):
+        # the vertices in another order under the built-in's kind: the group
+        # is still the dihedral one, on the new labels
+        t = make_polygon(n)
+        order = [2, 0, 4, 1, 3, 5][:n]
+        relabelled = replace(t, vertices=tuple(t.vertices[i] for i in order))
+        assert relabelled.kind == "polygon"
+        g = automorphism_group(relabelled)
+        assert g.order == 2 * n
+        # new vertex j is old vertex order[j]: each old permutation p acts as
+        # j -> order^-1(p(order[j]))
+        back = {old: new for new, old in enumerate(order)}
+        assert set(g.perms) == {tuple(back[p[i]] for i in order) for p in dihedral(n)}
+        assert is_self_dual(relabelled) is self_dual
 
     def test_nonspanning_vertices_rejected(self):
         t = Theory("flat", ((Fr(1), Fr(0), Fr(1)), (Fr(-1), Fr(0), Fr(1))),
@@ -358,7 +376,7 @@ class TestXiCanonicalize:
         t = make_classical(5)
         g = automorphism_group(t)
         out = xi_canonicalize(t, identity(t.dim, EXACT), g)
-        assert g.order == 720 and sizes.count(720) == 1
+        assert g.order == 720 and sizes.count(720) == 0
         assert out.vertices == t.vertices and out.group_cache is g
         tesseract = load_theory(structure_theory_files(tmp_path, seed=5)["tesseract"])
         sizes.clear()
@@ -445,7 +463,7 @@ def conjugate_average_per_element(g, j, ctx):
 
 
 def assert_same_as_reference(t):
-    got = automorphism_group(t, force_search=True)
+    got = automorphism_group(t)
     ref = search_group_reference(t)
     assert got.elements == ref.elements
     assert got.perms == ref.perms
@@ -523,16 +541,12 @@ def assert_identical(got, want):
 
 
 ORACLE_FAMILIES = {
-    "structure": lambda tmp: [(load_theory(path), True) for seed in (5, 11) for path in
+    "structure": lambda tmp: [load_theory(path) for seed in (5, 11) for path in
                               structure_theory_files(tmp / str(seed), seed).values()],
-    "sheared": lambda tmp: [(sheared_polygon(name, pts), True)
-                            for name, pts in RATIONAL_SHAPES.items()],
-    "polygon": lambda tmp: [(make_polygon(n), force) for n in range(3, 13)
-                            for force in (False, True)],
-    "psi": lambda tmp: [(psi_transform(make_polygon(n)), force) for n in range(4, 17, 2)
-                        for force in (False, True)],
-    "classical": lambda tmp: [(make_classical(n), force) for n in range(1, 6)
-                              for force in (False, True)],
+    "sheared": lambda tmp: [sheared_polygon(name, pts) for name, pts in RATIONAL_SHAPES.items()],
+    "polygon": lambda tmp: [make_polygon(n) for n in range(3, 13)],
+    "psi": lambda tmp: [psi_transform(make_polygon(n)) for n in range(4, 17, 2)],
+    "classical": lambda tmp: [make_classical(n) for n in range(1, 6)],
 }
 
 
@@ -542,11 +556,10 @@ class TestAgainstPerElementOracles:
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_group_and_averages(self, family, tmp_path):
-        for t, force in ORACLE_FAMILIES[family](tmp_path):
-            g = automorphism_group(t, force_search=force)
-            if force:
-                want = search_group_full_depth(t)
-                assert_identical((g.elements, g.perms), (want.elements, want.perms))
+        for t in ORACLE_FAMILIES[family](tmp_path):
+            g = automorphism_group(t)
+            want = search_group_full_depth(t)
+            assert_identical((g.elements, g.perms), (want.elements, want.perms))
             assert_identical(averaged_inner_product(g, t.ctx), averaged_gram_per_element(g, t.ctx))
             assert_identical(projector_pm(g, t.ctx), projector_per_element(g, t.ctx))
             if is_transitive(g, t):
@@ -591,8 +604,8 @@ class TestAnalyzeCli:
             k: expected[k] for k in ("group_order", "transitive", "self_dual")}
 
     def test_mismatched_builtin_kind_rejected(self, tmp_path):
-        # an exact square declared as the float 4-gon used to reach the
-        # dihedral closed form and die with a RuntimeError
+        # an exact square declared as the float 4-gon is rejected at load,
+        # naming the declared kind
         path = tmp_path / "sq.json"
         path.write_text(json.dumps({
             "name": "sq", "dim": 3, "kind": "polygon", "n": 4,
