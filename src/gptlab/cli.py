@@ -65,7 +65,10 @@ from .symmetry import (
 
 def resolve_theory(spec: str) -> Theory:
     if os.path.exists(spec):
-        return load_theory(spec)
+        try:
+            return load_theory(spec)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SystemExit(f"invalid theory file {spec!r}: {exc}")
     kind, _, arg = spec.partition(":")
     if arg.isdecimal() and (kind in BUILTIN_KINDS or kind == "disc"):
         try:
@@ -238,31 +241,28 @@ def cmd_verify(args) -> None:
         f, g = harness.ideal_pair_for(raw)
         hat = psi_transform(raw)
         fh, gh = psi_map_measurement(f, n), psi_map_measurement(g, n)
-        reports = []
-        for _ in range(args.random):
+
+        def check():
             jraw = psi_map_joint(harness.random_joint(hat, fh, gh, rng), n, inverse=True)
-            reports.append(
-                harness.verify_thm3_even(n, f, g, jraw, args.mode, args.eps1, args.eps2).to_dict()
-            )
-        _emit({"passed": all(r["passed"] for r in reports), "reports": reports})
-        return
-    t = harness.prepare_conforming(resolve_theory(args.theory))
-    if which == "propC":
+            return harness.verify_thm3_even(n, f, g, jraw, args.mode, args.eps1, args.eps2)
+    elif which == "propC":
+        t = harness.prepare_conforming(resolve_theory(args.theory))
         f, _ = harness.ideal_pair_for(t)
-        reports = []
-        for _ in range(args.random):
+
+        def check():
             ft = harness.random_postprocessed(t, f, rng)
-            reports.append(harness.verify_propc(t, ft, f, args.eps_grid).to_dict())
-        _emit({"passed": all(r["passed"] for r in reports), "reports": reports})
-        return
-    if args.pair or (args.first is None):
-        f, g = harness.ideal_pair_for(t)
+            return harness.verify_propc(t, ft, f, args.eps_grid)
     else:
-        f, g = _pair(args, t)
-    reports = []
-    for _ in range(args.random):
-        j = harness.random_joint(t, f, g, rng)
-        reports.append(harness.verify_mode(which, t, f, g, j, args.eps1, args.eps2).to_dict())
+        t = harness.prepare_conforming(resolve_theory(args.theory))
+        if args.pair or (args.first is None and args.second is None):
+            f, g = harness.ideal_pair_for(t)
+        else:
+            f, g = _pair(args, t)
+
+        def check():
+            j = harness.random_joint(t, f, g, rng)
+            return harness.verify_mode(which, t, f, g, j, args.eps1, args.eps2)
+    reports = [check().to_dict() for _ in range(args.random)]
     _emit({"passed": all(r["passed"] for r in reports), "reports": reports})
 
 

@@ -1,18 +1,17 @@
 """Polyhedral cones by generating rays: duality, membership, equality.
 
 The dual cone is computed with the double description method: the
-generators of the primal cone give the facet normals of the dual, and the
-normals are inserted one by one into a simplicial starting cone.
-Insertion follows the given generator order (no preordering) so results
-are reproducible.  Rays are normalised so the largest-magnitude
-coordinate has absolute value 1 in float mode, or to primitive integer
-vectors in exact mode.
+generators of the primal cone give the facet normals ``G v`` of the dual
+(one ``scalars.ordered_matmul`` product), and the normals are inserted one
+by one into a simplicial starting cone, in the given generator order (no
+preordering) so results are reproducible.  Exact mode runs on int rows and
+keeps each ray a primitive integer vector, with Fractions only in the basis
+inverse and the output; float rays have largest |coordinate| 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .linprog import EQ, LinearProgram, lp_feasible
@@ -22,9 +21,11 @@ from .scalars import (
     InnerProduct,
     dot,
     inverse,
-    mat_vec,
+    numerators,
+    ordered_matmul,
     rank,
     spanning_rows,
+    stacked,
     transpose,
     vscale,
     vsub,
@@ -43,7 +44,7 @@ class Cone:
 
     def __post_init__(self):
         for g in self.generators:
-            if all(a == 0 for a in g):
+            if not any(g):
                 raise ValueError("zero vector is not a valid cone generator")
 
     @property
@@ -52,18 +53,14 @@ class Cone:
 
 
 def normalize_ray(v, ctx: Context):
-    """Canonical representative of a ray (positive rescaling only)."""
+    """Canonical representative of a ray (positive rescaling only): the
+    primitive integer vector in exact mode, largest |coordinate| 1 in float mode."""
     if ctx.exact:
-        den = 1
-        for a in v:
-            den = den * Fraction(a).denominator // gcd(den, Fraction(a).denominator)
-        ints = [int(a * den) for a in v]
-        g = 0
-        for a in ints:
-            g = gcd(g, abs(a))
+        nums, _ = numerators(v)
+        g = gcd(*nums)
         if g == 0:
             raise ValueError("cannot normalize the zero ray")
-        return tuple(Fraction(a, g) for a in ints)
+        return tuple(a // g for a in nums)
     m = max(abs(a) for a in v)
     if m == 0:
         raise ValueError("cannot normalize the zero ray")
@@ -104,7 +101,11 @@ def dual_cone(c: Cone, g: InnerProduct, ctx: Context = FLOAT) -> Cone:
     if not c.generators:
         raise ValueError("empty generator list")
     d = c.dim
-    normals = [mat_vec(g.gram, v) for v in c.generators]
+    if g.dim != d:
+        raise ValueError(f"dimension mismatch: cone in R^{d}, pairing on R^{g.dim}")
+    # rows G v, each entry summed in order as mat_vec does; in exact mode a
+    # positive multiple of them, which changes no sign and no normalised ray
+    normals = ordered_matmul(stacked(c.generators, ctx)[0], stacked(g.gram, ctx)[0].T).tolist()
 
     basis_idx = spanning_rows(normals, d, ctx)  # greedy, in the given insertion order
     if len(basis_idx) < d:
@@ -113,9 +114,8 @@ def dual_cone(c: Cone, g: InnerProduct, ctx: Context = FLOAT) -> Cone:
             f"the dual cone contains a lineality space of dimension {d - len(basis_idx)}"
         )
 
-    binv = inverse(tuple(normals[i] for i in basis_idx), ctx)
-    cols = transpose(binv)
-    rays = [normalize_ray(col, ctx) for col in cols]
+    binv = inverse(ctx.mat(normals[i] for i in basis_idx), ctx)
+    rays = [normalize_ray(col, ctx) for col in transpose(binv)]
     # zero sets over processed normal indices; initial ray j is tight on all
     # basis normals except its own
     zsets = [frozenset(basis_idx) - {basis_idx[j]} for j in range(d)]
@@ -125,37 +125,25 @@ def dual_cone(c: Cone, g: InnerProduct, ctx: Context = FLOAT) -> Cone:
             continue
         vals = [dot(a, r) for r in rays]
         signs = [ctx.sign(v) for v in vals]
-        plus = [k for k, s in enumerate(signs) if s > 0]
-        zero = [k for k, s in enumerate(signs) if s == 0]
-        minus = [k for k, s in enumerate(signs) if s < 0]
+        plus, zero, minus = ([k for k, s in enumerate(signs) if s == side] for side in (1, 0, -1))
         new_rays, new_zsets = [], []
         for kp in plus:
             for km in minus:
                 meet = zsets[kp] & zsets[km]
-                adjacent = True
-                for ko in range(len(rays)):
-                    if ko in (kp, km):
-                        continue
-                    if meet <= zsets[ko]:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                combo = vsub(vscale(vals[kp], rays[km]), vscale(vals[km], rays[kp]))
-                ray = normalize_ray(combo, ctx)
-                if any(ctx.vec_eq(ray, r) for r in new_rays):
-                    continue
-                new_rays.append(ray)
-                new_zsets.append(meet | {i})
-        rays = [rays[k] for k in plus] + [rays[k] for k in zero] + new_rays
-        zsets = (
-            [zsets[k] for k in plus]
-            + [zsets[k] | {i} for k in zero]
-            + new_zsets
-        )
+                for ko, z in enumerate(zsets):
+                    if meet <= z and ko != kp and ko != km:
+                        break  # not adjacent
+                else:
+                    combo = vsub(vscale(vals[kp], rays[km]), vscale(vals[km], rays[kp]))
+                    ray = normalize_ray(combo, ctx)
+                    if not any(ctx.vec_eq(ray, r) for r in new_rays):
+                        new_rays.append(ray)
+                        new_zsets.append(meet | {i})
+        rays = [rays[k] for k in plus + zero] + new_rays
+        zsets = [zsets[k] for k in plus] + [zsets[k] | {i} for k in zero] + new_zsets
         if not rays:
             raise LinealityError("dual cone degenerated to the origin")
-    return Cone(tuple(rays))
+    return Cone(ctx.mat(rays) if ctx.exact else tuple(rays))
 
 
 @dataclass(frozen=True)

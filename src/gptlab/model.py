@@ -31,8 +31,6 @@ from .scalars import (
     InnerProduct,
     dot,
     float_vec,
-    inverse,
-    mat_vec,
     ordered_matmul,
     rank,
     stacked,
@@ -114,9 +112,6 @@ class Measurement:
     @property
     def n_outcomes(self) -> int:
         return len(self.outcomes)
-
-    def effect(self, label):
-        return self.effects[self.outcomes.index(label)]
 
 
 def effect_eval(t: Theory, e, omega):
@@ -219,18 +214,6 @@ def validate_theory(t: Theory) -> None:
     for i in range(t.n_vertices):
         if same[i].sum() > 1 or rank(normals[tight[:, i]].tolist(), ctx) != t.dim - 1:
             raise ValueError(f"vertex {i} is a convex combination of the others")
-
-
-def effect_cone_rays(t: Theory, inner: InnerProduct) -> tuple:
-    """Rays ``G^-1 n_k`` spanning the state cone's dual under `inner`, whose Gram matrix is ``G``.
-
-    The ``n_k`` are the cached facet normals, which span the dual under the
-    dot product: the effects nonnegative on every state.
-    """
-    ginv = inverse(inner.gram, t.ctx)
-    if ginv is None:
-        raise ValueError("the pairing's Gram matrix is singular")
-    return tuple(mat_vec(ginv, n) for n in t.facet_normals)
 
 
 # ---------------------------------------------------------------------------

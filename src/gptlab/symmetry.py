@@ -10,8 +10,9 @@ state.
 
 Self-duality under an inner product G and the J-positivity checks of
 ``xi_canonicalize`` solve no LP: they are sign checks of vertices against
-vertices under G, and of the dual cone's rays ``G^-1 n_k`` against the
-cached facet normals ``n_k``.
+vertices under G, and of the cached facet normals ``n_k`` against the
+dual cone's rays ``G^-1 n_k``, all through one batched sign check
+(``_pairs_nonnegative``) on stacked numerators.
 
 Every group not already kept on the theory, built-in or custom, comes
 from one backtracking search over the images of a spanning subset of the
@@ -45,12 +46,11 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Theory, effect_cone_rays, theory_to_float
+from .model import Theory, theory_to_float
 from .scalars import (
     Context,
     FLOAT,
     InnerProduct,
-    dot,
     identity,
     inverse,
     mat_add,
@@ -365,25 +365,42 @@ def canonicalize(t: Theory) -> CanonicalForm:
     return CanonicalForm(basis=tuple(basis), transform=transform, theory=theory_c, group=new_group)
 
 
-def _in_dual(t: Theory, points, gram: InnerProduct) -> bool:
-    """Every point pairs nonnegatively with every vertex: it lies in the `gram`-dual cone."""
-    g_vertices = [mat_vec(gram.gram, v) for v in t.vertices]  # <x, v>_G = x . (G v)
-    return all(t.ctx.ge(dot(x, gv), 0) for x in points for gv in g_vertices)
+def _pairs_nonnegative(ctx: Context, left: tuple, right: tuple) -> bool:
+    """Is ``(A_1 ... A_p x_i) . (B_1 ... B_q y_j) >= 0`` for every i and j?
 
+    ``left = (A_1, ..., A_p, xs)`` and ``right = (B_1, ..., B_q, ys)``.  The
+    images are ``ordered_matmul`` products on stacked numerators, the last
+    matrix first, as nested ``mat_vec`` calls and a closing ``dot`` form
+    them, so float values are bit-identical to those; exact ones are
+    positive multiples of the true values, which keep their signs.
+    """
+    def images(chain):
+        *maps, vecs = chain
+        out = stacked(vecs, ctx)[0].T
+        for m in reversed(maps):
+            out = ordered_matmul(stacked(m, ctx)[0], out)
+        return out
 
-def _in_cone(t: Theory, points) -> bool:
-    """Every point is on the inner side of every facet of the state cone."""
-    return all(t.ctx.ge(dot(n, x), 0) for x in points for n in t.facet_normals)
+    return bool(ctx.ge(ordered_matmul(images(left).T, images(right)), 0).all())
 
 
 def is_self_dual(t: Theory, gram: Optional[InnerProduct] = None) -> bool:
     """Is the positive cone equal to its internal dual under the given product?
 
-    Defaults to the group-averaged inner product of the theory.
+    Defaults to the group-averaged inner product of the theory.  The cone
+    lies in its dual when every ``<v_i, v_j>_G >= 0``; the dual, spanned by
+    the rays ``G^-1 n_k``, lies in the cone when every ``n_f . G^-1 n_k >= 0``.
     """
+    ctx = t.ctx
     if gram is None:
-        gram = averaged_inner_product(automorphism_group(t), t.ctx)
-    return _in_dual(t, t.vertices, gram) and _in_cone(t, effect_cone_rays(t, gram))
+        gram = averaged_inner_product(automorphism_group(t), ctx)
+    pairing = ctx.mat(gram.gram)  # in t's mode: euclidean() defaults to float entries
+    if not _pairs_nonnegative(ctx, (t.vertices,), (pairing, t.vertices)):
+        return False
+    ginv = inverse(pairing, ctx)
+    if ginv is None:
+        raise ValueError("the pairing's Gram matrix is singular")
+    return _pairs_nonnegative(ctx, (t.facet_normals,), (ginv, t.facet_normals))
 
 
 def _average_conjugates(g: SymmetryGroup, j_map, ctx: Context):
@@ -423,10 +440,10 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
         raise ValueError("J is not self-adjoint for the averaged inner product")
     if not InnerProduct(gj).is_positive_definite(ctx):
         raise ValueError("J is not strictly positive for the averaged inner product")
-    if not _in_dual(t, [mat_vec(j_map, v) for v in t.vertices], gram):
+    if not _pairs_nonnegative(ctx, (j_map, t.vertices), (gram.gram, t.vertices)):
         raise ValueError("J does not map the positive cone into the dual cone")
-    jinv = inverse(j_map, ctx)
-    if not _in_cone(t, [mat_vec(jinv, r) for r in effect_cone_rays(t, gram)]):
+    onto = (inverse(j_map, ctx), inverse(gram.gram, ctx), t.facet_normals)
+    if not _pairs_nonnegative(ctx, (t.facet_normals,), onto):
         raise ValueError("J does not map the positive cone onto the dual cone")
 
     omega_m = maximally_mixed(t, g)

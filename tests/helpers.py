@@ -11,9 +11,10 @@ routes over `dual_cone` and `cone_member`.  LPs go to the simplex on
 Python lists that the numpy tableau replaced and to scipy's HiGHS, their
 standard form to the per-kind substitution that the single one replaced,
 and the compatibility LPs also come in their older vertex-by-vertex form.
-The integer-numerator layers of exact mode (rank, the ideal-measurement
-search, the incidence check of ``validate_theory``) meet their earlier
-forms, which work on the theory's own scalars one value at a time.
+The integer-numerator layers of exact mode (rank, the double description,
+the ideal-measurement search, the incidence check of ``validate_theory``)
+meet their earlier forms, which work on the theory's own scalars one
+value at a time.
 """
 
 import math
@@ -22,13 +23,13 @@ from itertools import chain, combinations, permutations
 
 import pytest
 
-from gptlab.cones import cone_member, cones_equal, dual_cone
+from gptlab.cones import Cone, LinealityError, cone_member, cones_equal, dual_cone
 from gptlab.ideal import IdealMeasurement, _veckey, indecomposable_pure_effects
 from gptlab.linprog import _MAX_PIVOTS, EQ, GE, LE, LinearProgram
 from gptlab.model import is_zero_effect, prob_table, validate_theory
 from gptlab.scalars import (
     FLOAT, Context, InnerProduct, dot, inverse, mat_add, mat_mul, mat_scale, mat_vec, rank, solve,
-    transpose, vadd, vscale, vsub,
+    spanning_rows, transpose, vadd, vscale, vsub,
 )
 from gptlab.symmetry import SymmetryGroup, is_transitive
 
@@ -682,7 +683,8 @@ def hrow_compat_lp(family: str, t, f, g):
 
 
 # ---------------------------------------------------------------------------
-# exact mode on the theory's own scalars: rank, extremality, the ideal search
+# exact mode on the theory's own scalars: rank, extremality, the dual cone,
+# the ideal search
 
 def rank_fraction(rows) -> int:
     """Rank by Gauss-Jordan elimination in Fractions, pivoting on the first nonzero."""
@@ -714,6 +716,50 @@ def vertex_extreme(t, i: int) -> bool:
         return False
     tight = [n for n in t.facet_normals if ctx.is_zero(dot(n, v))]
     return (rank_fraction(tight) if ctx.exact else rank(tight, ctx)) == t.dim - 1
+
+
+def dual_cone_reference(c: Cone, g: InnerProduct, ctx: Context) -> Cone:
+    """The double description on the cone's own scalars: ``G v`` per generator
+    by ``mat_vec``, rays kept in Fractions (exact) or floats and normalised
+    after every combination, the adjacency test over all other rays."""
+    def normalize(v):
+        if ctx.exact:
+            den = math.lcm(*(Fraction(a).denominator for a in v))
+            ints = [int(a * den) for a in v]
+            return tuple(Fraction(a, math.gcd(*ints)) for a in ints)
+        m = max(abs(a) for a in v)
+        return tuple(a / m for a in v)
+
+    d = c.dim
+    normals = [mat_vec(g.gram, v) for v in c.generators]
+    basis_idx = spanning_rows(normals, d, ctx)
+    if len(basis_idx) < d:
+        raise LinealityError("generators do not span the ambient space")
+    rays = [normalize(col) for col in transpose(inverse(tuple(normals[i] for i in basis_idx), ctx))]
+    zsets = [frozenset(basis_idx) - {basis_idx[j]} for j in range(d)]
+    for i, a in enumerate(normals):
+        if i in basis_idx:
+            continue
+        vals = [dot(a, r) for r in rays]
+        signs = [ctx.sign(v) for v in vals]
+        plus = [k for k, s in enumerate(signs) if s > 0]
+        zero = [k for k, s in enumerate(signs) if s == 0]
+        minus = [k for k, s in enumerate(signs) if s < 0]
+        new_rays, new_zsets = [], []
+        for kp in plus:
+            for km in minus:
+                meet = zsets[kp] & zsets[km]
+                if any(meet <= zsets[ko] for ko in range(len(rays)) if ko not in (kp, km)):
+                    continue
+                ray = normalize(vsub(vscale(vals[kp], rays[km]), vscale(vals[km], rays[kp])))
+                if not any(ctx.vec_eq(ray, r) for r in new_rays):
+                    new_rays.append(ray)
+                    new_zsets.append(meet | {i})
+        rays = [rays[k] for k in plus] + [rays[k] for k in zero] + new_rays
+        zsets = [zsets[k] for k in plus] + [zsets[k] | {i} for k in zero] + new_zsets
+        if not rays:
+            raise LinealityError("dual cone degenerated to the origin")
+    return Cone(tuple(rays))
 
 
 def assert_validation_matches_oracle(t) -> None:

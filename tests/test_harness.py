@@ -319,6 +319,28 @@ class TestCli:
         with pytest.raises(SystemExit, match=re.escape(message)):
             cli.main(["theory", "analyze", "--theory", spec])
 
+    INVALID_THEORY_FILES = {
+        "no-dim": ('{"vertices": [[1, 0], [0, 1]], "unit_effect": [1, 1]}', "'dim'"),
+        "not-json": ("vertices: [[1, 0], [0, 1]]", "Expecting value: line 1 column 1"),
+        "vertices-not-a-list": ('{"dim": 2, "vertices": 5, "unit_effect": [1, 1]}',
+                                "'int' object is not iterable"),
+        "interior-point": (json.dumps({"dim": 3, "unit_effect": [0, 0, 1], "vertices": [
+            [1, 1, 1], [-1, 1, 1], [-1, -1, 1], [1, -1, 1], [0, 0, 1]]}),
+            "vertex 4 is a convex combination of the others"),
+        "flat": (json.dumps({"dim": 3, "unit_effect": [0, 0, 1],
+                             "vertices": [[0, 0, 1], [1, 0, 1], [2, 0, 1]]}),
+                 "affine dimension 1 does not match ambient dimension 3"),
+    }
+
+    @pytest.mark.parametrize("name", list(INVALID_THEORY_FILES))
+    def test_invalid_theory_file_exits_with_message(self, tmp_path, name):
+        text, reason = self.INVALID_THEORY_FILES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        message = f"invalid theory file {str(path)!r}: {reason}"
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            cli.main(["theory", "analyze", "--theory", str(path)])
+
     @pytest.mark.parametrize("theory, state, problem", [
         ("polygon:5", "1,2", "needs 3 comma-separated coordinates for theory 'polygon-5', got 2"),
         ("polygon:5", "0,0,1,1", "needs 3 comma-separated coordinates for theory 'polygon-5', got 4"),
@@ -401,6 +423,15 @@ class TestCli:
         out = self.run(capsys, "verify", "thm2", "--theory", "polygon:5",
                        "--random", "3", "--seed", "1")
         assert out["passed"] is True
+
+    def test_verify_lone_second_exits(self, tmp_path):
+        # effects summing to (10, 10, 10): read, the file would be rejected too
+        junk = tmp_path / "junk.json"
+        junk.write_text(json.dumps({"outcomes": [0, 1], "effects": [[5, 5, 5], [5, 5, 5]]}))
+        for which in ("thm1", "cor1", "thm2"):
+            with pytest.raises(SystemExit, match="missing --first"):
+                cli.main(["verify", which, "--theory", "polygon:5", "--second", str(junk),
+                          "--random", "1"])
 
     def test_verify_thm3(self, capsys):
         out = self.run(capsys, "verify", "thm3", "--n", "4", "--mode", "thm2",

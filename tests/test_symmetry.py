@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction as Fr
@@ -17,7 +18,7 @@ import gptlab.compat
 import gptlab.cones
 import gptlab.symmetry
 from gptlab.cli import main as cli_main
-from gptlab.cones import Cone, cone_member, dual_cone
+from gptlab.cones import Cone, cone_member, dual_cone, normalize_ray
 from gptlab.harness import prepare_conforming
 from gptlab.ideal import indecomposable_pure_effects, psi_transform
 from gptlab.model import Theory, load_theory, make_classical, make_polygon, theory_to_float
@@ -39,8 +40,9 @@ from gptlab.symmetry import (
 
 from helpers import (
     assert_validation_matches_oracle, averaged_gram_per_element, automorphism_orders_bruteforce,
-    canonical_group_per_element, j_positive_lp, maximally_mixed_per_element, projector_per_element,
-    search_group_full_depth, search_group_reference, self_dual_lp, vertex_extreme,
+    canonical_group_per_element, dual_cone_reference, j_positive_lp, maximally_mixed_per_element,
+    projector_per_element, search_group_full_depth, search_group_reference, self_dual_lp,
+    vertex_extreme,
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -605,13 +607,16 @@ class TestAnalyzeCli:
 
     def test_mismatched_builtin_kind_rejected(self, tmp_path):
         # an exact square declared as the float 4-gon is rejected at load,
-        # naming the declared kind
+        # naming the file and the declared kind
         path = tmp_path / "sq.json"
         path.write_text(json.dumps({
             "name": "sq", "dim": 3, "kind": "polygon", "n": 4,
             "vertices": [[1, 1, 1], [-1, 1, 1], [-1, -1, 1], [1, -1, 1]],
             "unit_effect": [0, 0, 1]}))
         with pytest.raises(ValueError, match="'sq' declares kind 'polygon' with n=4"):
+            load_theory(path)
+        message = f"invalid theory file {str(path)!r}: theory 'sq' declares kind 'polygon' with n=4"
+        with pytest.raises(SystemExit, match=re.escape(message)):
             cli_main(["theory", "analyze", "--theory", str(path)])
 
 
@@ -789,6 +794,12 @@ class TestSignChecks:
         with pytest.raises(ValueError, match="Gram matrix is singular"):
             is_self_dual(t, gram)
 
+    def test_pairing_given_in_the_other_mode(self):
+        # InnerProduct.euclidean defaults to float entries
+        assert is_self_dual(make_classical(2), InnerProduct.euclidean(3))
+        assert is_self_dual(make_polygon(5), InnerProduct.euclidean(3, EXACT))
+        assert not is_self_dual(make_polygon(4), InnerProduct.euclidean(3, EXACT))
+
     @pytest.mark.parametrize("make", [lambda: make_polygon(3), lambda: make_polygon(5),
                                       lambda: make_polygon(7), lambda: make_polygon(9),
                                       stretched_pentagon, lambda: make_classical(2)],
@@ -808,6 +819,73 @@ class TestSignChecks:
             else:
                 with pytest.raises(ValueError, match="into" if not into else "onto"):
                     xi_canonicalize(t, j, g)
+
+
+BUILTIN_CONES = ([make_polygon(n) for n in range(3, 65)]
+                 + [psi_transform(make_polygon(n)) for n in range(4, 65, 2)]
+                 + [make_classical(n) for n in range(1, 6)])
+
+
+class TestDualConeOracle:
+    """``dual_cone`` on int numerators against the double description on the
+    cone's own scalars, under the Euclidean and the group-averaged product."""
+
+    @staticmethod
+    def assert_matches_reference(t, gram):
+        got = dual_cone(t.cone, gram, t.ctx)
+        assert repr(got) == repr(dual_cone_reference(t.cone, gram, t.ctx))
+        if gram == t.inner:
+            assert repr(t.facet_normals) == repr(got.generators)
+
+    @pytest.mark.parametrize("t", BUILTIN_CONES, ids=lambda t: t.name)
+    def test_builtins(self, t):
+        for gram in (t.inner, averaged_inner_product(automorphism_group(t), t.ctx)):
+            self.assert_matches_reference(t, gram)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_relabelled_structure_polytopes(self, tmp_path, seed):
+        for path in structure_theory_files(tmp_path, seed).values():
+            t = load_theory(path)
+            for gram in (t.inner, averaged_inner_product(automorphism_group(t), t.ctx)):
+                self.assert_matches_reference(t, gram)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rational_polytopes(), st.data())
+    def test_rational_polytopes(self, t, data):
+        spd = _invertible(data.draw, t.dim)
+        for gram in (t.inner, averaged_inner_product(automorphism_group(t), EXACT),
+                     InnerProduct(mat_mul(spd, transpose(spd)))):
+            self.assert_matches_reference(t, gram)
+
+    def test_exact_runs_on_ints_after_the_basis_inverse(self, monkeypatch, tmp_path):
+        # once the d x d basis inverse is taken, no Fraction is added,
+        # multiplied or compared: Fractions are only built for the output rays
+        t = load_theory(structure_theory_files(tmp_path, seed=5)["cube"])
+        gram = InnerProduct(((Fr(2), Fr(1, 3), Fr(0), Fr(0)), (Fr(1, 3), Fr(1), Fr(0), Fr(0)),
+                             (Fr(0), Fr(0), Fr(3, 2), Fr(0)), (Fr(0), Fr(0), Fr(0), Fr(5, 7))))
+        calls, recording = [], []
+
+        def inverse_then_record(a, ctx):
+            out = inverse(a, ctx)
+            recording.append(True)
+            return out
+
+        monkeypatch.setattr(gptlab.cones, "inverse", inverse_then_record)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__lt__",
+                     "__le__", "__gt__", "__ge__", "__eq__"):
+            op = getattr(Fr, name)
+            monkeypatch.setattr(Fr, name, lambda a, b, op=op, name=name:
+                                (recording and calls.append(name)) or op(a, b))
+        got = dual_cone(t.cone, gram, EXACT)
+        monkeypatch.undo()
+        assert recording and calls == []
+        assert repr(got) == repr(dual_cone_reference(t.cone, gram, EXACT))
+        assert len(got.generators) == 6
+
+    def test_exact_normalization_returns_ints(self):
+        ray = normalize_ray((Fr(-4, 6), Fr(2, 9), Fr(0)), EXACT)
+        assert ray == (-3, 1, 0) and all(type(a) is int for a in ray)
 
 
 def test_theory_layer_solves_no_lp(monkeypatch, tmp_path, capsys):
