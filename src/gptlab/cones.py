@@ -23,7 +23,6 @@ from .scalars import (
     inverse,
     numerators,
     ordered_matmul,
-    rank,
     spanning_rows,
     stacked,
     transpose,
@@ -105,7 +104,8 @@ def dual_cone(c: Cone, g: InnerProduct, ctx: Context = FLOAT) -> Cone:
         raise ValueError(f"dimension mismatch: cone in R^{d}, pairing on R^{g.dim}")
     # rows G v, each entry summed in order as mat_vec does; in exact mode a
     # positive multiple of them, which changes no sign and no normalised ray
-    normals = ordered_matmul(stacked(c.generators, ctx)[0], stacked(g.gram, ctx)[0].T).tolist()
+    normals = ordered_matmul(stacked(c.generators, ctx)[0],
+                             stacked(ctx.mat(g.gram), ctx)[0].T).tolist()
 
     basis_idx = spanning_rows(normals, d, ctx)  # greedy, in the given insertion order
     if len(basis_idx) < d:
@@ -114,7 +114,7 @@ def dual_cone(c: Cone, g: InnerProduct, ctx: Context = FLOAT) -> Cone:
             f"the dual cone contains a lineality space of dimension {d - len(basis_idx)}"
         )
 
-    binv = inverse(ctx.mat(normals[i] for i in basis_idx), ctx)
+    binv = inverse([normals[i] for i in basis_idx], ctx)
     rays = [normalize_ray(col, ctx) for col in transpose(binv)]
     # zero sets over processed normal indices; initial ray j is tight on all
     # basis normals except its own
@@ -162,6 +162,7 @@ def affine_hull_check(vertices, ctx: Context = FLOAT) -> AffineHullInfo:
         raise ValueError("nonempty vertex list required")
     v0 = vertices[0]
     diffs = [vsub(v, v0) for v in vertices[1:]]
-    adim = rank(diffs, ctx)
-    outside = rank(diffs + [list(v0)], ctx) > adim
-    return AffineHullInfo(dim=adim, origin_outside=outside)
+    # v0 comes last, so it is chosen only when it lies outside the span of the diffs
+    idx = spanning_rows(diffs + [v0], len(v0), ctx)
+    outside = len(diffs) in idx
+    return AffineHullInfo(dim=len(idx) - outside, origin_outside=outside)

@@ -329,14 +329,15 @@ def _certify(p: LinearProgram, data, x, ctx: Context):
     ``data``, the LP as converted by :func:`_standardize`."""
     constraints, lower, upper = data
     slack_tol = 0 if ctx.exact else 100 * ctx.tol
-    for coeffs, rel, b in constraints:
-        v = dot(coeffs, x)
-        if rel == LE and not v <= b + slack_tol:
-            raise RuntimeError(f"certification failed: {v} <= {b}")
-        if rel == GE and not v >= b - slack_tol:
-            raise RuntimeError(f"certification failed: {v} >= {b}")
-        if rel == EQ and not abs(v - b) <= slack_tol:
-            raise RuntimeError(f"certification failed: {v} == {b}")
+    # rows [a | b] times the point [x | 0]: a running sum of the products
+    # gives every a.x, added in index order as dot adds; in exact mode ints
+    # over den**2, compared with b's numerators scaled to the same denominator
+    arr, den = stacked([[*coeffs, b] for coeffs, _, b in constraints] + [[*x, 0]], ctx)
+    ax = np.add.accumulate(arr[:-1] * arr[-1], axis=1)[:, -1].tolist()
+    for (coeffs, rel, b), v, bv in zip(constraints, ax, (arr[:-1, -1] * den).tolist()):
+        if not (v <= bv + slack_tol if rel == LE else
+                v >= bv - slack_tol if rel == GE else abs(v - bv) <= slack_tol):
+            raise RuntimeError(f"certification failed: {dot(coeffs, x)} {rel} {b}")
     for j, (lb, ub, xj) in enumerate(zip(lower, upper, x)):
         if lb is not None and not xj >= lb - slack_tol:
             raise RuntimeError(f"certification failed: bound x[{j}] >= {p._bound('lo', j)}")

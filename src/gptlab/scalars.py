@@ -17,6 +17,11 @@ denominator: :func:`numerators` clears the denominators of a list,
 such an array in lowest terms, and :func:`ordered_matmul` multiplies
 stacks of matrices with every sum taken in index order, as :func:`dot`
 does.  A Fraction is built only where a value leaves those layers.
+
+One Gauss-Jordan elimination serves :func:`rank`, :func:`spanning_rows`,
+:func:`solve` and :func:`inverse`: on floats with partial pivoting, and
+fraction-free on each exact row's int numerators, so an exact solution
+leaves as ints over the last pivot.
 """
 
 from __future__ import annotations
@@ -199,87 +204,67 @@ def ordered_matmul(a, b):
     return total
 
 
-def _pivot_order(col_abs, ctx):
-    # float mode: partial pivoting; exact: first nonzero
-    if ctx.exact:
-        for i, v in enumerate(col_abs):
-            if v != 0:
-                return i
-        return None
-    best, best_i = 0.0, None
-    for i, v in enumerate(col_abs):
-        if v > best:
-            best, best_i = v, i
-    if best_i is None or best <= ctx.tol:
-        return None
-    return best_i
+def _rows(rows, ctx: Context) -> list:
+    # the rows as lists for _eliminate; in exact mode each row's int
+    # numerators, a positive multiple of the row
+    return [numerators(r)[0] if ctx.exact else list(r) for r in rows]
 
 
-def rank(rows: Sequence[Sequence], ctx: Context) -> int:
-    """Rank by Gaussian elimination with the context's zero test.
+def _eliminate(m: list, ncols: int, ctx: Context) -> list:
+    """Gauss-Jordan elimination of the rows ``m`` in place, pivoting in their
+    first ``ncols`` columns; the pivot columns, in order.
 
-    Exact rows are scaled to integers, which keeps the rank, and reduced by
-    fraction-free elimination (Bareiss, 1968): ``m_i <- (p m_i - m_ic m_r) / p_prev``
-    with ``p_prev`` the previous pivot, an exact integer division.
+    Float rows pivot on the largest |entry| (none when it is at most
+    ``tol``), and the pivot row is divided by its pivot before it clears
+    the column.  Exact rows are ints, reduced fraction-free (Bareiss, 1968)
+    on the first nonzero entry: every other row becomes
+    ``(p m_i - m_ic m_r) // p_prev``, with ``p_prev`` the previous pivot, an
+    exact division.  Every pivot column then holds the latest pivot ``p`` in
+    its own row and 0 elsewhere, so a nonsingular square block ends as ``p I``.
     """
-    if ctx.exact:
-        return _int_rank([numerators(r)[0] for r in rows])
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
+    pivots, prev = [], 1
     for c in range(ncols):
-        pivot = _pivot_order([abs(m[i][c]) for i in range(r, len(m))], ctx)
-        if pivot is None:
-            continue
-        p = r + pivot
-        m[r], m[p] = m[p], m[r]
-        pv = m[r][c]
-        for i in range(len(m)):
-            if i == r:
-                continue
-            f = m[i][c] / pv
-            if f == 0:
-                continue
-            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
+        r = len(pivots)
         if r == len(m):
             break
-    return r
-
-
-def spanning_rows(rows: Sequence[Sequence], d: int, ctx: Context) -> list:
-    """Indices of the first rows, in the given order, that each raise the
-    rank of the rows chosen before them, stopping once there are ``d``."""
-    idx: list[int] = []
-    for i, row in enumerate(rows):
-        if rank([rows[j] for j in idx] + [row], ctx) > len(idx):
-            idx.append(i)
-        if len(idx) == d:
-            break
-    return idx
-
-
-def _int_rank(m: list) -> int:
-    r, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        p, best = None, ctx.tol
+        for i in range(r, len(m)):
+            if abs(m[i][c]) > best:
+                p, best = i, abs(m[i][c])
+                if ctx.exact:
+                    break
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
         pv = m[r][c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], m[r])]
+        if not ctx.exact:
+            m[r] = [v / pv for v in m[r]]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if ctx.exact:  # a zero f still rescales the row
+                m[i] = [(pv * a - f * b) // prev for a, b in zip(row, m[r])]
+            elif f != 0:
+                m[i] = [a - f * b for a, b in zip(row, m[r])]
         prev = pv
-        r += 1
-        if r == len(m):
-            break
-    return r
+        pivots.append(c)
+    return pivots
 
 
-def _gauss_jordan(a, rhs, ctx: Context) -> Optional[list]:
+def rank(rows: Sequence[Sequence], ctx: Context) -> int:
+    """Rank by elimination with the context's zero test: the number of pivots."""
+    return len(_eliminate(_rows(rows, ctx), len(rows[0]) if rows else 0, ctx))
+
+
+def spanning_rows(rows: Sequence[Sequence], d: int, ctx: Context) -> list:
+    """Indices of the first rows, in the given order, that each raise the
+    rank of the rows chosen before them, stopping once there are ``d``:
+    the pivot columns of the transposed rows."""
+    return _eliminate(_rows(transpose(rows), ctx), len(rows), ctx)[:d]
+
+
+def _solve_rows(a, rhs, ctx: Context) -> Optional[list]:
     """Reduce [a | rhs] to [I | a^-1 rhs]; the rows of a^-1 rhs, or None when singular."""
     d = len(a)
     widths = sorted({len(row) for row in a})
@@ -287,34 +272,23 @@ def _gauss_jordan(a, rhs, ctx: Context) -> Optional[list]:
         shape = f"{d}x{widths[0] if widths else 0}" if len(widths) <= 1 else f"{d}-row ragged"
         raise ValueError(f"expected a square matrix and a right-hand side of the same "
                          f"length, got a {shape} matrix and a right-hand side of length {len(rhs)}")
-    m = [list(row) + list(extra) for row, extra in zip(a, rhs)]
-    for c in range(d):
-        pivot = _pivot_order([abs(m[i][c]) for i in range(c, d)], ctx)
-        if pivot is None:
-            return None
-        p = c + pivot
-        m[c], m[p] = m[p], m[c]
-        pv = m[c][c]
-        m[c] = [v / pv for v in m[c]]
-        for i in range(d):
-            if i == c:
-                continue
-            f = m[i][c]
-            if f == 0:
-                continue
-            m[i] = [u - f * v for u, v in zip(m[i], m[c])]
+    m = _rows([list(row) + list(extra) for row, extra in zip(a, rhs)], ctx)
+    if len(_eliminate(m, d, ctx)) < d:
+        return None
+    if ctx.exact:  # [p I | p a^-1 rhs]
+        return [[Fraction(v, row[i]) for v in row[d:]] for i, row in enumerate(m)]
     return [row[d:] for row in m]
 
 
 def solve(a, b, ctx: Context) -> Optional[tuple]:
     """Solve the square system a x = b; None when singular."""
-    rows = _gauss_jordan(a, [(rhs,) for rhs in b], ctx)
+    rows = _solve_rows(a, [(rhs,) for rhs in b], ctx)
     return None if rows is None else tuple(row[0] for row in rows)
 
 
 def inverse(a, ctx: Context) -> Optional[tuple]:
     """Matrix inverse by Gauss-Jordan; None when singular."""
-    rows = _gauss_jordan(a, identity(len(a), ctx), ctx)
+    rows = _solve_rows(a, identity(len(a), ctx), ctx)
     return None if rows is None else tuple(tuple(row) for row in rows)
 
 

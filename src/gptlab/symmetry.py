@@ -159,7 +159,7 @@ def _search_group(t: Theory) -> SymmetryGroup:
     w, vden = stacked(verts, ctx)  # vertices w / vden
     # the pruning form m = V Q^-1 V^T with Q = sum_v v v^T, on numerators
     # (a positive factor off in exact mode, which no comparison sees)
-    qinv = inverse(_as_tuples(ordered_matmul(w.T, w), vden * vden), ctx)
+    qinv = inverse(ordered_matmul(w.T, w).tolist(), ctx)
     if qinv is None:
         raise ValueError("vertices do not span the ambient space")
     qi, _ = stacked(qinv, ctx)

@@ -14,7 +14,10 @@ and the compatibility LPs also come in their older vertex-by-vertex form.
 The integer-numerator layers of exact mode (rank, the double description,
 the ideal-measurement search, the incidence check of ``validate_theory``)
 meet their earlier forms, which work on the theory's own scalars one
-value at a time.
+value at a time, and the shared elimination behind ``rank``, ``solve``,
+``inverse`` and ``spanning_rows`` meets the three loops it replaced:
+Gauss-Jordan in Fractions or floats, the float rank, and one rank per
+row for the spanning rows.
 """
 
 import math
@@ -29,7 +32,7 @@ from gptlab.linprog import _MAX_PIVOTS, EQ, GE, LE, LinearProgram
 from gptlab.model import is_zero_effect, prob_table, validate_theory
 from gptlab.scalars import (
     FLOAT, Context, InnerProduct, dot, inverse, mat_add, mat_mul, mat_scale, mat_vec, rank, solve,
-    spanning_rows, transpose, vadd, vscale, vsub,
+    transpose, vadd, vscale, vsub,
 )
 from gptlab.symmetry import SymmetryGroup, is_transitive
 
@@ -71,12 +74,7 @@ def _null_direction(rows, ctx: Context):
         if rank(a, ctx) != d - 1:
             continue
         # reduce to a square solvable system by picking d-1 independent rows
-        chosen = []
-        for r in range(len(a)):
-            if rank([a[i] for i in chosen] + [a[r]], ctx) > len(chosen):
-                chosen.append(r)
-            if len(chosen) == d - 1:
-                break
+        chosen = spanning_rows_greedy(a, d - 1, ctx)
         sol = solve([a[i] for i in chosen], [b[i] for i in chosen], ctx)
         if sol is None:
             continue
@@ -136,12 +134,7 @@ def automorphism_orders_bruteforce(vertices, ctx: Context) -> int:
     """Count vertex permutations extending to linear maps fixing the set."""
     nv = len(vertices)
     d = len(vertices[0])
-    span = []
-    for i in range(nv):
-        if rank([vertices[j] for j in span] + [vertices[i]], ctx) > len(span):
-            span.append(i)
-        if len(span) == d:
-            break
+    span = spanning_rows_greedy(vertices, d, ctx)
     base = inverse(transpose([vertices[i] for i in span]), ctx)
     count = 0
     for perm in permutations(range(nv)):
@@ -172,12 +165,7 @@ def search_group_reference(t) -> SymmetryGroup:
         raise ValueError("vertices do not span the ambient space")
     m = [[dot(verts[i], mat_vec(qinv, verts[j])) for j in range(nv)] for i in range(nv)]
 
-    span_idx: list[int] = []
-    for i in range(nv):
-        if rank([verts[j] for j in span_idx] + [verts[i]], ctx) > len(span_idx):
-            span_idx.append(i)
-        if len(span_idx) == d:
-            break
+    span_idx = spanning_rows_greedy(verts, d, ctx)
     basis_cols = transpose([verts[i] for i in span_idx])
     basis_inv = inverse(basis_cols, ctx)
 
@@ -247,12 +235,7 @@ def search_group_full_depth(t) -> SymmetryGroup:
     qv = [mat_vec(qinv, v) for v in verts]
     m, _ = _cleared([[dot(verts[i], qv[j]) for j in range(nv)] for i in range(nv)], ctx)
 
-    span_idx: list[int] = []
-    for i in range(nv):
-        if rank([verts[j] for j in span_idx] + [verts[i]], ctx) > len(span_idx):
-            span_idx.append(i)
-        if len(span_idx) == d:
-            break
+    span_idx = spanning_rows_greedy(verts, d, ctx)
     w, vden = _cleared(verts, ctx)
     wa, aden = _cleared(inverse(transpose([verts[i] for i in span_idx]), ctx), ctx)
     wden = vden * aden
@@ -705,6 +688,88 @@ def rank_fraction(rows) -> int:
     return r
 
 
+def _pivot_reference(col_abs, ctx: Context):
+    # exact: the first nonzero; float: partial pivoting, None at or below tol
+    if ctx.exact:
+        for i, v in enumerate(col_abs):
+            if v != 0:
+                return i
+        return None
+    best, best_i = 0.0, None
+    for i, v in enumerate(col_abs):
+        if v > best:
+            best, best_i = v, i
+    if best_i is None or best <= ctx.tol:
+        return None
+    return best_i
+
+
+def rank_float_loop(rows, ctx: Context) -> int:
+    """Float rank by Gauss-Jordan elimination with partial pivoting, each row
+    cleared by a multiple ``m_ic / p`` of the undivided pivot row."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    r = 0
+    for c in range(len(m[0])):
+        pivot = _pivot_reference([abs(m[i][c]) for i in range(r, len(m))], ctx)
+        if pivot is None:
+            continue
+        p = r + pivot
+        m[r], m[p] = m[p], m[r]
+        pv = m[r][c]
+        for i in range(len(m)):
+            if i == r:
+                continue
+            f = m[i][c] / pv
+            if f == 0:
+                continue
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
+def rank_reference(rows, ctx: Context) -> int:
+    return rank_fraction(rows) if ctx.exact else rank_float_loop(rows, ctx)
+
+
+def spanning_rows_greedy(rows, d: int, ctx: Context) -> list:
+    """Indices of the first rows, in order, that each raise the rank of the
+    rows chosen before them, up to ``d`` of them: one rank per row."""
+    idx: list[int] = []
+    for i, row in enumerate(rows):
+        if rank_reference([rows[j] for j in idx] + [row], ctx) > len(idx):
+            idx.append(i)
+        if len(idx) == d:
+            break
+    return idx
+
+
+def gauss_jordan_reference(a, rhs, ctx: Context):
+    """Reduce [a | rhs] to [I | a^-1 rhs] on the scalars as given (Fraction
+    division in exact mode); the rows of a^-1 rhs, or None when singular."""
+    d = len(a)
+    m = [list(row) + list(extra) for row, extra in zip(a, rhs)]
+    for c in range(d):
+        pivot = _pivot_reference([abs(m[i][c]) for i in range(c, d)], ctx)
+        if pivot is None:
+            return None
+        p = c + pivot
+        m[c], m[p] = m[p], m[c]
+        pv = m[c][c]
+        m[c] = [v / pv for v in m[c]]
+        for i in range(d):
+            if i == c:
+                continue
+            f = m[i][c]
+            if f == 0:
+                continue
+            m[i] = [u - f * v for u, v in zip(m[i], m[c])]
+    return [row[d:] for row in m]
+
+
 def vertex_extreme(t, i: int) -> bool:
     """Vertex i spans an extreme ray of the state cone and no other vertex equals it.
 
@@ -715,7 +780,7 @@ def vertex_extreme(t, i: int) -> bool:
     if any(ctx.vec_eq(w, v) for j, w in enumerate(t.vertices) if j != i):
         return False
     tight = [n for n in t.facet_normals if ctx.is_zero(dot(n, v))]
-    return (rank_fraction(tight) if ctx.exact else rank(tight, ctx)) == t.dim - 1
+    return rank_reference(tight, ctx) == t.dim - 1
 
 
 def dual_cone_reference(c: Cone, g: InnerProduct, ctx: Context) -> Cone:
@@ -732,7 +797,7 @@ def dual_cone_reference(c: Cone, g: InnerProduct, ctx: Context) -> Cone:
 
     d = c.dim
     normals = [mat_vec(g.gram, v) for v in c.generators]
-    basis_idx = spanning_rows(normals, d, ctx)
+    basis_idx = spanning_rows_greedy(normals, d, ctx)
     if len(basis_idx) < d:
         raise LinealityError("generators do not span the ambient space")
     rays = [normalize(col) for col in transpose(inverse(tuple(normals[i] for i in basis_idx), ctx))]

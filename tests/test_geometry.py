@@ -15,12 +15,20 @@ from gptlab.cones import (
     dual_cone,
     normalize_ray,
 )
-from gptlab.model import make_classical, make_polygon
-from gptlab.scalars import EXACT, FLOAT, InnerProduct, inverse, rank, solve
+from gptlab.ideal import psi_transform
+from gptlab.model import load_theory, make_classical, make_polygon
+from gptlab.scalars import (EXACT, FLOAT, InnerProduct, identity, inverse, mat_mul, rank, solve,
+                            spanning_rows)
 
-from helpers import member_bruteforce, rank_fraction
+from helpers import (gauss_jordan_reference, member_bruteforce, rank_float_loop, rank_fraction,
+                     spanning_rows_greedy)
+from test_symmetry import structure_theory_files
 
 SQ2 = math.sqrt(2)
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+huge = st.builds(Fr, st.integers(-10**400, 10**400), st.integers(1, 10**400))
+rationals = st.one_of(small, huge)
 
 
 class TestGramInner:
@@ -79,6 +87,72 @@ class TestSolve:
         with pytest.raises(ValueError, match="2x3 matrix"):
             inverse(((1.0, 0.0, 5.0), (0.0, 1.0, 7.0)), FLOAT)
 
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_rows_without_multiplier_still_rescale(self, ctx):
+        # the middle row has a zero below the first pivot; exact elimination
+        # must still scale it by that pivot over the previous one
+        a = ctx.mat(((Fr(7, 6), Fr(-22, 3), Fr(14, 3)), (0, 7, 8), (Fr(4, 5), 0, Fr(5, 2))))
+        got = inverse(a, ctx)
+        assert repr(got) == repr(tuple(map(tuple, gauss_jordan_reference(a, identity(3, ctx), ctx))))
+        assert ctx.mat_eq(mat_mul(a, got), identity(3, ctx))
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_gauss_jordan_reference(self, ctx, data):
+        a, b = data.draw(square_systems(ctx))
+        ref = gauss_jordan_reference(a, [(x,) for x in b], ctx)
+        assert _typed(solve(a, b, ctx)) == _typed(ref and tuple(row[0] for row in ref))
+        ref = gauss_jordan_reference(a, identity(len(a), ctx), ctx)
+        assert _typed(inverse(a, ctx)) == _typed(ref and tuple(map(tuple, ref)))
+
+    def test_exact_elimination_does_no_fraction_arithmetic(self, monkeypatch):
+        # rank, solve and inverse run on int numerators: a Fraction is only
+        # built for each entry of the answer
+        a = ((Fr(7, 6), Fr(-22, 3), Fr(14, 3)), (Fr(0), Fr(7), Fr(8)), (Fr(4, 5), Fr(0), Fr(5, 2)))
+        b = (Fr(1, 10**400), Fr(-3), Fr(2, 7))
+        want = (rank(a, EXACT), solve(a, b, EXACT), inverse(a, EXACT))
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__lt__",
+                     "__le__", "__gt__", "__ge__", "__eq__"):
+            op = getattr(Fr, name)
+            monkeypatch.setattr(Fr, name,
+                                lambda x, y, op=op, name=name: calls.append(name) or op(x, y))
+        got = (rank(a, EXACT), solve(a, b, EXACT), inverse(a, EXACT),
+               rank(a[:2] + (a[0],), EXACT), solve(a[:2] + (a[0],), b, EXACT))
+        monkeypatch.undo()
+        assert calls == []
+        assert repr(got) == repr(want + (2, None))
+
+
+def _typed(m):
+    # repr equality entry by entry, except that a Fraction, always in lowest
+    # terms, compares by value: its repr can pass Python's digit limit
+    if isinstance(m, tuple):
+        return tuple(map(_typed, m))
+    return type(m), repr(m) if isinstance(m, float) else m
+
+
+@st.composite
+def square_systems(draw, ctx):
+    """``(a, b)``: a square matrix, free, singular, nearly singular or with
+    zeros in a column, and a right-hand side."""
+    entries = rationals if ctx.exact else st.one_of(small.map(float), st.floats(-1e300, 1e300))
+    d = draw(st.integers(1, 5))
+    a = [[draw(entries) for _ in range(d)] for _ in range(d)]
+    kind = draw(st.sampled_from(["free", "singular", "ill-conditioned", "zero-column"]))
+    if kind == "singular" and d > 1:  # the last row a combination of the others
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(d - 1)]
+        a[-1] = [sum((c * row[j] for c, row in zip(coeffs, a)), ctx.zero()) for j in range(d)]
+    elif kind == "ill-conditioned" and d > 1:  # the last row the first, nudged
+        a[-1] = a[0][:-1] + [a[0][-1] + ctx.convert(Fr(1, 10**12))]
+    elif kind == "zero-column":  # zeros in a pivot column, the top one included
+        c = draw(st.integers(0, d - 1))
+        for i in draw(st.sets(st.integers(0, d - 1), min_size=1)):
+            a[i][c] = ctx.zero()
+    return tuple(map(tuple, draw(st.permutations(a)))), tuple(draw(entries) for _ in range(d))
+
 
 def orthant(d=3):
     return Cone(tuple(tuple(Fr(1) if j == i else Fr(0) for j in range(d)) for i in range(d)))
@@ -115,6 +189,12 @@ class TestDualCone:
         flat = Cone(((Fr(1), Fr(0), Fr(0)), (Fr(0), Fr(1), Fr(0))))
         with pytest.raises(LinealityError):
             dual_cone(flat, InnerProduct.euclidean(3, EXACT), EXACT)
+
+    def test_pairing_converted_to_the_cone_mode(self):
+        # a float Euclidean pairing on an exact cone pairs as the exact one
+        cone = make_classical(2).cone
+        got = dual_cone(cone, InnerProduct.euclidean(3), EXACT)
+        assert repr(got) == repr(dual_cone(cone, InnerProduct.euclidean(3, EXACT), EXACT))
 
     def test_double_dual_identity(self):
         g = InnerProduct.euclidean(3, EXACT)
@@ -229,15 +309,10 @@ class TestMembershipOracle:
 
 
 # ---------------------------------------------------------------------------
-# the integer rank against Fraction elimination
-
-small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
-huge = st.builds(Fr, st.integers(-10**400, 10**400), st.integers(1, 10**400))
-rationals = st.one_of(small, huge)
-
+# rank and spanning rows against the loops that the shared elimination replaced
 
 @st.composite
-def planted_rank_matrices(draw):
+def planted_rank_matrices(draw, rationals=rationals):
     """``(rows, r)``: r independent echelon rows, then zero rows, duplicates and
     rational combinations, every row rescaled and the rows shuffled."""
     ncols = draw(st.integers(1, 7))
@@ -274,3 +349,29 @@ class TestIntegerRank:
         assert rank([[1, Fr(1, 3)], [3, 1], [Fr(2, 10**400), Fr(2, 3 * 10**400)]], EXACT) == 1
         assert rank([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]], EXACT) == 2
         assert rank([[0, 2], [0, 1], [1, 0]], EXACT) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_rank_matrices(small))
+    def test_float_matches_float_loop(self, rows_r):
+        rows = [[float(a) for a in row] for row in rows_r[0]]
+        assert rank(rows, FLOAT) == rank_float_loop(rows, FLOAT)
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_spanning_rows_match_greedy(self, ctx, data):
+        rows, _ = data.draw(planted_rank_matrices(rationals if ctx.exact else small))
+        rows = [ctx.vec(row) for row in rows]
+        d = data.draw(st.integers(1, len(rows[0]) if rows else 1))
+        assert spanning_rows(rows, d, ctx) == spanning_rows_greedy(rows, d, ctx)
+
+    def test_spanning_rows_match_greedy_on_theories(self, tmp_path):
+        theories = ([make_polygon(n) for n in range(3, 65)]
+                    + [psi_transform(make_polygon(n)) for n in range(4, 65, 2)]
+                    + [make_classical(n) for n in range(1, 6)])
+        for seed in (1, 2, 3):
+            (tmp_path / str(seed)).mkdir()
+            theories += map(load_theory, structure_theory_files(tmp_path / str(seed), seed).values())
+        for t in theories:
+            for rows in (t.vertices, t.facet_normals):
+                assert spanning_rows(rows, t.dim, t.ctx) == spanning_rows_greedy(rows, t.dim, t.ctx)

@@ -326,6 +326,28 @@ def test_exact_mode_sees_values_below_float_range():
     assert lp_feasible(p, EXACT).witness == (Fr(1), Fr(0))
 
 
+@pytest.mark.parametrize("ctx, off", [(EXACT, Fr(1, 10**400)), (FLOAT, 1e-6)],
+                         ids=["exact", "float"])
+def test_certify_rejects_a_point_off_the_lp(ctx, off):
+    # y + z <= 1, y - z >= 0, 2y == 1 and 0 <= x <= 1 are all tight at
+    # (0, 1/2, 1/2) or (1, 1/2, 1/2); the float slack of 100 tol absorbs
+    # 1e-8, and nothing absorbs `off`
+    p = LinearProgram(n_vars=3, objective=[0, 0, 0], lower=[0, None, None], upper=[1, None, None])
+    p.add([0, 1, 1], LE, 1).add([0, 1, -1], GE, 0).add([0, 2, 0], EQ, 1)
+    data = linprog._standardize(p, ctx)[-1]
+    half = Fr(1, 2)
+    linprog._certify(p, data, ctx.vec((0, half, half)), ctx)
+    if not ctx.exact:
+        linprog._certify(p, data, (1 + 1e-8, 0.5 + 1e-8, 0.5 + 1e-8), ctx)
+    for bad, message in [((0, half, half + off), r"certification failed: .* <= 1"),
+                         ((0, half - off, half), r"certification failed: .* >= 0"),
+                         ((0, half + off, half - off), r"certification failed: .* == 1"),
+                         ((-off, half, half), r"certification failed: bound x\[0\] >= 0"),
+                         ((1 + off, half, half), r"certification failed: bound x\[0\] <= 1")]:
+        with pytest.raises(RuntimeError, match=message):
+            linprog._certify(p, data, ctx.vec(bad), ctx)
+
+
 def _fractions(tab, nums, den):
     """Entries of the numpy tableau as the list tableau holds them: Fractions
     ``x / den`` in exact mode, the floats themselves in float mode."""
