@@ -98,7 +98,7 @@ def _load_valid_measurement(path, t):
     return m
 
 
-def _measurement(args, t, attr, required=True):
+def _measurement(args, t, attr):
     path = getattr(args, attr, None)
     if path is not None:
         return _load_valid_measurement(path, t)
@@ -108,9 +108,7 @@ def _measurement(args, t, attr, required=True):
     idx = getattr(args, "ideal_index", None)
     if idx is not None:
         return binary_ideal_measurement(t, idx)
-    if required:
-        raise SystemExit(f"missing --{attr.replace('_', '-')}")
-    return None
+    raise SystemExit(f"missing --{attr.replace('_', '-')}")
 
 
 def _pair(args, t):

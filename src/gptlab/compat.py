@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .linprog import EQ, LinearProgram, lp_feasible, lp_solve
+from .cones import cone_lp
+from .linprog import lp_feasible, lp_solve
 from .measures import metric_of
 from .model import Measurement, Theory, prob_table
 from .scalars import vadd, vscale, vsub
@@ -114,48 +115,6 @@ class CompatibilityResult:
     witness: Optional[JointMeasurement] = None
 
 
-def _cone_lp(t: Theory, n_blocks: int, eqs, objective=(), sense="min", upper=None):
-    """One LP over `n_blocks` effects ``E_i = sum_k mu_ik r_k``, ``mu >= 0``.
-
-    The rays ``r_k``, the facet normals of the state cone, generate
-    exactly the effects nonnegative on every state.  Then
-    come nonnegative scalars ``s_j``, one per `objective` entry, below
-    `upper` if given.  Each ``(blocks, scalars, rhs)`` in `eqs` is one row
-    per coordinate of ``sum_i c_i E_i + sum_j s_j w_j = rhs``, with `blocks`
-    mapping ``i`` to ``c_i`` and `scalars` mapping ``j`` to ``w_j``.
-    Returns the LP and a map from a point to its first ``count`` effects.
-    """
-    ctx = t.ctx
-    rays = t.facet_normals
-    k, zero = len(rays), ctx.zero()
-    nmu = n_blocks * k
-    nvars = nmu + len(objective)
-    p = LinearProgram(
-        n_vars=nvars,
-        objective=[zero] * nmu + list(objective),
-        sense=sense,
-        lower=zero,
-        upper=None if upper is None else [None] * nmu + list(upper),
-    )
-    for blocks, scalars, rhs in eqs:
-        for c in range(t.dim):
-            row = [zero] * nvars
-            for i, coef in blocks.items():
-                row[i * k:(i + 1) * k] = [coef * r[c] for r in rays]
-            for j, w in scalars.items():
-                row[nmu + j] = w[c]
-            p.add(row, EQ, rhs[c])
-
-    def effects(point, count: int) -> list:
-        return [
-            tuple(sum((m * r[c] for m, r in zip(point[i * k:(i + 1) * k], rays) if m), zero)
-                  for c in range(t.dim))
-            for i in range(count)
-        ]
-
-    return p, effects
-
-
 def _marginal_cells(na: int, nb: int) -> list:
     """Per row outcome, then per column outcome, the cells that sum to its marginal."""
     rows = [{a * nb + b: 1 for b in range(nb)} for a in range(na)]
@@ -167,7 +126,7 @@ def is_jointly_measurable(t: Theory, f: Measurement, g: Measurement) -> Compatib
     ncells = f.n_outcomes * g.n_outcomes
     eqs = [(cells, {}, e) for cells, e in
            zip(_marginal_cells(f.n_outcomes, g.n_outcomes), f.effects + g.effects)]
-    p, effects = _cone_lp(t, ncells, eqs)
+    p, effects = cone_lp(t.facet_normals, t.ctx, ncells, eqs)
     res = lp_feasible(p, t.ctx)
     if not res.feasible:
         return CompatibilityResult(False, None)
@@ -207,7 +166,7 @@ def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
             eqs.append(({**sums, n_blocks: 1}, {s: minus_u}, e))
             eqs.append(({**sums, n_blocks + 1: -1}, {s: u}, e))
             n_blocks += 2
-    p, effects = _cone_lp(t, n_blocks, eqs, objective=[ctx.one()] * 2)
+    p, effects = cone_lp(t.facet_normals, ctx, n_blocks, eqs, objective=[ctx.one()] * 2)
     res = lp_solve(p, ctx)
     if res.status != "optimal":
         raise RuntimeError(f"measurement-error LP ended {res.status}")
@@ -228,7 +187,8 @@ def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool 
     # marginal = lambda e + (1 - lambda) u/2, i.e. marginal + lambda (u/2 - e) = u/2
     eqs = [(cells, {0: vsub(half_u, e)}, half_u)
            for cells, e in zip(_marginal_cells(2, 2), f.effects + g.effects)]
-    p, effects = _cone_lp(t, 4, eqs, objective=[ctx.one()], sense="max", upper=[ctx.one()])
+    p, effects = cone_lp(t.facet_normals, ctx, 4, eqs, objective=[ctx.one()], sense="max",
+                         upper=[ctx.one()])
     res = lp_solve(p, ctx)
     if res.status != "optimal":
         raise RuntimeError(f"fuzzing LP ended {res.status}")

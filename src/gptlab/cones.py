@@ -66,18 +66,52 @@ def normalize_ray(v, ctx: Context):
     return tuple(a / m for a in v)
 
 
+def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", upper=None):
+    """One LP over `n_blocks` vectors ``E_i = sum_k mu_ik r_k``, ``mu >= 0``,
+    in the cone generated by `rays`.
+
+    Then come nonnegative scalars ``s_j``, one per `objective` entry, below
+    `upper` if given.  Each ``(blocks, scalars, rhs)`` in `eqs` is one row
+    per coordinate of ``sum_i c_i E_i + sum_j s_j w_j = rhs``, with `blocks`
+    mapping ``i`` to ``c_i`` and `scalars` mapping ``j`` to ``w_j``.
+    Returns the LP and a map from a point to its first ``count`` vectors.
+    """
+    k, d, zero = len(rays), len(rays[0]), ctx.zero()
+    nmu = n_blocks * k
+    nvars = nmu + len(objective)
+    p = LinearProgram(
+        n_vars=nvars,
+        objective=[zero] * nmu + list(objective),
+        sense=sense,
+        lower=zero,
+        upper=None if upper is None else [None] * nmu + list(upper),
+    )
+    for blocks, scalars, rhs in eqs:
+        for c in range(d):
+            row = [zero] * nvars
+            for i, coef in blocks.items():
+                row[i * k:(i + 1) * k] = [coef * r[c] for r in rays]
+            for j, w in scalars.items():
+                row[nmu + j] = w[c]
+            p.add(row, EQ, rhs[c])
+
+    def vectors(point, count: int) -> list:
+        return [
+            tuple(sum((m * r[c] for m, r in zip(point[i * k:(i + 1) * k], rays) if m), zero)
+                  for c in range(d))
+            for i in range(count)
+        ]
+
+    return p, vectors
+
+
 def cone_member(c: Cone, x, ctx: Context = FLOAT) -> bool:
     """x in conic hull of the generators, decided by LP feasibility."""
     if not c.generators:
         raise ValueError("empty generator list")
-    d = c.dim
-    if len(x) != d:
-        raise ValueError(f"dimension mismatch: cone in R^{d}, point in R^{len(x)}")
-    k = len(c.generators)
-    p = LinearProgram(n_vars=k, objective=[ctx.zero()] * k, lower=ctx.zero())
-    cols = transpose(c.generators)
-    for i in range(d):
-        p.add(cols[i], EQ, x[i])
+    if len(x) != c.dim:
+        raise ValueError(f"dimension mismatch: cone in R^{c.dim}, point in R^{len(x)}")
+    p, _ = cone_lp(c.generators, ctx, 1, [({0: 1}, {}, x)])
     return lp_feasible(p, ctx).feasible
 
 

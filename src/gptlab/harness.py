@@ -55,8 +55,6 @@ from .model import Measurement, Theory, in_state_space, make_classical, make_pol
 from .scalars import dot, vadd, vscale
 from .symmetry import canonicalize, is_self_dual
 
-SLACK = 1e-9  # absolute slack granted to the ">=" side of every inequality
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -138,9 +136,10 @@ def _cell_scan(t: Theory, f: Measurement, g: Measurement, j: JointMeasurement,
                distribution(t, g, state, check_state=False))
 
 
-def _holds(rows) -> bool:
-    """Every (label, lhs, rhs) row satisfies lhs >= rhs up to SLACK."""
-    return all(lhs >= rhs - SLACK for _label, lhs, rhs in rows)
+def _holds(rows, tol) -> bool:
+    """Every (label, lhs, rhs) row satisfies lhs >= rhs up to ``tol``, the
+    theory's ``ctx.tol`` (0 in exact mode, so exact rows compare exactly)."""
+    return all(lhs >= rhs - tol for _label, lhs, rhs in rows)
 
 
 def _witness_report(check: str, t: Theory, params: dict, candidates, fail: tuple,
@@ -152,9 +151,10 @@ def _witness_report(check: str, t: Theory, params: dict, candidates, fail: tuple
     ``tail`` rows are checked and appended either way and also gate
     ``passed``; ``extra`` is kept only when a witness was found.
     """
-    witness, rows = next(((s, r) for s, r in candidates if _holds(r)), (None, [fail]))
+    tol = t.ctx.tol
+    witness, rows = next(((s, r) for s, r in candidates if _holds(r, tol)), (None, [fail]))
     found = witness is not None
-    checked = [(row, found) for row in rows] + [(row, _holds([row])) for row in tail]
+    checked = [(row, found) for row in rows] + [(row, _holds([row], tol)) for row in tail]
     ineqs = [{"label": label, "lhs": float(lhs), "rhs": float(rhs), "ok": ok}
              for (label, lhs, rhs), ok in checked]
     return VerificationReport(
@@ -195,7 +195,7 @@ def verify_thm1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
         "thm1", t, {"eps1": eps1, "eps2": eps2},
         [(state, rows) for _score, state, rows in scored],
         ("no candidate satisfied both width bounds", w1, w2),
-        extra={"proof_candidate_ok": best is not None and _holds(best[2])},
+        extra={"proof_candidate_ok": best is not None and _holds(best[2], t.ctx.tol)},
     )
 
 
@@ -277,7 +277,7 @@ def verify_thm3_even(n: int, f: IdealMeasurement, g: IdealMeasurement,
         rep,
         check=f"thm3[{mode}]",
         theory=f"polygon-{n}",
-        passed=rep.passed and max_dev < 1e-9,
+        passed=rep.passed and max_dev < raw.ctx.tol,
         extra={**rep.extra, "psi_probability_deviation": max_dev},
     )
 
@@ -292,7 +292,7 @@ def verify_propc(t: Theory, f_approx: Measurement, f_ideal: Measurement,
         if not 0 < eps <= 1:
             raise ValueError("eps must lie in (0, 1]")
         w = error_bar_width(t, f_approx, f_ideal, eps)
-        ok = w <= (2 / eps) * dw + SLACK
+        ok = w <= (2 / eps) * dw + t.ctx.tol
         ok_all = ok_all and ok
         ineqs.append({"label": f"W_eps <= (2/eps) D_W @ eps={eps}",
                       "lhs": float(w), "rhs": float((2 / eps) * dw), "ok": bool(ok)})

@@ -38,30 +38,11 @@ class IdealMeasurement(Measurement):
     provenance: tuple = ()  # per outcome: ("sum" | "complement", frozenset of indices)
 
 
-def polygon_raw_pure_effects(t: Theory) -> tuple:
-    """Extreme (pure, indecomposable) effects of a raw polygon theory."""
-    n = t.n
-    r = polygon_radius(n)
-    out = []
-    if n % 2 == 0:
-        for i in range(n):
-            a = (2 * i - 1) * math.pi / n
-            out.append((0.5 * r * math.cos(a), 0.5 * r * math.sin(a), 0.5))
-    else:
-        for i in range(n):
-            a = 2 * i * math.pi / n
-            s = 1.0 / (1.0 + r * r)
-            out.append((s * r * math.cos(a), s * r * math.sin(a), s))
-    return tuple(out)
-
-
-def psi_pure_effects(n: int) -> tuple:
-    """Modified pure effects of an even polygon in the re-expressed theory."""
-    out = []
-    for i in range(n):
-        a = (2 * i - 1) * math.pi / n
-        out.append((0.5 * math.cos(a), 0.5 * math.sin(a), 0.5))
-    return tuple(out)
+def _even_polygon_effects(n: int, r) -> tuple:
+    """Pure effects of an even n-gon at angles (2i - 1) pi / n with in-plane
+    factor ``r``: the polygon radius in the raw theory, 1 after the stretch."""
+    angles = ((2 * i - 1) * math.pi / n for i in range(n))
+    return tuple((0.5 * r * math.cos(a), 0.5 * r * math.sin(a), 0.5) for a in angles)
 
 
 def indecomposable_pure_effects(t: Theory) -> tuple:
@@ -72,9 +53,9 @@ def indecomposable_pure_effects(t: Theory) -> tuple:
     closed-form effect families, raw or re-expressed.
     """
     if t.kind == "polygon-psi":
-        return psi_pure_effects(t.n)
+        return _even_polygon_effects(t.n, 1)
     if t.kind == "polygon" and t.n % 2 == 0:
-        return polygon_raw_pure_effects(t)
+        return _even_polygon_effects(t.n, polygon_radius(t.n))
     ctx = t.ctx
     norms = [dot(v, v) for v in t.vertices]
     if any(not ctx.eq(nm, norms[0]) for nm in norms[1:]):
@@ -188,9 +169,11 @@ def psi_map_joint(j, n: int, inverse: bool = False):
 # enumeration
 
 def _veckey(v, ctx: Context):
+    """``v`` as a dict key: exact, or each float rounded to the digits of ``tol``."""
     if ctx.exact:
         return tuple(v)
-    return tuple(round(float(a), 9) for a in v)
+    digits = round(-math.log10(ctx.tol))
+    return tuple(round(a, digits) for a in v)
 
 
 def _valid_sums(pures, verts, one, ctx: Context) -> dict:

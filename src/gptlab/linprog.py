@@ -128,7 +128,7 @@ class _Tableau:
     def __init__(self, rows, rhs, ctx):
         self.t, self.den = stacked([list(row) + [b] for row, b in zip(rows, rhs)], ctx)
         self.exact = ctx.exact
-        self.tol = 0 if ctx.exact else ctx.tol  # entering and pivot tests compare with this
+        self.tol = ctx.tol  # entering and pivot tests compare with this
         self.basis = [-1] * len(rows)
 
     def _value(self, num, den):
@@ -328,7 +328,7 @@ def _certify(p: LinearProgram, data, x, ctx: Context):
     """Substitute the reported point into every constraint and bound of
     ``data``, the LP as converted by :func:`_standardize`."""
     constraints, lower, upper = data
-    slack_tol = 0 if ctx.exact else 100 * ctx.tol
+    slack_tol = 100 * ctx.tol
     # rows [a | b] times the point [x | 0]: a running sum of the products
     # gives every a.x, added in index order as dot adds; in exact mode ints
     # over den**2, compared with b's numerators scaled to the same denominator

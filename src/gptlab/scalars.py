@@ -6,6 +6,13 @@ absolute comparison tolerance.  A :class:`Context` bundles the mode with
 its comparison rules so the geometry, LP, and model layers stay agnostic
 about which one is active.
 
+``Context.tol`` is the package's one tolerance policy.  Comparisons (the
+context's ``eq``/``le``/``sign``, pivot tests, theorem verdicts) allow
+``tol``; residual checks (LP certificates, the two-block fit of
+``symmetry.xi_canonicalize``) allow ``100 * tol``; float keys round to the
+digits of ``tol``.  In exact mode ``tol`` is the int 0, so every one of
+these compares exactly and ``x - tol`` keeps a Fraction ``x`` a Fraction.
+
 Vectors are plain tuples and matrices are tuples of row tuples.  Ambient
 dimensions here are tiny (rarely above five), so the helpers are pure
 Python and accept Fractions and floats alike.
@@ -39,11 +46,13 @@ class Context:
     """Arithmetic mode: exact rationals, or floats with an absolute tolerance."""
 
     exact: bool = False
-    tol: float = 1e-9
+    tol: float = 1e-9  # the int 0 in exact mode
 
     def __post_init__(self):
-        if self.exact and self.tol != 0:
-            raise ValueError("exact mode does not take a tolerance")
+        if self.exact:
+            if self.tol != 0:
+                raise ValueError("exact mode does not take a tolerance")
+            object.__setattr__(self, "tol", 0)
         if not self.exact and not self.tol > 0:
             raise ValueError("float mode requires tol > 0")
 
@@ -102,7 +111,7 @@ class Context:
         return len(a) == len(b) and all(self.vec_eq(r, s) for r, s in zip(a, b))
 
 
-EXACT = Context(exact=True, tol=0.0)
+EXACT = Context(exact=True, tol=0)
 FLOAT = Context(exact=False, tol=1e-9)
 
 

@@ -463,14 +463,13 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
         raise ValueError("invariant complement is trivial")
     xi = sum(mat_mul(j_av, pperp)[i][i] for i in range(d)) / trace_perp
     model = mat_add(pm, mat_scale(xi, pperp))
-    scale = max(1.0, abs(float(xi)))
-    resid = max(
-        abs(float(j_av[i][k] - model[i][k])) for i in range(d) for k in range(d)
-    )
-    # the two-block form is exact for transitive inputs; 1e-7 relative spread
-    if resid > 1e-7 * scale:
+    resid = max(abs(j_av[i][k] - model[i][k]) for i in range(d) for k in range(d))
+    # the two-block form is exact for transitive inputs: a residual check at
+    # 100 tol relative to max(1, |xi|), formed as 10 (10 tol) because 100 * 1e-9
+    # rounds one ulp above the double 1e-7 and 10 * (10 * 1e-9) does not
+    if resid > 10 * (10 * ctx.tol) * max(1, abs(xi)):
         raise ValueError(
-            f"averaged J is not of the form P_M + xi P_perp (residual {resid:.3e}); "
+            f"averaged J is not of the form P_M + xi P_perp (residual {float(resid):.3e}); "
             "the input is not transitive or J is malformed"
         )
 

@@ -1,8 +1,10 @@
 """Verification pipelines, random joints, reports, and the CLI surface."""
 
+import hashlib
 import json
 import math
 import os
+import pathlib
 import re
 from fractions import Fraction
 from types import SimpleNamespace
@@ -27,10 +29,11 @@ from gptlab.model import (
     measurement_to_dict,
     save_measurement,
     save_theory,
+    theory_to_float,
     validate_measurement,
 )
 from gptlab.measures import error_bar_width, linf_distance, min_le_sum, werner_distance
-from gptlab.scalars import EXACT
+from gptlab.scalars import EXACT, FLOAT, Context
 
 
 class TestWitnessCandidates:
@@ -186,7 +189,7 @@ class TestVerifiers:
         assert rep.inequalities[-1]["ok"] is False and rep.passed is False
 
     def test_failure_rows(self, monkeypatch):
-        monkeypatch.setattr(harness, "SLACK", -10.0)  # no inequality can hold
+        monkeypatch.setattr(harness, "_holds", lambda rows, tol: False)  # no row holds
         t = harness.prepare_conforming(make_polygon(5))
         f, g = harness.ideal_pair_for(t)
         j = harness.random_joint(t, f, g, np.random.default_rng(1))
@@ -210,6 +213,15 @@ class TestVerifiers:
             assert rep.passed is False and rep.witness is None and rep.extra == {}
             assert rep.inequalities == expected[rep.check]
 
+    def test_holds_compares_at_the_context_tolerance(self):
+        assert EXACT.tol == 0 and type(EXACT.tol) is int
+        assert type(Context(exact=True, tol=0.0).tol) is int
+        short = Fraction(1, 10**10)
+        assert not harness._holds([("exact", Fraction(1) - short, Fraction(1))], EXACT.tol)
+        assert harness._holds([("exact", Fraction(1), Fraction(1))], EXACT.tol)
+        assert harness._holds([("float", 1.0 - 1e-10, 1.0)], FLOAT.tol)
+        assert not harness._holds([("float", 1.0 - 1e-8, 1.0)], FLOAT.tol)
+
     def test_thm1_eps_validation(self):
         t = make_polygon(5)
         f = binary_ideal_measurement(t, 0)
@@ -231,6 +243,15 @@ class TestVerifiers:
         rep = harness.verify_thm3_even(n, f, g, j_raw, "thm2")
         assert rep.passed
         assert rep.extra["psi_probability_deviation"] < 1e-9
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_propc_compares_at_the_context_tolerance(self, monkeypatch, exact):
+        # W_eps over (2/eps) D_W by 1e-12: within float tol, a failure in exact mode
+        monkeypatch.setattr(harness, "werner_distance", lambda t, a, i: Fraction(1, 10))
+        monkeypatch.setattr(harness, "error_bar_width",
+                            lambda t, a, i, eps: Fraction(1, 5) + Fraction(1, 10**12))
+        t = make_classical(2) if exact else theory_to_float(make_classical(2))
+        assert harness.verify_propc(t, None, None, [1]).passed is not exact
 
     def test_propc_identity(self):
         t = make_polygon(5)
@@ -277,6 +298,15 @@ class TestReport:
         rows = open(out["plot_data"]).read().strip().splitlines()
         assert rows[0] == "n,min_le_sum,degree_bound_rhs,degree_bound_closed_form"
         assert len(rows) == 4
+
+
+    def test_default_report_bytes_match_the_benchmark_reference(self, tmp_path):
+        # the report_sha256 values perfbench/record.py recorded for seed 0
+        ref = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        want = json.loads(ref.read_text())["report_sha256"]
+        harness.run_report(out_dir=str(tmp_path), seed=0)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+        assert got == want
 
 
 class TestCli:

@@ -1,13 +1,17 @@
 """Cross-module structural laws checked on families of inputs."""
 
+import ast
 import dataclasses
 import math
+import pathlib
 import random
+import tokenize
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
+import gptlab
 from gptlab.compat import (
     JointMeasurement,
     degree_bound_rhs,
@@ -44,6 +48,22 @@ from gptlab.model import (
     theory_to_float,
 )
 from gptlab.symmetry import automorphism_group, averaged_inner_product, canonicalize
+
+
+def test_tolerance_literals_only_in_scalars():
+    """Every slack derives from ``Context.tol``: no float literal below 0.01
+    (a tolerance such as 1e-9) appears in the package outside scalars.py."""
+    found = []
+    for path in sorted(pathlib.Path(gptlab.__file__).parent.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        with open(path, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NUMBER:
+                    value = ast.literal_eval(tok.string)
+                    if isinstance(value, float) and 0 < value < 0.01:
+                        found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []
 
 
 class TestCanonicalBasis:

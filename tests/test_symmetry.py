@@ -365,6 +365,25 @@ class TestXiCanonicalize:
         assert out.vertices == t.vertices
         assert all(isinstance(a, Fr) for v in out.vertices for a in v)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_two_block_fit_compares_exactly_in_exact_mode(self, monkeypatch, exact):
+        # an averaged J off the two-block form by 1e-12: inside the float
+        # residual check of 100 tol, a failure in exact mode
+        average = gptlab.symmetry._average_conjugates
+
+        def nudged(g, j_map, ctx):
+            (a, *row), *rows = average(g, j_map, ctx)
+            return ((a + ctx.convert(Fr(1, 10**12)), *row), *rows)
+
+        monkeypatch.setattr(gptlab.symmetry, "_average_conjugates", nudged)
+        t = make_classical(2) if exact else theory_to_float(make_classical(2))
+        ident = identity(t.dim, t.ctx)
+        if exact:
+            with pytest.raises(ValueError, match="not of the form"):
+                xi_canonicalize(t, ident)
+        else:
+            assert np.allclose(xi_canonicalize(t, ident).vertices, t.vertices)
+
     def test_group_stacked_once(self, monkeypatch, tmp_path):
         # every group average in one call reads the group's one stack; a searched
         # group gets the search's numerators, in lowest terms, and builds none
