@@ -11,8 +11,9 @@ tableau, map the basic point back and certify it.  The standard form is
 one substitution ``x = x0 + S.y`` with ``y >= 0`` (Chvatal 1983, ch. 8):
 a lower-bounded variable is ``l + y``, one with only an upper bound is
 ``u - y``, a free one is ``y+ - y-``, and an upper bound beside a lower
-bound becomes a ``<=`` row.  Every entry of the LP is converted into the
-context's scalars once; the certificate checks the point against those
+bound becomes a ``<=`` row.  Every nonzero entry of the LP is converted
+into the context's scalars once, and the rows are built from those
+nonzero terms alone; the certificate checks the point against the
 converted rows and bounds.
 
 One tableau serves both scalar modes (:class:`_Tableau`): its rows and
@@ -25,11 +26,15 @@ it, and the array is then reduced by its gcd.  Price-out, the entering
 test and the phase-1 steps are the same code in either mode; the pivot
 update and the ratio test have one exact branch each, where ratios
 compare as Fractions of the candidate rows.  Exact values leave the
-tableau as Fractions, equal to those of Fraction arithmetic.  Every
-pivot follows Bland's anti-cycling rule: the entering variable is the
-lowest index with a negative reduced cost, and ties in the ratio test
-break toward the lowest basis index.  Float LP data must be finite; a
-nan or inf raises a ValueError before any pivot.
+tableau as Fractions, equal to those of Fraction arithmetic.  Pivots
+use Dantzig pricing, with Bland's rule after 50 degenerate pivots in a
+row: the entering variable has the most negative reduced cost (Dantzig
+1963), lowest index on ties, but after ``_DEGENERATE_RUN`` pivots in a
+row whose leaving right-hand side is within ``tol`` of zero it is the
+lowest index with a negative reduced cost (Bland 1977), until a
+nondegenerate pivot.  Ties in the ratio test always break toward the
+lowest basis index, so the fallback cannot cycle.  Float LP data must be
+finite; a nan or inf raises a ValueError before any pivot.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .scalars import Context, FLOAT, dot, numerators, reduced, stacked
 LE, EQ, GE = "<=", "==", ">="
 
 _MAX_PIVOTS = 50_000
+_DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland's rule takes over
 
 
 @dataclass
@@ -172,11 +178,15 @@ class _Tableau:
         `nenter`; returns (status, z)."""
         tol = self.tol
         obj, oden = self.price_out(cost)
+        degenerate = 0  # degenerate pivots in a row
         for _ in range(_MAX_PIVOTS):
             negative = np.flatnonzero(~(0 <= obj[:nenter] + tol))
             if not negative.size:
                 return "optimal", self._value(obj.item(-1), oden)
-            enter = int(negative[0])  # Bland: lowest index
+            # Dantzig: the most negative reduced cost, lowest index on ties;
+            # Bland (the lowest index) after a run of degenerate pivots
+            enter = int(negative[0] if degenerate >= _DEGENERATE_RUN
+                        else negative[np.argmin(obj[negative])])
             t = self.t
             col = t[:, enter]
             rows = np.flatnonzero(~(col <= tol))
@@ -186,6 +196,7 @@ class _Tableau:
             ratios = (_fractions if self.exact else np.divide)(t[rows, -1], col[rows])
             tied = rows[ratios == ratios.min()]
             leave = int(min(tied, key=self.basis.__getitem__))
+            degenerate = degenerate + 1 if t[leave, -1] <= tol else 0
             self.pivot(leave, enter)
             fobj = obj[enter]
             if self.exact:
@@ -238,15 +249,18 @@ def _standardize(p: LinearProgram, ctx: Context):
     standard point y back to x, const is the objective offset, and data is
     (constraints, lower, upper) converted, which :func:`_certify` checks.
     """
-    zero, one = ctx.zero(), ctx.one()
-    lower, upper = ([None if (b := p._bound(which, j)) is None else ctx.convert(b)
-                     for j in range(p.n_vars)] for which in ("lo", "up"))
+    zero, one, conv = ctx.zero(), ctx.one(), ctx.convert
+    lower, upper = ([None if v is None else conv(v) for v in b] if isinstance(b, (list, tuple))
+                    else [None if b is None else conv(b)] * p.n_vars for b in (p.lower, p.upper))
     x0 = [ub if lb is None else lb for lb, ub in zip(lower, upper)]  # None: free
     # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-
     cols = [(j, s) for j, (lb, ub) in enumerate(zip(lower, upper))
             for s in ((1,) if lb is not None else (-1,) if ub is not None else (1, -1))]
+    var_cols = [[] for _ in range(p.n_vars)]
+    for k, (j, s) in enumerate(cols):
+        var_cols[j].append((k, s))
 
-    obj = [ctx.convert(c) for c in p.objective]
+    obj = list(map(conv, p.objective))
     if p.sense == "max":
         obj = [-c for c in obj]
     elif p.sense != "min":
@@ -257,21 +271,28 @@ def _standardize(p: LinearProgram, ctx: Context):
         if x0j is not None:
             const += cj * x0j
 
-    constraints = [([ctx.convert(a) for a in coeffs], rel, ctx.convert(rhs))
-                   for coeffs, rel, rhs in p.constraints]
-    bound_rows = [([one if k == j else zero for k in range(p.n_vars)], LE, ub)
-                  for j, (lb, ub) in enumerate(zip(lower, upper))
-                  if lb is not None and ub is not None]
-    nslack = len([rel for _, rel, _ in constraints + bound_rows if rel != EQ])
+    # each row as its nonzero (variable, coefficient) terms, converted once;
+    # the converted rows that _certify checks hold the context's zero elsewhere
+    constraints, sparse = [], []
+    for coeffs, rel, rhs in p.constraints:
+        terms = [(j, a) for j, raw in enumerate(coeffs) if raw != 0 and (a := conv(raw))]
+        row = [zero] * p.n_vars
+        for j, a in terms:
+            row[j] = a
+        b = conv(rhs)
+        constraints.append((row, rel, b))
+        sparse.append((terms, rel, b))
+    sparse += [([(j, one)], LE, ub) for j, (lb, ub) in enumerate(zip(lower, upper))
+               if lb is not None and ub is not None]
+    nslack = sum(rel != EQ for _, rel, _ in sparse)
     rows, rhs, slack = [], [], len(cols)
-    for coeffs, rel, b in constraints + bound_rows:
+    for terms, rel, b in sparse:
         row = [zero] * (len(cols) + nslack)
-        for k, (j, s) in enumerate(cols):  # ascending j; an offset variable has one column
-            a = coeffs[j]
-            if a != 0:
+        for j, a in terms:  # ascending j
+            for k, s in var_cols[j]:
                 row[k] = a if s > 0 else -a
-                if x0[j] is not None:
-                    b -= a * x0[j]
+            if x0[j] is not None:
+                b -= a * x0[j]
         if rel != EQ:
             row[slack] = one if rel == LE else -one
             slack += 1
@@ -370,7 +391,8 @@ def _solve(p: LinearProgram, ctx: Context, optimise: bool) -> tuple:
 
 
 def lp_solve(p: LinearProgram, ctx: Context = FLOAT) -> LpResult:
-    """Two-phase simplex with Bland's rule on the standard form of p.
+    """Two-phase simplex on the standard form of p, with Dantzig pricing
+    and Bland's rule after 50 degenerate pivots in a row.
 
     Bounds are substituted away (``x = x0 + S.y``, ``y >= 0``; see
     :func:`_standardize`).  An optimal point is checked by substituting

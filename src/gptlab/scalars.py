@@ -59,10 +59,8 @@ class Context:
     def convert(self, x):
         """Coerce a number (or 'p/q' string) into this context's scalar type."""
         if self.exact:
-            return Fraction(x)
-        if isinstance(x, str):
-            return float(Fraction(x))
-        return float(x)
+            return x if type(x) is Fraction else Fraction(x)
+        return x if type(x) is float else float(Fraction(x)) if isinstance(x, str) else float(x)
 
     def vec(self, xs) -> tuple:
         return tuple(self.convert(x) for x in xs)

@@ -28,7 +28,7 @@ import pytest
 
 from gptlab.cones import Cone, LinealityError, cone_member, cones_equal, dual_cone
 from gptlab.ideal import IdealMeasurement, _veckey, indecomposable_pure_effects
-from gptlab.linprog import _MAX_PIVOTS, EQ, GE, LE, LinearProgram
+from gptlab.linprog import _DEGENERATE_RUN, _MAX_PIVOTS, EQ, GE, LE, LinearProgram
 from gptlab.model import is_zero_effect, prob_table, validate_theory
 from gptlab.scalars import (
     FLOAT, Context, InnerProduct, dot, inverse, mat_add, mat_mul, mat_scale, mat_vec, rank, solve,
@@ -327,10 +327,11 @@ def canonical_group_per_element(g: SymmetryGroup, transform) -> tuple:
 class ListTableau:
     """Dense simplex tableau in standard form: min c.y, A y = b, y >= 0.
 
-    The oracle for `linprog._Tableau`: the same Bland pivots on Python
-    lists of scalars, one loop per row, with every scalar operation in the
-    same order as the numpy tableau, so both reach the same floats or
-    Fractions.
+    The oracle for `linprog._Tableau`: the same pivots (the most negative
+    reduced cost enters, Bland's rule after a run of degenerate pivots) on
+    Python lists of scalars, one loop per row, with every scalar operation
+    in the same order as the numpy tableau, so both reach the same floats
+    or Fractions.
     """
 
     def __init__(self, rows, rhs, ctx):
@@ -376,12 +377,16 @@ class ListTableau:
         `nenter`; returns (status, z)."""
         ctx = self.ctx
         obj, zval = self.price_out(cost)
+        degenerate = 0
         for _ in range(_MAX_PIVOTS):
             enter = -1
             for j in range(nenter):
                 if ctx.lt(obj[j], 0):
-                    enter = j  # Bland: lowest index
-                    break
+                    if degenerate >= _DEGENERATE_RUN:
+                        enter = j  # Bland: lowest index
+                        break
+                    if enter < 0 or obj[j] < obj[enter]:
+                        enter = j  # Dantzig: most negative, first on ties
             if enter < 0:
                 return "optimal", zval
             leave, best = -1, None
@@ -396,6 +401,7 @@ class ListTableau:
                     leave, best = i, ratio
             if leave < 0:
                 return "unbounded", zval
+            degenerate = 0 if ctx.gt(self.rhs[leave], 0) else degenerate + 1
             self.pivot(leave, enter)
             # update the objective row with the normalized pivot row
             fobj = obj[enter]

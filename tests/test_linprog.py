@@ -18,6 +18,7 @@ from gptlab.linprog import EQ, GE, LE, LinearProgram, LpResult, lp_feasible, lp_
 from gptlab.measures import FiniteMetricSpace
 from gptlab.model import make_classical, make_polygon
 from gptlab.scalars import EXACT, FLOAT, dot
+import helpers
 from helpers import ListTableau, highs, standardize_reference
 
 
@@ -65,7 +66,8 @@ def redundant_rows():
 
 
 def degenerate_vertex(ctx=FLOAT):
-    # classic degenerate vertex; Bland's rule must terminate
+    # classic degenerate vertex (Beale): the most negative reduced cost alone
+    # cycles here, so the Bland fallback must terminate
     c = ctx.convert
     p = LinearProgram(n_vars=4, objective=[c("-3/4"), c(150), c("-1/50"), c(6)], lower=c(0))
     p.add([c("1/4"), c(-60), c("-1/25"), c(9)], LE, c(0))
@@ -139,6 +141,23 @@ def test_objective_recomputes_at_point():
 def test_degenerate_does_not_cycle():
     res = lp_solve(degenerate_vertex(EXACT), EXACT)
     assert res.optimal and res.value == Fr(-1, 20)
+
+
+@pytest.mark.parametrize("tableau", [linprog._Tableau, ListTableau], ids=["numpy", "list"])
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_degenerate_run_falls_back_to_bland(ctx, tableau):
+    # with the fallback the degenerate vertex solves within a small pivot
+    # budget; with pricing alone it cycles until the budget runs out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linprog, "_Tableau", tableau)
+        for module in (linprog, helpers):
+            mp.setattr(module, "_MAX_PIVOTS", 2000)
+        res = lp_solve(degenerate_vertex(ctx), ctx)
+        assert res.optimal and ctx.eq(res.value, Fr(-1, 20) if ctx.exact else -0.05)
+        for module in (linprog, helpers):
+            mp.setattr(module, "_DEGENERATE_RUN", 10**9)
+        with pytest.raises(RuntimeError, match="simplex exceeded pivot budget"):
+            lp_solve(degenerate_vertex(ctx), ctx)
 
 
 @st.composite
@@ -606,6 +625,27 @@ def test_compat_lps_match_highs(n, skew):
             assert ours.value == pytest.approx(value, abs=1e-7), family
         else:
             assert lp_feasible(p, FLOAT).feasible == (highs(p, feasibility=True)[0] == "optimal")
+
+
+# psi-polygon pairs (n, i, j) of binary ideal measurements whose measurement-error
+# LP failed under lowest-index pricing: ended unbounded (48, 39, 40), unbounded in
+# phase 1 (56, 38, 44), out of pivots (48, 18, 42), and points that failed
+# certification
+PRICING_FAILURES = [(48, 39, 40), (56, 38, 44), (56, 6, 9), (64, 31, 12), (64, 24, 40),
+                    (64, 50, 6), (64, 11, 44), (48, 18, 42), (56, 40, 3), (64, 2, 63)]
+
+
+@pytest.mark.parametrize("n, i, j", PRICING_FAILURES)
+def test_pricing_failures_solve(n, i, j):
+    t = psi_transform(make_polygon(n))
+    f, g = binary_ideal_measurement(t, i), binary_ideal_measurement(t, j)
+    ((_family, _solver, p),) = record_lps([("min_mur_linf", compat.min_mur_linf, (t, f, g))])
+    res = lp_solve(p, FLOAT)
+    assert res.optimal
+    mur = compat.min_mur_linf(t, f, g)
+    assert mur.value == res.value and not compat.joint_violations(t, mur.joint)
+    status, value = highs(p)
+    assert status == "optimal" and FLOAT.eq(res.value, value)
 
 
 # equality rows per LP, for a binary pair in d = 3: the marginal rows, and
