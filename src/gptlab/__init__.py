@@ -5,7 +5,8 @@ Library layout:
 - ``scalars``: exact/float contexts, tuples-as-vectors linear algebra
 - ``linprog``: two-phase simplex on one numpy tableau (float64, or int numerators in exact mode)
 - ``cones``: dual cones (double description), membership, equality
-- ``model``: theories, effects, per-vertex probability tables, measurements, built-ins, JSON files
+- ``model``: theories, effects, per-vertex probability tables, measurements
+  and their outcome metrics, built-ins, JSON files
 - ``symmetry``: automorphism groups, invariant product, canonical form
 - ``ideal``: pure indecomposable effects, ideal measurements, fuzzing
 - ``measures``: widths, localization error, error-bar/Lipschitz/sup gaps
@@ -18,6 +19,7 @@ from .scalars import Context, EXACT, FLOAT, InnerProduct
 from .cones import Cone, LinealityError, affine_hull_check, cone_member, cones_equal, dual_cone
 from .linprog import FeasibilityResult, LinearProgram, LpResult, lp_feasible, lp_solve
 from .model import (
+    FiniteMetricSpace,
     Measurement,
     Theory,
     effect_eval,
@@ -60,7 +62,6 @@ from .ideal import (
     psi_transform,
 )
 from .measures import (
-    FiniteMetricSpace,
     OutcomeDistribution,
     distribution,
     error_bar_width,

@@ -84,15 +84,7 @@ def _load_valid_measurement(path, t):
         m = load_measurement(path, t.ctx)
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"invalid measurement file {path!r}: {exc}")
-    if any(len(e) != t.dim for e in m.effects):
-        problems = [f"every effect needs {t.dim} coordinates"]
-    else:
-        problems = measurement_violations(t, m)
-    if not problems and m.metric is not None:
-        try:
-            m.metric.validate(t.ctx)
-        except ValueError as exc:
-            problems = [f"metric: {exc}"]
+    problems = measurement_violations(t, m)
     if problems:
         raise SystemExit(f"invalid measurement file {path!r}: " + "; ".join(problems))
     return m

@@ -20,7 +20,6 @@ from typing import Optional
 
 from .cones import cone_lp
 from .linprog import lp_feasible, lp_solve
-from .measures import metric_of
 from .model import Measurement, Theory, prob_table
 from .scalars import vadd, vscale, vsub
 
@@ -51,21 +50,11 @@ class JointMeasurement:
 
 def marginals(j: JointMeasurement) -> tuple:
     """Row and column marginal measurements of the joint."""
-    row_effects = []
-    for row in j.effects:
-        total = row[0]
-        for e in row[1:]:
-            total = vadd(total, e)
-        row_effects.append(total)
-    col_effects = []
-    for cidx in range(len(j.col_labels)):
-        total = j.effects[0][cidx]
-        for ridx in range(1, len(j.row_labels)):
-            total = vadd(total, j.effects[ridx][cidx])
-        col_effects.append(total)
     return (
-        Measurement(outcomes=j.row_labels, effects=tuple(row_effects), metric=j.row_metric),
-        Measurement(outcomes=j.col_labels, effects=tuple(col_effects), metric=j.col_metric),
+        Measurement(j.row_labels, [functools.reduce(vadd, row) for row in j.effects],
+                    j.row_metric),
+        Measurement(j.col_labels, [functools.reduce(vadd, col) for col in zip(*j.effects)],
+                    j.col_metric),
     )
 
 
@@ -90,8 +79,8 @@ def _joint(f: Measurement, g: Measurement, cells) -> JointMeasurement:
         row_labels=f.outcomes,
         col_labels=g.outcomes,
         effects=tuple(tuple(cells[a * nb:(a + 1) * nb]) for a in range(f.n_outcomes)),
-        row_metric=metric_of(f),
-        col_metric=metric_of(g),
+        row_metric=f.metric,
+        col_metric=g.metric,
     )
 
 

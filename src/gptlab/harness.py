@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -46,7 +46,6 @@ from .measures import (
     error_bar_width,
     linf_distance,
     localization_error,
-    metric_of,
     min_le_sum,
     overall_width,
     werner_distance,
@@ -69,15 +68,8 @@ class VerificationReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "theory": self.theory,
-            "params": self.params,
-            "inequalities": self.inequalities,
-            "witness": self.witness,
-            "passed": self.passed,
-            "extra": self.extra,
-        }
+        """The fields in order, in new lists and dicts that the report does not share."""
+        return asdict(self)
 
 
 def prepare_conforming(t: Theory) -> Theory:
@@ -177,12 +169,11 @@ def verify_thm1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
     w1 = error_bar_width(t, mf, f, eps1)
     w2 = error_bar_width(t, mg, g, eps2)
     eps = eps1 + eps2
-    metric_f, metric_g = metric_of(f), metric_of(g)
     # (the proof's scan functional: ball mass of F around a' plus of G around
     # b', state, rows) for every cell, not just up to the first witness
     scored = [
-        (sum(df.probs[i] for i in metric_f.ball(a, w1, t.ctx))
-         + sum(dg.probs[i] for i in metric_g.ball(b, w2, t.ctx)),
+        (sum(df.probs[i] for i in f.metric.ball(a, w1, t.ctx))
+         + sum(dg.probs[i] for i in g.metric.ball(b, w2, t.ctx)),
          state,
          [("errorbar_F >= overall_F", w1, overall_width(df, eps, t.ctx)),
           ("errorbar_G >= overall_G", w2, overall_width(dg, eps, t.ctx))])
@@ -371,7 +362,7 @@ def random_joint(t: Theory, f: Measurement, g: Measurement,
         grid.append(tuple(row))
     j = JointMeasurement(
         row_labels=f.outcomes, col_labels=g.outcomes, effects=tuple(grid),
-        row_metric=metric_of(f), col_metric=metric_of(g),
+        row_metric=f.metric, col_metric=g.metric,
     )
     problems = joint_violations(t, j)
     if problems:

@@ -214,8 +214,6 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
     numerators orders the effects as their values would.  Fractions are
     built only for the effects of the result.
     """
-    from .measures import FiniteMetricSpace
-
     if max_outcomes < 2:
         return ()
     ctx = t.ctx
@@ -277,11 +275,9 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
     search(0, [], u, tuple(dot(u, v) for v in verts))
     out = []
     for key in sorted(found, key=lambda key: (len(key), key)):
-        k = len(key)
         out.append(IdealMeasurement(
-            outcomes=tuple(range(k)),
+            outcomes=tuple(range(len(key))),
             effects=tuple(_effect(candidates[i][2]) for i in found[key]),
-            metric=FiniteMetricSpace.discrete(tuple(range(k))),
             provenance=tuple(candidates[i][:2] for i in found[key]),
         ))
     return tuple(out)
@@ -289,15 +285,12 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
 
 def binary_ideal_measurement(t: Theory, index: int) -> IdealMeasurement:
     """The two-outcome ideal measurement built on one pure effect."""
-    from .measures import FiniteMetricSpace
-
     pures = indecomposable_pure_effects(t)
     e = pures[index % len(pures)]
     u_minus = vsub(t.unit_effect, e)
     return IdealMeasurement(
         outcomes=(0, 1),
         effects=(e, u_minus),
-        metric=FiniteMetricSpace.discrete((0, 1)),
         provenance=(("sum", frozenset({index % len(pures)})), ("complement", frozenset({index % len(pures)}))),
     )
 

@@ -5,6 +5,10 @@ minimum localization error) and three measurement-error measures (error
 bar width, the Lipschitz-ball expectation distance, and the worst-case
 per-outcome probability gap).
 
+Every measure is taken in the outcome metric that each measurement
+carries (``model.FiniteMetricSpace``, re-exported here); a measure of
+two measurements uses the reference's metric and needs one outcome set.
+
 Widths are infima over ball diameters; on a finite metric space the ball
 composition only changes at diameters 0 and 2*d(x, a), so the infimum is
 attained on that finite candidate set and is computed exactly.
@@ -15,76 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linprog import GE, LE, LinearProgram, lp_solve
-from .model import Measurement, Theory, effect_eval, in_state_space, prob_table
+from .model import FiniteMetricSpace, Measurement, Theory, effect_eval, in_state_space, prob_table
 from .scalars import Context, FLOAT
-
-
-@dataclass(frozen=True)
-class FiniteMetricSpace:
-    """Finitely many outcome labels with a metric between them."""
-
-    points: tuple
-    dist: tuple
-
-    @classmethod
-    def discrete(cls, points, scale=1) -> "FiniteMetricSpace":
-        k = len(points)
-        return cls(
-            points=tuple(points),
-            dist=tuple(tuple(0 if i == j else scale for j in range(k)) for i in range(k)),
-        )
-
-    @classmethod
-    def line(cls, points) -> "FiniteMetricSpace":
-        k = len(points)
-        return cls(
-            points=tuple(points),
-            dist=tuple(tuple(abs(i - j) for j in range(k)) for i in range(k)),
-        )
-
-    def index(self, label) -> int:
-        return self.points.index(label)
-
-    def validate(self, ctx: Context = FLOAT) -> None:
-        k = len(self.points)
-        if len(self.dist) != k or any(len(r) != k for r in self.dist):
-            raise ValueError("distance matrix shape does not match points")
-        for i in range(k):
-            if not ctx.is_zero(self.dist[i][i]):
-                raise ValueError("nonzero self-distance")
-            for j in range(k):
-                if not ctx.eq(self.dist[i][j], self.dist[j][i]):
-                    raise ValueError("distance matrix is not symmetric")
-                if i != j and not ctx.gt(self.dist[i][j], 0):
-                    raise ValueError("distinct points at non-positive distance")
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    if not ctx.le(self.dist[i][j], self.dist[i][l] + self.dist[l][j]):
-                        raise ValueError("triangle inequality fails")
-
-    def ball(self, a, width, ctx: Context) -> tuple:
-        """Indices of points within width/2 of the label ``a``."""
-        ia = self.index(a)
-        half = width / 2
-        return tuple(j for j in range(len(self.points)) if ctx.le(self.dist[ia][j], half))
-
-    def width_candidates(self) -> tuple:
-        """{0} plus the doubled pairwise distances, ascending."""
-        vals = {0 * self.dist[0][0]}
-        for row in self.dist:
-            for v in row:
-                vals.add(2 * v)
-        return tuple(sorted(vals))
-
-
-def metric_of(m: Measurement) -> FiniteMetricSpace:
-    """The measurement's metric, whose points must be its outcomes in order, or the discrete one."""
-    if m.metric is None:
-        return FiniteMetricSpace.discrete(m.outcomes)
-    if m.metric.points != m.outcomes:
-        raise ValueError(f"metric points {m.metric.points!r} are not the outcomes {m.outcomes!r}")
-    return m.metric
 
 
 @dataclass(frozen=True)
@@ -102,9 +38,8 @@ def distribution(t: Theory, m: Measurement, omega, check_state: bool = True) -> 
     """Outcome statistics of the measurement on a state."""
     if check_state and not in_state_space(t, omega):
         raise ValueError("omega is not a state of the theory")
-    metric = metric_of(m)
     return OutcomeDistribution(
-        metric=metric, probs=tuple(effect_eval(t, e, omega) for e in m.effects)
+        metric=m.metric, probs=tuple(effect_eval(t, e, omega) for e in m.effects)
     )
 
 
@@ -128,9 +63,9 @@ def localization_error(p: OutcomeDistribution):
 
 
 def _shared_metric(f_ideal: Measurement, f_approx: Measurement) -> FiniteMetricSpace:
-    if tuple(f_ideal.outcomes) != tuple(f_approx.outcomes):
+    if f_ideal.outcomes != f_approx.outcomes:
         raise ValueError("measurements must share one outcome set")
-    return metric_of(f_ideal)
+    return f_ideal.metric
 
 
 def _require_conforming(t: Theory) -> None:
@@ -233,7 +168,7 @@ def _lipschitz_ball_lp(metric: FiniteMetricSpace, deltas, ctx: Context):
 
 def linf_distance(t: Theory, f_approx: Measurement, f_ideal: Measurement):
     """Largest per-outcome probability gap over all states (vertex maximum)."""
-    if tuple(f_approx.outcomes) != tuple(f_ideal.outcomes):
+    if f_approx.outcomes != f_ideal.outcomes:
         raise ValueError("measurements must share one outcome set")
     best = t.ctx.zero()
     for ra, ri in zip(prob_table(t, f_approx.effects), prob_table(t, f_ideal.effects)):

@@ -12,10 +12,18 @@ the outcome probabilities sit on the vertices, so the measures and
 validity checks read ``prob_table``: every effect of a list on every
 vertex.  An inner product enters only to state self-duality
 (``symmetry.is_self_dual``).
+
+A measurement carries a metric on its outcomes, which the widths and
+distances of ``measures`` are taken in: a :class:`FiniteMetricSpace`
+whose points are the outcomes, in order, the discrete metric unless one
+is given.  ``Measurement`` checks that structure when it is built;
+``measurement_violations`` is the one check of everything else, the
+metric axioms included.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -38,7 +46,6 @@ from .scalars import (
 )
 
 if TYPE_CHECKING:
-    from .measures import FiniteMetricSpace
     from .symmetry import SymmetryGroup
 
 
@@ -96,18 +103,87 @@ class Theory:
 
 
 @dataclass(frozen=True)
+class FiniteMetricSpace:
+    """Finitely many outcome labels with a metric between them."""
+
+    points: tuple
+    dist: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "dist", tuple(tuple(row) for row in self.dist))
+
+    @classmethod
+    def discrete(cls, points, scale=1) -> "FiniteMetricSpace":
+        k = len(points)
+        return cls(points, tuple(tuple(0 if i == j else scale for j in range(k)) for i in range(k)))
+
+    @classmethod
+    def line(cls, points) -> "FiniteMetricSpace":
+        k = len(points)
+        return cls(points, tuple(tuple(abs(i - j) for j in range(k)) for i in range(k)))
+
+    def index(self, label) -> int:
+        return self.points.index(label)
+
+    def validate(self, ctx: Context = FLOAT) -> None:
+        """Raise ValueError naming the first failed metric axiom."""
+        k = len(self.points)
+        if len(self.dist) != k or any(len(r) != k for r in self.dist):
+            raise ValueError("distance matrix shape does not match points")
+        for i in range(k):
+            if not ctx.is_zero(self.dist[i][i]):
+                raise ValueError("nonzero self-distance")
+            for j in range(k):
+                if not ctx.eq(self.dist[i][j], self.dist[j][i]):
+                    raise ValueError("distance matrix is not symmetric")
+                if i != j and not ctx.gt(self.dist[i][j], 0):
+                    raise ValueError("distinct points at non-positive distance")
+        for i in range(k):
+            for j in range(k):
+                for l in range(k):
+                    if not ctx.le(self.dist[i][j], self.dist[i][l] + self.dist[l][j]):
+                        raise ValueError("triangle inequality fails")
+
+    def ball(self, a, width, ctx: Context) -> tuple:
+        """Indices of points within width/2 of the label ``a``."""
+        ia = self.index(a)
+        half = width / 2
+        return tuple(j for j in range(len(self.points)) if ctx.le(self.dist[ia][j], half))
+
+    def width_candidates(self) -> tuple:
+        """{0} plus the doubled pairwise distances, ascending."""
+        vals = {0 * self.dist[0][0]}
+        for row in self.dist:
+            for v in row:
+                vals.add(2 * v)
+        return tuple(sorted(vals))
+
+
+@dataclass(frozen=True)
 class Measurement:
-    """Labelled effects summing to the unit effect, plus an outcome metric."""
+    """Labelled effects summing to the unit effect, plus an outcome metric.
+
+    The metric's points are the outcomes, in order; ``metric=None`` means
+    the discrete metric on them.  The metric axioms are checked by
+    :func:`measurement_violations`, not here.
+    """
 
     outcomes: tuple
     effects: tuple
-    metric: Optional["FiniteMetricSpace"] = None
+    metric: Optional[FiniteMetricSpace] = None
 
     def __post_init__(self):
         if len(self.outcomes) != len(self.effects):
             raise ValueError("outcomes and effects must align")
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         object.__setattr__(self, "effects", tuple(tuple(e) for e in self.effects))
+        metric = self.metric or FiniteMetricSpace.discrete(self.outcomes)
+        if metric.points != self.outcomes:
+            raise ValueError(
+                f"metric points {metric.points!r} are not the outcomes {self.outcomes!r}"
+            )
+        object.__setattr__(self, "metric", metric)
 
     @property
     def n_outcomes(self) -> int:
@@ -154,25 +230,28 @@ def is_zero_effect(t: Theory, e) -> bool:
 
 
 def measurement_violations(t: Theory, m: Measurement) -> list:
-    """Human-readable list of violated measurement invariants (empty = valid)."""
+    """Human-readable list of violated measurement invariants (empty = valid).
+
+    An effect of the wrong length is reported alone; a failed metric axiom
+    comes last, as ``"metric: ..."``.
+    """
     ctx = t.ctx
+    if any(len(e) != t.dim for e in m.effects):
+        return [f"every effect needs {t.dim} coordinates"]
     problems = []
     if m.n_outcomes < 2:
         problems.append("trivial measurement: fewer than 2 outcomes")
-    if not m.effects:
-        return problems
-    total = m.effects[0]
-    for e in m.effects[1:]:
-        total = vadd(total, e)
-    if not ctx.vec_eq(total, t.unit_effect):
+    if m.effects and not ctx.vec_eq(functools.reduce(vadd, m.effects), t.unit_effect):
         problems.append("effects do not sum to the unit effect")
     for label, e, row in zip(m.outcomes, m.effects, prob_table(t, m.effects)):
         if is_zero_effect(t, e):
             problems.append(f"effect for outcome {label!r} is zero")
         elif not all(ctx.ge(p, 0) and ctx.le(p, 1) for p in row):
             problems.append(f"effect for outcome {label!r} is not in the effect space")
-    if m.metric is not None and m.metric.points != m.outcomes:
-        problems.append(f"metric points {m.metric.points!r} are not the outcomes {m.outcomes!r}")
+    try:
+        m.metric.validate(ctx)
+    except ValueError as exc:
+        problems.append(f"metric: {exc}")
     return problems
 
 
@@ -380,32 +459,25 @@ def load_theory(path) -> Theory:
 
 
 def measurement_to_dict(m: Measurement) -> dict:
-    out = {
+    return {
         "outcomes": list(m.outcomes),
         "effects": [[_num_to_json(a) for a in e] for e in m.effects],
-    }
-    if m.metric is not None:
-        out["metric"] = {
+        "metric": {
             "points": list(m.metric.points),
             "dist": [[_num_to_json(a) for a in row] for row in m.metric.dist],
-        }
-    return out
+        },
+    }
 
 
 def measurement_from_dict(data: dict, ctx: Context) -> Measurement:
-    from .measures import FiniteMetricSpace
+    def nums(rows) -> list:
+        return [[ctx.convert(_num_from_json(a)) for a in row] for row in rows]
 
-    metric = None
-    if "metric" in data:
-        md = data["metric"]
-        metric = FiniteMetricSpace(
-            points=tuple(md["points"]),
-            dist=tuple(tuple(ctx.convert(_num_from_json(a)) for a in row) for row in md["dist"]),
-        )
+    md = data.get("metric")
     return Measurement(
-        outcomes=tuple(data["outcomes"]),
-        effects=tuple(tuple(ctx.convert(_num_from_json(a)) for a in e) for e in data["effects"]),
-        metric=metric,
+        outcomes=data["outcomes"],
+        effects=nums(data["effects"]),
+        metric=FiniteMetricSpace(md["points"], nums(md["dist"])) if "metric" in data else None,
     )
 
 

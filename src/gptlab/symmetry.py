@@ -39,6 +39,7 @@ each distinct stored entry.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -64,6 +65,7 @@ from .scalars import (
     sqrt_scalar,
     stacked,
     transpose,
+    vadd,
     vscale,
     vsub,
 )
@@ -224,11 +226,8 @@ def maximally_mixed(t: Theory, g: Optional[SymmetryGroup] = None):
     if not is_transitive(g, t):
         raise ValueError("maximally mixed state requires a transitive theory")
     ctx = t.ctx
-    total = t.vertices[0]
-    for v in t.vertices[1:]:
-        total = tuple(a + b for a, b in zip(total, v))
     k = ctx.convert(t.n_vertices)
-    omega_m = tuple(a / k for a in total)
+    omega_m = tuple(a / k for a in functools.reduce(vadd, t.vertices))
     w, _ = stacked([omega_m], ctx)
     stack, den = g.stack(ctx)
     if not ctx.eq(ordered_matmul(stack, w.T), den * w.T).all():

@@ -1,6 +1,8 @@
 """Verification pipelines, random joints, reports, and the CLI surface."""
 
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -308,6 +310,37 @@ class TestReport:
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
         assert got == want
 
+    def test_report_dict_shares_no_container_with_the_report(self):
+        rep = harness.VerificationReport(
+            check="thm1", theory="polygon-5", params={"eps1": 0.1},
+            inequalities=[{"label": "a >= b", "lhs": 1.0, "rhs": 0.5, "ok": True}],
+            witness=[0.0, 0.0, 1.0], passed=True, extra={"proof_candidate_ok": True},
+        )
+        before = json.dumps(rep.to_dict())
+        d = rep.to_dict()
+        d["params"]["eps2"] = 0.2
+        d["inequalities"].append(1)
+        d["inequalities"][0]["ok"] = False
+        d["witness"].append(1.0)
+        d["extra"]["more"] = 1
+        assert json.dumps(rep.to_dict()) == before
+        assert list(rep.to_dict()) == ["check", "theory", "params", "inequalities", "witness",
+                                       "passed", "extra"]
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these names and fails on a missing one
+    spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for mod, names in module.LAYERS.items():
+        home = importlib.import_module(f"gptlab.{mod}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            where = vars(getattr(home, owner)) if owner else vars(home)
+            assert callable(where.get(attr)), f"gptlab.{mod}.{name} is traced but missing"
+
 
 class TestCli:
     def run(self, capsys, *argv):
@@ -426,11 +459,13 @@ class TestCli:
         ({"effects": [[0.5, 0.5], [-0.5, 0.5]]}, "every effect needs 3 coordinates"),
         ({"metric": {"points": [0, 1], "dist": [[0, -3], [2, 0]]}},
          "metric: distance matrix is not symmetric"),
-        ({"outcomes": [], "effects": []}, "trivial measurement"),
+        ({"outcomes": [], "effects": [], "metric": {"points": [], "dist": []}},
+         "trivial measurement"),
+        ({"outcomes": [], "effects": []}, "metric points (0, 1) are not the outcomes ()"),
         ({"outcomes": [0, 1, 2]}, "outcomes and effects must align"),
         ({"metric": {"points": [1, 0], "dist": [[0, 1], [1, 0]]}},
          "metric points (1, 0) are not the outcomes (0, 1)"),
-    ], ids=["sum", "length", "metric", "empty", "unaligned", "order"])
+    ], ids=["sum", "length", "metric", "empty", "empty-base-metric", "unaligned", "order"])
     def test_invalid_measurement_file_exits_with_message(self, tmp_path, data, problem):
         bad = self.measurement_file(tmp_path, "bad.json", **data)
         good = self.measurement_file(tmp_path, "good.json")

@@ -29,7 +29,14 @@ from gptlab.measures import (
     overall_width,
     werner_distance,
 )
-from gptlab.model import Measurement, effect_eval, make_classical, make_polygon, theory_to_float
+from gptlab.model import (
+    Measurement,
+    effect_eval,
+    make_classical,
+    make_polygon,
+    theory_to_float,
+    validate_measurement,
+)
 from gptlab.scalars import EXACT, FLOAT
 
 
@@ -54,6 +61,21 @@ class TestMetricSpace:
         bad = FiniteMetricSpace(points=(0, 1), dist=((0.0, 1.0), (2.0, 0.0)))
         with pytest.raises(ValueError, match="symmetric"):
             bad.validate(FLOAT)
+
+    def test_list_built_metric_is_the_tuple_built_one(self):
+        t = make_polygon(5)
+        f = binary_ideal_measurement(t, 0)
+        ft = fuzzify(t, f, 0.5)
+        listed = FiniteMetricSpace([0, 1], [[0, 2], [2, 0]])
+        tupled = FiniteMetricSpace((0, 1), ((0, 2), (2, 0)))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        values = []
+        for metric in (listed, tupled):
+            ideal = Measurement(f.outcomes, f.effects, metric)
+            approx = Measurement(ft.outcomes, ft.effects, metric)
+            assert validate_measurement(t, ideal) and validate_measurement(t, approx)
+            values.append(werner_distance(t, approx, ideal))
+        assert values[0] == values[1] > 0
 
     def test_candidates_sorted(self):
         m = FiniteMetricSpace.line((0, 1, 2))
@@ -204,7 +226,7 @@ class TestErrorBarWidth:
 
 def _error_bar_by_definition(t, f_approx, f_ideal, eps):
     """Smallest candidate width whose balls carry 1 - eps on every eigenstate vertex."""
-    ctx, metric = t.ctx, measures.metric_of(f_ideal)
+    ctx, metric = t.ctx, f_ideal.metric
     for w in metric.width_candidates():
         if all(ctx.ge(sum(effect_eval(t, f_approx.effects[j], v)
                           for j in metric.ball(a, w, ctx)), 1 - eps)

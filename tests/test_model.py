@@ -283,6 +283,25 @@ class TestMeasurementValidation:
         m = Measurement(outcomes=(0, 1), effects=((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
         assert any("zero" in p for p in measurement_violations(t, m))
 
+    def test_wrong_effect_length_reported_alone(self):
+        t = make_polygon(8)
+        m = Measurement(outcomes=(0, 1), effects=((0.5, 0.5), (-0.5, 0.5)))
+        assert measurement_violations(t, m) == ["every effect needs 3 coordinates"]
+
+    @pytest.mark.parametrize("dist, axiom", [
+        (((0, -3), (2, 0)), "distance matrix is not symmetric"),
+        (((0, -1), (-1, 0)), "distinct points at non-positive distance"),
+    ], ids=["asymmetric", "negative"])
+    def test_metric_axioms_checked(self, dist, axiom):
+        t = make_polygon(8)
+        m = Measurement((0, 1), ((0.0, 0.0, 0.5), (0.0, 0.0, 0.5)), FiniteMetricSpace((0, 1), dist))
+        assert not validate_measurement(t, m)
+        assert measurement_violations(t, m) == [f"metric: {axiom}"]
+
+    def test_default_metric_is_the_discrete_one(self):
+        o, e = (0, 1), ((0.0, 0.0, 0.5), (0.0, 0.0, 0.5))
+        assert Measurement(o, e) == Measurement(o, e, FiniteMetricSpace.discrete(o))
+
 
 class TestStateMembership:
     def test_vertex_and_center(self):
