@@ -95,7 +95,7 @@ def _measurement(args, t, attr):
     if path is not None:
         return _load_valid_measurement(path, t)
     if getattr(args, "pair", False):
-        f, g = perpendicular_ideal_pair(t)
+        f, g = _perpendicular_pair(t)
         return f if attr in ("first", "measurement", "ideal") else g
     idx = getattr(args, "ideal_index", None)
     if idx is not None:
@@ -103,9 +103,16 @@ def _measurement(args, t, attr):
     raise SystemExit(f"missing --{attr.replace('_', '-')}")
 
 
+def _perpendicular_pair(t):
+    try:
+        return perpendicular_ideal_pair(t)
+    except ValueError as exc:
+        raise SystemExit(f"--pair on theory {t.name!r}: {exc}")
+
+
 def _pair(args, t):
     if args.pair:
-        return perpendicular_ideal_pair(t)
+        return _perpendicular_pair(t)
     fa = _measurement(args, t, "first")
     ga = _measurement(args, t, "second")
     return fa, ga

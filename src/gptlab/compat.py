@@ -20,19 +20,23 @@ from typing import Optional
 
 from .cones import cone_lp
 from .linprog import lp_feasible, lp_solve
-from .model import Measurement, Theory, prob_table
+from .model import FiniteMetricSpace, Measurement, Theory, outcome_metric, prob_table
 from .scalars import vadd, vscale, vsub
 
 
 @dataclass(frozen=True)
 class JointMeasurement:
-    """Effects indexed by outcome pairs, with the parent outcome labels."""
+    """Effects indexed by outcome pairs, with the parent outcome labels.
+
+    Each label tuple has an outcome metric, as a :class:`Measurement` does:
+    None means the discrete metric on the labels.
+    """
 
     row_labels: tuple
     col_labels: tuple
     effects: tuple  # grid[i][j] is the effect for (row_labels[i], col_labels[j])
-    row_metric: object = None
-    col_metric: object = None
+    row_metric: Optional[FiniteMetricSpace] = None
+    col_metric: Optional[FiniteMetricSpace] = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -42,6 +46,11 @@ class JointMeasurement:
             len(r) != len(self.col_labels) for r in self.effects
         ):
             raise ValueError("effect grid shape does not match outcome labels")
+        rows, cols = tuple(self.row_labels), tuple(self.col_labels)
+        object.__setattr__(self, "row_labels", rows)
+        object.__setattr__(self, "col_labels", cols)
+        object.__setattr__(self, "row_metric", outcome_metric(self.row_metric, rows))
+        object.__setattr__(self, "col_metric", outcome_metric(self.col_metric, cols))
 
     @property
     def shape(self) -> tuple:

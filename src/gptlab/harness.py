@@ -19,7 +19,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -57,19 +59,35 @@ from .symmetry import canonicalize, is_self_dual
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Self-contained record of one theorem check, replayable from inputs."""
+    """Self-contained record of one theorem check, replayable from inputs.
+
+    Read-only: ``inequalities`` and ``witness`` are stored as tuples, and
+    ``params``, ``extra`` and each inequality row as read-only views
+    (``types.MappingProxyType``) of the dicts given, which the verifiers
+    build for the report alone.
+    """
 
     check: str
     theory: str
-    params: dict
-    inequalities: list  # dicts: {label, lhs, rhs, ok}
-    witness: Optional[list]
+    params: Mapping
+    inequalities: tuple  # mappings: {label, lhs, rhs, ok}
+    witness: Optional[tuple]
     passed: bool
-    extra: dict = field(default_factory=dict)
+    extra: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        rows = tuple(map(MappingProxyType, self.inequalities))
+        object.__setattr__(self, "params", MappingProxyType(self.params))
+        object.__setattr__(self, "inequalities", rows)
+        object.__setattr__(self, "witness", None if self.witness is None else tuple(self.witness))
+        object.__setattr__(self, "extra", MappingProxyType(self.extra))
 
     def to_dict(self) -> dict:
         """The fields in order, in new lists and dicts that the report does not share."""
-        return asdict(self)
+        return {"check": self.check, "theory": self.theory, "params": dict(self.params),
+                "inequalities": list(map(dict, self.inequalities)),
+                "witness": None if self.witness is None else list(self.witness),
+                "passed": self.passed, "extra": dict(self.extra)}
 
 
 def prepare_conforming(t: Theory) -> Theory:
@@ -290,7 +308,7 @@ def verify_propc(t: Theory, f_approx: Measurement, f_ideal: Measurement,
     return VerificationReport(
         check="propC",
         theory=t.name,
-        params={"eps_grid": list(map(float, eps_grid))},
+        params={"eps_grid": tuple(map(float, eps_grid))},
         inequalities=ineqs,
         witness=None,
         passed=ok_all,

@@ -7,39 +7,35 @@ own dense tableau simplex instead of binding an external solver.
 
 :func:`lp_solve` and :func:`lp_feasible` share one path: bring the LP to
 standard form, run phase 1 (and phase 2 for ``lp_solve``) on the
-tableau, map the basic point back and certify it.  The standard form is
-one substitution ``x = x0 + S.y`` with ``y >= 0`` (Chvatal 1983, ch. 8):
-a lower-bounded variable is ``l + y``, one with only an upper bound is
-``u - y``, a free one is ``y+ - y-``, and an upper bound beside a lower
-bound becomes a ``<=`` row.  Every nonzero entry of the LP is converted
-into the context's scalars once, and the rows are built from those
-nonzero terms alone; the certificate checks the point against the
-converted rows and bounds.
+tableau, map the basic point back and certify it against the LP.  The
+standard form is one substitution ``x = x0 + S.y``, ``y >= 0`` (Chvatal
+1983, ch. 8): a lower-bounded variable is ``l + y``, one with only an
+upper bound ``u - y``, a free one ``y+ - y-``, and an upper bound beside
+a lower one becomes a ``<=`` row.  It runs on arrays: ``[A | b]``, the
+objective and the bounds are converted once, into float64 or into int
+numerators over one denominator, S is a signed column gather, and the
+offsets ``b - a_j x0_j`` are taken over the nonzero ``a_j`` in ascending
+j, so every float has the bits of scalar arithmetic in that order.
 
-One tableau serves both scalar modes (:class:`_Tableau`): its rows and
+One tableau serves both scalar modes (:class:`_Tableau`): rows and
 right-hand side sit in one numpy array over one denominator, float64
-over 1 in float mode and Python int numerators (object dtype) over a
-positive int in exact mode, so a pivot is one rank-1 update instead of
-a Python loop per row.  The exact pivot is fraction-free (Edmonds 1967;
-Bareiss 1968): every row is scaled by the pivot instead of divided by
-it, and the array is then reduced by its gcd.  Price-out, the entering
-test and the phase-1 steps are the same code in either mode; the pivot
-update and the ratio test have one exact branch each, where ratios
-compare as Fractions of the candidate rows.  Exact values leave the
-tableau as Fractions, equal to those of Fraction arithmetic.  Pivots
-use Dantzig pricing, with Bland's rule after 50 degenerate pivots in a
-row: the entering variable has the most negative reduced cost (Dantzig
-1963), lowest index on ties, but after ``_DEGENERATE_RUN`` pivots in a
-row whose leaving right-hand side is within ``tol`` of zero it is the
-lowest index with a negative reduced cost (Bland 1977), until a
-nondegenerate pivot.  Ties in the ratio test always break toward the
-lowest basis index, so the fallback cannot cycle.  Float LP data must be
-finite; a nan or inf raises a ValueError before any pivot.
+over 1 or Python int numerators (object dtype) over a positive int, so
+a pivot is one rank-1 update.  The float update is masked to the rows
+with a nonzero multiplier, which keeps their signed zeros; the exact one
+is fraction-free (Edmonds 1967; Bareiss 1968), scaling every row by the
+pivot and reducing the array by its gcd, and exact ratios compare as
+Fractions.  Exact values leave as Fractions, equal to those of Fraction
+arithmetic.  Dantzig pricing (1963) enters the argmin of the reduced
+costs, lowest index on ties, when it is below ``-tol``; after
+``_DEGENERATE_RUN`` = 50 pivots in a row whose leaving right-hand side
+is within ``tol`` of zero, Bland's rule (1977) enters the lowest index
+with a negative reduced cost until a nondegenerate pivot.  Ratio-test
+ties break toward the lowest basis index, so the fallback cannot cycle.
+Float LP data must be finite; a nan or inf raises ValueError first.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -47,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scalars import Context, FLOAT, dot, numerators, reduced, stacked
+from .scalars import Context, FLOAT, numerators, reduced, stacked
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -90,11 +86,7 @@ class LinearProgram:
 
     def _bound(self, which, j):
         b = self.lower if which == "lo" else self.upper
-        if b is None:
-            return None
-        if isinstance(b, (list, tuple)):
-            return b[j]
-        return b
+        return b[j] if isinstance(b, (list, tuple)) else b
 
 
 @dataclass(frozen=True)
@@ -121,56 +113,46 @@ class FeasibilityResult:
 class _Tableau:
     """Dense simplex tableau in standard form: min c.y, A y = b, y >= 0.
 
-    Rows and right-hand side live in one array ``t`` over one positive
-    denominator ``den``: float64 over 1 in float mode, Python int
-    numerators (object dtype) in exact mode.  The last column holds the
-    right-hand side, and the objective row, numerators over a denominator
-    of its own, carries -z in its last entry, so a pivot updates both with
-    the rows.  The exact pivot is the integer-preserving update followed
-    by a reduction to lowest terms; values leave as Fractions (``rhs``
-    and the z of :meth:`run`).
-    """
+    Rows and right-hand side (arrays or nested sequences of scalars) live in one
+    array ``t`` over one positive denominator ``den``, float64 over 1 or Python int
+    numerators (object dtype), the right-hand side last; the objective row has a
+    denominator of its own and -z last.  Exact values leave as Fractions."""
 
     def __init__(self, rows, rhs, ctx):
-        self.t, self.den = stacked([list(row) + [b] for row, b in zip(rows, rhs)], ctx)
+        self.t, self.den = stacked(np.column_stack((rows, rhs)), ctx)
         self.exact = ctx.exact
         self.tol = ctx.tol  # entering and pivot tests compare with this
-        self.basis = [-1] * len(rows)
-
-    def _value(self, num, den):
-        return Fraction(num, den) if self.exact else num
+        self.basis = [-1] * len(rhs)
 
     @property
     def rhs(self):
-        return [self._value(b, self.den) for b in self.t[:, -1].tolist()]
+        return [_scalar(b, self.den, self.exact) for b in self.t[:, -1].tolist()]
 
     def price_out(self, cost):
         """``(obj, oden)``: the objective row (reduced costs, then -z) for the
         current basis, as numerators over ``oden``."""
         cost, cden = numerators(cost) if self.exact else (cost, 1)
         obj = np.array(cost + [0], dtype=self.t.dtype) * self.den
-        for i, bj in enumerate(self.basis):
-            cb = cost[bj]
-            if cb == 0:
-                continue
-            obj -= cb * self.t[i]
+        for i, cb in enumerate(cost[bj] for bj in self.basis):
+            if cb != 0:
+                obj -= cb * self.t[i]
         return reduced(obj, cden * self.den) if self.exact else (obj, 1)
 
     def pivot(self, r, c):
         t = self.t
         f = t[:, c].copy()
         f[r] = 0
-        nz = np.flatnonzero(f)
         if self.exact:
             # over den * p: row r becomes den t_r, every other row p t_i - t_ic t_r
+            nz = f.nonzero()[0]
             p, prow = t[r, c], t[r].copy()
             t *= p
             t[r] = self.den * prow
             t[nz] -= np.outer(f[nz], prow)
             self.t, self.den = reduced(t, self.den * p)
-        else:
+        else:  # rows with a zero multiplier are not written, so their -0.0 stay
             t[r] *= 1 / t[r, c]
-            t[nz] -= np.outer(f[nz], t[r])
+            np.subtract(t, f[:, None] * t[r], out=t, where=(f != 0)[:, None])
         self.basis[r] = c
 
     def run(self, cost, nenter):
@@ -180,22 +162,21 @@ class _Tableau:
         obj, oden = self.price_out(cost)
         degenerate = 0  # degenerate pivots in a row
         for _ in range(_MAX_PIVOTS):
-            negative = np.flatnonzero(~(0 <= obj[:nenter] + tol))
-            if not negative.size:
-                return "optimal", self._value(obj.item(-1), oden)
-            # Dantzig: the most negative reduced cost, lowest index on ties;
-            # Bland (the lowest index) after a run of degenerate pivots
-            enter = int(negative[0] if degenerate >= _DEGENERATE_RUN
-                        else negative[np.argmin(obj[negative])])
+            # Dantzig: the most negative reduced cost, lowest index on ties; Bland
+            # (the lowest index of a negative one) after a run of degenerate pivots
+            head = obj[:nenter]
+            bland = degenerate >= _DEGENERATE_RUN
+            enter = int((~(0 <= head + tol)).argmax() if bland else head.argmin()) if nenter else 0
+            if not nenter or 0 <= head[enter] + tol:
+                return "optimal", _scalar(obj.item(-1), oden, self.exact)
             t = self.t
             col = t[:, enter]
-            rows = np.flatnonzero(~(col <= tol))
+            rows = (~(col <= tol)).nonzero()[0]
             if not rows.size:
-                return "unbounded", self._value(obj.item(-1), oden)
+                return "unbounded", _scalar(obj.item(-1), oden, self.exact)
             # exact ratios compare as Fractions of the candidate rows
-            ratios = (_fractions if self.exact else np.divide)(t[rows, -1], col[rows])
-            tied = rows[ratios == ratios.min()]
-            leave = int(min(tied, key=self.basis.__getitem__))
+            ratios = (_fraction if self.exact else np.divide)(t[rows, -1], col[rows])
+            leave = min(rows[ratios == ratios.min()].tolist(), key=self.basis.__getitem__)
             degenerate = degenerate + 1 if t[leave, -1] <= tol else 0
             self.pivot(leave, enter)
             fobj = obj[enter]
@@ -212,7 +193,7 @@ class _Tableau:
         vector with its 1 in that row, or -1."""
         block = self.t[:, :ncols]
         unit = (block == self.den) & ((block != 0).sum(axis=0) == 1)
-        return [int(js[-1]) if js.size else -1 for js in map(np.flatnonzero, unit)]
+        return ((unit * np.arange(1, ncols + 1)).max(axis=1, initial=0) - 1).tolist()
 
     def add_artificials(self, need):
         """Append a unit column for each row in `need`, make it basic there,
@@ -237,72 +218,95 @@ class _Tableau:
         self.basis = [self.basis[i] for i in keep]
 
 
-_fractions = np.frompyfunc(Fraction, 2, 1)
+_fraction = np.frompyfunc(Fraction, 2, 1)
 
 
+def _fractions(nums, den):
+    """``nums / den`` as an array of Fractions, built for the nonzero entries only."""
+    out, nz = np.full(nums.shape, Fraction(0), dtype=object), nums != 0
+    out[nz] = _fraction(nums[nz], den)
+    return out
+
+
+def _scalar(num, den, exact: bool):
+    return Fraction(num, den) if exact else num
+
+
+def _bounds(b, n: int):
+    """A `lower` or `upper` spec as n values, 0 where there is no bound, and
+    the mask of the variables that have one."""
+    if not isinstance(b, (list, tuple)):
+        return [0 if b is None else b] * n, np.full(n, b is not None)
+    vals = np.array(b, dtype=object)
+    given = vals != None  # noqa: E711 (elementwise)
+    vals[~given] = 0
+    return vals.tolist(), given
+
+
+def _converted(raw, ctx: Context):
+    """``(array, den)``: the rows ``raw`` converted once, as :func:`stacked` gives them;
+    only values that it does not read (such as 'p/q' strings) go through ``ctx.convert``."""
+    if not ctx.exact:
+        try:
+            return np.array(raw, dtype=float), 1
+        except ValueError:
+            pass
+    flat = np.fromiter(chain.from_iterable(raw), dtype=object, count=len(raw) * len(raw[0]))
+    if not ctx.exact or not set(map(type, flat)) <= {int, Fraction}:
+        flat = np.frompyfunc(ctx.convert, 1, 1)(flat)
+    return stacked(flat.reshape(len(raw), -1), ctx)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a nan or inf result raises below
 def _standardize(p: LinearProgram, ctx: Context):
-    """The substitution ``x = x0 + S.y`` of the module docstring, with one
-    (variable, sign) pair per column of S, a slack per inequality row, and
-    rows with a negative right-hand side negated.
-
-    Returns (rows, rhs, cost, recover, const, ncols, data): recover maps a
-    standard point y back to x, const is the objective offset, and data is
-    (constraints, lower, upper) converted, which :func:`_certify` checks.
-    """
-    zero, one, conv = ctx.zero(), ctx.one(), ctx.convert
-    lower, upper = ([None if v is None else conv(v) for v in b] if isinstance(b, (list, tuple))
-                    else [None if b is None else conv(b)] * p.n_vars for b in (p.lower, p.upper))
-    x0 = [ub if lb is None else lb for lb, ub in zip(lower, upper)]  # None: free
-    # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-
-    cols = [(j, s) for j, (lb, ub) in enumerate(zip(lower, upper))
-            for s in ((1,) if lb is not None else (-1,) if ub is not None else (1, -1))]
-    var_cols = [[] for _ in range(p.n_vars)]
-    for k, (j, s) in enumerate(cols):
-        var_cols[j].append((k, s))
-
-    obj = list(map(conv, p.objective))
-    if p.sense == "max":
-        obj = [-c for c in obj]
-    elif p.sense != "min":
+    """The substitution ``x = x0 + S.y`` of the module docstring, with one (variable,
+    sign) pair per column of S, a slack per inequality row, and rows with a negative
+    right-hand side negated.  Returns (rows, rhs, cost, recover, const, ncols, data):
+    rows and rhs are arrays of the context's scalars, recover maps a standard point y
+    back to x, const is the objective offset, and data is the LP as converted, which
+    :func:`_certify` checks."""
+    if p.sense not in ("min", "max"):
         raise ValueError(f"unknown sense {p.sense!r}")
-    cost = [obj[j] if s > 0 else -obj[j] for j, s in cols]
-    const = zero
-    for cj, x0j in zip(obj, x0):
-        if x0j is not None:
-            const += cj * x0j
+    n, m = p.n_vars, len(p.constraints)
+    (lo, has_lo), (up, has_up) = _bounds(p.lower, n), _bounds(p.upper, n)
+    # [A | b], the objective and the bounds over one den; the products of two
+    # of them, and so the standard form, are over den**2
+    arr, den = _converted([[*coeffs, rhs] for coeffs, _, rhs in p.constraints]
+                          + [[*p.objective, 0], [*lo, 0], [*up, 0]], ctx)
+    obj, lo, up = arr[m:, :n]
+    obj, x0, fixed = -obj if p.sense == "max" else obj, np.where(has_lo, lo, up), has_lo | has_up
+    # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-
+    width = 2 - fixed
+    var, first = np.repeat(np.arange(n), width), np.cumsum(width) - width
+    sign = np.ones(len(var), dtype=int)
+    sign[np.concatenate((first[has_up & ~has_lo], first[~fixed] + 1))] = -1
+    cost = obj[var] * sign
+    const = np.add.accumulate(np.concatenate(([0], obj[fixed] * x0[fixed]))).item(-1)
 
-    # each row as its nonzero (variable, coefficient) terms, converted once;
-    # the converted rows that _certify checks hold the context's zero elsewhere
-    constraints, sparse = [], []
-    for coeffs, rel, rhs in p.constraints:
-        terms = [(j, a) for j, raw in enumerate(coeffs) if raw != 0 and (a := conv(raw))]
-        row = [zero] * p.n_vars
-        for j, a in terms:
-            row[j] = a
-        b = conv(rhs)
-        constraints.append((row, rel, b))
-        sparse.append((terms, rel, b))
-    sparse += [([(j, one)], LE, ub) for j, (lb, ub) in enumerate(zip(lower, upper))
-               if lb is not None and ub is not None]
-    nslack = sum(rel != EQ for _, rel, _ in sparse)
-    rows, rhs, slack = [], [], len(cols)
-    for terms, rel, b in sparse:
-        row = [zero] * (len(cols) + nslack)
-        for j, a in terms:  # ascending j
-            for k, s in var_cols[j]:
-                row[k] = a if s > 0 else -a
-            if x0[j] is not None:
-                b -= a * x0[j]
-        if rel != EQ:
-            row[slack] = one if rel == LE else -one
-            slack += 1
-        if b < 0:
-            row, b = [-v for v in row], -b
-        rows.append(row)
-        rhs.append(b)
+    # an upper bound beside a lower bound is the row y <= u - l
+    both = np.flatnonzero(has_lo & has_up)
+    ab = np.vstack([arr[:m], np.zeros((len(both), n + 1), dtype=arr.dtype)])
+    ab[range(m, m + len(both)), both] = den
+    ab[m:, -1] = up[both]
+    rels = [rel for _, rel, _ in p.constraints] + [LE] * len(both)
+    ineq = [i for i, rel in enumerate(rels) if rel != EQ]
+    slack = np.zeros((len(rels), len(ineq)), dtype=arr.dtype)
+    slack[ineq, range(len(ineq))] = [den * den if rels[i] == LE else -den * den for i in ineq]
+    # b - a_j x0_j over the nonzero a_j, ascending j (subtracting +0 changes no bit)
+    a = ab[:, fixed.nonzero()[0]]
+    a = np.multiply(a, x0[fixed], out=np.zeros_like(a), where=a != 0)
+    rhs = np.subtract.accumulate(np.hstack([ab[:, -1:] * den, a]), axis=1)[:, -1]
+    s = ab[:, var] * sign + 0  # + 0: a zero coefficient of y- is 0.0, not -0.0
+    block = np.hstack([s * den, slack, rhs[:, None]])
+    np.negative(block, out=block, where=(rhs < 0)[:, None])
 
-    if not ctx.exact and not all(map(math.isfinite, chain(cost, (const,), rhs, *rows))):
+    if not ctx.exact and not np.isfinite(np.concatenate((block.ravel(), cost, [const]))).all():
         raise ValueError("LP objective, constraints and bounds must be finite")
+    if ctx.exact:
+        block, cost, x0 = _fractions(block, den * den), _fractions(cost, den), _fractions(x0, den)
+        const = Fraction(const, den * den)
+    x0 = np.where(fixed, x0, None).tolist()  # None: free
+    cols = list(zip(var.tolist(), sign.tolist()))
 
     def recover(y):
         x = list(x0)
@@ -310,18 +314,14 @@ def _standardize(p: LinearProgram, ctx: Context):
             x[j] = v if x[j] is None else x[j] + v if s > 0 else x[j] - v
         return tuple(x)
 
-    return (rows, rhs, cost + [zero] * nslack, recover, const, len(cols) + nslack,
-            (constraints, lower, upper))
+    return (block[:, :-1], block[:, -1], cost.tolist() + [ctx.zero()] * len(ineq), recover,
+            const, len(cols) + len(ineq), (arr, den, rels[:m], has_lo, has_up))
 
 
 def _phase1(tab, nstruct: int, ctx: Context) -> str:
     """Install a basis: slack columns where possible, artificials elsewhere."""
-    need_artificial = []
-    for i, found in enumerate(tab.unit_columns(nstruct)):
-        if found >= 0:
-            tab.basis[i] = found
-        else:
-            need_artificial.append(i)
+    tab.basis = tab.unit_columns(nstruct)
+    need_artificial = [i for i, found in enumerate(tab.basis) if found < 0]
     if not need_artificial:
         return "optimal"
     art_cols = tab.add_artificials(need_artificial)
@@ -331,16 +331,15 @@ def _phase1(tab, nstruct: int, ctx: Context) -> str:
         raise RuntimeError("phase 1 cannot be unbounded")
     if ctx.gt(-zval, 0):  # min sum of artificials > 0
         return "infeasible"
-    # drive leftover artificials out of the basis
-    art_set = set(art_cols)
-    drop_rows = []
+    # drive leftover artificials out of the basis; a row with nothing to pivot on is redundant
+    art_set, drop_rows = set(art_cols), []
     for i in range(len(tab.basis)):
         if tab.basis[i] in art_set:
             piv = tab.first_nonzero(i, nstruct)
             if piv >= 0:
                 tab.pivot(i, piv)
             else:
-                drop_rows.append(i)  # redundant row
+                drop_rows.append(i)
     tab.drop(drop_rows, nstruct)
     return "optimal"
 
@@ -348,22 +347,24 @@ def _phase1(tab, nstruct: int, ctx: Context) -> str:
 def _certify(p: LinearProgram, data, x, ctx: Context):
     """Substitute the reported point into every constraint and bound of
     ``data``, the LP as converted by :func:`_standardize`."""
-    constraints, lower, upper = data
-    slack_tol = 100 * ctx.tol
-    # rows [a | b] times the point [x | 0]: a running sum of the products
-    # gives every a.x, added in index order as dot adds; in exact mode ints
-    # over den**2, compared with b's numerators scaled to the same denominator
-    arr, den = stacked([[*coeffs, b] for coeffs, _, b in constraints] + [[*x, 0]], ctx)
-    ax = np.add.accumulate(arr[:-1] * arr[-1], axis=1)[:, -1].tolist()
-    for (coeffs, rel, b), v, bv in zip(constraints, ax, (arr[:-1, -1] * den).tolist()):
+    arr, den, rels, has_lo, has_up = data
+    m, slack_tol = len(rels), 100 * ctx.tol
+    # rows [a | b] times [x | 0]: running sums give every a.x, added in index order as
+    # dot adds; exact ones are ints over den * xden, compared with b scaled to that
+    xs, xden = numerators(x) if ctx.exact else (list(x), 1)
+    xv = np.array(xs + [0], dtype=arr.dtype)
+    ax = np.add.accumulate(arr[:m] * xv, axis=1)[:, -1].tolist()
+    for i, (rel, v, bv) in enumerate(zip(rels, ax, (arr[:m, -1] * xden).tolist())):
         if not (v <= bv + slack_tol if rel == LE else
                 v >= bv - slack_tol if rel == GE else abs(v - bv) <= slack_tol):
-            raise RuntimeError(f"certification failed: {dot(coeffs, x)} {rel} {b}")
-    for j, (lb, ub, xj) in enumerate(zip(lower, upper, x)):
-        if lb is not None and not xj >= lb - slack_tol:
-            raise RuntimeError(f"certification failed: bound x[{j}] >= {p._bound('lo', j)}")
-        if ub is not None and not xj <= ub + slack_tol:
-            raise RuntimeError(f"certification failed: bound x[{j}] <= {p._bound('up', j)}")
+            raise RuntimeError(f"certification failed: {_scalar(v, den * xden, ctx.exact)} "
+                               f"{rel} {_scalar(arr.item(i, -1), den, ctx.exact)}")
+    xv = xv[:-1] * den
+    low = has_lo & ~(xv >= arr[m + 1, :-1] * xden - slack_tol)
+    high = has_up & ~(xv <= arr[m + 2, :-1] * xden + slack_tol)
+    for j in np.flatnonzero(low | high)[:1].tolist():
+        raise RuntimeError(f"certification failed: bound x[{j}] "
+                           + (f">= {p._bound('lo', j)}" if low[j] else f"<= {p._bound('up', j)}"))
 
 
 def _solve(p: LinearProgram, ctx: Context, optimise: bool) -> tuple:
@@ -371,7 +372,7 @@ def _solve(p: LinearProgram, ctx: Context, optimise: bool) -> tuple:
     when `optimise`; an optimal or feasible x is certified."""
     rows, rhs, cost, recover, const, nstruct, data = _standardize(p, ctx)
     status, z, y = "optimal", ctx.zero(), [ctx.zero()] * nstruct
-    if rows:
+    if len(rhs):
         tab = _Tableau(rows, rhs, ctx)
         if _phase1(tab, nstruct, ctx) == "infeasible":
             return "infeasible", None, None
@@ -391,14 +392,11 @@ def _solve(p: LinearProgram, ctx: Context, optimise: bool) -> tuple:
 
 
 def lp_solve(p: LinearProgram, ctx: Context = FLOAT) -> LpResult:
-    """Two-phase simplex on the standard form of p, with Dantzig pricing
-    and Bland's rule after 50 degenerate pivots in a row.
-
-    Bounds are substituted away (``x = x0 + S.y``, ``y >= 0``; see
-    :func:`_standardize`).  An optimal point is checked by substituting
-    it back into every constraint and bound; the optimal value and an
-    infeasible or unbounded verdict are not certified.
-    """
+    """Two-phase simplex on the standard form of p (``x = x0 + S.y``, ``y >= 0``; see
+    :func:`_standardize`), with Dantzig pricing and Bland's rule after 50 degenerate
+    pivots in a row.  An optimal point is checked by substituting it back into every
+    constraint and bound; the optimal value and an infeasible or unbounded verdict
+    are not certified."""
     return LpResult(*_solve(p, ctx, optimise=True))
 
 

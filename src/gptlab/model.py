@@ -160,6 +160,15 @@ class FiniteMetricSpace:
         return tuple(sorted(vals))
 
 
+def outcome_metric(metric: Optional[FiniteMetricSpace], outcomes: tuple) -> FiniteMetricSpace:
+    """``metric``, or the discrete metric on ``outcomes`` when it is None;
+    a metric on other points than the outcomes raises ValueError."""
+    metric = metric or FiniteMetricSpace.discrete(outcomes)
+    if metric.points != outcomes:
+        raise ValueError(f"metric points {metric.points!r} are not the outcomes {outcomes!r}")
+    return metric
+
+
 @dataclass(frozen=True)
 class Measurement:
     """Labelled effects summing to the unit effect, plus an outcome metric.
@@ -178,12 +187,7 @@ class Measurement:
             raise ValueError("outcomes and effects must align")
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         object.__setattr__(self, "effects", tuple(tuple(e) for e in self.effects))
-        metric = self.metric or FiniteMetricSpace.discrete(self.outcomes)
-        if metric.points != self.outcomes:
-            raise ValueError(
-                f"metric points {metric.points!r} are not the outcomes {self.outcomes!r}"
-            )
-        object.__setattr__(self, "metric", metric)
+        object.__setattr__(self, "metric", outcome_metric(self.metric, self.outcomes))
 
     @property
     def n_outcomes(self) -> int:

@@ -24,6 +24,7 @@ import math
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 
+import numpy as np
 import pytest
 
 from gptlab.cones import Cone, LinealityError, cone_member, cones_equal, dual_cone
@@ -335,8 +336,8 @@ class ListTableau:
     """
 
     def __init__(self, rows, rhs, ctx):
-        self.rows = [list(r) for r in rows]
-        self.rhs = list(rhs)
+        self.rows = np.asarray(rows).tolist()
+        self.rhs = np.asarray(rhs).tolist()
         self.ctx = ctx
         self.basis = [-1] * len(rows)
 

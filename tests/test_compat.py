@@ -1,12 +1,14 @@
 """Joint measurability, marginals, error minimisation, fuzzing thresholds."""
 
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
 from gptlab.compat import (
+    JointMeasurement,
     degree_bound_closed_form,
     degree_bound_rhs,
     is_jointly_measurable,
@@ -26,7 +28,7 @@ from gptlab.ideal import (
     psi_transform,
 )
 from gptlab.linprog import lp_feasible, lp_solve
-from gptlab.measures import linf_distance, min_le_sum
+from gptlab.measures import FiniteMetricSpace, linf_distance, min_le_sum
 from gptlab.model import Measurement, make_classical, make_polygon, validate_measurement
 from helpers import highs, hrow_compat_lp
 
@@ -69,6 +71,17 @@ class TestMarginals:
         # the half-fuzzed pair achieves the optimum; the LP marginals carry
         # the same worst-case deviation as fuzzify(., 1/2)
         assert linf_distance(t, mf, f) + linf_distance(t, mg, g) == pytest.approx(0.5, abs=1e-9)
+
+    def test_joint_metrics_are_checked_when_built(self):
+        cells = [[(0.5, 0.0, 0.25), (0.0, 0.0, 0.25)], [(0.0, 0.0, 0.25), (-0.5, 0.0, 0.25)]]
+        j = JointMeasurement([0, 1], [0, 1], cells)
+        assert (j.row_labels, j.col_labels) == ((0, 1), (0, 1))
+        assert j.row_metric == j.col_metric == FiniteMetricSpace.discrete((0, 1))
+        wrong = FiniteMetricSpace.discrete((5, 6))
+        for metrics in [(wrong, None), (None, wrong)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    "metric points (5, 6) are not the outcomes (0, 1)")):
+                JointMeasurement((0, 1), (0, 1), cells, *metrics)
 
 
 class TestJointMeasurability:

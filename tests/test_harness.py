@@ -1,5 +1,6 @@
 """Verification pipelines, random joints, reports, and the CLI surface."""
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -213,7 +214,7 @@ class TestVerifiers:
                     harness.verify_cor1(t, f, g, j, 0.2, 0.3),
                     harness.verify_thm2(t, f, g, j)):
             assert rep.passed is False and rep.witness is None and rep.extra == {}
-            assert rep.inequalities == expected[rep.check]
+            assert rep.to_dict()["inequalities"] == expected[rep.check]
 
     def test_holds_compares_at_the_context_tolerance(self):
         assert EXACT.tol == 0 and type(EXACT.tol) is int
@@ -326,6 +327,26 @@ class TestReport:
         assert json.dumps(rep.to_dict()) == before
         assert list(rep.to_dict()) == ["check", "theory", "params", "inequalities", "witness",
                                        "passed", "extra"]
+
+    def test_report_is_read_only(self):
+        rep = harness.VerificationReport(
+            "thm1", "polygon-5", {"eps1": 0.1},
+            [{"label": "a >= b", "lhs": 1.0, "rhs": 0.5, "ok": True}], [0.0, 0.0, 1.0], True,
+            {"proof_candidate_ok": True},
+        )
+        for mutate in (lambda: rep.inequalities.append(1),
+                       lambda: rep.inequalities[0].update(ok=False),
+                       lambda: rep.params.update(eps2=0.2),
+                       lambda: rep.witness.append(1.0),
+                       lambda: rep.extra.update(more=1)):
+            with pytest.raises((AttributeError, TypeError)):
+                mutate()
+        assert rep.to_dict() == {
+            "check": "thm1", "theory": "polygon-5", "params": {"eps1": 0.1},
+            "inequalities": [{"label": "a >= b", "lhs": 1.0, "rhs": 0.5, "ok": True}],
+            "witness": [0.0, 0.0, 1.0], "passed": True, "extra": {"proof_candidate_ok": True}}
+        later = dataclasses.replace(rep, extra={**rep.extra, "more": 1})
+        assert later.to_dict()["extra"] == {"proof_candidate_ok": True, "more": 1}
 
 
 def test_every_traced_name_resolves():
@@ -488,6 +509,20 @@ class TestCli:
         out = self.run(capsys, "verify", "thm2", "--theory", "polygon:5",
                        "--random", "3", "--seed", "1")
         assert out["passed"] is True
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["compat", "check", "--theory", "classical:2"],
+         "'classical-2': perpendicular pairs are defined for polygon theories"),
+        (["compat", "min-mur", "--theory", "polygon:6"],
+         "'polygon-6': side count must be a multiple of 4"),
+        (["measure", "min-le-sum", "--theory", "classical:2"],
+         "'classical-2': perpendicular pairs are defined for polygon theories"),
+        (["measure", "werner", "--theory", "polygon:6"],
+         "'polygon-6': side count must be a multiple of 4"),
+    ], ids=["compat-classical", "compat-hexagon", "measure-classical", "measure-hexagon"])
+    def test_pair_without_perpendicular_pair_exits_with_message(self, argv, problem):
+        with pytest.raises(SystemExit, match=re.escape(f"--pair on theory {problem}")):
+            cli.main(argv + ["--pair"])
 
     def test_verify_lone_second_exits(self, tmp_path):
         # effects summing to (10, 10, 10): read, the file would be rejected too

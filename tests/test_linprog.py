@@ -489,6 +489,34 @@ def test_compat_lps_bit_identical(n, skew):
         assert_same_on_both_tableaux(solver, p)
 
 
+def curve_lps() -> tuple:
+    """(family, solver, LP) for every LP of one pass of the benchmark's curve
+    ladder: on psi-polygons n = 4, 8, ..., 48, the fuzzing threshold of the
+    perpendicular pair and of one pair drawn from `default_rng(0)`, joint
+    measurability of the perpendicular pair up to n = 32 and its MUR up to 20."""
+    rng = np.random.default_rng(0)
+    calls = []
+    for n in range(4, 49, 4):
+        t = psi_transform(make_polygon(n))
+        f, g = perpendicular_ideal_pair(t)
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        calls.append(("max_fuzz_lambda", compat.max_fuzz_lambda, (t, f, g)))
+        calls.append(("max_fuzz_lambda", compat.max_fuzz_lambda,
+                      (t, binary_ideal_measurement(t, i), binary_ideal_measurement(t, j))))
+        if n <= 32:
+            calls.append(("is_jointly_measurable", compat.is_jointly_measurable, (t, f, g)))
+        if n <= 20:
+            calls.append(("min_mur_linf", compat.min_mur_linf, (t, f, g)))
+    return record_lps(calls)
+
+
+def test_curve_lps_bit_identical():
+    lps = curve_lps()
+    assert len(lps) == 12 * 2 + 8 + 5
+    for _family, solver, p in lps:
+        assert_same_on_both_tableaux(solver, p)
+
+
 @lru_cache(maxsize=None)
 def classical_lps(n_levels: int) -> tuple:
     """(family, solver, LP) for the exact compat LPs of the classical theory:
@@ -577,8 +605,8 @@ def assert_same_standard_form(p, ctx):
     count, and its `recover` maps random nonnegative points to the same x."""
     rows, rhs, cost, recover, const, ncols, _data = linprog._standardize(p, ctx)
     ref_rows, ref_rhs, ref_cost, ref_recover, ref_const, ref_ncols = standardize_reference(p, ctx)
-    assert repr((rows, rhs, cost, const, ncols)) == repr((ref_rows, ref_rhs, ref_cost, ref_const,
-                                                          ref_ncols))
+    assert repr((rows.tolist(), rhs.tolist(), cost, const, ncols)) == repr(
+        (ref_rows, ref_rhs, ref_cost, ref_const, ref_ncols))
     values = [ctx.convert(v) for v in (0, 1, 2, "1/3", "5/2", "1/10")]
     if not ctx.exact:
         values.append(-0.0)  # signed zeros come out of float pivots
