@@ -12,23 +12,14 @@ inverse and the output; float rays have largest |coordinate| 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
+
+import numpy as np
 
 from .linprog import EQ, LinearProgram, lp_feasible
-from .scalars import (
-    Context,
-    FLOAT,
-    InnerProduct,
-    dot,
-    inverse,
-    numerators,
-    ordered_matmul,
-    spanning_rows,
-    stacked,
-    transpose,
-    vscale,
-    vsub,
-)
+from .scalars import (Context, FLOAT, InnerProduct, dot, inverse, numerators, ordered_matmul,
+                      spanning_rows, stacked, transpose, vscale, vsub)
 
 
 class LinealityError(ValueError):
@@ -68,39 +59,36 @@ def normalize_ray(v, ctx: Context):
 
 def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", upper=None):
     """One LP over `n_blocks` vectors ``E_i = sum_k mu_ik r_k``, ``mu >= 0``,
-    in the cone generated by `rays`.
+    in the cone generated by `rays`, then nonnegative scalars ``s_j``, one per
+    `objective` entry, below `upper` if given.
 
-    Then come nonnegative scalars ``s_j``, one per `objective` entry, below
-    `upper` if given.  Each ``(blocks, scalars, rhs)`` in `eqs` is one row
-    per coordinate of ``sum_i c_i E_i + sum_j s_j w_j = rhs``, with `blocks`
-    mapping ``i`` to ``c_i`` and `scalars` mapping ``j`` to ``w_j``.
-    Returns the LP and a map from a point to its first ``count`` vectors.
+    Each ``(blocks, scalars, rhs)`` in `eqs` is one row per coordinate of
+    ``sum_i c_i E_i + sum_j s_j w_j = rhs``, `blocks` mapping ``i`` to ``c_i``
+    and `scalars` ``j`` to ``w_j``.  The rows are one array block: ``C kron R^T``
+    (C the ``c_i`` of every group, R the rays as rows), the ``w_j`` and the
+    right-hand sides.  Returns the LP and a map from a point to its first
+    ``count`` vectors, each ``R^T mu_i``.
     """
-    k, d, zero = len(rays), len(rays[0]), ctx.zero()
-    nmu = n_blocks * k
-    nvars = nmu + len(objective)
-    p = LinearProgram(
-        n_vars=nvars,
-        objective=[zero] * nmu + list(objective),
-        sense=sense,
-        lower=zero,
-        upper=None if upper is None else [None] * nmu + list(upper),
-    )
-    for blocks, scalars, rhs in eqs:
-        for c in range(d):
-            row = [zero] * nvars
-            for i, coef in blocks.items():
-                row[i * k:(i + 1) * k] = [coef * r[c] for r in rays]
-            for j, w in scalars.items():
-                row[nmu + j] = w[c]
-            p.add(row, EQ, rhs[c])
+    k, d, zero, nmu = len(rays), len(rays[0]), ctx.zero(), n_blocks * len(rays)
+    for w in (w for _, scalars, rhs in eqs for w in (rhs, *scalars.values()) if len(w) != d):
+        raise ValueError(f"dimension mismatch: rays in R^{d}, a right-hand side or scalar "
+                         f"column in R^{len(w)}")
+    r, rden = stacked(rays, ctx)
+    coef, cden = stacked([[blocks.get(i, 0) for i in range(n_blocks)] for blocks, _, _ in eqs], ctx)
+    tail, tden = stacked([[scalars[j][c] if j in scalars else 0 for j in range(len(objective))]
+                          + [rhs[c]] for _, scalars, rhs in eqs for c in range(d)], ctx)
+    den = lcm(cden * rden, tden)
+    kron = (coef[:, None, :, None] * r.T[None, :, None, :]).reshape(len(tail), nmu)  # C kron R^T
+    block = np.hstack([kron * (den // (cden * rden)), tail * (den // tden)])
+    p = LinearProgram(nmu + len(objective), [zero] * nmu + list(objective), sense, lower=zero,
+                      upper=None if upper is None else [None] * nmu + list(upper))
+    p.add_block(block, [EQ] * len(block), den)
 
     def vectors(point, count: int) -> list:
-        return [
-            tuple(sum((m * r[c] for m, r in zip(point[i * k:(i + 1) * k], rays) if m), zero)
-                  for c in range(d))
-            for i in range(count)
-        ]
+        mu, mden = numerators(point[:count * k]) if ctx.exact else (point[:count * k], 1)
+        e = ordered_matmul(np.array(mu, dtype=r.dtype).reshape(count, k), r).tolist()
+        return [tuple(Fraction(x, mden * rden) for x in row) if ctx.exact else tuple(row)
+                for row in e]
 
     return p, vectors
 
@@ -109,8 +97,6 @@ def cone_member(c: Cone, x, ctx: Context = FLOAT) -> bool:
     """x in conic hull of the generators, decided by LP feasibility."""
     if not c.generators:
         raise ValueError("empty generator list")
-    if len(x) != c.dim:
-        raise ValueError(f"dimension mismatch: cone in R^{c.dim}, point in R^{len(x)}")
     p, _ = cone_lp(c.generators, ctx, 1, [({0: 1}, {}, x)])
     return lp_feasible(p, ctx).feasible
 

@@ -2,40 +2,38 @@
 
 Used for cone membership certificates, joint-measurability feasibility,
 measurement-error minimisation, and Lipschitz-ball optimisation.  Exact
-pivoting over rationals is needed for cone certificates, so we ship our
-own dense tableau simplex instead of binding an external solver.
+pivoting over rationals is needed for cone certificates, so we ship our own
+dense tableau simplex instead of binding an external solver.
 
-:func:`lp_solve` and :func:`lp_feasible` share one path: bring the LP to
-standard form, run phase 1 (and phase 2 for ``lp_solve``) on the
-tableau, map the basic point back and certify it against the LP.  The
-standard form is one substitution ``x = x0 + S.y``, ``y >= 0`` (Chvatal
-1983, ch. 8): a lower-bounded variable is ``l + y``, one with only an
-upper bound ``u - y``, a free one ``y+ - y-``, and an upper bound beside
-a lower one becomes a ``<=`` row.  It runs on arrays: ``[A | b]``, the
-objective and the bounds are converted once, into float64 or into int
-numerators over one denominator, S is a signed column gather, and the
-offsets ``b - a_j x0_j`` are taken over the nonzero ``a_j`` in ascending
-j, so every float has the bits of scalar arithmetic in that order.
+An LP keeps its rows as blocks ``[A | b]``: arrays that a builder such as
+``cones.cone_lp`` writes in one step, or rows added one at a time.
+:func:`lp_solve` and :func:`lp_feasible` share one path: convert the blocks,
+objective and bounds once, into float64 or int numerators over one
+denominator; substitute ``x = x0 + S.y``, ``y >= 0`` (Chvatal 1983, ch. 8): a
+lower-bounded variable is ``l + y``, one with only an upper bound ``u - y``, a
+free one ``y+ - y-``, and an upper bound beside a lower one is a ``<=`` row (S
+= I when every variable has a lower bound; offsets ``b - a_j x0_j`` sum in
+ascending j, with the bits of scalar arithmetic); run phase 1 (and phase 2 for
+``lp_solve``) on the numerators in the tableau; map the basic point back and
+certify it.
 
-One tableau serves both scalar modes (:class:`_Tableau`): rows and
-right-hand side sit in one numpy array over one denominator, float64
-over 1 or Python int numerators (object dtype) over a positive int, so
-a pivot is one rank-1 update.  The float update is masked to the rows
-with a nonzero multiplier, which keeps their signed zeros; the exact one
-is fraction-free (Edmonds 1967; Bareiss 1968), scaling every row by the
-pivot and reducing the array by its gcd, and exact ratios compare as
-Fractions.  Exact values leave as Fractions, equal to those of Fraction
-arithmetic.  Dantzig pricing (1963) enters the argmin of the reduced
-costs, lowest index on ties, when it is below ``-tol``; after
-``_DEGENERATE_RUN`` = 50 pivots in a row whose leaving right-hand side
-is within ``tol`` of zero, Bland's rule (1977) enters the lowest index
-with a negative reduced cost until a nondegenerate pivot.  Ratio-test
-ties break toward the lowest basis index, so the fallback cannot cycle.
-Float LP data must be finite; a nan or inf raises ValueError first.
+One tableau serves both scalar modes (:class:`_Tableau`), rows and right-hand
+side in one array over one denominator, so a pivot is one rank-1 update:
+masked to the rows with a nonzero multiplier in float mode, which keeps their
+signed zeros, and fraction-free in exact mode (Edmonds 1967; Bareiss 1968),
+scaling every row by the pivot and reducing the array by its gcd.  Exact
+values leave as Fractions.  Dantzig pricing (1963) enters the argmin of the
+reduced costs, lowest index on ties, when it is below ``-tol``; after
+``_DEGENERATE_RUN`` pivots in a row whose leaving right-hand side is within
+``tol`` of zero, Bland's rule (1977) enters the lowest index with a negative
+reduced cost until a nondegenerate pivot.  Ratio-test ties break toward the
+lowest basis index, so the fallback cannot cycle.  Float LP data must be
+finite; a nan or inf raises ValueError first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -53,17 +51,18 @@ _DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland's rule takes ove
 
 @dataclass
 class LinearProgram:
-    """min/max c.x subject to rows (coeffs, rel, rhs) and optional var bounds.
+    """min/max c.x subject to blocks of rows and optional var bounds.
 
-    Variables are free unless a lower/upper bound is given.  `lower` and
-    `upper` may be None (all free), a scalar applied to every variable, or
-    a per-variable sequence where None means unbounded on that side.
+    A block ``(ab, rels, den)`` is the rows ``[A | b] / den`` of an array or list
+    of rows `ab` of scalars (numbers, or over 1 'p/q' strings), one relation each.
+    Variables are free unless bounded: `lower` and `upper` may be None (all free),
+    a scalar for every variable, or a per-variable sequence with None unbounded.
     """
 
     n_vars: int
     objective: Sequence
     sense: str = "min"
-    constraints: list = field(default_factory=list)
+    blocks: list = field(default_factory=list)
     lower: object = None
     upper: object = None
 
@@ -77,12 +76,27 @@ class LinearProgram:
                 raise ValueError(f"{name} has {len(b)} bounds, expected {self.n_vars}")
 
     def add(self, coeffs, rel, rhs):
-        if len(coeffs) != self.n_vars:
-            raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {self.n_vars}")
-        if rel not in (LE, EQ, GE):
+        """Append the row ``coeffs . x rel rhs``."""
+        return self.add_block([[*coeffs, rhs]], [rel])
+
+    def add_block(self, ab, rels, den: int = 1):
+        """Append the rows ``[A | b] / den`` of `ab`, with the relations `rels`."""
+        widths = {ab.shape[-1]} if isinstance(ab, np.ndarray) else {len(row) for row in ab}
+        for width in widths - {self.n_vars + 1}:
+            raise ValueError(f"constraint has {width - 1} coefficients, expected {self.n_vars}")
+        for rel in set(rels) - {LE, EQ, GE}:
             raise ValueError(f"unknown relation {rel!r}")
-        self.constraints.append((tuple(coeffs), rel, rhs))
+        if len(rels) != len(ab) or type(den) is not int or den < 1:
+            raise ValueError(f"{len(ab)} rows need as many relations and a positive int den")
+        self.blocks.append((ab, tuple(rels), den))
         return self
+
+    @property
+    def constraints(self) -> list:
+        """Every row as ``(coeffs, rel, rhs)``, divided by its block's denominator."""
+        return [(tuple(row[:-1]), rel, row[-1]) for ab, rels, den in self.blocks for row, rel in
+                zip((np.asarray(ab, dtype=object) / Fraction(den)).tolist() if den > 1 else
+                    np.asarray(ab, dtype=object).tolist(), rels)]
 
     def _bound(self, which, j):
         b = self.lower if which == "lo" else self.upper
@@ -113,13 +127,13 @@ class FeasibilityResult:
 class _Tableau:
     """Dense simplex tableau in standard form: min c.y, A y = b, y >= 0.
 
-    Rows and right-hand side (arrays or nested sequences of scalars) live in one
-    array ``t`` over one positive denominator ``den``, float64 over 1 or Python int
-    numerators (object dtype), the right-hand side last; the objective row has a
-    denominator of its own and -z last.  Exact values leave as Fractions."""
+    Rows and right-hand side (numerators over `den`, or scalars) live in one array
+    ``t`` over one positive ``den``, float64 over 1 or Python ints, the right-hand
+    side last; the objective row has a denominator of its own and -z last."""
 
-    def __init__(self, rows, rhs, ctx):
-        self.t, self.den = stacked(np.column_stack((rows, rhs)), ctx)
+    def __init__(self, rows, rhs, ctx, den=None):
+        block = np.column_stack((rows, rhs))
+        self.t, self.den = stacked(block, ctx) if den is None else (block, den)
         self.exact = ctx.exact
         self.tol = ctx.tol  # entering and pivot tests compare with this
         self.basis = [-1] * len(rhs)
@@ -192,8 +206,8 @@ class _Tableau:
         """Per row, the highest of the first `ncols` columns that is the unit
         vector with its 1 in that row, or -1."""
         block = self.t[:, :ncols]
-        unit = (block == self.den) & ((block != 0).sum(axis=0) == 1)
-        return ((unit * np.arange(1, ncols + 1)).max(axis=1, initial=0) - 1).tolist()
+        single = ((block != 0).sum(axis=0) == 1).nonzero()[0]  # columns with one nonzero
+        return (((block[:, single] == self.den) * (single + 1)).max(axis=1, initial=0) - 1).tolist()
 
     def add_artificials(self, need):
         """Append a unit column for each row in `need`, make it basic there,
@@ -214,8 +228,8 @@ class _Tableau:
     def drop(self, drop_rows, ncols):
         """Delete the given rows and every column from `ncols` on."""
         keep = [i for i in range(len(self.basis)) if i not in drop_rows]
-        self.t = np.hstack([self.t[keep, :ncols], self.t[keep, -1:]])
-        self.basis = [self.basis[i] for i in keep]
+        t = self.t[keep] if drop_rows else self.t  # no row copy when every row stays
+        self.t, self.basis = np.hstack([t[:, :ncols], t[:, -1:]]), [self.basis[i] for i in keep]
 
 
 _fraction = np.frompyfunc(Fraction, 2, 1)
@@ -233,89 +247,91 @@ def _scalar(num, den, exact: bool):
 
 
 def _bounds(b, n: int):
-    """A `lower` or `upper` spec as n values, 0 where there is no bound, and
-    the mask of the variables that have one."""
-    if not isinstance(b, (list, tuple)):
-        return [0 if b is None else b] * n, np.full(n, b is not None)
-    vals = np.array(b, dtype=object)
-    given = vals != None  # noqa: E711 (elementwise)
-    vals[~given] = 0
-    return vals.tolist(), given
+    """A `lower` or `upper` spec as a row to convert (0 where unbounded) and the bounded mask."""
+    if isinstance(b, (list, tuple)):
+        given = [v is not None for v in b]
+        return [[v if g else 0 for v, g in zip(b, given)] + [0]], np.array(given, bool)
+    return np.append(np.full(n, 0 if b is None else b), 0)[None], np.full(n, b is not None)
 
 
-def _converted(raw, ctx: Context):
-    """``(array, den)``: the rows ``raw`` converted once, as :func:`stacked` gives them;
-    only values that it does not read (such as 'p/q' strings) go through ``ctx.convert``."""
-    if not ctx.exact:
-        try:
-            return np.array(raw, dtype=float), 1
-        except ValueError:
-            pass
-    flat = np.fromiter(chain.from_iterable(raw), dtype=object, count=len(raw) * len(raw[0]))
-    if not ctx.exact or not set(map(type, flat)) <= {int, Fraction}:
-        flat = np.frompyfunc(ctx.convert, 1, 1)(flat)
-    return stacked(flat.reshape(len(raw), -1), ctx)
+def _converted(blocks, ctx: Context):
+    """``(array, den)``: the rows ``[A | b]`` of `blocks` over one denominator, each block
+    (a run of row lists as one) converted once by :func:`stacked`, divided by den if float."""
+    runs, parts = [], []
+    for ab, _, den in blocks:
+        if runs and isinstance(ab, list) and isinstance(runs[-1][0], list) and den == runs[-1][1]:
+            runs[-1] = (runs[-1][0] + ab, den)
+        else:
+            runs.append((ab, den))
+    for ab, den in runs:
+        if isinstance(ab, list) and (ctx.exact or den > 1):  # not numpy's nested-sequence scan
+            ab = np.fromiter(chain.from_iterable(ab), dtype=object,
+                             count=len(ab) * len(ab[0])).reshape(len(ab), -1)
+        nums, d = stacked(ab if ctx.exact or den == 1 else ab / den, ctx)
+        parts.append((nums, d * den if ctx.exact else 1))
+    den = math.lcm(*(d for _, d in parts))
+    return np.vstack([a if d == den else a * (den // d) for a, d in parts]), den
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a nan or inf result raises below
 def _standardize(p: LinearProgram, ctx: Context):
-    """The substitution ``x = x0 + S.y`` of the module docstring, with one (variable,
-    sign) pair per column of S, a slack per inequality row, and rows with a negative
-    right-hand side negated.  Returns (rows, rhs, cost, recover, const, ncols, data):
-    rows and rhs are arrays of the context's scalars, recover maps a standard point y
-    back to x, const is the objective offset, and data is the LP as converted, which
-    :func:`_certify` checks."""
+    """The substitution of the module docstring, a slack per inequality row, and rows
+    with a negative right-hand side negated.  Returns (rows, rhs, den, cost, recover,
+    const, ncols, data): numerators over den, a map from a standard point y back to x,
+    the objective offset, and the LP as converted, which :func:`_certify` checks."""
     if p.sense not in ("min", "max"):
         raise ValueError(f"unknown sense {p.sense!r}")
-    n, m = p.n_vars, len(p.constraints)
-    (lo, has_lo), (up, has_up) = _bounds(p.lower, n), _bounds(p.upper, n)
-    # [A | b], the objective and the bounds over one den; the products of two
-    # of them, and so the standard form, are over den**2
-    arr, den = _converted([[*coeffs, rhs] for coeffs, _, rhs in p.constraints]
-                          + [[*p.objective, 0], [*lo, 0], [*up, 0]], ctx)
+    n, rels = p.n_vars, [rel for _, block_rels, _ in p.blocks for rel in block_rels]
+    (lo, has_lo), (up, has_up), m = _bounds(p.lower, n), _bounds(p.upper, n), len(rels)
+    # [A | b], the objective and the bounds over one den, products of two over den**2
+    arr, den = _converted(p.blocks + [([[*p.objective, 0]], (), 1), (lo, (), 1), (up, (), 1)], ctx)
     obj, lo, up = arr[m:, :n]
     obj, x0, fixed = -obj if p.sense == "max" else obj, np.where(has_lo, lo, up), has_lo | has_up
-    # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-
-    width = 2 - fixed
-    var, first = np.repeat(np.arange(n), width), np.cumsum(width) - width
-    sign = np.ones(len(var), dtype=int)
-    sign[np.concatenate((first[has_up & ~has_lo], first[~fixed] + 1))] = -1
-    cost = obj[var] * sign
-    const = np.add.accumulate(np.concatenate(([0], obj[fixed] * x0[fixed]))).item(-1)
+    # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-; S = I if all x >= l
+    ident, cost, first = has_lo.all(), obj, np.arange(n)
+    var, sign, second, back = first, 1, first, 1  # back: the sign of x's second column
+    if not ident:
+        width = 2 - fixed
+        var, first = np.repeat(first, width), np.cumsum(width) - width
+        sign = np.ones(len(var), dtype=int)
+        sign[np.concatenate((first[has_up & ~has_lo], first[~fixed] + 1))] = -1
+        cost, second = obj[var] * sign, first + ~fixed  # second: y- for a free x, else y
+        back = sign[second]
 
     # an upper bound beside a lower bound is the row y <= u - l
-    both = np.flatnonzero(has_lo & has_up)
-    ab = np.vstack([arr[:m], np.zeros((len(both), n + 1), dtype=arr.dtype)])
-    ab[range(m, m + len(both)), both] = den
-    ab[m:, -1] = up[both]
-    rels = [rel for _, rel, _ in p.constraints] + [LE] * len(both)
+    ab, both = arr[:m], np.flatnonzero(has_lo & has_up)
+    if both.size:
+        ab = np.vstack([ab, np.zeros((len(both), n + 1), dtype=arr.dtype)])
+        ab[range(m, m + len(both)), both] = den
+        ab[m:, -1], rels = up[both], rels + [LE] * len(both)
+    # b - a_j x0_j and the offset obj_j x0_j over den**2, summed in ascending j, skipping a
+    # zero a_j, and a zero x0_j unless some b is -0.0, the one value its signed zero changes
+    scale, rhs, const = 1, ab[:, -1], ctx.zero()
+    shift = fixed & ((x0 != 0) | (not ctx.exact and np.signbit(rhs[rhs == 0]).any()))
+    if shift.any():
+        a = ab[:, np.flatnonzero(shift)]
+        a = np.multiply(a, x0[shift], out=np.zeros_like(a), where=a != 0)
+        rhs, scale = np.subtract.accumulate(np.hstack([rhs[:, None] * den, a]), axis=1)[:, -1], den
+        const = np.add.accumulate(np.concatenate(([0], obj[shift] * x0[shift]))).item(-1)
+    s = ab[:, :n] if ident else ab[:, var] * sign
+    s = s * scale if ctx.exact else s + 0  # + 0: a zero coefficient is 0.0, not -0.0
     ineq = [i for i, rel in enumerate(rels) if rel != EQ]
     slack = np.zeros((len(rels), len(ineq)), dtype=arr.dtype)
-    slack[ineq, range(len(ineq))] = [den * den if rels[i] == LE else -den * den for i in ineq]
-    # b - a_j x0_j over the nonzero a_j, ascending j (subtracting +0 changes no bit)
-    a = ab[:, fixed.nonzero()[0]]
-    a = np.multiply(a, x0[fixed], out=np.zeros_like(a), where=a != 0)
-    rhs = np.subtract.accumulate(np.hstack([ab[:, -1:] * den, a]), axis=1)[:, -1]
-    s = ab[:, var] * sign + 0  # + 0: a zero coefficient of y- is 0.0, not -0.0
-    block = np.hstack([s * den, slack, rhs[:, None]])
+    slack[ineq, range(len(ineq))] = [den * scale if rels[i] == LE else -den * scale for i in ineq]
+    block = np.hstack([s, slack, rhs[:, None]])
     np.negative(block, out=block, where=(rhs < 0)[:, None])
 
     if not ctx.exact and not np.isfinite(np.concatenate((block.ravel(), cost, [const]))).all():
         raise ValueError("LP objective, constraints and bounds must be finite")
     if ctx.exact:
-        block, cost, x0 = _fractions(block, den * den), _fractions(cost, den), _fractions(x0, den)
-        const = Fraction(const, den * den)
-    x0 = np.where(fixed, x0, None).tolist()  # None: free
-    cols = list(zip(var.tolist(), sign.tolist()))
+        cost, x0, const = _fractions(cost, den), _fractions(x0, den), Fraction(const, den * den)
 
     def recover(y):
-        x = list(x0)
-        for (j, s), v in zip(cols, y):
-            x[j] = v if x[j] is None else x[j] + v if s > 0 else x[j] - v
-        return tuple(x)
+        y = np.array(y, dtype=arr.dtype)
+        return tuple((np.where(fixed, x0, y[first]) + back * y[second]).tolist())
 
-    return (block[:, :-1], block[:, -1], cost.tolist() + [ctx.zero()] * len(ineq), recover,
-            const, len(cols) + len(ineq), (arr, den, rels[:m], has_lo, has_up))
+    return (block[:, :-1], block[:, -1], den * scale, cost.tolist() + [ctx.zero()] * len(ineq),
+            recover, const, len(var) + len(ineq), (arr, den, rels[:m], has_lo, has_up))
 
 
 def _phase1(tab, nstruct: int, ctx: Context) -> str:
@@ -370,10 +386,10 @@ def _certify(p: LinearProgram, data, x, ctx: Context):
 def _solve(p: LinearProgram, ctx: Context, optimise: bool) -> tuple:
     """(status, value, x): phase 1 on the standard form of p, then phase 2
     when `optimise`; an optimal or feasible x is certified."""
-    rows, rhs, cost, recover, const, nstruct, data = _standardize(p, ctx)
+    rows, rhs, den, cost, recover, const, nstruct, data = _standardize(p, ctx)
     status, z, y = "optimal", ctx.zero(), [ctx.zero()] * nstruct
     if len(rhs):
-        tab = _Tableau(rows, rhs, ctx)
+        tab = _Tableau(rows, rhs, ctx, den)
         if _phase1(tab, nstruct, ctx) == "infeasible":
             return "infeasible", None, None
         if optimise:
@@ -392,11 +408,9 @@ def _solve(p: LinearProgram, ctx: Context, optimise: bool) -> tuple:
 
 
 def lp_solve(p: LinearProgram, ctx: Context = FLOAT) -> LpResult:
-    """Two-phase simplex on the standard form of p (``x = x0 + S.y``, ``y >= 0``; see
-    :func:`_standardize`), with Dantzig pricing and Bland's rule after 50 degenerate
-    pivots in a row.  An optimal point is checked by substituting it back into every
-    constraint and bound; the optimal value and an infeasible or unbounded verdict
-    are not certified."""
+    """Two-phase simplex on the standard form of p (see the module docstring).  An
+    optimal point is checked by substituting it back into every constraint and
+    bound; the optimal value and an infeasible or unbounded verdict are not."""
     return LpResult(*_solve(p, ctx, optimise=True))
 
 

@@ -181,11 +181,22 @@ def stacked(xs, ctx: Context):
 
     Exact scalars become Python ints (object dtype) over the lcm of all
     their denominators, so products and comparisons run on ints instead
-    of Fractions; floats become float64 over 1.
+    of Fractions, and ints stay as they are; floats become float64 over 1.
+    Only values that numpy (float mode) or Fraction arithmetic (exact mode)
+    does not read, such as 'p/q' strings, go through ``ctx.convert``.
     """
     if not ctx.exact:
-        return np.array(xs, dtype=float), 1
+        try:
+            return np.array(xs, dtype=float), 1
+        except ValueError:
+            return np.array(np.frompyfunc(ctx.convert, 1, 1)(np.array(xs, dtype=object)),
+                            dtype=float), 1
     arr = np.array(xs, dtype=object)
+    types = set(map(type, arr.ravel().tolist()))
+    if types <= {int}:
+        return arr, 1
+    if not types <= {int, Fraction}:
+        arr = np.frompyfunc(ctx.convert, 1, 1)(arr)
     nums, den = numerators(arr.ravel().tolist())
     return np.array(nums, dtype=object).reshape(arr.shape), den
 
@@ -199,12 +210,22 @@ def reduced(nums, den) -> tuple:
     return nums // g, den // g
 
 
+# output entries up to which one accumulate beats a numpy call per inner index (measured)
+_ACCUMULATE_MAX = 256
+
+
 def ordered_matmul(a, b):
     """``a @ b`` over the last two axes, broadcast over the leading ones.
 
     Each entry sums over the inner index in order, starting from zero, as
-    :func:`dot` does, so float entries are bit-identical to ``mat_mul``.
+    :func:`dot` does, so float entries are bit-identical to ``mat_mul``.  Up
+    to ``_ACCUMULATE_MAX`` entries of ``a``'s rows times ``b``'s columns, one
+    ``np.add.accumulate`` sums all the products (``+ 0`` then turns a -0.0
+    into the 0.0 that a sum from zero gives); a larger product adds one inner
+    index at a time, as numpy's accumulate along a strided axis is slower.
     """
+    if a.shape[-1] and a.size // a.shape[-1] * b.shape[-1] <= _ACCUMULATE_MAX:
+        return np.add.accumulate(a[..., :, :, None] * b[..., None, :, :], axis=-2)[..., -1, :] + 0
     total = 0
     for i in range(a.shape[-1]):
         total = total + a[..., :, i, None] * b[..., None, i, :]

@@ -335,9 +335,12 @@ class ListTableau:
     or Fractions.
     """
 
-    def __init__(self, rows, rhs, ctx):
-        self.rows = np.asarray(rows).tolist()
-        self.rhs = np.asarray(rhs).tolist()
+    def __init__(self, rows, rhs, ctx, den=None):
+        # scalars of the context, or numerators over `den` as `linprog._Tableau`
+        # takes them: those become the Fractions x / den, or stay floats over 1
+        scalar = (lambda x: x) if den is None or not ctx.exact else (lambda x: Fraction(x, den))
+        self.rows = [[scalar(x) for x in row] for row in np.asarray(rows).tolist()]
+        self.rhs = [scalar(x) for x in np.asarray(rhs).tolist()]
         self.ctx = ctx
         self.basis = [-1] * len(rows)
 
@@ -594,6 +597,41 @@ def highs(p: LinearProgram, feasibility: bool = False):
         res = optimize.linprog(cost, options={"presolve": False}, **kw)
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     return status, sign * res.fun if status == "optimal" else None
+
+
+def cone_lp_reference(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min",
+                      upper=None):
+    """The oracle for `cones.cone_lp`: the same LP with every row built as a list,
+    one ``coef * r[c]`` per ray and coordinate, and its point map summing each
+    coordinate over the rays in order, from zero, skipping zero weights."""
+    k, d, zero = len(rays), len(rays[0]), ctx.zero()
+    nmu = n_blocks * k
+    nvars = nmu + len(objective)
+    p = LinearProgram(n_vars=nvars, objective=[zero] * nmu + list(objective), sense=sense,
+                      lower=zero, upper=None if upper is None else [None] * nmu + list(upper))
+    for blocks, scalars, rhs in eqs:
+        for c in range(d):
+            row = [zero] * nvars
+            for i, coef in blocks.items():
+                row[i * k:(i + 1) * k] = [coef * r[c] for r in rays]
+            for j, w in scalars.items():
+                row[nmu + j] = w[c]
+            p.add(row, EQ, rhs[c])
+
+    def vectors(point, count: int) -> list:
+        out = []
+        for i in range(count):
+            vec = []
+            for c in range(d):
+                total = zero
+                for m, r in zip(point[i * k:(i + 1) * k], rays):
+                    if m:
+                        total += m * r[c]
+                vec.append(total)
+            out.append(tuple(vec))
+        return out
+
+    return p, vectors
 
 
 def _hrow_lp(t, n_cells: int, n_extra: int, **kw):

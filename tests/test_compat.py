@@ -198,6 +198,20 @@ class TestMaxFuzzLambda:
             max_fuzz_lambda(t, fine, binary)
 
 
+class TestEffectDimensions:
+    @pytest.mark.parametrize("resize", [lambda e: e + (0.0,), lambda e: e[:-1]],
+                             ids=["longer", "shorter"])
+    @pytest.mark.parametrize("solve", [is_jointly_measurable, max_fuzz_lambda, min_mur_linf])
+    def test_effect_of_another_dimension_rejected(self, solve, resize):
+        # the psi-8-gon is 3-dimensional; each LP names both lengths instead of
+        # cutting the effect short or failing on an index
+        t = psi_transform(make_polygon(8))
+        f, g = perpendicular_ideal_pair(t)
+        bad = Measurement(f.outcomes, [resize(e) for e in f.effects], f.metric)
+        with pytest.raises(ValueError, match=rf"rays in R\^3, .* in R\^{len(bad.effects[0])}"):
+            solve(t, bad, g)
+
+
 class TestDegreeBounds:
     def test_octagon(self):
         t = psi_transform(make_polygon(8))

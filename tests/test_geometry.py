@@ -1,8 +1,10 @@
 """Cones, Gram pairings, affine hulls: examples and oracle comparisons."""
 
 import math
+import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +19,8 @@ from gptlab.cones import (
 )
 from gptlab.ideal import psi_transform
 from gptlab.model import load_theory, make_classical, make_polygon
-from gptlab.scalars import (EXACT, FLOAT, InnerProduct, identity, inverse, mat_mul, rank, solve,
-                            spanning_rows)
+from gptlab.scalars import (EXACT, FLOAT, InnerProduct, identity, inverse, mat_mul, ordered_matmul,
+                            rank, solve, spanning_rows, stacked)
 
 from helpers import (gauss_jordan_reference, member_bruteforce, rank_float_loop, rank_fraction,
                      spanning_rows_greedy)
@@ -156,6 +158,36 @@ def square_systems(draw, ctx):
 
 def orthant(d=3):
     return Cone(tuple(tuple(Fr(1) if j == i else Fr(0) for j in range(d)) for i in range(d)))
+
+
+class TestOrderedMatmul:
+    # a few output entries take the one-accumulate path, many the per-index loop
+    @pytest.mark.parametrize("a_shape, b_shape", [((4, 48), (48, 3)), ((2, 5), (5, 3)),
+                                                  ((5, 4, 6), (6, 3)), ((64, 3), (3, 64)),
+                                                  ((3, 2), (2, 200)), ((20, 4, 3), (3, 50))])
+    @pytest.mark.parametrize("kind", ["float", "int", "fraction"])
+    def test_bits_of_mat_mul(self, a_shape, b_shape, kind):
+        rng = random.Random(str((a_shape, b_shape, kind)))
+        pick = {"float": lambda: rng.choice([0.0, -0.0, 1.0, -1.0, 0.1, -0.7, 1e-17, 3.5]),
+                "int": lambda: rng.randint(-9, 9),
+                "fraction": lambda: Fr(rng.randint(-9, 9), rng.randint(1, 5))}[kind]
+        a, b = (np.array([pick() for _ in range(math.prod(s))], dtype=float if kind == "float"
+                         else object).reshape(s) for s in (a_shape, b_shape))
+        got = ordered_matmul(a, b).tolist()
+        want = ([mat_mul(m, b.tolist()) for m in a.tolist()] if a.ndim == 3 else
+                mat_mul(a.tolist(), b.tolist()))
+        assert repr(got) == repr([[list(row) for row in m] for m in want] if a.ndim == 3
+                                 else [list(row) for row in want])
+
+
+def test_stacked_reads_strings_and_keeps_ints():
+    arr, den = stacked([["1/2", 3], [0.25, Fr(1, 4)]], FLOAT)
+    assert (arr.tolist(), den) == ([[0.5, 3.0], [0.25, 0.25]], 1)
+    nums, den = stacked([["1/2", Fr(1, 3)], [2, "-1/6"]], EXACT)
+    assert (nums.tolist(), den) == ([[3, 2], [12, -1]], 6)
+    ints = np.array([[2, -4], [10**30, 0]], dtype=object)
+    nums, den = stacked(ints, EXACT)
+    assert (nums.tolist(), den) == (ints.tolist(), 1) and nums is not ints
 
 
 class TestDualCone:

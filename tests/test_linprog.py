@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gptlab import compat, linprog, measures
-from gptlab.cones import Cone, cone_member
+from gptlab.cones import Cone, cone_lp, cone_member
 from gptlab.ideal import (binary_ideal_measurement, enumerate_ideal_measurements,
                           perpendicular_ideal_pair, psi_transform)
 from gptlab.linprog import EQ, GE, LE, LinearProgram, LpResult, lp_feasible, lp_solve
@@ -195,10 +195,40 @@ class TestStrongDuality:
         assert rp.value == rd.value
 
 
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_string_scalars_read_as_fractions(ctx):
+    # 'p/q' strings in rows, objective and bounds give the answer of the same
+    # Fractions, in a row list and in an array block
+    def build(c):
+        p = LinearProgram(n_vars=2, objective=[c("1/3"), 1], sense="max", lower=c("0"),
+                          upper=[c("5/2"), None])
+        p.add([c("1/3"), c(1)], LE, c("7/6"))
+        return p.add_block(np.array([[c("2/3"), c(1), c(2)]], dtype=object), [LE])
+    fractions = build(lambda x: ctx.convert(Fr(x)))
+    assert repr(lp_solve(build(str), ctx)) == repr(lp_solve(fractions, ctx))
+
+
 def test_malformed_constraint_dimension():
     p = LinearProgram(n_vars=2, objective=[1.0, 1.0])
     with pytest.raises(ValueError):
         p.add([1.0], LE, 1.0)
+
+
+@pytest.mark.parametrize("add, message", [
+    (lambda p: p.add([1.0, 1.0], "<", 1.0), "unknown relation '<'"),
+    (lambda p: p.add_block(np.ones((2, 2)), [EQ, EQ]), "constraint has 1 coefficients, expected 2"),
+    (lambda p: p.add_block(np.ones((1, 4)), [EQ]), "constraint has 3 coefficients, expected 2"),
+    (lambda p: p.add_block([[1.0, 1.0, 1.0]], [EQ, LE]), "1 rows need as many relations"),
+    (lambda p: p.add_block([[1, 1, 2]], [EQ], -3), "positive int den"),
+    (lambda p: p.add_block(np.ones((2, 3)), [EQ, "=<"]), "unknown relation '=<'"),
+    (lambda p: p.add_block(np.ones((1, 3), dtype=int), [EQ], 0), "positive int den"),
+    (lambda p: p.add_block(np.ones((1, 3), dtype=int), [EQ], 2.0), "positive int den"),
+])
+def test_malformed_block_rejected(add, message):
+    p = LinearProgram(n_vars=2, objective=[1.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        add(p)
+    assert p.blocks == []
 
 
 @pytest.mark.parametrize("n_vars, kw, message", [
@@ -251,12 +281,15 @@ def assert_same_on_both_tableaux(solver, p, ctx=FLOAT):
     assert all(type(x) is type(ctx.zero()) for x in scalars)
 
 
-@pytest.mark.parametrize("bad", ["coefficient", "rhs", "bound", "objective"])
+@pytest.mark.parametrize("bad", ["coefficient", "rhs", "bound", "objective", "block coefficient",
+                                 "block rhs"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_float_data_rejected(bad, value):
     p = LinearProgram(n_vars=2, objective=[value if bad == "objective" else 1.0, 1.0],
                       lower=0.0, upper=[value if bad == "bound" else 2.0, None])
     p.add([value if bad == "coefficient" else 1.0, 1.0], GE, value if bad == "rhs" else 1.0)
+    p.add_block(np.array([[1.0, value if bad == "block coefficient" else 2.0,
+                           value if bad == "block rhs" else 3.0]]), [LE])
     for solver in (lp_solve, lp_feasible):
         with pytest.raises(ValueError, match="must be finite"):
             solver(p)
@@ -456,6 +489,19 @@ def record_lps(calls) -> tuple:
     return tuple(seen)
 
 
+def compat_calls(n: int, skew: bool = False) -> list:
+    """The compat calls `(family, function, args)` of `compat_lps`."""
+    t = psi_transform(make_polygon(n))
+    if skew:
+        f, g = binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 3)
+    else:
+        f, g = perpendicular_ideal_pair(t)
+    return [("max_fuzz_lambda", compat.max_fuzz_lambda, (t, f, g)),
+            ("min_mur_linf", compat.min_mur_linf, (t, f, g)),
+            ("is_jointly_measurable", compat.is_jointly_measurable, (t, f, g)),
+            ("is_jointly_measurable", compat.is_jointly_measurable, (t, f, f))]
+
+
 @lru_cache(maxsize=None)
 def compat_lps(n: int, skew: bool = False) -> tuple:
     """(family, solver, LP) for every LP the compat layer solves on one pair.
@@ -464,15 +510,7 @@ def compat_lps(n: int, skew: bool = False) -> tuple:
     or with `skew` two ideal measurements three pure effects apart.  The
     compatible self-pair (f, f) adds a feasible joint-measurability LP.
     """
-    t = psi_transform(make_polygon(n))
-    if skew:
-        f, g = binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 3)
-    else:
-        f, g = perpendicular_ideal_pair(t)
-    return record_lps([("max_fuzz_lambda", compat.max_fuzz_lambda, (t, f, g)),
-                       ("min_mur_linf", compat.min_mur_linf, (t, f, g)),
-                       ("is_jointly_measurable", compat.is_jointly_measurable, (t, f, g)),
-                       ("is_jointly_measurable", compat.is_jointly_measurable, (t, f, f))])
+    return record_lps(compat_calls(n, skew))
 
 
 # list-tableau solves cost seconds from n = 12 on, so the bit-identity test takes
@@ -489,11 +527,8 @@ def test_compat_lps_bit_identical(n, skew):
         assert_same_on_both_tableaux(solver, p)
 
 
-def curve_lps() -> tuple:
-    """(family, solver, LP) for every LP of one pass of the benchmark's curve
-    ladder: on psi-polygons n = 4, 8, ..., 48, the fuzzing threshold of the
-    perpendicular pair and of one pair drawn from `default_rng(0)`, joint
-    measurability of the perpendicular pair up to n = 32 and its MUR up to 20."""
+def curve_calls() -> list:
+    """The compat calls `(family, function, args)` of `curve_lps`."""
     rng = np.random.default_rng(0)
     calls = []
     for n in range(4, 49, 4):
@@ -507,7 +542,15 @@ def curve_lps() -> tuple:
             calls.append(("is_jointly_measurable", compat.is_jointly_measurable, (t, f, g)))
         if n <= 20:
             calls.append(("min_mur_linf", compat.min_mur_linf, (t, f, g)))
-    return record_lps(calls)
+    return calls
+
+
+def curve_lps() -> tuple:
+    """(family, solver, LP) for every LP of one pass of the benchmark's curve
+    ladder: on psi-polygons n = 4, 8, ..., 48, the fuzzing threshold of the
+    perpendicular pair and of one pair drawn from `default_rng(0)`, joint
+    measurability of the perpendicular pair up to n = 32 and its MUR up to 20."""
+    return record_lps(curve_calls())
 
 
 def test_curve_lps_bit_identical():
@@ -517,11 +560,8 @@ def test_curve_lps_bit_identical():
         assert_same_on_both_tableaux(solver, p)
 
 
-@lru_cache(maxsize=None)
-def classical_lps(n_levels: int) -> tuple:
-    """(family, solver, LP) for the exact compat LPs of the classical theory:
-    every family on its first and last binary ideal measurement, and joint
-    measurability of the first against a three-outcome one if there is one."""
+def classical_calls(n_levels: int) -> list:
+    """The compat calls `(family, function, args)` of `classical_lps`."""
     t = make_classical(n_levels)
     ms = enumerate_ideal_measurements(t, 3)
     binary = [m for m in ms if m.n_outcomes == 2]
@@ -530,7 +570,15 @@ def classical_lps(n_levels: int) -> tuple:
              for family in ("max_fuzz_lambda", "min_mur_linf", "is_jointly_measurable")]
     calls += [("is_jointly_measurable", compat.is_jointly_measurable, (t, f, m))
               for m in ms if m.n_outcomes == 3][:1]
-    return record_lps(calls)
+    return calls
+
+
+@lru_cache(maxsize=None)
+def classical_lps(n_levels: int) -> tuple:
+    """(family, solver, LP) for the exact compat LPs of the classical theory:
+    every family on its first and last binary ideal measurement, and joint
+    measurability of the first against a three-outcome one if there is one."""
+    return record_lps(classical_calls(n_levels))
 
 
 @pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5])
@@ -603,7 +651,9 @@ def test_random_exact_lps_bit_identical(p):
 def assert_same_standard_form(p, ctx):
     """`_standardize` gives the reference's rows, rhs, cost, offset and column
     count, and its `recover` maps random nonnegative points to the same x."""
-    rows, rhs, cost, recover, const, ncols, _data = linprog._standardize(p, ctx)
+    rows, rhs, den, cost, recover, const, ncols, _data = linprog._standardize(p, ctx)
+    if ctx.exact:  # numerators over den, as the Fractions of the reference
+        rows, rhs = (np.frompyfunc(Fr, 2, 1)(a, den) for a in (rows, rhs))
     ref_rows, ref_rhs, ref_cost, ref_recover, ref_const, ref_ncols = standardize_reference(p, ctx)
     assert repr((rows.tolist(), rhs.tolist(), cost, const, ncols)) == repr(
         (ref_rows, ref_rhs, ref_cost, ref_const, ref_ncols))
@@ -637,6 +687,44 @@ def test_solver_standard_forms_match_reference():
             assert_same_standard_form(p, EXACT)
     for p in lipschitz_ball_lps():
         assert_same_standard_form(p, FLOAT)
+
+
+def standard_form_values(p, ctx) -> str:
+    """`repr` of the rows, rhs, cost, offset and column count of p's standard form,
+    exact numerators as the Fractions they stand for."""
+    rows, rhs, den, cost, _recover, const, ncols, _data = linprog._standardize(p, ctx)
+    if ctx.exact:
+        rows, rhs = (np.frompyfunc(Fr, 2, 1)(a, den) for a in (rows, rhs))
+    return repr((rows.tolist(), rhs.tolist(), cost, const, ncols))
+
+
+def record_cone_lps(calls) -> list:
+    """`(args, kwargs)` of every `cones.cone_lp` call that the compat calls make."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compat, "cone_lp", lambda *a, **kw: seen.append((a, kw)) or cone_lp(*a, **kw))
+        for _family, call, args in calls:
+            call(*args)
+    return seen
+
+
+@pytest.mark.parametrize("make, args", [
+    *[pytest.param(compat_calls, case, id=f"compat-{case[0]}-{case[1]}") for case in COMPAT_CASES],
+    *[pytest.param(classical_calls, (n,), id=f"classical-{n}") for n in [1, 2, 3, 4, 5]],
+    pytest.param(curve_calls, (), id="curve")])
+def test_cone_lp_block_matches_list_reference(make, args):
+    # the array block against the list rows of the same LP: the standard form,
+    # both solvers' answers, and the joint effects of the optimal point
+    for a, kw in record_cone_lps(make(*args)):
+        ctx, n_blocks = a[1], a[2]
+        (p, vectors), (ref, ref_vectors) = cone_lp(*a, **kw), helpers.cone_lp_reference(*a, **kw)
+        assert standard_form_values(p, ctx) == standard_form_values(ref, ctx)
+        for solver in (lp_solve, lp_feasible):
+            got = solver(p, ctx)
+            assert repr(got) == repr(solver(ref, ctx))
+            point = got.point if solver is lp_solve else got.witness
+            if point is not None:
+                assert repr(vectors(point, n_blocks)) == repr(ref_vectors(point, n_blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +809,8 @@ def test_cone_membership_verdicts_match_highs():
 # without end); HiGHS with presolve calls it infeasible
 PRESOLVE_INFEASIBLE_UNBOUNDED = LinearProgram(
     n_vars=3, objective=[-3.0, -3.0, 0.25], sense="max",
-    constraints=[((-3.0, -3.0, -3.0), LE, -2.0), ((-3.0, 0.25, 0.25), LE, -3.0)],
-    lower=[None, None, None], upper=[1.0, None, None])
+    lower=[None, None, None], upper=[1.0, None, None]).add(
+    (-3.0, -3.0, -3.0), LE, -2.0).add((-3.0, 0.25, 0.25), LE, -3.0)
 
 
 @settings(max_examples=150, deadline=None)
