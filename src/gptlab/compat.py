@@ -182,9 +182,11 @@ def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool 
     if f.n_outcomes != 2 or g.n_outcomes != 2:
         raise ValueError("the fuzzing family is defined for binary measurements")
     half_u = vscale(1 / ctx.convert(2), t.unit_effect)
-    # marginal = lambda e + (1 - lambda) u/2, i.e. marginal + lambda (u/2 - e) = u/2;
-    # u/2 - e keeps the length of e, so that cone_lp rejects an e of another dimension
-    eqs = [(cells, {0: vsub(half_u, e) + e[len(half_u):]}, half_u)
+    for e in f.effects + g.effects:
+        if len(e) != len(half_u):  # vsub would cut the longer one short
+            raise ValueError(f"dimension mismatch: cone in R^{len(half_u)}, vector in R^{len(e)}")
+    # marginal = lambda e + (1 - lambda) u/2, i.e. marginal + lambda (u/2 - e) = u/2
+    eqs = [(cells, {0: vsub(half_u, e)}, half_u)
            for cells, e in zip(_marginal_cells(2, 2), f.effects + g.effects)]
     p, effects = cone_lp(t.facet_normals, ctx, 4, eqs, objective=[ctx.one()], sense="max",
                          upper=[ctx.one()])

@@ -71,8 +71,7 @@ def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", u
     """
     k, d, zero, nmu = len(rays), len(rays[0]), ctx.zero(), n_blocks * len(rays)
     for w in (w for _, scalars, rhs in eqs for w in (rhs, *scalars.values()) if len(w) != d):
-        raise ValueError(f"dimension mismatch: rays in R^{d}, a right-hand side or scalar "
-                         f"column in R^{len(w)}")
+        raise ValueError(f"dimension mismatch: cone in R^{d}, vector in R^{len(w)}")
     r, rden = stacked(rays, ctx)
     coef, cden = stacked([[blocks.get(i, 0) for i in range(n_blocks)] for blocks, _, _ in eqs], ctx)
     tail, tden = stacked([[scalars[j][c] if j in scalars else 0 for j in range(len(objective))]

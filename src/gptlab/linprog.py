@@ -76,8 +76,13 @@ class LinearProgram:
                 raise ValueError(f"{name} has {len(b)} bounds, expected {self.n_vars}")
 
     def add(self, coeffs, rel, rhs):
-        """Append the row ``coeffs . x rel rhs``."""
-        return self.add_block([[*coeffs, rhs]], [rel])
+        """Append the row ``coeffs . x rel rhs``, to the last block if it is a list over 1."""
+        blocks = self.add_block([[*coeffs, rhs]], [rel]).blocks
+        if len(blocks) > 1 and isinstance(blocks[-2][0], list) and blocks[-2][2] == 1:
+            (row,), (rel,), _ = blocks.pop()
+            blocks[-1][0].append(row)
+            blocks[-1][1].append(rel)
+        return self
 
     def add_block(self, ab, rels, den: int = 1):
         """Append the rows ``[A | b] / den`` of `ab`, with the relations `rels`."""
@@ -88,7 +93,7 @@ class LinearProgram:
             raise ValueError(f"unknown relation {rel!r}")
         if len(rels) != len(ab) or type(den) is not int or den < 1:
             raise ValueError(f"{len(ab)} rows need as many relations and a positive int den")
-        self.blocks.append((ab, tuple(rels), den))
+        self.blocks.append((ab if isinstance(ab, np.ndarray) else list(ab), list(rels), den))
         return self
 
     @property
@@ -127,13 +132,12 @@ class FeasibilityResult:
 class _Tableau:
     """Dense simplex tableau in standard form: min c.y, A y = b, y >= 0.
 
-    Rows and right-hand side (numerators over `den`, or scalars) live in one array
-    ``t`` over one positive ``den``, float64 over 1 or Python ints, the right-hand
-    side last; the objective row has a denominator of its own and -z last."""
+    Rows and right-hand side, numerators over one positive `den` (float64 over 1 or
+    Python ints), live in one array ``t``, the right-hand side last; the objective
+    row has a denominator of its own and -z last."""
 
-    def __init__(self, rows, rhs, ctx, den=None):
-        block = np.column_stack((rows, rhs))
-        self.t, self.den = stacked(block, ctx) if den is None else (block, den)
+    def __init__(self, rows, rhs, ctx, den):
+        self.t, self.den = np.column_stack((rows, rhs)), den
         self.exact = ctx.exact
         self.tol = ctx.tol  # entering and pivot tests compare with this
         self.basis = [-1] * len(rhs)
@@ -206,8 +210,8 @@ class _Tableau:
         """Per row, the highest of the first `ncols` columns that is the unit
         vector with its 1 in that row, or -1."""
         block = self.t[:, :ncols]
-        single = ((block != 0).sum(axis=0) == 1).nonzero()[0]  # columns with one nonzero
-        return (((block[:, single] == self.den) * (single + 1)).max(axis=1, initial=0) - 1).tolist()
+        unit = (block == self.den) & ((block != 0).sum(axis=0) == 1)
+        return ((unit * np.arange(1, ncols + 1)).max(axis=1, initial=0) - 1).tolist()
 
     def add_artificials(self, need):
         """Append a unit column for each row in `need`, make it basic there,
@@ -228,8 +232,8 @@ class _Tableau:
     def drop(self, drop_rows, ncols):
         """Delete the given rows and every column from `ncols` on."""
         keep = [i for i in range(len(self.basis)) if i not in drop_rows]
-        t = self.t[keep] if drop_rows else self.t  # no row copy when every row stays
-        self.t, self.basis = np.hstack([t[:, :ncols], t[:, -1:]]), [self.basis[i] for i in keep]
+        self.t = np.hstack([self.t[keep, :ncols], self.t[keep, -1:]])
+        self.basis = [self.basis[i] for i in keep]
 
 
 _fraction = np.frompyfunc(Fraction, 2, 1)
@@ -250,20 +254,15 @@ def _bounds(b, n: int):
     """A `lower` or `upper` spec as a row to convert (0 where unbounded) and the bounded mask."""
     if isinstance(b, (list, tuple)):
         given = [v is not None for v in b]
-        return [[v if g else 0 for v, g in zip(b, given)] + [0]], np.array(given, bool)
-    return np.append(np.full(n, 0 if b is None else b), 0)[None], np.full(n, b is not None)
+        return [v if g else 0 for v, g in zip(b, given)] + [0], np.array(given, bool)
+    return [0 if b is None else b] * n + [0], np.full(n, b is not None)
 
 
 def _converted(blocks, ctx: Context):
     """``(array, den)``: the rows ``[A | b]`` of `blocks` over one denominator, each block
-    (a run of row lists as one) converted once by :func:`stacked`, divided by den if float."""
-    runs, parts = [], []
+    converted once by :func:`stacked`, divided by its den if float."""
+    parts = []
     for ab, _, den in blocks:
-        if runs and isinstance(ab, list) and isinstance(runs[-1][0], list) and den == runs[-1][1]:
-            runs[-1] = (runs[-1][0] + ab, den)
-        else:
-            runs.append((ab, den))
-    for ab, den in runs:
         if isinstance(ab, list) and (ctx.exact or den > 1):  # not numpy's nested-sequence scan
             ab = np.fromiter(chain.from_iterable(ab), dtype=object,
                              count=len(ab) * len(ab[0])).reshape(len(ab), -1)
@@ -284,7 +283,7 @@ def _standardize(p: LinearProgram, ctx: Context):
     n, rels = p.n_vars, [rel for _, block_rels, _ in p.blocks for rel in block_rels]
     (lo, has_lo), (up, has_up), m = _bounds(p.lower, n), _bounds(p.upper, n), len(rels)
     # [A | b], the objective and the bounds over one den, products of two over den**2
-    arr, den = _converted(p.blocks + [([[*p.objective, 0]], (), 1), (lo, (), 1), (up, (), 1)], ctx)
+    arr, den = _converted(p.blocks + [([[*p.objective, 0], lo, up], (), 1)], ctx)
     obj, lo, up = arr[m:, :n]
     obj, x0, fixed = -obj if p.sense == "max" else obj, np.where(has_lo, lo, up), has_lo | has_up
     # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-; S = I if all x >= l

@@ -219,12 +219,13 @@ def ordered_matmul(a, b):
 
     Each entry sums over the inner index in order, starting from zero, as
     :func:`dot` does, so float entries are bit-identical to ``mat_mul``.  Up
-    to ``_ACCUMULATE_MAX`` entries of ``a``'s rows times ``b``'s columns, one
+    to ``_ACCUMULATE_MAX`` output entries, broadcast ones included, one
     ``np.add.accumulate`` sums all the products (``+ 0`` then turns a -0.0
     into the 0.0 that a sum from zero gives); a larger product adds one inner
     index at a time, as numpy's accumulate along a strided axis is slower.
     """
-    if a.shape[-1] and a.size // a.shape[-1] * b.shape[-1] <= _ACCUMULATE_MAX:
+    entries = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])) * a.shape[-2] * b.shape[-1]
+    if a.shape[-1] and entries <= _ACCUMULATE_MAX:
         return np.add.accumulate(a[..., :, :, None] * b[..., None, :, :], axis=-2)[..., -1, :] + 0
     total = 0
     for i in range(a.shape[-1]):

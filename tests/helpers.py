@@ -335,10 +335,10 @@ class ListTableau:
     or Fractions.
     """
 
-    def __init__(self, rows, rhs, ctx, den=None):
-        # scalars of the context, or numerators over `den` as `linprog._Tableau`
-        # takes them: those become the Fractions x / den, or stay floats over 1
-        scalar = (lambda x: x) if den is None or not ctx.exact else (lambda x: Fraction(x, den))
+    def __init__(self, rows, rhs, ctx, den):
+        # numerators over `den`, as `linprog._Tableau` takes them: exact ones
+        # become the Fractions x / den, floats (over 1) stay as they are
+        scalar = (lambda x: Fraction(x, den)) if ctx.exact else (lambda x: x)
         self.rows = [[scalar(x) for x in row] for row in np.asarray(rows).tolist()]
         self.rhs = [scalar(x) for x in np.asarray(rhs).tolist()]
         self.ctx = ctx

@@ -208,7 +208,7 @@ class TestEffectDimensions:
         t = psi_transform(make_polygon(8))
         f, g = perpendicular_ideal_pair(t)
         bad = Measurement(f.outcomes, [resize(e) for e in f.effects], f.metric)
-        with pytest.raises(ValueError, match=rf"rays in R\^3, .* in R\^{len(bad.effects[0])}"):
+        with pytest.raises(ValueError, match=rf"cone in R\^3, vector in R\^{len(bad.effects[0])}$"):
             solve(t, bad, g)
 
 

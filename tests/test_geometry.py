@@ -164,7 +164,8 @@ class TestOrderedMatmul:
     # a few output entries take the one-accumulate path, many the per-index loop
     @pytest.mark.parametrize("a_shape, b_shape", [((4, 48), (48, 3)), ((2, 5), (5, 3)),
                                                   ((5, 4, 6), (6, 3)), ((64, 3), (3, 64)),
-                                                  ((3, 2), (2, 200)), ((20, 4, 3), (3, 50))])
+                                                  ((3, 2), (2, 200)), ((20, 4, 3), (3, 50)),
+                                                  ((3, 3), (40, 3, 3)), ((2, 3), (3, 3, 2))])
     @pytest.mark.parametrize("kind", ["float", "int", "fraction"])
     def test_bits_of_mat_mul(self, a_shape, b_shape, kind):
         rng = random.Random(str((a_shape, b_shape, kind)))
@@ -175,8 +176,9 @@ class TestOrderedMatmul:
                          else object).reshape(s) for s in (a_shape, b_shape))
         got = ordered_matmul(a, b).tolist()
         want = ([mat_mul(m, b.tolist()) for m in a.tolist()] if a.ndim == 3 else
+                [mat_mul(a.tolist(), m) for m in b.tolist()] if b.ndim == 3 else
                 mat_mul(a.tolist(), b.tolist()))
-        assert repr(got) == repr([[list(row) for row in m] for m in want] if a.ndim == 3
+        assert repr(got) == repr([[list(row) for row in m] for m in want] if a.ndim + b.ndim == 5
                                  else [list(row) for row in want])
 
 
@@ -268,7 +270,7 @@ class TestConeMember:
         assert cone_member(t.cone, (0.0, 0.0, 1.0), t.ctx)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: cone in R\^3, vector in R\^2$"):
             cone_member(orthant(), (Fr(1), Fr(0)), EXACT)
 
 

@@ -17,7 +17,7 @@ from gptlab.ideal import (binary_ideal_measurement, enumerate_ideal_measurements
 from gptlab.linprog import EQ, GE, LE, LinearProgram, LpResult, lp_feasible, lp_solve
 from gptlab.measures import FiniteMetricSpace
 from gptlab.model import make_classical, make_polygon
-from gptlab.scalars import EXACT, FLOAT, dot
+from gptlab.scalars import EXACT, FLOAT, dot, stacked
 import helpers
 from helpers import ListTableau, highs, standardize_reference
 
@@ -231,6 +231,20 @@ def test_malformed_block_rejected(add, message):
     assert p.blocks == []
 
 
+def test_added_rows_extend_a_list_block():
+    # rows added one at a time join the list block before them, over 1, so each
+    # run of them converts as one block; the caller's rows stay as given
+    given = [[1, 1, 2]]
+    p = LinearProgram(n_vars=2, objective=[1, 1]).add_block(given, [EQ])
+    p.add([1, 0], LE, 1).add([0, 1], GE, 0)
+    p.add_block(np.ones((1, 3)), [LE]).add([1, -1], EQ, 0)
+    assert given == [[1, 1, 2]]
+    blocks = [(np.asarray(ab).tolist(), rels, den) for ab, rels, den in p.blocks]
+    assert blocks == [([[1, 1, 2], [1, 0, 1], [0, 1, 0]], [EQ, LE, GE], 1),
+                      ([[1.0, 1.0, 1.0]], [LE], 1), ([[1, -1, 0]], [EQ], 1)]
+    assert isinstance(p.blocks[0][0], list)
+
+
 @pytest.mark.parametrize("n_vars, kw, message", [
     (2, dict(objective=[1.0]), "objective has 1 coefficients, expected 2"),
     (1, dict(objective=[1.0, -5.0]), "objective has 2 coefficients, expected 1"),
@@ -412,6 +426,13 @@ def _tableau_state(tab):
     return repr(([row + [b] for row, b in zip(tab.rows, tab.rhs)], tab.basis))
 
 
+def tableaux(rows, rhs, ctx):
+    """Both tableaux on the scalars `rows` and `rhs`, converted once to numerators."""
+    nums, den = stacked(np.column_stack((rows, rhs)), ctx)
+    return tuple(tableau(nums[:, :-1], nums[:, -1], ctx, den)
+                 for tableau in (ListTableau, linprog._Tableau))
+
+
 def check_tableau_steps(data, ctx):
     """Price-out and one pivot on a random tableau with signed zeros, then a
     full run from the slack basis of [rows | I], on both tableaux."""
@@ -423,7 +444,7 @@ def check_tableau_steps(data, ctx):
     rhs = [abs(data.draw(entry)) for _ in range(m)]
     cost = [data.draw(entry) for _ in range(n)]
     basis = data.draw(st.permutations(range(n)))[:m]
-    pair = (ListTableau(rows, rhs, ctx), linprog._Tableau(rows, rhs, ctx))
+    pair = tableaux(rows, rhs, ctx)
     for tab in pair:
         tab.basis = list(basis)
     obj, zval = pair[0].price_out(cost)
@@ -436,7 +457,7 @@ def check_tableau_steps(data, ctx):
         assert _tableau_state(pair[0]) == _tableau_state(pair[1])
     zero, one = ctx.zero(), ctx.one()
     slack_rows = [row + [one if i == k else zero for k in range(m)] for i, row in enumerate(rows)]
-    pair = (ListTableau(slack_rows, rhs, ctx), linprog._Tableau(slack_rows, rhs, ctx))
+    pair = tableaux(slack_rows, rhs, ctx)
     for tab in pair:
         tab.basis = list(range(n, n + m))
     runs = [tab.run(cost + [zero] * m, n) for tab in pair]
