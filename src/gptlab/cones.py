@@ -12,14 +12,13 @@ inverse and the output; float rays have largest |coordinate| 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
 from .linprog import EQ, LinearProgram, lp_feasible
 from .scalars import (Context, FLOAT, InnerProduct, dot, inverse, numerators, ordered_matmul,
-                      spanning_rows, stacked, transpose, vscale, vsub)
+                      spanning_rows, stacked, transpose, unstacked, vscale, vsub)
 
 
 class LinealityError(ValueError):
@@ -85,9 +84,8 @@ def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", u
 
     def vectors(point, count: int) -> list:
         mu, mden = numerators(point[:count * k]) if ctx.exact else (point[:count * k], 1)
-        e = ordered_matmul(np.array(mu, dtype=r.dtype).reshape(count, k), r).tolist()
-        return [tuple(Fraction(x, mden * rden) for x in row) if ctx.exact else tuple(row)
-                for row in e]
+        e = ordered_matmul(np.array(mu, dtype=r.dtype).reshape(count, k), r)
+        return list(map(tuple, unstacked(e, mden * rden, ctx).tolist()))
 
     return p, vectors
 

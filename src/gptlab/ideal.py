@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
+
+import numpy as np
 
 from .model import (
     Measurement,
@@ -27,7 +28,7 @@ from .model import (
     is_zero_effect,
     polygon_radius,
 )
-from .scalars import Context, dot, mat_vec, stacked, vadd, vscale, vsub
+from .scalars import Context, dot, mat_vec, stacked, unstacked, vadd, vscale, vsub
 from .symmetry import is_self_dual
 
 
@@ -211,8 +212,8 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
     float mode.  A vertex value is then a ``dot`` of numerators, the sum
     ``prob_table`` forms, over the product of the two denominators, and the
     search adds, compares and keys no Fraction; sorting and keying by
-    numerators orders the effects as their values would.  Fractions are
-    built only for the effects of the result.
+    numerators orders the effects as their values would.  The candidates
+    become scalars once, by ``scalars.unstacked``, after the search.
     """
     if max_outcomes < 2:
         return ()
@@ -269,15 +270,14 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
         if key not in found:
             found[key] = order
 
-    def _effect(vec) -> tuple:
-        return tuple(Fraction(x, eden) for x in vec) if ctx.exact else vec
-
     search(0, [], u, tuple(dot(u, v) for v in verts))
+    values = unstacked(np.array([c[2] for c in candidates], dtype=effects.dtype), eden, ctx)
+    values = list(map(tuple, values.tolist()))
     out = []
     for key in sorted(found, key=lambda key: (len(key), key)):
         out.append(IdealMeasurement(
             outcomes=tuple(range(len(key))),
-            effects=tuple(_effect(candidates[i][2]) for i in found[key]),
+            effects=tuple(values[i] for i in found[key]),
             provenance=tuple(candidates[i][:2] for i in found[key]),
         ))
     return tuple(out)

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scalars import Context, FLOAT, numerators, reduced, stacked
+from .scalars import Context, FLOAT, numerators, reduced, stacked, unstacked
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -239,13 +239,6 @@ class _Tableau:
 _fraction = np.frompyfunc(Fraction, 2, 1)
 
 
-def _fractions(nums, den):
-    """``nums / den`` as an array of Fractions, built for the nonzero entries only."""
-    out, nz = np.full(nums.shape, Fraction(0), dtype=object), nums != 0
-    out[nz] = _fraction(nums[nz], den)
-    return out
-
-
 def _scalar(num, den, exact: bool):
     return Fraction(num, den) if exact else num
 
@@ -323,7 +316,7 @@ def _standardize(p: LinearProgram, ctx: Context):
     if not ctx.exact and not np.isfinite(np.concatenate((block.ravel(), cost, [const]))).all():
         raise ValueError("LP objective, constraints and bounds must be finite")
     if ctx.exact:
-        cost, x0, const = _fractions(cost, den), _fractions(x0, den), Fraction(const, den * den)
+        cost, x0, const = unstacked(cost, den, ctx), unstacked(x0, den, ctx), Fraction(const, den**2)
 
     def recover(y):
         y = np.array(y, dtype=arr.dtype)

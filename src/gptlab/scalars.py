@@ -23,7 +23,8 @@ denominator: :func:`numerators` clears the denominators of a list,
 (object dtype, or float64 over 1 in float mode), :func:`reduced` keeps
 such an array in lowest terms, and :func:`ordered_matmul` multiplies
 stacks of matrices with every sum taken in index order, as :func:`dot`
-does.  A Fraction is built only where a value leaves those layers.
+does.  :func:`unstacked` turns numerators back into scalars where a value
+leaves those layers.
 
 One Gauss-Jordan elimination serves :func:`rank`, :func:`spanning_rows`,
 :func:`solve` and :func:`inverse`: on floats with partial pivoting, and
@@ -34,6 +35,7 @@ leaves as ints over the last pivot.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -128,11 +130,15 @@ def dot(x, y):
 
 
 def vadd(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+    if len(x) != len(y):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    return tuple(map(operator.add, x, y))
 
 
 def vsub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
+    if len(x) != len(y):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    return tuple(map(operator.sub, x, y))
 
 
 def vscale(c, x):
@@ -210,6 +216,17 @@ def reduced(nums, den) -> tuple:
     return nums // g, den // g
 
 
+def unstacked(nums, den, ctx: Context):
+    """The inverse of :func:`stacked`: numerators ``nums`` over ``den`` as ctx's scalars,
+    one Fraction per distinct numerator in exact mode.  In float mode an int over an
+    int rounds once, as ``float(Fraction)`` does, and floats over 1 keep their bits."""
+    if not ctx.exact:
+        return np.asarray(nums / den, dtype=float)
+    flat = nums.ravel().tolist()
+    values = {x: Fraction(x, den) for x in set(flat)}
+    return np.array([values[x] for x in flat], dtype=object).reshape(nums.shape)
+
+
 # output entries up to which one accumulate beats a numpy call per inner index (measured)
 _ACCUMULATE_MAX = 256
 
@@ -221,15 +238,16 @@ def ordered_matmul(a, b):
     :func:`dot` does, so float entries are bit-identical to ``mat_mul``.  Up
     to ``_ACCUMULATE_MAX`` output entries, broadcast ones included, one
     ``np.add.accumulate`` sums all the products (``+ 0`` then turns a -0.0
-    into the 0.0 that a sum from zero gives); a larger product adds one inner
-    index at a time, as numpy's accumulate along a strided axis is slower.
+    into the 0.0 that a sum from zero gives); a larger product, or an empty
+    inner dimension, adds one inner index at a time into zeros of the
+    product's shape, as numpy's accumulate along a strided axis is slower.
     """
-    entries = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])) * a.shape[-2] * b.shape[-1]
-    if a.shape[-1] and entries <= _ACCUMULATE_MAX:
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    if a.shape[-1] and math.prod(shape) <= _ACCUMULATE_MAX:
         return np.add.accumulate(a[..., :, :, None] * b[..., None, :, :], axis=-2)[..., -1, :] + 0
-    total = 0
+    total = np.zeros(shape, dtype=np.result_type(a, b))
     for i in range(a.shape[-1]):
-        total = total + a[..., :, i, None] * b[..., None, i, :]
+        total += a[..., :, i, None] * b[..., None, i, :]
     return total
 
 

@@ -26,23 +26,21 @@ kept, in lexicographic order of their permutation.
 Exact and float mode share one code path on numpy arrays:
 ``scalars.stacked`` turns a list of matrices into one ``(k, rows, cols)``
 array of numerators over one denominator, Python ints (object dtype) in
-exact mode and float64 in float mode.  Each group keeps one such stack
-per mode (:meth:`SymmetryGroup.stack`), built at most once, and the
-search hands it the numerators it already has.  The group averages
+exact mode and float64 in float mode.  A group is one such read-only
+stack (:class:`SymmetryGroup`), and the search hands it the numerators it
+already has.  The group averages
 (invariant product, the fixed point check of the mixed state, invariant
 projection, the conjugation into canonical coordinates) run on that stack
 with one batched product, ``scalars.ordered_matmul``, which sums the
 inner index in order from zero as ``scalars.dot`` does, so float results
-are bit-identical to the tuple formulas.  A Fraction is built only for
-each distinct stored entry.
+are bit-identical to the tuple formulas.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -50,6 +48,7 @@ import numpy as np
 from .model import Theory, theory_to_float
 from .scalars import (
     Context,
+    EXACT,
     FLOAT,
     InnerProduct,
     identity,
@@ -65,35 +64,54 @@ from .scalars import (
     sqrt_scalar,
     stacked,
     transpose,
+    unstacked,
     vadd,
     vscale,
     vsub,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetryGroup:
-    """Finite matrix group together with its action on the vertex list."""
+    """Finite matrix group together with its action on the vertex list.
 
-    elements: tuple  # matrices
-    perms: tuple  # vertex permutations aligned with elements
-    # ctx.exact -> the read-only stack of the elements in that mode
-    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    The elements are one ``(order, d, d)`` stack of numerators over ``den``, as
+    ``scalars.stacked`` gives them, which the group makes read-only: Python ints
+    in exact mode, float64 over 1 in float mode.  ``perms[k]`` is the vertex
+    permutation of element ``k``.
+    """
+
+    nums: np.ndarray
+    den: int
+    perms: tuple
+
+    def __post_init__(self):
+        if not self.perms:
+            raise ValueError("empty group")
+        self.nums.flags.writeable = False
+
+    @classmethod
+    def from_elements(cls, elements, perms, ctx: Context) -> "SymmetryGroup":
+        """The group of the given matrices, stacked in ctx's mode."""
+        return cls(*stacked(elements, ctx), tuple(perms))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.perms)
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """The elements as matrices of scalars, built on first read and kept."""
+        arr = unstacked(self.nums, self.den, EXACT if self.nums.dtype == object else FLOAT)
+        return tuple(tuple(map(tuple, m)) for m in arr.tolist())
 
     def stack(self, ctx: Context) -> tuple:
-        """``(array, den)``: the elements as ``scalars.stacked`` gives them in
-        ctx's mode, built on first use and kept on this group."""
-        if ctx.exact not in self._stacks:
-            self._keep(ctx, *stacked(self.elements, ctx))
-        return self._stacks[ctx.exact]
-
-    def _keep(self, ctx: Context, arr, den) -> None:
-        arr.flags.writeable = False
-        self._stacks[ctx.exact] = (arr, den)
+        """``(array, den)``: the elements as ``scalars.stacked`` gives them in ctx's
+        mode.  The stored stack in the group's own mode; a new array in the other,
+        where each exact entry rounds once, as ``float(Fraction)`` does."""
+        if ctx.exact == (self.nums.dtype == object):
+            return self.nums, self.den
+        return stacked(self.nums, ctx) if ctx.exact else (unstacked(self.nums, self.den, ctx), 1)
 
 
 def automorphism_group(t: Theory) -> SymmetryGroup:
@@ -105,20 +123,6 @@ def automorphism_group(t: Theory) -> SymmetryGroup:
     if t.group_cache is not None:
         return t.group_cache
     return _search_group(t)
-
-
-def _as_tuples(arr, den=1):
-    """The entries of an array as nested tuples: ints become Fractions ``x / den``
-    (one per distinct value), floats stay as they are."""
-    if arr.dtype == object:
-        values, where = np.unique(arr, return_inverse=True)
-        fractions = np.array([Fraction(x, den) for x in values.tolist()], dtype=object)
-        arr = fractions[where].reshape(arr.shape)
-    return _nested_tuples(arr.tolist())
-
-
-def _nested_tuples(rows: list) -> tuple:
-    return tuple(map(_nested_tuples, rows)) if isinstance(rows[0], list) else tuple(rows)
 
 
 # backtracking nodes before the search gives up; the largest in-repo search
@@ -208,9 +212,7 @@ def _search_group(t: Theory) -> SymmetryGroup:
     perms, maps = _vertex_perms(maps, w, wden * w, ctx)
     if ctx.exact:
         maps, wden = reduced(maps, wden)  # lowest terms: what stacking the elements gives
-    group = SymmetryGroup(_as_tuples(maps, wden), tuple(perms))
-    group._keep(ctx, maps, wden)
-    return group
+    return SymmetryGroup(maps, wden, tuple(perms))
 
 
 def is_transitive(g: SymmetryGroup, t: Theory) -> bool:
@@ -236,15 +238,8 @@ def maximally_mixed(t: Theory, g: Optional[SymmetryGroup] = None):
 
 
 def _float_theory(t: Theory, g: SymmetryGroup) -> tuple:
-    """``(theory, group)`` in float mode, the group kept on the theory.
-
-    Each element entry is its stacked numerator over the denominator,
-    rounded once: an int over an int rounds as ``float(Fraction)`` does.
-    """
-    stack, den = g.stack(t.ctx)
-    stack = (stack / den).astype(float)
-    gf = SymmetryGroup(_as_tuples(stack), g.perms)
-    gf._keep(FLOAT, stack, 1)
+    """``(theory, group)`` in float mode, the group kept on the theory."""
+    gf = SymmetryGroup(*g.stack(FLOAT), g.perms)
     return theory_to_float(t).with_group(gf), gf
 
 
@@ -284,8 +279,6 @@ def averaged_inner_product(g: SymmetryGroup, ctx: Context = FLOAT) -> InnerProdu
     Fraction arithmetic and float ones equal the sum of the ``mat_mul``
     terms bit for bit.
     """
-    if not g.elements:
-        raise ValueError("empty group")
     stack, den = g.stack(ctx)
     total = np.add.accumulate(ordered_matmul(np.swapaxes(stack, 1, 2), stack))[-1]
     return InnerProduct(mat_scale(1 / ctx.convert(g.order * den * den), total.tolist()))
@@ -296,8 +289,6 @@ def projector_pm(g: SymmetryGroup, ctx: Context = FLOAT):
 
     The elements are added in order, as in ``averaged_inner_product``.
     """
-    if not g.elements:
-        raise ValueError("empty group")
     stack, den = g.stack(ctx)
     return mat_scale(1 / ctx.convert(g.order * den), np.add.accumulate(stack)[-1].tolist())
 
@@ -351,8 +342,7 @@ def canonicalize(t: Theory) -> CanonicalForm:
     new_u = mat_vec(transpose(inv_t), tf.unit_effect)
     stack, _ = gf.stack(ctx)
     conjugated = ordered_matmul(ordered_matmul(np.array(transform), stack), np.array(inv_t))
-    new_group = SymmetryGroup(_as_tuples(conjugated), gf.perms)
-    new_group._keep(ctx, conjugated, 1)
+    new_group = SymmetryGroup(conjugated, 1, gf.perms)
     theory_c = replace(
         tf,
         name=t.name if t.canonicalized else f"{t.name}-canonical",
@@ -478,8 +468,7 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
     except ValueError:
         tt = theory_to_float(t)
         ctx = tt.ctx
-        pm = tuple(tuple(float(a) for a in row) for row in pm)
-        pperp = tuple(tuple(float(a) for a in row) for row in pperp)
+        pm, pperp = ctx.mat(pm), ctx.mat(pperp)
         sq = math.sqrt(float(xi))
     xi_mat = mat_add(pm, mat_scale(sq, pperp))
     new_u = mat_vec(transpose(inverse(xi_mat, ctx)), tt.unit_effect)

@@ -199,7 +199,7 @@ def search_group_reference(t) -> SymmetryGroup:
         found_perms.append(p)
 
     extend(0)
-    return SymmetryGroup(tuple(found_mats), tuple(found_perms))
+    return SymmetryGroup.from_elements(found_mats, found_perms, ctx)
 
 
 def _cleared(rows, ctx: Context):
@@ -271,7 +271,7 @@ def search_group_full_depth(t) -> SymmetryGroup:
         found_perms.append(p)
 
     extend(0)
-    return SymmetryGroup(tuple(found_mats), tuple(found_perms))
+    return SymmetryGroup.from_elements(found_mats, found_perms, ctx)
 
 
 def averaged_gram_per_element(g: SymmetryGroup, ctx: Context) -> InnerProduct:

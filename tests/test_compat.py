@@ -55,6 +55,16 @@ class TestMarginals:
         for e in mf.effects + mg.effects:
             assert e == pytest.approx((0.0, 0.0, 0.5))
 
+    def test_short_cell_rejected(self):
+        # a cell of the wrong length is an error, not a sum cut to the shorter one
+        t = psi_transform(make_polygon(8))
+        f, g = perpendicular_ideal_pair(t)
+        cells = [list(row) for row in uniform_joint(t, f, g).effects]
+        cells[0][1] = cells[0][1][:-1]
+        j = JointMeasurement((0, 1), (0, 1), cells)
+        with pytest.raises(ValueError, match=r"dimension mismatch: 3 vs 2$"):
+            marginals(j)
+
     def test_marginals_are_valid_measurements(self):
         t = psi_transform(make_polygon(8))
         f, g = perpendicular_ideal_pair(t)

@@ -20,7 +20,7 @@ from gptlab.cones import (
 from gptlab.ideal import psi_transform
 from gptlab.model import load_theory, make_classical, make_polygon
 from gptlab.scalars import (EXACT, FLOAT, InnerProduct, identity, inverse, mat_mul, ordered_matmul,
-                            rank, solve, spanning_rows, stacked)
+                            rank, solve, spanning_rows, stacked, unstacked)
 
 from helpers import (gauss_jordan_reference, member_bruteforce, rank_float_loop, rank_fraction,
                      spanning_rows_greedy)
@@ -181,6 +181,13 @@ class TestOrderedMatmul:
         assert repr(got) == repr([[list(row) for row in m] for m in want] if a.ndim + b.ndim == 5
                                  else [list(row) for row in want])
 
+    @pytest.mark.parametrize("dtype", [float, object])
+    def test_empty_inner_dimension(self, dtype):
+        a, b = np.zeros((2, 0), dtype=dtype), np.zeros((0, 3), dtype=dtype)
+        got, want = ordered_matmul(a, b), a @ b
+        assert (got.shape, got.dtype, repr(got.tolist())) == (want.shape, want.dtype,
+                                                              repr(want.tolist()))
+
 
 def test_stacked_reads_strings_and_keeps_ints():
     arr, den = stacked([["1/2", 3], [0.25, Fr(1, 4)]], FLOAT)
@@ -190,6 +197,17 @@ def test_stacked_reads_strings_and_keeps_ints():
     ints = np.array([[2, -4], [10**30, 0]], dtype=object)
     nums, den = stacked(ints, EXACT)
     assert (nums.tolist(), den) == (ints.tolist(), 1) and nums is not ints
+
+
+def test_unstacked_inverts_stacked():
+    xs = [[Fr(1, 3), Fr(-5, 6)], [Fr(10**30, 7), 0]]
+    nums, den = stacked(xs, EXACT)
+    assert repr(unstacked(nums, den, EXACT).tolist()) == repr([[Fr(1, 3), Fr(-5, 6)],
+                                                               [Fr(10**30, 7), Fr(0)]])
+    # an int over an int rounds once, as float(Fraction) does
+    assert unstacked(nums, den, FLOAT).tolist() == [[float(Fr(x)) for x in row] for row in xs]
+    floats = np.array([[0.1, -0.0], [1e-300, 3.5]])
+    assert repr(unstacked(floats, 1, FLOAT).tolist()) == repr(floats.tolist())
 
 
 class TestDualCone:

@@ -265,6 +265,14 @@ class TestFuzzify:
         with pytest.raises(ValueError):
             fuzzify(t, f, 1.5)
 
+    def test_effect_of_another_dimension_rejected(self):
+        # the psi-8-gon is 3-dimensional: a fourth coordinate is not dropped
+        t = psi_transform(make_polygon(8))
+        f, _ = perpendicular_ideal_pair(t)
+        bad = Measurement(f.outcomes, [e + (0.5,) for e in f.effects], f.metric)
+        with pytest.raises(ValueError, match=r"dimension mismatch: 4 vs 3$"):
+            fuzzify(t, bad, 0.7)
+
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_valid_for_all_lambda(self, lam):

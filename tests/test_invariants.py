@@ -75,9 +75,10 @@ class TestCanonicalBasis:
         for t in (make_classical(2), make_polygon(5), make_polygon(6)):
             form = canonicalize(t)
             g_raw = automorphism_group(t)
-            gf = sym.SymmetryGroup(
+            gf = sym.SymmetryGroup.from_elements(
                 tuple(tuple(tuple(float(a) for a in row) for row in m) for m in g_raw.elements),
                 g_raw.perms,
+                form.theory.ctx,
             )
             gram = averaged_inner_product(gf, form.theory.ctx)
             for i, bi in enumerate(form.basis):

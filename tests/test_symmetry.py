@@ -27,6 +27,7 @@ from gptlab.scalars import (
     stacked, transpose,
 )
 from gptlab.symmetry import (
+    SymmetryGroup,
     automorphism_group,
     averaged_inner_product,
     canonicalize,
@@ -220,9 +221,7 @@ class TestAveragedInnerProduct:
             )
 
     def test_trivial_group_identity(self):
-        from gptlab.symmetry import SymmetryGroup
-
-        g = SymmetryGroup((((1.0, 0.0), (0.0, 1.0)),), ((0, 1),))
+        g = SymmetryGroup.from_elements((((1.0, 0.0), (0.0, 1.0)),), ((0, 1),), FLOAT)
         assert averaged_inner_product(g, FLOAT).gram == ((1.0, 0.0), (0.0, 1.0))
 
     def test_group_elements_orthogonal_under_average(self):
@@ -488,7 +487,7 @@ def assert_same_as_reference(t):
     ref = search_group_reference(t)
     assert got.elements == ref.elements
     assert got.perms == ref.perms
-    assert repr(got) == repr(ref)  # same scalar types; floats bit for bit
+    assert repr((got.elements, got.perms)) == repr((ref.elements, ref.perms))  # floats bit for bit
     return got
 
 
@@ -516,7 +515,7 @@ class TestIntegerNumeratorSearch:
         t = sheared_polygon("square", RATIONAL_SHAPES["square"])
         g = automorphism_group(t)
         half = tuple(tuple(Fr(1, 2) if i == j else Fr(0) for j in range(3)) for i in range(3))
-        bad = replace(g, elements=g.elements + (half,), perms=g.perms + (g.perms[0],))
+        bad = SymmetryGroup.from_elements(g.elements + (half,), g.perms + (g.perms[0],), t.ctx)
         with pytest.raises(RuntimeError, match="does not fix"):
             maximally_mixed(t, bad)
 
@@ -589,12 +588,35 @@ class TestAgainstPerElementOracles:
                 assert_identical(form.group.elements,
                                  canonical_group_per_element(automorphism_group(t), form.transform))
 
+    def test_search_builds_no_element_tuples(self, tmp_path, monkeypatch):
+        # the search stores its numerators; element tuples are built only on
+        # first read, and the other mode's stack is the stacked elements
+        tesseract = load_theory(structure_theory_files(tmp_path, seed=5)["tesseract"])
+        for t in (make_classical(5), tesseract, make_polygon(7)):
+            with monkeypatch.context() as m:
+                def refuse(*args):
+                    raise AssertionError("scalars built from numerators")
+                m.setattr(gptlab.symmetry, "unstacked", refuse)
+                g = automorphism_group(t)
+            assert "elements" not in vars(g)
+            want = search_group_reference(t)
+            assert repr((g.elements, g.perms)) == repr((want.elements, want.perms))
+            assert g.elements is g.elements
+            assert not g.nums.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g.nums[0, 0, 0] = g.nums[0, 0, 0]
+            other = FLOAT if t.ctx.exact else EXACT
+            arr, den = g.stack(other)
+            want_arr, want_den = stacked(g.elements, other)
+            assert den == want_den and repr(arr.tolist()) == repr(want_arr.tolist())
+
     def test_batches_keep_the_group(self, tmp_path, monkeypatch):
         files = structure_theory_files(tmp_path, seed=5)
         want = {name: automorphism_group(load_theory(files[name])) for name in ("prism", "cube")}
         monkeypatch.setattr(gptlab.symmetry, "_BATCH_CELLS", 1)  # one candidate map per batch
         for name, g in want.items():
-            assert_identical(automorphism_group(load_theory(files[name])), g)
+            got = automorphism_group(load_theory(files[name]))
+            assert_identical((got.elements, got.perms), (g.elements, g.perms))
 
     def test_vertex_perms_keeps_permutations_in_order(self):
         # numerators over 2 of maps on the square (+-1, +-1, 1): a quarter turn,
