@@ -138,29 +138,28 @@ class _Tableau:
 
     def __init__(self, rows, rhs, ctx, den):
         self.t, self.den = np.column_stack((rows, rhs)), den
-        self.exact = ctx.exact
-        self.tol = ctx.tol  # entering and pivot tests compare with this
+        self.ctx = ctx  # entering and pivot tests compare with its tol
         self.basis = [-1] * len(rhs)
 
     @property
     def rhs(self):
-        return [_scalar(b, self.den, self.exact) for b in self.t[:, -1].tolist()]
+        return unstacked(self.t[:, -1], self.den, self.ctx).tolist()
 
     def price_out(self, cost):
         """``(obj, oden)``: the objective row (reduced costs, then -z) for the
         current basis, as numerators over ``oden``."""
-        cost, cden = numerators(cost) if self.exact else (cost, 1)
+        cost, cden = numerators(cost) if self.ctx.exact else (cost, 1)
         obj = np.array(cost + [0], dtype=self.t.dtype) * self.den
         for i, cb in enumerate(cost[bj] for bj in self.basis):
             if cb != 0:
                 obj -= cb * self.t[i]
-        return reduced(obj, cden * self.den) if self.exact else (obj, 1)
+        return reduced(obj, cden * self.den) if self.ctx.exact else (obj, 1)
 
     def pivot(self, r, c):
         t = self.t
         f = t[:, c].copy()
         f[r] = 0
-        if self.exact:
+        if self.ctx.exact:
             # over den * p: row r becomes den t_r, every other row p t_i - t_ic t_r
             nz = f.nonzero()[0]
             p, prow = t[r, c], t[r].copy()
@@ -176,7 +175,7 @@ class _Tableau:
     def run(self, cost, nenter):
         """Minimise cost over the current basis, entering only columns below
         `nenter`; returns (status, z)."""
-        tol = self.tol
+        exact, tol = self.ctx.exact, self.ctx.tol
         obj, oden = self.price_out(cost)
         degenerate = 0  # degenerate pivots in a row
         for _ in range(_MAX_PIVOTS):
@@ -186,19 +185,19 @@ class _Tableau:
             bland = degenerate >= _DEGENERATE_RUN
             enter = int((~(0 <= head + tol)).argmax() if bland else head.argmin()) if nenter else 0
             if not nenter or 0 <= head[enter] + tol:
-                return "optimal", _scalar(obj.item(-1), oden, self.exact)
+                return "optimal", unstacked(obj[-1:], oden, self.ctx).item()
             t = self.t
             col = t[:, enter]
             rows = (~(col <= tol)).nonzero()[0]
             if not rows.size:
-                return "unbounded", _scalar(obj.item(-1), oden, self.exact)
+                return "unbounded", unstacked(obj[-1:], oden, self.ctx).item()
             # exact ratios compare as Fractions of the candidate rows
-            ratios = (_fraction if self.exact else np.divide)(t[rows, -1], col[rows])
+            ratios = (_fraction if exact else np.divide)(t[rows, -1], col[rows])
             leave = min(rows[ratios == ratios.min()].tolist(), key=self.basis.__getitem__)
             degenerate = degenerate + 1 if t[leave, -1] <= tol else 0
             self.pivot(leave, enter)
             fobj = obj[enter]
-            if self.exact:
+            if exact:
                 obj, oden = reduced(obj * self.den - fobj * self.t[leave], oden * self.den)
             elif fobj != 0:
                 obj -= fobj * self.t[leave]
@@ -226,7 +225,7 @@ class _Tableau:
 
     def first_nonzero(self, i, ncols):
         """Lowest of the first `ncols` columns where row i is not zero, or -1."""
-        js = np.flatnonzero(~(np.abs(self.t[i, :ncols]) <= self.tol))
+        js = np.flatnonzero(~(np.abs(self.t[i, :ncols]) <= self.ctx.tol))
         return int(js[0]) if js.size else -1
 
     def drop(self, drop_rows, ncols):
@@ -237,10 +236,6 @@ class _Tableau:
 
 
 _fraction = np.frompyfunc(Fraction, 2, 1)
-
-
-def _scalar(num, den, exact: bool):
-    return Fraction(num, den) if exact else num
 
 
 def _bounds(b, n: int):
@@ -361,12 +356,12 @@ def _certify(p: LinearProgram, data, x, ctx: Context):
     # dot adds; exact ones are ints over den * xden, compared with b scaled to that
     xs, xden = numerators(x) if ctx.exact else (list(x), 1)
     xv = np.array(xs + [0], dtype=arr.dtype)
-    ax = np.add.accumulate(arr[:m] * xv, axis=1)[:, -1].tolist()
-    for i, (rel, v, bv) in enumerate(zip(rels, ax, (arr[:m, -1] * xden).tolist())):
+    ax = np.add.accumulate(arr[:m] * xv, axis=1)[:, -1]
+    for i, (rel, v, bv) in enumerate(zip(rels, ax.tolist(), (arr[:m, -1] * xden).tolist())):
         if not (v <= bv + slack_tol if rel == LE else
                 v >= bv - slack_tol if rel == GE else abs(v - bv) <= slack_tol):
-            raise RuntimeError(f"certification failed: {_scalar(v, den * xden, ctx.exact)} "
-                               f"{rel} {_scalar(arr.item(i, -1), den, ctx.exact)}")
+            lhs, rhs = unstacked(ax[i:i + 1], den * xden, ctx), unstacked(arr[i, -1:], den, ctx)
+            raise RuntimeError(f"certification failed: {lhs.item()} {rel} {rhs.item()}")
     xv = xv[:-1] * den
     low = has_lo & ~(xv >= arr[m + 1, :-1] * xden - slack_tol)
     high = has_up & ~(xv <= arr[m + 2, :-1] * xden + slack_tol)

@@ -23,13 +23,14 @@ denominator: :func:`numerators` clears the denominators of a list,
 (object dtype, or float64 over 1 in float mode), :func:`reduced` keeps
 such an array in lowest terms, and :func:`ordered_matmul` multiplies
 stacks of matrices with every sum taken in index order, as :func:`dot`
-does.  :func:`unstacked` turns numerators back into scalars where a value
-leaves those layers.
+does.  :func:`narrowed` hands such ints to a product as int64 where a
+bound proves that nothing overflows.  :func:`unstacked` turns numerators
+back into scalars where a value leaves those layers.
 
 One Gauss-Jordan elimination serves :func:`rank`, :func:`spanning_rows`,
-:func:`solve` and :func:`inverse`: on floats with partial pivoting, and
-fraction-free on each exact row's int numerators, so an exact solution
-leaves as ints over the last pivot.
+:func:`solve`, :func:`stacked_inverse` and :func:`inverse`: on floats with
+partial pivoting, and fraction-free on each exact row's int numerators, so
+an exact solution leaves as ints over the last pivot.
 """
 
 from __future__ import annotations
@@ -251,6 +252,22 @@ def ordered_matmul(a, b):
     return total
 
 
+def narrowed(a, b, k: int, *more) -> tuple:
+    """``(a, b, *more)`` as int64 copies when they hold exact ints and nothing can
+    overflow: ``k·max|a|·max|b| < 2^63``, which bounds every entry of an ordered
+    product of ``a`` and ``b`` over ``k`` terms and every partial sum of one, and
+    each array of ``more`` has entries below ``2^63`` in size.  Otherwise the exact
+    arrays as Python ints (object dtype), and float arrays as they are, so a caller
+    runs one numpy path on whichever dtype it gets."""
+    arrays = (a, b, *more)
+    if a.dtype.kind == "f":
+        return arrays
+    size = [max(abs(int(x.min(initial=0))), abs(int(x.max(initial=0)))) for x in arrays]
+    limit = 1 << 63
+    fits = k * size[0] * size[1] < limit and all(s < limit for s in size[2:])
+    return tuple(x.astype(np.int64 if fits else object) for x in arrays)
+
+
 def _rows(rows, ctx: Context) -> list:
     # the rows as lists for _eliminate; in exact mode each row's int
     # numerators, a positive multiple of the row
@@ -311,8 +328,10 @@ def spanning_rows(rows: Sequence[Sequence], d: int, ctx: Context) -> list:
     return _eliminate(_rows(transpose(rows), ctx), len(rows), ctx)[:d]
 
 
-def _solve_rows(a, rhs, ctx: Context) -> Optional[list]:
-    """Reduce [a | rhs] to [I | a^-1 rhs]; the rows of a^-1 rhs, or None when singular."""
+def _solve_rows(a, rhs, ctx: Context) -> Optional[tuple]:
+    """Reduce [a | rhs] to [p I | p a^-1 rhs]; ``(rows, p)`` with the rows of
+    ``p a^-1 rhs``, or None when singular.  ``p`` is the last pivot, an int, in
+    exact mode and 1 in float mode."""
     d = len(a)
     widths = sorted({len(row) for row in a})
     if widths not in ([], [d]) or len(rhs) != d:
@@ -322,21 +341,36 @@ def _solve_rows(a, rhs, ctx: Context) -> Optional[list]:
     m = _rows([list(row) + list(extra) for row, extra in zip(a, rhs)], ctx)
     if len(_eliminate(m, d, ctx)) < d:
         return None
-    if ctx.exact:  # [p I | p a^-1 rhs]
-        return [[Fraction(v, row[i]) for v in row[d:]] for i, row in enumerate(m)]
-    return [row[d:] for row in m]
+    return [row[d:] for row in m], m[0][0] if ctx.exact and d else 1
 
 
 def solve(a, b, ctx: Context) -> Optional[tuple]:
     """Solve the square system a x = b; None when singular."""
-    rows = _solve_rows(a, [(rhs,) for rhs in b], ctx)
-    return None if rows is None else tuple(row[0] for row in rows)
+    out = _solve_rows(a, [(rhs,) for rhs in b], ctx)
+    if out is None:
+        return None
+    rows, den = out
+    return tuple(unstacked(stacked([row[0] for row in rows], ctx)[0], den, ctx).tolist())
+
+
+def stacked_inverse(a, ctx: Context) -> Optional[tuple]:
+    """``(nums, den)``: the inverse of the square matrix ``a`` as :func:`stacked`
+    gives it, or None when singular.  Exact numerators are the Python ints that
+    the fraction-free elimination leaves over its last pivot, in lowest terms,
+    so no Fraction is built."""
+    # an int identity: exact rows need no Fraction, and float rows, each divided
+    # by its pivot, come out as the floats 1.0 and 0.0 would give
+    out = _solve_rows(a, np.identity(len(a), dtype=int).tolist(), ctx)
+    if out is None:
+        return None
+    nums = stacked(out[0], ctx)[0]
+    return reduced(nums, out[1]) if ctx.exact else (nums, 1)
 
 
 def inverse(a, ctx: Context) -> Optional[tuple]:
     """Matrix inverse by Gauss-Jordan; None when singular."""
-    rows = _solve_rows(a, identity(len(a), ctx), ctx)
-    return None if rows is None else tuple(tuple(row) for row in rows)
+    out = stacked_inverse(a, ctx)
+    return None if out is None else tuple(map(tuple, unstacked(*out, ctx).tolist()))
 
 
 @dataclass(frozen=True)

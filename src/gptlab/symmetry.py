@@ -15,13 +15,16 @@ dual cone's rays ``G^-1 n_k``, all through one batched sign check
 (``_pairs_nonnegative``) on stacked numerators.
 
 Every group not already kept on the theory, built-in or custom, comes
-from one backtracking search over the images of a spanning subset of the
-vertices only, pruned by the congruence-invariant form
-Q = sum_i v_i v_i^T and stopped with a ValueError after a fixed number
-of search nodes.  Those images fix a linear map; the maps of all
-leaves are built in one batch and checked on every vertex, so only maps
-that permute the vertices, and so carry the polytope onto itself, are
-kept, in lexicographic order of their permutation.
+from one breadth-first search over the images of a spanning subset of the
+vertices only, one array step per spanning vertex, pruned by the coded
+congruence-invariant form V Q^-1 V^T with Q = sum_i v_i v_i^T and stopped
+with a ValueError once it would pass a fixed number of search nodes.
+Those images fix a linear map; the maps of all leaves are built in one
+batch and checked on every vertex, so only maps that permute the
+vertices, and so carry the polytope onto itself, are kept, in
+lexicographic order of their permutation.  Exact searches run on int
+numerators, int64 where ``scalars.narrowed`` proves that no product
+overflows, and build no Fraction.
 
 Exact and float mode share one code path on numpy arrays:
 ``scalars.stacked`` turns a list of matrices into one ``(k, rows, cols)``
@@ -58,11 +61,13 @@ from .scalars import (
     mat_scale,
     mat_sub,
     mat_vec,
+    narrowed,
     ordered_matmul,
     reduced,
     spanning_rows,
     sqrt_scalar,
     stacked,
+    stacked_inverse,
     transpose,
     unstacked,
     vadd,
@@ -125,13 +130,15 @@ def automorphism_group(t: Theory) -> SymmetryGroup:
     return _search_group(t)
 
 
-# backtracking nodes before the search gives up; the largest in-repo search
-# (the tesseract) visits 0.7 k to 1.3 k, depending on the vertex order
+# partial maps, over all levels and the root included, before the search gives up;
+# the largest in-repo searches visit 1,957 (classical-5) and 0.7 k to 1.6 k (the
+# tesseract, depending on the vertex order)
 _MAX_SEARCH_NODES = 1_000_000
 
 
-# vertex-image comparisons per batch of candidate maps: bounds the memory
-# of the check on polytopes with many vertices or many search leaves
+# vertex-image comparisons per batch of candidate maps, and candidate images per
+# batch of partial maps: bounds the memory of the check and of each search level
+# on polytopes with many vertices or many search nodes
 _BATCH_CELLS = 1 << 20
 
 
@@ -157,61 +164,91 @@ def _vertex_perms(maps, w, target, ctx):
     return [p for p, _ in found], maps[[k for _, k in found]]
 
 
+def _codes(m, ctx: Context):
+    """The entries of the array ``m`` as ints from 0, equal where ``m`` is.
+
+    Exact entries share a code when they are equal.  Float entries are sorted
+    and a new code starts wherever the gap to the previous one exceeds
+    ``ctx.tol``, so every pair that ``ctx.eq`` accepts shares a code; a chain
+    of close values may share one too, which only lets more maps through to
+    the vertex check.
+    """
+    flat = m.ravel()
+    if ctx.exact:
+        return np.unique(flat, return_inverse=True)[1].reshape(m.shape)
+    order = np.argsort(flat, kind="stable")
+    codes = np.empty(len(flat), dtype=np.intp)
+    codes[order] = np.concatenate(([0], np.cumsum(np.diff(flat[order]) > ctx.tol)))
+    return codes.reshape(m.shape)
+
+
+def _extensions(part, code, span, i):
+    """``(rows, cols)``: vertex ``cols[n]`` may follow the partial map ``part[rows[n]]``
+    as the image of vertex ``i``, in lexicographic order of the longer maps.
+
+    A candidate is unused, and its codes with itself and with the images placed so
+    far equal those of ``i`` with itself and with the spanning vertices they image.
+    """
+    keep = np.repeat((code.diagonal() == code[i, i])[None], len(part), axis=0)
+    keep[np.arange(len(part))[:, None], part] = False
+    for j in range(part.shape[1]):
+        keep &= code[part[:, j]] == code[span[j], i]
+    return np.nonzero(keep)
+
+
 def _search_group(t: Theory) -> SymmetryGroup:
+    """The group of every linear map that permutes the vertices of ``t``.
+
+    A map is fixed by the images of a spanning subset of the vertices.  The
+    search assigns them breadth first, one level per spanning vertex: the
+    partial maps are one ``(count, k)`` array of vertex indices, and boolean
+    ``(count, nv)`` masks (``_extensions``) keep the candidate images that the
+    coded pruning form ``m = V Q^-1 V^T`` (``Q = sum_v v v^T``, which every
+    automorphism leaves congruent) admits.  Every partial map counts as a node
+    against ``_MAX_SEARCH_NODES``.  The leaves are checked on every vertex by
+    ``_vertex_perms``; exact products there run on int64 when
+    ``scalars.narrowed`` proves that they cannot overflow.
+    """
     ctx = t.ctx
     verts = t.vertices
     nv = len(verts)
     d = t.dim
     w, vden = stacked(verts, ctx)  # vertices w / vden
-    # the pruning form m = V Q^-1 V^T with Q = sum_v v v^T, on numerators
-    # (a positive factor off in exact mode, which no comparison sees)
-    qinv = inverse(ordered_matmul(w.T, w).tolist(), ctx)
+    # the pruning form on numerators, coded (a positive factor off in exact mode,
+    # which no comparison of codes sees)
+    qinv = stacked_inverse(ordered_matmul(w.T, w).tolist(), ctx)
     if qinv is None:
         raise ValueError("vertices do not span the ambient space")
-    qi, _ = stacked(qinv, ctx)
-    m = ordered_matmul(w, ordered_matmul(qi, w.T)).tolist()
+    code = _codes(ordered_matmul(w, ordered_matmul(qinv[0], w.T)), ctx)
 
-    span_idx = spanning_rows(verts, d, ctx)
-    # spanning-basis inverse wa / aden: a candidate map is
-    # T = (w_img / vden)(wa / aden), i.e. t / wden with t = w_img wa
-    wa, aden = stacked(inverse(transpose([verts[i] for i in span_idx]), ctx), ctx)
-    wden = vden * aden
+    span = spanning_rows(verts, d, ctx)
+    part = np.zeros((1, 0), dtype=np.intp)  # the partial maps: images of span[:k]
+    nodes, step = 1, max(1, _BATCH_CELLS // nv)
+    for i in span:
+        rows, cols = [], []
+        for start in range(0, len(part), step):  # at most _BATCH_CELLS mask cells at a time
+            r, c = _extensions(part[start:start + step], code, span, i)
+            nodes += len(r)
+            if nodes > _MAX_SEARCH_NODES:
+                raise ValueError(
+                    f"automorphism search on theory {t.name!r} ({nv} vertices) visited "
+                    f"{_MAX_SEARCH_NODES} nodes without finishing"
+                )
+            rows.append(start + r)
+            cols.append(c)
+        part = np.column_stack((part[np.concatenate(rows)], np.concatenate(cols)))
 
-    # backtracking over the images of the spanning vertices only: they fix the map
-    leaves = []
-    img = [-1] * d
-    used = [False] * nv
-    nodes = 0
-
-    def extend(k: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > _MAX_SEARCH_NODES:
-            raise ValueError(
-                f"automorphism search on theory {t.name!r} ({nv} vertices) visited "
-                f"{_MAX_SEARCH_NODES} nodes without finishing"
-            )
-        if k == d:
-            leaves.append(tuple(img))
-            return
-        i = span_idx[k]
-        for c in range(nv):
-            if used[c] or not ctx.eq(m[c][c], m[i][i]):
-                continue
-            if all(ctx.eq(m[img[j]][c], m[span_idx[j]][i]) for j in range(k)):
-                img[k] = c
-                used[c] = True
-                extend(k + 1)
-                used[c] = False
-                img[k] = -1
-
-    extend(0)
-    # t = w_img^T wa for every leaf at once; T v_j = v_p(j) iff t w_j = wden w_p(j),
+    # spanning-basis inverse wa / aden: a leaf's map is T = (w_img / vden)(wa / aden),
+    # i.e. t / wden with t = w_img^T wa; T v_j = v_p(j) iff t w_j = wden w_p(j),
     # and this check on every vertex is what makes T an automorphism
-    maps = ordered_matmul(np.swapaxes(w[np.array(leaves)], 1, 2), wa)
-    perms, maps = _vertex_perms(maps, w, wden * w, ctx)
-    if ctx.exact:
-        maps, wden = reduced(maps, wden)  # lowest terms: what stacking the elements gives
+    wa, aden = stacked_inverse(transpose([verts[i] for i in span]), ctx)
+    wden = vden * aden
+    wn, wa = narrowed(w, wa, d)
+    maps = ordered_matmul(np.swapaxes(wn[part], 1, 2), wa)
+    perms, maps = _vertex_perms(*narrowed(maps, w, d, wden * w), ctx)
+    if ctx.exact:  # lowest terms, as Python ints: what stacking the elements gives
+        maps, wden = reduced(maps, wden)
+        maps = maps.astype(object)
     return SymmetryGroup(maps, wden, tuple(perms))
 
 

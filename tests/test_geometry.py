@@ -19,8 +19,9 @@ from gptlab.cones import (
 )
 from gptlab.ideal import psi_transform
 from gptlab.model import load_theory, make_classical, make_polygon
-from gptlab.scalars import (EXACT, FLOAT, InnerProduct, identity, inverse, mat_mul, ordered_matmul,
-                            rank, solve, spanning_rows, stacked, unstacked)
+from gptlab.scalars import (EXACT, FLOAT, InnerProduct, identity, inverse, mat_mul, narrowed,
+                            ordered_matmul, rank, solve, spanning_rows, stacked, stacked_inverse,
+                            unstacked)
 
 from helpers import (gauss_jordan_reference, member_bruteforce, rank_float_loop, rank_fraction,
                      spanning_rows_greedy)
@@ -107,6 +108,9 @@ class TestSolve:
         assert _typed(solve(a, b, ctx)) == _typed(ref and tuple(row[0] for row in ref))
         ref = gauss_jordan_reference(a, identity(len(a), ctx), ctx)
         assert _typed(inverse(a, ctx)) == _typed(ref and tuple(map(tuple, ref)))
+        got, want = stacked_inverse(a, ctx), ref and stacked(ref, ctx)
+        assert _typed(got and (tuple(got[0].ravel().tolist()), got[1])) == _typed(
+            want and (tuple(want[0].ravel().tolist()), want[1]))
 
     def test_exact_elimination_does_no_fraction_arithmetic(self, monkeypatch):
         # rank, solve and inverse run on int numerators: a Fraction is only
@@ -208,6 +212,21 @@ def test_unstacked_inverts_stacked():
     assert unstacked(nums, den, FLOAT).tolist() == [[float(Fr(x)) for x in row] for row in xs]
     floats = np.array([[0.1, -0.0], [1e-300, 3.5]])
     assert repr(unstacked(floats, 1, FLOAT).tolist()) == repr(floats.tolist())
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 2**31])
+def test_narrowed_takes_int64_only_below_the_bound(n):
+    # a product over 2 terms of entries 2^31 and n: 2 * 2^31 * n < 2^63 for the first n only
+    a, b = np.array([[2**31, -2**31]], dtype=object), np.array([[n], [-n]], dtype=object)
+    fits = n < 2**31
+    got = narrowed(a, b, 2, np.array([2**63 - 1], dtype=object))
+    assert [x.dtype for x in got] == [np.dtype(np.int64 if fits else object)] * 3
+    assert ordered_matmul(*got[:2]).tolist() == [[2**32 * n]]
+    assert all(type(x) is int for x in got[1].ravel().tolist())
+    # an extra array at 2^63 alone is too large; float arrays stay as they are
+    assert narrowed(a, b, 1, np.array([2**63], dtype=object))[2].dtype == object
+    floats = np.array([[0.5, -0.0]])
+    assert all(x is floats for x in narrowed(floats, floats, 2))
 
 
 class TestDualCone:

@@ -316,7 +316,7 @@ def test_one_tableau_for_both_modes():
         # the entry types and the denominator when a run starts and after every pivot
         def record(self):
             entries = frozenset(type(x) for row in self.t.tolist() for x in row)
-            states.append((self.exact, self.t.dtype.kind, entries, type(self.den), self.den > 0))
+            states.append((self.ctx.exact, self.t.dtype.kind, entries, type(self.den), self.den > 0))
 
         def run(self, cost, nenter):
             self.record()
@@ -417,7 +417,7 @@ def test_certify_rejects_a_point_off_the_lp(ctx, off):
 def _fractions(tab, nums, den):
     """Entries of the numpy tableau as the list tableau holds them: Fractions
     ``x / den`` in exact mode, the floats themselves in float mode."""
-    return [Fr(x, den) for x in nums] if tab.exact else list(nums)
+    return [Fr(x, den) for x in nums] if tab.ctx.exact else list(nums)
 
 
 def _tableau_state(tab):

@@ -1,5 +1,6 @@
 """Automorphism groups, invariant products, canonical forms, self-duality."""
 
+import functools
 import importlib.util
 import itertools
 import json
@@ -24,7 +25,7 @@ from gptlab.ideal import indecomposable_pure_effects, psi_transform
 from gptlab.model import Theory, load_theory, make_classical, make_polygon, theory_to_float
 from gptlab.scalars import (
     EXACT, FLOAT, InnerProduct, identity, inverse, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
-    stacked, transpose,
+    narrowed, ordered_matmul, stacked, transpose,
 )
 from gptlab.symmetry import (
     SymmetryGroup,
@@ -434,17 +435,23 @@ class TestXiCanonicalize:
 # the integer-numerator search against the plain Fraction search
 
 
+@functools.cache
+def perfbench_workloads():
+    """The benchmark's ``workloads`` module, loaded once."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def structure_theory_files(workdir, seed):
     """{name: JSON path} of the benchmark's seven structure polytopes.
 
     Built by the benchmark's own set-up: a seeded vertex relabelling and a
     seeded signed permutation of the in-plane axes of each polytope.
     """
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up there
-    spec.loader.exec_module(workloads)
-    st_ = workloads.setup_structure(None, seed, False, str(workdir))
+    st_ = perfbench_workloads().setup_structure(None, seed, False, str(workdir))
     return {name: path for name, path, _dim in st_["files"]}
 
 
@@ -927,6 +934,106 @@ class TestDualConeOracle:
     def test_exact_normalization_returns_ints(self):
         ray = normalize_ray((Fr(-4, 6), Fr(2, 9), Fr(0)), EXACT)
         assert ray == (-3, 1, 0) and all(type(a) is int for a in ray)
+
+
+# ---------------------------------------------------------------------------
+# the exact search on int64 numerators, its Python-int fallback, and float codes
+
+
+def search_with_narrowing(t, force_object=False):
+    """``(group, dtypes)``: a fresh search on ``t`` and the dtypes of every array
+    that ``scalars.narrowed`` handed it.  ``force_object`` multiplies each term
+    count by 2^63, which fails the int64 bound whenever both operands are nonzero,
+    so the search runs on Python ints."""
+    dtypes = set()
+
+    def spy(a, b, k, *more):
+        out = narrowed(a, b, k << 63 if force_object else k, *more)
+        dtypes.update(x.dtype for x in out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gptlab.symmetry, "narrowed", spy)
+        return automorphism_group(t), dtypes
+
+
+@st.composite
+def int64_search_inputs(draw):
+    """A structure polytope relabelled, with its axes sign-permuted and scaled by a
+    rational factor, or a rational polygon under a random affine map."""
+    if draw(st.booleans()):
+        name, pts = draw(st.sampled_from(sorted(perfbench_workloads().polytopes(False).items())))
+        k = len(pts[0])
+        axes = draw(st.permutations(range(k)))
+        signs = [draw(st.sampled_from((-1, 1))) for _ in range(k)]
+        scale = draw(st.fractions(min_value=Fr(1, 7), max_value=7, max_denominator=9))
+        pts = [tuple(scale * signs[a] * p[axes[a]] for a in range(k)) for p in pts]
+    else:
+        name, pts = draw(st.sampled_from(sorted(RATIONAL_SHAPES.items())))
+        pts = list(map(_affine_map(draw, 2), pts))
+    return _theory(name, draw(st.permutations(pts)))
+
+
+class TestInt64Search:
+    @settings(max_examples=25, deadline=None)
+    @given(int64_search_inputs())
+    def test_int64_and_python_ints_match_reference(self, t):
+        got, dtypes = search_with_narrowing(t)
+        assert dtypes == {np.dtype(np.int64)}
+        forced, dtypes = search_with_narrowing(t, force_object=True)
+        assert dtypes == {np.dtype(object)}
+        want = search_group_reference(t)
+        for g in (got, forced):
+            assert repr((g.elements, g.perms, g.den)) == repr((want.elements, want.perms, want.den))
+            assert {type(x) for x in g.nums.ravel().tolist()} == {int}
+
+    def test_large_coordinates_fall_back_to_python_ints(self):
+        # the rational hexagon scaled by 2^40 + 1: vertex numerators near 2^40 and
+        # spanning-basis inverse numerators as large, so no product fits int64
+        scale = 2**40 + 1
+        t = _theory("big-hexagon", [(scale * x, scale * y) for x, y in RATIONAL_SHAPES["hexagon"]])
+        g, dtypes = search_with_narrowing(t)
+        assert dtypes == {np.dtype(object)}
+        want = search_group_reference(t)
+        assert repr((g.elements, g.perms)) == repr((want.elements, want.perms))
+        assert g.order == 12
+
+    def test_exact_search_does_no_fraction_arithmetic(self, monkeypatch, tmp_path):
+        # the search runs on int numerators from the vertices' Fractions on: no
+        # Fraction is built, added, multiplied or compared
+        tesseract = load_theory(structure_theory_files(tmp_path, seed=5)["tesseract"])
+        theories = (tesseract, make_classical(5))
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__lt__",
+                     "__le__", "__gt__", "__ge__", "__eq__"):
+            op = getattr(Fr, name)
+            monkeypatch.setattr(Fr, name, lambda a, b, op=op, name=name:
+                                calls.append(name) or op(a, b))
+        new = Fr.__new__
+        monkeypatch.setattr(Fr, "__new__", lambda cls, *args, **kwargs:
+                            calls.append("__new__") or new(cls, *args, **kwargs))
+        groups = [automorphism_group(t) for t in theories]
+        monkeypatch.undo()
+        assert calls == []
+        for t, g in zip(theories, groups):
+            want = search_group_reference(t)
+            assert repr((g.elements, g.perms)) == repr((want.elements, want.perms))
+
+    def test_float_codes_keep_pairs_within_tol(self):
+        # a hexagon with the mirror group of order 4, tuned so that four pruning
+        # entries the mirrors exchange lie within 1e-12 of the 9-digit rounding
+        # boundary 0.2937853105, on both sides of it: a code rounded to the digits
+        # of tol would split them and lose group elements
+        a = 0.29999999920374
+        vs = ((1.0, 0.0), (a + 1e-12, 1.0), (-a, 1.0), (-1.0, 0.0), (-a, -1.0), (a, -1.0))
+        t = Theory("nudged-hexagon", tuple(v + (1.0,) for v in vs), (0.0, 0.0, 1.0), FLOAT)
+        w = np.array(t.vertices)
+        m = ordered_matmul(w, ordered_matmul(np.array(inverse((w.T @ w).tolist(), FLOAT)), w.T))
+        mirrored = m[[0, 0, 3, 3], [1, 5, 2, 4]]
+        assert np.ptp(mirrored) <= FLOAT.tol
+        assert len(set(np.round(mirrored, 9).tolist())) == 2
+        assert assert_same_as_reference(t).order == 4
 
 
 def test_theory_layer_solves_no_lp(monkeypatch, tmp_path, capsys):
