@@ -69,8 +69,7 @@ print("=== re-expressing a distorted self-dual theory ===")
 p5 = make_polygon(5)
 stretch = ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0))
 stretched = replace(p5, name="pentagon-stretched", kind="custom",
-                    vertices=tuple(mat_vec(stretch, v) for v in p5.vertices),
-                    group_cache=None)
+                    vertices=tuple(mat_vec(stretch, v) for v in p5.vertices))
 print("stretched pentagon self-dual w.r.t. its invariant product: "
       f"{is_self_dual(stretched)}")
 j = ((0.25, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 1.0))

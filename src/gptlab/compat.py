@@ -9,6 +9,17 @@ facet normals generate; so each joint cell is written as a nonnegative
 combination of those normals.  Marginal matching is then coordinatewise
 equality, and the LP has the same number of rows whatever the number of
 vertices.
+
+The optimisation LPs (``min_mur_linf``, ``max_fuzz_lambda``) are mapped
+onto themselves by every automorphism that relabels the pair's outcomes
+or exchanges the two measurements with the grid transposed, so averaging
+an optimal joint over that stabiliser gives an optimal joint that it
+fixes.  They run over fixed joints only: one variable per orbit of (cell,
+ray) pairs (Boedi, Herr & Joswig, Math. Program. 137, 2013), over facet
+normals scaled so that the group permutes them exactly
+(``Theory.effect_action``).  The optimum is the full LP's, float bits
+within the tolerance, and the joint returned is an optimal one that the
+stabiliser fixes.  ``is_jointly_measurable`` solves the full LP.
 """
 
 from __future__ import annotations
@@ -18,10 +29,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .cones import cone_lp
 from .linprog import lp_feasible, lp_solve
 from .model import FiniteMetricSpace, Measurement, Theory, outcome_metric, prob_table
-from .scalars import vadd, vscale, vsub
+from .scalars import narrowed, ordered_matmul, stacked, vadd, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -139,6 +152,69 @@ class MurResult:
     joint: JointMeasurement
 
 
+def _check_dims(t: Theory, effects) -> None:
+    """``cones.cone_lp``'s error for an effect of another length, raised before the
+    effects are stacked into one array."""
+    for e in effects:
+        if len(e) != t.dim:
+            raise ValueError(f"dimension mismatch: cone in R^{t.dim}, vector in R^{len(e)}")
+
+
+def _stabiliser(t: Theory, f: Measurement, g: Measurement) -> tuple:
+    """``(elements, swap, pf, pg)``: the automorphisms that map the pair onto itself.
+
+    Element ``k`` fixes the pair when it relabels the outcomes of both
+    (``swap`` False: ``f_a -> f_pf[a]`` and ``g_b -> g_pg[b]``) or exchanges
+    them (``swap`` True: ``f_a -> g_pf[a]`` and ``g_b -> f_pg[b]``), its images
+    of the effects (``Theory.effect_action``) equal to the context's tolerance.
+    Only the elements that send the first effect to one of the pair's are
+    checked on the others.
+    """
+    ctx = t.ctx
+    _rays, _, maps, den = t.effect_action
+    na, m = f.n_outcomes, f.n_outcomes + g.n_outcomes
+    e, _ = stacked(f.effects + g.effects, ctx)
+    e, maps, target = narrowed(e, maps, t.dim, den * e)
+    first = ctx.eq(ordered_matmul(e[:1], maps), target).all(axis=-1)
+    elements = np.flatnonzero(first.any(axis=-1))
+    # hit[k, a, b]: element elements[k] sends effect a to effect b
+    hit = ctx.eq(ordered_matmul(e, maps[elements])[:, :, None], target).all(axis=-1)
+    side = np.arange(m) >= na
+    same = side[:, None] == side
+    # per swap (a relabelling, an exchange) an allowed image of every effect, itself
+    # if allowed (so equal effects keep the identity) or else the first, kept where
+    # the images form a bijection
+    allowed = hit & np.stack([same, ~same])[:, None]
+    image = (allowed + 2 * (allowed & np.identity(m, dtype=bool))).argmax(axis=-1)
+    ok = allowed.any(axis=-1).all(axis=-1) & (np.sort(image, axis=-1) == np.arange(m)).all(axis=-1)
+    swap, keep = np.nonzero(ok)
+    image = image[swap, keep] - np.where(side == swap[:, None], 0, na)
+    return elements[keep], swap.astype(bool), image[:, :na], image[:, na:]
+
+
+def _cell_images(swap, pf, pg, na: int, nb: int):
+    """``(len(swap), na * nb)``: where each element sends joint cell ``(a, b) = a * nb + b``;
+    an exchange transposes the grid."""
+    a, b = np.divmod(np.arange(na * nb), nb)
+    return np.where(swap[:, None], pg[:, b] * nb + pf[:, a], pf[:, a] * nb + pg[:, b])
+
+
+def _orbits(t: Theory, elements, block_images, scalar_images):
+    """Per variable of ``cones.cone_lp`` (block-major ``(block, ray)`` pairs, then
+    the scalars), its orbit under the stabiliser: the least index that an element
+    sends it to, numbered from 0.  Element ``elements[n]`` sends block ``i`` to
+    ``block_images[n, i]``, ray ``j`` to its facet permutation's ``j``-th entry
+    and scalar ``j`` to ``scalar_images[n, j]``."""
+    _rays, facet_perms, _, _ = t.effect_action
+    nf = facet_perms.shape[1]
+    mu = (block_images[:, :, None] * nf + facet_perms[elements][:, None, :]).reshape(
+        len(elements), -1)
+    least = np.hstack([mu, block_images.shape[1] * nf + scalar_images]).min(axis=0)
+    used = np.zeros(len(least), dtype=bool)
+    used[least] = True
+    return (np.cumsum(used) - 1)[least]
+
+
 def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
     """Minimise D_inf(row marginal, F) + D_inf(col marginal, G) in one LP.
 
@@ -149,8 +225,14 @@ def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
     binary marginal are opposite, so its first outcome's bound covers both.
     Bounding the second as well would put the same effects in two more
     blocks, and on that degenerate LP the float simplex cycles.
+
+    The LP runs over the joints that the pair's stabiliser fixes (module
+    docstring); the joint returned is an optimal one that it fixes.  An
+    element that swaps the outcomes of a binary marginal exchanges its two
+    sup-gap blocks; one that exchanges f and g, their blocks and sup-gaps.
     """
     ctx = t.ctx
+    _check_dims(t, f.effects + g.effects)
     u = t.unit_effect
     minus_u = vscale(-ctx.one(), u)
     na, nb = f.n_outcomes, g.n_outcomes
@@ -158,13 +240,29 @@ def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
     cells = _marginal_cells(na, nb)
     eqs = [({i: 1 for i in range(ncells)}, {}, u)]
     n_blocks = ncells
+    bounded = [1 if m.n_outcomes == 2 else m.n_outcomes for m in (f, g)]
     for s, (marginal_cells, m) in enumerate(((cells[:na], f), (cells[na:], g))):
-        bounded = 1 if m.n_outcomes == 2 else m.n_outcomes
-        for sums, e in zip(marginal_cells[:bounded], m.effects):
+        for sums, e in zip(marginal_cells[:bounded[s]], m.effects):
             eqs.append(({**sums, n_blocks: 1}, {s: minus_u}, e))
             eqs.append(({**sums, n_blocks + 1: -1}, {s: u}, e))
             n_blocks += 2
-    p, effects = cone_lp(t.facet_normals, ctx, n_blocks, eqs, objective=[ctx.one()] * 2)
+    elements, swap, pf, pg = _stabiliser(t, f, g)
+    # outcome a's bounds on side s are blocks start[s] + 2a and the next; an exchange
+    # (only between sides with as many outcomes) sends side s to the other
+    start = np.array([ncells, ncells + 2 * bounded[0]])
+    images = [_cell_images(swap, pf, pg, na, nb)]
+    for s, outcomes in enumerate((pf, pg)):
+        to = start[s ^ swap]
+        for a in range(bounded[s]):
+            out = outcomes[:, a]
+            if bounded[s] == 1:  # binary: outcome 1's deviation is minus outcome 0's
+                images += [to + (out == 1), to + (out != 1)]
+            else:
+                images += [to + 2 * out, to + 2 * out + 1]
+    orbits = _orbits(t, elements, np.column_stack(images),
+                     np.column_stack([swap, ~swap]).astype(np.intp))  # s_f, s_g
+    rays = t.effect_action[0]
+    p, effects = cone_lp(rays, ctx, n_blocks, eqs, objective=[ctx.one()] * 2, orbits=orbits)
     res = lp_solve(p, ctx)
     if res.status != "optimal":
         raise RuntimeError(f"measurement-error LP ended {res.status}")
@@ -177,19 +275,24 @@ def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool 
     One LP in the joint effects and the weight; the marginal constraints
     are affine in both.  Defined for binary measurements.  With
     ``with_joint=True`` also returns the optimal joint measurement.
+
+    The LP runs over the joints that the pair's stabiliser fixes (module
+    docstring); the joint returned is an optimal one that it fixes.
     """
     ctx = t.ctx
     if f.n_outcomes != 2 or g.n_outcomes != 2:
         raise ValueError("the fuzzing family is defined for binary measurements")
+    _check_dims(t, f.effects + g.effects)
     half_u = vscale(1 / ctx.convert(2), t.unit_effect)
-    for e in f.effects + g.effects:
-        if len(e) != len(half_u):  # vsub would cut the longer one short
-            raise ValueError(f"dimension mismatch: cone in R^{len(half_u)}, vector in R^{len(e)}")
     # marginal = lambda e + (1 - lambda) u/2, i.e. marginal + lambda (u/2 - e) = u/2
     eqs = [(cells, {0: vsub(half_u, e)}, half_u)
            for cells, e in zip(_marginal_cells(2, 2), f.effects + g.effects)]
-    p, effects = cone_lp(t.facet_normals, ctx, 4, eqs, objective=[ctx.one()], sense="max",
-                         upper=[ctx.one()])
+    elements, swap, pf, pg = _stabiliser(t, f, g)
+    orbits = _orbits(t, elements, _cell_images(swap, pf, pg, 2, 2),
+                     np.zeros((len(elements), 1), dtype=np.intp))
+    rays = t.effect_action[0]
+    p, effects = cone_lp(rays, ctx, 4, eqs, objective=[ctx.one()], sense="max",
+                         upper=[ctx.one()], orbits=orbits)
     res = lp_solve(p, ctx)
     if res.status != "optimal":
         raise RuntimeError(f"fuzzing LP ended {res.status}")

@@ -4,9 +4,10 @@ The dual cone is computed with the double description method: the
 generators of the primal cone give the facet normals ``G v`` of the dual
 (one ``scalars.ordered_matmul`` product), and the normals are inserted one
 by one into a simplicial starting cone, in the given generator order (no
-preordering) so results are reproducible.  Exact mode runs on int rows and
-keeps each ray a primitive integer vector, with Fractions only in the basis
-inverse and the output; float rays have largest |coordinate| 1.
+preordering) so results are reproducible.  Exact mode runs on int rows,
+the basis inverse included (``scalars.stacked_inverse``), and keeps each ray
+a primitive integer vector, with Fractions only in the output; float rays
+have largest |coordinate| 1.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .linprog import EQ, LinearProgram, lp_feasible
-from .scalars import (Context, FLOAT, InnerProduct, dot, inverse, numerators, ordered_matmul,
-                      spanning_rows, stacked, transpose, unstacked, vscale, vsub)
+from .scalars import (Context, FLOAT, InnerProduct, dot, numerators, ordered_matmul,
+                      spanning_rows, stacked, stacked_inverse, unstacked, vscale, vsub)
 
 
 class LinealityError(ValueError):
@@ -56,7 +57,8 @@ def normalize_ray(v, ctx: Context):
     return tuple(a / m for a in v)
 
 
-def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", upper=None):
+def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", upper=None,
+            orbits=None):
     """One LP over `n_blocks` vectors ``E_i = sum_k mu_ik r_k``, ``mu >= 0``,
     in the cone generated by `rays`, then nonnegative scalars ``s_j``, one per
     `objective` entry, below `upper` if given.
@@ -67,6 +69,13 @@ def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", u
     (C the ``c_i`` of every group, R the rays as rows), the ``w_j`` and the
     right-hand sides.  Returns the LP and a map from a point to its first
     ``count`` vectors, each ``R^T mu_i``.
+
+    `orbits`, if given, is an int array that names the orbit of every
+    variable, the ``mu_ik`` at ``i * len(rays) + k`` and then the ``s_j``.  The
+    LP then has one variable per orbit, the weight that each member takes:
+    its column and cost are the sums of the members' (in variable order, from
+    zero), its upper bound any member's.  The point map gives each member its
+    orbit's weight.
     """
     k, d, zero, nmu = len(rays), len(rays[0]), ctx.zero(), n_blocks * len(rays)
     for w in (w for _, scalars, rhs in eqs for w in (rhs, *scalars.values()) if len(w) != d):
@@ -78,12 +87,25 @@ def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", u
     den = lcm(cden * rden, tden)
     kron = (coef[:, None, :, None] * r.T[None, :, None, :]).reshape(len(tail), nmu)  # C kron R^T
     block = np.hstack([kron * (den // (cden * rden)), tail * (den // tden)])
-    p = LinearProgram(nmu + len(objective), [zero] * nmu + list(objective), sense, lower=zero,
-                      upper=None if upper is None else [None] * nmu + list(upper))
+    if orbits is None:
+        cost = [zero] * nmu + list(objective)
+        bounds = None if upper is None else [None] * nmu + list(upper)
+    else:  # in variable order, each column and cost summed from zero
+        columns = np.zeros((orbits.max() + 1, len(block)), dtype=block.dtype)
+        np.add.at(columns, orbits, block[:, :-1].T)
+        block = np.hstack([columns.T, block[:, -1:]])
+        cost, bounds = [zero] * len(columns), None if upper is None else [None] * len(columns)
+        for j, o in enumerate(orbits[nmu:].tolist()):  # a mu_ik costs nothing, has no bound
+            cost[o] += objective[j]
+            if upper is not None:
+                bounds[o] = upper[j]
+    p = LinearProgram(len(cost), cost, sense, lower=zero, upper=bounds)
     p.add_block(block, [EQ] * len(block), den)
 
     def vectors(point, count: int) -> list:
-        mu, mden = numerators(point[:count * k]) if ctx.exact else (point[:count * k], 1)
+        mu = point[:count * k] if orbits is None else [point[o] for o in
+                                                       orbits[:count * k].tolist()]
+        mu, mden = numerators(mu) if ctx.exact else (mu, 1)
         e = ordered_matmul(np.array(mu, dtype=r.dtype).reshape(count, k), r)
         return list(map(tuple, unstacked(e, mden * rden, ctx).tolist()))
 
@@ -131,8 +153,9 @@ def dual_cone(c: Cone, g: InnerProduct, ctx: Context = FLOAT) -> Cone:
             f"the dual cone contains a lineality space of dimension {d - len(basis_idx)}"
         )
 
-    binv = inverse([normals[i] for i in basis_idx], ctx)
-    rays = [normalize_ray(col, ctx) for col in transpose(binv)]
+    # the columns of the basis inverse, ints over one denominator in exact mode
+    binv, _ = stacked_inverse([normals[i] for i in basis_idx], ctx)
+    rays = [normalize_ray(col, ctx) for col in binv.T.tolist()]
     # zero sets over processed normal indices; initial ray j is tight on all
     # basis normals except its own
     zsets = [frozenset(basis_idx) - {basis_idx[j]} for j in range(d)]

@@ -144,8 +144,7 @@ def psi_transform(t: Theory, inverse: bool = False) -> Theory:
         unit_effect=t.unit_effect,  # (0,0,1) is fixed by the stretch
         kind=new_kind,
         canonicalized=False,
-        group_cache=t.group_cache,
-    )
+    ).with_group(t.group_cache)
 
 
 def psi_map_effect(e, n: int, inverse: bool = False):

@@ -223,10 +223,11 @@ class _Tableau:
             self.basis[i] = base + k
         return list(range(base, base + len(need)))
 
-    def first_nonzero(self, i, ncols):
-        """Lowest of the first `ncols` columns where row i is not zero, or -1."""
-        js = np.flatnonzero(~(np.abs(self.t[i, :ncols]) <= self.ctx.tol))
-        return int(js[0]) if js.size else -1
+    def first_nonzero(self, rows, ncols):
+        """Per row of `rows`, the lowest of the first `ncols` columns where it is
+        not zero, or -1."""
+        nonzero = ~(np.abs(self.t[rows, :ncols]) <= self.ctx.tol)
+        return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1).tolist()
 
     def drop(self, drop_rows, ncols):
         """Delete the given rows and every column from `ncols` on."""
@@ -334,15 +335,18 @@ def _phase1(tab, nstruct: int, ctx: Context) -> str:
         raise RuntimeError("phase 1 cannot be unbounded")
     if ctx.gt(-zval, 0):  # min sum of artificials > 0
         return "infeasible"
-    # drive leftover artificials out of the basis; a row with nothing to pivot on is redundant
+    # drive leftover artificials out of the basis, in row order; a row with nothing to
+    # pivot on is redundant.  Only a pivot changes the rows, so the rows are searched
+    # once, and again after each pivot
     art_set, drop_rows = set(art_cols), []
-    for i in range(len(tab.basis)):
-        if tab.basis[i] in art_set:
-            piv = tab.first_nonzero(i, nstruct)
-            if piv >= 0:
-                tab.pivot(i, piv)
-            else:
-                drop_rows.append(i)
+    rows = [i for i, bj in enumerate(tab.basis) if bj in art_set]
+    while rows:
+        pivots = tab.first_nonzero(rows, nstruct)
+        k = next((k for k, piv in enumerate(pivots) if piv >= 0), len(rows))
+        drop_rows += rows[:k]
+        if k < len(rows):
+            tab.pivot(rows[k], pivots[k])
+        rows = rows[k + 1:]
     tab.drop(drop_rows, nstruct)
     return "optimal"
 

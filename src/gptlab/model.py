@@ -31,6 +31,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from .cones import Cone, LinealityError, affine_hull_check, dual_cone
 from .scalars import (
     Context,
@@ -60,7 +62,10 @@ class Theory:
     kind: str = "custom"  # "classical" | "polygon" | "polygon-psi" | "custom"
     n: Optional[int] = None  # polygon side count / classical N
     canonicalized: bool = False
-    group_cache: Optional["SymmetryGroup"] = field(default=None, repr=False, compare=False)
+    # the automorphism group, kept by ``with_group`` or by the first
+    # ``symmetry.automorphism_group`` call; ``replace`` never copies it
+    group_cache: Optional["SymmetryGroup"] = field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     @property
     def dim(self) -> int:
@@ -98,8 +103,54 @@ class Theory:
             ) from exc
         return dual.generators
 
+    @cached_property
+    def effect_action(self) -> tuple:
+        """``(rays, facet_perms, maps, den)``: how the automorphism group acts on
+        effects, as arrays.  Found on first use and kept on this instance.
+
+        An element ``T`` (a state map) sends the effect ``e`` to ``T^-T e``, the
+        row ``e`` to ``e T^-1``; ``maps / den`` stacks those ``T^-1``, in element
+        order, read from the group by the inverse vertex permutation.  ``rays``
+        are the facet normals scaled so that ``r . omega_M = 1``, with
+        ``omega_M`` the vertex average, which every element fixes; ``T^-T``
+        keeps ``r . omega_M``, so it sends each ray exactly onto another: the one
+        whose facet holds the images of the vertices of the facet of ``r``.
+        ``facet_perms[k, j]`` is that ray for element ``k`` and ray ``j``, read
+        from the facet-vertex incidence.
+        """
+        from .symmetry import automorphism_group
+
+        ctx, g = self.ctx, automorphism_group(self)
+        rays = np.array(self.facet_normals)  # float64, or Fractions as objects
+        total = np.array(functools.reduce(vadd, self.vertices))[:, None]  # n_vertices omega_M
+        rays = rays * (ctx.convert(self.n_vertices) / ordered_matmul(rays, total))
+        normals, verts = stacked(self.facet_normals, ctx)[0], stacked(self.vertices, ctx)[0]
+        tight = ctx.is_zero(ordered_matmul(normals, verts.T))  # tight[j, i]: facet j holds v_i
+        back = np.argsort(np.array(g.perms), axis=1)  # the inverse vertex permutations
+        index = {p: k for k, p in enumerate(g.perms)}
+        maps, den = g.stack(ctx)
+        maps = maps[[index[tuple(p)] for p in back.tolist()]]
+        # per facet j, its vertex set and then, per element, that of its image, which
+        # holds the images of the vertices of facet j; as rows of bits
+        nf = len(tight)
+        bits = np.packbits(tight[:, np.vstack([np.arange(self.n_vertices), back])], axis=-1)
+        rows = bits.reshape(nf * (g.order + 1), -1)
+        order = np.lexsort(rows.T)  # equal rows next to each other
+        ids = np.empty(len(rows), dtype=np.intp)  # the same id for equal rows
+        ids[order] = np.cumsum(np.r_[True, (rows[order[1:]] != rows[order[:-1]]).any(axis=1)])
+        ids = ids.reshape(nf, g.order + 1)
+        facet = np.full(len(rows) + 1, -1, dtype=np.int32)
+        facet[ids[:, 0]] = np.arange(nf)
+        facet_perms = facet[ids[:, 1:].T]
+        if (facet_perms < 0).any():
+            raise RuntimeError(f"the group of theory {self.name!r} does not permute its facets")
+        return rays, facet_perms, maps, den
+
     def with_group(self, group) -> "Theory":
-        return replace(self, group_cache=group)
+        """A copy of this theory that keeps ``group`` as its automorphism group."""
+        t = replace(self)
+        object.__setattr__(t, "group_cache", group)
+        return t
 
 
 @dataclass(frozen=True)
@@ -376,7 +427,6 @@ def theory_to_float(t: Theory) -> Theory:
         vertices=tuple(float_vec(v) for v in t.vertices),
         unit_effect=float_vec(t.unit_effect),
         ctx=FLOAT,
-        group_cache=None,
     )
 
 

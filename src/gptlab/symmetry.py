@@ -15,10 +15,11 @@ dual cone's rays ``G^-1 n_k``, all through one batched sign check
 (``_pairs_nonnegative``) on stacked numerators.
 
 Every group not already kept on the theory, built-in or custom, comes
-from one breadth-first search over the images of a spanning subset of the
-vertices only, one array step per spanning vertex, pruned by the coded
-congruence-invariant form V Q^-1 V^T with Q = sum_i v_i v_i^T and stopped
-with a ValueError once it would pass a fixed number of search nodes.
+from one breadth-first search, which the theory instance then keeps, over
+the images of a spanning subset of the vertices only, one array step per
+spanning vertex, pruned by the coded congruence-invariant form V Q^-1 V^T
+with Q = sum_i v_i v_i^T and stopped with a ValueError once it would pass
+a fixed number of search nodes.
 Those images fix a linear map; the maps of all leaves are built in one
 batch and checked on every vertex, so only maps that permute the
 vertices, and so carry the polytope onto itself, are kept, in
@@ -123,11 +124,12 @@ def automorphism_group(t: Theory) -> SymmetryGroup:
     """All linear bijections mapping the state space onto itself.
 
     The group kept on the theory if it has one, else the result of the
-    spanning-basis search, built-in or not.
+    spanning-basis search, built-in or not, which is then kept on the
+    theory instance, as ``Theory.facet_normals`` is.
     """
-    if t.group_cache is not None:
-        return t.group_cache
-    return _search_group(t)
+    if t.group_cache is None:
+        object.__setattr__(t, "group_cache", _search_group(t))
+    return t.group_cache
 
 
 # partial maps, over all levels and the root included, before the search gives up;
@@ -138,8 +140,10 @@ _MAX_SEARCH_NODES = 1_000_000
 
 # vertex-image comparisons per batch of candidate maps, and candidate images per
 # batch of partial maps: bounds the memory of the check and of each search level
-# on polytopes with many vertices or many search nodes
-_BATCH_CELLS = 1 << 20
+# on polytopes with many vertices or many search nodes.  1 << 16 keeps the
+# searches of the psi-polygons 4..48 within about 1 MB of resident memory (1 << 20
+# took 3.7 MB, and 7 MB when the check compared whole rows) and runs no slower
+_BATCH_CELLS = 1 << 16
 
 
 def _vertex_perms(maps, w, target, ctx):
@@ -155,7 +159,10 @@ def _vertex_perms(maps, w, target, ctx):
     found = []
     for start in range(0, len(maps), step):
         images = np.swapaxes(ordered_matmul(maps[start:start + step], w.T), 1, 2)  # t_k w_j
-        hit = ctx.eq(images[:, :, None, :], target).all(axis=-1)  # hit[k, j, c]
+        # hit[k, j, c], one coordinate at a time: temporaries of a d-th of the batch
+        hit = ctx.eq(images[:, :, None, 0], target[:, 0])
+        for a in range(1, w.shape[1]):
+            hit &= ctx.eq(images[:, :, None, a], target[:, a])
         perms = hit.argmax(axis=-1)
         ok = hit.any(axis=-1).all(axis=-1)  # every image is a target row
         ok &= (np.sort(perms, axis=-1) == np.arange(len(w))).all(axis=-1)  # and a bijection
@@ -304,8 +311,7 @@ def rescale_unit_norm(t: Theory, g: Optional[SymmetryGroup] = None) -> Theory:
         vertices=tuple(vscale(scale, v) for v in t.vertices),
         unit_effect=vscale(1 / scale, t.unit_effect),
         canonicalized=False,
-        group_cache=g,
-    )
+    ).with_group(g)
 
 
 def averaged_inner_product(g: SymmetryGroup, ctx: Context = FLOAT) -> InnerProduct:
@@ -386,8 +392,7 @@ def canonicalize(t: Theory) -> CanonicalForm:
         vertices=new_vertices,
         unit_effect=tuple(new_u),
         canonicalized=True,
-        group_cache=new_group,
-    )
+    ).with_group(new_group)
     return CanonicalForm(basis=tuple(basis), transform=transform, theory=theory_c, group=new_group)
 
 
@@ -515,5 +520,4 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
         vertices=tuple(mat_vec(xi_mat, v) for v in tt.vertices),
         unit_effect=tuple(new_u),
         canonicalized=False,
-        group_cache=g if ctx is t.ctx else None,
-    )
+    ).with_group(g if ctx is t.ctx else None)

@@ -10,7 +10,10 @@ implementations have something honest to be compared against.  The theory layer'
 routes over `dual_cone` and `cone_member`.  LPs go to the simplex on
 Python lists that the numpy tableau replaced and to scipy's HiGHS, their
 standard form to the per-kind substitution that the single one replaced,
-and the compatibility LPs also come in their older vertex-by-vertex form.
+and the compatibility LPs also come in their older vertex-by-vertex form;
+the optimisation LPs also come in full, one variable per (cell, facet
+normal) pair, as they were before they ran over orbits of the pair's
+stabiliser.
 The integer-numerator layers of exact mode (rank, the double description,
 the ideal-measurement search, the incidence check of ``validate_theory``)
 meet their earlier forms, which work on the theory's own scalars one
@@ -27,7 +30,7 @@ from itertools import chain, combinations, permutations
 import numpy as np
 import pytest
 
-from gptlab.cones import Cone, LinealityError, cone_member, cones_equal, dual_cone
+from gptlab.cones import Cone, LinealityError, cone_lp, cone_member, cones_equal, dual_cone
 from gptlab.ideal import IdealMeasurement, _veckey, indecomposable_pure_effects
 from gptlab.linprog import _DEGENERATE_RUN, _MAX_PIVOTS, EQ, GE, LE, LinearProgram
 from gptlab.model import is_zero_effect, prob_table, validate_theory
@@ -442,12 +445,11 @@ class ListTableau:
             self.basis[i] = base + k
         return list(range(base, base + len(need)))
 
-    def first_nonzero(self, i, ncols):
-        """Lowest of the first `ncols` columns where row i is not zero, or -1."""
-        for j in range(ncols):
-            if not self.ctx.is_zero(self.rows[i][j]):
-                return j
-        return -1
+    def first_nonzero(self, rows, ncols):
+        """Per row of `rows`, the lowest of the first `ncols` columns where it is
+        not zero, or -1."""
+        return [next((j for j in range(ncols) if not self.ctx.is_zero(self.rows[i][j])), -1)
+                for i in rows]
 
     def drop(self, drop_rows, ncols):
         """Delete the given rows and every column from `ncols` on."""
@@ -600,15 +602,20 @@ def highs(p: LinearProgram, feasibility: bool = False):
 
 
 def cone_lp_reference(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min",
-                      upper=None):
+                      upper=None, orbits=None):
     """The oracle for `cones.cone_lp`: the same LP with every row built as a list,
     one ``coef * r[c]`` per ray and coordinate, and its point map summing each
-    coordinate over the rays in order, from zero, skipping zero weights."""
+    coordinate over the rays in order, from zero, skipping zero weights.  With
+    `orbits`, each row and the cost sum their entries into one per orbit, from
+    zero in variable order, an orbit takes its first member's bound, and the
+    point map gives each member its orbit's weight."""
+    rays = np.asarray(rays).tolist()  # Python floats or Fractions
     k, d, zero = len(rays), len(rays[0]), ctx.zero()
     nmu = n_blocks * k
     nvars = nmu + len(objective)
-    p = LinearProgram(n_vars=nvars, objective=[zero] * nmu + list(objective), sense=sense,
-                      lower=zero, upper=None if upper is None else [None] * nmu + list(upper))
+    cost = [zero] * nmu + list(objective)
+    bounds = None if upper is None else [None] * nmu + list(upper)
+    rows = []
     for blocks, scalars, rhs in eqs:
         for c in range(d):
             row = [zero] * nvars
@@ -616,9 +623,29 @@ def cone_lp_reference(rays, ctx: Context, n_blocks: int, eqs, objective=(), sens
                 row[i * k:(i + 1) * k] = [coef * r[c] for r in rays]
             for j, w in scalars.items():
                 row[nmu + j] = w[c]
-            p.add(row, EQ, rhs[c])
+            rows.append((row, rhs[c]))
+    if orbits is not None:
+        orbits = [int(o) for o in orbits]
+
+        def summed(entries):
+            out = [zero] * (max(orbits) + 1)
+            for x, o in enumerate(orbits):
+                out[o] += entries[x]
+            return out
+
+        rows = [(summed(row), rhs) for row, rhs in rows]
+        first = {}
+        for x, o in enumerate(orbits):
+            first.setdefault(o, x)
+        cost = summed(cost)
+        bounds = None if bounds is None else [bounds[first[o]] for o in range(len(cost))]
+    p = LinearProgram(n_vars=len(cost), objective=cost, sense=sense, lower=zero, upper=bounds)
+    for row, rhs in rows:
+        p.add(row, EQ, rhs)
 
     def vectors(point, count: int) -> list:
+        if orbits is not None:
+            point = [point[o] for o in orbits]
         out = []
         for i in range(count):
             vec = []
@@ -632,6 +659,35 @@ def cone_lp_reference(rays, ctx: Context, n_blocks: int, eqs, objective=(), sens
         return out
 
     return p, vectors
+
+
+def full_compat_lp(family: str, t, f, g) -> LinearProgram:
+    """The LP of `family` ("max_fuzz_lambda" or "min_mur_linf") over every
+    (cell, facet normal) pair, one variable each, as ``compat`` wrote it before
+    it restricted the LP to the joints that the pair's stabiliser fixes.  It
+    has the same optimum."""
+    ctx, u = t.ctx, t.unit_effect
+    na, nb = f.n_outcomes, g.n_outcomes
+    ncells = na * nb
+    rows = [{a * nb + b: 1 for b in range(nb)} for a in range(na)]
+    cols = [{a * nb + b: 1 for a in range(na)} for b in range(nb)]
+    if family == "max_fuzz_lambda":
+        half_u = vscale(1 / ctx.convert(2), u)
+        eqs = [(cells, {0: vsub(half_u, e)}, half_u)
+               for cells, e in zip(rows + cols, f.effects + g.effects)]
+        return cone_lp(t.facet_normals, ctx, 4, eqs, objective=[ctx.one()], sense="max",
+                       upper=[ctx.one()])[0]
+    if family == "min_mur_linf":
+        minus_u = vscale(-ctx.one(), u)
+        eqs, n_blocks = [({i: 1 for i in range(ncells)}, {}, u)], ncells
+        for s, (marginal_cells, m) in enumerate(((rows, f), (cols, g))):
+            bounded = 1 if m.n_outcomes == 2 else m.n_outcomes
+            for sums, e in zip(marginal_cells[:bounded], m.effects):
+                eqs.append(({**sums, n_blocks: 1}, {s: minus_u}, e))
+                eqs.append(({**sums, n_blocks + 1: -1}, {s: u}, e))
+                n_blocks += 2
+        return cone_lp(t.facet_normals, ctx, n_blocks, eqs, objective=[ctx.one()] * 2)[0]
+    raise ValueError(f"unknown optimisation LP {family!r}")
 
 
 def _hrow_lp(t, n_cells: int, n_extra: int, **kw):

@@ -244,8 +244,7 @@ def test_criterion_10_xi_reexpression():
     t = make_polygon(5)
     stretch = ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0))
     stretched = replace(t, name="pentagon-stretched", kind="custom",
-                        vertices=tuple(mat_vec(stretch, v) for v in t.vertices),
-                        group_cache=None)
+                        vertices=tuple(mat_vec(stretch, v) for v in t.vertices))
     j = ((0.25, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 1.0))
     out = xi_canonicalize(stretched, j)
     ok_stretch = is_self_dual(out)

@@ -3,10 +3,12 @@
 import math
 import re
 import time
+from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
+from gptlab import compat
 from gptlab.compat import (
     JointMeasurement,
     degree_bound_closed_form,
@@ -29,8 +31,10 @@ from gptlab.ideal import (
 )
 from gptlab.linprog import lp_feasible, lp_solve
 from gptlab.measures import FiniteMetricSpace, linf_distance, min_le_sum
-from gptlab.model import Measurement, make_classical, make_polygon, validate_measurement
-from helpers import highs, hrow_compat_lp
+from gptlab.model import Measurement, Theory, make_classical, make_polygon, validate_measurement
+from gptlab.scalars import EXACT, inverse, mat_vec, transpose
+from gptlab.symmetry import automorphism_group
+from helpers import full_compat_lp, highs, hrow_compat_lp
 
 INV_SQ2 = 1 / math.sqrt(2)
 
@@ -317,9 +321,9 @@ class TestAgainstVertexForm:
         # three-outcome marginal gets its own sup-gap bound
         t = psi_transform(make_polygon(8))
         c = 1 / (3 * max(math.hypot(v[0], v[1]) for v in t.vertices))
-        trine = Measurement((0, 1, 2), tuple(
-            (c * math.cos(2 * math.pi * k / 3), c * math.sin(2 * math.pi * k / 3), 1 / 3)
-            for k in range(3)))
+        trine, turned = (Measurement((0, 1, 2), tuple(
+            (c * math.cos(2 * math.pi * k / 3 + a), c * math.sin(2 * math.pi * k / 3 + a), 1 / 3)
+            for k in range(3))) for a in (0, math.pi / 2))
         assert validate_measurement(t, trine)
         f = binary_ideal_measurement(t, 2)
         for pair in ((f, trine), (trine, f)):
@@ -407,3 +411,201 @@ def test_mur_fast_at_sixteen():
         min_mur_linf(t, f, g)
         times.append(time.perf_counter() - start)
     assert min(times) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# the optimisation LPs over orbits of the pair's stabiliser against the full LP,
+# one variable per (cell, facet normal) pair
+
+def full_optimum(family, t, f, g):
+    p = full_compat_lp(family, t, f, g)
+    res = lp_solve(p, t.ctx)
+    assert res.optimal, family
+    return res.value
+
+
+def assert_matches_full(t, f, g):
+    """Both optimisation LPs reach the full LP's optimum (exactly in exact mode,
+    within 1e-9 in float mode), with joints that are valid measurements and
+    have the marginals the optimum promises."""
+    ctx = t.ctx
+    close = (lambda a, b: a == b) if ctx.exact else (lambda a, b: abs(a - b) <= 1e-9)
+    if f.n_outcomes == g.n_outcomes == 2:
+        lam, joint = max_fuzz_lambda(t, f, g, with_joint=True)
+        assert close(lam, full_optimum("max_fuzz_lambda", t, f, g)), (lam, "max_fuzz_lambda")
+        assert not joint_violations(t, joint)
+        for got, want in zip(marginals(joint), (fuzzify(t, f, lam), fuzzify(t, g, lam))):
+            assert all(ctx.vec_eq(a, b) for a, b in zip(got.effects, want.effects))
+    res = min_mur_linf(t, f, g)
+    assert close(res.value, full_optimum("min_mur_linf", t, f, g)), (res.value, "min_mur_linf")
+    assert not joint_violations(t, res.joint)
+    mf, mg = marginals(res.joint)
+    assert close(linf_distance(t, mf, f) + linf_distance(t, mg, g), res.value)
+
+
+class TestOrbitReduction:
+    @pytest.mark.parametrize("n", range(4, 65, 4))
+    def test_psi_polygon_pairs(self, n):
+        # the perpendicular pair and three random pairs of binary ideal measurements
+        t = psi_transform(make_polygon(n))
+        rng = np.random.default_rng(n)
+        pairs = [perpendicular_ideal_pair(t)]
+        for _ in range(3):
+            i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+            pairs.append((binary_ideal_measurement(t, i), binary_ideal_measurement(t, j)))
+        for f, g in pairs:
+            assert_matches_full(t, f, g)
+
+    @pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5])
+    def test_exact_classical(self, n_levels):
+        t = make_classical(n_levels)
+        ms = enumerate_ideal_measurements(t, 3)
+        binary = [m for m in ms if m.n_outcomes == 2]
+        ternary = [m for m in ms if m.n_outcomes == 3]
+        pairs = [(binary[0], binary[-1]), (binary[-1], binary[0]), (binary[0], binary[0])]
+        pairs += [(binary[0], m) for m in ternary[:1]] + [(m, binary[-1]) for m in ternary[-1:]]
+        for f, g in pairs:
+            assert_matches_full(t, f, g)
+
+    def test_other_pairs(self):
+        # odd and raw polygons, a fuzzified pair, a pair with itself, trines, and a
+        # theory whose group is not transitive (the rhombus): the vertex average
+        # is still fixed by every element
+        trine_t = psi_transform(make_polygon(12))
+        c = 1 / (3 * max(math.hypot(v[0], v[1]) for v in trine_t.vertices))
+        trine, turned = (Measurement((0, 1, 2), tuple(
+            (c * math.cos(2 * math.pi * k / 3 + a), c * math.sin(2 * math.pi * k / 3 + a), 1 / 3)
+            for k in range(3))) for a in (0, math.pi / 2))
+        rhombus = Theory("rhombus", ((Fr(2), Fr(0), Fr(1)), (Fr(0), Fr(1), Fr(1)),
+                                     (Fr(-2), Fr(0), Fr(1)), (Fr(0), Fr(-1), Fr(1))),
+                         (Fr(0), Fr(0), Fr(1)), EXACT)
+        cases = [(make_polygon(5), 0, 2), (make_polygon(7), 1, 3), (make_polygon(8), 0, 2)]
+        for t, i, j in cases:
+            assert_matches_full(t, binary_ideal_measurement(t, i), binary_ideal_measurement(t, j))
+        t = psi_transform(make_polygon(16))
+        f, g = perpendicular_ideal_pair(t)
+        assert_matches_full(t, fuzzify(t, f, 0.8), fuzzify(t, g, 0.8))
+        assert_matches_full(t, f, f)
+        assert_matches_full(t, fuzzify(t, f, 0), g)  # two equal effects, u / 2
+        assert_matches_full(trine_t, binary_ideal_measurement(trine_t, 2), trine)
+        assert_matches_full(trine_t, trine, binary_ideal_measurement(trine_t, 2))
+        # a reflection exchanges the two trines, relabelling their outcomes
+        assert any(compat._stabiliser(trine_t, trine, turned)[1])
+        for pair in ((trine, turned), (trine, trine)):
+            assert_matches_full(trine_t, *pair)
+        u = rhombus.unit_effect
+        f, g = (Measurement((0, 1), (e, tuple(a - b for a, b in zip(u, e))))
+                for e in ((Fr(1, 4), Fr(0), Fr(1, 2)), (Fr(0), Fr(1, 2), Fr(1, 2))))
+        for pair in ((f, g), (g, f), (f, f)):
+            assert_matches_full(rhombus, *pair)
+
+    def test_fewer_variables(self):
+        # the perpendicular pair's stabiliser has eight elements: 4n + 1 variables
+        # become n / 2 + 2, and MUR's 8n + 2 become n + 3
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compat, "lp_solve", lambda p, ctx: seen.append(p) or lp_solve(p, ctx))
+            for n in (8, 48):
+                t = psi_transform(make_polygon(n))
+                f, g = perpendicular_ideal_pair(t)
+                max_fuzz_lambda(t, f, g)
+                min_mur_linf(t, f, g)
+                assert len(compat._stabiliser(t, f, g)[0]) == 8
+        assert [p.n_vars for p in seen] == [6, 11, 26, 51]
+
+
+def stabiliser_bruteforce(t, f, g) -> set:
+    """``(element, swap, pf, pg)`` for every group element that maps the pair onto
+    itself, from each element's inverse, transposed, applied effect by effect."""
+    ctx, found = t.ctx, set()
+    effects = f.effects + g.effects
+    na = f.n_outcomes
+    for k, element in enumerate(automorphism_group(t).elements):
+        act = transpose(inverse(element, ctx))
+        images = [mat_vec(act, e) for e in effects]
+        for swap in (False, True):
+            sides = (g.effects, f.effects) if swap else (f.effects, g.effects)
+            maps = []
+            for block, targets in zip((images[:na], images[na:]), sides):
+                maps.append(tuple(next((b for b, e in enumerate(targets) if ctx.vec_eq(img, e)),
+                                       -1) for img in block))
+            if all(sorted(m) == list(range(len(s))) for m, s in zip(maps, sides)):
+                found.add((k, swap, *maps))
+    return found
+
+
+def stabiliser_set(t, f, g) -> set:
+    return {(k, bool(s), tuple(a), tuple(b))
+            for k, s, a, b in zip(*(x.tolist() for x in compat._stabiliser(t, f, g)))}
+
+
+STABILISER_CASES = [
+    lambda: (lambda t: (t, *perpendicular_ideal_pair(t)))(psi_transform(make_polygon(8))),
+    lambda: (lambda t: (t, binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 3)))(
+        psi_transform(make_polygon(12))),
+    lambda: (lambda t: (t, binary_ideal_measurement(t, 1), binary_ideal_measurement(t, 1)))(
+        make_polygon(6)),
+    lambda: (lambda t: (t, binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 2)))(
+        make_polygon(5)),
+    lambda: (lambda t, ms: (t, ms[0], next(m for m in ms if m.n_outcomes == 3)))(
+        make_classical(3), enumerate_ideal_measurements(make_classical(3), 3)),
+    lambda: (lambda t, ms: (t, ms[0], ms[-1]))(
+        make_classical(3), enumerate_ideal_measurements(make_classical(3), 2)),
+]
+
+
+@pytest.mark.parametrize("case", STABILISER_CASES)
+def test_stabiliser_matches_bruteforce(case):
+    # every element that fixes the pair is found, and no other is accepted
+    t, f, g = case()
+    got = stabiliser_set(t, f, g)
+    assert got == stabiliser_bruteforce(t, f, g)
+    assert (0, False, tuple(range(f.n_outcomes)), tuple(range(g.n_outcomes))) in got
+
+
+class TestMutantsAreCaught:
+    # a reduction that admits an element outside the stabiliser, or merges two
+    # orbits, restricts the LP to joints that need not hold an optimum; the
+    # comparison with the full LP sees it
+    PAIRS = [(8, None), (12, (0, 3)), (16, None)]
+
+    def pairs(self):
+        for n, pair in self.PAIRS:
+            t = psi_transform(make_polygon(n))
+            f, g = perpendicular_ideal_pair(t) if pair is None else (
+                binary_ideal_measurement(t, pair[0]), binary_ideal_measurement(t, pair[1]))
+            yield t, f, g
+
+    def caught(self, t, f, g) -> bool:
+        try:
+            assert_matches_full(t, f, g)
+        except (AssertionError, RuntimeError):
+            return True
+        return False
+
+    def test_element_outside_the_stabiliser(self, monkeypatch):
+        real = compat._stabiliser
+
+        def admit_a_rotation(t, f, g):
+            elements, swap, pf, pg = real(t, f, g)
+            outside = next(k for k in range(automorphism_group(t).order) if k not in elements)
+            return (np.append(elements, outside), np.append(swap, False),
+                    np.vstack([pf, np.arange(f.n_outcomes)]),
+                    np.vstack([pg, np.arange(g.n_outcomes)]))
+
+        for t, f, g in self.pairs():
+            assert not self.caught(t, f, g)
+        monkeypatch.setattr(compat, "_stabiliser", admit_a_rotation)
+        assert all(self.caught(t, f, g) for t, f, g in self.pairs())
+
+    def test_merged_orbits(self, monkeypatch):
+        real = compat._orbits
+
+        def merge_two(t, elements, block_images, scalar_images):
+            orbits = real(t, elements, block_images, scalar_images)
+            # the last orbit of (block, ray) pairs joins the first
+            last = orbits[:block_images.shape[1] * t.effect_action[1].shape[1]].max()
+            return np.unique(np.where(orbits == last, 0, orbits), return_inverse=True)[1]
+
+        monkeypatch.setattr(compat, "_orbits", merge_two)
+        assert all(self.caught(t, f, g) for t, f, g in self.pairs())

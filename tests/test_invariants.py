@@ -257,8 +257,7 @@ class TestRelabelledVertices:
         for t, *rest in cases:
             perm = list(range(t.n_vertices))
             rnd.shuffle(perm)
-            t2 = dataclasses.replace(t, vertices=tuple(t.vertices[i] for i in perm),
-                                     group_cache=None)
+            t2 = dataclasses.replace(t, vertices=tuple(t.vertices[i] for i in perm))
             _assert_same_invariants((t, *rest), (t2, *rest))
 
 
@@ -281,7 +280,7 @@ class TestSignedAxisPermutation:
                 return dataclasses.replace(m, effects=tuple(move(e) for e in m.effects))
 
             t2 = dataclasses.replace(t, vertices=tuple(move(v) for v in t.vertices),
-                                     unit_effect=move(t.unit_effect), group_cache=None)
+                                     unit_effect=move(t.unit_effect))
             j2 = dataclasses.replace(j, effects=tuple(tuple(move(e) for e in row)
                                                       for row in j.effects))
             _assert_same_invariants(

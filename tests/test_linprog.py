@@ -767,7 +767,9 @@ def test_compat_lps_match_highs(n, skew):
 # psi-polygon pairs (n, i, j) of binary ideal measurements whose measurement-error
 # LP failed under lowest-index pricing: ended unbounded (48, 39, 40), unbounded in
 # phase 1 (56, 38, 44), out of pivots (48, 18, 42), and points that failed
-# certification
+# certification.  They stay pinned as the full LP, one variable per (cell, facet
+# normal) pair, which the library no longer solves: its LP over the orbits of the
+# pair's stabiliser must reach the same optimum
 PRICING_FAILURES = [(48, 39, 40), (56, 38, 44), (56, 6, 9), (64, 31, 12), (64, 24, 40),
                     (64, 50, 6), (64, 11, 44), (48, 18, 42), (56, 40, 3), (64, 2, 63)]
 
@@ -776,11 +778,11 @@ PRICING_FAILURES = [(48, 39, 40), (56, 38, 44), (56, 6, 9), (64, 31, 12), (64, 2
 def test_pricing_failures_solve(n, i, j):
     t = psi_transform(make_polygon(n))
     f, g = binary_ideal_measurement(t, i), binary_ideal_measurement(t, j)
-    ((_family, _solver, p),) = record_lps([("min_mur_linf", compat.min_mur_linf, (t, f, g))])
+    p = helpers.full_compat_lp("min_mur_linf", t, f, g)
     res = lp_solve(p, FLOAT)
     assert res.optimal
     mur = compat.min_mur_linf(t, f, g)
-    assert mur.value == res.value and not compat.joint_violations(t, mur.joint)
+    assert FLOAT.eq(mur.value, res.value) and not compat.joint_violations(t, mur.joint)
     status, value = highs(p)
     assert status == "optimal" and FLOAT.eq(res.value, value)
 

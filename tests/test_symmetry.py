@@ -25,7 +25,7 @@ from gptlab.ideal import indecomposable_pure_effects, psi_transform
 from gptlab.model import Theory, load_theory, make_classical, make_polygon, theory_to_float
 from gptlab.scalars import (
     EXACT, FLOAT, InnerProduct, identity, inverse, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
-    narrowed, ordered_matmul, stacked, transpose,
+    narrowed, ordered_matmul, stacked, stacked_inverse, transpose, unstacked,
 )
 from gptlab.symmetry import (
     SymmetryGroup,
@@ -66,7 +66,7 @@ def stretched_pentagon():
     t = make_polygon(5)
     stretch = ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0))
     return replace(t, name="pentagon-stretched", kind="custom",
-                   vertices=tuple(mat_vec(stretch, v) for v in t.vertices), group_cache=None)
+                   vertices=tuple(mat_vec(stretch, v) for v in t.vertices))
 
 
 def dihedral(n):
@@ -914,11 +914,11 @@ class TestDualConeOracle:
         calls, recording = [], []
 
         def inverse_then_record(a, ctx):
-            out = inverse(a, ctx)
+            out = stacked_inverse(a, ctx)
             recording.append(True)
             return out
 
-        monkeypatch.setattr(gptlab.cones, "inverse", inverse_then_record)
+        monkeypatch.setattr(gptlab.cones, "stacked_inverse", inverse_then_record)
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                      "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__lt__",
                      "__le__", "__gt__", "__ge__", "__eq__"):
@@ -954,7 +954,7 @@ def search_with_narrowing(t, force_object=False):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gptlab.symmetry, "narrowed", spy)
-        return automorphism_group(t), dtypes
+        return gptlab.symmetry._search_group(t), dtypes  # automorphism_group keeps the first
 
 
 @st.composite
@@ -1062,3 +1062,53 @@ def test_theory_layer_solves_no_lp(monkeypatch, tmp_path, capsys):
     for path in files.values():
         assert cli_main(["theory", "analyze", "--theory", path]) == 0
     capsys.readouterr()
+
+
+class TestEffectAction:
+    """``Theory.effect_action``: the group's action on effects, against each
+    element's own inverse, and the group kept on the theory instance."""
+
+    def assert_permutes_scaled_normals(self, t):
+        ctx = t.ctx
+        rays, facet_perms, maps, den = t.effect_action
+        g = automorphism_group(t)
+        rays = np.asarray(rays).tolist()
+        k = ctx.convert(t.n_vertices)
+        omega_m = tuple(sum(v[c] for v in t.vertices) / k for c in range(t.dim))
+        assert all(ctx.eq(sum(a * b for a, b in zip(r, omega_m)), 1) for r in rays)
+        assert facet_perms.shape == (g.order, len(t.facet_normals))
+        for element, perm, m in zip(g.elements, facet_perms.tolist(), maps):
+            inv = inverse(element, ctx)
+            assert ctx.mat_eq(inv, unstacked(m, den, ctx).tolist())
+            act = transpose(inv)  # effects move by the inverse transpose
+            assert sorted(perm) == list(range(len(rays)))
+            for r, image in zip(rays, perm):
+                assert ctx.vec_eq(mat_vec(act, r), rays[image])
+
+    @pytest.mark.parametrize("make", [
+        *[pytest.param(lambda n=n: make_polygon(n), id=f"polygon-{n}") for n in range(3, 13)],
+        *[pytest.param(lambda n=n: psi_transform(make_polygon(n)), id=f"psi-{n}")
+          for n in range(4, 65, 4)],
+        *[pytest.param(lambda n=n: make_classical(n), id=f"classical-{n}") for n in range(1, 6)],
+    ])
+    def test_elements_permute_scaled_normals(self, make):
+        self.assert_permutes_scaled_normals(make())
+
+    def test_structure_polytopes(self, tmp_path):
+        for path in structure_theory_files(tmp_path, seed=5).values():
+            self.assert_permutes_scaled_normals(load_theory(path))
+
+    def test_group_found_once_per_instance(self, monkeypatch):
+        calls = []
+        search = gptlab.symmetry._search_group
+        monkeypatch.setattr(gptlab.symmetry, "_search_group",
+                            lambda t: calls.append(t.name) or search(t))
+        t = psi_transform(make_polygon(12))
+        g = automorphism_group(t)
+        assert automorphism_group(t) is g and t.effect_action is t.effect_action
+        assert calls == ["polygon-12-psi"]
+        # a copy, even an equal one, searches again: its vertices may have moved
+        copy = replace(t, name="copy")
+        assert copy.group_cache is None and automorphism_group(copy) is not g
+        assert calls == ["polygon-12-psi", "copy"]
+        assert automorphism_group(t.with_group(g)) is g and len(calls) == 2
