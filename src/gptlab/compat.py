@@ -14,12 +14,17 @@ The optimisation LPs (``min_mur_linf``, ``max_fuzz_lambda``) are mapped
 onto themselves by every automorphism that relabels the pair's outcomes
 or exchanges the two measurements with the grid transposed, so averaging
 an optimal joint over that stabiliser gives an optimal joint that it
-fixes.  They run over fixed joints only: one variable per orbit of (cell,
-ray) pairs (Boedi, Herr & Joswig, Math. Program. 137, 2013), over facet
-normals scaled so that the group permutes them exactly
-(``Theory.effect_action``).  The optimum is the full LP's, float bits
-within the tolerance, and the joint returned is an optimal one that the
-stabiliser fixes.  ``is_jointly_measurable`` solves the full LP.
+fixes.  On a theory instance whose group is known they run over fixed
+joints only: one variable per orbit of (cell, ray) pairs (Boedi, Herr &
+Joswig, Math. Program. 137, 2013), over facet normals scaled so that the
+group permutes them exactly (``Theory.effect_action``).  The optimum is
+the full LP's, float bits within the tolerance, and the joint returned is
+an optimal one that the stabiliser fixes.  The group is known once kept on
+the instance, or sought within a budget by its second optimisation LP
+(``_group_action``): the search pays off only over repeated calls, so a
+one-shot call solves the full LP, as does every call on a theory whose
+group is too large for its LP.  ``is_jointly_measurable`` solves the full
+LP.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .cones import cone_lp
 from .linprog import lp_feasible, lp_solve
 from .model import FiniteMetricSpace, Measurement, Theory, outcome_metric, prob_table
 from .scalars import narrowed, ordered_matmul, stacked, vadd, vscale, vsub
+from .symmetry import automorphism_group
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,40 @@ def _check_dims(t: Theory, effects) -> None:
             raise ValueError(f"dimension mismatch: cone in R^{t.dim}, vector in R^{len(e)}")
 
 
+# the group search for the optimisation LPs may compare about this many vertex
+# coordinates per tableau cell of the full fuzzing LP: on the psi-polygons that
+# is some ten full LPs (psi-96: 23 ms of search against 2.4 ms per LP)
+_SEARCH_WORK = 1000
+
+
+def _group_action(t: Theory) -> Optional[tuple]:
+    """``t.effect_action`` if the optimisation LPs on ``t`` run over orbits, else None.
+
+    Orbits pay off on a reused theory instance only: finding the group and
+    its action, once per instance, costs what several smaller LPs save (on
+    the psi-48-gon, about eight).  So a group kept on the instance is used at
+    once; otherwise the first optimisation LP on the instance is the full LP,
+    and the second seeks the group, for itself and every later call.  The
+    search gives up once its leaf check could compare more than
+    ``_SEARCH_WORK`` vertex coordinates (nodes times ``n_vertices ** 2``) per
+    tableau cell of the full fuzzing LP (4 ``dim`` rows by 4 facet-normal
+    columns).  A group with more elements than that LP has cells is not used
+    either, as every call seeks the pair's stabiliser element by element.
+    Then every LP on the instance is the full LP.
+    """
+    cells = 16 * t.dim * len(t.facet_normals)
+    if t.group_cache is None:
+        runs = t.lp_runs
+        object.__setattr__(t, "lp_runs", min(runs + 1, 2))
+        if runs != 1:
+            return None
+        try:
+            automorphism_group(t, max_nodes=_SEARCH_WORK * cells // t.n_vertices ** 2)
+        except ValueError:
+            return None
+    return t.effect_action if t.group_cache.order <= cells else None
+
+
 def _stabiliser(t: Theory, f: Measurement, g: Measurement) -> tuple:
     """``(elements, swap, pf, pg)``: the automorphisms that map the pair onto itself.
 
@@ -226,10 +266,11 @@ def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
     Bounding the second as well would put the same effects in two more
     blocks, and on that degenerate LP the float simplex cycles.
 
-    The LP runs over the joints that the pair's stabiliser fixes (module
-    docstring); the joint returned is an optimal one that it fixes.  An
-    element that swaps the outcomes of a binary marginal exchanges its two
-    sup-gap blocks; one that exchanges f and g, their blocks and sup-gaps.
+    Once the group is known, the LP runs over the joints that the pair's
+    stabiliser fixes (module docstring), and the joint returned is an
+    optimal one that it fixes; until then, the full LP.  An element that
+    swaps the outcomes of a binary marginal exchanges its two sup-gap
+    blocks; one that exchanges f and g, their blocks and sup-gaps.
     """
     ctx = t.ctx
     _check_dims(t, f.effects + g.effects)
@@ -246,22 +287,24 @@ def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
             eqs.append(({**sums, n_blocks: 1}, {s: minus_u}, e))
             eqs.append(({**sums, n_blocks + 1: -1}, {s: u}, e))
             n_blocks += 2
-    elements, swap, pf, pg = _stabiliser(t, f, g)
-    # outcome a's bounds on side s are blocks start[s] + 2a and the next; an exchange
-    # (only between sides with as many outcomes) sends side s to the other
-    start = np.array([ncells, ncells + 2 * bounded[0]])
-    images = [_cell_images(swap, pf, pg, na, nb)]
-    for s, outcomes in enumerate((pf, pg)):
-        to = start[s ^ swap]
-        for a in range(bounded[s]):
-            out = outcomes[:, a]
-            if bounded[s] == 1:  # binary: outcome 1's deviation is minus outcome 0's
-                images += [to + (out == 1), to + (out != 1)]
-            else:
-                images += [to + 2 * out, to + 2 * out + 1]
-    orbits = _orbits(t, elements, np.column_stack(images),
-                     np.column_stack([swap, ~swap]).astype(np.intp))  # s_f, s_g
-    rays = t.effect_action[0]
+    rays, orbits, action = t.facet_normals, None, _group_action(t)
+    if action is not None:
+        elements, swap, pf, pg = _stabiliser(t, f, g)
+        # outcome a's bounds on side s are blocks start[s] + 2a and the next; an
+        # exchange (only between sides with as many outcomes) sends side s to the other
+        start = np.array([ncells, ncells + 2 * bounded[0]])
+        images = [_cell_images(swap, pf, pg, na, nb)]
+        for s, outcomes in enumerate((pf, pg)):
+            to = start[s ^ swap]
+            for a in range(bounded[s]):
+                out = outcomes[:, a]
+                if bounded[s] == 1:  # binary: outcome 1's deviation is minus outcome 0's
+                    images += [to + (out == 1), to + (out != 1)]
+                else:
+                    images += [to + 2 * out, to + 2 * out + 1]
+        orbits = _orbits(t, elements, np.column_stack(images),
+                         np.column_stack([swap, ~swap]).astype(np.intp))  # s_f, s_g
+        rays = action[0]
     p, effects = cone_lp(rays, ctx, n_blocks, eqs, objective=[ctx.one()] * 2, orbits=orbits)
     res = lp_solve(p, ctx)
     if res.status != "optimal":
@@ -276,8 +319,9 @@ def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool 
     are affine in both.  Defined for binary measurements.  With
     ``with_joint=True`` also returns the optimal joint measurement.
 
-    The LP runs over the joints that the pair's stabiliser fixes (module
-    docstring); the joint returned is an optimal one that it fixes.
+    Once the group is known, the LP runs over the joints that the pair's
+    stabiliser fixes (module docstring), and the joint returned is an
+    optimal one that it fixes; until then, the full LP.
     """
     ctx = t.ctx
     if f.n_outcomes != 2 or g.n_outcomes != 2:
@@ -287,10 +331,12 @@ def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool 
     # marginal = lambda e + (1 - lambda) u/2, i.e. marginal + lambda (u/2 - e) = u/2
     eqs = [(cells, {0: vsub(half_u, e)}, half_u)
            for cells, e in zip(_marginal_cells(2, 2), f.effects + g.effects)]
-    elements, swap, pf, pg = _stabiliser(t, f, g)
-    orbits = _orbits(t, elements, _cell_images(swap, pf, pg, 2, 2),
-                     np.zeros((len(elements), 1), dtype=np.intp))
-    rays = t.effect_action[0]
+    rays, orbits, action = t.facet_normals, None, _group_action(t)
+    if action is not None:
+        elements, swap, pf, pg = _stabiliser(t, f, g)
+        orbits = _orbits(t, elements, _cell_images(swap, pf, pg, 2, 2),
+                         np.zeros((len(elements), 1), dtype=np.intp))
+        rays = action[0]
     p, effects = cone_lp(rays, ctx, 4, eqs, objective=[ctx.one()], sense="max",
                          upper=[ctx.one()], orbits=orbits)
     res = lp_solve(p, ctx)

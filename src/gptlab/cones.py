@@ -70,16 +70,19 @@ def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", u
     right-hand sides.  Returns the LP and a map from a point to its first
     ``count`` vectors, each ``R^T mu_i``.
 
-    `orbits`, if given, is an int array that names the orbit of every
-    variable, the ``mu_ik`` at ``i * len(rays) + k`` and then the ``s_j``.  The
-    LP then has one variable per orbit, the weight that each member takes:
-    its column and cost are the sums of the members' (in variable order, from
-    zero), its upper bound any member's.  The point map gives each member its
-    orbit's weight.
+    `orbits` is an int array that names the orbit of every variable, the
+    ``mu_ik`` at ``i * len(rays) + k`` and then the ``s_j``, numbered from 0
+    in the order of their first members; by default every variable is its
+    own.  The LP has one variable per orbit, the weight that each member
+    takes: its column and cost are the sums of the members' (in variable
+    order), its upper bound any scalar member's.  The point map gives each
+    member its orbit's weight.
     """
     k, d, zero, nmu = len(rays), len(rays[0]), ctx.zero(), n_blocks * len(rays)
     for w in (w for _, scalars, rhs in eqs for w in (rhs, *scalars.values()) if len(w) != d):
         raise ValueError(f"dimension mismatch: cone in R^{d}, vector in R^{len(w)}")
+    if orbits is None:
+        orbits = np.arange(nmu + len(objective))
     r, rden = stacked(rays, ctx)
     coef, cden = stacked([[blocks.get(i, 0) for i in range(n_blocks)] for blocks, _, _ in eqs], ctx)
     tail, tden = stacked([[scalars[j][c] if j in scalars else 0 for j in range(len(objective))]
@@ -87,24 +90,21 @@ def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", u
     den = lcm(cden * rden, tden)
     kron = (coef[:, None, :, None] * r.T[None, :, None, :]).reshape(len(tail), nmu)  # C kron R^T
     block = np.hstack([kron * (den // (cden * rden)), tail * (den // tden)])
-    if orbits is None:
-        cost = [zero] * nmu + list(objective)
-        bounds = None if upper is None else [None] * nmu + list(upper)
-    else:  # in variable order, each column and cost summed from zero
-        columns = np.zeros((orbits.max() + 1, len(block)), dtype=block.dtype)
-        np.add.at(columns, orbits, block[:, :-1].T)
+    n_orbits = int(orbits.max()) + 1
+    if n_orbits < len(orbits):  # each orbit's column summed from zero in variable order
+        columns = np.zeros((n_orbits, len(block)), dtype=block.dtype)
+        np.add.at(columns, orbits, block[:, :-1].T)  # one member at a time, not pairwise
         block = np.hstack([columns.T, block[:, -1:]])
-        cost, bounds = [zero] * len(columns), None if upper is None else [None] * len(columns)
-        for j, o in enumerate(orbits[nmu:].tolist()):  # a mu_ik costs nothing, has no bound
-            cost[o] += objective[j]
-            if upper is not None:
-                bounds[o] = upper[j]
+    cost, bounds = [zero] * n_orbits, None if upper is None else [None] * n_orbits
+    for j, o in enumerate(orbits[nmu:].tolist()):  # a mu_ik costs nothing, has no bound
+        cost[o] += objective[j]
+        if upper is not None:
+            bounds[o] = upper[j]
     p = LinearProgram(len(cost), cost, sense, lower=zero, upper=bounds)
     p.add_block(block, [EQ] * len(block), den)
 
     def vectors(point, count: int) -> list:
-        mu = point[:count * k] if orbits is None else [point[o] for o in
-                                                       orbits[:count * k].tolist()]
+        mu = [point[o] for o in orbits[:count * k].tolist()]
         mu, mden = numerators(mu) if ctx.exact else (mu, 1)
         e = ordered_matmul(np.array(mu, dtype=r.dtype).reshape(count, k), r)
         return list(map(tuple, unstacked(e, mden * rden, ctx).tolist()))

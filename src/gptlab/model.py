@@ -50,6 +50,16 @@ from .scalars import (
 if TYPE_CHECKING:
     from .symmetry import SymmetryGroup
 
+# vertex indices gathered per batch of group elements in ``Theory.effect_action``
+_BATCH_CELLS = 1 << 16
+
+
+def _labels(n: int):
+    """``n`` pseudo-random uint64 labels, always the same: splitmix64 of 1..n."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 @dataclass(frozen=True)
 class Theory:
@@ -66,6 +76,9 @@ class Theory:
     # ``symmetry.automorphism_group`` call; ``replace`` never copies it
     group_cache: Optional["SymmetryGroup"] = field(default=None, init=False, repr=False,
                                                    compare=False)
+    # ``compat``'s optimisation LPs run on this instance, counted up to 2: the
+    # second one seeks the group (``compat._group_action``)
+    lp_runs: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -116,7 +129,9 @@ class Theory:
         keeps ``r . omega_M``, so it sends each ray exactly onto another: the one
         whose facet holds the images of the vertices of the facet of ``r``.
         ``facet_perms[k, j]`` is that ray for element ``k`` and ray ``j``, read
-        from the facet-vertex incidence.
+        from the facet-vertex incidence a batch of elements at a time, so that
+        memory grows with the group's vertex permutations, not with facets
+        times elements times vertices.
         """
         from .symmetry import automorphism_group
 
@@ -126,24 +141,40 @@ class Theory:
         rays = rays * (ctx.convert(self.n_vertices) / ordered_matmul(rays, total))
         normals, verts = stacked(self.facet_normals, ctx)[0], stacked(self.vertices, ctx)[0]
         tight = ctx.is_zero(ordered_matmul(normals, verts.T))  # tight[j, i]: facet j holds v_i
-        back = np.argsort(np.array(g.perms), axis=1)  # the inverse vertex permutations
-        index = {p: k for k, p in enumerate(g.perms)}
+        nf, nv = tight.shape
+        # vertex index lists are matched by wrapping sums of 64-bit labels, then
+        # checked index by index, so that a clash of labels cannot pass
+        label = _labels(nv)
+        perms = np.array(g.perms)
+        back = np.argsort(perms, axis=1)  # the inverse vertex permutations
+        key = (perms.astype(np.uint64) * label).sum(axis=1)
+        order = np.argsort(key)
+        inverse = order[np.searchsorted(key[order], (back.astype(np.uint64) * label).sum(axis=1))
+                        .clip(max=g.order - 1)]
+        if not (perms[inverse] == back).all():
+            raise RuntimeError(f"the group of theory {self.name!r} is not closed under inverses")
         maps, den = g.stack(ctx)
-        maps = maps[[index[tuple(p)] for p in back.tolist()]]
-        # per facet j, its vertex set and then, per element, that of its image, which
-        # holds the images of the vertices of facet j; as rows of bits
-        nf = len(tight)
-        bits = np.packbits(tight[:, np.vstack([np.arange(self.n_vertices), back])], axis=-1)
-        rows = bits.reshape(nf * (g.order + 1), -1)
-        order = np.lexsort(rows.T)  # equal rows next to each other
-        ids = np.empty(len(rows), dtype=np.intp)  # the same id for equal rows
-        ids[order] = np.cumsum(np.r_[True, (rows[order[1:]] != rows[order[:-1]]).any(axis=1)])
-        ids = ids.reshape(nf, g.order + 1)
-        facet = np.full(len(rows) + 1, -1, dtype=np.int32)
-        facet[ids[:, 0]] = np.arange(nf)
-        facet_perms = facet[ids[:, 1:].T]
-        if (facet_perms < 0).any():
-            raise RuntimeError(f"the group of theory {self.name!r} does not permute its facets")
+        maps = maps[inverse]
+        # facet j's vertices as indices padded with nv, which every element keeps.
+        # Element k sends them onto the vertices of facet facet_perms[k, j]; a batch
+        # of elements gathers about _BATCH_CELLS indices
+        facet_of, vertex = np.nonzero(tight)
+        size = np.bincount(facet_of, minlength=nf)
+        idx = np.full((nf, size.max()), nv)
+        idx[facet_of, np.arange(len(vertex)) - np.repeat(np.cumsum(size) - size, size)] = vertex
+        label = np.append(label, np.uint64(0))
+        key = label[idx].sum(axis=1)
+        order = np.argsort(key)
+        perms = np.hstack([perms, np.full((g.order, 1), nv)])
+        holds = np.hstack([tight, np.ones((nf, 1), dtype=bool)])
+        facet_perms = np.empty((g.order, nf), dtype=np.intp)
+        step = max(1, _BATCH_CELLS // idx.size)
+        for start in range(0, g.order, step):
+            images = perms[start:start + step][:, idx]  # (elements, facets, vertices)
+            at = np.searchsorted(key[order], label[images].sum(axis=-1)).clip(max=nf - 1)
+            found = facet_perms[start:start + step] = order[at]
+            if not holds[found[:, :, None], images].all():
+                raise RuntimeError(f"the group of theory {self.name!r} does not permute its facets")
         return rays, facet_perms, maps, den
 
     def with_group(self, group) -> "Theory":

@@ -19,7 +19,7 @@ from one breadth-first search, which the theory instance then keeps, over
 the images of a spanning subset of the vertices only, one array step per
 spanning vertex, pruned by the coded congruence-invariant form V Q^-1 V^T
 with Q = sum_i v_i v_i^T and stopped with a ValueError once it would pass
-a fixed number of search nodes.
+a number of search nodes (a fixed one, or the caller's).
 Those images fix a linear map; the maps of all leaves are built in one
 batch and checked on every vertex, so only maps that permute the
 vertices, and so carry the polytope onto itself, are kept, in
@@ -120,15 +120,17 @@ class SymmetryGroup:
         return stacked(self.nums, ctx) if ctx.exact else (unstacked(self.nums, self.den, ctx), 1)
 
 
-def automorphism_group(t: Theory) -> SymmetryGroup:
+def automorphism_group(t: Theory, max_nodes: Optional[int] = None) -> SymmetryGroup:
     """All linear bijections mapping the state space onto itself.
 
     The group kept on the theory if it has one, else the result of the
     spanning-basis search, built-in or not, which is then kept on the
-    theory instance, as ``Theory.facet_normals`` is.
+    theory instance, as ``Theory.facet_normals`` is.  The search raises a
+    ValueError, and keeps nothing, once it would visit more than
+    `max_nodes` partial maps (default ``_MAX_SEARCH_NODES``).
     """
     if t.group_cache is None:
-        object.__setattr__(t, "group_cache", _search_group(t))
+        object.__setattr__(t, "group_cache", _search_group(t, max_nodes))
     return t.group_cache
 
 
@@ -203,7 +205,7 @@ def _extensions(part, code, span, i):
     return np.nonzero(keep)
 
 
-def _search_group(t: Theory) -> SymmetryGroup:
+def _search_group(t: Theory, max_nodes: Optional[int] = None) -> SymmetryGroup:
     """The group of every linear map that permutes the vertices of ``t``.
 
     A map is fixed by the images of a spanning subset of the vertices.  The
@@ -212,14 +214,15 @@ def _search_group(t: Theory) -> SymmetryGroup:
     ``(count, nv)`` masks (``_extensions``) keep the candidate images that the
     coded pruning form ``m = V Q^-1 V^T`` (``Q = sum_v v v^T``, which every
     automorphism leaves congruent) admits.  Every partial map counts as a node
-    against ``_MAX_SEARCH_NODES``.  The leaves are checked on every vertex by
-    ``_vertex_perms``; exact products there run on int64 when
-    ``scalars.narrowed`` proves that they cannot overflow.
+    against `max_nodes` (default ``_MAX_SEARCH_NODES``).  The leaves are
+    checked on every vertex by ``_vertex_perms``; exact products there run on
+    int64 when ``scalars.narrowed`` proves that they cannot overflow.
     """
     ctx = t.ctx
     verts = t.vertices
     nv = len(verts)
     d = t.dim
+    max_nodes = _MAX_SEARCH_NODES if max_nodes is None else max_nodes
     w, vden = stacked(verts, ctx)  # vertices w / vden
     # the pruning form on numerators, coded (a positive factor off in exact mode,
     # which no comparison of codes sees)
@@ -236,10 +239,10 @@ def _search_group(t: Theory) -> SymmetryGroup:
         for start in range(0, len(part), step):  # at most _BATCH_CELLS mask cells at a time
             r, c = _extensions(part[start:start + step], code, span, i)
             nodes += len(r)
-            if nodes > _MAX_SEARCH_NODES:
+            if nodes > max_nodes:
                 raise ValueError(
                     f"automorphism search on theory {t.name!r} ({nv} vertices) visited "
-                    f"{_MAX_SEARCH_NODES} nodes without finishing"
+                    f"{max_nodes} nodes without finishing"
                 )
             rows.append(start + r)
             cols.append(c)

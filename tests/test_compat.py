@@ -8,6 +8,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+import gptlab.symmetry
 from gptlab import compat
 from gptlab.compat import (
     JointMeasurement,
@@ -321,9 +322,9 @@ class TestAgainstVertexForm:
         # three-outcome marginal gets its own sup-gap bound
         t = psi_transform(make_polygon(8))
         c = 1 / (3 * max(math.hypot(v[0], v[1]) for v in t.vertices))
-        trine, turned = (Measurement((0, 1, 2), tuple(
-            (c * math.cos(2 * math.pi * k / 3 + a), c * math.sin(2 * math.pi * k / 3 + a), 1 / 3)
-            for k in range(3))) for a in (0, math.pi / 2))
+        trine = Measurement((0, 1, 2), tuple(
+            (c * math.cos(2 * math.pi * k / 3), c * math.sin(2 * math.pi * k / 3), 1 / 3)
+            for k in range(3)))
         assert validate_measurement(t, trine)
         f = binary_ideal_measurement(t, 2)
         for pair in ((f, trine), (trine, f)):
@@ -427,8 +428,10 @@ def full_optimum(family, t, f, g):
 def assert_matches_full(t, f, g):
     """Both optimisation LPs reach the full LP's optimum (exactly in exact mode,
     within 1e-9 in float mode), with joints that are valid measurements and
-    have the marginals the optimum promises."""
+    have the marginals the optimum promises.  The group is kept on ``t`` first,
+    so that they run over orbits."""
     ctx = t.ctx
+    automorphism_group(t)
     close = (lambda a, b: a == b) if ctx.exact else (lambda a, b: abs(a - b) <= 1e-9)
     if f.n_outcomes == g.n_outcomes == 2:
         lam, joint = max_fuzz_lambda(t, f, g, with_joint=True)
@@ -500,18 +503,69 @@ class TestOrbitReduction:
             assert_matches_full(rhombus, *pair)
 
     def test_fewer_variables(self):
-        # the perpendicular pair's stabiliser has eight elements: 4n + 1 variables
-        # become n / 2 + 2, and MUR's 8n + 2 become n + 3
-        seen = []
+        # on a fresh instance the first optimisation LP is the full one and the
+        # second finds the group; the perpendicular pair's stabiliser has eight
+        # elements, so MUR's 8n + 2 variables become n + 3 and the fuzzing LP's
+        # 4n + 1 become n / 2 + 2
+        seen, searched = [], []
+        search = gptlab.symmetry._search_group
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(compat, "lp_solve", lambda p, ctx: seen.append(p) or lp_solve(p, ctx))
+            mp.setattr(gptlab.symmetry, "_search_group",
+                       lambda t, max_nodes: searched.append(t.n) or search(t, max_nodes))
             for n in (8, 48):
                 t = psi_transform(make_polygon(n))
                 f, g = perpendicular_ideal_pair(t)
                 max_fuzz_lambda(t, f, g)
                 min_mur_linf(t, f, g)
+                max_fuzz_lambda(t, f, g)
                 assert len(compat._stabiliser(t, f, g)[0]) == 8
-        assert [p.n_vars for p in seen] == [6, 11, 26, 51]
+        assert [p.n_vars for p in seen] == [33, 11, 6, 193, 51, 26]
+        assert searched == [8, 48]
+
+    def test_first_call_solves_the_full_lp(self):
+        # a one-shot call pays no group search: it solves the full LP, bit for bit
+        t = psi_transform(make_polygon(24))
+        f, g = binary_ideal_measurement(t, 3), binary_ideal_measurement(t, 10)
+        lam = max_fuzz_lambda(psi_transform(make_polygon(24)), f, g)
+        assert lam == lp_solve(full_compat_lp("max_fuzz_lambda", t, f, g), t.ctx).value
+        mur = min_mur_linf(psi_transform(make_polygon(24)), f, g).value
+        assert mur == lp_solve(full_compat_lp("min_mur_linf", t, f, g), t.ctx).value
+        assert t.group_cache is None
+
+    def test_group_too_large_for_the_lp(self):
+        # S_10 is out of the search budget (the unbounded search passes a million
+        # nodes) and S_9's 362,880 elements are more than the LP has tableau cells:
+        # both theories stay on the full LP, and the search gives up early
+        for n_levels in (8, 9):
+            t = make_classical(n_levels)
+            f, g = (Measurement((0, 1), (e, tuple(1 - x for x in e)))
+                    for e in (tuple(int(i < 3) for i in range(n_levels + 1)),
+                              tuple(int(i % 2) for i in range(n_levels + 1))))
+            want = [lp_solve(full_compat_lp(family, t, f, g), t.ctx).value
+                    for family in ("max_fuzz_lambda", "min_mur_linf")]
+            start = time.perf_counter()
+            for _ in range(3):
+                assert [max_fuzz_lambda(t, f, g), min_mur_linf(t, f, g).value] == want
+            assert time.perf_counter() - start < 5
+            assert t.group_cache is None and t.lp_runs == 2
+
+    def test_large_polygon(self):
+        # the 1000-gon's search would take seconds: it gives up within its budget
+        # on the second call, and every call solves the full LP
+        t = make_polygon(1000)
+        f, g = binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 250)
+        want = lp_solve(full_compat_lp("max_fuzz_lambda", t, f, g), t.ctx).value
+        start = time.perf_counter()
+        assert [max_fuzz_lambda(t, f, g) for _ in range(3)] == [want] * 3
+        assert time.perf_counter() - start < 2
+        assert t.group_cache is None and t.lp_runs == 2
+        # with its group kept (here a 200-gon's), its orbits give the full LP's optimum
+        t = make_polygon(200)
+        automorphism_group(t)
+        want = lp_solve(full_compat_lp("max_fuzz_lambda", t, f := binary_ideal_measurement(t, 0),
+                                       g := binary_ideal_measurement(t, 50)), t.ctx).value
+        assert abs(max_fuzz_lambda(t, f, g) - want) <= 1e-9
 
 
 def stabiliser_bruteforce(t, f, g) -> set:

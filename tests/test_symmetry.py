@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -499,6 +500,19 @@ def assert_same_as_reference(t):
 
 
 class TestIntegerNumeratorSearch:
+    def test_memory_follows_the_group(self):
+        # the action is found from index lists of about |G| * n_vertices entries,
+        # not a facets-by-elements-by-vertices incidence (16 MB of bools here)
+        t = make_polygon(200)
+        automorphism_group(t)
+        tracemalloc.start()
+        try:
+            _, facet_perms, _, _ = t.effect_action
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert facet_perms.shape == (400, 200) and peak < 4 << 20
+
     def test_structure_polytopes(self, tmp_path):
         for name, path in structure_theory_files(tmp_path, seed=5).items():
             t = load_theory(path)
@@ -1094,6 +1108,19 @@ class TestEffectAction:
     def test_elements_permute_scaled_normals(self, make):
         self.assert_permutes_scaled_normals(make())
 
+    def test_memory_follows_the_group(self):
+        # the action is found from index lists of about |G| * n_vertices entries,
+        # not a facets-by-elements-by-vertices incidence (16 MB of bools here)
+        t = make_polygon(200)
+        automorphism_group(t)
+        tracemalloc.start()
+        try:
+            _, facet_perms, _, _ = t.effect_action
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert facet_perms.shape == (400, 200) and peak < 4 << 20
+
     def test_structure_polytopes(self, tmp_path):
         for path in structure_theory_files(tmp_path, seed=5).values():
             self.assert_permutes_scaled_normals(load_theory(path))
@@ -1102,7 +1129,7 @@ class TestEffectAction:
         calls = []
         search = gptlab.symmetry._search_group
         monkeypatch.setattr(gptlab.symmetry, "_search_group",
-                            lambda t: calls.append(t.name) or search(t))
+                            lambda t, max_nodes: calls.append(t.name) or search(t, max_nodes))
         t = psi_transform(make_polygon(12))
         g = automorphism_group(t)
         assert automorphism_group(t) is g and t.effect_action is t.effect_action
