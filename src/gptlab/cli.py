@@ -10,6 +10,7 @@ derive ideal measurements directly from the theory (``--pair``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -272,7 +273,9 @@ def cmd_report_run(args) -> None:
     _emit(out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and kept for the process."""
     ap = argparse.ArgumentParser(prog="gptlab", description=__doc__)
     sub = ap.add_subparsers(dest="group", required=True)
 

@@ -16,15 +16,15 @@ or exchanges the two measurements with the grid transposed, so averaging
 an optimal joint over that stabiliser gives an optimal joint that it
 fixes.  On a theory instance whose group is known they run over fixed
 joints only: one variable per orbit of (cell, ray) pairs (Boedi, Herr &
-Joswig, Math. Program. 137, 2013), over facet normals scaled so that the
-group permutes them exactly (``Theory.effect_action``).  The optimum is
-the full LP's, float bits within the tolerance, and the joint returned is
-an optimal one that the stabiliser fixes.  The group is known once kept on
-the instance, or sought within a budget by its second optimisation LP
-(``_group_action``): the search pays off only over repeated calls, so a
-one-shot call solves the full LP, as does every call on a theory whose
-group is too large for its LP.  ``is_jointly_measurable`` solves the full
-LP.
+Joswig, Math. Program. 137, 2013), over facet normals scaled so that
+each element ``T`` permutes them exactly as rows, ``r -> r T``
+(``Theory.effect_action``).  The optimum is the full LP's, float bits
+within the tolerance, and the joint returned is an optimal one that the
+stabiliser fixes.  The group is known once kept on the instance, or
+sought within a budget by its second optimisation LP (``_group_action``):
+the search pays off only over repeated calls, so a one-shot call solves
+the full LP, as does every call on a theory whose group is too large for
+its LP.  ``is_jointly_measurable`` solves the full LP.
 """
 
 from __future__ import annotations
@@ -206,12 +206,13 @@ def _stabiliser(t: Theory, f: Measurement, g: Measurement) -> tuple:
     Element ``k`` fixes the pair when it relabels the outcomes of both
     (``swap`` False: ``f_a -> f_pf[a]`` and ``g_b -> g_pg[b]``) or exchanges
     them (``swap`` True: ``f_a -> g_pf[a]`` and ``g_b -> f_pg[b]``), its images
-    of the effects (``Theory.effect_action``) equal to the context's tolerance.
-    Only the elements that send the first effect to one of the pair's are
-    checked on the others.
+    ``e T`` of the effects (as in ``Theory.effect_action``) equal to the
+    context's tolerance.  The stabiliser is a group, so acting by ``T^-1``
+    would find the same elements and swaps.  Only the elements that send the
+    first effect to one of the pair's are checked on the others.
     """
     ctx = t.ctx
-    _rays, _, maps, den = t.effect_action
+    maps, den = automorphism_group(t).stack(ctx)
     na, m = f.n_outcomes, f.n_outcomes + g.n_outcomes
     e, _ = stacked(f.effects + g.effects, ctx)
     e, maps, target = narrowed(e, maps, t.dim, den * e)
@@ -245,14 +246,11 @@ def _orbits(t: Theory, elements, block_images, scalar_images):
     sends it to, numbered from 0.  Element ``elements[n]`` sends block ``i`` to
     ``block_images[n, i]``, ray ``j`` to its facet permutation's ``j``-th entry
     and scalar ``j`` to ``scalar_images[n, j]``."""
-    _rays, facet_perms, _, _ = t.effect_action
+    facet_perms = t.effect_action[1][elements]
     nf = facet_perms.shape[1]
-    mu = (block_images[:, :, None] * nf + facet_perms[elements][:, None, :]).reshape(
-        len(elements), -1)
+    mu = (block_images[:, :, None] * nf + facet_perms[:, None, :]).reshape(len(elements), -1)
     least = np.hstack([mu, block_images.shape[1] * nf + scalar_images]).min(axis=0)
-    used = np.zeros(len(least), dtype=bool)
-    used[least] = True
-    return (np.cumsum(used) - 1)[least]
+    return np.unique(least, return_inverse=True)[1]
 
 
 def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:

@@ -50,20 +50,20 @@ from .scalars import (
 if TYPE_CHECKING:
     from .symmetry import SymmetryGroup
 
-# vertex indices gathered per batch of group elements in ``Theory.effect_action``
+# array cells per batch: vertex-image comparisons per batch of candidate maps and
+# candidate images per batch of partial maps in the group search, vertex indices
+# gathered per batch of group elements in ``Theory.effect_action``.  Bounds their
+# memory on polytopes with many vertices or many search nodes.  1 << 16 keeps the
+# searches of the psi-polygons 4..48 within about 1 MB of resident memory (1 << 20
+# took 3.7 MB, and 7 MB when the check compared whole rows) and runs no slower
 _BATCH_CELLS = 1 << 16
 
 
-def _labels(n: int):
-    """``n`` pseudo-random uint64 labels, always the same: splitmix64 of 1..n."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
 @dataclass(frozen=True)
 class Theory:
-    """A polytopic state space with its unit effect."""
+    """A polytopic state space with its unit effect.  Frozen covers the value fields
+    only: ``facet_normals``, ``effect_action``, ``group_cache`` and ``lp_runs`` are
+    per-instance caches, filled on first use, which ``replace`` does not copy."""
 
     name: str
     vertices: tuple
@@ -118,20 +118,18 @@ class Theory:
 
     @cached_property
     def effect_action(self) -> tuple:
-        """``(rays, facet_perms, maps, den)``: how the automorphism group acts on
-        effects, as arrays.  Found on first use and kept on this instance.
+        """``(rays, facet_perms)``: how the automorphism group acts on effects, as
+        arrays.  Found on first use and kept on this instance.
 
-        An element ``T`` (a state map) sends the effect ``e`` to ``T^-T e``, the
-        row ``e`` to ``e T^-1``; ``maps / den`` stacks those ``T^-1``, in element
-        order, read from the group by the inverse vertex permutation.  ``rays``
-        are the facet normals scaled so that ``r . omega_M = 1``, with
-        ``omega_M`` the vertex average, which every element fixes; ``T^-T``
-        keeps ``r . omega_M``, so it sends each ray exactly onto another: the one
-        whose facet holds the images of the vertices of the facet of ``r``.
-        ``facet_perms[k, j]`` is that ray for element ``k`` and ray ``j``, read
-        from the facet-vertex incidence a batch of elements at a time, so that
-        memory grows with the group's vertex permutations, not with facets
-        times elements times vertices.
+        Element ``k``, the state map ``T``, sends the row ``e`` to ``e T``.
+        ``rays`` are the facet normals scaled so that ``r . omega_M = 1``, with
+        ``omega_M`` the vertex average, which every element fixes.  As
+        ``r T . v = r . T v``, the row ``r_j T`` keeps ``r . omega_M`` and vanishes
+        on exactly the vertices that ``T`` sends into facet ``j``, so it is the ray
+        of the facet that holds them.  ``facet_perms[k, j]`` is that ray, found by
+        matching each such vertex set exactly with a facet's, a batch of elements
+        at a time, so that memory grows with the group's vertex permutations, not
+        with facets times elements times vertices.
         """
         from .symmetry import automorphism_group
 
@@ -142,40 +140,23 @@ class Theory:
         normals, verts = stacked(self.facet_normals, ctx)[0], stacked(self.vertices, ctx)[0]
         tight = ctx.is_zero(ordered_matmul(normals, verts.T))  # tight[j, i]: facet j holds v_i
         nf, nv = tight.shape
-        # vertex index lists are matched by wrapping sums of 64-bit labels, then
-        # checked index by index, so that a clash of labels cannot pass
-        label = _labels(nv)
-        perms = np.array(g.perms)
-        back = np.argsort(perms, axis=1)  # the inverse vertex permutations
-        key = (perms.astype(np.uint64) * label).sum(axis=1)
+        # facet j's vertices as ascending indices padded with nv, one byte string
+        # per facet.  back[k, i] is the vertex that element k sends onto v_i (nv
+        # stays nv), so back[k] of facet j's list, sorted, is the list of r_j T's facet
+        idx = np.sort(np.where(tight, np.arange(nv), nv))[:, :tight.sum(axis=1).max()].copy()
+        key = idx.view(np.dtype((np.void, idx.shape[1] * idx.itemsize)))[:, 0]
         order = np.argsort(key)
-        inverse = order[np.searchsorted(key[order], (back.astype(np.uint64) * label).sum(axis=1))
-                        .clip(max=g.order - 1)]
-        if not (perms[inverse] == back).all():
-            raise RuntimeError(f"the group of theory {self.name!r} is not closed under inverses")
-        maps, den = g.stack(ctx)
-        maps = maps[inverse]
-        # facet j's vertices as indices padded with nv, which every element keeps.
-        # Element k sends them onto the vertices of facet facet_perms[k, j]; a batch
-        # of elements gathers about _BATCH_CELLS indices
-        facet_of, vertex = np.nonzero(tight)
-        size = np.bincount(facet_of, minlength=nf)
-        idx = np.full((nf, size.max()), nv)
-        idx[facet_of, np.arange(len(vertex)) - np.repeat(np.cumsum(size) - size, size)] = vertex
-        label = np.append(label, np.uint64(0))
-        key = label[idx].sum(axis=1)
-        order = np.argsort(key)
-        perms = np.hstack([perms, np.full((g.order, 1), nv)])
-        holds = np.hstack([tight, np.ones((nf, 1), dtype=bool)])
+        back = np.full((g.order, nv + 1), nv)
+        np.put_along_axis(back, np.array(g.perms), np.arange(nv), axis=1)
         facet_perms = np.empty((g.order, nf), dtype=np.intp)
         step = max(1, _BATCH_CELLS // idx.size)
         for start in range(0, g.order, step):
-            images = perms[start:start + step][:, idx]  # (elements, facets, vertices)
-            at = np.searchsorted(key[order], label[images].sum(axis=-1)).clip(max=nf - 1)
-            found = facet_perms[start:start + step] = order[at]
-            if not holds[found[:, :, None], images].all():
+            images = np.sort(np.take(back[start:start + step], idx, axis=1)).view(key.dtype)[..., 0]
+            found = order[np.searchsorted(key[order], images).clip(max=nf - 1)]
+            if not (key[found] == images).all():
                 raise RuntimeError(f"the group of theory {self.name!r} does not permute its facets")
-        return rays, facet_perms, maps, den
+            facet_perms[start:start + step] = found
+        return rays, facet_perms
 
     def with_group(self, group) -> "Theory":
         """A copy of this theory that keeps ``group`` as its automorphism group."""

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Theory, theory_to_float
+from .model import _BATCH_CELLS, Theory, theory_to_float
 from .scalars import (
     Context,
     EXACT,
@@ -138,14 +138,6 @@ def automorphism_group(t: Theory, max_nodes: Optional[int] = None) -> SymmetryGr
 # the largest in-repo searches visit 1,957 (classical-5) and 0.7 k to 1.6 k (the
 # tesseract, depending on the vertex order)
 _MAX_SEARCH_NODES = 1_000_000
-
-
-# vertex-image comparisons per batch of candidate maps, and candidate images per
-# batch of partial maps: bounds the memory of the check and of each search level
-# on polytopes with many vertices or many search nodes.  1 << 16 keeps the
-# searches of the psi-polygons 4..48 within about 1 MB of resident memory (1 << 20
-# took 3.7 MB, and 7 MB when the check compared whole rows) and runs no slower
-_BATCH_CELLS = 1 << 16
 
 
 def _vertex_perms(maps, w, target, ctx):

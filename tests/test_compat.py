@@ -33,7 +33,7 @@ from gptlab.ideal import (
 from gptlab.linprog import lp_feasible, lp_solve
 from gptlab.measures import FiniteMetricSpace, linf_distance, min_le_sum
 from gptlab.model import Measurement, Theory, make_classical, make_polygon, validate_measurement
-from gptlab.scalars import EXACT, inverse, mat_vec, transpose
+from gptlab.scalars import EXACT, mat_vec, transpose
 from gptlab.symmetry import automorphism_group
 from helpers import full_compat_lp, highs, hrow_compat_lp
 
@@ -570,12 +570,12 @@ class TestOrbitReduction:
 
 def stabiliser_bruteforce(t, f, g) -> set:
     """``(element, swap, pf, pg)`` for every group element that maps the pair onto
-    itself, from each element's inverse, transposed, applied effect by effect."""
+    itself, from each element, transposed, applied effect by effect."""
     ctx, found = t.ctx, set()
     effects = f.effects + g.effects
     na = f.n_outcomes
     for k, element in enumerate(automorphism_group(t).elements):
-        act = transpose(inverse(element, ctx))
+        act = transpose(element)
         images = [mat_vec(act, e) for e in effects]
         for swap in (False, True):
             sides = (g.effects, f.effects) if swap else (f.effects, g.effects)
@@ -615,6 +615,21 @@ def test_stabiliser_matches_bruteforce(case):
     got = stabiliser_set(t, f, g)
     assert got == stabiliser_bruteforce(t, f, g)
     assert (0, False, tuple(range(f.n_outcomes)), tuple(range(g.n_outcomes))) in got
+
+
+@pytest.mark.parametrize("case", STABILISER_CASES)
+def test_stabiliser_is_a_group(case):
+    # closed under composition and inverse: the orbits of ``Theory.effect_action``,
+    # where each element acts by itself and not by its inverse, rely on it
+    t, f, g = case()
+    elements, swap, _, _ = compat._stabiliser(t, f, g)
+    perms = [np.array(p) for p in automorphism_group(t).perms]
+    index = {tuple(p.tolist()): k for k, p in enumerate(perms)}
+    got = set(zip(elements.tolist(), swap.tolist()))
+    for a, swap_a in got:
+        assert (index[tuple(np.argsort(perms[a]).tolist())], swap_a) in got
+        for b, swap_b in got:
+            assert (index[tuple(perms[a][perms[b]].tolist())], swap_a ^ swap_b) in got
 
 
 class TestMutantsAreCaught:

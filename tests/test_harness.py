@@ -9,6 +9,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -532,6 +534,25 @@ class TestCli:
             with pytest.raises(SystemExit, match="missing --first"):
                 cli.main(["verify", which, "--theory", "polygon:5", "--second", str(junk),
                           "--random", "1"])
+
+    def test_parser_kept_between_calls(self, capsys):
+        # main builds its parser once, on its first call, not at import; a flag of
+        # one call does not carry over to the next
+        code = "import gptlab.cli as c; print(c.build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True).stdout == "0\n"
+        assert cli.main(["compat", "check", "--theory", "polygon:8", "--pair"]) == 0
+        with pytest.raises(SystemExit, match="missing --first"):
+            cli.main(["compat", "max-lambda", "--theory", "polygon:8"])
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["verify", "thm3", "--n", "8", "--random", "2"]
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        kept = capsys.readouterr().out
+        args = cli.build_parser.__wrapped__().parse_args(argv)
+        args.func(args)
+        assert capsys.readouterr().out == kept
 
     def test_verify_thm3(self, capsys):
         out = self.run(capsys, "verify", "thm3", "--n", "4", "--mode", "thm2",

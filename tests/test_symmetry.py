@@ -26,7 +26,7 @@ from gptlab.ideal import indecomposable_pure_effects, psi_transform
 from gptlab.model import Theory, load_theory, make_classical, make_polygon, theory_to_float
 from gptlab.scalars import (
     EXACT, FLOAT, InnerProduct, identity, inverse, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
-    narrowed, ordered_matmul, stacked, stacked_inverse, transpose, unstacked,
+    narrowed, ordered_matmul, stacked, stacked_inverse, transpose,
 )
 from gptlab.symmetry import (
     SymmetryGroup,
@@ -501,13 +501,14 @@ def assert_same_as_reference(t):
 
 class TestIntegerNumeratorSearch:
     def test_memory_follows_the_group(self):
-        # the action is found from index lists of about |G| * n_vertices entries,
-        # not a facets-by-elements-by-vertices incidence (16 MB of bools here)
+        # the action is found from the facets' vertex index lists, a batch of
+        # elements at a time, not a facets-by-elements-by-vertices incidence (16 MB
+        # of bools here)
         t = make_polygon(200)
         automorphism_group(t)
         tracemalloc.start()
         try:
-            _, facet_perms, _, _ = t.effect_action
+            _, facet_perms = t.effect_action
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1080,21 +1081,19 @@ def test_theory_layer_solves_no_lp(monkeypatch, tmp_path, capsys):
 
 class TestEffectAction:
     """``Theory.effect_action``: the group's action on effects, against each
-    element's own inverse, and the group kept on the theory instance."""
+    element applied to each ray, and the group kept on the theory instance."""
 
     def assert_permutes_scaled_normals(self, t):
         ctx = t.ctx
-        rays, facet_perms, maps, den = t.effect_action
+        rays, facet_perms = t.effect_action
         g = automorphism_group(t)
         rays = np.asarray(rays).tolist()
         k = ctx.convert(t.n_vertices)
         omega_m = tuple(sum(v[c] for v in t.vertices) / k for c in range(t.dim))
         assert all(ctx.eq(sum(a * b for a, b in zip(r, omega_m)), 1) for r in rays)
         assert facet_perms.shape == (g.order, len(t.facet_normals))
-        for element, perm, m in zip(g.elements, facet_perms.tolist(), maps):
-            inv = inverse(element, ctx)
-            assert ctx.mat_eq(inv, unstacked(m, den, ctx).tolist())
-            act = transpose(inv)  # effects move by the inverse transpose
+        for element, perm in zip(g.elements, facet_perms.tolist()):
+            act = transpose(element)  # the row r goes to r T, the column to T^T r
             assert sorted(perm) == list(range(len(rays)))
             for r, image in zip(rays, perm):
                 assert ctx.vec_eq(mat_vec(act, r), rays[image])
@@ -1109,13 +1108,14 @@ class TestEffectAction:
         self.assert_permutes_scaled_normals(make())
 
     def test_memory_follows_the_group(self):
-        # the action is found from index lists of about |G| * n_vertices entries,
-        # not a facets-by-elements-by-vertices incidence (16 MB of bools here)
+        # the action is found from the facets' vertex index lists, a batch of
+        # elements at a time, not a facets-by-elements-by-vertices incidence (16 MB
+        # of bools here)
         t = make_polygon(200)
         automorphism_group(t)
         tracemalloc.start()
         try:
-            _, facet_perms, _, _ = t.effect_action
+            _, facet_perms = t.effect_action
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
