@@ -10,21 +10,22 @@ combination of those normals.  Marginal matching is then coordinatewise
 equality, and the LP has the same number of rows whatever the number of
 vertices.
 
-The optimisation LPs (``min_mur_linf``, ``max_fuzz_lambda``) are mapped
-onto themselves by every automorphism that relabels the pair's outcomes
-or exchanges the two measurements with the grid transposed, so averaging
-an optimal joint over that stabiliser gives an optimal joint that it
-fixes.  On a theory instance whose group is known they run over fixed
+All three LPs, joint measurability, ``min_mur_linf`` and
+``max_fuzz_lambda``, are built by one function (``_joint_lp``).  Each is
+mapped onto itself by every automorphism that relabels the pair's
+outcomes or exchanges the two measurements with the grid transposed, so
+averaging a feasible or optimal joint over that stabiliser gives one that
+it fixes.  On a theory instance whose group is known they run over fixed
 joints only: one variable per orbit of (cell, ray) pairs (Boedi, Herr &
 Joswig, Math. Program. 137, 2013), over facet normals scaled so that
 each element ``T`` permutes them exactly as rows, ``r -> r T``
-(``Theory.effect_action``).  The optimum is the full LP's, float bits
-within the tolerance, and the joint returned is an optimal one that the
+(``Theory.effect_action``).  The verdict or optimum is the full LP's,
+float bits within the tolerance, and the joint returned is one that the
 stabiliser fixes.  The group is known once kept on the instance, or
-sought within a budget by its second optimisation LP (``_group_action``):
-the search pays off only over repeated calls, so a one-shot call solves
-the full LP, as does every call on a theory whose group is too large for
-its LP.  ``is_jointly_measurable`` solves the full LP.
+sought within a budget by its second compat LP of any kind
+(``_group_action``): the search pays off only over repeated calls, so a
+one-shot call solves the full LP, as does every call on a theory whose
+group is too large for its LP.
 """
 
 from __future__ import annotations
@@ -139,15 +140,16 @@ def _marginal_cells(na: int, nb: int) -> list:
 
 
 def is_jointly_measurable(t: Theory, f: Measurement, g: Measurement) -> CompatibilityResult:
-    """Feasibility of the exact joint-measurement constraints."""
-    ncells = f.n_outcomes * g.n_outcomes
+    """Feasibility of the exact joint-measurement constraints.  Once the group is
+    known, over the joints that the pair's stabiliser fixes (module docstring):
+    the verdict is the full LP's, and the witness a joint that it fixes."""
     eqs = [(cells, {}, e) for cells, e in
            zip(_marginal_cells(f.n_outcomes, g.n_outcomes), f.effects + g.effects)]
-    p, effects = cone_lp(t.facet_normals, t.ctx, ncells, eqs)
+    p, joint = _joint_lp(t, f, g, f.n_outcomes * g.n_outcomes, eqs)
     res = lp_feasible(p, t.ctx)
     if not res.feasible:
         return CompatibilityResult(False, None)
-    return CompatibilityResult(True, _joint(f, g, effects(res.witness, ncells)))
+    return CompatibilityResult(True, joint(res.witness))
 
 
 @dataclass(frozen=True)
@@ -166,21 +168,21 @@ def _check_dims(t: Theory, effects) -> None:
             raise ValueError(f"dimension mismatch: cone in R^{t.dim}, vector in R^{len(e)}")
 
 
-# the group search for the optimisation LPs may compare about this many vertex
+# the group search for the compat LPs may compare about this many vertex
 # coordinates per tableau cell of the full fuzzing LP: on the psi-polygons that
 # is some ten full LPs (psi-96: 23 ms of search against 2.4 ms per LP)
 _SEARCH_WORK = 1000
 
 
 def _group_action(t: Theory) -> Optional[tuple]:
-    """``t.effect_action`` if the optimisation LPs on ``t`` run over orbits, else None.
+    """``t.effect_action`` if the compat LPs on ``t`` run over orbits, else None.
 
     Orbits pay off on a reused theory instance only: finding the group and
     its action, once per instance, costs what several smaller LPs save (on
     the psi-48-gon, about eight).  So a group kept on the instance is used at
-    once; otherwise the first optimisation LP on the instance is the full LP,
-    and the second seeks the group, for itself and every later call.  The
-    search gives up once its leaf check could compare more than
+    once; otherwise the first compat LP of any kind on the instance is the
+    full LP, and the second seeks the group, for itself and every later call.
+    The search gives up once its leaf check could compare more than
     ``_SEARCH_WORK`` vertex coordinates (nodes times ``n_vertices ** 2``) per
     tableau cell of the full fuzzing LP (4 ``dim`` rows by 4 facet-normal
     columns).  A group with more elements than that LP has cells is not used
@@ -233,13 +235,6 @@ def _stabiliser(t: Theory, f: Measurement, g: Measurement) -> tuple:
     return elements[keep], swap.astype(bool), image[:, :na], image[:, na:]
 
 
-def _cell_images(swap, pf, pg, na: int, nb: int):
-    """``(len(swap), na * nb)``: where each element sends joint cell ``(a, b) = a * nb + b``;
-    an exchange transposes the grid."""
-    a, b = np.divmod(np.arange(na * nb), nb)
-    return np.where(swap[:, None], pg[:, b] * nb + pf[:, a], pf[:, a] * nb + pg[:, b])
-
-
 def _orbits(t: Theory, elements, block_images, scalar_images):
     """Per variable of ``cones.cone_lp`` (block-major ``(block, ray)`` pairs, then
     the scalars), its orbit under the stabiliser: the least index that an element
@@ -251,6 +246,31 @@ def _orbits(t: Theory, elements, block_images, scalar_images):
     mu = (block_images[:, :, None] * nf + facet_perms[:, None, :]).reshape(len(elements), -1)
     least = np.hstack([mu, block_images.shape[1] * nf + scalar_images]).min(axis=0)
     return np.unique(least, return_inverse=True)[1]
+
+
+def _joint_lp(t: Theory, f: Measurement, g: Measurement, n_blocks: int, eqs,
+              gap_images=None, **lp):
+    """``(p, joint)``: ``cones.cone_lp`` over `n_blocks` vectors, the joint's cells
+    ``a * nb + b`` first, with the equations `eqs` and the keywords `lp`, and the
+    map from a point of ``p`` to its joint.  Once the group is known
+    (``_group_action``), over the joints that the pair's stabiliser fixes: an
+    element sends cell ``(a, b)`` to ``(pf[a], pg[b])``, or, exchanging f and g,
+    to ``(pg[b], pf[a])``, and reverses the scalars (the two sup-gaps; one scalar
+    stays); ``gap_images(swap, pf, pg)`` lists the images of the later blocks."""
+    _check_dims(t, f.effects + g.effects)
+    na, nb = f.n_outcomes, g.n_outcomes
+    rays, orbits, action = t.facet_normals, None, _group_action(t)
+    if action is not None:
+        elements, swap, pf, pg = _stabiliser(t, f, g)
+        a, b = np.divmod(np.arange(na * nb), nb)
+        images = [np.where(swap[:, None], pg[:, b] * nb + pf[:, a], pf[:, a] * nb + pg[:, b])]
+        images += gap_images(swap, pf, pg) if gap_images else []
+        scalars = np.arange(len(lp.get("objective", ())))
+        orbits = _orbits(t, elements, np.column_stack(images),
+                         np.where(swap[:, None], scalars[::-1], scalars))
+        rays = action[0]
+    p, effects = cone_lp(rays, t.ctx, n_blocks, eqs, orbits=orbits, **lp)
+    return p, lambda point: _joint(f, g, effects(point, na * nb))
 
 
 def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
@@ -266,12 +286,9 @@ def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
 
     Once the group is known, the LP runs over the joints that the pair's
     stabiliser fixes (module docstring), and the joint returned is an
-    optimal one that it fixes; until then, the full LP.  An element that
-    swaps the outcomes of a binary marginal exchanges its two sup-gap
-    blocks; one that exchanges f and g, their blocks and sup-gaps.
+    optimal one that it fixes; until then, the full LP.
     """
     ctx = t.ctx
-    _check_dims(t, f.effects + g.effects)
     u = t.unit_effect
     minus_u = vscale(-ctx.one(), u)
     na, nb = f.n_outcomes, g.n_outcomes
@@ -285,29 +302,26 @@ def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
             eqs.append(({**sums, n_blocks: 1}, {s: minus_u}, e))
             eqs.append(({**sums, n_blocks + 1: -1}, {s: u}, e))
             n_blocks += 2
-    rays, orbits, action = t.facet_normals, None, _group_action(t)
-    if action is not None:
-        elements, swap, pf, pg = _stabiliser(t, f, g)
+
+    def gap_images(swap, pf, pg) -> list:
         # outcome a's bounds on side s are blocks start[s] + 2a and the next; an
-        # exchange (only between sides with as many outcomes) sends side s to the other
-        start = np.array([ncells, ncells + 2 * bounded[0]])
-        images = [_cell_images(swap, pf, pg, na, nb)]
+        # exchange (only between sides with as many outcomes) sends side s to the
+        # other, its blocks and its sup-gap
+        start, images = np.array([ncells, ncells + 2 * bounded[0]]), []
         for s, outcomes in enumerate((pf, pg)):
             to = start[s ^ swap]
             for a in range(bounded[s]):
                 out = outcomes[:, a]
-                if bounded[s] == 1:  # binary: outcome 1's deviation is minus outcome 0's
-                    images += [to + (out == 1), to + (out != 1)]
-                else:
-                    images += [to + 2 * out, to + 2 * out + 1]
-        orbits = _orbits(t, elements, np.column_stack(images),
-                         np.column_stack([swap, ~swap]).astype(np.intp))  # s_f, s_g
-        rays = action[0]
-    p, effects = cone_lp(rays, ctx, n_blocks, eqs, objective=[ctx.one()] * 2, orbits=orbits)
+                # binary: outcome 1's deviation is minus outcome 0's, so its blocks swap
+                base, flip = (0, out) if bounded[s] == 1 else (2 * out, 0)
+                images += [to + base + (k ^ flip) for k in (0, 1)]
+        return images
+
+    p, joint = _joint_lp(t, f, g, n_blocks, eqs, gap_images, objective=[ctx.one()] * 2)
     res = lp_solve(p, ctx)
     if res.status != "optimal":
         raise RuntimeError(f"measurement-error LP ended {res.status}")
-    return MurResult(value=res.value, joint=_joint(f, g, effects(res.point, ncells)))
+    return MurResult(value=res.value, joint=joint(res.point))
 
 
 def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool = False):
@@ -324,24 +338,18 @@ def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool 
     ctx = t.ctx
     if f.n_outcomes != 2 or g.n_outcomes != 2:
         raise ValueError("the fuzzing family is defined for binary measurements")
-    _check_dims(t, f.effects + g.effects)
+    _check_dims(t, f.effects + g.effects)  # before vsub raises its own error
     half_u = vscale(1 / ctx.convert(2), t.unit_effect)
     # marginal = lambda e + (1 - lambda) u/2, i.e. marginal + lambda (u/2 - e) = u/2
     eqs = [(cells, {0: vsub(half_u, e)}, half_u)
            for cells, e in zip(_marginal_cells(2, 2), f.effects + g.effects)]
-    rays, orbits, action = t.facet_normals, None, _group_action(t)
-    if action is not None:
-        elements, swap, pf, pg = _stabiliser(t, f, g)
-        orbits = _orbits(t, elements, _cell_images(swap, pf, pg, 2, 2),
-                         np.zeros((len(elements), 1), dtype=np.intp))
-        rays = action[0]
-    p, effects = cone_lp(rays, ctx, 4, eqs, objective=[ctx.one()], sense="max",
-                         upper=[ctx.one()], orbits=orbits)
+    p, joint = _joint_lp(t, f, g, 4, eqs, objective=[ctx.one()], sense="max",
+                         upper=[ctx.one()])
     res = lp_solve(p, ctx)
     if res.status != "optimal":
         raise RuntimeError(f"fuzzing LP ended {res.status}")
     if with_joint:
-        return res.value, _joint(f, g, effects(res.point, 4))
+        return res.value, joint(res.point)
     return res.value
 
 

@@ -5,8 +5,8 @@ measurement-error minimisation, and Lipschitz-ball optimisation.  Exact
 pivoting over rationals is needed for cone certificates, so we ship our own
 dense tableau simplex instead of binding an external solver.
 
-An LP keeps its rows as blocks ``[A | b]``: arrays that a builder such as
-``cones.cone_lp`` writes in one step, or rows added one at a time.
+An LP keeps its rows as blocks ``[A | b]``, each one 2-D array: one that a
+builder such as ``cones.cone_lp`` writes in one step, or a row added alone.
 :func:`lp_solve` and :func:`lp_feasible` share one path: convert the blocks,
 objective and bounds once, into float64 or int numerators over one
 denominator; substitute ``x = x0 + S.y``, ``y >= 0`` (Chvatal 1983, ch. 8): a
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,8 +52,8 @@ _DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland's rule takes ove
 class LinearProgram:
     """min/max c.x subject to blocks of rows and optional var bounds.
 
-    A block ``(ab, rels, den)`` is the rows ``[A | b] / den`` of an array or list
-    of rows `ab` of scalars (numbers, or over 1 'p/q' strings), one relation each.
+    A block ``(ab, rels, den)`` is the rows ``[A | b] / den`` of the 2-D array `ab`
+    of scalars (numbers, or over 1 'p/q' strings), one relation each.
     Variables are free unless bounded: `lower` and `upper` may be None (all free),
     a scalar for every variable, or a per-variable sequence with None unbounded.
     """
@@ -76,32 +75,29 @@ class LinearProgram:
                 raise ValueError(f"{name} has {len(b)} bounds, expected {self.n_vars}")
 
     def add(self, coeffs, rel, rhs):
-        """Append the row ``coeffs . x rel rhs``, to the last block if it is a list over 1."""
-        blocks = self.add_block([[*coeffs, rhs]], [rel]).blocks
-        if len(blocks) > 1 and isinstance(blocks[-2][0], list) and blocks[-2][2] == 1:
-            (row,), (rel,), _ = blocks.pop()
-            blocks[-1][0].append(row)
-            blocks[-1][1].append(rel)
-        return self
+        """Append the row ``coeffs . x rel rhs`` as a block of its own."""
+        return self.add_block([[*coeffs, rhs]], [rel])
 
     def add_block(self, ab, rels, den: int = 1):
-        """Append the rows ``[A | b] / den`` of `ab`, with the relations `rels`."""
-        widths = {ab.shape[-1]} if isinstance(ab, np.ndarray) else {len(row) for row in ab}
-        for width in widths - {self.n_vars + 1}:
+        """Append the rows ``[A | b] / den`` of `ab`, an array or a list of rows, as one
+        array, with the relations `rels`."""
+        ab = ab if isinstance(ab, np.ndarray) else np.array(ab, dtype=object)
+        if ab.ndim != 2:
+            raise ValueError(f"constraint rows must form a 2-D array, not shape {ab.shape}")
+        for width in {ab.shape[1]} - {self.n_vars + 1}:
             raise ValueError(f"constraint has {width - 1} coefficients, expected {self.n_vars}")
         for rel in set(rels) - {LE, EQ, GE}:
             raise ValueError(f"unknown relation {rel!r}")
         if len(rels) != len(ab) or type(den) is not int or den < 1:
             raise ValueError(f"{len(ab)} rows need as many relations and a positive int den")
-        self.blocks.append((ab if isinstance(ab, np.ndarray) else list(ab), list(rels), den))
+        self.blocks.append((ab, list(rels), den))
         return self
 
     @property
     def constraints(self) -> list:
         """Every row as ``(coeffs, rel, rhs)``, divided by its block's denominator."""
         return [(tuple(row[:-1]), rel, row[-1]) for ab, rels, den in self.blocks for row, rel in
-                zip((np.asarray(ab, dtype=object) / Fraction(den)).tolist() if den > 1 else
-                    np.asarray(ab, dtype=object).tolist(), rels)]
+                zip((ab.astype(object) / Fraction(den) if den > 1 else ab).tolist(), rels)]
 
     def _bound(self, which, j):
         b = self.lower if which == "lo" else self.upper
@@ -252,9 +248,6 @@ def _converted(blocks, ctx: Context):
     converted once by :func:`stacked`, divided by its den if float."""
     parts = []
     for ab, _, den in blocks:
-        if isinstance(ab, list) and (ctx.exact or den > 1):  # not numpy's nested-sequence scan
-            ab = np.fromiter(chain.from_iterable(ab), dtype=object,
-                             count=len(ab) * len(ab[0])).reshape(len(ab), -1)
         nums, d = stacked(ab if ctx.exact or den == 1 else ab / den, ctx)
         parts.append((nums, d * den if ctx.exact else 1))
     den = math.lcm(*(d for _, d in parts))
@@ -272,7 +265,8 @@ def _standardize(p: LinearProgram, ctx: Context):
     n, rels = p.n_vars, [rel for _, block_rels, _ in p.blocks for rel in block_rels]
     (lo, has_lo), (up, has_up), m = _bounds(p.lower, n), _bounds(p.upper, n), len(rels)
     # [A | b], the objective and the bounds over one den, products of two over den**2
-    arr, den = _converted(p.blocks + [([[*p.objective, 0], lo, up], (), 1)], ctx)
+    extra = np.array([[*p.objective, 0], lo, up], dtype=object)
+    arr, den = _converted(p.blocks + [(extra, (), 1)], ctx)
     obj, lo, up = arr[m:, :n]
     obj, x0, fixed = -obj if p.sense == "max" else obj, np.where(has_lo, lo, up), has_lo | has_up
     # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-; S = I if all x >= l

@@ -146,21 +146,16 @@ def _lipschitz_ball_lp(metric: FiniteMetricSpace, deltas, ctx: Context):
     largest absolute gap.
     """
     k = len(metric.points)
-    # variables: h(a_1) ... h(a_{k-1})
+    # variables: h(a_1) ... h(a_{k-1}); two rows per pair of points, the pairs with a_0
+    # first: h(a_i) - h(a_j) <= d(a_i, a_j), then >= -d(a_i, a_j)
+    pairs = [(i, 0) for i in range(1, k)] + [(i, j) for i in range(1, k) for j in range(i + 1, k)]
+    rows = []
+    for i, j in pairs:
+        row = [ctx.zero()] * k  # with h(a_0), which is dropped
+        row[i], row[j] = ctx.one(), -ctx.one()
+        rows += [[*row[1:], metric.dist[i][j]], [*row[1:], -metric.dist[i][j]]]
     p = LinearProgram(n_vars=k - 1, objective=deltas[1:], sense="max")
-    for i in range(1, k):
-        row = [ctx.zero()] * (k - 1)
-        row[i - 1] = ctx.one()
-        p.add(row, LE, metric.dist[i][0])
-        p.add(row, GE, -metric.dist[i][0])
-    for i in range(1, k):
-        for j in range(i + 1, k):
-            row = [ctx.zero()] * (k - 1)
-            row[i - 1] = ctx.one()
-            row[j - 1] = -ctx.one()
-            p.add(row, LE, metric.dist[i][j])
-            p.add(row, GE, -metric.dist[i][j])
-    res = lp_solve(p, ctx)
+    res = lp_solve(p.add_block(rows, [LE, GE] * len(pairs)), ctx)
     if res.status != "optimal":
         raise RuntimeError(f"Lipschitz-ball LP ended {res.status}")
     return res.value

@@ -76,8 +76,8 @@ class Theory:
     # ``symmetry.automorphism_group`` call; ``replace`` never copies it
     group_cache: Optional["SymmetryGroup"] = field(default=None, init=False, repr=False,
                                                    compare=False)
-    # ``compat``'s optimisation LPs run on this instance, counted up to 2: the
-    # second one seeks the group (``compat._group_action``)
+    # ``compat``'s LPs of any kind (joint measurability, MUR, fuzzing) run on this
+    # instance, counted up to 2: the second one seeks the group (``compat._group_action``)
     lp_runs: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
@@ -501,6 +501,7 @@ def theory_from_dict(data: dict) -> Theory:
         kind=data.get("kind", "custom"),
         n=data.get("n"),
     )
+    validate_theory(t)
     if int(data["dim"]) != t.dim:
         raise ValueError("declared dim does not match vertex length")
     if t.kind != "custom" and not _is_builtin(t):
@@ -509,7 +510,6 @@ def theory_from_dict(data: dict) -> Theory:
             f"built-in theory (kinds {', '.join(BUILTIN_KINDS)}; vertices, unit effect and "
             "mode must match)"
         )
-    validate_theory(t)
     return t
 
 

@@ -425,13 +425,29 @@ def full_optimum(family, t, f, g):
     return res.value
 
 
+def assert_jm_matches_full(t, f, g):
+    """Joint measurability has the full LP's verdict, and the witness of a
+    compatible pair is a valid joint with the pair as its marginals (equal in
+    exact mode, within the tolerance in float mode)."""
+    ctx = t.ctx
+    res = is_jointly_measurable(t, f, g)
+    full = lp_feasible(full_compat_lp("is_jointly_measurable", t, f, g), ctx)
+    assert res.compatible == full.feasible, "is_jointly_measurable"
+    if res.compatible:
+        assert not joint_violations(t, res.witness)
+        for got, want in zip(marginals(res.witness), (f, g)):
+            assert all(ctx.vec_eq(a, b) for a, b in zip(got.effects, want.effects))
+
+
 def assert_matches_full(t, f, g):
-    """Both optimisation LPs reach the full LP's optimum (exactly in exact mode,
+    """Joint measurability has the full LP's verdict and a valid witness, and
+    both optimisation LPs reach the full LP's optimum (exactly in exact mode,
     within 1e-9 in float mode), with joints that are valid measurements and
     have the marginals the optimum promises.  The group is kept on ``t`` first,
-    so that they run over orbits."""
+    so that all three run over orbits."""
     ctx = t.ctx
     automorphism_group(t)
+    assert_jm_matches_full(t, f, g)
     close = (lambda a, b: a == b) if ctx.exact else (lambda a, b: abs(a - b) <= 1e-9)
     if f.n_outcomes == g.n_outcomes == 2:
         lam, joint = max_fuzz_lambda(t, f, g, with_joint=True)
@@ -678,3 +694,30 @@ class TestMutantsAreCaught:
 
         monkeypatch.setattr(compat, "_orbits", merge_two)
         assert all(self.caught(t, f, g) for t, f, g in self.pairs())
+
+    def test_untransposed_exchange(self, monkeypatch):
+        # with the swap flags cleared, an exchange sends joint cell (a, b) to
+        # (pf[a], pg[b]), not to the transposed (pg[b], pf[a]); joint measurability
+        # has no other blocks and no scalars, so that is all that changes.  A
+        # compatible fuzzified pair that an exchange maps onto itself then reads
+        # incompatible
+        real = compat._stabiliser
+
+        def untransposed(t, f, g):
+            elements, swap, pf, pg = real(t, f, g)
+            return elements, np.zeros_like(swap), pf, pg
+
+        pairs = []
+        for n in (8, 16):
+            t = psi_transform(make_polygon(n))
+            automorphism_group(t)
+            f, g = binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 3)
+            lam = 0.9 * max_fuzz_lambda(t, f, g)
+            pairs.append((t, fuzzify(t, f, lam), fuzzify(t, g, lam)))
+        for t, f, g in pairs:
+            assert any(real(t, f, g)[1])
+            assert_jm_matches_full(t, f, g)
+        monkeypatch.setattr(compat, "_stabiliser", untransposed)
+        for t, f, g in pairs:
+            with pytest.raises(AssertionError, match="is_jointly_measurable"):
+                assert_jm_matches_full(t, f, g)

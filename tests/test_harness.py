@@ -407,6 +407,8 @@ class TestCli:
 
     INVALID_THEORY_FILES = {
         "no-dim": ('{"vertices": [[1, 0], [0, 1]], "unit_effect": [1, 1]}', "'dim'"),
+        "no-vertices": ('{"dim": 3, "vertices": [], "unit_effect": [0, 0, 1]}',
+                        "theory has no vertices"),
         "not-json": ("vertices: [[1, 0], [0, 1]]", "Expecting value: line 1 column 1"),
         "vertices-not-a-list": ('{"dim": 2, "vertices": 5, "unit_effect": [1, 1]}',
                                 "'int' object is not iterable"),

@@ -223,6 +223,7 @@ def test_malformed_constraint_dimension():
     (lambda p: p.add_block(np.ones((2, 3)), [EQ, "=<"]), "unknown relation '=<'"),
     (lambda p: p.add_block(np.ones((1, 3), dtype=int), [EQ], 0), "positive int den"),
     (lambda p: p.add_block(np.ones((1, 3), dtype=int), [EQ], 2.0), "positive int den"),
+    (lambda p: p.add_block(np.array([1.0, 1.0, 1.0]), [EQ, EQ, EQ]), "must form a 2-D array"),
 ])
 def test_malformed_block_rejected(add, message):
     p = LinearProgram(n_vars=2, objective=[1.0, 1.0])
@@ -231,18 +232,23 @@ def test_malformed_block_rejected(add, message):
     assert p.blocks == []
 
 
-def test_added_rows_extend_a_list_block():
-    # rows added one at a time join the list block before them, over 1, so each
-    # run of them converts as one block; the caller's rows stay as given
-    given = [[1, 1, 2]]
-    p = LinearProgram(n_vars=2, objective=[1, 1]).add_block(given, [EQ])
-    p.add([1, 0], LE, 1).add([0, 1], GE, 0)
-    p.add_block(np.ones((1, 3)), [LE]).add([1, -1], EQ, 0)
-    assert given == [[1, 1, 2]]
-    blocks = [(np.asarray(ab).tolist(), rels, den) for ab, rels, den in p.blocks]
-    assert blocks == [([[1, 1, 2], [1, 0, 1], [0, 1, 0]], [EQ, LE, GE], 1),
-                      ([[1.0, 1.0, 1.0]], [LE], 1), ([[1, -1, 0]], [EQ], 1)]
-    assert isinstance(p.blocks[0][0], list)
+def test_added_rows_are_blocks_of_their_own():
+    # each row added alone is a one-row array block, the caller's rows stay as
+    # given, and rows added one at a time solve as the same rows in one block
+    for ctx in (FLOAT, EXACT):
+        c = ctx.convert
+        rows = [[c(1), c(1), c(2)], [c(1), c(0), c(1)], [c(0), c(1), c(Fr(1, 3))],
+                [c(1), c(-1), c(0)]]
+        rels, given = [LE, LE, GE, GE], [list(row) for row in rows]
+        one = LinearProgram(n_vars=2, objective=[c(1), c(2)], sense="max").add_block(given, rels)
+        each = LinearProgram(n_vars=2, objective=[c(1), c(2)], sense="max")
+        for row, rel in zip(rows, rels):
+            each.add(row[:-1], rel, row[-1])
+        assert given == rows
+        assert [(ab.shape, ab.dtype, den) for ab, _, den in each.blocks] == \
+            [((1, 3), object, 1)] * 4
+        assert [np.asarray(ab).tolist() for ab, _, _ in one.blocks] == [rows]
+        assert repr(lp_solve(each, ctx)) == repr(lp_solve(one, ctx))
 
 
 @pytest.mark.parametrize("n_vars, kw, message", [

@@ -500,20 +500,6 @@ def assert_same_as_reference(t):
 
 
 class TestIntegerNumeratorSearch:
-    def test_memory_follows_the_group(self):
-        # the action is found from the facets' vertex index lists, a batch of
-        # elements at a time, not a facets-by-elements-by-vertices incidence (16 MB
-        # of bools here)
-        t = make_polygon(200)
-        automorphism_group(t)
-        tracemalloc.start()
-        try:
-            _, facet_perms = t.effect_action
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert facet_perms.shape == (400, 200) and peak < 4 << 20
-
     def test_structure_polytopes(self, tmp_path):
         for name, path in structure_theory_files(tmp_path, seed=5).items():
             t = load_theory(path)
