@@ -21,15 +21,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    _BATCH_CELLS,
+    FiniteMetricSpace,
     Measurement,
     Theory,
     effect_eval,
     in_state_space,
-    is_zero_effect,
     polygon_radius,
 )
-from .scalars import Context, dot, mat_vec, stacked, unstacked, vadd, vscale, vsub
-from .symmetry import is_self_dual
+from .scalars import (
+    Context,
+    dot,
+    mat_vec,
+    narrowed,
+    ordered_matmul,
+    stacked,
+    unstacked,
+    vadd,
+    vscale,
+    vsub,
+)
+from .symmetry import _coder, is_self_dual
 
 
 @dataclass(frozen=True)
@@ -168,117 +180,132 @@ def psi_map_joint(j, n: int, inverse: bool = False):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _veckey(v, ctx: Context):
-    """``v`` as a dict key: exact, or each float rounded to the digits of ``tol``."""
-    if ctx.exact:
-        return tuple(v)
-    digits = round(-math.log10(ctx.tol))
-    return tuple(round(a, digits) for a in v)
-
-
-def _valid_sums(pures, verts, one, ctx: Context) -> dict:
-    """All valid nonzero effects of the form sum_{i in S} e_i, keyed by S.
+def _valid_sums(pures, verts, one, ctx: Context) -> tuple:
+    """``(sums, sets)``: every valid nonzero effect ``sum_{i in S} e_i``, one row
+    each, in order of ``(len(S), sorted(S))``, and the index sets ``S``.
 
     Effects and vertices are numerators (see ``enumerate_ideal_measurements``),
     so an effect is at most one on a vertex when its product is at most
-    ``one``.  Vertex values of a sum are monotone in S (pure effects are
+    ``one``.  The sets grow breadth first, each valid set by every index above
+    its last; vertex values of a sum are monotone in S (pure effects are
     nonnegative on states), so supersets of an invalid sum are pruned.
     """
     n = len(pures)
-    out = {}
-
-    def grow(start: int, idx: frozenset, vec) -> None:
-        for i in range(start, n):
-            cand = vadd(vec, pures[i]) if vec is not None else pures[i]
-            if all(ctx.le(dot(cand, v), one) for v in verts):
-                s = idx | {i}
-                out[frozenset(s)] = cand
-                grow(i + 1, frozenset(s), cand)
-
-    grow(0, frozenset(), None)
-    return out
+    level, sets = pures, np.arange(n)[:, None]
+    out_sums, out_sets = [], []
+    while len(level):
+        ok = ctx.le(ordered_matmul(level, verts.T), one).all(axis=1)
+        level, sets = level[ok], sets[ok]
+        out_sums.append(level)
+        out_sets += sets.tolist()
+        rows, cols = np.nonzero(np.arange(n) > sets[:, -1:])
+        level, sets = level[rows] + pures[cols], np.column_stack((sets[rows], cols))
+    return np.concatenate(out_sums), out_sets
 
 
 def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
-    """All ideal measurements with at most ``max_outcomes`` outcomes.
+    """All ideal measurements with at most ``max_outcomes`` outcomes, an integer.
 
     Each effect is a valid nonzero sum of pure indecomposable effects or
     the unit effect minus one; families must sum to the unit effect.
-    Relabelings are collapsed by sorting the effect coordinate vectors.
+    Relabelings are collapsed by sorting the effects by their keys, the
+    codes of their coordinates (``symmetry._coder``); the output is ordered by
+    length, then by those keys.  Every measurement with k outcomes shares
+    one discrete metric.
 
     The search runs on numerators: effects over one common denominator and
-    vertices over another, ints in exact mode and the floats themselves in
-    float mode.  A vertex value is then a ``dot`` of numerators, the sum
-    ``prob_table`` forms, over the product of the two denominators, and the
-    search adds, compares and keys no Fraction; sorting and keying by
-    numerators orders the effects as their values would.  The candidates
+    vertices over another, int64 where ``scalars.narrowed`` proves that no
+    sum or product overflows, Python ints otherwise, and the floats
+    themselves in float mode.  A vertex value is then an ordered product of
+    numerators, the sum ``prob_table`` forms, over the product of the two
+    denominators, and the search adds, compares and keys no Fraction.  It
+    grows the multisets of candidates breadth first, one array step per
+    outcome count, as ``symmetry._search_group`` grows its partial maps,
+    on at most ``model._BATCH_CELLS`` cells at a time.  The candidates
     become scalars once, by ``scalars.unstacked``, after the search.
     """
+    if int(max_outcomes) != max_outcomes:
+        raise ValueError(f"max_outcomes must be an integer, not {max_outcomes!r}")
+    max_outcomes = int(max_outcomes)
     if max_outcomes < 2:
         return ()
     ctx = t.ctx
     pures = indecomposable_pure_effects(t)
     effects, eden = stacked(list(pures) + [t.unit_effect], ctx)
-    *pures, u = map(tuple, effects.tolist())
     verts, vden = stacked(t.vertices, ctx)
-    verts = list(map(tuple, verts.tolist()))
+    # a pool vector is a sum of at most len(pures) rows of effects, or u minus one,
+    # and a remainder is u minus at most max_outcomes of them: bounding their vertex
+    # values so bounds their entries too, as some vertex numerator is at least 1
+    effects, verts = narrowed(effects, verts,
+                              t.dim * (len(pures) + 1) * (max_outcomes + 1))
+    pures, u = effects[:-1], effects[-1]
     one = eden * vden  # the numerator of a vertex value of one
-    sums = _valid_sums(pures, verts, one, ctx)
+    sums, sets = _valid_sums(pures, verts, one, ctx)
 
-    # one candidate per coordinate vector, sums before complements; only valid
-    # effects (in [0, 1] on every vertex, enough by convexity) enter the
-    # search, which tracks the remainder's vertex values as they decrease
-    order = sorted(sums, key=lambda s: (len(s), sorted(s)))
-    seen, candidates, vals = set(), [], []
-    for tag, s in [("sum", s) for s in order] + [("complement", s) for s in order]:
-        vec = sums[s] if tag == "sum" else vsub(u, sums[s])
-        key = _veckey(vec, ctx)
-        if key in seen or is_zero_effect(t, vec):
-            continue
-        seen.add(key)
-        row = tuple(dot(vec, v) for v in verts)
-        if all(ctx.ge(p, 0) and ctx.le(p, one) for p in row):
-            candidates.append((tag, s, vec))
-            vals.append(row)
-    by_key = {_veckey(c[2], ctx): i for i, c in enumerate(candidates)}
+    # one candidate per key, sums before complements; only valid effects (in
+    # [0, 1] on every vertex, enough by convexity) enter the search, which
+    # tracks the remainder's vertex values as they decrease
+    pool = np.concatenate((sums, u - sums))
+    nonzero = np.flatnonzero(~ctx.is_zero(pool).all(axis=1))
+    keys, code = _coder(pool[nonzero], ctx)
+    order = np.lexsort(keys.T[::-1])  # stable: the first of equal keys comes first
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    first = np.sort(order[head])
+    vals = ordered_matmul(pool[nonzero[first]], verts.T)
+    valid = (ctx.ge(vals, 0) & ctx.le(vals, one)).all(axis=1)
+    kept, keys, vals = nonzero[first[valid]], keys[first[valid]], vals[valid]
+    cands = pool[kept]
+    by_key = {key: i for i, key in enumerate(map(tuple, keys.tolist()))}
 
-    found = {}
+    # the multisets, breadth first: nondecreasing candidate indices, with the
+    # remainder u - sum and its vertex values
+    chosen, rest = np.zeros((1, 0), dtype=np.intp), u[None]
+    rest_vals = ordered_matmul(rest, verts.T)
+    found = []
+    step = max(1, _BATCH_CELLS // max(1, vals.size))
+    for level in range(max_outcomes):
+        if level:
+            zero = ctx.is_zero(rest).all(axis=1)
+            if level >= 2:
+                found.append(chosen[zero])
+            chosen, rest, rest_vals = chosen[~zero], rest[~zero], rest_vals[~zero]
+        if level == max_outcomes - 1:  # one slot left: the remainder must be a candidate
+            last = np.array([by_key.get(key, -1) for key in map(tuple, code(rest).tolist())],
+                            dtype=np.intp)
+            ok = last >= chosen[:, -1]
+            found.append(np.column_stack((chosen[ok], last[ok])))
+            break
+        start = chosen[:, -1:] if level else np.zeros((1, 1), dtype=np.intp)
+        parts = []
+        for lo in range(0, len(chosen), step):  # at most _BATCH_CELLS cells at a time
+            new_vals = rest_vals[lo:lo + step, None] - vals
+            ok = ctx.ge(new_vals, 0).all(axis=2) & (np.arange(len(cands)) >= start[lo:lo + step])
+            r, c = np.nonzero(ok)
+            parts.append((np.column_stack((chosen[lo + r], c)), rest[lo + r] - cands[c],
+                          new_vals[r, c]))
+        if not parts:
+            break
+        chosen, rest, rest_vals = (np.concatenate(arrays) for arrays in zip(*parts))
 
-    def search(start: int, chosen: list, rest, rest_vals) -> None:
-        if chosen and is_zero_effect(t, rest):
-            if len(chosen) >= 2:
-                _record(chosen)
-            return  # nonzero effects cannot extend a zero remainder
-        slots = max_outcomes - len(chosen)
-        if slots == 0:
-            return
-        if chosen and slots == 1:
-            i = by_key.get(_veckey(rest, ctx))
-            if i is not None and i >= start:
-                _record(chosen + [i])
-            return
-        for i in range(start, len(candidates)):
-            new_vals = tuple(r - e for r, e in zip(rest_vals, vals[i]))
-            if any(ctx.lt(v, 0) for v in new_vals):
-                continue  # remainder went negative on a vertex; dead end
-            search(i, chosen + [i], vsub(rest, candidates[i][2]), new_vals)
-
-    def _record(chosen: list) -> None:
-        order = sorted(chosen, key=lambda i: _veckey(candidates[i][2], ctx))
-        key = tuple(_veckey(candidates[i][2], ctx) for i in order)
-        if key not in found:
-            found[key] = order
-
-    search(0, [], u, tuple(dot(u, v) for v in verts))
-    values = unstacked(np.array([c[2] for c in candidates], dtype=effects.dtype), eden, ctx)
-    values = list(map(tuple, values.tolist()))
+    # each measurement's effects by key, the measurements by length, then keys
+    by_rank = np.lexsort(keys.T[::-1])
+    rank = np.argsort(by_rank)
+    values = list(map(tuple, unstacked(cands, eden, ctx).tolist()))
+    tags = [("sum", frozenset(sets[i])) if i < len(sets) else
+            ("complement", frozenset(sets[i - len(sets)])) for i in kept.tolist()]
     out = []
-    for key in sorted(found, key=lambda key: (len(key), key)):
-        out.append(IdealMeasurement(
-            outcomes=tuple(range(len(key))),
-            effects=tuple(values[i] for i in found[key]),
-            provenance=tuple(candidates[i][:2] for i in found[key]),
-        ))
+    for group in found:
+        k = group.shape[1]
+        ranks = np.sort(rank[group], axis=1)
+        metric = FiniteMetricSpace.discrete(tuple(range(k)))
+        for row in by_rank[ranks[np.lexsort(ranks.T[::-1])]].tolist():
+            out.append(IdealMeasurement(
+                outcomes=tuple(range(k)),
+                effects=tuple(values[i] for i in row),
+                metric=metric,
+                provenance=tuple(tags[i] for i in row),
+            ))
     return tuple(out)
 
 

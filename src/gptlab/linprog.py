@@ -22,8 +22,10 @@ side in one array over one denominator, so a pivot is one rank-1 update:
 masked to the rows with a nonzero multiplier in float mode, which keeps their
 signed zeros, and fraction-free in exact mode (Edmonds 1967; Bareiss 1968),
 scaling every row by the pivot and reducing the array by its gcd.  Exact
-values leave as Fractions.  Dantzig pricing (1963) enters the argmin of the
-reduced costs, lowest index on ties, when it is below ``-tol``; after
+numerators are int64 while a bound checked before each pivot proves that the
+pivot's ints fit, and Python ints from the first pivot where it does not;
+exact values leave as Fractions.  Dantzig pricing (1963) enters the argmin of
+the reduced costs, lowest index on ties, when it is below ``-tol``; after
 ``_DEGENERATE_RUN`` pivots in a row whose leaving right-hand side is within
 ``tol`` of zero, Bland's rule (1977) enters the lowest index with a negative
 reduced cost until a nondegenerate pivot.  Ratio-test ties break toward the
@@ -40,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scalars import Context, FLOAT, numerators, reduced, stacked, unstacked
+from .scalars import Context, FLOAT, int_dtype, max_abs, numerators, reduced, stacked, unstacked
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -128,12 +130,17 @@ class FeasibilityResult:
 class _Tableau:
     """Dense simplex tableau in standard form: min c.y, A y = b, y >= 0.
 
-    Rows and right-hand side, numerators over one positive `den` (float64 over 1 or
-    Python ints), live in one array ``t``, the right-hand side last; the objective
-    row has a denominator of its own and -z last."""
+    Rows and right-hand side, numerators over one positive int `den`, live in one
+    array ``t``, the right-hand side last: float64 over 1, or exact ints.  Those are
+    int64 while ``scalars.int_dtype`` finds that every int a pivot forms fits, and
+    Python ints (object dtype) from the first pivot that might overflow on; one
+    numpy path serves all three.  The objective row has a denominator of its own
+    and -z last, Python ints in exact mode."""
 
     def __init__(self, rows, rhs, ctx, den):
         self.t, self.den = np.column_stack((rows, rhs)), den
+        if ctx.exact:
+            self.t = self.t.astype(int_dtype(max_abs(self.t), den))
         self.ctx = ctx  # entering and pivot tests compare with its tol
         self.basis = [-1] * len(rhs)
 
@@ -145,10 +152,11 @@ class _Tableau:
         """``(obj, oden)``: the objective row (reduced costs, then -z) for the
         current basis, as numerators over ``oden``."""
         cost, cden = numerators(cost) if self.ctx.exact else (cost, 1)
-        obj = np.array(cost + [0], dtype=self.t.dtype) * self.den
+        dtype = object if self.ctx.exact else self.t.dtype
+        obj = np.array(cost + [0], dtype=dtype) * self.den
         for i, cb in enumerate(cost[bj] for bj in self.basis):
             if cb != 0:
-                obj -= cb * self.t[i]
+                obj -= cb * self.t[i].astype(dtype, copy=False)
         return reduced(obj, cden * self.den) if self.ctx.exact else (obj, 1)
 
     def pivot(self, r, c):
@@ -156,9 +164,14 @@ class _Tableau:
         f = t[:, c].copy()
         f[r] = 0
         if self.ctx.exact:
-            # over den * p: row r becomes den t_r, every other row p t_i - t_ic t_r
+            # over den * p: row r becomes den t_r, every other row p t_i - t_ic t_r,
+            # on int64 until a bound on those ints reaches 2^63 (Bareiss, 1968)
             nz = f.nonzero()[0]
-            p, prow = t[r, c], t[r].copy()
+            p, prow = int(t[r, c]), t[r].copy()
+            if t.dtype == np.int64:
+                size = max_abs(prow)
+                dtype = int_dtype(abs(p) * max_abs(t) + max_abs(f) * size, self.den * size)
+                t, f, prow = (x.astype(dtype, copy=False) for x in (t, f, prow))
             t *= p
             t[r] = self.den * prow
             t[nz] -= np.outer(f[nz], prow)
@@ -194,7 +207,8 @@ class _Tableau:
             self.pivot(leave, enter)
             fobj = obj[enter]
             if exact:
-                obj, oden = reduced(obj * self.den - fobj * self.t[leave], oden * self.den)
+                obj, oden = reduced(obj * self.den - fobj * self.t[leave].astype(object),
+                                    oden * self.den)
             elif fobj != 0:
                 obj -= fobj * self.t[leave]
         raise RuntimeError("simplex exceeded pivot budget (cycling?)")

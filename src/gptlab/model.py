@@ -52,7 +52,8 @@ if TYPE_CHECKING:
 
 # array cells per batch: vertex-image comparisons per batch of candidate maps and
 # candidate images per batch of partial maps in the group search, vertex indices
-# gathered per batch of group elements in ``Theory.effect_action``.  Bounds their
+# gathered per batch of group elements in ``Theory.effect_action``, remainder
+# vertex values per batch of multisets in the ideal-measurement search.  Bounds their
 # memory on polytopes with many vertices or many search nodes.  1 << 16 keeps the
 # searches of the psi-polygons 4..48 within about 1 MB of resident memory (1 << 20
 # took 3.7 MB, and 7 MB when the check compared whole rows) and runs no slower

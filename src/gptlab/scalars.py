@@ -9,9 +9,10 @@ about which one is active.
 ``Context.tol`` is the package's one tolerance policy.  Comparisons (the
 context's ``eq``/``le``/``sign``, pivot tests, theorem verdicts) allow
 ``tol``; residual checks (LP certificates, the two-block fit of
-``symmetry.xi_canonicalize``) allow ``100 * tol``; float keys round to the
-digits of ``tol``.  In exact mode ``tol`` is the int 0, so every one of
-these compares exactly and ``x - tol`` keeps a Fraction ``x`` a Fraction.
+``symmetry.xi_canonicalize``) allow ``100 * tol``; float keys code sorted
+values with a new code at every gap above ``tol``.  In exact mode ``tol`` is
+the int 0, so every one of these compares exactly and ``x - tol`` keeps a
+Fraction ``x`` a Fraction.
 
 Vectors are plain tuples and matrices are tuples of row tuples.  Ambient
 dimensions here are tiny (rarely above five), so the helpers are pure
@@ -24,7 +25,8 @@ denominator: :func:`numerators` clears the denominators of a list,
 such an array in lowest terms, and :func:`ordered_matmul` multiplies
 stacks of matrices with every sum taken in index order, as :func:`dot`
 does.  :func:`narrowed` hands such ints to a product as int64 where a
-bound proves that nothing overflows.  :func:`unstacked` turns numerators
+bound proves that nothing overflows; :func:`int_dtype` is that one
+int64-or-Python-int decision.  :func:`unstacked` turns numerators
 back into scalars where a value leaves those layers.
 
 One Gauss-Jordan elimination serves :func:`rank`, :func:`spanning_rows`,
@@ -210,8 +212,11 @@ def stacked(xs, ctx: Context):
 
 def reduced(nums, den) -> tuple:
     """``(nums // g, den // g)`` for the int array ``nums`` over the nonzero ``den``:
-    ``g`` is the gcd of ``den`` and every entry, signed so the new ``den`` is positive."""
-    g = math.gcd(den, *nums.ravel().tolist())
+    ``g`` is the gcd of ``den`` and every entry, signed so the new ``den`` is positive.
+    An int64 array takes its gcd with ``np.gcd.reduce``, Python ints with ``math.gcd``."""
+    flat = nums.ravel()
+    g = math.gcd(den, int(np.gcd.reduce(flat)) if flat.dtype == np.int64 else
+                 math.gcd(*flat.tolist()))
     if den < 0:
         g = -g
     return nums // g, den // g
@@ -242,7 +247,12 @@ def ordered_matmul(a, b):
     into the 0.0 that a sum from zero gives); a larger product, or an empty
     inner dimension, adds one inner index at a time into zeros of the
     product's shape, as numpy's accumulate along a strided axis is slower.
+    Exact entries sum the same in any order, so int64 arrays and object
+    arrays, which hold exact scalars (Python ints, Fractions) throughout this
+    package, take ``a @ b``.
     """
+    if a.dtype.kind in "iO" and b.dtype.kind in "iO":
+        return a @ b
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
     if a.shape[-1] and math.prod(shape) <= _ACCUMULATE_MAX:
         return np.add.accumulate(a[..., :, :, None] * b[..., None, :, :], axis=-2)[..., -1, :] + 0
@@ -250,6 +260,21 @@ def ordered_matmul(a, b):
     for i in range(a.shape[-1]):
         total += a[..., :, i, None] * b[..., None, i, :]
     return total
+
+
+# exact ints below this in size fit int64; a test may lower it to force Python ints
+_INT64_LIMIT = 1 << 63
+
+
+def max_abs(x) -> int:
+    """The largest ``|entry|`` of the int array ``x`` as a Python int, 0 when it is empty."""
+    return int(np.abs(x).max(initial=0))
+
+
+def int_dtype(*bounds):
+    """``np.int64`` when every bound is below ``2^63``, else ``object`` (Python ints):
+    the dtype for exact numerators when ``bounds`` bound every int formed from them."""
+    return np.int64 if all(b < _INT64_LIMIT for b in bounds) else object
 
 
 def narrowed(a, b, k: int, *more) -> tuple:
@@ -262,10 +287,8 @@ def narrowed(a, b, k: int, *more) -> tuple:
     arrays = (a, b, *more)
     if a.dtype.kind == "f":
         return arrays
-    size = [max(abs(int(x.min(initial=0))), abs(int(x.max(initial=0)))) for x in arrays]
-    limit = 1 << 63
-    fits = k * size[0] * size[1] < limit and all(s < limit for s in size[2:])
-    return tuple(x.astype(np.int64 if fits else object) for x in arrays)
+    dtype = int_dtype(k * max_abs(a) * max_abs(b), *map(max_abs, more))
+    return tuple(x.astype(dtype) for x in arrays)
 
 
 def _rows(rows, ctx: Context) -> list:

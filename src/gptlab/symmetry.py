@@ -165,22 +165,31 @@ def _vertex_perms(maps, w, target, ctx):
     return [p for p, _ in found], maps[[k for _, k in found]]
 
 
-def _codes(m, ctx: Context):
-    """The entries of the array ``m`` as ints from 0, equal where ``m`` is.
+def _coder(pool, ctx: Context):
+    """``(codes, code)``: the entries of the array ``pool`` as ints from 0 in the
+    order of their values, and ``code``, which gives each entry of an array the
+    code of a pool entry that ``ctx.eq`` accepts, or -1.
 
-    Exact entries share a code when they are equal.  Float entries are sorted
-    and a new code starts wherever the gap to the previous one exceeds
-    ``ctx.tol``, so every pair that ``ctx.eq`` accepts shares a code; a chain
-    of close values may share one too, which only lets more maps through to
-    the vertex check.
+    The pool's values are sorted and a new code starts wherever the gap to the
+    previous one exceeds ``tol``: in exact mode at every distinct value, as
+    ``np.unique`` numbers them, and in float mode every pair that ``ctx.eq``
+    accepts shares a code; a chain of close values may share one too, which
+    only lets more maps through to the vertex check.  An entry ``x`` takes the
+    code of the first pool value at least ``x - tol`` when that value is within
+    ``tol`` of ``x``.
     """
-    flat = m.ravel()
-    if ctx.exact:
-        return np.unique(flat, return_inverse=True)[1].reshape(m.shape)
+    flat = pool.ravel()
     order = np.argsort(flat, kind="stable")
+    values = flat[order]
+    ranks = np.cumsum(np.diff(values, prepend=values[:1]) > ctx.tol)
     codes = np.empty(len(flat), dtype=np.intp)
-    codes[order] = np.concatenate(([0], np.cumsum(np.diff(flat[order]) > ctx.tol)))
-    return codes.reshape(m.shape)
+    codes[order] = ranks
+
+    def code(x):
+        pos = np.searchsorted(values, x - ctx.tol).clip(max=len(values) - 1)
+        return np.where(ctx.eq(values[pos], x), ranks[pos], -1)
+
+    return codes.reshape(pool.shape), code
 
 
 def _extensions(part, code, span, i):
@@ -221,7 +230,7 @@ def _search_group(t: Theory, max_nodes: Optional[int] = None) -> SymmetryGroup:
     qinv = stacked_inverse(ordered_matmul(w.T, w).tolist(), ctx)
     if qinv is None:
         raise ValueError("vertices do not span the ambient space")
-    code = _codes(ordered_matmul(w, ordered_matmul(qinv[0], w.T)), ctx)
+    code = _coder(ordered_matmul(w, ordered_matmul(qinv[0], w.T)), ctx)[0]
 
     span = spanning_rows(verts, d, ctx)
     part = np.zeros((1, 0), dtype=np.intp)  # the partial maps: images of span[:k]

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from gptlab.cones import Cone, LinealityError, cone_lp, cone_member, cones_equal, dual_cone
-from gptlab.ideal import IdealMeasurement, _veckey, indecomposable_pure_effects
+from gptlab.ideal import IdealMeasurement, indecomposable_pure_effects
 from gptlab.linprog import _DEGENERATE_RUN, _MAX_PIVOTS, EQ, GE, LE, LinearProgram
 from gptlab.model import is_zero_effect, prob_table, validate_theory
 from gptlab.scalars import (
@@ -941,6 +941,15 @@ def assert_validation_matches_oracle(t) -> None:
     except ValueError as exc:
         got = str(exc)
     assert got == (f"vertex {bad[0]} is a convex combination of the others" if bad else None)
+
+
+def _veckey(v, ctx: Context):
+    """``v`` as a dict key: exact, or each float rounded to the digits of ``tol``,
+    the keys that ``enumerate_ideal_measurements`` used before it coded them."""
+    if ctx.exact:
+        return tuple(v)
+    digits = round(-math.log10(ctx.tol))
+    return tuple(round(a, digits) for a in v)
 
 
 def enumerate_ideal_reference(t, max_outcomes: int) -> tuple:

@@ -1,13 +1,18 @@
 """Pure effects, ideal measurement enumeration, eigenstates, fuzzing, psi map."""
 
+import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gptlab.ideal
+import gptlab.scalars
+from gptlab import cli
 from gptlab.ideal import (
     binary_ideal_measurement,
     enumerate_ideal_measurements,
@@ -27,7 +32,8 @@ from gptlab.model import (
     validate_measurement,
 )
 from gptlab.model import load_theory
-from gptlab.symmetry import canonicalize
+from gptlab.scalars import EXACT, FLOAT
+from gptlab.symmetry import _coder, canonicalize
 
 from helpers import enumerate_ideal_reference
 from test_symmetry import structure_theory_files
@@ -134,6 +140,72 @@ class TestEnumeration:
         keys = {tuple(sorted(tuple(round(x, 9) for x in e) for e in m.effects)) for m in ms}
         assert len(keys) == len(ms)
 
+    @pytest.mark.parametrize("k", [2.5, Fraction(5, 2), "3"])
+    def test_non_integral_max_outcomes_rejected(self, k):
+        # 2.5 used to list the measurements of up to 4 outcomes: the last slot
+        # was never reached
+        with pytest.raises(ValueError, match="max_outcomes must be an integer, not "):
+            enumerate_ideal_measurements(make_classical(3), k)
+
+    @pytest.mark.parametrize("k", [np.int64(3), 3.0, Fraction(6, 2)])
+    def test_integral_max_outcomes_accepted(self, k):
+        t = make_classical(3)
+        assert enumerate_ideal_measurements(t, k) == enumerate_ideal_measurements(t, 3)
+
+    def test_one_metric_per_outcome_count(self):
+        ms = enumerate_ideal_measurements(make_classical(3), 4)
+        for k in (2, 3, 4):
+            metrics = {id(m.metric) for m in ms if m.n_outcomes == k}
+            assert len(metrics) == 1
+
+    def test_memory_is_chunked(self):
+        # the search holds at most _BATCH_CELLS cells of candidate steps at a
+        # time; unchunked, the breadth-first search peaked at 7.7 MB here
+        enumerate_ideal_measurements(make_classical(6), 4)
+        t = make_classical(6)
+        tracemalloc.start()
+        try:
+            ms = enumerate_ideal_measurements(t, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ms) == 714 and peak <= 2_000_000
+
+
+class TestKeys:
+    def test_values_within_tol_share_a_code(self):
+        # the first two round apart at the 9 digits of tol, but lie within it
+        pool = np.array([[0.1234567894, 0.5], [0.1234567896, 0.7], [0.3, 0.5]])
+        codes, code = _coder(pool, FLOAT)
+        assert codes.tolist() == [[0, 2], [0, 3], [1, 2]]
+        assert code(np.array([0.12345678951, 0.6, 0.3 + 5e-10, 0.7 - 2e-9])).tolist() == [
+            0, -1, 1, -1]
+
+    def test_exact_codes_are_the_distinct_values_in_order(self):
+        pool = np.array([[5, -1], [2, 5]], dtype=object)
+        codes, code = _coder(pool, EXACT)
+        assert codes.tolist() == np.unique(pool.astype(int), return_inverse=True)[1].reshape(
+            2, 2).tolist()
+        assert code(np.array([2, 3, -1, 6], dtype=object)).tolist() == [1, -1, 0, -1]
+
+
+# sha256 of `gptlab measurements list --theory <theory> --max-outcomes 3`, recorded
+# before the listing ran on arrays
+LISTING_SHA256 = {
+    "classical:2": "836e290e80521913e0162e236a00c66dba95461ccf6e93e511625a25c53eb505",
+    "classical:3": "a0fb94051f5b04ecd09feb8967945e180f4fee41f2ff9dd1b5d51ac5fb36d39f",
+    "classical:4": "d32584188709d35d2d4fc9d73590dfee8776fc5664b24929708ff8d55937484c",
+    "classical:5": "f2104ef5a7d74ca21bcd0a530da45038785564382073c71b6b19289658fe5d9e",
+    "polygon:5": "bebb622c754b2ee573d5a927fac67cdcf65cb51339fc2ee6fc1bacff5be688cd",
+    "polygon-psi:8": "8538313935dadbf1c51d8dc076c639b1daf62716b259f317d91f1c696ccf8e0c",
+}
+
+
+@pytest.mark.parametrize("theory", sorted(LISTING_SHA256))
+def test_listing_output_unchanged(theory, capsys):
+    assert cli.main(["measurements", "list", "--theory", theory, "--max-outcomes", "3"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == LISTING_SHA256[theory]
+
 
 def _enumerated(enumerate_, t, k):
     try:
@@ -198,8 +270,25 @@ class TestEnumerationAgainstFractionSearch:
             got = enumerate_ideal_measurements(t, k)
             assert got and repr(got) == repr(enumerate_ideal_reference(t, k))
 
+    @pytest.mark.parametrize("n_levels", [6, 7])
+    def test_larger_classical(self, n_levels):
+        t = make_classical(n_levels)
+        got = enumerate_ideal_measurements(t, 3)
+        assert got and repr(got) == repr(enumerate_ideal_reference(t, 3))
+
+    def test_python_ints_when_int64_might_overflow(self, monkeypatch):
+        # with every int64 bound failing, the search runs on Python ints
+        monkeypatch.setattr(gptlab.scalars, "_INT64_LIMIT", 0)
+        for n_levels in (2, 3, 4):
+            t = make_classical(n_levels)
+            for k in (2, 3, 4):
+                assert repr(enumerate_ideal_measurements(t, k)) == repr(
+                    enumerate_ideal_reference(t, k))
+
     def test_float_theories_bit_identical(self):
-        for t in (make_polygon(5), make_polygon(7), psi_transform(make_polygon(8))):
+        theories = [make_polygon(n) for n in range(3, 13)]
+        theories += [psi_transform(make_polygon(n)) for n in range(4, 33, 2)]
+        for t in theories:
             for k in (2, 3):
                 assert repr(enumerate_ideal_measurements(t, k)) == repr(
                     enumerate_ideal_reference(t, k))

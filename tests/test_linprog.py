@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gptlab import compat, linprog, measures
+from gptlab import compat, linprog, measures, scalars
 from gptlab.cones import Cone, cone_lp, cone_member
 from gptlab.ideal import (binary_ideal_measurement, enumerate_ideal_measurements,
                           perpendicular_ideal_pair, psi_transform)
@@ -344,9 +344,11 @@ def test_one_tableau_for_both_modes():
             for p in (small, large):
                 assert lp_solve(p, ctx).optimal
             counts.append(len(states))
-    # float entries over 1; exact ones int numerators over a positive int
+    # float entries over 1; exact ones int numerators (int64 or Python ints) over a
+    # positive int
     assert set(states[:counts[0]]) == {(False, "f", frozenset({float}), int, True)}
-    assert set(states[counts[0]:]) == {(True, "O", frozenset({int}), int, True)}
+    assert set(states[counts[0]:]) <= {(True, kind, frozenset({int}), int, True)
+                                       for kind in "iO"}
     assert counts[1] == 2 * counts[0] > 8  # the same runs and pivots in either mode
 
 
@@ -481,6 +483,102 @@ def test_tableau_steps_bit_identical(data):
 @given(st.data())
 def test_exact_tableau_steps_bit_identical(data):
     check_tableau_steps(data, EXACT)
+
+
+def exact_steps(p, solver, force_object: bool) -> list:
+    """``(dtype kind, state)`` when the tableau is built, after every pivot and
+    after every run of `solver` on `p` in exact mode, the state being the
+    tableau, its denominator and basis, or the run's answer; with `force_object`, every int64 bound fails, so the tableau keeps
+    Python ints throughout."""
+    steps = []
+
+    class Steps(linprog._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            steps.append((self.t.dtype.kind, repr((self.t.tolist(), self.den))))
+
+        def pivot(self, r, c):
+            super().pivot(r, c)
+            steps.append((self.t.dtype.kind, repr((self.t.tolist(), self.den, self.basis))))
+
+        def run(self, cost, nenter):
+            out = super().run(cost, nenter)
+            steps.append((self.t.dtype.kind, repr(out)))
+            return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linprog, "_Tableau", Steps)
+        if force_object:
+            mp.setattr(scalars, "_INT64_LIMIT", 0)
+        steps.append(("", repr(solver(p, EXACT))))
+    return steps
+
+
+def assert_int64_steps_match_object(p, solver) -> list:
+    """Every step of `solver` on `p` is the same on int64 as on Python ints; the
+    dtype kinds of the int64 run, which never returns to int64 once it left it."""
+    fast, slow = exact_steps(p, solver, False), exact_steps(p, solver, True)
+    assert [s for _, s in fast] == [s for _, s in slow]
+    assert {kind for kind, _ in slow} <= {"O", ""}
+    kinds = "".join(kind for kind, _ in fast)
+    assert "Oi" not in kinds
+    return kinds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_int64_steps_match_python_ints(data):
+    # small rationals stay on int64; a scale near 2^40 moves to Python ints
+    # within a few pivots
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    scale = data.draw(st.sampled_from([1, 1, 1 << 20, 1 << 40]))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=12).map(lambda x: x * scale)
+    p = LinearProgram(n_vars=n, objective=[data.draw(entry) for _ in range(n)],
+                      lower=data.draw(st.sampled_from([Fr(0), [Fr(0)] * (n - 1) + [None]])),
+                      upper=data.draw(st.sampled_from([None, Fr(5)])))
+    for _ in range(m):
+        p.add([data.draw(entry) for _ in range(n)], data.draw(st.sampled_from([LE, EQ, GE])),
+              data.draw(entry))
+    for solver in (lp_solve, lp_feasible):
+        assert_int64_steps_match_object(p, solver)
+
+
+def test_large_coefficients_fall_back_to_python_ints():
+    # entries near 2^40 fit int64, but the first pivot's products would not
+    big = Fr((1 << 40) + 3)
+    p = LinearProgram(n_vars=3, objective=[-big, Fr(-1), big - 1], lower=Fr(0))
+    p.add([big, Fr(1), Fr(2)], GE, big + 7).add([Fr(5), big - 11, Fr(1)], EQ, big)
+    p.add([Fr(1), Fr(1), big], LE, 2 * big)
+    for solver in (lp_solve, lp_feasible):
+        kinds = assert_int64_steps_match_object(p, solver)
+        assert kinds.startswith("i") and "O" in kinds
+        assert_same_on_both_tableaux(solver, p, EXACT)
+    assert lp_solve(p, EXACT).optimal
+
+
+def test_small_exact_lps_stay_on_int64():
+    # the JM LP of two classical-3 measurements keeps int64 to the end
+    t = make_classical(3)
+    ms = enumerate_ideal_measurements(t, 3)
+    lps = record_lps([("jm", compat.is_jointly_measurable, (t, ms[1], ms[-1]))])
+    assert lps
+    for _family, solver, p in lps:
+        assert set(assert_int64_steps_match_object(p, solver)) == {"i"}
+
+
+def test_exact_jm_answers_unchanged_by_int64():
+    # verdicts and witnesses of classical 1-5 pairs, each on a new theory instance,
+    # equal those of a tableau held to Python ints
+    for n in range(1, 6):
+        ms = enumerate_ideal_measurements(make_classical(n), 3)
+        for i, j in [(0, -1), (len(ms) // 2, -1), (1, len(ms) // 3)]:
+            f, g = ms[i % len(ms)], ms[j]
+            fast = compat.is_jointly_measurable(make_classical(n), f, g)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scalars, "_INT64_LIMIT", 0)
+                slow = compat.is_jointly_measurable(make_classical(n), f, g)
+            assert repr(fast) == repr(slow)
 
 
 WORKED = [max_bounded_segment, contradictory_equalities, simplex_face, unbounded_ray,
