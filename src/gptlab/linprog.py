@@ -17,20 +17,23 @@ ascending j, with the bits of scalar arithmetic); run phase 1 (and phase 2 for
 ``lp_solve``) on the numerators in the tableau; map the basic point back and
 certify it.
 
-One tableau serves both scalar modes (:class:`_Tableau`), rows and right-hand
-side in one array over one denominator, so a pivot is one rank-1 update:
-masked to the rows with a nonzero multiplier in float mode, which keeps their
-signed zeros, and fraction-free in exact mode (Edmonds 1967; Bareiss 1968),
-scaling every row by the pivot and reducing the array by its gcd.  Exact
-numerators are int64 while a bound checked before each pivot proves that the
-pivot's ints fit, and Python ints from the first pivot where it does not;
-exact values leave as Fractions.  Dantzig pricing (1963) enters the argmin of
-the reduced costs, lowest index on ties, when it is below ``-tol``; after
-``_DEGENERATE_RUN`` pivots in a row whose leaving right-hand side is within
-``tol`` of zero, Bland's rule (1977) enters the lowest index with a negative
-reduced cost until a nondegenerate pivot.  Ratio-test ties break toward the
-lowest basis index, so the fallback cannot cycle.  Float LP data must be
-finite; a nan or inf raises ValueError first.
+One tableau serves both scalar modes (:class:`_Tableau`): the rows and then the
+objective row (Chvatal 1983, ch. 2), right-hand side and -z last, in one array
+over one denominator, so a pivot is one rank-1 update of every row: masked to
+the rows with a nonzero multiplier in float mode, which keeps their signed
+zeros, and fraction-free in exact mode (Edmonds 1967; Bareiss 1968), scaling
+every row by the pivot and reducing the array by its gcd.  Exact numerators
+are int64 while a bound checked before each pivot proves that the pivot's ints
+fit, and Python ints from the first pivot where it does not; exact values leave
+as Fractions.  A phase-1 artificial is a basis index past the columns, with no
+column: its cost of 1 enters only through pricing out, and it never re-enters.
+Dantzig pricing (1963) enters the argmin of the reduced costs, lowest index on
+ties, when it is below ``-tol``; after ``_DEGENERATE_RUN`` pivots in a row whose
+leaving right-hand side is within ``tol`` of zero, Bland's rule (1977) enters
+the lowest index with a negative reduced cost until a nondegenerate pivot.
+Least ratios compare as floats, or exactly as ``b_k a_j <= b_j a_k`` on the
+numerators; ties break toward the lowest basis index, so the fallback cannot
+cycle.  Float LP data must be finite; a nan or inf raises ValueError first.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scalars import Context, FLOAT, int_dtype, max_abs, numerators, reduced, stacked, unstacked
+from .scalars import (Context, FLOAT, int_dtype, max_abs, narrowed, numerators, reduced, stacked,
+                      unstacked)
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -130,34 +134,41 @@ class FeasibilityResult:
 class _Tableau:
     """Dense simplex tableau in standard form: min c.y, A y = b, y >= 0.
 
-    Rows and right-hand side, numerators over one positive int `den`, live in one
-    array ``t``, the right-hand side last: float64 over 1, or exact ints.  Those are
-    int64 while ``scalars.int_dtype`` finds that every int a pivot forms fits, and
-    Python ints (object dtype) from the first pivot that might overflow on; one
-    numpy path serves all three.  The objective row has a denominator of its own
-    and -z last, Python ints in exact mode."""
+    One array ``t`` over one positive int `den` holds the rows, right-hand side
+    last, and then the objective row, reduced costs and -z: float64 over 1, or
+    exact numerators.  Those are int64 while ``scalars.int_dtype`` finds that every
+    int a pivot forms fits, and Python ints (object dtype) from the first pivot
+    that might overflow on; one numpy path serves all three.  A basis index past
+    the columns is an artificial, which has no column."""
 
     def __init__(self, rows, rhs, ctx, den):
-        self.t, self.den = np.column_stack((rows, rhs)), den
-        if ctx.exact:
-            self.t = self.t.astype(int_dtype(max_abs(self.t), den))
+        t = np.column_stack((rows, rhs))
+        t = np.vstack((t, np.zeros_like(t[:1])))  # the objective row, which price_out writes
+        self.t, self.den = t.astype(int_dtype(max_abs(t), den)) if ctx.exact else t, den
         self.ctx = ctx  # entering and pivot tests compare with its tol
         self.basis = [-1] * len(rhs)
 
     @property
     def rhs(self):
-        return unstacked(self.t[:, -1], self.den, self.ctx).tolist()
+        return unstacked(self.t[:-1, -1], self.den, self.ctx).tolist()
 
     def price_out(self, cost):
-        """``(obj, oden)``: the objective row (reduced costs, then -z) for the
-        current basis, as numerators over ``oden``."""
-        cost, cden = numerators(cost) if self.ctx.exact else (cost, 1)
-        dtype = object if self.ctx.exact else self.t.dtype
-        obj = np.array(cost + [0], dtype=dtype) * self.den
+        """Write the objective row for `cost` (per column, then per artificial) and
+        the current basis into ``t``.  Exact costs price against the rows over
+        ``den``; the rows then move to ``den`` times the costs' denominator."""
+        t, exact = self.t, self.ctx.exact
+        cost, cden = numerators(cost) if exact else (cost, 1)
+        dtype = object if exact else t.dtype
+        obj = np.array(cost[:t.shape[1] - 1] + [0], dtype=dtype) * self.den
         for i, cb in enumerate(cost[bj] for bj in self.basis):
             if cb != 0:
-                obj -= cb * self.t[i].astype(dtype, copy=False)
-        return reduced(obj, cden * self.den) if self.ctx.exact else (obj, 1)
+                obj -= cb * t[i].astype(dtype, copy=False)
+        if exact:  # a tableau on Python ints stays so
+            t = np.vstack((t[:-1].astype(object) * cden, obj))
+            dtype = int_dtype(max_abs(t), self.den * cden) if self.t.dtype == np.int64 else object
+            self.t, self.den = reduced(t.astype(dtype), self.den * cden)
+        else:
+            t[-1] = obj
 
     def pivot(self, r, c):
         t = self.t
@@ -184,33 +195,32 @@ class _Tableau:
     def run(self, cost, nenter):
         """Minimise cost over the current basis, entering only columns below
         `nenter`; returns (status, z)."""
-        exact, tol = self.ctx.exact, self.ctx.tol
-        obj, oden = self.price_out(cost)
+        tol = self.ctx.tol
+        self.price_out(cost)
         degenerate = 0  # degenerate pivots in a row
         for _ in range(_MAX_PIVOTS):
             # Dantzig: the most negative reduced cost, lowest index on ties; Bland
             # (the lowest index of a negative one) after a run of degenerate pivots
-            head = obj[:nenter]
+            t = self.t
+            head = t[-1, :nenter]
             bland = degenerate >= _DEGENERATE_RUN
             enter = int((~(0 <= head + tol)).argmax() if bland else head.argmin()) if nenter else 0
             if not nenter or 0 <= head[enter] + tol:
-                return "optimal", unstacked(obj[-1:], oden, self.ctx).item()
-            t = self.t
-            col = t[:, enter]
+                return "optimal", unstacked(t[-1, -1:], self.den, self.ctx).item()
+            col = t[:-1, enter]
             rows = (~(col <= tol)).nonzero()[0]
             if not rows.size:
-                return "unbounded", unstacked(obj[-1:], oden, self.ctx).item()
-            # exact ratios compare as Fractions of the candidate rows
-            ratios = (_fraction if exact else np.divide)(t[rows, -1], col[rows])
-            leave = min(rows[ratios == ratios.min()].tolist(), key=self.basis.__getitem__)
+                return "unbounded", unstacked(t[-1, -1:], self.den, self.ctx).item()
+            # the least ratios b_k / a_k; exact ones where b_k a_j <= b_j a_k for every j
+            if self.ctx.exact:
+                b, a = narrowed(t[rows, -1][:, None], col[rows][None, :], 1)
+                least = (b * a <= (b * a).T).all(axis=1)
+            else:
+                ratios = t[rows, -1] / col[rows]
+                least = ratios == ratios.min()
+            leave = min(rows[least].tolist(), key=self.basis.__getitem__)
             degenerate = degenerate + 1 if t[leave, -1] <= tol else 0
             self.pivot(leave, enter)
-            fobj = obj[enter]
-            if exact:
-                obj, oden = reduced(obj * self.den - fobj * self.t[leave].astype(object),
-                                    oden * self.den)
-            elif fobj != 0:
-                obj -= fobj * self.t[leave]
         raise RuntimeError("simplex exceeded pivot budget (cycling?)")
 
     # phase-1 steps
@@ -218,20 +228,9 @@ class _Tableau:
     def unit_columns(self, ncols):
         """Per row, the highest of the first `ncols` columns that is the unit
         vector with its 1 in that row, or -1."""
-        block = self.t[:, :ncols]
+        block = self.t[:-1, :ncols]
         unit = (block == self.den) & ((block != 0).sum(axis=0) == 1)
         return ((unit * np.arange(1, ncols + 1)).max(axis=1, initial=0) - 1).tolist()
-
-    def add_artificials(self, need):
-        """Append a unit column for each row in `need`, make it basic there,
-        and return the new column indices."""
-        base = self.t.shape[1] - 1
-        art = np.zeros((len(self.basis), len(need)), dtype=self.t.dtype)
-        art[need, range(len(need))] = self.den
-        self.t = np.hstack([self.t[:, :base], art, self.t[:, base:]])
-        for k, i in enumerate(need):
-            self.basis[i] = base + k
-        return list(range(base, base + len(need)))
 
     def first_nonzero(self, rows, ncols):
         """Per row of `rows`, the lowest of the first `ncols` columns where it is
@@ -239,14 +238,10 @@ class _Tableau:
         nonzero = ~(np.abs(self.t[rows, :ncols]) <= self.ctx.tol)
         return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1).tolist()
 
-    def drop(self, drop_rows, ncols):
-        """Delete the given rows and every column from `ncols` on."""
-        keep = [i for i in range(len(self.basis)) if i not in drop_rows]
-        self.t = np.hstack([self.t[keep, :ncols], self.t[keep, -1:]])
-        self.basis = [self.basis[i] for i in keep]
-
-
-_fraction = np.frompyfunc(Fraction, 2, 1)
+    def drop(self, drop_rows):
+        """Delete the given constraint rows."""
+        self.t = np.delete(self.t, drop_rows, axis=0)
+        self.basis = [bj for i, bj in enumerate(self.basis) if i not in drop_rows]
 
 
 def _bounds(b, n: int):
@@ -336,9 +331,10 @@ def _phase1(tab, nstruct: int, ctx: Context) -> str:
     need_artificial = [i for i, found in enumerate(tab.basis) if found < 0]
     if not need_artificial:
         return "optimal"
-    art_cols = tab.add_artificials(need_artificial)
-    cost = [ctx.zero()] * nstruct + [ctx.one()] * len(art_cols)
-    status, zval = tab.run(cost, nstruct)  # artificials never re-enter
+    for k, i in enumerate(need_artificial):
+        tab.basis[i] = nstruct + k  # artificial k: no column, a cost of 1
+    cost = [ctx.zero()] * nstruct + [ctx.one()] * len(need_artificial)
+    status, zval = tab.run(cost, nstruct)
     if status != "optimal":
         raise RuntimeError("phase 1 cannot be unbounded")
     if ctx.gt(-zval, 0):  # min sum of artificials > 0
@@ -346,8 +342,7 @@ def _phase1(tab, nstruct: int, ctx: Context) -> str:
     # drive leftover artificials out of the basis, in row order; a row with nothing to
     # pivot on is redundant.  Only a pivot changes the rows, so the rows are searched
     # once, and again after each pivot
-    art_set, drop_rows = set(art_cols), []
-    rows = [i for i, bj in enumerate(tab.basis) if bj in art_set]
+    drop_rows, rows = [], [i for i, bj in enumerate(tab.basis) if bj >= nstruct]
     while rows:
         pivots = tab.first_nonzero(rows, nstruct)
         k = next((k for k, piv in enumerate(pivots) if piv >= 0), len(rows))
@@ -355,7 +350,7 @@ def _phase1(tab, nstruct: int, ctx: Context) -> str:
         if k < len(rows):
             tab.pivot(rows[k], pivots[k])
         rows = rows[k + 1:]
-    tab.drop(drop_rows, nstruct)
+    tab.drop(drop_rows)
     return "optimal"
 
 

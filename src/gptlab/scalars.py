@@ -281,13 +281,14 @@ def narrowed(a, b, k: int, *more) -> tuple:
     """``(a, b, *more)`` as int64 copies when they hold exact ints and nothing can
     overflow: ``k·max|a|·max|b| < 2^63``, which bounds every entry of an ordered
     product of ``a`` and ``b`` over ``k`` terms and every partial sum of one, and
-    each array of ``more`` has entries below ``2^63`` in size.  Otherwise the exact
-    arrays as Python ints (object dtype), and float arrays as they are, so a caller
-    runs one numpy path on whichever dtype it gets."""
+    each array has entries below ``2^63`` in size (a zero ``a`` bounds the product
+    but not ``b``).  Otherwise the exact arrays as Python ints (object dtype), and
+    float arrays as they are, so a caller runs one numpy path on whichever dtype it
+    gets."""
     arrays = (a, b, *more)
     if a.dtype.kind == "f":
         return arrays
-    dtype = int_dtype(k * max_abs(a) * max_abs(b), *map(max_abs, more))
+    dtype = int_dtype(k * max_abs(a) * max_abs(b), *map(max_abs, arrays))
     return tuple(x.astype(dtype) for x in arrays)
 
 

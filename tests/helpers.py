@@ -335,7 +335,8 @@ class ListTableau:
     reduced cost enters, Bland's rule after a run of degenerate pivots) on
     Python lists of scalars, one loop per row, with every scalar operation
     in the same order as the numpy tableau, so both reach the same floats
-    or Fractions.
+    or Fractions.  Unlike the numpy tableau it keeps the objective row and -z
+    apart from the rows, and gives each artificial a real unit column.
     """
 
     def __init__(self, rows, rhs, ctx, den):
@@ -346,6 +347,15 @@ class ListTableau:
         self.rhs = [scalar(x) for x in np.asarray(rhs).tolist()]
         self.ctx = ctx
         self.basis = [-1] * len(rows)
+        self.width = np.shape(rows)[1]
+
+    def add_artificial_columns(self):
+        """A real unit column for each basis index at or past the width of the
+        rows, where `linprog._Tableau` keeps none."""
+        zero, one = self.ctx.zero(), self.ctx.one()
+        for bj, i in sorted((bj, i) for i, bj in enumerate(self.basis) if bj >= self.width):
+            for r, row in enumerate(self.rows):
+                row.extend([zero] * (bj - len(row)) + [one if r == i else zero])
 
     def price_out(self, cost):
         """Objective row (reduced costs) for the current basis, plus -z."""
@@ -383,6 +393,7 @@ class ListTableau:
         """Minimise cost over the current basis, entering only columns below
         `nenter`; returns (status, z)."""
         ctx = self.ctx
+        self.add_artificial_columns()
         obj, zval = self.price_out(cost)
         degenerate = 0
         for _ in range(_MAX_PIVOTS):
@@ -434,31 +445,20 @@ class ListTableau:
                     break
         return found
 
-    def add_artificials(self, need):
-        """Append a unit column for each row in `need`, make it basic there,
-        and return the new column indices."""
-        zero, one = self.ctx.zero(), self.ctx.one()
-        base = len(self.rows[0])
-        for k, i in enumerate(need):
-            for r in range(len(self.rows)):
-                self.rows[r].append(one if r == i else zero)
-            self.basis[i] = base + k
-        return list(range(base, base + len(need)))
-
     def first_nonzero(self, rows, ncols):
         """Per row of `rows`, the lowest of the first `ncols` columns where it is
         not zero, or -1."""
         return [next((j for j in range(ncols) if not self.ctx.is_zero(self.rows[i][j])), -1)
                 for i in rows]
 
-    def drop(self, drop_rows, ncols):
-        """Delete the given rows and every column from `ncols` on."""
+    def drop(self, drop_rows):
+        """Delete the given rows and the artificial columns."""
         for i in sorted(drop_rows, reverse=True):
             del self.rows[i]
             del self.rhs[i]
             del self.basis[i]
         for row in self.rows:
-            del row[ncols:]
+            del row[self.width:]
 
 
 def standardize_reference(p: LinearProgram, ctx: Context):

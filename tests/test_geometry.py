@@ -223,8 +223,11 @@ def test_narrowed_takes_int64_only_below_the_bound(n):
     assert [x.dtype for x in got] == [np.dtype(np.int64 if fits else object)] * 3
     assert ordered_matmul(*got[:2]).tolist() == [[2**32 * n]]
     assert all(type(x) is int for x in got[1].ravel().tolist())
-    # an extra array at 2^63 alone is too large; float arrays stay as they are
+    # an extra array at 2^63 alone is too large, and so is a factor whose product
+    # with a zero one is 0; float arrays stay as they are
     assert narrowed(a, b, 1, np.array([2**63], dtype=object))[2].dtype == object
+    zero, big = np.zeros((1, 1), dtype=object), np.array([[2**63]], dtype=object)
+    assert [x.dtype for x in narrowed(zero, big, 1) + narrowed(big, zero, 1)] == [object] * 4
     floats = np.array([[0.5, -0.0]])
     assert all(x is floats for x in narrowed(floats, floats, 2))
 

@@ -314,11 +314,26 @@ def test_non_finite_float_data_rejected(bad, value):
         with pytest.raises(ValueError, match="must be finite"):
             solver(p)
 
+
+class Recording(linprog._Tableau):
+    """A tableau that checks after every pivot that it holds the constraint rows
+    and the objective row, each with one entry per standard-form column and the
+    right-hand side: an artificial has no column."""
+
+    def __init__(self, rows, rhs, ctx, den):
+        super().__init__(rows, rhs, ctx, den)
+        self.nstruct = np.shape(rows)[1]
+
+    def pivot(self, r, c):
+        super().pivot(r, c)
+        assert self.t.shape == (len(self.basis) + 1, self.nstruct + 1)
+
+
 def test_one_tableau_for_both_modes():
     assert [name for name in vars(linprog) if "Tableau" in name] == ["_Tableau"]
     states = []
 
-    class Recording(linprog._Tableau):
+    class Recorded(Recording):
         # the entry types and the denominator when a run starts and after every pivot
         def record(self):
             entries = frozenset(type(x) for row in self.t.tolist() for x in row)
@@ -332,14 +347,14 @@ def test_one_tableau_for_both_modes():
             super().pivot(r, c)
             self.record()
 
-    # neither LP has a unit column, so phase 1 runs with artificial columns
+    # neither LP has a unit column, so phase 1 gives every row an artificial
     small = LinearProgram(n_vars=1, objective=[1.0], lower=0.0).add([2.0], GE, 1.0)
     large = LinearProgram(n_vars=50, objective=[1.0] * 50, lower=0.0)
     for i in range(10):
         large.add([float(j <= i) for j in range(50)], GE, 1.0)
     counts = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linprog, "_Tableau", Recording)
+        mp.setattr(linprog, "_Tableau", Recorded)
         for ctx in (FLOAT, EXACT):
             for p in (small, large):
                 assert lp_solve(p, ctx).optimal
@@ -364,17 +379,18 @@ def negative_drive_out():
 def test_negative_drive_out_pivot():
     pivots = []
 
-    class Recording(linprog._Tableau):
+    class Recorded(Recording):
         def pivot(self, r, c):
             pivots.append(self.t[r, c] < 0)
             super().pivot(r, c)
             assert self.den > 0
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linprog, "_Tableau", Recording)
+        mp.setattr(linprog, "_Tableau", Recorded)
         assert lp_solve(negative_drive_out(), EXACT) == LpResult(
             "optimal", Fr(-2), (Fr(0), Fr(1), Fr(1, 3)))
-    assert pivots[0] and len(pivots) == 3
+        assert lp_solve(negative_drive_out(), FLOAT).optimal
+    assert pivots[0] and len(pivots) == 6
     for solver in (lp_solve, lp_feasible):
         assert_same_on_both_tableaux(solver, negative_drive_out(), EXACT)
 
@@ -429,8 +445,8 @@ def _fractions(tab, nums, den):
 
 
 def _tableau_state(tab):
-    if isinstance(tab, linprog._Tableau):
-        return repr(([_fractions(tab, row, tab.den) for row in tab.t.tolist()], tab.basis))
+    if isinstance(tab, linprog._Tableau):  # the constraint rows, not the objective row
+        return repr(([_fractions(tab, row, tab.den) for row in tab.t[:-1].tolist()], tab.basis))
     return repr(([row + [b] for row, b in zip(tab.rows, tab.rhs)], tab.basis))
 
 
@@ -456,8 +472,8 @@ def check_tableau_steps(data, ctx):
     for tab in pair:
         tab.basis = list(basis)
     obj, zval = pair[0].price_out(cost)
-    nums, oden = pair[1].price_out(cost)
-    assert repr(obj + [zval]) == repr(_fractions(pair[1], nums.tolist(), oden))
+    pair[1].price_out(cost)
+    assert repr(obj + [zval]) == repr(_fractions(pair[1], pair[1].t[-1].tolist(), pair[1].den))
     r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
     if rows[r][c] != 0:
         for tab in pair:
