@@ -21,6 +21,7 @@ import json
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
 
@@ -44,13 +45,17 @@ from .ideal import (
     psi_transform,
 )
 from .measures import (
+    ball_mass,
     distribution,
+    error_bar_profile,
     error_bar_width,
     linf_distance,
     localization_error,
     min_le_sum,
-    overall_width,
+    needed_mass,
     werner_distance,
+    width_index,
+    width_profile,
 )
 from .model import Measurement, Theory, in_state_space, make_classical, make_polygon, prob_table
 from .scalars import dot, vadd, vscale
@@ -111,15 +116,16 @@ def prepare_conforming(t: Theory) -> Theory:
 
 
 def _cell_states(t: Theory, j: JointMeasurement, check: bool = False) -> list:
-    """((a, b), m_ab / <u, m_ab>) for every cell of positive mass, in grid order.
+    """((a, b), m_ab / <u, m_ab>) for every cell of positive mass, in grid order,
+    with a and b the row and column positions.
 
     With ``check`` every state is tested for membership in Omega, and a
     cell that leaves it raises ValueError.
     """
     ctx = t.ctx
     out = []
-    for a, row in zip(j.row_labels, j.effects):
-        for b, e in zip(j.col_labels, row):
+    for a, row in enumerate(j.effects):
+        for b, e in enumerate(row):
             mass = dot(t.unit_effect, e)
             if not ctx.gt(mass, 0):
                 continue
@@ -136,14 +142,6 @@ def _cell_states(t: Theory, j: JointMeasurement, check: bool = False) -> list:
 def witness_candidates(t: Theory, j: JointMeasurement) -> list:
     """All cell states m_ab / <u, m_ab> with positive mass, checked in Omega."""
     return [state for _ab, state in _cell_states(t, j, check=True)]
-
-
-def _cell_scan(t: Theory, f: Measurement, g: Measurement, j: JointMeasurement,
-               check: bool = False):
-    """(cell, state, F distribution, G distribution) per cell state, in grid order."""
-    for cell, state in _cell_states(t, j, check):
-        yield (cell, state, distribution(t, f, state, check_state=False),
-               distribution(t, g, state, check_state=False))
 
 
 def _holds(rows, tol) -> bool:
@@ -178,24 +176,85 @@ def _witness_report(check: str, t: Theory, params: dict, candidates, fail: tuple
     )
 
 
-def verify_thm1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
-                j: JointMeasurement, eps1: float, eps2: float) -> VerificationReport:
-    """Error-bar widths of the marginals bound overall widths on a witness."""
-    if not (0 <= eps1 <= 1 and 0 <= eps2 <= 1 and eps1 + eps2 <= 1):
-        raise ValueError("confidence levels must satisfy eps1, eps2 in [0,1], eps1+eps2 <= 1")
-    mf, mg = marginals(j)
-    w1 = error_bar_width(t, mf, f, eps1)
-    w2 = error_bar_width(t, mg, g, eps2)
-    eps = eps1 + eps2
+class _JointScan:
+    """The eps-free part of the witness scans on one joint.
+
+    Each piece (marginals, error-bar profiles, Werner distances, and per cell
+    its state, both distributions and their width profiles) is formed on first
+    use and kept for this scan only, so one scan answers any number of eps
+    pairs, and a scan that stops at its first witness forms no more cells.
+    With ``check`` every cell state is tested in Omega.
+    """
+
+    def __init__(self, t: Theory, f: IdealMeasurement, g: IdealMeasurement,
+                 j: JointMeasurement, check: bool):
+        self.t, self.f, self.g, self.j, self.check = t, f, g, j, check
+        self._cells, self._peaks = [], []  # per cell formed so far, in grid order
+
+    @cached_property
+    def marginals(self) -> tuple:
+        return marginals(self.j)
+
+    @cached_property
+    def error_bars(self) -> tuple:
+        mf, mg = self.marginals
+        return error_bar_profile(self.t, mf, self.f), error_bar_profile(self.t, mg, self.g)
+
+    @cached_property
+    def werner(self) -> tuple:
+        mf, mg = self.marginals
+        return werner_distance(self.t, mf, self.f), werner_distance(self.t, mg, self.g)
+
+    @cached_property
+    def _states(self) -> list:
+        return _cell_states(self.t, self.j, self.check)
+
+    def cells(self):
+        """Yields (row, column, state, F distribution, G distribution) per cell
+        state, in grid order.  Each report reads its marginals before the cells,
+        and those match the outcomes of F and G, so the row and column positions
+        are the points' indices in the metrics of F and G."""
+        t, f, g, done = self.t, self.f, self.g, self._cells
+        for i, ((a, b), state) in enumerate(self._states):
+            if i == len(done):
+                done.append((a, b, state,
+                             distribution(t, f, state, check_state=False),
+                             distribution(t, g, state, check_state=False)))
+            yield done[i]
+
+    def overall_widths(self, eps):
+        """Yields each cell of :meth:`cells` followed by the overall widths of its
+        F and G distributions at confidence ``eps``."""
+        ctx, peaks = self.t.ctx, self._peaks
+        need = needed_mass(eps, ctx)
+        wf, wg = self.f.metric.width_candidates(), self.g.metric.width_candidates()
+        for i, cell in enumerate(self.cells()):
+            if i == len(peaks):  # the largest ball mass per width candidate
+                peaks.append((width_profile(cell[3], ctx), width_profile(cell[4], ctx)))
+            pf, pg = peaks[i]
+            yield (*cell, wf[width_index(pf, need, ctx)], wg[width_index(pg, need, ctx)])
+
+
+def _cor1_eps(eps1, eps2) -> None:
+    if not (0 < eps1 <= 1 and 0 < eps2 <= 1 and eps1 + eps2 <= 1):
+        raise ValueError("confidence levels must satisfy eps1, eps2 in (0,1], eps1+eps2 <= 1")
+
+
+def _thm1_report(scan: _JointScan, eps1, eps2) -> VerificationReport:
+    t, f, g = scan.t, scan.f, scan.g
+    ctx = t.ctx
+    (_, balls_f), (_, balls_g) = f.metric.profile(ctx), g.metric.profile(ctx)
+    eb_f, eb_g = scan.error_bars
+    c1 = width_index(eb_f, needed_mass(eps1, ctx), ctx)
+    c2 = width_index(eb_g, needed_mass(eps2, ctx), ctx)
+    w1, w2 = f.metric.width_candidates()[c1], g.metric.width_candidates()[c2]
     # (the proof's scan functional: ball mass of F around a' plus of G around
     # b', state, rows) for every cell, not just up to the first witness
     scored = [
-        (sum(df.probs[i] for i in f.metric.ball(a, w1, t.ctx))
-         + sum(dg.probs[i] for i in g.metric.ball(b, w2, t.ctx)),
+        (ball_mass(df.probs, balls_f[c1][ia]) + ball_mass(dg.probs, balls_g[c2][ib]),
          state,
-         [("errorbar_F >= overall_F", w1, overall_width(df, eps, t.ctx)),
-          ("errorbar_G >= overall_G", w2, overall_width(dg, eps, t.ctx))])
-        for (a, b), state, df, dg in _cell_scan(t, f, g, j, check=True)
+         [("errorbar_F >= overall_F", w1, over_f), ("errorbar_G >= overall_G", w2, over_g)])
+        for ia, ib, state, df, dg, over_f, over_g in scan.overall_widths(eps1 + eps2)
     ]
     # proof-faithfulness: the cell maximizing the scan functional must itself
     # be a passing witness
@@ -204,34 +263,24 @@ def verify_thm1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
         "thm1", t, {"eps1": eps1, "eps2": eps2},
         [(state, rows) for _score, state, rows in scored],
         ("no candidate satisfied both width bounds", w1, w2),
-        extra={"proof_candidate_ok": best is not None and _holds(best[2], t.ctx.tol)},
+        extra={"proof_candidate_ok": best is not None and _holds(best[2], ctx.tol)},
     )
 
 
-def verify_cor1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
-                j: JointMeasurement, eps1: float, eps2: float) -> VerificationReport:
-    """Lipschitz-ball distances bound scaled overall widths on a witness."""
-    if not (0 < eps1 <= 1 and 0 < eps2 <= 1 and eps1 + eps2 <= 1):
-        raise ValueError("confidence levels must satisfy eps1, eps2 in (0,1], eps1+eps2 <= 1")
-    mf, mg = marginals(j)
-    dw_f = werner_distance(t, mf, f)
-    dw_g = werner_distance(t, mg, g)
-    eps = eps1 + eps2
+def _cor1_report(scan: _JointScan, eps1, eps2) -> VerificationReport:
+    dw_f, dw_g = scan.werner
     return _witness_report(
-        "cor1", t, {"eps1": eps1, "eps2": eps2},
-        ((state, [("D_W(F) >= eps1/2 * overall_F", dw_f,
-                   eps1 / 2 * overall_width(df, eps, t.ctx)),
-                  ("D_W(G) >= eps2/2 * overall_G", dw_g,
-                   eps2 / 2 * overall_width(dg, eps, t.ctx))])
-         for _ab, state, df, dg in _cell_scan(t, f, g, j)),
+        "cor1", scan.t, {"eps1": eps1, "eps2": eps2},
+        ((state, [("D_W(F) >= eps1/2 * overall_F", dw_f, eps1 / 2 * over_f),
+                  ("D_W(G) >= eps2/2 * overall_G", dw_g, eps2 / 2 * over_g)])
+         for _ia, _ib, state, _df, _dg, over_f, over_g in scan.overall_widths(eps1 + eps2)),
         ("no candidate satisfied both scaled width bounds", dw_f, dw_g),
     )
 
 
-def verify_thm2(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
-                j: JointMeasurement) -> VerificationReport:
-    """Summed sup-gaps of the marginals bound summed localization errors."""
-    mf, mg = marginals(j)
+def _thm2_report(scan: _JointScan) -> VerificationReport:
+    t, f, g = scan.t, scan.f, scan.g
+    mf, mg = scan.marginals
     d_f = linf_distance(t, mf, f)
     d_g = linf_distance(t, mg, g)
     lhs = d_f + d_g
@@ -241,10 +290,62 @@ def verify_thm2(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
         "thm2", t, {},
         ((state, [("D_inf(F)+D_inf(G) >= LE(F)+LE(G)", lhs,
                    localization_error(df) + localization_error(dg))])
-         for _ab, state, df, dg in _cell_scan(t, f, g, j)),
+         for _ia, _ib, state, df, dg in scan.cells()),
         ("no candidate satisfied the localization-error bound", d_f, d_g),
         tail=(("D_inf sum >= min_LE_sum", lhs, mls.value),),
     )
+
+
+def verify_thm1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
+                j: JointMeasurement, eps1: float, eps2: float) -> VerificationReport:
+    """Error-bar widths of the marginals bound overall widths on a witness.
+
+    A cell that does not normalize into the state space raises ValueError.
+    """
+    if not (0 <= eps1 <= 1 and 0 <= eps2 <= 1 and eps1 + eps2 <= 1):
+        raise ValueError("confidence levels must satisfy eps1, eps2 in [0,1], eps1+eps2 <= 1")
+    return _thm1_report(_JointScan(t, f, g, j, check=True), eps1, eps2)
+
+
+def verify_cor1(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
+                j: JointMeasurement, eps1: float, eps2: float) -> VerificationReport:
+    """Lipschitz-ball distances bound scaled overall widths on a witness."""
+    _cor1_eps(eps1, eps2)
+    return _cor1_report(_JointScan(t, f, g, j, check=False), eps1, eps2)
+
+
+def verify_thm2(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
+                j: JointMeasurement) -> VerificationReport:
+    """Summed sup-gaps of the marginals bound summed localization errors."""
+    return _thm2_report(_JointScan(t, f, g, j, check=False))
+
+
+@dataclass(frozen=True)
+class GridReports:
+    """The reports of one joint: ``thm1[i]`` and ``cor1[i]`` for the i-th eps
+    pair, and the eps-free ``thm2``."""
+
+    thm1: tuple
+    cor1: tuple
+    thm2: VerificationReport
+
+
+def verify_grid(t: Theory, f: IdealMeasurement, g: IdealMeasurement,
+                j: JointMeasurement, eps_pairs) -> GridReports:
+    """The thm1, cor1 and thm2 reports of one joint for every (eps1, eps2) pair,
+    from one scan of its cells.
+
+    Each report is the one the single-pair verifier returns.  Every pair
+    must suit both thm1 and cor1, and, as in thm1, a cell that does not
+    normalize into the state space raises ValueError.
+    """
+    eps_pairs = tuple(eps_pairs)
+    for eps1, eps2 in eps_pairs:
+        _cor1_eps(eps1, eps2)
+    scan = _JointScan(t, f, g, j, check=True)
+    return GridReports(thm1=tuple(_thm1_report(scan, *pair) for pair in eps_pairs),
+                       cor1=tuple(_cor1_report(scan, *pair) for pair in eps_pairs),
+                       thm2=_thm2_report(scan))
 
 
 def verify_mode(mode: str, t: Theory, f: IdealMeasurement, g: IdealMeasurement,
@@ -459,9 +560,9 @@ def run_report(config: Optional[dict] = None, out_dir: str = "report",
         f, g = ideal_pair_for(t)
         for k in range(cfg["joints_per_case"]):
             j = random_joint(t, f, g, rng)
-            note(verify_thm1(t, f, g, j, cfg["eps_grid"][0], cfg["eps_grid"][1]), n, f"joint{k}")
-            note(verify_cor1(t, f, g, j, cfg["eps_grid"][0], cfg["eps_grid"][1]), n, f"joint{k}")
-            note(verify_thm2(t, f, g, j), n, f"joint{k}")
+            grid = verify_grid(t, f, g, j, [cfg["eps_grid"][:2]])
+            for rep in (grid.thm1[0], grid.cor1[0], grid.thm2):
+                note(rep, n, f"joint{k}")
     for nn in cfg["theorem_theories"].get("classical", []):
         t = prepare_conforming(make_classical(nn))
         f, g = ideal_pair_for(t)

@@ -11,7 +11,15 @@ two measurements uses the reference's metric and needs one outcome set.
 
 Widths are infima over ball diameters; on a finite metric space the ball
 composition only changes at diameters 0 and 2*d(x, a), so the infimum is
-attained on that finite candidate set and is computed exactly.
+attained on that finite candidate set and is computed exactly.  The
+metric keeps the candidates and every ball as index sets
+(``FiniteMetricSpace.profile``).  A width is then read off a width
+profile, one ball mass per candidate (:func:`width_profile` for a
+distribution, :func:`error_bar_profile` for a measurement against an
+ideal one): it is the first candidate whose mass reaches 1 - eps
+(:func:`needed_mass`, :func:`width_index`), so one profile answers every
+eps.  Ball masses are added in index order from zero, as ``scalars.dot``
+adds.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linprog import GE, LE, LinearProgram, lp_solve
-from .model import FiniteMetricSpace, Measurement, Theory, effect_eval, in_state_space, prob_table
-from .scalars import Context, FLOAT
+from .model import FiniteMetricSpace, Measurement, Theory, in_state_space, prob_table
+from .scalars import Context, FLOAT, dot
 
 
 @dataclass(frozen=True)
@@ -35,26 +43,52 @@ class OutcomeDistribution:
 
 
 def distribution(t: Theory, m: Measurement, omega, check_state: bool = True) -> OutcomeDistribution:
-    """Outcome statistics of the measurement on a state."""
+    """Outcome statistics of the measurement on a state: ``e . omega`` for each
+    effect, the arithmetic of ``model.effect_eval``."""
     if check_state and not in_state_space(t, omega):
         raise ValueError("omega is not a state of the theory")
-    return OutcomeDistribution(
-        metric=m.metric, probs=tuple(effect_eval(t, e, omega) for e in m.effects)
-    )
+    if len(omega) != t.dim:
+        raise ValueError("dimension mismatch")
+    return OutcomeDistribution(metric=m.metric, probs=tuple(dot(e, omega) for e in m.effects))
+
+
+def needed_mass(eps, ctx: Context):
+    """``1 - eps`` in the scalars of ``ctx``: the mass a ball must carry at
+    confidence ``eps``.  An ``eps`` outside [0, 1] raises ValueError."""
+    eps = ctx.convert(eps)
+    if not (ctx.ge(eps, 0) and ctx.le(eps, 1)):
+        raise ValueError("confidence parameter must lie in [0, 1]")
+    return 1 - eps
+
+
+def ball_mass(probs, ball):
+    """The probability of a ball: its entries of ``probs``, added in index order
+    from zero on every Python version (``sum`` compensates float rounding from
+    3.12 on)."""
+    total = 0
+    for i in ball:
+        total += probs[i]
+    return total
+
+
+def width_index(masses, need, ctx: Context) -> int:
+    """Index of the first width candidate whose profile mass is at least ``need``."""
+    for c, mass in enumerate(masses):
+        if ctx.ge(mass, need):
+            return c
+    raise RuntimeError("width candidates exhausted; distribution not normalized?")
+
+
+def width_profile(p: OutcomeDistribution, ctx: Context = FLOAT) -> tuple:
+    """The largest ball mass of ``p`` at each width candidate of its metric."""
+    probs, (_, balls) = p.probs, p.metric.profile(ctx)
+    return tuple(max([ball_mass(probs, ball) for ball in row]) for row in balls)
 
 
 def overall_width(p: OutcomeDistribution, eps, ctx: Context = FLOAT):
     """Smallest ball diameter carrying mass at least 1 - eps."""
-    eps = ctx.convert(eps)
-    if not (ctx.ge(eps, 0) and ctx.le(eps, 1)):
-        raise ValueError("confidence parameter must lie in [0, 1]")
-    need = 1 - eps
-    for w in p.metric.width_candidates():
-        for a in p.metric.points:
-            mass = sum(p.probs[j] for j in p.metric.ball(a, w, ctx))
-            if ctx.ge(mass, need):
-                return w
-    raise RuntimeError("width candidates exhausted; distribution not normalized?")
+    need = needed_mass(eps, ctx)
+    return p.metric.width_candidates()[width_index(width_profile(p, ctx), need, ctx)]
 
 
 def localization_error(p: OutcomeDistribution):
@@ -76,6 +110,30 @@ def _require_conforming(t: Theory) -> None:
         )
 
 
+def error_bar_profile(t: Theory, f_approx: Measurement, f_ideal: Measurement) -> tuple:
+    """The smallest ball mass that ``f_approx`` gives around an ideal outcome, on
+    the vertices of that outcome's eigenstate face, at each width candidate.
+
+    The faces are where the ideal effects are one; the approximating effects
+    are evaluated on the face vertices only.  An outcome with an empty face
+    signals a non-ideal reference measurement and raises ValueError.
+    """
+    ctx = t.ctx
+    _require_conforming(t)
+    metric = _shared_metric(f_ideal, f_approx)
+    columns = []  # (outcome, the approximating effects on one of its face vertices)
+    for i, (label, row) in enumerate(zip(f_ideal.outcomes, prob_table(t, f_ideal.effects))):
+        face = [v for v, p in enumerate(row) if ctx.eq(p, 1)]
+        if not face:
+            raise ValueError(
+                f"outcome {label!r} has no eigenstate among the vertices; "
+                "reference measurement is not ideal in this representation"
+            )
+        columns += [(i, tuple(dot(e, t.vertices[v]) for e in f_approx.effects)) for v in face]
+    _, balls = metric.profile(ctx)
+    return tuple(min(ball_mass(col, row[i]) for i, col in columns) for row in balls)
+
+
 def error_bar_width(t: Theory, f_approx: Measurement, f_ideal: Measurement, eps):
     """Spread of the approximating outcomes around each ideal outcome.
 
@@ -84,29 +142,8 @@ def error_bar_width(t: Theory, f_approx: Measurement, f_ideal: Measurement, eps)
     a polytope face, so vertex checks are exhaustive.  An outcome with an
     empty face signals a non-ideal reference measurement.
     """
-    ctx = t.ctx
-    _require_conforming(t)
-    eps = ctx.convert(eps)
-    if not (ctx.ge(eps, 0) and ctx.le(eps, 1)):
-        raise ValueError("confidence parameter must lie in [0, 1]")
-    metric = _shared_metric(f_ideal, f_approx)
-    faces = []
-    for label, row in zip(f_ideal.outcomes, prob_table(t, f_ideal.effects)):
-        face = [v for v, p in enumerate(row) if ctx.eq(p, 1)]
-        if not face:
-            raise ValueError(
-                f"outcome {label!r} has no eigenstate among the vertices; "
-                "reference measurement is not ideal in this representation"
-            )
-        faces.append(face)
-    approx = prob_table(t, f_approx.effects)
-    need = 1 - eps
-    for w in metric.width_candidates():
-        balls = [metric.ball(label, w, ctx) for label in f_ideal.outcomes]
-        if all(ctx.ge(sum(approx[j][v] for j in ball), need)
-               for ball, face in zip(balls, faces) for v in face):
-            return w
-    raise RuntimeError("width candidates exhausted")
+    masses = error_bar_profile(t, f_approx, f_ideal)
+    return f_ideal.metric.width_candidates()[width_index(masses, needed_mass(eps, t.ctx), t.ctx)]
 
 
 def werner_distance(t: Theory, f_approx: Measurement, f_ideal: Measurement):
@@ -126,10 +163,13 @@ def werner_distance(t: Theory, f_approx: Measurement, f_ideal: Measurement):
         return ctx.zero()
     d10 = ctx.convert(metric.dist[1][0])
     best = ctx.zero()
-    approx, ideal = prob_table(t, f_approx.effects), prob_table(t, f_ideal.effects)
-    for pa, pi in zip(zip(*approx), zip(*ideal)):
+    if k == 2:  # only outcome 1's probabilities enter the closed form
+        approx, ideal = prob_table(t, (f_approx.effects[1], f_ideal.effects[1]))
+    else:
+        approx, ideal = zip(*prob_table(t, f_approx.effects)), zip(*prob_table(t, f_ideal.effects))
+    for pa, pi in zip(approx, ideal):
         if k == 2:
-            delta = pa[1] - pi[1]
+            delta = pa - pi
             value = ctx.zero() if ctx.is_zero(delta) else abs(delta) * d10
         else:
             value = _lipschitz_ball_lp(metric, [a - i for a, i in zip(pa, pi)], ctx)

@@ -168,7 +168,13 @@ class Theory:
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Finitely many outcome labels with a metric between them."""
+    """Finitely many outcome labels with a metric between them.
+
+    Frozen covers ``points`` and ``dist``.  The width profile of each
+    :class:`Context` (:meth:`profile`) is a per-instance cache, built on
+    first use as ``Theory.facet_normals`` is, which ``replace`` does not
+    copy; :meth:`width_candidates` and :meth:`ball` read it.
+    """
 
     points: tuple
     dist: tuple
@@ -188,7 +194,11 @@ class FiniteMetricSpace:
         return cls(points, tuple(tuple(abs(i - j) for j in range(k)) for i in range(k)))
 
     def index(self, label) -> int:
-        return self.points.index(label)
+        """Position of ``label`` among the points; an unknown label raises ValueError."""
+        try:
+            return self.points.index(label)
+        except ValueError:
+            raise ValueError(f"{label!r} is not a point of the metric on {self.points!r}") from None
 
     def validate(self, ctx: Context = FLOAT) -> None:
         """Raise ValueError naming the first failed metric axiom."""
@@ -210,18 +220,51 @@ class FiniteMetricSpace:
                         raise ValueError("triangle inequality fails")
 
     def ball(self, a, width, ctx: Context) -> tuple:
-        """Indices of points within width/2 of the label ``a``."""
+        """Indices of points within width/2 of the label ``a``, ascending: the
+        profile's ball when ``width`` is a width candidate, else compared by
+        distance as the profile compares."""
         ia = self.index(a)
+        candidates, balls = self.profile(ctx)
+        for w, row in zip(candidates, balls):
+            if w == width:
+                return row[ia]
         half = width / 2
         return tuple(j for j in range(len(self.points)) if ctx.le(self.dist[ia][j], half))
 
     def width_candidates(self) -> tuple:
         """{0} plus the doubled pairwise distances, ascending."""
+        return self._candidates
+
+    @cached_property
+    def _candidates(self) -> tuple:
+        if not self.points:
+            raise ValueError("a metric with no points has no width candidates")
         vals = {0 * self.dist[0][0]}
         for row in self.dist:
             for v in row:
                 vals.add(2 * v)
         return tuple(sorted(vals))
+
+    def profile(self, ctx: Context) -> tuple:
+        """``(candidates, balls)``: the width candidates, and ``balls[c][i]``,
+        the indices of the points within ``candidates[c] / 2`` of point ``i``
+        under ``ctx.le``, ascending.  Built on first use and kept per context.
+
+        Every width on this metric is a candidate (the ball composition only
+        changes there), so widths and ball masses read these index sets
+        instead of comparing distances again.
+        """
+        prof = self._profiles.get(ctx)
+        if prof is None:
+            candidates, k = self._candidates, len(self.points)
+            balls = tuple(tuple(tuple(j for j in range(k) if ctx.le(row[j], w / 2))
+                                for row in self.dist) for w in candidates)
+            prof = self._profiles[ctx] = (candidates, balls)
+        return prof
+
+    @cached_property
+    def _profiles(self) -> dict:
+        return {}
 
 
 def outcome_metric(metric: Optional[FiniteMetricSpace], outcomes: tuple) -> FiniteMetricSpace:

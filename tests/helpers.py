@@ -21,19 +21,33 @@ value at a time, and the shared elimination behind ``rank``, ``solve``,
 ``inverse`` and ``spanning_rows`` meets the three loops it replaced:
 Gauss-Jordan in Fractions or floats, the float rank, and one rank per
 row for the spanning rows.
+Widths and the theorem verifiers meet their per-call forms: balls found by
+distance comparisons on every call, every measure formed again for each eps
+pair, and every cell's statistics through ``effect_eval``.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 
 import numpy as np
 import pytest
 
+from gptlab.compat import marginals
 from gptlab.cones import Cone, LinealityError, cone_lp, cone_member, cones_equal, dual_cone
-from gptlab.ideal import IdealMeasurement, indecomposable_pure_effects
+from gptlab.harness import VerificationReport, _holds, _witness_report
+from gptlab.ideal import (
+    IdealMeasurement, indecomposable_pure_effects, psi_map_joint, psi_map_measurement,
+    psi_transform,
+)
 from gptlab.linprog import _DEGENERATE_RUN, _MAX_PIVOTS, EQ, GE, LE, LinearProgram
-from gptlab.model import is_zero_effect, prob_table, validate_theory
+from gptlab.measures import (
+    OutcomeDistribution, _lipschitz_ball_lp, linf_distance, localization_error, min_le_sum,
+)
+from gptlab.model import (
+    effect_eval, in_state_space, is_zero_effect, make_polygon, prob_table, validate_theory,
+)
 from gptlab.scalars import (
     FLOAT, Context, InnerProduct, dot, inverse, mat_add, mat_mul, mat_scale, mat_vec, rank, solve,
     transpose, vadd, vscale, vsub,
@@ -1022,3 +1036,187 @@ def enumerate_ideal_reference(t, max_outcomes: int) -> tuple:
     search(0, [], u, u_evals)
     return tuple(sorted(found.values(), key=lambda m: (
         m.n_outcomes, tuple(_veckey(e, ctx) for e in m.effects))))
+
+
+# ---------------------------------------------------------------------------
+# widths and witness scans, one call at a time
+
+
+def ordered_sum(values):
+    """The values added in order from zero, as ``scalars.dot`` adds them."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def width_candidates_reference(metric) -> tuple:
+    """{0} plus the doubled pairwise distances, ascending."""
+    vals = {0 * metric.dist[0][0]}
+    for row in metric.dist:
+        for v in row:
+            vals.add(2 * v)
+    return tuple(sorted(vals))
+
+
+def ball_reference(metric, a, width, ctx: Context) -> tuple:
+    """Indices of the points within width/2 of the label ``a``, by distance."""
+    ia = metric.points.index(a)
+    half = width / 2
+    return tuple(j for j in range(len(metric.points)) if ctx.le(metric.dist[ia][j], half))
+
+
+def overall_width_reference(p, eps, ctx: Context = FLOAT):
+    """The first candidate at which some point's ball carries 1 - eps."""
+    eps = ctx.convert(eps)
+    need = 1 - eps
+    for w in width_candidates_reference(p.metric):
+        for a in p.metric.points:
+            if ctx.ge(ordered_sum(p.probs[j] for j in ball_reference(p.metric, a, w, ctx)), need):
+                return w
+    raise RuntimeError("width candidates exhausted")
+
+
+def error_bar_width_reference(t, f_approx, f_ideal, eps):
+    """The first candidate whose balls carry 1 - eps on every eigenstate vertex,
+    with the approximating effects evaluated on every vertex."""
+    ctx, metric = t.ctx, f_ideal.metric
+    eps = ctx.convert(eps)
+    faces = [[v for v, p in enumerate(row) if ctx.eq(p, 1)]
+             for row in prob_table(t, f_ideal.effects)]
+    approx = prob_table(t, f_approx.effects)
+    for w in width_candidates_reference(metric):
+        balls = [ball_reference(metric, label, w, ctx) for label in f_ideal.outcomes]
+        if all(ctx.ge(ordered_sum(approx[j][v] for j in ball), 1 - eps)
+               for ball, face in zip(balls, faces) for v in face):
+            return w
+    raise RuntimeError("width candidates exhausted")
+
+
+def werner_distance_reference(t, f_approx, f_ideal):
+    """The vertex maximum of the Lipschitz-ball gap, from both full probability tables."""
+    ctx, metric = t.ctx, f_ideal.metric
+    k = len(metric.points)
+    if k == 1:
+        return ctx.zero()
+    d10 = ctx.convert(metric.dist[1][0])
+    best = ctx.zero()
+    approx, ideal = prob_table(t, f_approx.effects), prob_table(t, f_ideal.effects)
+    for pa, pi in zip(zip(*approx), zip(*ideal)):
+        if k == 2:
+            delta = pa[1] - pi[1]
+            value = ctx.zero() if ctx.is_zero(delta) else abs(delta) * d10
+        else:
+            value = _lipschitz_ball_lp(metric, [a - i for a, i in zip(pa, pi)], ctx)
+        if ctx.gt(value, best):
+            best = value
+    return best
+
+
+def _cell_scan_reference(t, f, g, j, check: bool):
+    """(cell labels, state, F distribution, G distribution) per cell of positive
+    mass, in grid order; with ``check`` a state outside Omega raises ValueError."""
+    ctx = t.ctx
+    cells = []
+    for a, row in zip(j.row_labels, j.effects):
+        for b, e in zip(j.col_labels, row):
+            mass = dot(t.unit_effect, e)
+            if not ctx.gt(mass, 0):
+                continue
+            state = vscale(1 / mass, e)
+            if check and not in_state_space(t, state):
+                raise ValueError("joint cell does not normalize into the state space; "
+                                 "theory is not in a conforming representation")
+            cells.append(((a, b), state))
+    for cell, state in cells:
+        yield (cell, state,
+               *(OutcomeDistribution(m.metric, tuple(effect_eval(t, e, state) for e in m.effects))
+                 for m in (f, g)))
+
+
+def verify_thm1_reference(t, f, g, j, eps1, eps2):
+    """``harness.verify_thm1`` with every width and ball found again by distance."""
+    mf, mg = marginals(j)
+    w1 = error_bar_width_reference(t, mf, f, eps1)
+    w2 = error_bar_width_reference(t, mg, g, eps2)
+    eps = eps1 + eps2
+    scored = [
+        (ordered_sum(df.probs[i] for i in ball_reference(f.metric, a, w1, t.ctx))
+         + ordered_sum(dg.probs[i] for i in ball_reference(g.metric, b, w2, t.ctx)),
+         state,
+         [("errorbar_F >= overall_F", w1, overall_width_reference(df, eps, t.ctx)),
+          ("errorbar_G >= overall_G", w2, overall_width_reference(dg, eps, t.ctx))])
+        for (a, b), state, df, dg in _cell_scan_reference(t, f, g, j, check=True)
+    ]
+    best = max(scored, key=lambda c: c[0], default=None)
+    return _witness_report(
+        "thm1", t, {"eps1": eps1, "eps2": eps2},
+        [(state, rows) for _score, state, rows in scored],
+        ("no candidate satisfied both width bounds", w1, w2),
+        extra={"proof_candidate_ok": best is not None and _holds(best[2], t.ctx.tol)},
+    )
+
+
+def verify_cor1_reference(t, f, g, j, eps1, eps2):
+    """``harness.verify_cor1`` with every width found again by distance."""
+    mf, mg = marginals(j)
+    dw_f = werner_distance_reference(t, mf, f)
+    dw_g = werner_distance_reference(t, mg, g)
+    eps = eps1 + eps2
+    return _witness_report(
+        "cor1", t, {"eps1": eps1, "eps2": eps2},
+        ((state, [("D_W(F) >= eps1/2 * overall_F", dw_f,
+                   eps1 / 2 * overall_width_reference(df, eps, t.ctx)),
+                  ("D_W(G) >= eps2/2 * overall_G", dw_g,
+                   eps2 / 2 * overall_width_reference(dg, eps, t.ctx))])
+         for _ab, state, df, dg in _cell_scan_reference(t, f, g, j, check=False)),
+        ("no candidate satisfied both scaled width bounds", dw_f, dw_g),
+    )
+
+
+def verify_thm2_reference(t, f, g, j):
+    """``harness.verify_thm2`` on the cells of the reference scan."""
+    mf, mg = marginals(j)
+    d_f, d_g = linf_distance(t, mf, f), linf_distance(t, mg, g)
+    lhs = d_f + d_g
+    return _witness_report(
+        "thm2", t, {},
+        ((state, [("D_inf(F)+D_inf(G) >= LE(F)+LE(G)", lhs,
+                   localization_error(df) + localization_error(dg))])
+         for _ab, state, df, dg in _cell_scan_reference(t, f, g, j, check=False)),
+        ("no candidate satisfied the localization-error bound", d_f, d_g),
+        tail=(("D_inf sum >= min_LE_sum", lhs, min_le_sum(t, f, g).value),),
+    )
+
+
+def verify_thm3_even_reference(n, f, g, j, mode, eps1=0.2, eps2=0.2):
+    """``harness.verify_thm3_even`` over the reference verifiers."""
+    raw = make_polygon(n)
+    hat = psi_transform(raw)
+    f_hat, g_hat, j_hat = psi_map_measurement(f, n), psi_map_measurement(g, n), psi_map_joint(j, n)
+    max_dev = 0.0
+    for meas_raw, meas_hat in ((f, f_hat), (g, g_hat)):
+        for row_raw, row_hat in zip(prob_table(raw, meas_raw.effects),
+                                    prob_table(hat, meas_hat.effects)):
+            max_dev = max(max_dev, *(abs(p - q) for p, q in zip(row_raw, row_hat)))
+    rep = {"thm1": lambda: verify_thm1_reference(hat, f_hat, g_hat, j_hat, eps1, eps2),
+           "cor1": lambda: verify_cor1_reference(hat, f_hat, g_hat, j_hat, eps1, eps2),
+           "thm2": lambda: verify_thm2_reference(hat, f_hat, g_hat, j_hat)}[mode]()
+    return replace(rep, check=f"thm3[{mode}]", theory=f"polygon-{n}",
+                   passed=rep.passed and max_dev < raw.ctx.tol,
+                   extra={**rep.extra, "psi_probability_deviation": max_dev})
+
+
+def verify_propc_reference(t, f_approx, f_ideal, eps_grid):
+    """``harness.verify_propc`` over the reference widths and Werner distance."""
+    dw = werner_distance_reference(t, f_approx, f_ideal)
+    ineqs = []
+    for eps in eps_grid:
+        w = error_bar_width_reference(t, f_approx, f_ideal, eps)
+        ok = w <= (2 / eps) * dw + t.ctx.tol
+        ineqs.append({"label": f"W_eps <= (2/eps) D_W @ eps={eps}",
+                      "lhs": float(w), "rhs": float((2 / eps) * dw), "ok": bool(ok)})
+    return VerificationReport(check="propC", theory=t.name,
+                              params={"eps_grid": tuple(map(float, eps_grid))},
+                              inequalities=ineqs, witness=None,
+                              passed=all(iq["ok"] for iq in ineqs))

@@ -148,14 +148,14 @@ def test_criterion_07_theorem_property_suite():
         f, g = harness.ideal_pair_for(t)
         for k in range(n_joints):
             j = harness.random_joint(t, f, g, rng)
-            if not harness.verify_thm2(t, f, g, j).passed:
+            grid = harness.verify_grid(t, f, g, j, pairs)
+            if not grid.thm2.passed:
                 failures.append((t.name, k, "thm2"))
             checked += 1
-            for e1, e2 in pairs:
-                r1 = harness.verify_thm1(t, f, g, j, e1, e2)
+            for (e1, e2), r1, r2 in zip(pairs, grid.thm1, grid.cor1):
                 if not (r1.passed and r1.extra.get("proof_candidate_ok")):
                     failures.append((t.name, k, f"thm1@{e1},{e2}"))
-                if not harness.verify_cor1(t, f, g, j, e1, e2).passed:
+                if not r2.passed:
                     failures.append((t.name, k, f"cor1@{e1},{e2}"))
                 checked += 2
 

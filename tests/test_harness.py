@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from gptlab import cli, harness
-from gptlab.compat import joint_violations, marginals, product_joint, uniform_joint
+from gptlab.compat import JointMeasurement, joint_violations, marginals, product_joint, uniform_joint
 from gptlab.ideal import (
     binary_ideal_measurement,
     fuzzify,
@@ -39,6 +39,14 @@ from gptlab.model import (
 )
 from gptlab.measures import error_bar_width, linf_distance, min_le_sum, werner_distance
 from gptlab.scalars import EXACT, FLOAT, Context
+
+from helpers import (
+    verify_cor1_reference,
+    verify_propc_reference,
+    verify_thm1_reference,
+    verify_thm2_reference,
+    verify_thm3_even_reference,
+)
 
 
 class TestWitnessCandidates:
@@ -272,6 +280,111 @@ class TestVerifiers:
         assert rep.passed
         low = rep.inequalities[0]
         assert low["lhs"] == pytest.approx(2.0)  # eps below (1-lambda)/2 forces the wide ball
+
+
+EPS_GRID = [0.1, 0.2, 0.3, 0.45]
+EPS_PAIRS = [(e1, e2) for e1 in EPS_GRID for e2 in EPS_GRID if e1 + e2 <= 1]
+
+
+def _criterion_7_cases():
+    """(theory, f, g, joints) on every theory of acceptance criterion 7."""
+    rng = np.random.default_rng(7)
+    theories = [harness.prepare_conforming(make_polygon(n)) for n in (3, 5, 7, 8, 12)]
+    theories += [harness.prepare_conforming(make_classical(n)) for n in (1, 2)]
+    out = []
+    for t in theories:
+        f, g = harness.ideal_pair_for(t)
+        out.append((t, f, g, [harness.random_joint(t, f, g, rng) for _ in range(3)]))
+    return out
+
+
+class TestScanOracle:
+    """Every verifier report is `repr`-equal to the per-call oracle of
+    `tests/helpers.py`, which finds each width and ball again by distance."""
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_grid_and_single_calls_match_the_oracle(self, case):
+        t, f, g, joints = _criterion_7_cases()[case]
+        for j in joints + [product_joint(f)] * (f is g):
+            grid = harness.verify_grid(t, f, g, j, EPS_PAIRS)
+            assert len(grid.thm1) == len(grid.cor1) == len(EPS_PAIRS) == 16
+            thm2 = repr(verify_thm2_reference(t, f, g, j))
+            assert repr(grid.thm2) == repr(harness.verify_thm2(t, f, g, j)) == thm2
+            for (e1, e2), r1, r2 in zip(EPS_PAIRS, grid.thm1, grid.cor1):
+                want = repr(verify_thm1_reference(t, f, g, j, e1, e2))
+                assert repr(r1) == repr(harness.verify_thm1(t, f, g, j, e1, e2)) == want
+                want = repr(verify_cor1_reference(t, f, g, j, e1, e2))
+                assert repr(r2) == repr(harness.verify_cor1(t, f, g, j, e1, e2)) == want
+
+    def test_exact_classical_matches_the_oracle(self):
+        for n in (1, 2, 3):
+            t = make_classical(n)
+            f, g = binary_ideal_measurement(t, 0), binary_ideal_measurement(t, n)
+            ft, gt = fuzzify(t, f, Fraction(3, 5)), fuzzify(t, g, Fraction(4, 5))
+            j = JointMeasurement(
+                f.outcomes, g.outcomes,
+                [[tuple(x * y for x, y in zip(a, b)) for b in gt.effects] for a in ft.effects],
+                f.metric, g.metric)
+            grid = harness.verify_grid(t, f, g, j, EPS_PAIRS)
+            assert repr(grid.thm2) == repr(verify_thm2_reference(t, f, g, j))
+            for (e1, e2), r1, r2 in zip(EPS_PAIRS, grid.thm1, grid.cor1):
+                assert repr(r1) == repr(verify_thm1_reference(t, f, g, j, e1, e2))
+                assert repr(r2) == repr(verify_cor1_reference(t, f, g, j, e1, e2))
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_thm3_even_matches_the_oracle(self, n):
+        rng = np.random.default_rng(n)
+        raw = make_polygon(n)
+        f, g = harness.ideal_pair_for(raw)
+        hat = psi_transform(raw)
+        fh, gh = psi_map_measurement(f, n), psi_map_measurement(g, n)
+        for k in range(3):
+            j = psi_map_joint(harness.random_joint(hat, fh, gh, rng), n, inverse=True)
+            for mode in ("thm1", "cor1", "thm2"):
+                for e1, e2 in EPS_PAIRS[k::3]:
+                    got = harness.verify_thm3_even(n, f, g, j, mode, e1, e2)
+                    assert repr(got) == repr(verify_thm3_even_reference(n, f, g, j, mode, e1, e2))
+
+    def test_propc_matches_the_oracle(self):
+        rng = np.random.default_rng(404)
+        grid = [0.1 * k for k in range(1, 10)]
+        for t in (make_polygon(5), psi_transform(make_polygon(8)), make_polygon(7)):
+            f, _ = harness.ideal_pair_for(t)
+            for _ in range(4):
+                ft = harness.random_postprocessed(t, f, rng)
+                assert repr(harness.verify_propc(t, ft, f, grid)) == repr(
+                    verify_propc_reference(t, ft, f, grid))
+
+    def test_grid_checks_every_pair_first(self):
+        t = make_polygon(5)
+        f = binary_ideal_measurement(t, 0)
+        with pytest.raises(ValueError, match=r"eps1, eps2 in \(0,1\]"):
+            harness.verify_grid(t, f, f, product_joint(f), [(0.2, 0.2), (0.0, 0.5)])
+
+
+class TestNonConformingJoint:
+    """A joint whose cell normalizes outside the pentagon: only thm1 tests membership."""
+
+    @staticmethod
+    def _joint():
+        t = make_polygon(5)
+        f, g = harness.ideal_pair_for(t)
+        q = 0.25
+        cells = [[(0.5, 0.0, q), (-0.5, 0.0, q)], [(0.0, 0.5, q), (0.0, -0.5, q)]]
+        return t, f, g, JointMeasurement(f.outcomes, g.outcomes, cells, f.metric, g.metric)
+
+    def test_thm1_raises(self):
+        t, f, g, j = self._joint()
+        with pytest.raises(ValueError, match="conforming representation"):
+            harness.verify_thm1(t, f, g, j, 0.2, 0.2)
+        with pytest.raises(ValueError, match="conforming representation"):
+            harness.verify_grid(t, f, g, j, [(0.2, 0.2)])
+
+    def test_cor1_and_thm2_do_not_check_membership(self):
+        t, f, g, j = self._joint()
+        assert repr(harness.verify_cor1(t, f, g, j, 0.2, 0.2)) == repr(
+            verify_cor1_reference(t, f, g, j, 0.2, 0.2))
+        assert repr(harness.verify_thm2(t, f, g, j)) == repr(verify_thm2_reference(t, f, g, j))
 
 
 class TestReport:

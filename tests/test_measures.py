@@ -37,7 +37,14 @@ from gptlab.model import (
     theory_to_float,
     validate_measurement,
 )
-from gptlab.scalars import EXACT, FLOAT
+from gptlab.scalars import EXACT, FLOAT, Context, solve
+
+from helpers import (
+    ball_reference,
+    error_bar_width_reference,
+    overall_width_reference,
+    width_candidates_reference,
+)
 
 
 def two_point():
@@ -80,6 +87,32 @@ class TestMetricSpace:
     def test_candidates_sorted(self):
         m = FiniteMetricSpace.line((0, 1, 2))
         assert m.width_candidates() == (0, 2, 4)
+
+    def test_unknown_label_named(self):
+        m = FiniteMetricSpace.discrete((0, 1))
+        with pytest.raises(ValueError, match=r"5 is not a point of the metric on \(0, 1\)"):
+            m.index(5)
+        with pytest.raises(ValueError, match="'x' is not a point of the metric"):
+            m.ball("x", 2, FLOAT)
+
+    def test_ball_mass_adds_in_index_order_from_zero(self):
+        # 1e16 + 1 rounds back to 1e16 in order; a compensated sum would give 1
+        probs = (1e16, 1.0, -1e16)
+        assert measures.ball_mass(probs, (0, 1, 2)) == 0.0
+        assert measures.ball_mass(probs, (0, 2, 1)) == 1.0
+        assert measures.ball_mass(probs, ()) == 0
+
+    def test_no_points_no_candidates(self):
+        with pytest.raises(ValueError, match="no points has no width candidates"):
+            FiniteMetricSpace((), ()).width_candidates()
+
+    def test_profile_is_kept_per_context(self):
+        m = FiniteMetricSpace((0, 1), ((0.0, 1.0), (1.0, 0.0)))
+        assert m.profile(FLOAT) is m.profile(FLOAT)
+        assert m.profile(FLOAT) == ((0.0, 2.0), (((0,), (1,)), ((0, 1), (0, 1))))
+        # a tolerance of 1 puts the other point into the zero-width ball
+        assert m.profile(Context(tol=1.0))[1][0] == ((0, 1), (0, 1))
+        assert m == FiniteMetricSpace((0, 1), ((0.0, 1.0), (1.0, 0.0)))
 
 
 class TestOverallWidth:
@@ -255,6 +288,79 @@ class TestErrorBarByDefinition:
             tuple(Fr(c[i], sum(c)) for c in cols) for i in range(k)), f.metric)
         eps = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
         assert error_bar_width(t, approx, f, eps) == _error_bar_by_definition(t, approx, f, eps)
+
+
+def _random_metric(data, k: int, ctx):
+    """A discrete, line or random metric on k points, in the scalars of ``ctx``.
+
+    Random distances come from a small set, so candidates tie; in float mode
+    the set holds pairs exactly ``ctx.tol`` apart, which balls separate only
+    by the tolerance of ``ctx.le``.
+    """
+    kind = data.draw(st.sampled_from(["discrete", "line", "random"]))
+    points = tuple(range(k))
+    if kind == "discrete":
+        return FiniteMetricSpace.discrete(points, ctx.convert(data.draw(st.sampled_from(["1", "3/2"]))))
+    if kind == "line":
+        return FiniteMetricSpace.line(points)
+    pool = ([Fr(1), Fr(3, 2), Fr(2), Fr(5, 2)] if ctx.exact
+            else [1.0, 1.0 + ctx.tol, 0.5, 0.5 + ctx.tol, 0.5 + 2 * ctx.tol, 1.5])
+    dist = [[ctx.zero()] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            dist[i][j] = dist[j][i] = data.draw(st.sampled_from(pool))
+    return FiniteMetricSpace(points, dist)
+
+
+def _random_probs(data, k: int, ctx) -> tuple:
+    weights = data.draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any))
+    total = sum(weights)
+    return tuple(Fr(w, total) if ctx.exact else w / total for w in weights)
+
+
+_EPS = ["0", "1/10", "1/4", "3/10", "1/2", "2/3", "3/4", "9/10", "1"]
+
+
+class TestWidthProfileOracle:
+    """Widths and balls read off the metric's profile equal the per-call oracle
+    (balls found by distance comparisons on every call), in both modes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_overall_width(self, data):
+        ctx = data.draw(st.sampled_from([EXACT, FLOAT]))
+        k = data.draw(st.integers(1, 6))
+        metric = _random_metric(data, k, ctx)
+        candidates = metric.width_candidates()
+        assert repr(candidates) == repr(width_candidates_reference(metric))
+        widths = list(candidates) + [w + ctx.tol for w in candidates] + [
+            (a + b) / 2 for a, b in zip(candidates, candidates[1:])]
+        for w in widths:
+            for a in metric.points:
+                assert metric.ball(a, w, ctx) == ball_reference(metric, a, w, ctx)
+        p = OutcomeDistribution(metric, _random_probs(data, k, ctx))
+        for eps in _EPS:
+            got, want = overall_width(p, eps, ctx), overall_width_reference(p, eps, ctx)
+            assert repr(got) == repr(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_error_bar_width(self, data):
+        exact = data.draw(st.booleans())
+        k = data.draw(st.integers(2, 6))
+        n = data.draw(st.integers(k - 1, 5))
+        t = make_classical(n) if exact else theory_to_float(make_classical(n))
+        ideal = data.draw(st.sampled_from(
+            [m for m in enumerate_ideal_measurements(t, k) if m.n_outcomes == k]))
+        metric = _random_metric(data, k, t.ctx)
+        f = Measurement(ideal.outcomes, ideal.effects, metric)
+        # on a simplex any outcome distribution per vertex is a measurement
+        cols = [_random_probs(data, k, t.ctx) for _ in t.vertices]
+        effects = tuple(solve(t.vertices, [c[i] for c in cols], t.ctx) for i in range(k))
+        approx = Measurement(f.outcomes, effects, metric)
+        for eps in _EPS:
+            got = error_bar_width(t, approx, f, eps)
+            assert repr(got) == repr(error_bar_width_reference(t, approx, f, eps))
 
 
 class TestWernerDistance:
