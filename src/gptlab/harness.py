@@ -48,7 +48,6 @@ from .measures import (
     ball_mass,
     distribution,
     error_bar_profile,
-    error_bar_width,
     linf_distance,
     localization_error,
     min_le_sum,
@@ -198,7 +197,8 @@ class _JointScan:
     @cached_property
     def error_bars(self) -> tuple:
         mf, mg = self.marginals
-        return error_bar_profile(self.t, mf, self.f), error_bar_profile(self.t, mg, self.g)
+        return (tuple(error_bar_profile(self.t, mf, self.f)),
+                tuple(error_bar_profile(self.t, mg, self.g)))
 
     @cached_property
     def werner(self) -> tuple:
@@ -230,7 +230,8 @@ class _JointScan:
         wf, wg = self.f.metric.width_candidates(), self.g.metric.width_candidates()
         for i, cell in enumerate(self.cells()):
             if i == len(peaks):  # the largest ball mass per width candidate
-                peaks.append((width_profile(cell[3], ctx), width_profile(cell[4], ctx)))
+                peaks.append((tuple(width_profile(cell[3], ctx)),
+                              tuple(width_profile(cell[4], ctx))))
             pf, pg = peaks[i]
             yield (*cell, wf[width_index(pf, need, ctx)], wg[width_index(pg, need, ctx)])
 
@@ -243,15 +244,16 @@ def _cor1_eps(eps1, eps2) -> None:
 def _thm1_report(scan: _JointScan, eps1, eps2) -> VerificationReport:
     t, f, g = scan.t, scan.f, scan.g
     ctx = t.ctx
-    (_, balls_f), (_, balls_g) = f.metric.profile(ctx), g.metric.profile(ctx)
     eb_f, eb_g = scan.error_bars
     c1 = width_index(eb_f, needed_mass(eps1, ctx), ctx)
     c2 = width_index(eb_g, needed_mass(eps2, ctx), ctx)
     w1, w2 = f.metric.width_candidates()[c1], g.metric.width_candidates()[c2]
+    # the error-bar profiles have built every ball row
+    balls_f, balls_g = tuple(f.metric.ball_rows(ctx))[c1], tuple(g.metric.ball_rows(ctx))[c2]
     # (the proof's scan functional: ball mass of F around a' plus of G around
     # b', state, rows) for every cell, not just up to the first witness
     scored = [
-        (ball_mass(df.probs, balls_f[c1][ia]) + ball_mass(dg.probs, balls_g[c2][ib]),
+        (ball_mass(df.probs, balls_f[ia]) + ball_mass(dg.probs, balls_g[ib]),
          state,
          [("errorbar_F >= overall_F", w1, over_f), ("errorbar_G >= overall_G", w2, over_g)])
         for ia, ib, state, df, dg, over_f, over_g in scan.overall_widths(eps1 + eps2)
@@ -394,14 +396,19 @@ def verify_thm3_even(n: int, f: IdealMeasurement, g: IdealMeasurement,
 
 def verify_propc(t: Theory, f_approx: Measurement, f_ideal: Measurement,
                  eps_grid) -> VerificationReport:
-    """Error-bar width is bounded by (2/eps) times the Lipschitz distance."""
+    """Error-bar width is bounded by (2/eps) times the Lipschitz distance.
+
+    One error-bar profile answers every eps of the grid.
+    """
     dw = werner_distance(t, f_approx, f_ideal)
+    eps_grid = tuple(eps_grid)
+    if not all(0 < eps <= 1 for eps in eps_grid):
+        raise ValueError("eps must lie in (0, 1]")
+    masses = tuple(error_bar_profile(t, f_approx, f_ideal)) if eps_grid else ()
     ineqs = []
     ok_all = True
     for eps in eps_grid:
-        if not 0 < eps <= 1:
-            raise ValueError("eps must lie in (0, 1]")
-        w = error_bar_width(t, f_approx, f_ideal, eps)
+        w = f_ideal.metric.width_candidates()[width_index(masses, needed_mass(eps, t.ctx), t.ctx)]
         ok = w <= (2 / eps) * dw + t.ctx.tol
         ok_all = ok_all and ok
         ineqs.append({"label": f"W_eps <= (2/eps) D_W @ eps={eps}",

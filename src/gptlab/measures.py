@@ -12,12 +12,14 @@ two measurements uses the reference's metric and needs one outcome set.
 Widths are infima over ball diameters; on a finite metric space the ball
 composition only changes at diameters 0 and 2*d(x, a), so the infimum is
 attained on that finite candidate set and is computed exactly.  The
-metric keeps the candidates and every ball as index sets
-(``FiniteMetricSpace.profile``).  A width is then read off a width
-profile, one ball mass per candidate (:func:`width_profile` for a
-distribution, :func:`error_bar_profile` for a measurement against an
-ideal one): it is the first candidate whose mass reaches 1 - eps
-(:func:`needed_mass`, :func:`width_index`), so one profile answers every
+metric keeps its candidates, and the balls of every point at a candidate
+as index sets (``FiniteMetricSpace.ball_rows``), built when first read.
+A width is then read off a width profile, one ball mass per candidate
+(:func:`width_profile` for a distribution, :func:`error_bar_profile` for
+a measurement against an ideal one): it is the first candidate whose
+mass reaches 1 - eps (:func:`needed_mass`, :func:`width_index`).  A
+profile is a lazy iterator, so a one-shot width builds no ball row past
+the candidate it returns, and a profile kept as a tuple answers every
 eps.  Ball masses are added in index order from zero, as ``scalars.dot``
 adds.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linprog import GE, LE, LinearProgram, lp_solve
-from .model import FiniteMetricSpace, Measurement, Theory, in_state_space, prob_table
+from .model import FiniteMetricSpace, Measurement, Theory, effect_eval, in_state_space, prob_table
 from .scalars import Context, FLOAT, dot
 
 
@@ -43,13 +45,12 @@ class OutcomeDistribution:
 
 
 def distribution(t: Theory, m: Measurement, omega, check_state: bool = True) -> OutcomeDistribution:
-    """Outcome statistics of the measurement on a state: ``e . omega`` for each
-    effect, the arithmetic of ``model.effect_eval``."""
+    """Outcome statistics of the measurement on a state."""
     if check_state and not in_state_space(t, omega):
         raise ValueError("omega is not a state of the theory")
-    if len(omega) != t.dim:
-        raise ValueError("dimension mismatch")
-    return OutcomeDistribution(metric=m.metric, probs=tuple(dot(e, omega) for e in m.effects))
+    return OutcomeDistribution(
+        metric=m.metric, probs=tuple(effect_eval(t, e, omega) for e in m.effects)
+    )
 
 
 def needed_mass(eps, ctx: Context):
@@ -79,10 +80,11 @@ def width_index(masses, need, ctx: Context) -> int:
     raise RuntimeError("width candidates exhausted; distribution not normalized?")
 
 
-def width_profile(p: OutcomeDistribution, ctx: Context = FLOAT) -> tuple:
-    """The largest ball mass of ``p`` at each width candidate of its metric."""
-    probs, (_, balls) = p.probs, p.metric.profile(ctx)
-    return tuple(max([ball_mass(probs, ball) for ball in row]) for row in balls)
+def width_profile(p: OutcomeDistribution, ctx: Context = FLOAT):
+    """Iterator over the largest ball mass of ``p`` at each width candidate of
+    its metric, in order."""
+    probs = p.probs
+    return (max([ball_mass(probs, ball) for ball in row]) for row in p.metric.ball_rows(ctx))
 
 
 def overall_width(p: OutcomeDistribution, eps, ctx: Context = FLOAT):
@@ -110,9 +112,10 @@ def _require_conforming(t: Theory) -> None:
         )
 
 
-def error_bar_profile(t: Theory, f_approx: Measurement, f_ideal: Measurement) -> tuple:
-    """The smallest ball mass that ``f_approx`` gives around an ideal outcome, on
-    the vertices of that outcome's eigenstate face, at each width candidate.
+def error_bar_profile(t: Theory, f_approx: Measurement, f_ideal: Measurement):
+    """Iterator over the smallest ball mass that ``f_approx`` gives around an
+    ideal outcome, on the vertices of that outcome's eigenstate face, at each
+    width candidate in order.
 
     The faces are where the ideal effects are one; the approximating effects
     are evaluated on the face vertices only.  An outcome with an empty face
@@ -130,8 +133,7 @@ def error_bar_profile(t: Theory, f_approx: Measurement, f_ideal: Measurement) ->
                 "reference measurement is not ideal in this representation"
             )
         columns += [(i, tuple(dot(e, t.vertices[v]) for e in f_approx.effects)) for v in face]
-    _, balls = metric.profile(ctx)
-    return tuple(min(ball_mass(col, row[i]) for i, col in columns) for row in balls)
+    return (min(ball_mass(col, row[i]) for i, col in columns) for row in metric.ball_rows(ctx))
 
 
 def error_bar_width(t: Theory, f_approx: Measurement, f_ideal: Measurement, eps):
@@ -142,8 +144,9 @@ def error_bar_width(t: Theory, f_approx: Measurement, f_ideal: Measurement, eps)
     a polytope face, so vertex checks are exhaustive.  An outcome with an
     empty face signals a non-ideal reference measurement.
     """
+    need = needed_mass(eps, t.ctx)
     masses = error_bar_profile(t, f_approx, f_ideal)
-    return f_ideal.metric.width_candidates()[width_index(masses, needed_mass(eps, t.ctx), t.ctx)]
+    return f_ideal.metric.width_candidates()[width_index(masses, need, t.ctx)]
 
 
 def werner_distance(t: Theory, f_approx: Measurement, f_ideal: Measurement):
@@ -161,18 +164,18 @@ def werner_distance(t: Theory, f_approx: Measurement, f_ideal: Measurement):
     k = len(metric.points)
     if k == 1:
         return ctx.zero()
-    d10 = ctx.convert(metric.dist[1][0])
     best = ctx.zero()
     if k == 2:  # only outcome 1's probabilities enter the closed form
-        approx, ideal = prob_table(t, (f_approx.effects[1], f_ideal.effects[1]))
-    else:
-        approx, ideal = zip(*prob_table(t, f_approx.effects)), zip(*prob_table(t, f_ideal.effects))
-    for pa, pi in zip(approx, ideal):
-        if k == 2:
+        d10 = ctx.convert(metric.dist[1][0])
+        for pa, pi in zip(*prob_table(t, (f_approx.effects[1], f_ideal.effects[1]))):
             delta = pa - pi
             value = ctx.zero() if ctx.is_zero(delta) else abs(delta) * d10
-        else:
-            value = _lipschitz_ball_lp(metric, [a - i for a, i in zip(pa, pi)], ctx)
+            if ctx.gt(value, best):
+                best = value
+        return best
+    approx, ideal = prob_table(t, f_approx.effects), prob_table(t, f_ideal.effects)
+    for pa, pi in zip(zip(*approx), zip(*ideal)):
+        value = _lipschitz_ball_lp(metric, [a - i for a, i in zip(pa, pi)], ctx)
         if ctx.gt(value, best):
             best = value
     return best

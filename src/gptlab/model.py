@@ -170,10 +170,10 @@ class Theory:
 class FiniteMetricSpace:
     """Finitely many outcome labels with a metric between them.
 
-    Frozen covers ``points`` and ``dist``.  The width profile of each
-    :class:`Context` (:meth:`profile`) is a per-instance cache, built on
-    first use as ``Theory.facet_normals`` is, which ``replace`` does not
-    copy; :meth:`width_candidates` and :meth:`ball` read it.
+    Frozen covers ``points`` and ``dist``.  The width candidates and, per
+    :class:`Context` and candidate, the balls of every point
+    (:meth:`ball_rows`) are per-instance caches, built on first use as
+    ``Theory.facet_normals`` is, which ``replace`` does not copy.
     """
 
     points: tuple
@@ -220,14 +220,10 @@ class FiniteMetricSpace:
                         raise ValueError("triangle inequality fails")
 
     def ball(self, a, width, ctx: Context) -> tuple:
-        """Indices of points within width/2 of the label ``a``, ascending: the
-        profile's ball when ``width`` is a width candidate, else compared by
-        distance as the profile compares."""
-        ia = self.index(a)
-        candidates, balls = self.profile(ctx)
-        for w, row in zip(candidates, balls):
-            if w == width:
-                return row[ia]
+        """Indices of points within width/2 of the label ``a``, ascending."""
+        return self._ball_at(self.index(a), width, ctx)
+
+    def _ball_at(self, ia: int, width, ctx: Context) -> tuple:
         half = width / 2
         return tuple(j for j in range(len(self.points)) if ctx.le(self.dist[ia][j], half))
 
@@ -245,25 +241,26 @@ class FiniteMetricSpace:
                 vals.add(2 * v)
         return tuple(sorted(vals))
 
-    def profile(self, ctx: Context) -> tuple:
-        """``(candidates, balls)``: the width candidates, and ``balls[c][i]``,
-        the indices of the points within ``candidates[c] / 2`` of point ``i``
-        under ``ctx.le``, ascending.  Built on first use and kept per context.
+    def ball_rows(self, ctx: Context):
+        """Iterator over the ball rows at the width candidates, in order: the
+        row at candidate ``c`` holds, for each point ``i``,
+        ``ball(points[i], width_candidates()[c], ctx)``.
 
         Every width on this metric is a candidate (the ball composition only
-        changes there), so widths and ball masses read these index sets
-        instead of comparing distances again.
+        changes there), so widths and ball masses read these rows instead of
+        comparing distances again.  Each row is built when first reached and
+        kept per context: a reader that stops at an early candidate builds no
+        later row, and all rows together hold at most C * k**2 indices for k
+        points and C <= k(k-1)/2 + 1 candidates.
         """
-        prof = self._profiles.get(ctx)
-        if prof is None:
-            candidates, k = self._candidates, len(self.points)
-            balls = tuple(tuple(tuple(j for j in range(k) if ctx.le(row[j], w / 2))
-                                for row in self.dist) for w in candidates)
-            prof = self._profiles[ctx] = (candidates, balls)
-        return prof
+        rows, k = self._rows.setdefault(ctx, []), len(self.points)
+        for c, w in enumerate(self._candidates):
+            if c == len(rows):
+                rows.append(tuple(self._ball_at(i, w, ctx) for i in range(k)))
+            yield rows[c]
 
     @cached_property
-    def _profiles(self) -> dict:
+    def _rows(self) -> dict:
         return {}
 
 

@@ -28,6 +28,7 @@ from gptlab.ideal import (
     psi_transform,
 )
 from gptlab.model import (
+    FiniteMetricSpace,
     Theory,
     make_classical,
     make_polygon,
@@ -259,12 +260,33 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_propc_compares_at_the_context_tolerance(self, monkeypatch, exact):
-        # W_eps over (2/eps) D_W by 1e-12: within float tol, a failure in exact mode
-        monkeypatch.setattr(harness, "werner_distance", lambda t, a, i: Fraction(1, 10))
-        monkeypatch.setattr(harness, "error_bar_width",
-                            lambda t, a, i, eps: Fraction(1, 5) + Fraction(1, 10**12))
+        # W_eps over (2/eps) D_W by 1e-12: within float tol, a failure in exact mode.
+        # At eps = 1/2 only the second width candidate, 1/5 + 1e-12, carries the mass.
+        monkeypatch.setattr(harness, "werner_distance", lambda t, a, i: Fraction(1, 20))
+        monkeypatch.setattr(harness, "error_bar_profile", lambda t, a, i: iter((0, 1)))
+        d = Fraction(1, 10) + Fraction(1, 2 * 10**12)
+        ideal = SimpleNamespace(metric=FiniteMetricSpace((0, 1), ((0, d), (d, 0))))
         t = make_classical(2) if exact else theory_to_float(make_classical(2))
-        assert harness.verify_propc(t, None, None, [1]).passed is not exact
+        rep = harness.verify_propc(t, None, ideal, [Fraction(1, 2)])
+        assert rep.inequalities[0]["lhs"] == float(Fraction(1, 5) + Fraction(1, 10**12))
+        assert rep.passed is not exact
+
+    def test_propc_reads_one_error_bar_profile_for_the_grid(self, monkeypatch):
+        t = make_polygon(5)
+        f = binary_ideal_measurement(t, 0)
+        calls, profile = [], harness.error_bar_profile
+        monkeypatch.setattr(harness, "error_bar_profile",
+                            lambda *args: calls.append(args) or profile(*args))
+        grid = [0.1 * k for k in range(1, 10)]
+        assert harness.verify_propc(t, fuzzify(t, f, 0.6), f, grid).passed
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("grid", [[0.5, 0], [1.5], [-0.1, 0.5]])
+    def test_propc_rejects_eps_outside_the_unit_interval(self, grid):
+        t = make_polygon(5)
+        f = binary_ideal_measurement(t, 0)
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            harness.verify_propc(t, f, f, grid)
 
     def test_propc_identity(self):
         t = make_polygon(5)

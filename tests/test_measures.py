@@ -106,13 +106,33 @@ class TestMetricSpace:
         with pytest.raises(ValueError, match="no points has no width candidates"):
             FiniteMetricSpace((), ()).width_candidates()
 
-    def test_profile_is_kept_per_context(self):
+    def test_ball_rows_are_kept_per_context_and_candidate(self):
         m = FiniteMetricSpace((0, 1), ((0.0, 1.0), (1.0, 0.0)))
-        assert m.profile(FLOAT) is m.profile(FLOAT)
-        assert m.profile(FLOAT) == ((0.0, 2.0), (((0,), (1,)), ((0, 1), (0, 1))))
+        rows = tuple(m.ball_rows(FLOAT))
+        assert rows == (((0,), (1,)), ((0, 1), (0, 1)))
+        assert all(a is b for a, b in zip(rows, m.ball_rows(FLOAT)))
         # a tolerance of 1 puts the other point into the zero-width ball
-        assert m.profile(Context(tol=1.0))[1][0] == ((0, 1), (0, 1))
+        assert next(m.ball_rows(Context(tol=1.0))) == ((0, 1), (0, 1))
         assert m == FiniteMetricSpace((0, 1), ((0.0, 1.0), (1.0, 0.0)))
+
+    def test_one_shot_width_builds_only_the_rows_it_reads(self):
+        # 300 line points: 300 candidates, up to 300**2 ball indices per row
+        k = 300
+        m = FiniteMetricSpace.line(tuple(range(k)))
+        p = OutcomeDistribution(m, (1.0,) + (0.0,) * (k - 1))
+        assert overall_width(p, 0.0) == 0
+        assert overall_width(p, 0.5) == 0
+        assert len(m._rows[FLOAT]) == 1
+
+    def test_whole_profile_size(self):
+        # the ball of radius c around i on a line is [i - c, i + c] clipped to
+        # the line: k(2c + 1) - c(c + 1) indices per row, all below C * k**2
+        k = 40
+        m = FiniteMetricSpace.line(tuple(range(k)))
+        p = OutcomeDistribution(m, (1 / k,) * k)
+        assert len(tuple(measures.width_profile(p))) == len(m.width_candidates()) == k
+        for c, row in enumerate(m.ball_rows(FLOAT)):
+            assert sum(map(len, row)) == k * (2 * c + 1) - c * (c + 1)
 
 
 class TestOverallWidth:
@@ -322,7 +342,7 @@ _EPS = ["0", "1/10", "1/4", "3/10", "1/2", "2/3", "3/4", "9/10", "1"]
 
 
 class TestWidthProfileOracle:
-    """Widths and balls read off the metric's profile equal the per-call oracle
+    """Widths and ball rows read off the metric equal the per-call oracle
     (balls found by distance comparisons on every call), in both modes."""
 
     @settings(max_examples=120, deadline=None)
@@ -338,6 +358,8 @@ class TestWidthProfileOracle:
         for w in widths:
             for a in metric.points:
                 assert metric.ball(a, w, ctx) == ball_reference(metric, a, w, ctx)
+        assert tuple(metric.ball_rows(ctx)) == tuple(
+            tuple(ball_reference(metric, a, w, ctx) for a in metric.points) for w in candidates)
         p = OutcomeDistribution(metric, _random_probs(data, k, ctx))
         for eps in _EPS:
             got, want = overall_width(p, eps, ctx), overall_width_reference(p, eps, ctx)
