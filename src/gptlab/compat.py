@@ -6,9 +6,10 @@ feasibility and optimisation questions here are linear.  An effect is
 nonnegative on every state exactly when it lies in the effect cone, the
 dual of the state cone under the dot product, which the theory's cached
 facet normals generate; so each joint cell is written as a nonnegative
-combination of those normals.  Marginal matching is then coordinatewise
-equality, and the LP has the same number of rows whatever the number of
-vertices.
+combination of one ray set, the normals scaled so that each automorphism
+``T`` permutes them exactly as rows, ``r -> r T`` (``Theory.facet_table``).
+Marginal matching is then coordinatewise equality, and the LP has the same
+number of rows whatever the number of vertices.
 
 All three LPs, joint measurability, ``min_mur_linf`` and
 ``max_fuzz_lambda``, are built by one function (``_joint_lp``).  Each is
@@ -17,11 +18,10 @@ outcomes or exchanges the two measurements with the grid transposed, so
 averaging a feasible or optimal joint over that stabiliser gives one that
 it fixes.  On a theory instance whose group is known they run over fixed
 joints only: one variable per orbit of (cell, ray) pairs (Boedi, Herr &
-Joswig, Math. Program. 137, 2013), over facet normals scaled so that
-each element ``T`` permutes them exactly as rows, ``r -> r T``
-(``Theory.effect_action``).  The verdict or optimum is the full LP's,
-float bits within the tolerance, and the joint returned is one that the
-stabiliser fixes.  The group is known once kept on the instance, or
+Joswig, Math. Program. 137, 2013), whose column is the sum of its
+members' columns in the full LP (``Theory.effect_action``).  The verdict
+or optimum is the full LP's, float bits within the tolerance, and the
+joint returned is one that the stabiliser fixes.  The group is known once kept on the instance, or
 sought within a budget by its second compat LP of any kind
 (``_group_action``): the search pays off only over repeated calls, so a
 one-shot call solves the full LP, as does every call on a theory whose
@@ -259,8 +259,8 @@ def _joint_lp(t: Theory, f: Measurement, g: Measurement, n_blocks: int, eqs,
     stays); ``gap_images(swap, pf, pg)`` lists the images of the later blocks."""
     _check_dims(t, f.effects + g.effects)
     na, nb = f.n_outcomes, g.n_outcomes
-    rays, orbits, action = t.facet_normals, None, _group_action(t)
-    if action is not None:
+    orbits = None
+    if _group_action(t) is not None:
         elements, swap, pf, pg = _stabiliser(t, f, g)
         a, b = np.divmod(np.arange(na * nb), nb)
         images = [np.where(swap[:, None], pg[:, b] * nb + pf[:, a], pf[:, a] * nb + pg[:, b])]
@@ -268,8 +268,7 @@ def _joint_lp(t: Theory, f: Measurement, g: Measurement, n_blocks: int, eqs,
         scalars = np.arange(len(lp.get("objective", ())))
         orbits = _orbits(t, elements, np.column_stack(images),
                          np.where(swap[:, None], scalars[::-1], scalars))
-        rays = action[0]
-    p, effects = cone_lp(rays, t.ctx, n_blocks, eqs, orbits=orbits, **lp)
+    p, effects = cone_lp(t.facet_table[0], t.ctx, n_blocks, eqs, orbits=orbits, **lp)
     return p, lambda point: _joint(f, g, effects(point, na * nb))
 
 

@@ -42,7 +42,6 @@ from .scalars import (
     dot,
     float_vec,
     ordered_matmul,
-    rank,
     stacked,
     vadd,
 )
@@ -62,9 +61,9 @@ _BATCH_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class Theory:
-    """A polytopic state space with its unit effect.  Frozen covers the value fields
-    only: ``facet_normals``, ``effect_action``, ``group_cache`` and ``lp_runs`` are
-    per-instance caches, filled on first use, which ``replace`` does not copy."""
+    """A polytopic state space with its unit effect.  Frozen covers the value fields only:
+    ``facet_normals``, ``facet_table``, ``effect_action``, ``group_cache`` and ``lp_runs``
+    are per-instance caches, filled on first use, which ``replace`` does not copy."""
 
     name: str
     vertices: tuple
@@ -118,28 +117,33 @@ class Theory:
         return dual.generators
 
     @cached_property
+    def facet_table(self) -> tuple:
+        """``(rays, tight)``, kept on this instance from first use; it needs no group.
+        ``rays``: the facet normals scaled so that ``r . omega_M = 1`` (``omega_M`` the
+        vertex average), which every compat LP is written over.  ``tight[j, i]``: facet
+        ``j`` holds vertex ``i``, from one product on numerators, summed as ``dot`` is."""
+        ctx, rays = self.ctx, np.array(self.facet_normals)  # float64, or Fractions as objects
+        total = np.array(functools.reduce(vadd, self.vertices))[:, None]  # n_vertices omega_M
+        rays = rays * (ctx.convert(self.n_vertices) / ordered_matmul(rays, total))
+        normals, verts = stacked(self.facet_normals, ctx)[0], stacked(self.vertices, ctx)[0]
+        return rays, ctx.is_zero(ordered_matmul(normals, verts.T))
+
+    @cached_property
     def effect_action(self) -> tuple:
         """``(rays, facet_perms)``: how the automorphism group acts on effects, as
         arrays.  Found on first use and kept on this instance.
 
-        Element ``k``, the state map ``T``, sends the row ``e`` to ``e T``.
-        ``rays`` are the facet normals scaled so that ``r . omega_M = 1``, with
-        ``omega_M`` the vertex average, which every element fixes.  As
-        ``r T . v = r . T v``, the row ``r_j T`` keeps ``r . omega_M`` and vanishes
-        on exactly the vertices that ``T`` sends into facet ``j``, so it is the ray
-        of the facet that holds them.  ``facet_perms[k, j]`` is that ray, found by
-        matching each such vertex set exactly with a facet's, a batch of elements
-        at a time, so that memory grows with the group's vertex permutations, not
-        with facets times elements times vertices.
+        Element ``k``, the state map ``T``, sends the row ``e`` to ``e T`` and fixes
+        ``omega_M``.  So the row ``r_j T`` of ``facet_table``'s ray ``r_j`` keeps
+        ``r . omega_M`` and, as ``r T . v = r . T v``, vanishes on exactly the vertices
+        that ``T`` sends into facet ``j``: it is the ray of the facet that holds them.
+        ``facet_perms[k, j]`` is that ray, found by matching each such vertex set exactly
+        with a facet's (``facet_table``'s incidence), a batch of elements at a time, so
+        memory grows with the group's vertex permutations, not facets x elements x vertices.
         """
         from .symmetry import automorphism_group
 
-        ctx, g = self.ctx, automorphism_group(self)
-        rays = np.array(self.facet_normals)  # float64, or Fractions as objects
-        total = np.array(functools.reduce(vadd, self.vertices))[:, None]  # n_vertices omega_M
-        rays = rays * (ctx.convert(self.n_vertices) / ordered_matmul(rays, total))
-        normals, verts = stacked(self.facet_normals, ctx)[0], stacked(self.vertices, ctx)[0]
-        tight = ctx.is_zero(ordered_matmul(normals, verts.T))  # tight[j, i]: facet j holds v_i
+        g, (rays, tight) = automorphism_group(self), self.facet_table
         nf, nv = tight.shape
         # facet j's vertices as ascending indices padded with nv, one byte string
         # per facet.  back[k, i] is the vertex that element k sends onto v_i (nv
@@ -370,12 +374,11 @@ def validate_measurement(t: Theory, m: Measurement) -> bool:
 def validate_theory(t: Theory) -> None:
     """Check the structural invariants; raises ValueError on the first failure.
 
-    Vertex i is extreme when no other vertex equals it and the facet
-    normals tight at it have rank d - 1: a ray of a pointed cone is
-    extreme exactly then, and the unit effect is one on every vertex, so a
-    second vertex on the same ray is the same point.  One facet-by-vertex
-    product, on numerators in exact mode and summed in index order as
-    ``dot`` does in float mode, gives every tight normal; the lowest
+    Vertex i fails when another vertex lies on every facet that i lies on.
+    Those facets cut out the least face that holds i, and that face holds a
+    second vertex exactly when i is not extreme or is listed twice (the
+    unit effect is one on every vertex, so a second vertex on i's ray is
+    the same point).  The incidence is ``Theory.facet_table``'s; the lowest
     failing vertex is reported.
     """
     ctx = t.ctx
@@ -394,12 +397,9 @@ def validate_theory(t: Theory) -> None:
         raise ValueError(
             f"affine dimension {hull.dim} does not match ambient dimension {t.dim}"
         )
-    normals, _ = stacked(t.facet_normals, ctx)
-    verts, _ = stacked(t.vertices, ctx)
-    tight = ctx.is_zero(ordered_matmul(normals, verts.T))  # tight[k, i]: n_k . v_i = 0
-    same = ctx.eq(verts[:, None, :], verts).all(axis=-1)
+    tight = t.facet_table[1]
     for i in range(t.n_vertices):
-        if same[i].sum() > 1 or rank(normals[tight[:, i]].tolist(), ctx) != t.dim - 1:
+        if tight[tight[:, i]].all(axis=0).sum() > 1:
             raise ValueError(f"vertex {i} is a convex combination of the others")
 
 

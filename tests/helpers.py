@@ -677,9 +677,10 @@ def cone_lp_reference(rays, ctx: Context, n_blocks: int, eqs, objective=(), sens
 
 def full_compat_lp(family: str, t, f, g) -> LinearProgram:
     """The LP of `family` ("is_jointly_measurable", "max_fuzz_lambda" or
-    "min_mur_linf") over every (cell, facet normal) pair, one variable each, as
-    ``compat`` wrote it before it restricted the LP to the joints that the
-    pair's stabiliser fixes.  It has the same verdict or optimum."""
+    "min_mur_linf") over every (cell, ray) pair, one variable each, as
+    ``compat`` writes it for a one-shot call: over the theory's rays
+    (``Theory.facet_table``), not restricted to the joints that the pair's
+    stabiliser fixes.  It has the same verdict or optimum."""
     ctx, u = t.ctx, t.unit_effect
     na, nb = f.n_outcomes, g.n_outcomes
     ncells = na * nb
@@ -687,12 +688,12 @@ def full_compat_lp(family: str, t, f, g) -> LinearProgram:
     cols = [{a * nb + b: 1 for a in range(na)} for b in range(nb)]
     if family == "is_jointly_measurable":
         eqs = [(cells, {}, e) for cells, e in zip(rows + cols, f.effects + g.effects)]
-        return cone_lp(t.facet_normals, ctx, ncells, eqs)[0]
+        return cone_lp(t.facet_table[0], ctx, ncells, eqs)[0]
     if family == "max_fuzz_lambda":
         half_u = vscale(1 / ctx.convert(2), u)
         eqs = [(cells, {0: vsub(half_u, e)}, half_u)
                for cells, e in zip(rows + cols, f.effects + g.effects)]
-        return cone_lp(t.facet_normals, ctx, 4, eqs, objective=[ctx.one()], sense="max",
+        return cone_lp(t.facet_table[0], ctx, 4, eqs, objective=[ctx.one()], sense="max",
                        upper=[ctx.one()])[0]
     if family == "min_mur_linf":
         minus_u = vscale(-ctx.one(), u)
@@ -703,7 +704,7 @@ def full_compat_lp(family: str, t, f, g) -> LinearProgram:
                 eqs.append(({**sums, n_blocks: 1}, {s: minus_u}, e))
                 eqs.append(({**sums, n_blocks + 1: -1}, {s: u}, e))
                 n_blocks += 2
-        return cone_lp(t.facet_normals, ctx, n_blocks, eqs, objective=[ctx.one()] * 2)[0]
+        return cone_lp(t.facet_table[0], ctx, n_blocks, eqs, objective=[ctx.one()] * 2)[0]
     raise ValueError(f"unknown compatibility LP {family!r}")
 
 

@@ -539,6 +539,46 @@ class TestOrbitReduction:
         assert [p.n_vars for p in seen] == [33, 11, 6, 193, 51, 26]
         assert searched == [8, 48]
 
+    @pytest.mark.parametrize("make, pair", [
+        *[pytest.param(lambda n=n: make_classical(n), None, id=f"classical-{n}")
+          for n in (1, 2, 3)],
+        pytest.param(lambda: psi_transform(make_polygon(8)), None, id="psi-8"),
+        pytest.param(lambda: psi_transform(make_polygon(12)), (0, 3), id="psi-12"),
+    ])
+    def test_orbit_columns_sum_the_one_shot_columns(self, make, pair, monkeypatch):
+        # the one-shot LP (a fresh instance) and the orbit LP (the group kept) are
+        # written over the same rays, and each orbit's column is its members' columns
+        # of the one-shot LP summed from zero in variable order: equal exactly in
+        # exact mode, and bit for bit in float mode
+        t = make()
+        if t.kind == "classical":
+            ms = enumerate_ideal_measurements(t, 2)
+            f, g = ms[0], ms[-1]
+        else:
+            f, g = perpendicular_ideal_pair(t) if pair is None else (
+                binary_ideal_measurement(t, pair[0]), binary_ideal_measurement(t, pair[1]))
+        calls, real = [], compat.cone_lp
+        monkeypatch.setattr(compat, "cone_lp",
+                            lambda *a, **kw: calls.append((a, kw)) or real(*a, **kw))
+        families = (is_jointly_measurable, min_mur_linf, max_fuzz_lambda)
+        for family in families:
+            family(make(), f, g)
+        automorphism_group(t)
+        for family in families:
+            family(t, f, g)
+        assert len(calls) == 6
+        for (a, kw), (b, orbit_kw) in zip(calls[:3], calls[3:]):
+            orbits = orbit_kw.pop("orbits")
+            assert kw.pop("orbits") is None and orbits.max() + 1 < len(orbits)
+            assert np.array_equal(a[0], b[0]) and a[1:] == b[1:] and kw == orbit_kw
+            (full, _, den), = real(*a, **kw)[0].blocks
+            (reduced, _, reduced_den), = real(*b, orbits=orbits, **kw)[0].blocks
+            summed = np.zeros((len(full), orbits.max() + 1), dtype=full.dtype)
+            for x, o in enumerate(orbits.tolist()):
+                summed[:, o] += full[:, x]
+            assert den == reduced_den and summed.dtype == reduced.dtype
+            assert (summed == reduced[:, :-1]).all() and (full[:, -1] == reduced[:, -1]).all()
+
     def test_first_call_solves_the_full_lp(self):
         # a one-shot call pays no group search: it solves the full LP, bit for bit
         t = psi_transform(make_polygon(24))

@@ -39,7 +39,7 @@ from gptlab.symmetry import automorphism_group
 
 from helpers import (
     _same_direction, assert_validation_matches_oracle, effect_space_member,
-    facet_normals_bruteforce, member_bruteforce,
+    facet_normals_bruteforce, member_bruteforce, vertex_extreme,
 )
 
 SQ2 = math.sqrt(2)
@@ -469,6 +469,21 @@ class TestTheoryValidation:
                 validate_theory(t)
             reported.add(int(str(exc.value).split()[1]))
         assert reported == ({0, 1, 2, 3} if extra == (-1, 1) else {0, 1, 2, 3, 4})
+
+    def test_large_exact_polygon_from_json(self, tmp_path):
+        # 400 points on the parabola (x, x^2, 1), a copy of vertex 150 and a point
+        # inside: the file is rejected naming the oracle's first vertex, a duplicate
+        pts = [[x, x * x, 1] for x in range(400)]
+        pts.insert(300, pts[150])
+        pts.insert(350, [200, 40001, 1])
+        path = tmp_path / "parabola.json"
+        path.write_text(json.dumps({"name": "parabola", "dim": 3, "vertices": pts,
+                                    "unit_effect": [0, 0, 1]}))
+        t = Theory("parabola", EXACT.mat(pts), EXACT.vec([0, 0, 1]), EXACT)
+        bad = next(i for i in range(t.n_vertices) if not vertex_extreme(t, i))
+        assert bad == 150
+        with pytest.raises(ValueError, match=f"^vertex {bad} is a convex combination"):
+            load_theory(path)
 
     def test_origin_in_hull_rejected(self):
         bad = Theory(
