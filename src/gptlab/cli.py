@@ -223,7 +223,7 @@ def cmd_compat(args) -> None:
         _emit({"status": "optimal", "value": float(lam), "witness": _joint_to_dict(joint)})
     elif which == "degree-bound":
         out = {"status": "ok", "value": float(degree_bound_rhs(t, f, g))}
-        if t.n is not None and t.n % 4 == 0:
+        if t.kind in ("polygon", "polygon-psi") and t.n % 4 == 0:
             out["closed_form"] = degree_bound_closed_form(t.n)
         _emit(out)
     else:
@@ -251,11 +251,19 @@ def cmd_verify(args) -> None:
             ft = harness.random_postprocessed(t, f, rng)
             return harness.verify_propc(t, ft, f, args.eps_grid)
     else:
-        t = harness.prepare_conforming(resolve_theory(args.theory))
+        raw = resolve_theory(args.theory)
+        t = harness.prepare_conforming(raw)
         if args.pair or (args.first is None and args.second is None):
             f, g = harness.ideal_pair_for(t)
+        elif t is raw or raw.kind == "polygon":
+            # the files hold effects of the named theory; an even polygon's are
+            # mapped into the stretched one as thm3 maps its inputs
+            f, g = _pair(args, raw)
+            if t is not raw:
+                f, g = psi_map_measurement(f, raw.n), psi_map_measurement(g, raw.n)
         else:
-            f, g = _pair(args, t)
+            raise SystemExit(f"verify {which} runs theory {raw.name!r} in its canonical "
+                             "coordinates and does not accept --first/--second files")
 
         def check():
             j = harness.random_joint(t, f, g, rng)

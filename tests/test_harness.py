@@ -663,6 +663,39 @@ class TestCli:
         with pytest.raises(SystemExit, match=re.escape(f"--pair on theory {problem}")):
             cli.main(argv + ["--pair"])
 
+    def listed_pair(self, capsys, tmp_path, theory, first, second):
+        """Two of the measurements that ``measurements list`` prints for `theory`, as files."""
+        ms = self.run(capsys, "measurements", "list", "--theory", theory)
+        paths = [tmp_path / f"{theory.replace(':', '-')}-{i}.json" for i in (first, second)]
+        for path, i in zip(paths, (first, second)):
+            path.write_text(json.dumps(ms[i]))
+        return [str(p) for p in paths]
+
+    def test_degree_bound_closed_form_only_for_polygons(self, capsys, tmp_path):
+        # the 4k-gon closed form belongs to polygons, not to every theory with n % 4 == 0
+        f, g = self.listed_pair(capsys, tmp_path, "classical:4", 0, -1)
+        out = self.run(capsys, "compat", "degree-bound", "--theory", "classical:4",
+                       "--first", f, "--second", g)
+        assert out == {"status": "ok", "value": 1.0}
+        for theory in ("polygon:8", "polygon-psi:8"):
+            out = self.run(capsys, "compat", "degree-bound", "--theory", theory, "--pair")
+            assert out["closed_form"] == pytest.approx(1 / math.sqrt(2))
+
+    def test_verify_files_of_a_raw_even_polygon(self, capsys, tmp_path):
+        # the files are checked against the named polygon, then stretched
+        f, g = self.listed_pair(capsys, tmp_path, "polygon:8", 0, 2)
+        for which in ("thm1", "cor1", "thm2"):
+            out = self.run(capsys, "verify", which, "--theory", "polygon:8", "--first", f,
+                           "--second", g, "--random", "2")
+            assert out["passed"] is True and len(out["reports"]) == 2
+
+    def test_verify_files_of_a_canonicalized_theory_exit(self, capsys, tmp_path):
+        f, g = self.listed_pair(capsys, tmp_path, "classical:2", 0, -1)
+        message = ("verify thm2 runs theory 'classical-2' in its canonical coordinates "
+                   "and does not accept --first/--second files")
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            cli.main(["verify", "thm2", "--theory", "classical:2", "--first", f, "--second", g])
+
     def test_verify_lone_second_exits(self, tmp_path):
         # effects summing to (10, 10, 10): read, the file would be rejected too
         junk = tmp_path / "junk.json"
