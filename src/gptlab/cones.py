@@ -33,6 +33,7 @@ class Cone:
     generators: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(tuple(g) for g in self.generators))
         for g in self.generators:
             if not any(g):
                 raise ValueError("zero vector is not a valid cone generator")

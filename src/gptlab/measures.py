@@ -40,6 +40,9 @@ class OutcomeDistribution:
     metric: FiniteMetricSpace
     probs: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "probs", tuple(self.probs))
+
     def max_prob(self):
         return max(self.probs)
 

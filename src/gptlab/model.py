@@ -63,7 +63,8 @@ _BATCH_CELLS = 1 << 16
 class Theory:
     """A polytopic state space with its unit effect.  Frozen covers the value fields only:
     ``facet_normals``, ``facet_table``, ``effect_action``, ``group_cache`` and ``lp_runs``
-    are per-instance caches, filled on first use, which ``replace`` does not copy."""
+    are per-instance caches, filled on first use, which ``replace`` does not copy.  They
+    are derived from ``vertices``, which are kept as tuples, as ``unit_effect`` is."""
 
     name: str
     vertices: tuple
@@ -79,6 +80,10 @@ class Theory:
     # ``compat``'s LPs of any kind (joint measurability, MUR, fuzzing) run on this
     # instance, counted up to 2: the second one seeks the group (``compat._group_action``)
     lp_runs: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
+        object.__setattr__(self, "unit_effect", tuple(self.unit_effect))
 
     @property
     def dim(self) -> int:

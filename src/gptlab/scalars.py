@@ -403,6 +403,9 @@ class InnerProduct:
 
     gram: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "gram", tuple(tuple(row) for row in self.gram))
+
     @classmethod
     def euclidean(cls, d: int, ctx: Context = FLOAT) -> "InnerProduct":
         return cls(identity(d, ctx))

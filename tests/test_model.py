@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gptlab import harness
-from gptlab.cones import cone_member
+from gptlab.cones import Cone, cone_member
 from gptlab.ideal import indecomposable_pure_effects, psi_transform
-from gptlab.measures import FiniteMetricSpace, distribution
+from gptlab.measures import FiniteMetricSpace, OutcomeDistribution, distribution
 from gptlab.model import (
     Measurement,
     Theory,
@@ -34,7 +34,7 @@ from gptlab.model import (
     validate_measurement,
     validate_theory,
 )
-from gptlab.scalars import EXACT, float_vec, vadd, vscale, vsub
+from gptlab.scalars import EXACT, InnerProduct, float_vec, vadd, vscale, vsub
 from gptlab.symmetry import automorphism_group
 
 from helpers import (
@@ -494,6 +494,36 @@ class TestTheoryValidation:
         )
         with pytest.raises(ValueError):
             validate_theory(bad)
+
+
+class TestListInputsAreKeptAsTuples:
+    """Frozen value types keep list inputs as tuples, as ``Measurement`` does: the
+    value equals and hashes as the tuple-built one, and changing the input list
+    afterwards reaches neither the value nor what is cached from it."""
+
+    def test_theory(self):
+        rows, u = [[1, 0], [0, 1]], [1, 1]
+        t = Theory("c", rows, u, EXACT)
+        tupled = Theory("c", ((1, 0), (0, 1)), (1, 1), EXACT)
+        assert t == tupled and hash(t) == hash(tupled)
+        normals, table = t.facet_normals, t.facet_table
+        rows[0][0], u[0] = 5, 7
+        rows.append([1, 1])
+        assert (t.vertices, t.unit_effect) == (((1, 0), (0, 1)), (1, 1))
+        assert normals == tupled.facet_normals and t.facet_table is table
+        validate_theory(t)
+
+    @pytest.mark.parametrize("make, name", [
+        (Cone, "generators"),
+        (InnerProduct, "gram"),
+        (lambda rows: OutcomeDistribution(FiniteMetricSpace.discrete((0, 1)), rows[0]), "probs"),
+    ], ids=["cone", "inner-product", "distribution"])
+    def test_value_types(self, make, name):
+        rows = [[1, 0], [0, 1]]
+        listed, tupled = make(rows), make(((1, 0), (0, 1)))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        rows[0][0] = 5
+        assert listed == tupled and type(getattr(listed, name)) is tuple
 
 
 class TestJsonRoundTrip:
