@@ -23,7 +23,7 @@ members' columns in the full LP (``Theory.effect_action``).  The verdict
 or optimum is the full LP's, float bits within the tolerance, and the
 joint returned is one that the stabiliser fixes.  The group is known once kept on the instance, or
 sought within a budget by its second compat LP of any kind
-(``_group_action``): the search pays off only over repeated calls, so a
+(``_over_orbits``): the search pays off only over repeated calls, so a
 one-shot call solves the full LP, as does every call on a theory whose
 group is too large for its LP.
 """
@@ -174,8 +174,8 @@ def _check_dims(t: Theory, effects) -> None:
 _SEARCH_WORK = 1000
 
 
-def _group_action(t: Theory) -> Optional[tuple]:
-    """``t.effect_action`` if the compat LPs on ``t`` run over orbits, else None.
+def _over_orbits(t: Theory) -> bool:
+    """Whether the compat LPs on ``t`` run over orbits of the group.
 
     Orbits pay off on a reused theory instance only: finding the group and
     its action, once per instance, costs what several smaller LPs save (on
@@ -194,12 +194,12 @@ def _group_action(t: Theory) -> Optional[tuple]:
         runs = t.lp_runs
         object.__setattr__(t, "lp_runs", min(runs + 1, 2))
         if runs != 1:
-            return None
+            return False
         try:
             automorphism_group(t, max_nodes=_SEARCH_WORK * cells // t.n_vertices ** 2)
         except ValueError:
-            return None
-    return t.effect_action if t.group_cache.order <= cells else None
+            return False
+    return t.group_cache.order <= cells
 
 
 def _stabiliser(t: Theory, f: Measurement, g: Measurement) -> tuple:
@@ -253,14 +253,14 @@ def _joint_lp(t: Theory, f: Measurement, g: Measurement, n_blocks: int, eqs,
     """``(p, joint)``: ``cones.cone_lp`` over `n_blocks` vectors, the joint's cells
     ``a * nb + b`` first, with the equations `eqs` and the keywords `lp`, and the
     map from a point of ``p`` to its joint.  Once the group is known
-    (``_group_action``), over the joints that the pair's stabiliser fixes: an
+    (``_over_orbits``), over the joints that the pair's stabiliser fixes: an
     element sends cell ``(a, b)`` to ``(pf[a], pg[b])``, or, exchanging f and g,
     to ``(pg[b], pf[a])``, and reverses the scalars (the two sup-gaps; one scalar
     stays); ``gap_images(swap, pf, pg)`` lists the images of the later blocks."""
     _check_dims(t, f.effects + g.effects)
     na, nb = f.n_outcomes, g.n_outcomes
     orbits = None
-    if _group_action(t) is not None:
+    if _over_orbits(t):
         elements, swap, pf, pg = _stabiliser(t, f, g)
         a, b = np.divmod(np.arange(na * nb), nb)
         images = [np.where(swap[:, None], pg[:, b] * nb + pf[:, a], pf[:, a] * nb + pg[:, b])]

@@ -78,7 +78,7 @@ class Theory:
     group_cache: Optional["SymmetryGroup"] = field(default=None, init=False, repr=False,
                                                    compare=False)
     # ``compat``'s LPs of any kind (joint measurability, MUR, fuzzing) run on this
-    # instance, counted up to 2: the second one seeks the group (``compat._group_action``)
+    # instance, counted up to 2: the second one seeks the group (``compat._over_orbits``)
     lp_runs: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
