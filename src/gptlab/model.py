@@ -124,13 +124,13 @@ class Theory:
     @cached_property
     def facet_table(self) -> tuple:
         """``(rays, tight)``, kept on this instance from first use; it needs no group.
-        ``rays``: the facet normals scaled so that ``r . omega_M = 1`` (``omega_M`` the
-        vertex average), which every compat LP is written over.  ``tight[j, i]``: facet
-        ``j`` holds vertex ``i``, from one product on numerators, summed as ``dot`` is."""
-        ctx, rays = self.ctx, np.array(self.facet_normals)  # float64, or Fractions as objects
-        total = np.array(functools.reduce(vadd, self.vertices))[:, None]  # n_vertices omega_M
-        rays = rays * (ctx.convert(self.n_vertices) / ordered_matmul(rays, total))
-        normals, verts = stacked(self.facet_normals, ctx)[0], stacked(self.vertices, ctx)[0]
+        ``rays`` (float64, or Fractions) are the facet normals scaled so that ``r . omega_M
+        = 1``, ``omega_M`` the vertex average; every compat LP is written over them.
+        ``tight[j, i]``: facet ``j`` holds vertex ``i``.  Products run on numerators."""
+        ctx = self.ctx
+        (normals, _), (verts, den) = stacked(self.facet_normals, ctx), stacked(self.vertices, ctx)
+        total = np.array(functools.reduce(vadd, verts))[:, None]  # n_vertices omega_M, times den
+        rays = normals * (ctx.convert(self.n_vertices * den) / ordered_matmul(normals, total))
         return rays, ctx.is_zero(ordered_matmul(normals, verts.T))
 
     @cached_property
