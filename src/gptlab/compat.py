@@ -21,11 +21,11 @@ joints only: one variable per orbit of (cell, ray) pairs (Boedi, Herr &
 Joswig, Math. Program. 137, 2013), whose column is the sum of its
 members' columns in the full LP (``Theory.effect_action``).  The verdict
 or optimum is the full LP's, float bits within the tolerance, and the
-joint returned is one that the stabiliser fixes.  The group is known once kept on the instance, or
-sought within a budget by its second compat LP of any kind
-(``_over_orbits``): the search pays off only over repeated calls, so a
-one-shot call solves the full LP, as does every call on a theory whose
-group is too large for its LP.
+joint returned is one that the stabiliser fixes.  The group is known
+once kept on the instance, or sought within a budget by its second
+compat LP of any kind (``_over_orbits``): the search pays off only over
+repeated calls, so a one-shot call solves the full LP, as does every call
+on a theory whose group is too large for its LP.
 """
 
 from __future__ import annotations
