@@ -120,8 +120,8 @@ def _pair(args, t):
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True, default=float)
-    sys.stdout.write("\n")
+    # one write: json.dump would make one per encoder chunk
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, default=float) + "\n")
 
 
 def _state(args, t):
@@ -234,7 +234,9 @@ def cmd_verify(args) -> None:
     which = args.which
     rng = np.random.default_rng(args.seed)
     if which == "thm3":
-        n = args.n or 4
+        n = args.n
+        if n < 4 or n % 2:
+            raise SystemExit(f"verify thm3 needs an even --n >= 4, got {n}")
         raw = make_polygon(n)
         f, g = harness.ideal_pair_for(raw)
         hat = psi_transform(raw)
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("which", choices=["thm1", "cor1", "thm2", "thm3", "propC"])
     ve.add_argument("--theory", help="theory file or builtin shorthand")
     add_pair(ve)
-    ve.add_argument("--n", type=int, help="polygon side count for thm3")
+    ve.add_argument("--n", type=int, default=4, help="even polygon side count (>= 4) for thm3")
     ve.add_argument("--mode", choices=["thm1", "cor1", "thm2"], default="thm2",
                     help="which statement thm3 delegates to")
     ve.add_argument("--eps1", type=float, default=0.2)

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gptlab import cli, harness
+from gptlab import cli, harness, model
 from gptlab.compat import JointMeasurement, joint_violations, marginals, product_joint, uniform_joint
 from gptlab.ideal import (
     binary_ideal_measurement,
@@ -257,6 +257,38 @@ class TestVerifiers:
         rep = harness.verify_thm3_even(n, f, g, j_raw, "thm2")
         assert rep.passed
         assert rep.extra["psi_probability_deviation"] < 1e-9
+
+    def test_thm3_describes_the_stretched_polygon_once_per_side_count(self, monkeypatch):
+        # the double description of the stretched polygon's facets runs once per
+        # n, however many joints and modes follow
+        cases = []
+        rng = np.random.default_rng(7)
+        for n in (4, 6, 8):
+            raw = make_polygon(n)
+            f, g = harness.ideal_pair_for(raw)
+            hat = psi_transform(raw)
+            fh, gh = psi_map_measurement(f, n), psi_map_measurement(g, n)
+            for _ in range(3):
+                j = psi_map_joint(harness.random_joint(hat, fh, gh, rng), n, inverse=True)
+                cases.append((n, f, g, j))
+        calls = []
+        dual_cone = model.dual_cone
+        monkeypatch.setattr(model, "dual_cone", lambda *a: calls.append(a) or dual_cone(*a))
+        harness._psi_polygon.cache_clear()
+        for _ in range(2):
+            for n, f, g, j in cases:
+                for mode in ("thm1", "cor1", "thm2"):
+                    assert harness.verify_thm3_even(n, f, g, j, mode).passed
+        assert len(calls) == 3
+        assert harness._psi_polygon.cache_info().currsize == 3
+
+    def test_thm3_odd_side_count_raises_and_caches_nothing(self):
+        harness._psi_polygon.cache_clear()
+        f = binary_ideal_measurement(make_polygon(5), 0)
+        for mode in ("thm1", "cor1", "thm2"):
+            with pytest.raises(ValueError, match="this check is for even polygons"):
+                harness.verify_thm3_even(5, f, f, product_joint(f), mode)
+        assert harness._psi_polygon.cache_info().currsize == 0
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_propc_compares_at_the_context_tolerance(self, monkeypatch, exact):
@@ -728,6 +760,15 @@ class TestCli:
         out = self.run(capsys, "verify", "thm3", "--n", "4", "--mode", "thm2",
                        "--random", "2", "--seed", "2")
         assert out["passed"] is True
+
+    def test_verify_thm3_defaults_to_the_square(self, capsys):
+        argv = ("verify", "thm3", "--random", "1", "--seed", "2")
+        assert self.run(capsys, *argv) == self.run(capsys, *argv, "--n", "4")
+
+    @pytest.mark.parametrize("n", ["0", "5", "2"])
+    def test_verify_thm3_rejects_a_side_count(self, n):
+        with pytest.raises(SystemExit, match=re.escape(f"verify thm3 needs an even --n >= 4, got {n}")):
+            cli.main(["verify", "thm3", "--n", n, "--random", "1"])
 
     def test_report_run(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
