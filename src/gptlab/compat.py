@@ -4,8 +4,8 @@ A joint measurement is a measurement on the outcome grid A x B; its row
 and column marginals approximate the two target measurements.  All
 feasibility and optimisation questions here are linear.  An effect is
 nonnegative on every state exactly when it lies in the effect cone, the
-dual of the state cone under the dot product, which the theory's cached
-facet normals generate; so each joint cell is written as a nonnegative
+dual of the state cone under the dot product, which the theory's facet
+normals generate; so each joint cell is written as a nonnegative
 combination of one ray set, the normals scaled so that each automorphism
 ``T`` permutes them exactly as rows, ``r -> r T`` (``Theory.facet_table``).
 Marginal matching is then coordinatewise equality, and the LP has the same
@@ -189,7 +189,7 @@ def _over_orbits(t: Theory) -> bool:
     either, as every call seeks the pair's stabiliser element by element.
     Then every LP on the instance is the full LP.
     """
-    cells = 16 * t.dim * len(t.facet_normals)
+    cells = 16 * t.dim * len(t.facet_table[0])
     if t.group_cache is None:
         runs = t.lp_runs
         object.__setattr__(t, "lp_runs", min(runs + 1, 2))
@@ -241,7 +241,7 @@ def _orbits(t: Theory, elements, block_images, scalar_images):
     sends it to, numbered from 0.  Element ``elements[n]`` sends block ``i`` to
     ``block_images[n, i]``, ray ``j`` to its facet permutation's ``j``-th entry
     and scalar ``j`` to ``scalar_images[n, j]``."""
-    facet_perms = t.effect_action[1][elements]
+    facet_perms = t.effect_action[elements]
     nf = facet_perms.shape[1]
     mu = (block_images[:, :, None] * nf + facet_perms[:, None, :]).reshape(len(elements), -1)
     least = np.hstack([mu, block_images.shape[1] * nf + scalar_images]).min(axis=0)
@@ -268,7 +268,7 @@ def _joint_lp(t: Theory, f: Measurement, g: Measurement, n_blocks: int, eqs,
         scalars = np.arange(len(lp.get("objective", ())))
         orbits = _orbits(t, elements, np.column_stack(images),
                          np.where(swap[:, None], scalars[::-1], scalars))
-    p, effects = cone_lp(t.facet_table[0], t.ctx, n_blocks, eqs, orbits=orbits, **lp)
+    p, effects = cone_lp(t.facet_table[:2], t.ctx, n_blocks, eqs, orbits=orbits, **lp)
     return p, lambda point: _joint(f, g, effects(point, na * nb))
 
 

@@ -61,8 +61,9 @@ def normalize_ray(v, ctx: Context):
 def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", upper=None,
             orbits=None):
     """One LP over `n_blocks` vectors ``E_i = sum_k mu_ik r_k``, ``mu >= 0``,
-    in the cone generated by `rays`, then nonnegative scalars ``s_j``, one per
-    `objective` entry, below `upper` if given.
+    in the cone generated by the rays ``r_k``, then nonnegative scalars ``s_j``,
+    one per `objective` entry, below `upper` if given.  `rays` is ``(R, den)``,
+    the rays as the rows of ``R / den`` in the form ``scalars.stacked`` gives.
 
     Each ``(blocks, scalars, rhs)`` in `eqs` is one row per coordinate of
     ``sum_i c_i E_i + sum_j s_j w_j = rhs``, `blocks` mapping ``i`` to ``c_i``
@@ -72,19 +73,19 @@ def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", u
     ``count`` vectors, each ``R^T mu_i``.
 
     `orbits` is an int array that names the orbit of every variable, the
-    ``mu_ik`` at ``i * len(rays) + k`` and then the ``s_j``, numbered from 0
+    ``mu_ik`` at ``i * len(R) + k`` and then the ``s_j``, numbered from 0
     in the order of their first members; by default every variable is its
     own.  The LP has one variable per orbit, the weight that each member
     takes: its column and cost are the sums of the members' (in variable
     order), its upper bound any scalar member's.  The point map gives each
     member its orbit's weight.
     """
-    k, d, zero, nmu = len(rays), len(rays[0]), ctx.zero(), n_blocks * len(rays)
+    (r, rden), zero = rays, ctx.zero()
+    (k, d), nmu = r.shape, n_blocks * len(r)
     for w in (w for _, scalars, rhs in eqs for w in (rhs, *scalars.values()) if len(w) != d):
         raise ValueError(f"dimension mismatch: cone in R^{d}, vector in R^{len(w)}")
     if orbits is None:
         orbits = np.arange(nmu + len(objective))
-    r, rden = stacked(rays, ctx)
     coef, cden = stacked([[blocks.get(i, 0) for i in range(n_blocks)] for blocks, _, _ in eqs], ctx)
     tail, tden = stacked([[scalars[j][c] if j in scalars else 0 for j in range(len(objective))]
                           + [rhs[c]] for _, scalars, rhs in eqs for c in range(d)], ctx)
@@ -117,7 +118,7 @@ def cone_member(c: Cone, x, ctx: Context = FLOAT) -> bool:
     """x in conic hull of the generators, decided by LP feasibility."""
     if not c.generators:
         raise ValueError("empty generator list")
-    p, _ = cone_lp(c.generators, ctx, 1, [({0: 1}, {}, x)])
+    p, _ = cone_lp(stacked(c.generators, ctx), ctx, 1, [({0: 1}, {}, x)])
     return lp_feasible(p, ctx).feasible
 
 

@@ -366,9 +366,9 @@ def verify_mode(mode: str, t: Theory, f: IdealMeasurement, g: IdealMeasurement,
 def _psi_polygon(n: int) -> tuple:
     """``(raw, hat, vertices)`` for the even n-gon, kept per side count for the
     process: the polygon, its stretch, and both vertex sets as one (2, 3, n)
-    float array, raw first.  The theories' own caches (``facet_normals``,
-    ``facet_table``) then fill once.  No compat LP runs on either theory, so
-    ``Theory.lp_runs`` stays 0."""
+    float array, raw first.  The theories' own ``facet_table`` caches then
+    fill once.  No compat LP runs on either theory, so ``Theory.lp_runs``
+    stays 0."""
     raw = make_polygon(n)
     hat = psi_transform(raw)
     return raw, hat, np.array([raw.vertices, hat.vertices]).transpose(0, 2, 1)

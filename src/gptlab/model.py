@@ -42,6 +42,7 @@ from .scalars import (
     dot,
     float_vec,
     ordered_matmul,
+    reduced,
     stacked,
     vadd,
 )
@@ -62,9 +63,9 @@ _BATCH_CELLS = 1 << 16
 @dataclass(frozen=True)
 class Theory:
     """A polytopic state space with its unit effect.  Frozen covers the value fields only:
-    ``facet_normals``, ``facet_table``, ``effect_action``, ``group_cache`` and ``lp_runs``
-    are per-instance caches, filled on first use, which ``replace`` does not copy.  They
-    are derived from ``vertices``, which are kept as tuples, as ``unit_effect`` is."""
+    ``facet_table``, ``effect_action``, ``group_cache`` and ``lp_runs`` are per-instance
+    caches, filled on first use, which ``replace`` does not copy.  They are derived from
+    ``vertices``, which are kept as tuples, as ``unit_effect`` is."""
 
     name: str
     vertices: tuple
@@ -105,38 +106,32 @@ class Theory:
         return Cone(self.vertices)
 
     @cached_property
-    def facet_normals(self) -> tuple:
-        """Inward facet normals of the positive cone (its H-representation).
-
-        These are the extreme rays of the Euclidean dual cone, found by
-        double description on first use and kept on this instance.
-        Raises ValueError when the vertices do not span the ambient space.
-        """
-        try:
-            dual = dual_cone(self.cone, self.inner, self.ctx)
-        except LinealityError as exc:
-            raise ValueError(
-                f"the state space of theory {self.name!r} in R^{self.dim} "
-                f"has no facet description: {exc}"
-            ) from exc
-        return dual.generators
-
-    @cached_property
     def facet_table(self) -> tuple:
-        """``(rays, tight)``, kept on this instance from first use; it needs no group.
-        ``rays`` (float64, or Fractions) are the facet normals scaled so that ``r . omega_M
-        = 1``, ``omega_M`` the vertex average; every compat LP is written over them.
-        ``tight[j, i]``: facet ``j`` holds vertex ``i``.  Products run on numerators."""
+        """``(rays, den, tight)``: the facets of the positive cone, from one double
+        description on first use, kept on this instance; it needs no group.  The rows
+        of ``rays / den`` are the inward facet normals, which generate the effect cone,
+        scaled so that ``r . omega_M = 1`` (``omega_M`` the vertex average), in the form
+        ``scalars.stacked`` gives: Python ints over one denominator, or float64 over 1.
+        Every facet sign check and compat LP reads them.  ``tight[j, i]``: facet ``j``
+        holds vertex ``i``.  Raises ValueError when the vertices do not span the space."""
         ctx = self.ctx
-        (normals, _), (verts, den) = stacked(self.facet_normals, ctx), stacked(self.vertices, ctx)
-        total = np.array(functools.reduce(vadd, verts))[:, None]  # n_vertices omega_M, times den
-        rays = normals * (ctx.convert(self.n_vertices * den) / ordered_matmul(normals, total))
-        return rays, ctx.is_zero(ordered_matmul(normals, verts.T))
+        try:
+            dual = dual_cone(self.cone, self.inner, ctx)
+        except LinealityError as exc:
+            raise ValueError(f"the state space of theory {self.name!r} in R^{self.dim} "
+                             f"has no facet description: {exc}") from exc
+        (normals, _), (verts, vden) = stacked(dual.generators, ctx), stacked(self.vertices, ctx)
+        total = np.array(functools.reduce(vadd, verts))[:, None]  # n_vertices omega_M, times vden
+        sums, tight = ordered_matmul(normals, total), ctx.is_zero(ordered_matmul(normals, verts.T))
+        if not ctx.exact:
+            return normals * (self.n_vertices / sums), 1, tight
+        den = math.lcm(*sums.ravel().tolist())
+        return (*reduced(normals * (self.n_vertices * vden * (den // sums)), den), tight)
 
     @cached_property
     def effect_action(self) -> tuple:
-        """``(rays, facet_perms)``: how the automorphism group acts on effects, as
-        arrays.  Found on first use and kept on this instance.
+        """``facet_perms``: how the automorphism group acts on effects, as an array.
+        Found on first use and kept on this instance.
 
         Element ``k``, the state map ``T``, sends the row ``e`` to ``e T`` and fixes
         ``omega_M``.  So the row ``r_j T`` of ``facet_table``'s ray ``r_j`` keeps
@@ -148,7 +143,7 @@ class Theory:
         """
         from .symmetry import automorphism_group
 
-        g, (rays, tight) = automorphism_group(self), self.facet_table
+        g, tight = automorphism_group(self), self.facet_table[2]
         nf, nv = tight.shape
         # facet j's vertices as ascending indices padded with nv, one byte string
         # per facet.  back[k, i] is the vertex that element k sends onto v_i (nv
@@ -166,7 +161,7 @@ class Theory:
             if not (key[found] == images).all():
                 raise RuntimeError(f"the group of theory {self.name!r} does not permute its facets")
             facet_perms[start:start + step] = found
-        return rays, facet_perms
+        return facet_perms
 
     def with_group(self, group) -> "Theory":
         """A copy of this theory that keeps ``group`` as its automorphism group."""
@@ -182,7 +177,7 @@ class FiniteMetricSpace:
     Frozen covers ``points`` and ``dist``.  The width candidates and, per
     :class:`Context` and candidate, the balls of every point
     (:meth:`ball_rows`) are per-instance caches, built on first use as
-    ``Theory.facet_normals`` is, which ``replace`` does not copy.
+    ``Theory.facet_table`` is, which ``replace`` does not copy.
     """
 
     points: tuple
@@ -327,13 +322,13 @@ def prob_table(t: Theory, effects) -> tuple:
 def in_state_space(t: Theory, omega) -> bool:
     """omega is normalised (u . omega = 1) and on the inner side of every facet.
 
-    The facet normals are cached on the theory (:attr:`Theory.facet_normals`);
-    both tests compare with the context tolerance.
+    The facets are the rays of :attr:`Theory.facet_table`, which a positive
+    scale leaves on the same side; both tests compare with the context tolerance.
     """
     ctx = t.ctx
     if not ctx.eq(dot(t.unit_effect, omega), 1):
         return False
-    return all(ctx.ge(dot(n, omega), 0) for n in t.facet_normals)
+    return all(ctx.ge(dot(r, omega), 0) for r in t.facet_table[0].tolist())
 
 
 def is_valid_effect(t: Theory, e) -> bool:
@@ -402,7 +397,7 @@ def validate_theory(t: Theory) -> None:
         raise ValueError(
             f"affine dimension {hull.dim} does not match ambient dimension {t.dim}"
         )
-    tight = t.facet_table[1]
+    tight = t.facet_table[2]
     for i in range(t.n_vertices):
         if tight[tight[:, i]].all(axis=0).sum() > 1:
             raise ValueError(f"vertex {i} is a convex combination of the others")
@@ -514,11 +509,7 @@ def _num_to_json(x):
 
 
 def _num_from_json(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    return float(x)
+    return Fraction(x) if isinstance(x, (str, int)) else float(x)
 
 
 def theory_to_dict(t: Theory) -> dict:

@@ -10,9 +10,9 @@ state.
 
 Self-duality under an inner product G and the J-positivity checks of
 ``xi_canonicalize`` solve no LP: they are sign checks of vertices against
-vertices under G, and of the cached facet normals ``n_k`` against the
-dual cone's rays ``G^-1 n_k``, all through one batched sign check
-(``_pairs_nonnegative``) on stacked numerators.
+vertices under G, and of the facet rays ``n_k`` of ``Theory.facet_table``
+against the dual cone's rays ``G^-1 n_k``, all through one batched sign
+check (``_pairs_nonnegative``) on stacked numerators.
 
 Every group not already kept on the theory, built-in or custom, comes
 from one breadth-first search, which the theory instance then keeps, over
@@ -125,7 +125,7 @@ def automorphism_group(t: Theory, max_nodes: Optional[int] = None) -> SymmetryGr
 
     The group kept on the theory if it has one, else the result of the
     spanning-basis search, built-in or not, which is then kept on the
-    theory instance, as ``Theory.facet_normals`` is.  The search raises a
+    theory instance, as ``Theory.facet_table`` is.  The search raises a
     ValueError, and keeps nothing, once it would visit more than
     `max_nodes` partial maps (default ``_MAX_SEARCH_NODES``).
     """
@@ -424,7 +424,8 @@ def is_self_dual(t: Theory, gram: Optional[InnerProduct] = None) -> bool:
 
     Defaults to the group-averaged inner product of the theory.  The cone
     lies in its dual when every ``<v_i, v_j>_G >= 0``; the dual, spanned by
-    the rays ``G^-1 n_k``, lies in the cone when every ``n_f . G^-1 n_k >= 0``.
+    the rays ``G^-1 n_k`` (``n_k`` the facet table's rays), lies in the cone
+    when every ``n_f . G^-1 n_k >= 0``.
     """
     ctx = t.ctx
     if gram is None:
@@ -435,7 +436,8 @@ def is_self_dual(t: Theory, gram: Optional[InnerProduct] = None) -> bool:
     ginv = inverse(pairing, ctx)
     if ginv is None:
         raise ValueError("the pairing's Gram matrix is singular")
-    return _pairs_nonnegative(ctx, (t.facet_normals,), (ginv, t.facet_normals))
+    rays = t.facet_table[0]
+    return _pairs_nonnegative(ctx, (rays,), (ginv, rays))
 
 
 def _average_conjugates(g: SymmetryGroup, j_map, ctx: Context):
@@ -477,8 +479,8 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
         raise ValueError("J is not strictly positive for the averaged inner product")
     if not _pairs_nonnegative(ctx, (j_map, t.vertices), (gram.gram, t.vertices)):
         raise ValueError("J does not map the positive cone into the dual cone")
-    onto = (inverse(j_map, ctx), inverse(gram.gram, ctx), t.facet_normals)
-    if not _pairs_nonnegative(ctx, (t.facet_normals,), onto):
+    rays = t.facet_table[0]
+    if not _pairs_nonnegative(ctx, (rays,), (inverse(j_map, ctx), inverse(gram.gram, ctx), rays)):
         raise ValueError("J does not map the positive cone onto the dual cone")
 
     omega_m = maximally_mixed(t, g)

@@ -50,7 +50,7 @@ from gptlab.model import (
 )
 from gptlab.scalars import (
     FLOAT, Context, InnerProduct, dot, inverse, mat_add, mat_mul, mat_scale, mat_vec, rank, solve,
-    transpose, vadd, vscale, vsub,
+    transpose, unstacked, vadd, vscale, vsub,
 )
 from gptlab.symmetry import SymmetryGroup, is_transitive
 
@@ -623,7 +623,7 @@ def cone_lp_reference(rays, ctx: Context, n_blocks: int, eqs, objective=(), sens
     `orbits`, each row and the cost sum their entries into one per orbit, from
     zero in variable order, an orbit takes its first member's bound, and the
     point map gives each member its orbit's weight."""
-    rays = np.asarray(rays).tolist()  # Python floats or Fractions
+    rays = unstacked(*rays, ctx).tolist()  # Python floats or Fractions
     k, d, zero = len(rays), len(rays[0]), ctx.zero()
     nmu = n_blocks * k
     nvars = nmu + len(objective)
@@ -688,12 +688,12 @@ def full_compat_lp(family: str, t, f, g) -> LinearProgram:
     cols = [{a * nb + b: 1 for a in range(na)} for b in range(nb)]
     if family == "is_jointly_measurable":
         eqs = [(cells, {}, e) for cells, e in zip(rows + cols, f.effects + g.effects)]
-        return cone_lp(t.facet_table[0], ctx, ncells, eqs)[0]
+        return cone_lp(t.facet_table[:2], ctx, ncells, eqs)[0]
     if family == "max_fuzz_lambda":
         half_u = vscale(1 / ctx.convert(2), u)
         eqs = [(cells, {0: vsub(half_u, e)}, half_u)
                for cells, e in zip(rows + cols, f.effects + g.effects)]
-        return cone_lp(t.facet_table[0], ctx, 4, eqs, objective=[ctx.one()], sense="max",
+        return cone_lp(t.facet_table[:2], ctx, 4, eqs, objective=[ctx.one()], sense="max",
                        upper=[ctx.one()])[0]
     if family == "min_mur_linf":
         minus_u = vscale(-ctx.one(), u)
@@ -704,7 +704,7 @@ def full_compat_lp(family: str, t, f, g) -> LinearProgram:
                 eqs.append(({**sums, n_blocks: 1}, {s: minus_u}, e))
                 eqs.append(({**sums, n_blocks + 1: -1}, {s: u}, e))
                 n_blocks += 2
-        return cone_lp(t.facet_table[0], ctx, n_blocks, eqs, objective=[ctx.one()] * 2)[0]
+        return cone_lp(t.facet_table[:2], ctx, n_blocks, eqs, objective=[ctx.one()] * 2)[0]
     raise ValueError(f"unknown compatibility LP {family!r}")
 
 
@@ -898,7 +898,7 @@ def vertex_extreme(t, i: int) -> bool:
     ctx, v = t.ctx, t.vertices[i]
     if any(ctx.vec_eq(w, v) for j, w in enumerate(t.vertices) if j != i):
         return False
-    tight = [n for n in t.facet_normals if ctx.is_zero(dot(n, v))]
+    tight = [n for n in t.facet_table[0].tolist() if ctx.is_zero(dot(n, v))]
     return rank_reference(tight, ctx) == t.dim - 1
 
 

@@ -570,7 +570,8 @@ class TestOrbitReduction:
         for (a, kw), (b, orbit_kw) in zip(calls[:3], calls[3:]):
             orbits = orbit_kw.pop("orbits")
             assert kw.pop("orbits") is None and orbits.max() + 1 < len(orbits)
-            assert np.array_equal(a[0], b[0]) and a[1:] == b[1:] and kw == orbit_kw
+            assert np.array_equal(a[0][0], b[0][0]) and a[0][1] == b[0][1]
+            assert a[1:] == b[1:] and kw == orbit_kw
             (full, _, den), = real(*a, **kw)[0].blocks
             (reduced, _, reduced_den), = real(*b, orbits=orbits, **kw)[0].blocks
             summed = np.zeros((len(full), orbits.max() + 1), dtype=full.dtype)
@@ -729,7 +730,7 @@ class TestMutantsAreCaught:
         def merge_two(t, elements, block_images, scalar_images):
             orbits = real(t, elements, block_images, scalar_images)
             # the last orbit of (block, ray) pairs joins the first
-            last = orbits[:block_images.shape[1] * t.effect_action[1].shape[1]].max()
+            last = orbits[:block_images.shape[1] * t.effect_action.shape[1]].max()
             return np.unique(np.where(orbits == last, 0, orbits), return_inverse=True)[1]
 
         monkeypatch.setattr(compat, "_orbits", merge_two)

@@ -447,5 +447,5 @@ class TestIntegerRank:
             (tmp_path / str(seed)).mkdir()
             theories += map(load_theory, structure_theory_files(tmp_path / str(seed), seed).values())
         for t in theories:
-            for rows in (t.vertices, t.facet_normals):
+            for rows in (t.vertices, t.facet_table[0].tolist()):
                 assert spanning_rows(rows, t.dim, t.ctx) == spanning_rows_greedy(rows, t.dim, t.ctx)

@@ -1,5 +1,6 @@
 """Theories, effects, measurements, and the JSON interchange format."""
 
+import functools
 import itertools
 import json
 import math
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptlab import harness
-from gptlab.cones import Cone, cone_member
+from gptlab import harness, model
+from gptlab.compat import min_mur_linf
+from gptlab.cones import Cone, cone_member, dual_cone
 from gptlab.ideal import indecomposable_pure_effects, psi_transform
 from gptlab.measures import FiniteMetricSpace, OutcomeDistribution, distribution
 from gptlab.model import (
@@ -34,13 +36,14 @@ from gptlab.model import (
     validate_measurement,
     validate_theory,
 )
-from gptlab.scalars import EXACT, InnerProduct, float_vec, vadd, vscale, vsub
-from gptlab.symmetry import automorphism_group
+from gptlab.scalars import EXACT, InnerProduct, dot, float_vec, vadd, vscale, vsub
+from gptlab.symmetry import automorphism_group, is_self_dual
 
 from helpers import (
     _same_direction, assert_validation_matches_oracle, effect_space_member,
     facet_normals_bruteforce, member_bruteforce, vertex_extreme,
 )
+from test_symmetry import structure_theory_files
 
 SQ2 = math.sqrt(2)
 
@@ -414,16 +417,17 @@ class TestFacetMembership:
         for t in self._theories():
             validate_theory(t)
             brute = facet_normals_bruteforce(t.vertices, t.ctx)
-            assert len(t.facet_normals) == len(brute)
-            for n in t.facet_normals:
+            rays = t.facet_table[0].tolist()
+            assert len(rays) == len(brute)
+            for n in rays:
                 assert any(_same_direction(n, m, t.ctx) for m in brute)
 
     def test_facets_are_lazy_and_per_instance(self):
         t = make_polygon(6)
-        assert "facet_normals" not in vars(t)
+        assert "facet_table" not in vars(t)
         assert in_state_space(t, t.vertices[0])
-        assert len(vars(t)["facet_normals"]) == 6
-        assert "facet_normals" not in vars(replace(t, name="copy"))
+        assert len(vars(t)["facet_table"][0]) == 6
+        assert "facet_table" not in vars(replace(t, name="copy"))
 
     def test_non_spanning_vertices_fail_loudly(self):
         flat = Theory(
@@ -434,6 +438,57 @@ class TestFacetMembership:
         )
         with pytest.raises(ValueError, match="span only a 2-dimensional subspace"):
             in_state_space(flat, (Fr(1, 2), Fr(1, 2), Fr(1)))
+
+
+class TestFacetTable:
+    """``Theory.facet_table`` against the generators of ``dual_cone``, scaled by
+    hand, and one double description per theory instance."""
+
+    @staticmethod
+    def scaled_normals(t):
+        # n . normal / (normal . sum of the vertices) per generator, on the scalars
+        total = functools.reduce(vadd, t.vertices)
+        k = t.ctx.convert(t.n_vertices)
+        return [tuple(a * (k / dot(n, total)) for a in n)
+                for n in dual_cone(t.cone, t.inner, t.ctx).generators]
+
+    def test_exact_rays_are_ints_over_one_denominator(self, tmp_path):
+        theories = [make_classical(n) for n in range(1, 6)]
+        theories += map(load_theory, structure_theory_files(tmp_path, seed=5).values())
+        for t in theories:
+            rays, den, tight = t.facet_table
+            assert all(type(x) is int for x in [den, *rays.ravel().tolist()]), t.name
+            assert [tuple(Fr(x, den) for x in r) for r in rays.tolist()] == self.scaled_normals(t)
+            assert tight.shape == (len(rays), t.n_vertices)
+
+    @pytest.mark.parametrize("make", [
+        *[pytest.param(lambda n=n: make_polygon(n), id=f"polygon-{n}") for n in range(3, 13)],
+        *[pytest.param(lambda n=n: psi_transform(make_polygon(n)), id=f"psi-{n}")
+          for n in range(4, 65, 2)],
+    ])
+    def test_float_rays_keep_their_bits(self, make):
+        t = make()
+        rays, den, _ = t.facet_table
+        assert rays.dtype == np.float64 and den == 1
+        assert repr([tuple(r) for r in rays.tolist()]) == repr(self.scaled_normals(t))
+
+    @pytest.mark.parametrize("make", [lambda: make_classical(3), lambda: make_polygon(5),
+                                      lambda: psi_transform(make_polygon(8))],
+                             ids=["classical-3", "polygon-5", "psi-8"])
+    def test_one_double_description_per_instance(self, monkeypatch, make):
+        calls, real = [], model.dual_cone
+        monkeypatch.setattr(model, "dual_cone", lambda *a: calls.append(a) or real(*a))
+        t = make()
+        f, g = harness.ideal_pair_for(t)
+        automorphism_group(t)  # kept, so the compat LP runs over orbits and reads the action
+        validate_theory(t)
+        assert in_state_space(t, t.vertices[0])
+        assert is_self_dual(t) == (t.kind != "polygon-psi")  # both read the rays
+        assert t.effect_action.shape[1] == len(t.facet_table[0])
+        min_mur_linf(t, f, g)
+        assert len(calls) == 1
+        min_mur_linf(make(), f, g)  # a fresh instance describes its own facets
+        assert len(calls) == 2
 
 
 class TestTheoryValidation:
@@ -506,11 +561,11 @@ class TestListInputsAreKeptAsTuples:
         t = Theory("c", rows, u, EXACT)
         tupled = Theory("c", ((1, 0), (0, 1)), (1, 1), EXACT)
         assert t == tupled and hash(t) == hash(tupled)
-        normals, table = t.facet_normals, t.facet_table
+        table = t.facet_table
         rows[0][0], u[0] = 5, 7
         rows.append([1, 1])
         assert (t.vertices, t.unit_effect) == (((1, 0), (0, 1)), (1, 1))
-        assert normals == tupled.facet_normals and t.facet_table is table
+        assert t.facet_table is table and np.array_equal(table[0], tupled.facet_table[0])
         validate_theory(t)
 
     @pytest.mark.parametrize("make, name", [
