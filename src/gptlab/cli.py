@@ -28,6 +28,7 @@ from .compat import (
 from .ideal import (
     binary_ideal_measurement,
     enumerate_ideal_measurements,
+    indecomposable_pure_effects,
     perpendicular_ideal_pair,
     psi_map_joint,
     psi_map_measurement,
@@ -96,27 +97,29 @@ def _measurement(args, t, attr):
     if path is not None:
         return _load_valid_measurement(path, t)
     if getattr(args, "pair", False):
-        f, g = _perpendicular_pair(t)
+        f, g = _on_theory("--pair", t, perpendicular_ideal_pair, t)
         return f if attr in ("first", "measurement", "ideal") else g
     idx = getattr(args, "ideal_index", None)
     if idx is not None:
+        k = len(_on_theory("--ideal-index", t, indecomposable_pure_effects, t))
+        if not 0 <= idx < k:
+            raise SystemExit(f"--ideal-index {idx} on theory {t.name!r}: not in 0..{k - 1}")
         return binary_ideal_measurement(t, idx)
     raise SystemExit(f"missing --{attr.replace('_', '-')}")
 
 
-def _perpendicular_pair(t):
+def _on_theory(what, t, call, *args):
+    """``call(*args)``; a ValueError exits with one line naming `what` and theory `t`."""
     try:
-        return perpendicular_ideal_pair(t)
+        return call(*args)
     except ValueError as exc:
-        raise SystemExit(f"--pair on theory {t.name!r}: {exc}")
+        raise SystemExit(f"{what} on theory {t.name!r}: {exc}")
 
 
 def _pair(args, t):
     if args.pair:
-        return _perpendicular_pair(t)
-    fa = _measurement(args, t, "first")
-    ga = _measurement(args, t, "second")
-    return fa, ga
+        return _on_theory("--pair", t, perpendicular_ideal_pair, t)
+    return _measurement(args, t, "first"), _measurement(args, t, "second")
 
 
 def _emit(obj) -> None:
@@ -164,7 +167,7 @@ def cmd_theory_export(args) -> None:
 
 def cmd_measurements_list(args) -> None:
     t = resolve_theory(args.theory)
-    ms = enumerate_ideal_measurements(t, args.max_outcomes)
+    ms = _on_theory("measurements list", t, enumerate_ideal_measurements, t, args.max_outcomes)
     _emit([measurement_to_dict(m) for m in ms])
 
 
@@ -246,7 +249,8 @@ def cmd_verify(args) -> None:
             jraw = psi_map_joint(harness.random_joint(hat, fh, gh, rng), n, inverse=True)
             return harness.verify_thm3_even(n, f, g, jraw, args.mode, args.eps1, args.eps2)
     elif which == "propC":
-        t = harness.prepare_conforming(resolve_theory(args.theory))
+        raw = resolve_theory(args.theory)
+        t = _on_theory(f"verify {which}", raw, harness.prepare_conforming, raw)
         f, _ = harness.ideal_pair_for(t)
 
         def check():
@@ -254,7 +258,7 @@ def cmd_verify(args) -> None:
             return harness.verify_propc(t, ft, f, args.eps_grid)
     else:
         raw = resolve_theory(args.theory)
-        t = harness.prepare_conforming(raw)
+        t = _on_theory(f"verify {which}", raw, harness.prepare_conforming, raw)
         if args.pair or (args.first is None and args.second is None):
             f, g = harness.ideal_pair_for(t)
         elif t is raw or raw.kind == "polygon":

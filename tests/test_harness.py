@@ -737,6 +737,47 @@ class TestCli:
                 cli.main(["verify", which, "--theory", "polygon:5", "--second", str(junk),
                           "--random", "1"])
 
+    @staticmethod
+    def triangle_file(tmp_path, name, vertices):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, "dim": 3, "vertices": vertices,
+                                    "unit_effect": [0, 0, 1]}))
+        return str(path)
+
+    @pytest.mark.parametrize("which", ["thm1", "cor1", "thm2", "propC"])
+    def test_verify_non_conforming_theory_exits(self, tmp_path, which):
+        # a valid triangle whose canonical form is not self-dual under the dot product
+        tri = self.triangle_file(tmp_path, "tri", [[1, 0, 1], [0, 1, 1], [0, 0, 1]])
+        message = f"verify {which} on theory 'tri': the canonical form of theory 'tri' is not self-dual"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            cli.main(["verify", which, "--theory", tri, "--random", "1"])
+
+    @pytest.mark.parametrize("argv, what", [
+        (["measurements", "list"], "measurements list"),
+        (["measure", "overall-width", "--ideal-index", "0", "--state", "0,0,1"], "--ideal-index"),
+    ], ids=["list", "ideal-index"])
+    def test_unequal_norms_exit(self, tmp_path, argv, what):
+        # no pure effects: the vertices of this valid triangle have unequal norms
+        skew = self.triangle_file(tmp_path, "skew", [[2, 0, 1], [0, 1, 1], [0, 0, 1]])
+        message = f"{what} on theory 'skew': pure states do not have equal norm"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}"):
+            cli.main(argv + ["--theory", skew])
+
+    @pytest.mark.parametrize("index", ["99", "5", "-1"])
+    def test_ideal_index_out_of_range_exits(self, index):
+        # binary_ideal_measurement takes the index mod 5; the command line does not
+        message = f"--ideal-index {index} on theory 'polygon-5': not in 0..4"
+        for which in ("overall-width", "localization-error"):
+            with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+                cli.main(["measure", which, "--theory", "polygon:5", "--ideal-index", index,
+                          "--state", "0,0,1"])
+
+    def test_ideal_index_in_range(self, capsys):
+        for index in range(5):
+            out = self.run(capsys, "measure", "localization-error", "--theory", "polygon:5",
+                           "--ideal-index", str(index), "--state", "0,0,1")
+            assert set(out) == {"value"}
+
     def test_parser_kept_between_calls(self, capsys):
         # main builds its parser once, on its first call, not at import; a flag of
         # one call does not carry over to the next
