@@ -424,8 +424,7 @@ def is_self_dual(t: Theory, gram: Optional[InnerProduct] = None) -> bool:
 
     Defaults to the group-averaged inner product of the theory.  The cone
     lies in its dual when every ``<v_i, v_j>_G >= 0``; the dual, spanned by
-    the rays ``G^-1 n_k`` (``n_k`` the facet table's rays), lies in the cone
-    when every ``n_f . G^-1 n_k >= 0``.
+    the rays ``G^-1 n_k``, lies in the cone when every ``n_f . G^-1 n_k >= 0``.
     """
     ctx = t.ctx
     if gram is None:
@@ -436,8 +435,7 @@ def is_self_dual(t: Theory, gram: Optional[InnerProduct] = None) -> bool:
     ginv = inverse(pairing, ctx)
     if ginv is None:
         raise ValueError("the pairing's Gram matrix is singular")
-    rays = t.facet_table[0]
-    return _pairs_nonnegative(ctx, (rays,), (ginv, rays))
+    return _pairs_nonnegative(ctx, (t.facet_table[0],), (ginv, t.facet_table[0]))
 
 
 def _average_conjugates(g: SymmetryGroup, j_map, ctx: Context):
@@ -479,8 +477,8 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
         raise ValueError("J is not strictly positive for the averaged inner product")
     if not _pairs_nonnegative(ctx, (j_map, t.vertices), (gram.gram, t.vertices)):
         raise ValueError("J does not map the positive cone into the dual cone")
-    rays = t.facet_table[0]
-    if not _pairs_nonnegative(ctx, (rays,), (inverse(j_map, ctx), inverse(gram.gram, ctx), rays)):
+    onto = (inverse(j_map, ctx), inverse(gram.gram, ctx), t.facet_table[0])
+    if not _pairs_nonnegative(ctx, (t.facet_table[0],), onto):
         raise ValueError("J does not map the positive cone onto the dual cone")
 
     omega_m = maximally_mixed(t, g)
