@@ -222,17 +222,32 @@ def _stabiliser(t: Theory, f: Measurement, g: Measurement) -> tuple:
     elements = np.flatnonzero(first.any(axis=-1))
     # hit[k, a, b]: element elements[k] sends effect a to effect b
     hit = ctx.eq(ordered_matmul(e, maps[elements])[:, :, None], target).all(axis=-1)
-    side = np.arange(m) >= na
-    same = side[:, None] == side
     # per swap (a relabelling, an exchange) an allowed image of every effect, itself
     # if allowed (so equal effects keep the identity) or else the first, kept where
     # the images form a bijection
-    allowed = hit & np.stack([same, ~same])[:, None]
-    image = (allowed + 2 * (allowed & np.identity(m, dtype=bool))).argmax(axis=-1)
-    ok = allowed.any(axis=-1).all(axis=-1) & (np.sort(image, axis=-1) == np.arange(m)).all(axis=-1)
+    weight, offset = _swap_weights(na, m)
+    score = hit * weight[:, None]
+    image = score.argmax(axis=-1)
+    ok = score.max(axis=-1).all(axis=-1) & (np.sort(image, axis=-1) == np.arange(m)).all(axis=-1)
     swap, keep = np.nonzero(ok)
-    image = image[swap, keep] - np.where(side == swap[:, None], 0, na)
+    image = image[swap, keep] - offset[swap]
     return elements[keep], swap.astype(bool), image[:, :na], image[:, na:]
+
+
+@functools.cache
+def _swap_weights(na: int, m: int) -> tuple:
+    """``(weight, offset)`` for a pair whose first `na` of `m` effects are f's.
+    ``weight[s, a, b]`` is 0 where swap ``s`` may not send effect a to effect b (to
+    the other measurement when relabelling, to the same when exchanging), 3 for b
+    = a and 1 otherwise; ``offset[s, a]`` is the index of the first effect of the
+    measurement that swap s sends effect a into."""
+    side = np.arange(m) >= na
+    same = side[:, None] == side
+    weight = np.stack([same, ~same]) * (1 + 2 * np.identity(m, dtype=int))
+    offset = np.where(side == np.array([[False], [True]]), 0, na)
+    for shared in (weight, offset):  # every call on such a pair reads these arrays
+        shared.setflags(write=False)
+    return weight, offset
 
 
 def _orbits(t: Theory, elements, block_images, scalar_images):
@@ -244,8 +259,10 @@ def _orbits(t: Theory, elements, block_images, scalar_images):
     facet_perms = t.effect_action[elements]
     nf = facet_perms.shape[1]
     mu = (block_images[:, :, None] * nf + facet_perms[:, None, :]).reshape(len(elements), -1)
-    least = np.hstack([mu, block_images.shape[1] * nf + scalar_images]).min(axis=0)
-    return np.unique(least, return_inverse=True)[1]
+    least = np.concatenate((mu, block_images.shape[1] * nf + scalar_images), axis=1).min(axis=0)
+    # least[i] is the first member of i's orbit, so the first members, counted in
+    # order, number the orbits as they come
+    return (np.cumsum(least == np.arange(len(least))) - 1)[least]
 
 
 def _joint_lp(t: Theory, f: Measurement, g: Measurement, n_blocks: int, eqs,
@@ -263,7 +280,8 @@ def _joint_lp(t: Theory, f: Measurement, g: Measurement, n_blocks: int, eqs,
     if _over_orbits(t):
         elements, swap, pf, pg = _stabiliser(t, f, g)
         a, b = np.divmod(np.arange(na * nb), nb)
-        images = [np.where(swap[:, None], pg[:, b] * nb + pf[:, a], pf[:, a] * nb + pg[:, b])]
+        fa, gb = pf[:, a], pg[:, b]
+        images = [np.where(swap[:, None], gb * nb + fa, fa * nb + gb)]
         images += gap_images(swap, pf, pg) if gap_images else []
         scalars = np.arange(len(lp.get("objective", ())))
         orbits = _orbits(t, elements, np.column_stack(images),

@@ -87,16 +87,22 @@ def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", u
     if orbits is None:
         orbits = np.arange(nmu + len(objective))
     coef, cden = stacked([[blocks.get(i, 0) for i in range(n_blocks)] for blocks, _, _ in eqs], ctx)
-    tail, tden = stacked([[scalars[j][c] if j in scalars else 0 for j in range(len(objective))]
-                          + [rhs[c]] for _, scalars, rhs in eqs for c in range(d)], ctx)
+    # per group, its w_j and rhs as columns, then one row per coordinate
+    zeros = (0,) * d
+    tail, tden = stacked([[scalars.get(j, zeros) for j in range(len(objective))] + [rhs]
+                          for _, scalars, rhs in eqs], ctx)
+    tail = tail.transpose(0, 2, 1).reshape(len(eqs) * d, len(objective) + 1)
     den = lcm(cden * rden, tden)
     kron = (coef[:, None, :, None] * r.T[None, :, None, :]).reshape(len(tail), nmu)  # C kron R^T
-    block = np.hstack([kron * (den // (cden * rden)), tail * (den // tden)])
+    block = np.concatenate((kron * (den // (cden * rden)), tail * (den // tden)), axis=1)
     n_orbits = int(orbits.max()) + 1
     if n_orbits < len(orbits):  # each orbit's column summed from zero in variable order
-        columns = np.zeros((n_orbits, len(block)), dtype=block.dtype)
-        np.add.at(columns, orbits, block[:, :-1].T)  # one member at a time, not pairwise
-        block = np.hstack([columns.T, block[:, -1:]])
+        rows, width = len(block), n_orbits + 1
+        summed = np.zeros((rows, width), dtype=block.dtype)
+        # one member at a time, not pairwise: the flat index runs row by row
+        at = (np.arange(rows)[:, None] * width + orbits).ravel()
+        np.add.at(summed.ravel(), at, block[:, :-1].ravel())
+        summed[:, -1], block = block[:, -1], summed
     cost, bounds = [zero] * n_orbits, None if upper is None else [None] * n_orbits
     for j, o in enumerate(orbits[nmu:].tolist()):  # a mu_ik costs nothing, has no bound
         cost[o] += objective[j]
@@ -106,9 +112,9 @@ def cone_lp(rays, ctx: Context, n_blocks: int, eqs, objective=(), sense="min", u
     p.add_block(block, [EQ] * len(block), den)
 
     def vectors(point, count: int) -> list:
-        mu = [point[o] for o in orbits[:count * k].tolist()]
-        mu, mden = numerators(mu) if ctx.exact else (mu, 1)
-        e = ordered_matmul(np.array(mu, dtype=r.dtype).reshape(count, k), r)
+        mu = np.array(point, dtype=r.dtype)[orbits[:count * k]]
+        mu, mden = numerators(mu.tolist()) if ctx.exact else (mu, 1)
+        e = ordered_matmul(np.asarray(mu, dtype=r.dtype).reshape(count, k), r)
         return list(map(tuple, unstacked(e, mden * rden, ctx).tolist()))
 
     return p, vectors

@@ -72,7 +72,8 @@ def indecomposable_pure_effects(t: Theory) -> tuple:
     ctx = t.ctx
     norms = [dot(v, v) for v in t.vertices]
     if any(not ctx.eq(nm, norms[0]) for nm in norms[1:]):
-        raise ValueError("pure states do not have equal norm; theory is not transitive")
+        raise ValueError("pure states do not have equal norm in these coordinates; "
+                         "canonicalize the theory first")
     if not is_self_dual(t, t.inner):
         raise ValueError(
             "no pure-effect rule available: theory is not self-dual under the dot product "
@@ -310,14 +311,16 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
 
 
 def binary_ideal_measurement(t: Theory, index: int) -> IdealMeasurement:
-    """The two-outcome ideal measurement built on one pure effect."""
+    """The two-outcome ideal measurement built on pure effect `index`, one of
+    ``indecomposable_pure_effects(t)``; another index raises ValueError."""
     pures = indecomposable_pure_effects(t)
-    e = pures[index % len(pures)]
-    u_minus = vsub(t.unit_effect, e)
+    if not 0 <= index < len(pures):
+        raise ValueError(f"pure effect index {index} not in 0..{len(pures) - 1}")
+    e = pures[index]
     return IdealMeasurement(
         outcomes=(0, 1),
-        effects=(e, u_minus),
-        provenance=(("sum", frozenset({index % len(pures)})), ("complement", frozenset({index % len(pures)}))),
+        effects=(e, vsub(t.unit_effect, e)),
+        provenance=(("sum", frozenset({index})), ("complement", frozenset({index}))),
     )
 
 

@@ -15,7 +15,10 @@ free one ``y+ - y-``, and an upper bound beside a lower one is a ``<=`` row (S
 = I when every variable has a lower bound; offsets ``b - a_j x0_j`` sum in
 ascending j, with the bits of scalar arithmetic); run phase 1 (and phase 2 for
 ``lp_solve``) on the numerators in the tableau; map the basic point back and
-certify it.
+certify it.  A scalar lower bound of +0, as in every cone LP, with no right-hand
+side -0.0, is ``x = y + 0``: no bounds to convert beside the upper ones, no offsets,
+and no gather in the map back; float rows, objective and bounds convert apart,
+as they are all over 1.
 
 One tableau serves both scalar modes (:class:`_Tableau`): the rows and then the
 objective row (Chvatal 1983, ch. 2), right-hand side and -z last, in one array
@@ -142,8 +145,9 @@ class _Tableau:
     the columns is an artificial, which has no column."""
 
     def __init__(self, rows, rhs, ctx, den):
-        t = np.column_stack((rows, rhs))
-        t = np.vstack((t, np.zeros_like(t[:1])))  # the objective row, which price_out writes
+        rows = np.asarray(rows)
+        t = np.zeros((len(rows) + 1, rows.shape[1] + 1), dtype=rows.dtype)
+        t[:-1, :-1], t[:-1, -1] = rows, rhs  # and the objective row, which price_out writes
         self.t, self.den = t.astype(int_dtype(max_abs(t), den)) if ctx.exact else t, den
         self.ctx = ctx  # entering and pivot tests compare with its tol
         self.basis = [-1] * len(rhs)
@@ -160,9 +164,12 @@ class _Tableau:
         cost, cden = numerators(cost) if exact else (cost, 1)
         dtype = object if exact else t.dtype
         obj = np.array(cost[:t.shape[1] - 1] + [0], dtype=dtype) * self.den
-        for i, cb in enumerate(cost[bj] for bj in self.basis):
-            if cb != 0:
-                obj -= cb * t[i].astype(dtype, copy=False)
+        # minus cb t_i for each basic row with a nonzero cost cb, in row order
+        rows = [i for i, bj in enumerate(self.basis) if cost[bj] != 0]
+        if rows:
+            cb = np.array([cost[self.basis[i]] for i in rows], dtype=dtype)
+            obj = np.subtract.accumulate(
+                np.concatenate((obj[None], cb[:, None] * t[rows].astype(dtype, copy=False))))[-1]
         if exact:  # a tableau on Python ints stays so
             t = np.vstack((t[:-1].astype(object) * cden, obj))
             dtype = int_dtype(max_abs(t), self.den * cden) if self.t.dtype == np.int64 else object
@@ -240,16 +247,17 @@ class _Tableau:
 
     def drop(self, drop_rows):
         """Delete the given constraint rows."""
-        self.t = np.delete(self.t, drop_rows, axis=0)
-        self.basis = [bj for i, bj in enumerate(self.basis) if i not in drop_rows]
+        keep = np.ones(len(self.t), dtype=bool)
+        keep[drop_rows] = False
+        self.t, self.basis = self.t[keep], [bj for bj, k in zip(self.basis, keep.tolist()) if k]
 
 
 def _bounds(b, n: int):
-    """A `lower` or `upper` spec as a row to convert (0 where unbounded) and the bounded mask."""
+    """A `lower` or `upper` spec as a list to convert (0 where unbounded) and the bounded mask."""
     if isinstance(b, (list, tuple)):
         given = [v is not None for v in b]
-        return [v if g else 0 for v, g in zip(b, given)] + [0], np.array(given, bool)
-    return [0 if b is None else b] * n + [0], np.full(n, b is not None)
+        return [v if g else 0 for v, g in zip(b, given)], np.array(given, bool)
+    return [0 if b is None else b] * n, np.full(n, b is not None)
 
 
 def _converted(blocks, ctx: Context):
@@ -259,6 +267,8 @@ def _converted(blocks, ctx: Context):
     for ab, _, den in blocks:
         nums, d = stacked(ab if ctx.exact or den == 1 else ab / den, ctx)
         parts.append((nums, d * den if ctx.exact else 1))
+    if len(parts) == 1:
+        return parts[0]
     den = math.lcm(*(d for _, d in parts))
     return np.vstack([a if d == den else a * (den // d) for a, d in parts]), den
 
@@ -268,61 +278,83 @@ def _standardize(p: LinearProgram, ctx: Context):
     """The substitution of the module docstring, a slack per inequality row, and rows
     with a negative right-hand side negated.  Returns (rows, rhs, den, cost, recover,
     const, ncols, data): numerators over den, a map from a standard point y back to x,
-    the objective offset, and the LP as converted, which :func:`_certify` checks."""
+    the objective offset, and the LP as converted, which :func:`_certify` checks.
+    A scalar lower bound of +0 is ``x = y + 0`` (module docstring)."""
     if p.sense not in ("min", "max"):
         raise ValueError(f"unknown sense {p.sense!r}")
     n, rels = p.n_vars, [rel for _, block_rels, _ in p.blocks for rel in block_rels]
     (lo, has_lo), (up, has_up), m = _bounds(p.lower, n), _bounds(p.upper, n), len(rels)
+    plain = isinstance(p.lower, (int, float, Fraction)) and p.lower == 0 and not (
+        math.copysign(1, p.lower) < 0)
     # [A | b], the objective and the bounds over one den, products of two over den**2
-    extra = np.array([[*p.objective, 0], lo, up], dtype=object)
-    arr, den = _converted(p.blocks + [(extra, (), 1)], ctx)
-    obj, lo, up = arr[m:, :n]
-    obj, x0, fixed = -obj if p.sense == "max" else obj, np.where(has_lo, lo, up), has_lo | has_up
-    # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-; S = I if all x >= l
-    ident, cost, first = has_lo.all(), obj, np.arange(n)
-    var, sign, second, back = first, 1, first, 1  # back: the sign of x's second column
-    if not ident:
-        width = 2 - fixed
-        var, first = np.repeat(first, width), np.cumsum(width) - width
-        sign = np.ones(len(var), dtype=int)
-        sign[np.concatenate((first[has_up & ~has_lo], first[~fixed] + 1))] = -1
-        cost, second = obj[var] * sign, first + ~fixed  # second: y- for a free x, else y
-        back = sign[second]
+    if ctx.exact:
+        extra = np.array([[*p.objective, 0], lo + [0], up + [0]], dtype=object)
+        arr, den = _converted(p.blocks + [(extra, (), 1)], ctx)
+        ab, (obj, lo, up) = arr[:m], arr[m:, :n]
+    else:
+        ab, den = _converted(p.blocks, ctx) if p.blocks else (np.zeros((0, n + 1)), 1)
+        obj, lo, up = stacked([p.objective, lo, up], ctx)[0]
+    obj = -obj if p.sense == "max" else obj
 
     # an upper bound beside a lower bound is the row y <= u - l
-    ab, both = arr[:m], np.flatnonzero(has_lo & has_up)
+    both = np.flatnonzero(has_up if plain else has_lo & has_up)
     if both.size:
-        ab = np.vstack([ab, np.zeros((len(both), n + 1), dtype=arr.dtype)])
+        ab = np.concatenate((ab, np.zeros((len(both), n + 1), dtype=ab.dtype)))
         ab[range(m, m + len(both)), both] = den
         ab[m:, -1], rels = up[both], rels + [LE] * len(both)
-    # b - a_j x0_j and the offset obj_j x0_j over den**2, summed in ascending j, skipping a
-    # zero a_j, and a zero x0_j unless some b is -0.0, the one value its signed zero changes
-    scale, rhs, const = 1, ab[:, -1], ctx.zero()
-    shift = fixed & ((x0 != 0) | (not ctx.exact and np.signbit(rhs[rhs == 0]).any()))
-    if shift.any():
-        a = ab[:, np.flatnonzero(shift)]
-        a = np.multiply(a, x0[shift], out=np.zeros_like(a), where=a != 0)
-        rhs, scale = np.subtract.accumulate(np.hstack([rhs[:, None] * den, a]), axis=1)[:, -1], den
-        const = np.add.accumulate(np.concatenate(([0], obj[shift] * x0[shift]))).item(-1)
+    scale, rhs, const, cost, ident, var = 1, ab[:, -1], ctx.zero(), obj, True, range(n)
+    negative_zero = not ctx.exact and np.signbit(rhs[rhs == 0]).any()
+    if plain and not negative_zero:
+        def recover(y):
+            return tuple((np.array(y[:n], dtype=ab.dtype) + 0).tolist())
+    else:
+        x0, fixed = np.where(has_lo, lo, up), has_lo | has_up
+        # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-; S = I if
+        # every x >= l
+        ident, first = has_lo.all(), np.arange(n)
+        var, sign, second, back = first, 1, first, 1  # back: the sign of x's second column
+        if not ident:
+            width = 2 - fixed
+            var, first = np.repeat(first, width), np.cumsum(width) - width
+            sign = np.ones(len(var), dtype=int)
+            sign[np.concatenate((first[has_up & ~has_lo], first[~fixed] + 1))] = -1
+            cost, second = obj[var] * sign, first + ~fixed  # second: y- for a free x, else y
+            back = sign[second]
+        # b - a_j x0_j and the offset obj_j x0_j over den**2, summed in ascending j, skipping
+        # a zero a_j, and a zero x0_j unless some b is -0.0, the one value its signed zero
+        # changes
+        shift = fixed & ((x0 != 0) | negative_zero)
+        if shift.any():
+            a = ab[:, np.flatnonzero(shift)]
+            a = np.multiply(a, x0[shift], out=np.zeros_like(a), where=a != 0)
+            rhs = np.subtract.accumulate(np.hstack([rhs[:, None] * den, a]), axis=1)[:, -1]
+            scale = den
+            const = np.add.accumulate(np.concatenate(([0], obj[shift] * x0[shift]))).item(-1)
+        if ctx.exact:
+            x0, const = unstacked(x0, den, ctx), Fraction(const, den**2)
+
+        def recover(y):
+            y = np.array(y, dtype=ab.dtype)
+            return tuple((np.where(fixed, x0, y[first]) + back * y[second]).tolist())
+
     s = ab[:, :n] if ident else ab[:, var] * sign
-    s = s * scale if ctx.exact else s + 0  # + 0: a zero coefficient is 0.0, not -0.0
-    ineq = [i for i, rel in enumerate(rels) if rel != EQ]
-    slack = np.zeros((len(rels), len(ineq)), dtype=arr.dtype)
-    slack[ineq, range(len(ineq))] = [den * scale if rels[i] == LE else -den * scale for i in ineq]
-    block = np.hstack([s, slack, rhs[:, None]])
+    ineq, nx = [i for i, rel in enumerate(rels) if rel != EQ], len(var)
+    block = np.zeros((len(rels), nx + len(ineq) + 1), dtype=ab.dtype)
+    if ctx.exact:
+        np.multiply(s, scale, out=block[:, :nx])
+    else:  # + 0: a zero coefficient is 0.0, not -0.0
+        np.add(s, 0, out=block[:, :nx])
+    block[ineq, range(nx, nx + len(ineq))] = [den * scale if rels[i] == LE else -den * scale
+                                              for i in ineq]
+    block[:, -1] = rhs
     np.negative(block, out=block, where=(rhs < 0)[:, None])
 
     if not ctx.exact and not np.isfinite(np.concatenate((block.ravel(), cost, [const]))).all():
         raise ValueError("LP objective, constraints and bounds must be finite")
     if ctx.exact:
-        cost, x0, const = unstacked(cost, den, ctx), unstacked(x0, den, ctx), Fraction(const, den**2)
-
-    def recover(y):
-        y = np.array(y, dtype=arr.dtype)
-        return tuple((np.where(fixed, x0, y[first]) + back * y[second]).tolist())
-
+        cost = unstacked(cost, den, ctx)
     return (block[:, :-1], block[:, -1], den * scale, cost.tolist() + [ctx.zero()] * len(ineq),
-            recover, const, len(var) + len(ineq), (arr, den, rels[:m], has_lo, has_up))
+            recover, const, nx + len(ineq), (ab[:m], lo, up, den, rels[:m], has_lo, has_up))
 
 
 def _phase1(tab, nstruct: int, ctx: Context) -> str:
@@ -357,7 +389,7 @@ def _phase1(tab, nstruct: int, ctx: Context) -> str:
 def _certify(p: LinearProgram, data, x, ctx: Context):
     """Substitute the reported point into every constraint and bound of
     ``data``, the LP as converted by :func:`_standardize`."""
-    arr, den, rels, has_lo, has_up = data
+    arr, lo, up, den, rels, has_lo, has_up = data
     m, slack_tol = len(rels), 100 * ctx.tol
     # rows [a | b] times [x | 0]: running sums give every a.x, added in index order as
     # dot adds; exact ones are ints over den * xden, compared with b scaled to that
@@ -370,8 +402,8 @@ def _certify(p: LinearProgram, data, x, ctx: Context):
             lhs, rhs = unstacked(ax[i:i + 1], den * xden, ctx), unstacked(arr[i, -1:], den, ctx)
             raise RuntimeError(f"certification failed: {lhs.item()} {rel} {rhs.item()}")
     xv = xv[:-1] * den
-    low = has_lo & ~(xv >= arr[m + 1, :-1] * xden - slack_tol)
-    high = has_up & ~(xv <= arr[m + 2, :-1] * xden + slack_tol)
+    low = has_lo & ~(xv >= lo * xden - slack_tol)
+    high = has_up & ~(xv <= up * xden + slack_tol)
     for j in np.flatnonzero(low | high)[:1].tolist():
         raise RuntimeError(f"certification failed: bound x[{j}] "
                            + (f">= {p._bound('lo', j)}" if low[j] else f"<= {p._bound('up', j)}"))

@@ -675,6 +675,24 @@ def cone_lp_reference(rays, ctx: Context, n_blocks: int, eqs, objective=(), sens
     return p, vectors
 
 
+def orbits_reference(t, elements, block_images, scalar_images):
+    """The oracle for `compat._orbits`: each variable's least image, found one
+    element and one variable at a time, and the orbits numbered by
+    ``np.unique(least, return_inverse=True)``, in the order of their first members."""
+    facet_perms = t.effect_action[elements].tolist()
+    nf, n_blocks = len(facet_perms[0]), block_images.shape[1]
+    least = []
+    for x in range(n_blocks * nf + scalar_images.shape[1]):
+        if x < n_blocks * nf:
+            i, j = divmod(x, nf)
+            images = [int(blocks[i]) * nf + perm[j]
+                      for blocks, perm in zip(block_images.tolist(), facet_perms)]
+        else:
+            images = [n_blocks * nf + int(s[x - n_blocks * nf]) for s in scalar_images.tolist()]
+        least.append(min(images))
+    return np.unique(least, return_inverse=True)[1]
+
+
 def full_compat_lp(family: str, t, f, g) -> LinearProgram:
     """The LP of `family` ("is_jointly_measurable", "max_fuzz_lambda" or
     "min_mur_linf") over every (cell, ray) pair, one variable each, as

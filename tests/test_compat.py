@@ -35,7 +35,7 @@ from gptlab.measures import FiniteMetricSpace, linf_distance, min_le_sum
 from gptlab.model import Measurement, Theory, make_classical, make_polygon, validate_measurement
 from gptlab.scalars import EXACT, mat_vec, transpose
 from gptlab.symmetry import automorphism_group
-from helpers import full_compat_lp, highs, hrow_compat_lp
+from helpers import full_compat_lp, highs, hrow_compat_lp, orbits_reference
 
 INV_SQ2 = 1 / math.sqrt(2)
 
@@ -463,6 +463,19 @@ def assert_matches_full(t, f, g):
 
 
 class TestOrbitReduction:
+    @pytest.fixture(autouse=True)
+    def orbits_match_reference(self, monkeypatch):
+        # every orbit numbering of these cases is the np.unique numbering of the
+        # least images, found one element at a time
+        real = compat._orbits
+
+        def checked(*args):
+            orbits = real(*args)
+            assert orbits.tolist() == orbits_reference(*args).tolist()
+            return orbits
+
+        monkeypatch.setattr(compat, "_orbits", checked)
+
     @pytest.mark.parametrize("n", range(4, 65, 4))
     def test_psi_polygon_pairs(self, n):
         # the perpendicular pair and three random pairs of binary ideal measurements

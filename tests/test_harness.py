@@ -765,7 +765,7 @@ class TestCli:
 
     @pytest.mark.parametrize("index", ["99", "5", "-1"])
     def test_ideal_index_out_of_range_exits(self, index):
-        # binary_ideal_measurement takes the index mod 5; the command line does not
+        # the command line names the flag and the range that the library's ValueError gives
         message = f"--ideal-index {index} on theory 'polygon-5': not in 0..4"
         for which in ("overall-width", "localization-error"):
             with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):

@@ -29,11 +29,12 @@ from gptlab.model import (
     in_state_space,
     make_classical,
     make_polygon,
+    theory_from_dict,
     validate_measurement,
 )
 from gptlab.model import load_theory
 from gptlab.scalars import EXACT, FLOAT
-from gptlab.symmetry import _coder, canonicalize
+from gptlab.symmetry import _coder, automorphism_group, canonicalize
 
 from helpers import enumerate_ideal_reference
 from test_symmetry import structure_theory_files
@@ -104,6 +105,30 @@ class TestPureEffects:
                         assert t.inner.pair(t.unit_effect, e) == pytest.approx(k / norm2)
                     else:
                         assert t.inner.pair(t.unit_effect, e) == pytest.approx(1 - k / norm2)
+
+
+class TestBinaryIdealMeasurement:
+    def test_every_index_builds_on_its_pure_effect(self):
+        t = make_polygon(5)
+        pures = indecomposable_pure_effects(t)
+        for i, e in enumerate(pures):
+            m = binary_ideal_measurement(t, i)
+            assert m.effects[0] == e and m.provenance[0] == ("sum", frozenset({i}))
+
+    @pytest.mark.parametrize("index", [5, 99, -1, -5])
+    def test_index_out_of_range_raises(self, index):
+        # the pentagon has pure effects 0..4; no index wraps around to one of them
+        with pytest.raises(ValueError, match=rf"^pure effect index {index} not in 0\.\.4$"):
+            binary_ideal_measurement(make_polygon(5), index)
+
+    def test_unequal_norms_name_the_coordinates(self):
+        # a triangle, transitive with group order 6, whose vertices have unequal norms
+        t = theory_from_dict({"name": "skew", "dim": 3, "unit_effect": [0, 0, 1],
+                              "vertices": [[2, 0, 1], [0, 1, 1], [0, 0, 1]]})
+        assert automorphism_group(t).order == 6
+        with pytest.raises(ValueError, match="^pure states do not have equal norm in these "
+                                             "coordinates; canonicalize the theory first$"):
+            binary_ideal_measurement(t, 0)
 
 
 class TestEnumeration:

@@ -799,11 +799,13 @@ def assert_same_standard_form(p, ctx):
     assert repr((rows.tolist(), rhs.tolist(), cost, const, ncols)) == repr(
         (ref_rows, ref_rhs, ref_cost, ref_const, ref_ncols))
     values = [ctx.convert(v) for v in (0, 1, 2, "1/3", "5/2", "1/10")]
+    points = []
     if not ctx.exact:
         values.append(-0.0)  # signed zeros come out of float pivots
+        points.append([-0.0] * ncols)
     rng = random.Random(ncols)
-    for _ in range(5):
-        y = [rng.choice(values) for _ in range(ncols)]
+    points += [[rng.choice(values) for _ in range(ncols)] for _ in range(5)]
+    for y in points:
         assert repr(recover(y)) == repr(ref_recover(y))
 
 
@@ -817,6 +819,28 @@ def test_random_standard_form_matches_reference(p):
 @given(small_lps(numbers=[Fr(x) for x in NUMBERS] + [Fr(1, 3), Fr(1, 10), Fr(-7, 10)]))
 def test_random_exact_standard_form_matches_reference(p):
     assert_same_standard_form(p, EXACT)
+
+
+@pytest.mark.parametrize("lower, upper, rhs", [
+    (0.0, None, -0.0),  # x = y, but a -0.0 right-hand side takes the offsets' path
+    (-0.0, None, 1.0),  # x = -0.0 + y: not the +0 lower bound of the cone LPs
+    (0.0, [None, 2.0, None], 1.0),  # x = y + 0 and a bound row
+    (0.0, [None, -0.0, None], 1.0),  # a bound row with a -0.0 right-hand side
+], ids=["rhs-negative-zero", "lower-negative-zero", "upper-with-none", "upper-negative-zero"])
+def test_zero_lower_bound_standard_forms(lower, upper, rhs):
+    # the cone LPs' scalar lower bound +0 and its neighbours; every recover is also
+    # fed the point of all -0.0, which x = y + 0 maps to 0.0
+    p = LinearProgram(n_vars=3, objective=[1.0, -0.0, -1.0], lower=lower, upper=upper)
+    p.add([1.0, -2.0, 0.0], EQ, rhs).add([-1.0, -0.0, 3.0], EQ, 0.5).add([0.0, 1.0, 1.0], GE, 0.0)
+    assert_same_standard_form(p, FLOAT)
+    for solver in (lp_solve, lp_feasible):
+        assert_same_on_both_tableaux(solver, p)
+    exact = LinearProgram(3, [Fr(x) for x in p.objective], lower=Fr(0),
+                          upper=None if upper is None else [None if u is None else Fr(u)
+                                                            for u in upper])
+    for coeffs, rel, b in p.constraints:
+        exact.add([Fr(x) for x in coeffs], rel, Fr(b))
+    assert_same_standard_form(exact, EXACT)
 
 
 def test_solver_standard_forms_match_reference():
