@@ -236,16 +236,14 @@ def _stabiliser(t: Theory, f: Measurement, g: Measurement) -> tuple:
 
 @functools.cache
 def _swap_weights(na: int, m: int) -> tuple:
-    """``(weight, offset)`` for a pair whose first `na` of `m` effects are f's.
-    ``weight[s, a, b]`` is 0 where swap ``s`` may not send effect a to effect b (to
-    the other measurement when relabelling, to the same when exchanging), 3 for b
-    = a and 1 otherwise; ``offset[s, a]`` is the index of the first effect of the
-    measurement that swap s sends effect a into."""
+    """Per swap s: ``weight[s, a, b]``, 0 where s may not send effect a to effect b, 3
+    for b = a, else 1; ``offset[s, a]``, the first index of the measurement s sends a
+    into.  The pair's first `na` of `m` effects are f's."""
     side = np.arange(m) >= na
     same = side[:, None] == side
     weight = np.stack([same, ~same]) * (1 + 2 * np.identity(m, dtype=int))
     offset = np.where(side == np.array([[False], [True]]), 0, na)
-    for shared in (weight, offset):  # every call on such a pair reads these arrays
+    for shared in (weight, offset):
         shared.setflags(write=False)
     return weight, offset
 

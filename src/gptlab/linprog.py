@@ -15,10 +15,8 @@ free one ``y+ - y-``, and an upper bound beside a lower one is a ``<=`` row (S
 = I when every variable has a lower bound; offsets ``b - a_j x0_j`` sum in
 ascending j, with the bits of scalar arithmetic); run phase 1 (and phase 2 for
 ``lp_solve``) on the numerators in the tableau; map the basic point back and
-certify it.  A scalar lower bound of +0, as in every cone LP, with no right-hand
-side -0.0, is ``x = y + 0``: no bounds to convert beside the upper ones, no offsets,
-and no gather in the map back; float rows, objective and bounds convert apart,
-as they are all over 1.
+certify it.  A scalar lower bound of +0 (every cone LP's) with no right-hand side
+-0.0 is ``x = y + 0``: no offsets and no gather in the map back.
 
 One tableau serves both scalar modes (:class:`_Tableau`): the rows and then the
 objective row (Chvatal 1983, ch. 2), right-hand side and -z last, in one array
@@ -297,7 +295,7 @@ def _standardize(p: LinearProgram, ctx: Context):
     obj = -obj if p.sense == "max" else obj
 
     # an upper bound beside a lower bound is the row y <= u - l
-    both = np.flatnonzero(has_up if plain else has_lo & has_up)
+    both = np.flatnonzero(has_lo & has_up)
     if both.size:
         ab = np.concatenate((ab, np.zeros((len(both), n + 1), dtype=ab.dtype)))
         ab[range(m, m + len(both)), both] = den
@@ -338,15 +336,11 @@ def _standardize(p: LinearProgram, ctx: Context):
             return tuple((np.where(fixed, x0, y[first]) + back * y[second]).tolist())
 
     s = ab[:, :n] if ident else ab[:, var] * sign
-    ineq, nx = [i for i, rel in enumerate(rels) if rel != EQ], len(var)
-    block = np.zeros((len(rels), nx + len(ineq) + 1), dtype=ab.dtype)
-    if ctx.exact:
-        np.multiply(s, scale, out=block[:, :nx])
-    else:  # + 0: a zero coefficient is 0.0, not -0.0
-        np.add(s, 0, out=block[:, :nx])
-    block[ineq, range(nx, nx + len(ineq))] = [den * scale if rels[i] == LE else -den * scale
-                                              for i in ineq]
-    block[:, -1] = rhs
+    s = s * scale if ctx.exact else s + 0  # + 0: a zero coefficient is 0.0, not -0.0
+    ineq = [i for i, rel in enumerate(rels) if rel != EQ]
+    slack = np.zeros((len(rels), len(ineq)), dtype=ab.dtype)
+    slack[ineq, range(len(ineq))] = [den * scale if rels[i] == LE else -den * scale for i in ineq]
+    block = np.concatenate((s, slack, rhs[:, None]), axis=1)
     np.negative(block, out=block, where=(rhs < 0)[:, None])
 
     if not ctx.exact and not np.isfinite(np.concatenate((block.ravel(), cost, [const]))).all():
@@ -354,7 +348,7 @@ def _standardize(p: LinearProgram, ctx: Context):
     if ctx.exact:
         cost = unstacked(cost, den, ctx)
     return (block[:, :-1], block[:, -1], den * scale, cost.tolist() + [ctx.zero()] * len(ineq),
-            recover, const, nx + len(ineq), (ab[:m], lo, up, den, rels[:m], has_lo, has_up))
+            recover, const, len(var) + len(ineq), (ab[:m], lo, up, den, rels[:m], has_lo, has_up))
 
 
 def _phase1(tab, nstruct: int, ctx: Context) -> str:
