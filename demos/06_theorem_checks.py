@@ -42,12 +42,12 @@ print()
 print("=== the even-polygon route (re-express, then verify) ===")
 raw = make_polygon(6)
 f6, g6 = ideal_pair_for(raw)
-from gptlab.ideal import psi_map_joint, psi_map_measurement
 from gptlab.ideal import psi_transform
 
 hat = psi_transform(raw)
-jh = random_joint(hat, psi_map_measurement(f6, 6), psi_map_measurement(g6, 6), rng)
-j_raw = psi_map_joint(jh, 6, inverse=True)
+psi = hat.coordinates  # states stretched, effects shrunk; psi.inverse maps back
+jh = random_joint(hat, psi.measurement(f6), psi.measurement(g6), rng)
+j_raw = psi.inverse.joint(jh)
 rep = verify_thm3_even(6, f6, g6, j_raw, "thm2")
 print(f"{rep.check}: passed={rep.passed}, "
       f"probability deviation across the re-expression: "

@@ -6,7 +6,7 @@ Library layout:
 - ``linprog``: two-phase simplex on one numpy tableau (float64, or int numerators in exact mode)
 - ``cones``: dual cones (double description), membership, equality
 - ``model``: theories, effects, per-vertex probability tables, measurements
-  and their outcome metrics, built-ins, JSON files
+  and their outcome metrics, coordinate changes, built-ins, JSON files
 - ``symmetry``: automorphism groups, invariant product, canonical form
 - ``ideal``: pure indecomposable effects, ideal measurements, fuzzing
 - ``measures``: widths, localization error, error-bar/Lipschitz/sup gaps
@@ -19,6 +19,7 @@ from .scalars import Context, EXACT, FLOAT, InnerProduct
 from .cones import Cone, LinealityError, affine_hull_check, cone_member, cones_equal, dual_cone
 from .linprog import FeasibilityResult, LinearProgram, LpResult, lp_feasible, lp_solve
 from .model import (
+    Coordinates,
     FiniteMetricSpace,
     Measurement,
     Theory,
@@ -57,7 +58,6 @@ from .ideal import (
     fuzzify,
     indecomposable_pure_effects,
     perpendicular_ideal_pair,
-    psi_map_joint,
     psi_map_measurement,
     psi_transform,
 )

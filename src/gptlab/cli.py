@@ -30,8 +30,6 @@ from .ideal import (
     enumerate_ideal_measurements,
     indecomposable_pure_effects,
     perpendicular_ideal_pair,
-    psi_map_joint,
-    psi_map_measurement,
     psi_transform,
 )
 from .measures import (
@@ -243,10 +241,10 @@ def cmd_verify(args) -> None:
         raw = make_polygon(n)
         f, g = harness.ideal_pair_for(raw)
         hat = psi_transform(raw)
-        fh, gh = psi_map_measurement(f, n), psi_map_measurement(g, n)
+        fh, gh = map(hat.coordinates.measurement, (f, g))
 
         def check():
-            jraw = psi_map_joint(harness.random_joint(hat, fh, gh, rng), n, inverse=True)
+            jraw = hat.coordinates.inverse.joint(harness.random_joint(hat, fh, gh, rng))
             return harness.verify_thm3_even(n, f, g, jraw, args.mode, args.eps1, args.eps2)
     elif which == "propC":
         raw = resolve_theory(args.theory)
@@ -261,15 +259,8 @@ def cmd_verify(args) -> None:
         t = _on_theory(f"verify {which}", raw, harness.prepare_conforming, raw)
         if args.pair or (args.first is None and args.second is None):
             f, g = harness.ideal_pair_for(t)
-        elif t is raw or raw.kind == "polygon":
-            # the files hold effects of the named theory; an even polygon's are
-            # mapped into the stretched one as thm3 maps its inputs
-            f, g = _pair(args, raw)
-            if t is not raw:
-                f, g = psi_map_measurement(f, raw.n), psi_map_measurement(g, raw.n)
-        else:
-            raise SystemExit(f"verify {which} runs theory {raw.name!r} in its canonical "
-                             "coordinates and does not accept --first/--second files")
+        else:  # the files hold effects of the named theory, mapped into t's coordinates
+            f, g = map(t.coordinates.measurement, _pair(args, raw))
 
         def check():
             j = harness.random_joint(t, f, g, rng)

@@ -40,8 +40,6 @@ from .ideal import (
     enumerate_ideal_measurements,
     fuzzify,
     perpendicular_ideal_pair,
-    psi_map_joint,
-    psi_map_measurement,
     psi_transform,
 )
 from .measures import (
@@ -100,14 +98,13 @@ def prepare_conforming(t: Theory) -> Theory:
     Odd polygons and re-expressed even polygons pass through; raw even
     polygons get the stretch re-expression; anything else is
     canonicalized (which also covers classical theories).  A canonical form
-    that is not self-dual under the dot product raises ValueError.
+    that is not self-dual under the dot product raises ValueError.  The
+    result's ``coordinates`` map effects of ``t`` into it.
     """
-    if t.kind == "polygon-psi":
-        return t
-    if t.kind == "polygon":
-        if t.n % 2 == 0:
-            return psi_transform(t)
-        return t
+    if t.kind == "polygon" and t.n % 2 == 0:
+        return psi_transform(t)
+    if t.kind in ("polygon", "polygon-psi"):
+        return t.with_group(t.group_cache) if t.coordinates.steps else t  # a copy, no stretch record
     tc = canonicalize(t).theory
     if not is_self_dual(tc, tc.inner):
         raise ValueError(f"the canonical form of theory {t.name!r} is not self-dual")
@@ -390,9 +387,8 @@ def verify_thm3_even(n: int, f: IdealMeasurement, g: IdealMeasurement,
     if n % 2 != 0:
         raise ValueError("this check is for even polygons")
     raw, hat, vertices = _psi_polygon(n)
-    f_hat = psi_map_measurement(f, n)
-    g_hat = psi_map_measurement(g, n)
-    j_hat = psi_map_joint(j, n)
+    psi = hat.coordinates
+    f_hat, g_hat, j_hat = psi.measurement(f), psi.measurement(g), psi.joint(j)
     # probability covariance across the re-expression
     effects = np.array([f.effects + g.effects, f_hat.effects + g_hat.effects], dtype=float)
     probs = ordered_matmul(effects, vertices)
@@ -592,10 +588,10 @@ def run_report(config: Optional[dict] = None, out_dir: str = "report",
     for n in cfg["theorem_theories"].get("even", []):
         raw, hat, _ = _psi_polygon(n)
         f_raw, g_raw = ideal_pair_for(raw)
-        f_hat, g_hat = psi_map_measurement(f_raw, n), psi_map_measurement(g_raw, n)
+        f_hat, g_hat = map(hat.coordinates.measurement, (f_raw, g_raw))
         for k in range(cfg["joints_per_case"]):
             j_hat = random_joint(hat, f_hat, g_hat, rng)
-            j_raw = psi_map_joint(j_hat, n, inverse=True)
+            j_raw = hat.coordinates.inverse.joint(j_hat)
             note(verify_thm3_even(n, f_raw, g_raw, j_raw, "thm2"), n, f"joint{k}")
 
     for t in [prepare_conforming(make_polygon(n)) for n in (5, 8)]:

@@ -15,13 +15,15 @@ analogue of a projection-valued measure.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     _BATCH_CELLS,
+    Coordinates,
     FiniteMetricSpace,
     Measurement,
     Theory,
@@ -32,7 +34,6 @@ from .model import (
 from .scalars import (
     Context,
     dot,
-    mat_vec,
     narrowed,
     ordered_matmul,
     stacked,
@@ -124,58 +125,37 @@ def fuzzify(t: Theory, m: Measurement, lam) -> Measurement:
 # ---------------------------------------------------------------------------
 # affine re-expression of even polygons
 
-def psi_matrix(n: int, inverse: bool = False) -> tuple:
+@functools.cache
+def psi_coordinates(n: int) -> Coordinates:
+    """The stretch of the even n-gon, kept per side count: states by
+    ``diag(r, r, 1)``, effects by ``diag(1/r, 1/r, 1)``, ``r`` the polygon radius."""
     r = polygon_radius(n)
-    s = 1.0 / r if inverse else r
-    return ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, 1.0))
+    s = 1.0 / r
+    return Coordinates(((((r, 0.0, 0.0), (0.0, r, 0.0), (0.0, 0.0, 1.0)),
+                         ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, 1.0))),))
 
 
-def psi_transform(t: Theory, inverse: bool = False) -> Theory:
+def psi_transform(t: Theory) -> Theory:
     """Re-express an even polygon: states stretched, effects shrunk.
 
     Probabilities are preserved because the state map and the effect map
-    are contragredient.  ``inverse=True`` undoes the re-expression.
+    are contragredient; the result's ``coordinates`` undo it by ``inverse``.
     """
     if t.n is None or t.n % 2 != 0:
         raise ValueError("the re-expression is defined for even polygons only")
-    if inverse:
-        if t.kind != "polygon-psi":
-            raise ValueError("inverse transform expects a re-expressed polygon")
-        mat = psi_matrix(t.n, inverse=True)
-        new_kind, suffix = "polygon", ""
-        name = t.name.removesuffix("-psi")
-    else:
-        if t.kind != "polygon":
-            raise ValueError("forward transform expects a raw polygon")
-        mat = psi_matrix(t.n)
-        new_kind, suffix = "polygon-psi", "-psi"
-        name = t.name + suffix
-    return replace(
-        t,
-        name=name,
-        vertices=tuple(mat_vec(mat, v) for v in t.vertices),
-        unit_effect=t.unit_effect,  # (0,0,1) is fixed by the stretch
-        kind=new_kind,
-        canonicalized=False,
-    ).with_group(t.group_cache)
+    if t.kind != "polygon":
+        raise ValueError("the re-expression expects a raw polygon")
+    return psi_coordinates(t.n).theory(t, t.group_cache, name=t.name + "-psi", kind="polygon-psi")
 
 
 def psi_map_effect(e, n: int, inverse: bool = False):
     """Map one effect into (or back from) the re-expressed polygon."""
-    mat = psi_matrix(n, inverse=not inverse)  # effects move by the inverse stretch
-    return mat_vec(mat, e)
+    return (psi_coordinates(n).inverse if inverse else psi_coordinates(n)).effect(e)
 
 
-def psi_map_measurement(m: Measurement, n: int, inverse: bool = False) -> Measurement:
-    """Map measurement effects into (or back from) the re-expressed polygon."""
-    return replace(m, effects=tuple(psi_map_effect(e, n, inverse) for e in m.effects))
-
-
-def psi_map_joint(j, n: int, inverse: bool = False):
-    """Map every cell of a joint measurement into (or back from) the re-expressed polygon."""
-    return replace(j, effects=tuple(
-        tuple(psi_map_effect(e, n, inverse) for e in row) for row in j.effects
-    ))
+def psi_map_measurement(m: Measurement, n: int) -> Measurement:
+    """Map measurement effects into the re-expressed polygon."""
+    return psi_coordinates(n).measurement(m)
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,12 @@ from .scalars import (
     FLOAT,
     InnerProduct,
     dot,
-    float_vec,
+    identity,
+    mat_vec,
     ordered_matmul,
     reduced,
     stacked,
+    transpose,
     vadd,
 )
 
@@ -60,11 +62,71 @@ if TYPE_CHECKING:
 _BATCH_CELLS = 1 << 16
 
 
+def _through(maps, v) -> tuple:
+    """``v`` through each matrix by ``mat_vec``; exact entries meet a float matrix as
+    floats, rounded once here as each product (``float * float(Fraction)``) rounds them."""
+    for m in maps:
+        if v and isinstance(m[0][0], float) and not isinstance(v[0], float):
+            v = tuple(map(float, v))
+        v = mat_vec(m, v)
+    return v
+
+
+@dataclass(frozen=True)
+class Coordinates:
+    """A change of coordinates that keeps every probability: ``steps`` holds pairs
+    ``(M, M^-1)`` in the order they apply; states move by each ``M``, and effects,
+    measurements and joints by each ``M^-T``, so every ``e . omega`` is kept.  Each
+    step is one ``mat_vec`` per vector, and no step returns the vector as it is."""
+
+    steps: tuple = ()
+
+    @classmethod
+    def demoting(cls, t: "Theory") -> "Coordinates":
+        """The float identity for an exact theory (each entry rounds once); none for a float one."""
+        one = identity(t.dim, FLOAT)
+        return cls(((one, one),) if t.ctx.exact else ())
+
+    @cached_property
+    def _effect_maps(self) -> tuple:
+        return tuple(transpose(inv) for _m, inv in self.steps)
+
+    @cached_property
+    def inverse(self) -> "Coordinates":
+        """The record that undoes this one: the steps reversed, each ``(M^-1, M)``."""
+        return Coordinates(tuple((inv, m) for m, inv in reversed(self.steps)))
+
+    def then(self, other: "Coordinates") -> "Coordinates":
+        """This record followed by ``other``."""
+        return Coordinates(self.steps + other.steps)
+
+    def state(self, omega) -> tuple:
+        return _through([m for m, _inv in self.steps], omega)
+
+    def effect(self, e) -> tuple:
+        return _through(self._effect_maps, e)
+
+    def measurement(self, m):
+        return replace(m, effects=tuple(map(self.effect, m.effects)))
+
+    def joint(self, j):
+        return replace(j, effects=tuple(tuple(map(self.effect, row)) for row in j.effects))
+
+    def theory(self, t: "Theory", group, **fields) -> "Theory":
+        """``t`` with its vertices mapped as states, its unit effect as an effect and
+        ``fields`` replaced (``canonicalized`` False unless given), keeping ``group``."""
+        out = replace(t, vertices=tuple(map(self.state, t.vertices)),
+                      unit_effect=self.effect(t.unit_effect), **{"canonicalized": False, **fields})
+        object.__setattr__(out, "group_cache", group)
+        object.__setattr__(out, "coordinates", self)
+        return out
+
+
 @dataclass(frozen=True)
 class Theory:
     """A polytopic state space with its unit effect.  Frozen covers the value fields only:
-    ``facet_table``, ``effect_action``, ``group_cache`` and ``lp_runs`` are per-instance
-    caches, filled on first use, which ``replace`` does not copy.  They are derived from
+    ``facet_table``, ``effect_action``, ``group_cache``, ``lp_runs`` and ``coordinates`` are
+    per-instance slots, which ``replace`` does not copy; the caches fill on first use from
     ``vertices``, which are kept as tuples, as ``unit_effect`` is."""
 
     name: str
@@ -81,6 +143,9 @@ class Theory:
     # ``compat``'s LPs of any kind (joint measurability, MUR, fuzzing) run on this
     # instance, counted up to 2: the second one seeks the group (``compat._over_orbits``)
     lp_runs: int = field(default=0, init=False, repr=False, compare=False)
+    # the record that made this theory from the one ``Coordinates.theory`` was given
+    coordinates: Coordinates = field(default=Coordinates(), init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
@@ -164,10 +229,8 @@ class Theory:
         return facet_perms
 
     def with_group(self, group) -> "Theory":
-        """A copy of this theory that keeps ``group`` as its automorphism group."""
-        t = replace(self)
-        object.__setattr__(t, "group_cache", group)
-        return t
+        """A copy with no coordinate record that keeps ``group`` as its automorphism group."""
+        return Coordinates().theory(self, group, canonicalized=self.canonicalized)
 
 
 @dataclass(frozen=True)
@@ -475,12 +538,7 @@ def theory_to_float(t: Theory) -> Theory:
     """Demote an exact theory to float mode (idempotent)."""
     if not t.ctx.exact:
         return t
-    return replace(
-        t,
-        vertices=tuple(float_vec(v) for v in t.vertices),
-        unit_effect=float_vec(t.unit_effect),
-        ctx=FLOAT,
-    )
+    return Coordinates.demoting(t).theory(t, None, ctx=FLOAT, canonicalized=t.canonicalized)
 
 
 # ---------------------------------------------------------------------------

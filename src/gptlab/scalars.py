@@ -446,10 +446,6 @@ class InnerProduct:
         return True
 
 
-def float_vec(x):
-    return tuple(float(a) for a in x)
-
-
 def sqrt_scalar(x, ctx: Context):
     """Square root, staying exact when the radicand is a perfect square."""
     if ctx.exact:

@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import _BATCH_CELLS, Theory, theory_to_float
+from .model import _BATCH_CELLS, Coordinates, Theory, theory_to_float
 from .scalars import (
     Context,
     EXACT,
@@ -285,12 +285,6 @@ def maximally_mixed(t: Theory, g: Optional[SymmetryGroup] = None):
     return omega_m
 
 
-def _float_theory(t: Theory, g: SymmetryGroup) -> tuple:
-    """``(theory, group)`` in float mode, the group kept on the theory."""
-    gf = SymmetryGroup(*g.stack(FLOAT), g.perms)
-    return theory_to_float(t).with_group(gf), gf
-
-
 def rescale_unit_norm(t: Theory, g: Optional[SymmetryGroup] = None) -> Theory:
     """Rescale so the maximally mixed state has Euclidean norm 1.
 
@@ -306,16 +300,13 @@ def rescale_unit_norm(t: Theory, g: Optional[SymmetryGroup] = None) -> Theory:
     if ctx.eq(norm2, 1):
         return t
     try:
-        scale = 1 / sqrt_scalar(norm2, ctx)
+        scale, to_float = 1 / sqrt_scalar(norm2, ctx), Coordinates()
     except ValueError:
-        t, g = _float_theory(t, g)
+        to_float, ctx, g = Coordinates.demoting(t), FLOAT, SymmetryGroup(*g.stack(FLOAT), g.perms)
         scale = 1 / math.sqrt(float(norm2))
-    return replace(
-        t,
-        vertices=tuple(vscale(scale, v) for v in t.vertices),
-        unit_effect=vscale(1 / scale, t.unit_effect),
-        canonicalized=False,
-    ).with_group(g)
+    one = identity(t.dim, ctx)  # states by s I, effects by I / s
+    coords = to_float.then(Coordinates(((mat_scale(scale, one), mat_scale(1 / scale, one)),)))
+    return coords.theory(t, g, ctx=ctx)
 
 
 def averaged_inner_product(g: SymmetryGroup, ctx: Context = FLOAT) -> InnerProduct:
@@ -360,9 +351,10 @@ def canonicalize(t: Theory) -> CanonicalForm:
     g = automorphism_group(t)
     if not is_transitive(g, t):
         raise ValueError("canonicalization requires a transitive theory")
-    tf, gf = _float_theory(t, g)
+    gf = SymmetryGroup(*g.stack(FLOAT), g.perms)
+    # with_group's copy keeps no record, so tf's coordinates are the rescale's alone
+    tf = rescale_unit_norm(theory_to_float(t).with_group(gf), gf)
     ctx = tf.ctx
-    tf = rescale_unit_norm(tf, gf)
     omega_m = maximally_mixed(tf, gf)
     gram = averaged_inner_product(gf, ctx)
 
@@ -384,19 +376,13 @@ def canonicalize(t: Theory) -> CanonicalForm:
 
     transform = tuple(tuple(mat_vec(gram.gram, b)) for b in basis)  # rows b_l^T G
     inv_t = inverse(transform, ctx)
-    new_vertices = tuple(mat_vec(transform, v) for v in tf.vertices)
-    # effects map contravariantly: e_new = (M^-1)^T e
-    new_u = mat_vec(transpose(inv_t), tf.unit_effect)
     stack, _ = gf.stack(ctx)
     conjugated = ordered_matmul(ordered_matmul(np.array(transform), stack), np.array(inv_t))
     new_group = SymmetryGroup(conjugated, 1, gf.perms)
-    theory_c = replace(
-        tf,
-        name=t.name if t.canonicalized else f"{t.name}-canonical",
-        vertices=new_vertices,
-        unit_effect=tuple(new_u),
-        canonicalized=True,
-    ).with_group(new_group)
+    # one step per stage, as the stages round: the demotion, the rescale, the basis
+    coords = Coordinates.demoting(t).then(tf.coordinates).then(Coordinates(((transform, inv_t),)))
+    theory_c = coords.theory(t, new_group, ctx=FLOAT, canonicalized=True,
+                             name=t.name if t.canonicalized else f"{t.name}-canonical")
     return CanonicalForm(basis=tuple(basis), transform=transform, theory=theory_c, group=new_group)
 
 
@@ -509,19 +495,11 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
         )
 
     try:
-        sq = sqrt_scalar(xi, ctx)
-        tt = t
+        sq, to_float = sqrt_scalar(xi, ctx), Coordinates()
     except ValueError:
-        tt = theory_to_float(t)
-        ctx = tt.ctx
+        to_float, ctx = Coordinates.demoting(t), FLOAT
         pm, pperp = ctx.mat(pm), ctx.mat(pperp)
         sq = math.sqrt(float(xi))
     xi_mat = mat_add(pm, mat_scale(sq, pperp))
-    new_u = mat_vec(transpose(inverse(xi_mat, ctx)), tt.unit_effect)
-    return replace(
-        tt,
-        name=f"{t.name}-xi",
-        vertices=tuple(mat_vec(xi_mat, v) for v in tt.vertices),
-        unit_effect=tuple(new_u),
-        canonicalized=False,
-    ).with_group(g if ctx is t.ctx else None)
+    coords = to_float.then(Coordinates(((xi_mat, inverse(xi_mat, ctx)),)))
+    return coords.theory(t, None if to_float.steps else g, name=f"{t.name}-xi", ctx=ctx)

@@ -37,22 +37,22 @@ import pytest
 from gptlab.compat import marginals
 from gptlab.cones import Cone, LinealityError, cone_lp, cone_member, cones_equal, dual_cone
 from gptlab.harness import VerificationReport, _holds, _witness_report
-from gptlab.ideal import (
-    IdealMeasurement, indecomposable_pure_effects, psi_map_joint, psi_map_measurement,
-    psi_transform,
-)
+from gptlab.ideal import IdealMeasurement, indecomposable_pure_effects
 from gptlab.linprog import _DEGENERATE_RUN, _MAX_PIVOTS, EQ, GE, LE, LinearProgram
 from gptlab.measures import (
     OutcomeDistribution, _lipschitz_ball_lp, linf_distance, localization_error, min_le_sum,
 )
 from gptlab.model import (
-    effect_eval, in_state_space, is_zero_effect, make_polygon, prob_table, validate_theory,
+    effect_eval, in_state_space, is_zero_effect, make_polygon, polygon_radius, prob_table,
+    validate_theory,
 )
 from gptlab.scalars import (
-    FLOAT, Context, InnerProduct, dot, inverse, mat_add, mat_mul, mat_scale, mat_vec, rank, solve,
-    transpose, unstacked, vadd, vscale, vsub,
+    FLOAT, Context, InnerProduct, dot, inverse, mat_add, mat_mul, mat_scale, mat_vec,
+    ordered_matmul, rank, solve, sqrt_scalar, transpose, unstacked, vadd, vscale, vsub,
 )
-from gptlab.symmetry import SymmetryGroup, is_transitive
+from gptlab.symmetry import (
+    SymmetryGroup, automorphism_group, is_transitive, maximally_mixed,
+)
 
 
 def facet_normals_bruteforce(generators, ctx: Context):
@@ -1208,11 +1208,78 @@ def verify_thm2_reference(t, f, g, j):
     )
 
 
+def psi_effect_reference(e, n, inverse=False):
+    """An effect of the even n-gon mapped into the stretched one, or back with
+    ``inverse``, as the library wrote it before ``model.Coordinates``: one
+    ``mat_vec`` by ``diag(1/r, 1/r, 1)``, or by ``diag(r, r, 1)`` back."""
+    r = polygon_radius(n)
+    s = r if inverse else 1.0 / r
+    return mat_vec(((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, 1.0)), e)
+
+
+def psi_theory_reference(raw):
+    """The stretched polygon as ``ideal.psi_transform`` built it before the record:
+    every vertex by one ``mat_vec`` with ``diag(r, r, 1)``, the unit effect kept."""
+    r = polygon_radius(raw.n)
+    stretch = ((r, 0.0, 0.0), (0.0, r, 0.0), (0.0, 0.0, 1.0))
+    return replace(raw, name=raw.name + "-psi", kind="polygon-psi",
+                   vertices=tuple(mat_vec(stretch, v) for v in raw.vertices))
+
+
+def _float_reference(t, g):
+    """``(theory, group)`` in float mode, each exact entry rounded by ``float``, the
+    group kept on the theory: the demotion before the coordinate record."""
+    gf = SymmetryGroup(*g.stack(FLOAT), g.perms)
+    if t.ctx.exact:
+        t = replace(t, vertices=tuple(tuple(map(float, v)) for v in t.vertices),
+                    unit_effect=tuple(map(float, t.unit_effect)), ctx=FLOAT)
+    return t.with_group(gf), gf
+
+
+def rescale_unit_norm_reference(t, g=None):
+    """``symmetry.rescale_unit_norm`` before the coordinate record: one ``vscale``
+    by ``s`` on every vertex and by ``1/s`` on the unit effect."""
+    g = automorphism_group(t) if g is None else g
+    norm2 = sum(a * a for a in maximally_mixed(t, g))
+    if t.ctx.eq(norm2, 1):
+        return t
+    try:
+        scale = 1 / sqrt_scalar(norm2, t.ctx)
+    except ValueError:
+        t, g = _float_reference(t, g)
+        scale = 1 / math.sqrt(float(norm2))
+    return replace(t, vertices=tuple(vscale(scale, v) for v in t.vertices),
+                   unit_effect=vscale(1 / scale, t.unit_effect), canonicalized=False).with_group(g)
+
+
+def canonical_theory_reference(t, transform):
+    """The theory of ``symmetry.canonicalize(t)`` re-expressed as before the record,
+    from that form's ``transform``: the float copy, rescaled by
+    ``rescale_unit_norm_reference``, then one ``mat_vec`` by ``transform`` on every
+    vertex and by its inverse transpose on the unit effect, and the group conjugated."""
+    tf, gf = _float_reference(t, automorphism_group(t))
+    tf = rescale_unit_norm_reference(tf, gf)
+    inv_t = inverse(transform, FLOAT)
+    stack = gf.stack(FLOAT)[0]
+    group = SymmetryGroup(ordered_matmul(ordered_matmul(np.array(transform), stack),
+                                         np.array(inv_t)), 1, gf.perms)
+    return replace(tf, name=t.name if t.canonicalized else f"{t.name}-canonical",
+                   vertices=tuple(mat_vec(transform, v) for v in tf.vertices),
+                   unit_effect=mat_vec(transpose(inv_t), tf.unit_effect),
+                   canonicalized=True).with_group(group)
+
+
 def verify_thm3_even_reference(n, f, g, j, mode, eps1=0.2, eps2=0.2):
-    """``harness.verify_thm3_even`` over the reference verifiers."""
+    """``harness.verify_thm3_even`` over the reference verifiers and the reference
+    stretch (``psi_theory_reference``, ``psi_effect_reference``)."""
     raw = make_polygon(n)
-    hat = psi_transform(raw)
-    f_hat, g_hat, j_hat = psi_map_measurement(f, n), psi_map_measurement(g, n), psi_map_joint(j, n)
+    hat = psi_theory_reference(raw)
+
+    def stretch(effects):
+        return tuple(psi_effect_reference(e, n) for e in effects)
+
+    f_hat, g_hat = replace(f, effects=stretch(f.effects)), replace(g, effects=stretch(g.effects))
+    j_hat = replace(j, effects=tuple(stretch(row) for row in j.effects))
     max_dev = 0.0
     for meas_raw, meas_hat in ((f, f_hat), (g, g_hat)):
         for row_raw, row_hat in zip(prob_table(raw, meas_raw.effects),

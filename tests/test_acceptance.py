@@ -159,7 +159,7 @@ def test_criterion_07_theorem_property_suite():
                     failures.append((t.name, k, f"cor1@{e1},{e2}"))
                 checked += 2
 
-    from gptlab.ideal import psi_map_joint, psi_map_measurement
+    from gptlab.ideal import psi_map_measurement
 
     for n in (4, 6, 8):
         raw = make_polygon(n)
@@ -168,7 +168,7 @@ def test_criterion_07_theorem_property_suite():
         fh = psi_map_measurement(f_raw, n)
         gh = psi_map_measurement(g_raw, n)
         for k in range(n_joints):
-            j_raw = psi_map_joint(harness.random_joint(hat, fh, gh, rng), n, inverse=True)
+            j_raw = hat.coordinates.inverse.joint(harness.random_joint(hat, fh, gh, rng))
             for mode, (e1, e2) in (("thm2", (0.2, 0.2)), ("thm1", pairs[k % len(pairs)]),
                                    ("cor1", pairs[(k + 3) % len(pairs)])):
                 rep = harness.verify_thm3_even(n, f_raw, g_raw, j_raw, mode, e1, e2)

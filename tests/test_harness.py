@@ -23,7 +23,6 @@ from gptlab.ideal import (
     binary_ideal_measurement,
     fuzzify,
     perpendicular_ideal_pair,
-    psi_map_joint,
     psi_map_measurement,
     psi_transform,
 )
@@ -253,7 +252,7 @@ class TestVerifiers:
 
         res = is_jointly_measurable(hat, fuzzify(hat, fh, 0.5), fuzzify(hat, gh, 0.5))
         assert res.compatible
-        j_raw = psi_map_joint(res.witness, n, inverse=True)
+        j_raw = hat.coordinates.inverse.joint(res.witness)
         rep = harness.verify_thm3_even(n, f, g, j_raw, "thm2")
         assert rep.passed
         assert rep.extra["psi_probability_deviation"] < 1e-9
@@ -269,7 +268,7 @@ class TestVerifiers:
             hat = psi_transform(raw)
             fh, gh = psi_map_measurement(f, n), psi_map_measurement(g, n)
             for _ in range(3):
-                j = psi_map_joint(harness.random_joint(hat, fh, gh, rng), n, inverse=True)
+                j = hat.coordinates.inverse.joint(harness.random_joint(hat, fh, gh, rng))
                 cases.append((n, f, g, j))
         calls = []
         dual_cone = model.dual_cone
@@ -393,7 +392,7 @@ class TestScanOracle:
         hat = psi_transform(raw)
         fh, gh = psi_map_measurement(f, n), psi_map_measurement(g, n)
         for k in range(3):
-            j = psi_map_joint(harness.random_joint(hat, fh, gh, rng), n, inverse=True)
+            j = hat.coordinates.inverse.joint(harness.random_joint(hat, fh, gh, rng))
             for mode in ("thm1", "cor1", "thm2"):
                 for e1, e2 in EPS_PAIRS[k::3]:
                     got = harness.verify_thm3_even(n, f, g, j, mode, e1, e2)
@@ -721,12 +720,30 @@ class TestCli:
                            "--second", g, "--random", "2")
             assert out["passed"] is True and len(out["reports"]) == 2
 
-    def test_verify_files_of_a_canonicalized_theory_exit(self, capsys, tmp_path):
-        f, g = self.listed_pair(capsys, tmp_path, "classical:2", 0, -1)
-        message = ("verify thm2 runs theory 'classical-2' in its canonical coordinates "
-                   "and does not accept --first/--second files")
-        with pytest.raises(SystemExit, match=re.escape(message)):
-            cli.main(["verify", "thm2", "--theory", "classical:2", "--first", f, "--second", g])
+    def test_verify_files_of_a_canonicalized_theory(self, capsys, tmp_path):
+        # the files hold effects of the named theory; the verifier maps them into
+        # the canonical coordinates it runs in
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps({"name": "scaled", "dim": 3,
+                                      "vertices": [[3, 0, 0], [0, 3, 0], [0, 0, 3]],
+                                      "unit_effect": ["1/3", "1/3", "1/3"]}))
+        for theory in ("classical:2", str(scaled)):
+            f, g = self.listed_pair(capsys, tmp_path, theory, 0, -1)
+            for which in ("thm1", "cor1", "thm2"):
+                out = self.run(capsys, "verify", which, "--theory", theory, "--first", f,
+                               "--second", g, "--random", "2")
+                assert out["passed"] is True and len(out["reports"]) == 2
+
+    def test_verify_files_of_a_stretched_polygon_are_read_as_they_are(self, capsys, tmp_path):
+        # polygon-psi:8 runs as it is named, though it was built by the stretch, so
+        # the files it lists are not stretched again
+        paths = self.listed_pair(capsys, tmp_path, "polygon-psi:8", 0, 2)
+        t = psi_transform(make_polygon(8))
+        f, g = (model.load_measurement(p, t.ctx) for p in paths)
+        rep = harness.verify_thm2(t, f, g, harness.random_joint(t, f, g, np.random.default_rng(0)))
+        out = self.run(capsys, "verify", "thm2", "--theory", "polygon-psi:8", "--first", paths[0],
+                       "--second", paths[1], "--random", "1")
+        assert out["reports"] == [json.loads(json.dumps(rep.to_dict(), default=float))]
 
     def test_verify_lone_second_exits(self, tmp_path):
         # effects summing to (10, 10, 10): read, the file would be rejected too

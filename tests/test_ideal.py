@@ -425,7 +425,8 @@ class TestPsiTransform:
 
     def test_round_trip_bitwise_float(self):
         raw = make_polygon(6)
-        back = psi_transform(psi_transform(raw), inverse=True)
+        hat = psi_transform(raw)
+        back = hat.coordinates.inverse.theory(hat, None)
         for v, w in zip(raw.vertices, back.vertices):
             assert v == pytest.approx(w, abs=1e-12)
 

@@ -36,7 +36,7 @@ from gptlab.model import (
     validate_measurement,
     validate_theory,
 )
-from gptlab.scalars import EXACT, InnerProduct, dot, float_vec, vadd, vscale, vsub
+from gptlab.scalars import EXACT, InnerProduct, dot, vadd, vscale, vsub
 from gptlab.symmetry import automorphism_group, is_self_dual
 
 from helpers import (
@@ -405,7 +405,7 @@ class TestFacetMembership:
             t = t_exact if exact else theory_to_float(t_exact)
             ctx = t.ctx
             for point, expected in queries:
-                omega = point if exact else float_vec(point)
+                omega = point if exact else tuple(map(float, point))
                 normalised = ctx.eq(effect_eval(t, t.unit_effect, omega), 1)
                 lp = cone_member(t.cone, omega, ctx) and normalised
                 brute = member_bruteforce(t.vertices, omega, ctx) and normalised

@@ -22,11 +22,16 @@ import gptlab.symmetry
 from gptlab.cli import main as cli_main
 from gptlab.cones import Cone, cone_member, dual_cone, normalize_ray
 from gptlab.harness import prepare_conforming
-from gptlab.ideal import indecomposable_pure_effects, psi_transform
-from gptlab.model import Theory, load_theory, make_classical, make_polygon, theory_to_float
+from gptlab.ideal import (
+    binary_ideal_measurement, indecomposable_pure_effects, psi_coordinates, psi_map_effect,
+    psi_map_measurement, psi_transform,
+)
+from gptlab.model import (
+    Coordinates, Theory, load_theory, make_classical, make_polygon, prob_table, theory_to_float,
+)
 from gptlab.scalars import (
     EXACT, FLOAT, InnerProduct, identity, inverse, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
-    narrowed, ordered_matmul, stacked, stacked_inverse, transpose, unstacked,
+    narrowed, ordered_matmul, stacked, stacked_inverse, transpose, unstacked, vscale,
 )
 from gptlab.symmetry import (
     SymmetryGroup,
@@ -43,9 +48,10 @@ from gptlab.symmetry import (
 
 from helpers import (
     assert_validation_matches_oracle, averaged_gram_per_element, automorphism_orders_bruteforce,
-    canonical_group_per_element, dual_cone_reference, j_positive_lp, maximally_mixed_per_element,
-    projector_per_element, search_group_full_depth, search_group_reference, self_dual_lp,
-    vertex_extreme,
+    canonical_group_per_element, canonical_theory_reference, dual_cone_reference, j_positive_lp,
+    maximally_mixed_per_element, projector_per_element, psi_effect_reference,
+    psi_theory_reference, rescale_unit_norm_reference, search_group_full_depth,
+    search_group_reference, self_dual_lp, vertex_extreme,
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -1122,3 +1128,117 @@ class TestEffectAction:
         assert copy.group_cache is None and automorphism_group(copy) is not g
         assert calls == ["polygon-12-psi", "copy"]
         assert automorphism_group(t.with_group(g)) is g and len(calls) == 2
+
+
+def scaled_classical_2(scale):
+    """classical-2 with its vertices times ``scale`` and its unit effect over it."""
+    t = make_classical(2)
+    return Theory("classical-2-scaled", tuple(vscale(scale, v) for v in t.vertices),
+                  vscale(1 / scale, t.unit_effect), EXACT)
+
+
+def theory_repr(t) -> str:
+    """Every value field of ``t`` and its kept group, floats bit for bit."""
+    g = t.group_cache
+    return repr((t.name, t.ctx, t.kind, t.n, t.canonicalized, t.vertices, t.unit_effect,
+                 None if g is None else (g.nums.tolist(), g.den, g.perms)))
+
+
+class TestCoordinates:
+    """``model.Coordinates``, the one record of every coordinate change: the four
+    re-expressions against the arithmetic they had before it (``helpers``), and the
+    record itself keeping every probability and undoing itself."""
+
+    @staticmethod
+    def canonical_inputs(tmp_path) -> list:
+        theories = [make_classical(n) for n in range(1, 6)]
+        theories += [load_theory(p) for p in structure_theory_files(tmp_path, seed=5).values()]
+        return theories + [scaled_classical_2(Fr(3)), scaled_classical_2(Fr(7, 5))]
+
+    @pytest.mark.parametrize("n", range(4, 65, 2))
+    def test_psi_matches_the_reference(self, n):
+        raw = make_polygon(n)
+        hat = psi_transform(raw)
+        assert theory_repr(hat) == theory_repr(psi_theory_reference(raw))
+        assert hat.coordinates is psi_coordinates(n)
+        for e in (*indecomposable_pure_effects(raw), *indecomposable_pure_effects(hat),
+                  (0.3, -0.2, 0.7)):
+            for back in (False, True):
+                assert repr(psi_map_effect(e, n, back)) == repr(psi_effect_reference(e, n, back))
+        f = binary_ideal_measurement(raw, 1)
+        ref = replace(f, effects=tuple(psi_effect_reference(e, n) for e in f.effects))
+        assert repr(psi_map_measurement(f, n)) == repr(ref)
+
+    def test_rescale_and_canonicalize_match_the_reference(self, tmp_path):
+        for t in self.canonical_inputs(tmp_path):
+            assert theory_repr(rescale_unit_norm(t)) == theory_repr(rescale_unit_norm_reference(t))
+            form = canonicalize(t)
+            ref = canonical_theory_reference(t, form.transform)
+            assert theory_repr(form.theory) == theory_repr(ref)
+            assert form.group is form.theory.group_cache
+
+    def reexpressed(self, tmp_path):
+        """``(t, re-expressed t)`` for all four re-expressions and ``prepare_conforming``."""
+        for n in (4, 8, 12):
+            yield make_polygon(n), psi_transform(make_polygon(n))
+        for t in self.canonical_inputs(tmp_path):
+            yield t, rescale_unit_norm(t)
+            yield t, canonicalize(t).theory
+        ident = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        yield make_classical(2), xi_canonicalize(make_classical(2), identity(3, EXACT))
+        yield make_polygon(5), xi_canonicalize(make_polygon(5), ident)
+        shrink = ((0.25, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 1.0))
+        yield stretched_pentagon(), xi_canonicalize(stretched_pentagon(), shrink)
+        for t in (make_polygon(5), make_polygon(8), psi_transform(make_polygon(8)),
+                  make_classical(3)):
+            yield t, prepare_conforming(t)
+
+    def test_probabilities_kept(self, tmp_path):
+        # every effect on every vertex, mapped against unmapped: within tol, and
+        # exactly when the record keeps the theory exact
+        exact = 0
+        for t, out in self.reexpressed(tmp_path):
+            c = out.coordinates
+            effects = [t.unit_effect, *unstacked(*t.facet_table[:2], t.ctx).tolist()]
+            mapped = prob_table(out, [c.effect(e) for e in effects])
+            assert repr(out.vertices) == repr(tuple(map(c.state, t.vertices)))
+            assert repr(out.unit_effect) == repr(c.effect(t.unit_effect))
+            if out.ctx.exact:
+                exact += 1
+                assert mapped == prob_table(t, effects)
+            else:
+                assert np.allclose(mapped, np.array(prob_table(t, effects), dtype=float),
+                                   rtol=0, atol=out.ctx.tol)
+        assert exact >= 3  # classical-3 and classical-3 x 7/5 rescale exactly, and the exact xi
+
+    def test_round_trip_through_inverse(self, tmp_path):
+        for t, out in self.reexpressed(tmp_path):
+            c, ctx = out.coordinates, out.ctx
+            assert c.inverse.inverse == c and c.then(c.inverse).steps == c.steps + c.inverse.steps
+            back = c.inverse.theory(out, None)
+            assert back.coordinates is c.inverse
+            for v, w in zip(t.vertices, back.vertices):
+                assert ctx.vec_eq(v, w)
+            for e in t.facet_table[0].tolist():
+                assert ctx.vec_eq(c.inverse.effect(c.effect(e)), e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.fractions(max_denominator=10**6), st.integers(-2**70, 2**70)),
+                    min_size=3, max_size=3),
+           st.lists(st.floats(-1e6, 1e6), min_size=9, max_size=9))
+    def test_exact_entries_meet_a_float_step_as_mat_vec_has_them(self, v, entries):
+        # the record rounds exact entries once before a float step; the products of
+        # mat_vec round them one at a time, to the same floats
+        m = (tuple(entries[:3]), tuple(entries[3:6]), tuple(entries[6:]))
+        c = Coordinates(((m, m),))
+        assert repr(c.state(tuple(v))) == repr(mat_vec(m, v))
+        assert repr(c.effect(tuple(v))) == repr(mat_vec(transpose(m), v))
+
+    def test_record_kept_per_instance(self):
+        # like group_cache: not compared, not shown, not copied by replace
+        hat = psi_transform(make_polygon(8))
+        copy = replace(hat)
+        assert copy == hat and repr(copy) == repr(hat) and "coordinates" not in repr(hat)
+        assert copy.coordinates == Coordinates() and hat.coordinates.steps
+        assert prepare_conforming(hat).coordinates == Coordinates()
+        assert make_polygon(8).coordinates.state((1, 2, 3)) == (1, 2, 3)
