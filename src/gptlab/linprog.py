@@ -9,14 +9,12 @@ An LP keeps its rows as blocks ``[A | b]``, each one 2-D array: one that a
 builder such as ``cones.cone_lp`` writes in one step, or a row added alone.
 :func:`lp_solve` and :func:`lp_feasible` share one path: convert the blocks,
 objective and bounds once, into float64 or int numerators over one
-denominator; substitute ``x = x0 + S.y``, ``y >= 0`` (Chvatal 1983, ch. 8): a
-lower-bounded variable is ``l + y``, one with only an upper bound ``u - y``, a
-free one ``y+ - y-``, and an upper bound beside a lower one is a ``<=`` row (S
-= I when every variable has a lower bound; offsets ``b - a_j x0_j`` sum in
-ascending j, with the bits of scalar arithmetic); run phase 1 (and phase 2 for
-``lp_solve``) on the numerators in the tableau; map the basic point back and
-certify it.  A scalar lower bound of +0 (every cone LP's) with no right-hand side
--0.0 is ``x = y + 0``: no offsets and no gather in the map back.
+denominator; write the standard form ``y >= 0`` (Chvatal 1983, ch. 8), in which a
+variable with a lower bound of 0 or more is one column, ``x = y + 0``, and any
+other is ``x = y+ - y-``, two adjacent columns, and every bound but ``x >= 0`` is
+a row after the blocks: the lower bounds as ``>=`` rows, then the upper bounds as
+``<=`` rows, each in variable order; run phase 1 (and phase 2 for ``lp_solve``)
+on the numerators in the tableau; map the basic point back and certify it.
 
 One tableau serves both scalar modes (:class:`_Tableau`): the rows and then the
 objective row (Chvatal 1983, ch. 2), right-hand side and -z last, in one array
@@ -62,7 +60,8 @@ class LinearProgram:
     A block ``(ab, rels, den)`` is the rows ``[A | b] / den`` of the 2-D array `ab`
     of scalars (numbers, or over 1 'p/q' strings), one relation each.
     Variables are free unless bounded: `lower` and `upper` may be None (all free),
-    a scalar for every variable, or a per-variable sequence with None unbounded.
+    a scalar for every variable, or a per-variable sequence (a NumPy array is kept as
+    a list) with None unbounded.
     """
 
     n_vars: int
@@ -78,6 +77,8 @@ class LinearProgram:
                 f"objective has {len(self.objective)} coefficients, expected {self.n_vars}")
         for name in ("lower", "upper"):
             b = getattr(self, name)
+            if isinstance(b, np.ndarray):  # a sequence of Python scalars, or one scalar
+                setattr(self, name, b := b.tolist())
             if isinstance(b, (list, tuple)) and len(b) != self.n_vars:
                 raise ValueError(f"{name} has {len(b)} bounds, expected {self.n_vars}")
 
@@ -273,18 +274,15 @@ def _converted(blocks, ctx: Context):
 
 @np.errstate(invalid="ignore", over="ignore")  # a nan or inf result raises below
 def _standardize(p: LinearProgram, ctx: Context):
-    """The substitution of the module docstring, a slack per inequality row, and rows
+    """The standard form of the module docstring, a slack per inequality row, and rows
     with a negative right-hand side negated.  Returns (rows, rhs, den, cost, recover,
-    const, ncols, data): numerators over den, a map from a standard point y back to x,
-    the objective offset, and the LP as converted, which :func:`_certify` checks.
-    A scalar lower bound of +0 is ``x = y + 0`` (module docstring)."""
+    ncols, data): numerators over den, a map from a standard point y back to x, and the
+    LP as converted, which :func:`_certify` checks."""
     if p.sense not in ("min", "max"):
         raise ValueError(f"unknown sense {p.sense!r}")
     n, rels = p.n_vars, [rel for _, block_rels, _ in p.blocks for rel in block_rels]
     (lo, has_lo), (up, has_up), m = _bounds(p.lower, n), _bounds(p.upper, n), len(rels)
-    plain = isinstance(p.lower, (int, float, Fraction)) and p.lower == 0 and not (
-        math.copysign(1, p.lower) < 0)
-    # [A | b], the objective and the bounds over one den, products of two over den**2
+    # [A | b], the objective and the bounds over one den
     if ctx.exact:
         extra = np.array([[*p.objective, 0], lo + [0], up + [0]], dtype=object)
         arr, den = _converted(p.blocks + [(extra, (), 1)], ctx)
@@ -294,61 +292,42 @@ def _standardize(p: LinearProgram, ctx: Context):
         obj, lo, up = stacked([p.objective, lo, up], ctx)[0]
     obj = -obj if p.sense == "max" else obj
 
-    # an upper bound beside a lower bound is the row y <= u - l
-    both = np.flatnonzero(has_lo & has_up)
-    if both.size:
-        ab = np.concatenate((ab, np.zeros((len(both), n + 1), dtype=ab.dtype)))
-        ab[range(m, m + len(both)), both] = den
-        ab[m:, -1], rels = up[both], rels + [LE] * len(both)
-    scale, rhs, const, cost, ident, var = 1, ab[:, -1], ctx.zero(), obj, True, range(n)
-    negative_zero = not ctx.exact and np.signbit(rhs[rhs == 0]).any()
-    if plain and not negative_zero:
-        def recover(y):
-            return tuple((np.array(y[:n], dtype=ab.dtype) + 0).tolist())
-    else:
-        x0, fixed = np.where(has_lo, lo, up), has_lo | has_up
-        # one (variable, sign) pair per column of S: l + y, u - y, or y+ - y-; S = I if
-        # every x >= l
-        ident, first = has_lo.all(), np.arange(n)
-        var, sign, second, back = first, 1, first, 1  # back: the sign of x's second column
-        if not ident:
-            width = 2 - fixed
-            var, first = np.repeat(first, width), np.cumsum(width) - width
-            sign = np.ones(len(var), dtype=int)
-            sign[np.concatenate((first[has_up & ~has_lo], first[~fixed] + 1))] = -1
-            cost, second = obj[var] * sign, first + ~fixed  # second: y- for a free x, else y
-            back = sign[second]
-        # b - a_j x0_j and the offset obj_j x0_j over den**2, summed in ascending j, skipping
-        # a zero a_j, and a zero x0_j unless some b is -0.0, the one value its signed zero
-        # changes
-        shift = fixed & ((x0 != 0) | negative_zero)
-        if shift.any():
-            a = ab[:, np.flatnonzero(shift)]
-            a = np.multiply(a, x0[shift], out=np.zeros_like(a), where=a != 0)
-            rhs = np.subtract.accumulate(np.hstack([rhs[:, None] * den, a]), axis=1)[:, -1]
-            scale = den
-            const = np.add.accumulate(np.concatenate(([0], obj[shift] * x0[shift]))).item(-1)
-        if ctx.exact:
-            x0, const = unstacked(x0, den, ctx), Fraction(const, den**2)
+    # every bound but x >= 0 is a row: the lower bounds, then the upper bounds
+    low, free = has_lo & (lo != 0), ~(has_lo & (lo >= 0))
+    bound = np.concatenate((np.flatnonzero(low), np.flatnonzero(has_up)))
+    if bound.size:
+        unit = np.zeros((bound.size, n + 1), dtype=ab.dtype)
+        unit[range(bound.size), bound] = den
+        unit[:, -1] = np.concatenate((lo[low], up[has_up]))
+        ab = np.concatenate((ab, unit))
+        rels = rels + [GE] * int(low.sum()) + [LE] * int(has_up.sum())
+    # x = y+ - y- in the columns first and first + 1 where x is free, else x = y + 0
+    first, cost, s = np.arange(n), obj, ab[:, :n]
+    if free.any():
+        width = 1 + free
+        var, first = np.repeat(first, width), np.cumsum(width) - width
+        sign = np.ones(len(var), dtype=int)
+        sign[first[free] + 1] = -1
+        cost, s = obj[var] * sign, ab[:, var] * sign
+    s = s if ctx.exact else s + 0  # + 0: a zero coefficient is 0.0, not -0.0
 
-        def recover(y):
-            y = np.array(y, dtype=ab.dtype)
-            return tuple((np.where(fixed, x0, y[first]) + back * y[second]).tolist())
+    def recover(y):
+        y = np.array(y, dtype=ab.dtype)
+        return tuple(np.where(free, y[first] - y[first + free], y[first] + 0).tolist())
 
-    s = ab[:, :n] if ident else ab[:, var] * sign
-    s = s * scale if ctx.exact else s + 0  # + 0: a zero coefficient is 0.0, not -0.0
+    rhs = ab[:, -1]
     ineq = [i for i, rel in enumerate(rels) if rel != EQ]
     slack = np.zeros((len(rels), len(ineq)), dtype=ab.dtype)
-    slack[ineq, range(len(ineq))] = [den * scale if rels[i] == LE else -den * scale for i in ineq]
+    slack[ineq, range(len(ineq))] = [den if rels[i] == LE else -den for i in ineq]
     block = np.concatenate((s, slack, rhs[:, None]), axis=1)
     np.negative(block, out=block, where=(rhs < 0)[:, None])
 
-    if not ctx.exact and not np.isfinite(np.concatenate((block.ravel(), cost, [const]))).all():
+    if not ctx.exact and not np.isfinite(np.concatenate((block.ravel(), cost))).all():
         raise ValueError("LP objective, constraints and bounds must be finite")
     if ctx.exact:
         cost = unstacked(cost, den, ctx)
-    return (block[:, :-1], block[:, -1], den * scale, cost.tolist() + [ctx.zero()] * len(ineq),
-            recover, const, len(var) + len(ineq), (ab[:m], lo, up, den, rels[:m], has_lo, has_up))
+    return (block[:, :-1], block[:, -1], den, cost.tolist() + [ctx.zero()] * len(ineq),
+            recover, len(cost) + len(ineq), (ab[:m], lo, up, den, rels[:m], has_lo, has_up))
 
 
 def _phase1(tab, nstruct: int, ctx: Context) -> str:
@@ -406,7 +385,7 @@ def _certify(p: LinearProgram, data, x, ctx: Context):
 def _solve(p: LinearProgram, ctx: Context, optimise: bool) -> tuple:
     """(status, value, x): phase 1 on the standard form of p, then phase 2
     when `optimise`; an optimal or feasible x is certified."""
-    rows, rhs, den, cost, recover, const, nstruct, data = _standardize(p, ctx)
+    rows, rhs, den, cost, recover, nstruct, data = _standardize(p, ctx)
     status, z, y = "optimal", ctx.zero(), [ctx.zero()] * nstruct
     if len(rhs):
         tab = _Tableau(rows, rhs, ctx, den)
@@ -423,7 +402,7 @@ def _solve(p: LinearProgram, ctx: Context, optimise: bool) -> tuple:
         return status, None, None
     x = recover(y)
     _certify(p, data, x, ctx)
-    value = -z + const
+    value = -z + 0  # + 0: a -0.0 optimum reads 0.0
     return status, -value if p.sense == "max" else value, x
 
 

@@ -62,6 +62,12 @@ if TYPE_CHECKING:
 _BATCH_CELLS = 1 << 16
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, which a write now raises ValueError on, as ``SymmetryGroup.nums``."""
+    a.flags.writeable = False
+    return a
+
+
 def _through(maps, v) -> tuple:
     """``v`` through each matrix by ``mat_vec``; exact entries meet a float matrix as
     floats, rounded once here as each product (``float * float(Fraction)``) rounds them."""
@@ -178,7 +184,8 @@ class Theory:
         scaled so that ``r . omega_M = 1`` (``omega_M`` the vertex average), in the form
         ``scalars.stacked`` gives: Python ints over one denominator, or float64 over 1.
         Every facet sign check and compat LP reads them.  ``tight[j, i]``: facet ``j``
-        holds vertex ``i``.  Raises ValueError when the vertices do not span the space."""
+        holds vertex ``i``.  Both arrays are read-only.  Raises ValueError when the
+        vertices do not span the space."""
         ctx = self.ctx
         try:
             dual = dual_cone(self.cone, self.inner, ctx)
@@ -188,15 +195,17 @@ class Theory:
         (normals, _), (verts, vden) = stacked(dual.generators, ctx), stacked(self.vertices, ctx)
         total = np.array(functools.reduce(vadd, verts))[:, None]  # n_vertices omega_M, times vden
         sums, tight = ordered_matmul(normals, total), ctx.is_zero(ordered_matmul(normals, verts.T))
-        if not ctx.exact:
-            return normals * (self.n_vertices / sums), 1, tight
-        den = math.lcm(*sums.ravel().tolist())
-        return (*reduced(normals * (self.n_vertices * vden * (den // sums)), den), tight)
+        if ctx.exact:
+            den = math.lcm(*sums.ravel().tolist())
+            rays, den = reduced(normals * (self.n_vertices * vden * (den // sums)), den)
+        else:
+            rays, den = normals * (self.n_vertices / sums), 1
+        return _read_only(rays), den, _read_only(tight)
 
     @cached_property
     def effect_action(self) -> tuple:
-        """``facet_perms``: how the automorphism group acts on effects, as an array.
-        Found on first use and kept on this instance.
+        """``facet_perms``: how the automorphism group acts on effects, as a read-only
+        array.  Found on first use and kept on this instance.
 
         Element ``k``, the state map ``T``, sends the row ``e`` to ``e T`` and fixes
         ``omega_M``.  So the row ``r_j T`` of ``facet_table``'s ray ``r_j`` keeps
@@ -226,7 +235,7 @@ class Theory:
             if not (key[found] == images).all():
                 raise RuntimeError(f"the group of theory {self.name!r} does not permute its facets")
             facet_perms[start:start + step] = found
-        return facet_perms
+        return _read_only(facet_perms)
 
     def with_group(self, group) -> "Theory":
         """A copy with no coordinate record that keeps ``group`` as its automorphism group."""

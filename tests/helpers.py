@@ -476,112 +476,72 @@ class ListTableau:
 
 
 def standardize_reference(p: LinearProgram, ctx: Context):
-    """Shift/split variables to y >= 0 and build equality rows with slacks.
+    """The oracle for `linprog._standardize`, in list arithmetic.
 
-    The oracle for `linprog._standardize`: one kind tag per variable and
-    a branch per kind in the cost, the rows and `recover`, with every
-    scalar operation in the same order as the substitution.
+    A variable with a lower bound of 0 or more is one column ``y``; any other
+    is ``y+ - y-``, two adjacent columns.  Every bound but ``x >= 0`` is a row
+    after the LP's own: the lower bounds as ``>=`` rows, then the upper bounds
+    as ``<=`` rows, each in variable order.  A slack per inequality row, then
+    rows with a negative right-hand side negated.
 
-    Returns (rows, rhs, cost, recover, const, ncols) where recover maps a
-    standard point y back to original coordinates and const is the
-    objective offset.
+    Returns (rows, rhs, cost, recover, ncols) where recover maps a standard
+    point y back to original coordinates.
     """
     zero, one = ctx.zero(), ctx.one()
-    cols = []  # per original var: ("shift", col, lb) | ("neg", col, ub) | ("split", c+, c-)
-    extra_rows = []  # upper-bound rows added as constraints
-    ncol = 0
-    for j in range(p.n_vars):
-        lb, ub = p._bound("lo", j), p._bound("up", j)
-        if lb is not None:
-            lb = ctx.convert(lb)
-            cols.append(("shift", ncol, lb))
-            ncol += 1
-            if ub is not None:
-                extra_rows.append((j, LE, ctx.convert(ub)))
-        elif ub is not None:
-            cols.append(("neg", ncol, ctx.convert(ub)))
-            ncol += 1
-        else:
-            cols.append(("split", ncol, ncol + 1))
-            ncol += 2
+    if p.sense not in ("min", "max"):
+        raise ValueError(f"unknown sense {p.sense!r}")
+    n = p.n_vars
+    lower = [None if p._bound("lo", j) is None else ctx.convert(p._bound("lo", j))
+             for j in range(n)]
+    upper = [None if p._bound("up", j) is None else ctx.convert(p._bound("up", j))
+             for j in range(n)]
+    free = [lb is None or not lb >= 0 for lb in lower]
+    cols, ncol = [], 0  # per variable, its first column
+    for j in range(n):
+        cols.append(ncol)
+        ncol += 2 if free[j] else 1
+
+    def unit(j):
+        return [one if k == j else zero for k in range(n)]
+
+    raw = [([ctx.convert(a) for a in coeffs], rel, ctx.convert(b))
+           for coeffs, rel, b in p.constraints]
+    raw += [(unit(j), GE, lb) for j, lb in enumerate(lower) if lb is not None and lb != 0]
+    raw += [(unit(j), LE, ub) for j, ub in enumerate(upper) if ub is not None]
 
     obj = [ctx.convert(c) for c in p.objective]
     if p.sense == "max":
         obj = [-c for c in obj]
-    elif p.sense != "min":
-        raise ValueError(f"unknown sense {p.sense!r}")
-
     cost = [zero] * ncol
-    const = zero
-    for j, spec in enumerate(cols):
-        cj = obj[j]
-        kind = spec[0]
-        if kind == "shift":
-            cost[spec[1]] = cj
-            const += cj * spec[2]
-        elif kind == "neg":
-            cost[spec[1]] = -cj
-            const += cj * spec[2]
-        else:
-            cost[spec[1]] = cj
-            cost[spec[2]] = -cj
+    for j, c in enumerate(obj):
+        cost[cols[j]] = c
+        if free[j]:
+            cost[cols[j] + 1] = -c
 
-    raw = [( [ctx.convert(a) for a in coeffs], rel, ctx.convert(rhs) )
-           for coeffs, rel, rhs in p.constraints]
-    for j, rel, bound in extra_rows:
-        unit = [zero] * p.n_vars
-        unit[j] = one
-        raw.append((unit, rel, bound))
-
-    rows, rhs, rels = [], [], []
+    nslack = sum(rel != EQ for _, rel, _ in raw)
+    rows, rhs, k = [], [], 0
     for coeffs, rel, b in raw:
-        row = [zero] * ncol
+        row = [zero] * (ncol + nslack)
         for j, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            spec = cols[j]
-            if spec[0] == "shift":
-                row[spec[1]] += a
-                b -= a * spec[2]
-            elif spec[0] == "neg":
-                row[spec[1]] -= a
-                b -= a * spec[2]
-            else:
-                row[spec[1]] += a
-                row[spec[2]] -= a
+            if a != 0:
+                row[cols[j]] += a
+                if free[j]:
+                    row[cols[j] + 1] -= a
+        if rel != EQ:
+            row[ncol + k] = one if rel == LE else -one
+            k += 1
         rows.append(row)
         rhs.append(b)
-        rels.append(rel)
-
-    if not ctx.exact and not all(map(math.isfinite, chain(cost, (const,), rhs, *rows))):
+    if not ctx.exact and not all(map(math.isfinite, chain(cost, rhs, *rows))):
         raise ValueError("LP objective, constraints and bounds must be finite")
-
-    # slacks; then flip rows with negative rhs so b >= 0
-    nslack = sum(1 for r in rels if r != EQ)
-    srow = 0
-    for i, rel in enumerate(rels):
-        rows[i] = rows[i] + [zero] * nslack
-        if rel != EQ:
-            rows[i][ncol + srow] = one if rel == LE else -one
-            srow += 1
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    cost = cost + [zero] * nslack
+    for i, b in enumerate(rhs):
+        if b < 0:
+            rows[i], rhs[i] = [-v for v in rows[i]], -b
 
     def recover(y):
-        out = []
-        for spec in cols:
-            if spec[0] == "shift":
-                out.append(y[spec[1]] + spec[2])
-            elif spec[0] == "neg":
-                out.append(spec[2] - y[spec[1]])
-            else:
-                out.append(y[spec[1]] - y[spec[2]])
-        return tuple(out)
+        return tuple(y[c] - y[c + 1] if f else y[c] + 0 for c, f in zip(cols, free))
 
-    return rows, rhs, cost, recover, const, ncol + nslack
+    return rows, rhs, cost + [zero] * nslack, recover, ncol + nslack
 
 
 def highs(p: LinearProgram, feasibility: bool = False):

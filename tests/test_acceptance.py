@@ -291,7 +291,7 @@ def test_criterion_11_oracle_equivalences():
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0)
     )
 
-    # (c) automorphism backtracking against the closed-form group orders
+    # (c) the breadth-first automorphism search against the closed-form group orders
     ok_c = True
     for n in (3, 4, 5, 6, 8):
         ok_c = ok_c and automorphism_group(make_polygon(n)).order == 2 * n

@@ -1,5 +1,5 @@
 """Simplex solver: worked examples, duality, exact arithmetic, and three oracles:
-the list tableau and the per-kind standard form, bit for bit in float and
+the list tableau and the list-built standard form, bit for bit in float and
 exact mode, and scipy's HiGHS."""
 
 import random
@@ -256,10 +256,30 @@ def test_added_rows_are_blocks_of_their_own():
     (1, dict(objective=[1.0, -5.0]), "objective has 2 coefficients, expected 1"),
     (2, dict(objective=[1.0, 1.0], lower=[0.0]), "lower has 1 bounds, expected 2"),
     (2, dict(objective=[1.0, 1.0], upper=(1.0, 2.0, 3.0)), "upper has 3 bounds, expected 2"),
+    (2, dict(objective=[1.0, 1.0], lower=np.zeros(3)), "lower has 3 bounds, expected 2"),
+    (2, dict(objective=[1.0, 1.0], upper=np.array([Fr(1)])), "upper has 1 bounds, expected 2"),
 ])
 def test_malformed_shape_rejected_when_built(n_vars, kw, message):
     with pytest.raises(ValueError, match=message):
         LinearProgram(n_vars=n_vars, **kw)
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_numpy_bounds_are_per_variable(ctx):
+    # an array of bounds, of floats or of Fractions, solves as the list of its entries
+    c = ctx.convert
+    dtype = object if ctx.exact else float
+    for lower, upper in [([-2, None, Fr(1, 3)], [5, 1, None]), ([-2, 0, 0], [5, 1, 3])]:
+        lower, upper = ([None if b is None else c(b) for b in bs] for bs in (lower, upper))
+        kinds = [dtype, object] if None not in lower + upper else [object]
+        for lo, up in [(lower, upper)] + [(np.array(lower, dtype=k), np.array(upper, dtype=k))
+                                          for k in kinds]:
+            p = LinearProgram(3, [c(1), c(-1), c(2)], lower=lo, upper=up)
+            p.add([c(1), c(1), c(1)], GE, c(1))
+            got = repr(lp_solve(p, ctx))
+            assert got == repr(lp_solve(LinearProgram(3, p.objective, lower=lower, upper=upper).add(
+                [c(1), c(1), c(1)], GE, c(1)), ctx))
+    assert lp_solve(LinearProgram(2, [1.0, 1.0], lower=np.zeros(2))).point == (0.0, 0.0)
 
 
 def test_bounds_only_no_rows():
@@ -791,17 +811,17 @@ def test_random_exact_lps_bit_identical(p):
 
 
 # ---------------------------------------------------------------------------
-# the substitution x = x0 + S.y against the per-kind standard form, bit for bit
+# the standard form against the list-built one, bit for bit
 
 def assert_same_standard_form(p, ctx):
-    """`_standardize` gives the reference's rows, rhs, cost, offset and column
-    count, and its `recover` maps random nonnegative points to the same x."""
-    rows, rhs, den, cost, recover, const, ncols, _data = linprog._standardize(p, ctx)
+    """`_standardize` gives the reference's rows, rhs, cost and column count,
+    and its `recover` maps random nonnegative points to the same x."""
+    rows, rhs, den, cost, recover, ncols, _data = linprog._standardize(p, ctx)
     if ctx.exact:  # numerators over den, as the Fractions of the reference
         rows, rhs = (np.frompyfunc(Fr, 2, 1)(a, den) for a in (rows, rhs))
-    ref_rows, ref_rhs, ref_cost, ref_recover, ref_const, ref_ncols = standardize_reference(p, ctx)
-    assert repr((rows.tolist(), rhs.tolist(), cost, const, ncols)) == repr(
-        (ref_rows, ref_rhs, ref_cost, ref_const, ref_ncols))
+    ref_rows, ref_rhs, ref_cost, ref_recover, ref_ncols = standardize_reference(p, ctx)
+    assert repr((rows.tolist(), rhs.tolist(), cost, ncols)) == repr(
+        (ref_rows, ref_rhs, ref_cost, ref_ncols))
     values = [ctx.convert(v) for v in (0, 1, 2, "1/3", "5/2", "1/10")]
     points = []
     if not ctx.exact:
@@ -826,8 +846,8 @@ def test_random_exact_standard_form_matches_reference(p):
 
 
 @pytest.mark.parametrize("lower, upper, rhs", [
-    (0.0, None, -0.0),  # x = y, but a -0.0 right-hand side takes the offsets' path
-    (-0.0, None, 1.0),  # x = -0.0 + y: not the +0 lower bound of the cone LPs
+    (0.0, None, -0.0),  # a -0.0 right-hand side stays as given, and is not negated
+    (-0.0, None, 1.0),  # x >= -0.0 is x >= 0: one column and no row, as for +0
     (0.0, [None, 2.0, None], 1.0),  # x = y + 0 and a bound row
     (0.0, [None, -0.0, None], 1.0),  # a bound row with a -0.0 right-hand side
 ], ids=["rhs-negative-zero", "lower-negative-zero", "upper-with-none", "upper-negative-zero"])
@@ -847,6 +867,41 @@ def test_zero_lower_bound_standard_forms(lower, upper, rhs):
     assert_same_standard_form(exact, EXACT)
 
 
+def bounds_as_rows(p, ctx):
+    """p with every bound but ``x >= 0`` written out by hand: `lower` 0 where it is 0
+    or more, else None, and the lower bounds as ``>=`` rows, then the upper bounds as
+    ``<=`` rows, each in variable order, after p's own rows."""
+    n, zero, one = p.n_vars, ctx.zero(), ctx.one()
+    lower = [p._bound("lo", j) for j in range(n)]
+    upper = [p._bound("up", j) for j in range(n)]
+    hand = LinearProgram(n, p.objective, p.sense, lower=[
+        None if lb is None or not ctx.convert(lb) >= 0 else zero for lb in lower])
+    for ab, rels, den in p.blocks:
+        hand.add_block(ab, rels, den)
+    units = [[one if k == j else zero for k in range(n)] for j in range(n)]
+    for j, lb in enumerate(lower):
+        if lb is not None and ctx.convert(lb) != 0:
+            hand.add(units[j], GE, lb)
+    for j, ub in enumerate(upper):
+        if ub is not None:
+            hand.add(units[j], LE, ub)
+    return hand
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_lps(numbers=NUMBERS + [1 / 3, 0.1, -0.7]), st.sampled_from([FLOAT, EXACT]))
+def test_bounds_solve_as_rows(p, ctx):
+    if ctx.exact:
+        exact = LinearProgram(p.n_vars, [Fr(c) for c in p.objective], p.sense, lower=p.lower,
+                              upper=p.upper)
+        for coeffs, rel, b in p.constraints:
+            exact.add([Fr(x) for x in coeffs], rel, Fr(b))
+        p = exact
+    hand = bounds_as_rows(p, ctx)
+    for solver in (lp_solve, lp_feasible):
+        assert repr(solver(p, ctx)) == repr(solver(hand, ctx))
+
+
 def test_solver_standard_forms_match_reference():
     for n, skew in COMPAT_CASES:
         for _family, _solver, p in compat_lps(n, skew):
@@ -859,12 +914,12 @@ def test_solver_standard_forms_match_reference():
 
 
 def standard_form_values(p, ctx) -> str:
-    """`repr` of the rows, rhs, cost, offset and column count of p's standard form,
+    """`repr` of the rows, rhs, cost and column count of p's standard form,
     exact numerators as the Fractions they stand for."""
-    rows, rhs, den, cost, _recover, const, ncols, _data = linprog._standardize(p, ctx)
+    rows, rhs, den, cost, _recover, ncols, _data = linprog._standardize(p, ctx)
     if ctx.exact:
         rows, rhs = (np.frompyfunc(Fr, 2, 1)(a, den) for a in (rows, rhs))
-    return repr((rows.tolist(), rhs.tolist(), cost, const, ncols))
+    return repr((rows.tolist(), rhs.tolist(), cost, ncols))
 
 
 def record_cone_lps(calls) -> list:

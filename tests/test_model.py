@@ -490,6 +490,20 @@ class TestFacetTable:
         min_mur_linf(make(), f, g)  # a fresh instance describes its own facets
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("make", [lambda: make_classical(3),
+                                      lambda: psi_transform(make_polygon(8))],
+                             ids=["classical-3", "psi-8"])
+    def test_table_and_action_are_read_only(self, make):
+        # a write would change every later membership test and compat LP on the instance
+        t = make()
+        (rays, _den, tight), action = t.facet_table, t.effect_action
+        for array in (rays, tight, action):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = array[0, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            rays *= 2
+        assert in_state_space(t, t.vertices[0]) and t.facet_table[0] is rays
+
 
 class TestTheoryValidation:
     def test_builtin_theories_pass(self):
