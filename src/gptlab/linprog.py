@@ -293,27 +293,27 @@ def _standardize(p: LinearProgram, ctx: Context):
     obj = -obj if p.sense == "max" else obj
 
     # every bound but x >= 0 is a row: the lower bounds, then the upper bounds
-    low, free = has_lo & (lo != 0), ~(has_lo & (lo >= 0))
-    bound = np.concatenate((np.flatnonzero(low), np.flatnonzero(has_up)))
-    if bound.size:
-        unit = np.zeros((bound.size, n + 1), dtype=ab.dtype)
-        unit[range(bound.size), bound] = den
-        unit[:, -1] = np.concatenate((lo[low], up[has_up]))
-        ab = np.concatenate((ab, unit))
-        rels = rels + [GE] * int(low.sum()) + [LE] * int(has_up.sum())
-    # x = y+ - y- in the columns first and first + 1 where x is free, else x = y + 0
-    first, cost, s = np.arange(n), obj, ab[:, :n]
+    lows, ups = np.flatnonzero(has_lo & (lo != 0)), np.flatnonzero(has_up)
+    if len(lows) + len(ups):
+        unit = np.zeros((len(lows) + len(ups), n + 1), dtype=ab.dtype)
+        unit[range(len(unit)), np.concatenate((lows, ups))] = den
+        unit[:, -1] = np.concatenate((lo[lows], up[ups]))
+        ab, rels = np.concatenate((ab, unit)), rels + [GE] * len(lows) + [LE] * len(ups)
+    # x = y+ - y- in the columns first and second = first + 1 where x is free, else
+    # x = y - (-0), which is y + 0, with -0 appended to y as its last entry
+    free = ~(has_lo & (lo >= 0))
+    first, second, cost, s = np.arange(n), -1, obj, ab[:, :n]
     if free.any():
         width = 1 + free
         var, first = np.repeat(first, width), np.cumsum(width) - width
         sign = np.ones(len(var), dtype=int)
         sign[first[free] + 1] = -1
-        cost, s = obj[var] * sign, ab[:, var] * sign
+        cost, s, second = obj[var] * sign, ab[:, var] * sign, np.where(free, first + 1, -1)
     s = s if ctx.exact else s + 0  # + 0: a zero coefficient is 0.0, not -0.0
 
     def recover(y):
-        y = np.array(y, dtype=ab.dtype)
-        return tuple(np.where(free, y[first] - y[first + free], y[first] + 0).tolist())
+        y = np.array(y + [-ctx.zero()], dtype=ab.dtype)
+        return tuple((y[first] - y[second]).tolist())
 
     rhs = ab[:, -1]
     ineq = [i for i, rel in enumerate(rels) if rel != EQ]
