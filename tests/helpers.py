@@ -491,10 +491,11 @@ def standardize_reference(p: LinearProgram, ctx: Context):
     if p.sense not in ("min", "max"):
         raise ValueError(f"unknown sense {p.sense!r}")
     n = p.n_vars
-    lower = [None if p._bound("lo", j) is None else ctx.convert(p._bound("lo", j))
-             for j in range(n)]
-    upper = [None if p._bound("up", j) is None else ctx.convert(p._bound("up", j))
-             for j in range(n)]
+    def bound(which, j):
+        b = p._bound(which, j)
+        return None if b is None else ctx.convert(b)
+
+    lower, upper = [bound("lo", j) for j in range(n)], [bound("up", j) for j in range(n)]
     free = [lb is None or not lb >= 0 for lb in lower]
     cols, ncol = [], 0  # per variable, its first column
     for j in range(n):
