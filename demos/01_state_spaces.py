@@ -10,7 +10,6 @@ import json
 import math
 
 from gptlab import (
-    affine_hull_check,
     effect_eval,
     in_state_space,
     make_classical,
@@ -38,8 +37,8 @@ for n in (3, 4, 5, 6, 8, 12, 16, 32, 64):
 print()
 print("=== structural checks ===")
 t = make_polygon(7)
-info = affine_hull_check(t.vertices, t.ctx)
-print(f"polygon-7 affine hull: dim {info.dim}, origin outside: {info.origin_outside}")
+validate_theory(t)  # unit effect, full dimension (the facet table), extremality
+print(f"polygon-7 facets: {len(t.facet_table[0])}")
 print(f"unit effect on vertex 3: {effect_eval(t, t.unit_effect, t.vertices[3]):.12f}")
 center = (0.0, 0.0, 1.0)
 print(f"center is a state: {in_state_space(t, center)}")

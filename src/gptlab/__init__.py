@@ -16,7 +16,7 @@ Library layout:
 """
 
 from .scalars import Context, EXACT, FLOAT, InnerProduct
-from .cones import Cone, LinealityError, affine_hull_check, cone_member, cones_equal, dual_cone
+from .cones import Cone, LinealityError, cone_member, cones_equal, dual_cone
 from .linprog import FeasibilityResult, LinearProgram, LpResult, lp_feasible, lp_solve
 from .model import (
     Coordinates,

@@ -97,10 +97,6 @@ def joint_violations(t: Theory, j: JointMeasurement) -> list:
     return problems
 
 
-def validate_joint(t: Theory, j: JointMeasurement) -> bool:
-    return not joint_violations(t, j)
-
-
 def _joint(f: Measurement, g: Measurement, cells) -> JointMeasurement:
     """The joint on f's and g's outcomes with cell (a, b) = cells[a * nb + b]."""
     nb = g.n_outcomes

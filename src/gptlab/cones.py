@@ -193,24 +193,3 @@ def dual_cone(c: Cone, g: InnerProduct, ctx: Context = FLOAT) -> Cone:
             raise LinealityError("dual cone degenerated to the origin")
     return Cone(ctx.mat(rays) if ctx.exact else tuple(rays))
 
-
-@dataclass(frozen=True)
-class AffineHullInfo:
-    dim: int
-    origin_outside: bool
-
-
-def affine_hull_check(vertices, ctx: Context = FLOAT) -> AffineHullInfo:
-    """Affine dimension of the hull and whether the origin avoids it.
-
-    A valid state space must have origin_outside True with ambient
-    dimension equal to dim + 1.
-    """
-    if not vertices:
-        raise ValueError("nonempty vertex list required")
-    v0 = vertices[0]
-    diffs = [vsub(v, v0) for v in vertices[1:]]
-    # v0 comes last, so it is chosen only when it lies outside the span of the diffs
-    idx = spanning_rows(diffs + [v0], len(v0), ctx)
-    outside = len(diffs) in idx
-    return AffineHullInfo(dim=len(idx) - outside, origin_outside=outside)

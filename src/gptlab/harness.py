@@ -54,7 +54,7 @@ from .measures import (
     width_index,
     width_profile,
 )
-from .model import Measurement, Theory, in_state_space, make_classical, make_polygon
+from .model import Measurement, Theory, _read_only, in_state_space, make_classical, make_polygon
 from .scalars import dot, ordered_matmul, vadd, vscale
 from .symmetry import canonicalize, is_self_dual
 
@@ -133,11 +133,6 @@ def _cell_states(t: Theory, j: JointMeasurement, check: bool = False) -> list:
                 )
             out.append(((a, b), state))
     return out
-
-
-def witness_candidates(t: Theory, j: JointMeasurement) -> list:
-    """All cell states m_ab / <u, m_ab> with positive mass, checked in Omega."""
-    return [state for _ab, state in _cell_states(t, j, check=True)]
 
 
 def _holds(rows, tol) -> bool:
@@ -363,12 +358,13 @@ def verify_mode(mode: str, t: Theory, f: IdealMeasurement, g: IdealMeasurement,
 def _psi_polygon(n: int) -> tuple:
     """``(raw, hat, vertices)`` for the even n-gon, kept per side count for the
     process: the polygon, its stretch, and both vertex sets as one (2, 3, n)
-    float array, raw first.  The theories' own ``facet_table`` caches then
+    float array, raw first, read-only as the facet table is, since every later
+    probability gate reads it.  The theories' own ``facet_table`` caches then
     fill once.  No compat LP runs on either theory, so ``Theory.lp_runs``
     stays 0."""
     raw = make_polygon(n)
     hat = psi_transform(raw)
-    return raw, hat, np.array([raw.vertices, hat.vertices]).transpose(0, 2, 1)
+    return raw, hat, _read_only(np.array([raw.vertices, hat.vertices]).transpose(0, 2, 1))
 
 
 def verify_thm3_even(n: int, f: IdealMeasurement, g: IdealMeasurement,

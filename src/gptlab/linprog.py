@@ -60,8 +60,8 @@ class LinearProgram:
     A block ``(ab, rels, den)`` is the rows ``[A | b] / den`` of the 2-D array `ab`
     of scalars (numbers, or over 1 'p/q' strings), one relation each.
     Variables are free unless bounded: `lower` and `upper` may be None (all free),
-    a scalar for every variable, or a per-variable sequence (a NumPy array is kept as
-    a list) with None unbounded.
+    a scalar for every variable, or a per-variable sequence of scalars (a NumPy array
+    is kept as a list) with None unbounded; a nested entry raises ValueError.
     """
 
     n_vars: int
@@ -79,8 +79,12 @@ class LinearProgram:
             b = getattr(self, name)
             if isinstance(b, np.ndarray):  # a sequence of Python scalars, or one scalar
                 setattr(self, name, b := b.tolist())
-            if isinstance(b, (list, tuple)) and len(b) != self.n_vars:
+            if not isinstance(b, (list, tuple)):
+                continue
+            if len(b) != self.n_vars:
                 raise ValueError(f"{name} has {len(b)} bounds, expected {self.n_vars}")
+            if any(isinstance(x, (list, tuple, np.ndarray)) for x in b):
+                raise ValueError(f"{name} takes one scalar or None per variable, not a sequence")
 
     def add(self, coeffs, rel, rhs):
         """Append the row ``coeffs . x rel rhs`` as a block of its own."""
@@ -363,7 +367,7 @@ def _certify(p: LinearProgram, data, x, ctx: Context):
     """Substitute the reported point into every constraint and bound of
     ``data``, the LP as converted by :func:`_standardize`."""
     arr, lo, up, den, rels, has_lo, has_up = data
-    m, slack_tol = len(rels), 100 * ctx.tol
+    m, slack_tol = len(rels), ctx.residual_tol
     # rows [a | b] times [x | 0]: running sums give every a.x, added in index order as
     # dot adds; exact ones are ints over den * xden, compared with b scaled to that
     xs, xden = numerators(x) if ctx.exact else (list(x), 1)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .cones import Cone, LinealityError, affine_hull_check, dual_cone
+from .cones import Cone, LinealityError, dual_cone
 from .scalars import (
     Context,
     EXACT,
@@ -446,12 +446,16 @@ def validate_measurement(t: Theory, m: Measurement) -> bool:
 def validate_theory(t: Theory) -> None:
     """Check the structural invariants; raises ValueError on the first failure.
 
+    Once the unit effect is one on every vertex, the vertices lie on the
+    hyperplane ``u . x = 1``, which misses the origin, so their affine hull has
+    dimension d - 1 exactly when they span R^d: ``Theory.facet_table`` decides
+    that, and raises a ValueError naming the theory when they do not.
+
     Vertex i fails when another vertex lies on every facet that i lies on.
     Those facets cut out the least face that holds i, and that face holds a
-    second vertex exactly when i is not extreme or is listed twice (the
-    unit effect is one on every vertex, so a second vertex on i's ray is
-    the same point).  The incidence is ``Theory.facet_table``'s; the lowest
-    failing vertex is reported.
+    second vertex exactly when i is not extreme or is listed twice (a second
+    vertex on i's ray is the same point, as both lie on the hyperplane).  The
+    incidence is the facet table's; the lowest failing vertex is reported.
     """
     ctx = t.ctx
     if not t.vertices:
@@ -462,13 +466,6 @@ def validate_theory(t: Theory) -> None:
     for v, p in zip(t.vertices, prob_table(t, [t.unit_effect])[0]):
         if not ctx.eq(p, 1):
             raise ValueError(f"unit effect does not evaluate to 1 on vertex {v}")
-    hull = affine_hull_check(t.vertices, ctx)
-    if not hull.origin_outside:
-        raise ValueError("affine hull of the state space contains the origin")
-    if hull.dim != t.dim - 1:
-        raise ValueError(
-            f"affine dimension {hull.dim} does not match ambient dimension {t.dim}"
-        )
     tight = t.facet_table[2]
     for i in range(t.n_vertices):
         if tight[tight[:, i]].all(axis=0).sum() > 1:
@@ -605,9 +602,9 @@ def theory_from_dict(data: dict) -> Theory:
         kind=data.get("kind", "custom"),
         n=data.get("n"),
     )
-    validate_theory(t)
-    if int(data["dim"]) != t.dim:
+    if t.vertices and int(data["dim"]) != t.dim:  # before the double description
         raise ValueError("declared dim does not match vertex length")
+    validate_theory(t)
     if t.kind != "custom" and not _is_builtin(t):
         raise ValueError(
             f"theory {t.name!r} declares kind {t.kind!r} with n={t.n!r}, but it is not that "

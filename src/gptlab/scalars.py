@@ -9,8 +9,8 @@ about which one is active.
 ``Context.tol`` is the package's one tolerance policy.  Comparisons (the
 context's ``eq``/``le``/``sign``, pivot tests, theorem verdicts) allow
 ``tol``; residual checks (LP certificates, the two-block fit of
-``symmetry.xi_canonicalize``) allow ``100 * tol``; float keys code sorted
-values with a new code at every gap above ``tol``.  In exact mode ``tol`` is
+``symmetry.xi_canonicalize``) allow ``residual_tol``, ``100 * tol``; float
+keys code sorted values with a new code at every gap above ``tol``.  In exact mode ``tol`` is
 the int 0, so every one of these compares exactly and ``x - tol`` keeps a
 Fraction ``x`` a Fraction.
 
@@ -60,6 +60,11 @@ class Context:
             object.__setattr__(self, "tol", 0)
         if not self.exact and not self.tol > 0:
             raise ValueError("float mode requires tol > 0")
+
+    @property
+    def residual_tol(self):
+        """The bound of every residual check, ``100 * tol``: the int 0 in exact mode."""
+        return 100 * self.tol
 
     def convert(self, x):
         """Coerce a number (or 'p/q' string) into this context's scalar type."""

@@ -336,7 +336,6 @@ class CanonicalForm:
     """Orthonormal invariant coordinates with the mixed state as last axis."""
 
     basis: tuple  # rows of the rescaled-raw-coordinate basis, last = omega_M
-    transform: tuple  # old (rescaled) coordinates -> canonical coordinates
     theory: Theory  # canonical theory: invariant product = dot product, u = omega_M = (0,..,0,1)
     group: SymmetryGroup
 
@@ -383,7 +382,7 @@ def canonicalize(t: Theory) -> CanonicalForm:
     coords = Coordinates.demoting(t).then(tf.coordinates).then(Coordinates(((transform, inv_t),)))
     theory_c = coords.theory(t, new_group, ctx=FLOAT, canonicalized=True,
                              name=t.name if t.canonicalized else f"{t.name}-canonical")
-    return CanonicalForm(basis=tuple(basis), transform=transform, theory=theory_c, group=new_group)
+    return CanonicalForm(basis=tuple(basis), theory=theory_c, group=new_group)
 
 
 def _pairs_nonnegative(ctx: Context, left: tuple, right: tuple) -> bool:
@@ -485,10 +484,9 @@ def xi_canonicalize(t: Theory, j_map, g: Optional[SymmetryGroup] = None) -> Theo
     xi = sum(mat_mul(j_av, pperp)[i][i] for i in range(d)) / trace_perp
     model = mat_add(pm, mat_scale(xi, pperp))
     resid = max(abs(j_av[i][k] - model[i][k]) for i in range(d) for k in range(d))
-    # the two-block form is exact for transitive inputs: a residual check at
-    # 100 tol relative to max(1, |xi|), formed as 10 (10 tol) because 100 * 1e-9
-    # rounds one ulp above the double 1e-7 and 10 * (10 * 1e-9) does not
-    if resid > 10 * (10 * ctx.tol) * max(1, abs(xi)):
+    # the two-block form is exact for transitive inputs: a residual check
+    # relative to max(1, |xi|)
+    if resid > ctx.residual_tol * max(1, abs(xi)):
         raise ValueError(
             f"averaged J is not of the form P_M + xi P_perp (residual {float(resid):.3e}); "
             "the input is not transitive or J is malformed"

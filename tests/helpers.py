@@ -21,6 +21,8 @@ value at a time, and the shared elimination behind ``rank``, ``solve``,
 ``inverse`` and ``spanning_rows`` meets the three loops it replaced:
 Gauss-Jordan in Fractions or floats, the float rank, and one rank per
 row for the spanning rows.
+Theory validation meets the affine-hull rule it decided full dimension by
+before the facet table alone did.
 Widths and the theorem verifiers meet their per-call forms: balls found by
 distance comparisons on every call, every measure formed again for each eps
 pair, and every cell's statistics through ``effect_eval``.
@@ -923,6 +925,37 @@ def dual_cone_reference(c: Cone, g: InnerProduct, ctx: Context) -> Cone:
         if not rays:
             raise LinealityError("dual cone degenerated to the origin")
     return Cone(tuple(rays))
+
+
+def affine_hull_reference(vertices, ctx: Context) -> tuple:
+    """``(dim, origin_outside)``: the affine dimension of the vertices' hull, the
+    rank of their differences from the first vertex, and whether the first
+    vertex raises that rank, so that the hull misses the origin.  This is the
+    rule ``validate_theory`` applied before the facet table alone decided full
+    dimension: a valid theory in R^d has ``(d - 1, True)``."""
+    v0 = vertices[0]
+    diffs = [vsub(v, v0) for v in vertices[1:]]
+    dim = rank_reference(diffs, ctx)
+    return dim, rank_reference(diffs + [v0], ctx) > dim
+
+
+def validation_reference(t) -> bool:
+    """Does ``t`` pass the checks of ``validate_theory`` as they were with the
+    affine-hull rule?  Vertices of one length, the unit effect's; the unit effect
+    one on every vertex; the rule of :func:`affine_hull_reference`; a facet table;
+    every vertex extreme by :func:`vertex_extreme`."""
+    ctx = t.ctx
+    if not t.vertices or {len(v) for v in t.vertices} | {len(t.unit_effect)} != {t.dim}:
+        return False
+    if not all(ctx.eq(dot(t.unit_effect, v), 1) for v in t.vertices):
+        return False
+    if affine_hull_reference(t.vertices, ctx) != (t.dim - 1, True):
+        return False
+    try:
+        t.facet_table
+    except ValueError:
+        return False
+    return all(vertex_extreme(t, i) for i in range(t.n_vertices))
 
 
 def assert_validation_matches_oracle(t) -> None:

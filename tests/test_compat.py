@@ -21,7 +21,6 @@ from gptlab.compat import (
     min_mur_linf,
     product_joint,
     uniform_joint,
-    validate_joint,
 )
 from gptlab.ideal import (
     binary_ideal_measurement,
@@ -105,7 +104,7 @@ class TestJointMeasurability:
         f = binary_ideal_measurement(t, 0)
         res = is_jointly_measurable(t, f, f)
         assert res.compatible
-        assert validate_joint(t, res.witness)
+        assert not joint_violations(t, res.witness)
 
     def test_classical_always_compatible(self):
         t = make_classical(2)

@@ -1,4 +1,4 @@
-"""Cones, Gram pairings, affine hulls: examples and oracle comparisons."""
+"""Cones and Gram pairings: examples and oracle comparisons."""
 
 import math
 import random
@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from gptlab.cones import (
     Cone,
     LinealityError,
-    affine_hull_check,
     cone_member,
     cones_equal,
     dual_cone,
@@ -326,27 +325,6 @@ class TestConesEqual:
     def test_square_vs_dual_false(self):
         t = make_polygon(4)
         assert not cones_equal(t.cone, dual_cone(t.cone, t.inner, t.ctx), t.ctx)
-
-
-class TestAffineHull:
-    def test_polygon_vertices(self):
-        for n in (3, 5, 8):
-            t = make_polygon(n)
-            info = affine_hull_check(t.vertices, t.ctx)
-            assert info.dim == 2 and info.origin_outside
-
-    def test_simplex_vertices(self):
-        t = make_classical(2)
-        info = affine_hull_check(t.vertices, t.ctx)
-        assert info.dim == 2 and info.origin_outside
-
-    def test_repeated_point(self):
-        info = affine_hull_check(((Fr(1), Fr(2)), (Fr(1), Fr(2))), EXACT)
-        assert info.dim == 0 and info.origin_outside
-
-    def test_hull_through_origin(self):
-        info = affine_hull_check(((Fr(1), Fr(0)), (Fr(-1), Fr(0))), EXACT)
-        assert not info.origin_outside
 
 
 @st.composite

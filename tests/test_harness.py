@@ -49,12 +49,17 @@ from helpers import (
 )
 
 
+def cell_states(t, j) -> list:
+    """The cell states of ``j``, each checked in the state space."""
+    return [state for _ab, state in harness._cell_states(t, j, check=True)]
+
+
 class TestWitnessCandidates:
     def test_product_joint_gives_eigenstates(self):
         t = make_polygon(5)
         f = binary_ideal_measurement(t, 0)
         j = product_joint(f)
-        states = harness.witness_candidates(t, j)
+        states = cell_states(t, j)
         from gptlab.ideal import eigenstate
 
         expected = [eigenstate(t, e) for e in f.effects]
@@ -66,7 +71,7 @@ class TestWitnessCandidates:
         t = make_polygon(5)
         f = binary_ideal_measurement(t, 0)
         j = uniform_joint(t, f, f)
-        for s in harness.witness_candidates(t, j):
+        for s in cell_states(t, j):
             assert s == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
     def test_random_joint_candidates_are_states(self):
@@ -76,7 +81,7 @@ class TestWitnessCandidates:
         g = binary_ideal_measurement(t, 2)
         for _ in range(10):
             j = harness.random_joint(t, f, g, rng)
-            states = harness.witness_candidates(t, j)  # raises on failure
+            states = cell_states(t, j)  # raises on failure
             assert len(states) == 4
 
     def test_nonconforming_cell_rejected(self):
@@ -84,7 +89,7 @@ class TestWitnessCandidates:
         t = make_polygon(6)
         j = product_joint(binary_ideal_measurement(t, 0))
         with pytest.raises(ValueError, match="conforming representation"):
-            harness.witness_candidates(t, j)
+            cell_states(t, j)
 
 
 class TestRandomInputs:
@@ -235,6 +240,13 @@ class TestVerifiers:
         assert harness._holds([("float", 1.0 - 1e-10, 1.0)], FLOAT.tol)
         assert not harness._holds([("float", 1.0 - 1e-8, 1.0)], FLOAT.tol)
 
+    def test_residual_tolerance_is_one_derived_bound(self):
+        # LP certificates and the two-block fit of xi_canonicalize read this one bound
+        assert "residual_tol" not in {f.name for f in dataclasses.fields(Context)}
+        assert FLOAT.residual_tol == 100 * FLOAT.tol == 1.0000000000000001e-07
+        assert EXACT.residual_tol == 0 and type(EXACT.residual_tol) is int
+        assert Context(tol=1e-6).residual_tol == 100 * 1e-6
+
     def test_thm1_eps_validation(self):
         t = make_polygon(5)
         f = binary_ideal_measurement(t, 0)
@@ -288,6 +300,15 @@ class TestVerifiers:
             with pytest.raises(ValueError, match="this check is for even polygons"):
                 harness.verify_thm3_even(5, f, f, product_joint(f), mode)
         assert harness._psi_polygon.cache_info().currsize == 0
+
+    def test_psi_polygon_cache_is_read_only(self):
+        # the cache lives for the process: a write would change every later
+        # probability gate of verify_thm3_even
+        raw, _hat, vertices = harness._psi_polygon(8)
+        assert vertices.shape == (2, 3, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            vertices[0, 0, 0] = 2.0
+        assert harness._psi_polygon(8)[2] is vertices and vertices[0, 0, 0] == raw.vertices[0][0]
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_propc_compares_at_the_context_tolerance(self, monkeypatch, exact):
@@ -583,7 +604,9 @@ class TestCli:
             "vertex 4 is a convex combination of the others"),
         "flat": (json.dumps({"dim": 3, "unit_effect": [0, 0, 1],
                              "vertices": [[0, 0, 1], [1, 0, 1], [2, 0, 1]]}),
-                 "affine dimension 1 does not match ambient dimension 3"),
+                 "the state space of theory 'theory' in R^3 has no facet description: "
+                 "generators span only a 2-dimensional subspace; "
+                 "the dual cone contains a lineality space of dimension 1"),
     }
 
     @pytest.mark.parametrize("name", list(INVALID_THEORY_FILES))

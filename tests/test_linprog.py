@@ -258,6 +258,12 @@ def test_added_rows_are_blocks_of_their_own():
     (2, dict(objective=[1.0, 1.0], upper=(1.0, 2.0, 3.0)), "upper has 3 bounds, expected 2"),
     (2, dict(objective=[1.0, 1.0], lower=np.zeros(3)), "lower has 3 bounds, expected 2"),
     (2, dict(objective=[1.0, 1.0], upper=np.array([Fr(1)])), "upper has 1 bounds, expected 2"),
+    # nested bounds of the right length, which lp_solve's conversion met as a bare TypeError
+    (2, dict(objective=[1.0, 1.0], lower=[[0.0, 1.0], [0.0, 1.0]]), "^lower takes one scalar"),
+    (2, dict(objective=[1.0, 1.0], upper=np.zeros((2, 2))), "^upper takes one scalar"),
+    (2, dict(objective=[Fr(1), Fr(1)], lower=[Fr(0), (Fr(1),)]), "^lower takes one scalar"),
+    (2, dict(objective=[Fr(1), Fr(1)], upper=np.array([[Fr(0)], [Fr(1)]])),
+     "^upper takes one scalar"),
 ])
 def test_malformed_shape_rejected_when_built(n_vars, kw, message):
     with pytest.raises(ValueError, match=message):

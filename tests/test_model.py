@@ -36,14 +36,15 @@ from gptlab.model import (
     validate_measurement,
     validate_theory,
 )
-from gptlab.scalars import EXACT, InnerProduct, dot, vadd, vscale, vsub
+from gptlab.scalars import EXACT, InnerProduct, dot, inverse, mat_vec, vadd, vscale, vsub
 from gptlab.symmetry import automorphism_group, is_self_dual
 
 from helpers import (
-    _same_direction, assert_validation_matches_oracle, effect_space_member,
-    facet_normals_bruteforce, member_bruteforce, vertex_extreme,
+    _same_direction, affine_hull_reference, assert_validation_matches_oracle,
+    effect_space_member, facet_normals_bruteforce, member_bruteforce, validation_reference,
+    vertex_extreme,
 )
-from test_symmetry import structure_theory_files
+from test_symmetry import _invertible, structure_theory_files
 
 SQ2 = math.sqrt(2)
 
@@ -505,6 +506,36 @@ class TestFacetTable:
         assert in_state_space(t, t.vertices[0]) and t.facet_table[0] is rays
 
 
+@st.composite
+def theories_to_validate(draw):
+    """``(t, case)``: an exact theory on points at height 1 in R^d, d = 2..4, moved by
+    an invertible rational map M, its unit effect by M^-T, so that the unit effect
+    stays one on each point.  The points are distinct ones on the moment curve
+    ``(s, s^2, ...)``, which are all vertices, or scattered integer points; then made
+    flat, given a repeated or an interior point or a vertex through the origin, or
+    kept as they are."""
+    d = draw(st.integers(2, 4))
+    case = draw(st.sampled_from(["curve", "scattered", "flat", "repeated", "interior", "origin"]))
+    if case == "scattered":
+        row = st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1)
+        pts = draw(st.lists(row, min_size=1, max_size=7))
+    else:
+        ss = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=7 if d > 2 else 2,
+                           unique=True))
+        pts = [[s ** i for i in range(1, d)] for s in ss]
+    pts = [[Fr(a) for a in p] + [Fr(1)] for p in pts]
+    if case == "flat":
+        pts = [[Fr(0), *p[1:]] for p in pts]
+    elif case == "repeated":
+        pts.insert(draw(st.integers(0, len(pts))), draw(st.sampled_from(pts)))
+    elif case == "interior":
+        pts.append([sum(col) / len(pts) for col in zip(*pts)])
+    elif case == "origin":
+        pts.append([-a for a in pts[0]])
+    m = _invertible(draw, d)
+    return Theory(f"{case}-{d}", [mat_vec(m, p) for p in pts], inverse(m, EXACT)[-1], EXACT), case
+
+
 class TestTheoryValidation:
     def test_builtin_theories_pass(self):
         for t in (make_classical(1), make_classical(3), make_polygon(5), make_polygon(10)):
@@ -553,6 +584,22 @@ class TestTheoryValidation:
         assert bad == 150
         with pytest.raises(ValueError, match=f"^vertex {bad} is a convex combination"):
             load_theory(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(theories_to_validate())
+    def test_accepts_exactly_as_the_affine_hull_rule_did(self, drawn):
+        exact, case = drawn
+        for t in (exact, theory_to_float(exact)):
+            try:
+                validate_theory(t)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert (got is None) == validation_reference(t), (t.vertices, got)
+            if case != "origin" and affine_hull_reference(t.vertices, t.ctx) != (t.dim - 1, True):
+                # the unit effect is one on every vertex: the facet table rejects the
+                # theory, and names it
+                assert f"theory {t.name!r}" in got and "span only" in got
 
     def test_origin_in_hull_rejected(self):
         bad = Theory(

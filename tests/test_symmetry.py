@@ -282,7 +282,7 @@ class TestCanonicalize:
         form = canonicalize(make_polygon(5))
         for i in range(3):
             for j in range(3):
-                assert form.transform[i][j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+                assert form.theory.coordinates.steps[-1][0][i][j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
     def test_classical_bit(self):
         form = canonicalize(make_classical(1))
@@ -600,7 +600,7 @@ class TestAgainstPerElementOracles:
                 assert_identical(maximally_mixed(t, g), maximally_mixed_per_element(t, g))
                 form = canonicalize(t)
                 assert_identical(form.group.elements,
-                                 canonical_group_per_element(automorphism_group(t), form.transform))
+                                 canonical_group_per_element(automorphism_group(t), form.theory.coordinates.steps[-1][0]))
 
     def test_search_builds_no_element_tuples(self, tmp_path, monkeypatch):
         # the search stores its numerators; element tuples are built only on
@@ -1173,7 +1173,7 @@ class TestCoordinates:
         for t in self.canonical_inputs(tmp_path):
             assert theory_repr(rescale_unit_norm(t)) == theory_repr(rescale_unit_norm_reference(t))
             form = canonicalize(t)
-            ref = canonical_theory_reference(t, form.transform)
+            ref = canonical_theory_reference(t, form.theory.coordinates.steps[-1][0])
             assert theory_repr(form.theory) == theory_repr(ref)
             assert form.group is form.theory.group_cache
 
