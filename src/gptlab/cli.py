@@ -4,7 +4,8 @@ Theories are given either as JSON files (see README for the schema) or as
 builtin shorthands: ``classical:N``, ``polygon:n``, ``polygon-psi:n``,
 ``disc:m``.  Measurements are JSON files; several commands can also
 derive ideal measurements directly from the theory (``--pair``,
-``--ideal-index``).  All commands print a single JSON document.
+``--ideal-index``).  All commands print a single JSON document; bad input
+exits with status 1 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def _load_valid_measurement(path, t):
     """The measurement in `path`; exits naming the file if it is not one of `t`."""
     try:
         m = load_measurement(path, t.ctx)
+    except OSError as exc:
+        raise SystemExit(f"cannot read measurement file {path!r}: {exc.strerror}")
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"invalid measurement file {path!r}: {exc}")
     problems = measurement_violations(t, m)
@@ -233,6 +236,8 @@ def cmd_compat(args) -> None:
 
 def cmd_verify(args) -> None:
     which = args.which
+    if args.random < 1:
+        raise SystemExit(f"verify {which} needs --random >= 1, got {args.random}")
     rng = np.random.default_rng(args.seed)
     if which == "thm3":
         n = args.n
@@ -272,8 +277,15 @@ def cmd_verify(args) -> None:
 def cmd_report_run(args) -> None:
     config = None
     if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except OSError as exc:
+            raise SystemExit(f"cannot read config file {args.config!r}: {exc.strerror}")
+        except ValueError as exc:
+            raise SystemExit(f"invalid config file {args.config!r}: {exc}")
+        if not isinstance(config, dict):
+            raise SystemExit(f"invalid config file {args.config!r}: not a JSON object")
     out = harness.run_report(config, out_dir=args.out, seed=args.seed)
     _emit(out)
 
@@ -351,8 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Bad input (a ValueError or OSError from the command)
+    exits with one line, ``<group> <command>: <message>``; any other error,
+    such as a RuntimeError from an LP that ends wrongly, is a fault and keeps
+    its traceback."""
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (ValueError, OSError) as exc:
+        command = getattr(args, "which", None) or args.cmd
+        raise SystemExit(f"{args.group} {command}: {exc}") from None
     return 0
 
 

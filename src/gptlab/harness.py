@@ -29,10 +29,13 @@ import numpy as np
 
 from .compat import (
     JointMeasurement,
+    _joint,
     degree_bound_closed_form,
     degree_bound_rhs,
     joint_violations,
     marginals,
+    product_joint,
+    uniform_joint,
 )
 from .ideal import (
     IdealMeasurement,
@@ -55,7 +58,7 @@ from .measures import (
     width_profile,
 )
 from .model import Measurement, Theory, _read_only, in_state_space, make_classical, make_polygon
-from .scalars import dot, ordered_matmul, vadd, vscale
+from .scalars import dot, ordered_matmul, vscale
 from .symmetry import canonicalize, is_self_dual
 
 
@@ -451,50 +454,24 @@ def random_joint(t: Theory, f: Measurement, g: Measurement,
     Dirichlet mixture of: the diagonal joints of fuzzified F and G (when
     the grids are square), rank-one joints built from a fuzzified
     measurement and a random outcome distribution, and the uniform joint.
-    The uniform component keeps a fixed floor so no cell vanishes.
+    The uniform component keeps a fixed floor so no cell vanishes.  One
+    ordered product of the weights and the stacked grids forms every cell.
     """
     ctx = t.ctx
     na, nb = f.n_outcomes, g.n_outcomes
-    lam_f, lam_g = rng.uniform(), rng.uniform()
-    ft = fuzzify(t, f, ctx.convert(lam_f))
-    gt = fuzzify(t, g, ctx.convert(lam_g))
-    qa = _distribution(ctx, rng.dirichlet(np.ones(na)))
-    qb = _distribution(ctx, rng.dirichlet(np.ones(nb)))
-
-    components = []
-    if na == nb:
-        zero = tuple(ctx.zero() for _ in range(t.dim))
-        components.append(tuple(
-            tuple(ft.effects[a] if a == b else zero for b in range(nb)) for a in range(na)
-        ))
-        components.append(tuple(
-            tuple(gt.effects[b] if a == b else zero for b in range(nb)) for a in range(na)
-        ))
-    components.append(tuple(
-        tuple(vscale(qb[b], ft.effects[a]) for b in range(nb)) for a in range(na)
-    ))
-    components.append(tuple(
-        tuple(vscale(qa[a], gt.effects[b]) for b in range(nb)) for a in range(na)
-    ))
-    ucell = vscale(1 / ctx.convert(na * nb), t.unit_effect)
-    components.append(tuple(tuple(ucell for _ in range(nb)) for _ in range(na)))
-
-    weights = _distribution(ctx, rng.dirichlet(np.ones(len(components))))
-    weights = [w * ctx.convert("9/10") for w in weights]
+    ft = fuzzify(t, f, ctx.convert(rng.uniform()))
+    gt = fuzzify(t, g, ctx.convert(rng.uniform()))
+    qa = np.array(_distribution(ctx, rng.dirichlet(np.ones(na))))
+    qb = np.array(_distribution(ctx, rng.dirichlet(np.ones(nb))))
+    fe, ge = np.array(ft.effects), np.array(gt.effects)
+    components = [product_joint(ft).effects, product_joint(gt).effects] if na == nb else []
+    components += [qb[None, :, None] * fe[:, None, :], qa[:, None, None] * ge[None, :, :],
+                   uniform_joint(t, f, g).effects]
+    weights = np.array(_distribution(ctx, rng.dirichlet(np.ones(len(components)))))
+    weights *= ctx.convert("9/10")
     weights[-1] += ctx.convert("1/10")  # keep every cell strictly positive in mass
-    grid = []
-    for a in range(na):
-        row = []
-        for b in range(nb):
-            cell = tuple(ctx.zero() for _ in range(t.dim))
-            for w, comp in zip(weights, components):
-                cell = vadd(cell, vscale(w, comp[a][b]))
-            row.append(cell)
-        grid.append(tuple(row))
-    j = JointMeasurement(
-        row_labels=f.outcomes, col_labels=g.outcomes, effects=tuple(grid),
-        row_metric=f.metric, col_metric=g.metric,
-    )
+    cells = ordered_matmul(weights[None, :], np.reshape(components, (len(components), -1)))
+    j = _joint(f, g, cells.reshape(na * nb, t.dim).tolist())
     problems = joint_violations(t, j)
     if problems:
         raise RuntimeError("random joint failed validation: " + "; ".join(problems))
@@ -503,18 +480,14 @@ def random_joint(t: Theory, f: Measurement, g: Measurement,
 
 def random_postprocessed(t: Theory, f: Measurement, rng: np.random.Generator) -> Measurement:
     """Dirichlet-perturbed version of a measurement: a random stochastic
-    post-processing of its effects, which is always a valid measurement."""
-    ctx = t.ctx
+    post-processing of its effects, which is always a valid measurement.
+
+    Row ``b`` of the draw spreads effect ``b`` over the outcomes.
+    """
     k = f.n_outcomes
-    w = rng.dirichlet(np.ones(k), size=k)  # w[:, b] columns sum to 1 after transpose
-    w = w.T
-    effects = []
-    for a in range(k):
-        e = tuple(ctx.zero() for _ in range(t.dim))
-        for b in range(k):
-            e = vadd(e, vscale(ctx.convert(w[a][b]), f.effects[b]))
-        effects.append(e)
-    return Measurement(outcomes=f.outcomes, effects=tuple(effects), metric=f.metric)
+    draws = [_distribution(t.ctx, row) for row in rng.dirichlet(np.ones(k), size=k)]
+    effects = ordered_matmul(np.array(draws).T, np.array(f.effects))
+    return Measurement(outcomes=f.outcomes, effects=effects.tolist(), metric=f.metric)
 
 
 def ideal_pair_for(t: Theory) -> tuple:
@@ -554,8 +527,14 @@ def run_report(config: Optional[dict] = None, out_dir: str = "report",
     order.
     """
     cfg = dict(default_battery())
-    if config:
-        cfg.update(config)
+    unknown = [key for key in config or () if key not in cfg]
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; known: {', '.join(cfg)}")
+    cfg.update(config or ())
+    kinds = [k for k in cfg["theorem_theories"] if k not in ("polygon", "classical", "even")]
+    if kinds:
+        raise ValueError(f"unknown theorem_theories kinds {kinds}; "
+                         "known: polygon, classical, even")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     rows = []  # check, theory, n, param, lhs, rhs, verdict

@@ -281,6 +281,9 @@ class FiniteMetricSpace:
         k = len(self.points)
         if len(self.dist) != k or any(len(r) != k for r in self.dist):
             raise ValueError("distance matrix shape does not match points")
+        for i, p in enumerate(self.points):
+            if self.points.index(p) != i:  # index would find only the first
+                raise ValueError(f"point {p!r} is repeated")
         for i in range(k):
             if not ctx.is_zero(self.dist[i][i]):
                 raise ValueError("nonzero self-distance")

@@ -23,6 +23,8 @@ Gauss-Jordan in Fractions or floats, the float rank, and one rank per
 row for the spanning rows.
 Theory validation meets the affine-hull rule it decided full dimension by
 before the facet table alone did.
+Random joints and post-processings meet the per-cell loops that formed
+them before one ordered product of compat's own joints did.
 Widths and the theorem verifiers meet their per-call forms: balls found by
 distance comparisons on every call, every measure formed again for each eps
 pair, and every cell's statistics through ``effect_eval``.
@@ -36,17 +38,17 @@ from itertools import chain, combinations, permutations
 import numpy as np
 import pytest
 
-from gptlab.compat import marginals
+from gptlab.compat import JointMeasurement, marginals
 from gptlab.cones import Cone, LinealityError, cone_lp, cone_member, cones_equal, dual_cone
-from gptlab.harness import VerificationReport, _holds, _witness_report
-from gptlab.ideal import IdealMeasurement, indecomposable_pure_effects
+from gptlab.harness import VerificationReport, _distribution, _holds, _witness_report
+from gptlab.ideal import IdealMeasurement, fuzzify, indecomposable_pure_effects
 from gptlab.linprog import _DEGENERATE_RUN, _MAX_PIVOTS, EQ, GE, LE, LinearProgram
 from gptlab.measures import (
     OutcomeDistribution, _lipschitz_ball_lp, linf_distance, localization_error, min_le_sum,
 )
 from gptlab.model import (
-    effect_eval, in_state_space, is_zero_effect, make_polygon, polygon_radius, prob_table,
-    validate_theory,
+    Measurement, effect_eval, in_state_space, is_zero_effect, make_polygon, polygon_radius,
+    prob_table, validate_theory,
 )
 from gptlab.scalars import (
     FLOAT, Context, InnerProduct, dot, inverse, mat_add, mat_mul, mat_scale, mat_vec,
@@ -1300,3 +1302,56 @@ def verify_propc_reference(t, f_approx, f_ideal, eps_grid):
                               params={"eps_grid": tuple(map(float, eps_grid))},
                               inequalities=ineqs, witness=None,
                               passed=all(iq["ok"] for iq in ineqs))
+
+
+def random_joint_reference(t, f, g, rng) -> JointMeasurement:
+    """``harness.random_joint`` as one loop per cell over hand-built component grids."""
+    ctx = t.ctx
+    na, nb = f.n_outcomes, g.n_outcomes
+    lam_f, lam_g = rng.uniform(), rng.uniform()
+    ft = fuzzify(t, f, ctx.convert(lam_f))
+    gt = fuzzify(t, g, ctx.convert(lam_g))
+    qa = _distribution(ctx, rng.dirichlet(np.ones(na)))
+    qb = _distribution(ctx, rng.dirichlet(np.ones(nb)))
+    components = []
+    if na == nb:
+        zero = tuple(ctx.zero() for _ in range(t.dim))
+        components.append(tuple(
+            tuple(ft.effects[a] if a == b else zero for b in range(nb)) for a in range(na)))
+        components.append(tuple(
+            tuple(gt.effects[b] if a == b else zero for b in range(nb)) for a in range(na)))
+    components.append(tuple(
+        tuple(vscale(qb[b], ft.effects[a]) for b in range(nb)) for a in range(na)))
+    components.append(tuple(
+        tuple(vscale(qa[a], gt.effects[b]) for b in range(nb)) for a in range(na)))
+    ucell = vscale(1 / ctx.convert(na * nb), t.unit_effect)
+    components.append(tuple(tuple(ucell for _ in range(nb)) for _ in range(na)))
+    weights = _distribution(ctx, rng.dirichlet(np.ones(len(components))))
+    weights = [w * ctx.convert("9/10") for w in weights]
+    weights[-1] += ctx.convert("1/10")
+    grid = []
+    for a in range(na):
+        row = []
+        for b in range(nb):
+            cell = tuple(ctx.zero() for _ in range(t.dim))
+            for w, comp in zip(weights, components):
+                cell = vadd(cell, vscale(w, comp[a][b]))
+            row.append(cell)
+        grid.append(tuple(row))
+    return JointMeasurement(row_labels=f.outcomes, col_labels=g.outcomes, effects=tuple(grid),
+                            row_metric=f.metric, col_metric=g.metric)
+
+
+def random_postprocessed_reference(t, f, rng) -> Measurement:
+    """``harness.random_postprocessed`` as one loop per effect; exact draws are not
+    rescaled, so only its float output is a reference."""
+    ctx = t.ctx
+    k = f.n_outcomes
+    w = rng.dirichlet(np.ones(k), size=k).T
+    effects = []
+    for a in range(k):
+        e = tuple(ctx.zero() for _ in range(t.dim))
+        for b in range(k):
+            e = vadd(e, vscale(ctx.convert(w[a][b]), f.effects[b]))
+        effects.append(e)
+    return Measurement(outcomes=f.outcomes, effects=tuple(effects), metric=f.metric)

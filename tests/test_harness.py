@@ -1,6 +1,7 @@
 """Verification pipelines, random joints, reports, and the CLI surface."""
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -16,6 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gptlab import cli, harness, model
 from gptlab.compat import JointMeasurement, joint_violations, marginals, product_joint, uniform_joint
@@ -32,6 +34,7 @@ from gptlab.model import (
     make_classical,
     make_polygon,
     measurement_to_dict,
+    measurement_violations,
     save_measurement,
     save_theory,
     theory_to_float,
@@ -41,6 +44,8 @@ from gptlab.measures import error_bar_width, linf_distance, min_le_sum, werner_d
 from gptlab.scalars import EXACT, FLOAT, Context
 
 from helpers import (
+    random_joint_reference,
+    random_postprocessed_reference,
     verify_cor1_reference,
     verify_propc_reference,
     verify_thm1_reference,
@@ -92,7 +97,37 @@ class TestWitnessCandidates:
             cell_states(t, j)
 
 
+# the theories that run_report draws joints on, by its theorem_theories kinds
+BATTERY = ([("polygon", n) for n in (3, 5, 7, 8, 12)] + [("classical", n) for n in (1, 2)]
+           + [("even", n) for n in (4, 6, 8)])
+
+
+@functools.cache
+def battery_case(kind, n) -> tuple:
+    """``(t, f, g)``: a battery theory and the ideal pair that run_report draws joints for."""
+    if kind == "even":
+        raw, hat, _ = harness._psi_polygon(n)
+        return (hat, *map(hat.coordinates.measurement, harness.ideal_pair_for(raw)))
+    t = harness.prepare_conforming({"polygon": make_polygon, "classical": make_classical}[kind](n))
+    return (t, *harness.ideal_pair_for(t))
+
+
 class TestRandomInputs:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(BATTERY), seed=st.integers(0, 2**32 - 1))
+    def test_float_draws_match_the_per_cell_loops(self, case, seed):
+        # same cells to the bit, and the same draws, so the generator ends in the same state
+        t, f, g = battery_case(*case)
+        assert not t.ctx.exact
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            assert (repr(harness.random_joint(t, f, g, rng))
+                    == repr(random_joint_reference(t, f, g, ref)))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert (repr(harness.random_postprocessed(t, f, rng))
+                    == repr(random_postprocessed_reference(t, f, ref)))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_random_joints_always_valid(self):
         rng = np.random.default_rng(11)
         for t in (make_polygon(5), psi_transform(make_polygon(6))):
@@ -103,15 +138,22 @@ class TestRandomInputs:
                 assert not joint_violations(t, j)
 
     def test_random_joints_exact(self):
-        # exact weights are rescaled to sum to one, so exact joints validate
-        for n in (1, 2, 3):
+        # exact draws are rescaled by their exact sums, so every exact joint and
+        # post-processing sums to the unit effect, square grids and others alike
+        for n in (1, 2, 3, 4):
             t = make_classical(n)
-            f = binary_ideal_measurement(t, 0)
-            g = binary_ideal_measurement(t, n)
-            for seed in range(20):
-                j = harness.random_joint(t, f, g, np.random.default_rng(seed))
-                assert not joint_violations(t, j)
-                assert all(isinstance(a, Fraction) for row in j.effects for e in row for a in e)
+            assert t.ctx.exact
+            ms = harness.enumerate_ideal_measurements(t, max_outcomes=3)
+            binary = (binary_ideal_measurement(t, 0), binary_ideal_measurement(t, n))
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                for f, g in [binary, (ms[0], ms[-1]), (ms[-1], ms[0]), (ms[-1], ms[-1])]:
+                    j = harness.random_joint(t, f, g, rng)
+                    assert joint_violations(t, j) == []
+                    m = harness.random_postprocessed(t, f, rng)
+                    assert measurement_violations(t, m) == []
+                    cells = [e for row in j.effects for e in row] + list(m.effects)
+                    assert all(type(a) is Fraction for e in cells for a in e)
 
     def test_random_postprocessed_valid(self):
         rng = np.random.default_rng(5)
@@ -691,6 +733,103 @@ class TestCli:
                      ["verify", "thm2", "--first", good, "--second", bad, "--random", "1"]):
             with pytest.raises(SystemExit, match=message):
                 cli.main(argv + ["--theory", "polygon:5"])
+
+    # every bad input exits with one line; {name} is a file of test_bad_input_exits_with_one_line
+    BAD_INPUTS = {
+        "epsilon": (["measure", "overall-width", "--theory", "polygon:5", "--ideal-index", "0",
+                     "--state", "0,0,1", "--epsilon", "2"],
+                    "measure overall-width: confidence parameter must lie in [0, 1]"),
+        "eps-sum": (["verify", "thm1", "--theory", "polygon:5", "--eps1", "0.9", "--eps2", "0.9"],
+                    "verify thm1: confidence levels must satisfy eps1, eps2 in [0,1], "
+                    "eps1+eps2 <= 1"),
+        "eps-grid": (["verify", "propC", "--theory", "polygon:5", "--eps-grid", "0"],
+                     "verify propC: eps must lie in (0, 1]"),
+        "max-lambda-ternary": (["compat", "max-lambda", "--theory", "classical:3",
+                                "--first", "{ternary}", "--second", "{binary}"],
+                               "compat max-lambda: the fuzzing family is defined for binary "
+                               "measurements"),
+        "degree-bound-ternary": (["compat", "degree-bound", "--theory", "classical:3",
+                                  "--first", "{ternary}", "--second", "{binary}"],
+                                 "compat degree-bound: degree-of-incompatibility bound is for "
+                                 "binary measurements"),
+        **{f"{which}-outcome-sets": (["measure", which, "--theory", "polygon:5",
+                                      "--approx", "{relabelled}", "--ideal", "{good}"],
+                                     f"measure {which}: measurements must share one outcome set")
+           for which in ("werner", "linf", "error-bar")},
+        "error-bar-raw-octagon": (["measure", "error-bar", "--theory", "polygon:8",
+                                   "--ideal-index", "1"],
+                                  "measure error-bar: even polygons must be re-expressed "
+                                  "(psi_transform) before eigenstate-based measures are taken"),
+        **{f"missing-{flag}": (argv + ["--theory", "polygon:5"], "cannot read measurement file "
+                                "'{missing}': No such file or directory")
+           for flag, argv in {
+               "first": ["compat", "check", "--first", "{missing}", "--second", "{good}"],
+               "second": ["compat", "check", "--first", "{good}", "--second", "{missing}"],
+               "approx": ["measure", "werner", "--approx", "{missing}", "--ideal", "{good}"],
+               "ideal": ["measure", "linf", "--approx", "{good}", "--ideal", "{missing}"],
+               "measurement": ["measure", "overall-width", "--measurement", "{missing}",
+                               "--state", "0,0,1"],
+           }.items()},
+        "config-missing": (["report", "run", "--config", "{missing}", "--out", "{out}"],
+                           "cannot read config file '{missing}': No such file or directory"),
+        "config-malformed": (["report", "run", "--config", "{malformed}", "--out", "{out}"],
+                             "invalid config file '{malformed}': Expecting property name enclosed "
+                             "in double quotes: line 1 column 2 (char 1)"),
+        "config-not-an-object": (["report", "run", "--config", "{listed}", "--out", "{out}"],
+                                 "invalid config file '{listed}': not a JSON object"),
+        **{f"random-{n}-{which}": (["verify", which, "--theory", "polygon:5", "--random", n],
+                                   f"verify {which} needs --random >= 1, got {n}")
+           for n in ("0", "-2") for which in ("thm1", "cor1", "thm2", "thm3", "propC")},
+        "repeated-labels": (["measure", "werner", "--theory", "polygon:5", "--approx", "{repeated}",
+                             "--ideal", "{good}"],
+                            "invalid measurement file '{repeated}': metric: point 0 is repeated"),
+        "config-key": (["report", "run", "--config", "{typo}", "--out", "{out}"],
+                       "report run: unknown config keys ['joint_per_case']; known: schema, "
+                       "polygons, theorem_theories, joints_per_case, eps_grid, propc_cases"),
+        "config-kind": (["report", "run", "--config", "{kind}", "--out", "{out}"],
+                        "report run: unknown theorem_theories kinds ['polygn']; known: polygon, "
+                        "classical, even"),
+    }
+
+    @pytest.mark.parametrize("name", list(BAD_INPUTS))
+    def test_bad_input_exits_with_one_line(self, capsys, tmp_path, name):
+        ms = harness.enumerate_ideal_measurements(make_classical(3), max_outcomes=3)
+        files = {
+            "ternary": str(tmp_path / "ternary.json"),
+            "binary": str(tmp_path / "binary.json"),
+            "good": self.measurement_file(tmp_path, "good.json"),
+            "relabelled": self.measurement_file(
+                tmp_path, "relabelled.json", outcomes=["a", "b"],
+                metric={"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}),
+            "repeated": self.measurement_file(
+                tmp_path, "repeated.json", outcomes=[0, 0],
+                metric={"points": [0, 0], "dist": [[0, 1], [1, 0]]}),
+            "missing": str(tmp_path / "missing.json"),
+            "out": str(tmp_path / "out"),
+        }
+        for key, text in {"malformed": "{bad", "listed": "[1]", "typo": '{"joint_per_case": 1}',
+                          "kind": '{"theorem_theories": {"polygn": [5]}}'}.items():
+            files[key] = str(tmp_path / f"{key}.json")
+            pathlib.Path(files[key]).write_text(text)
+        save_measurement(ms[-1], files["ternary"])
+        save_measurement(ms[0], files["binary"])
+        assert (ms[-1].n_outcomes, ms[0].n_outcomes) == (3, 2)
+        argv, message = self.BAD_INPUTS[name]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([arg.format(**files) for arg in argv])
+        # Python prints a string exit code as one stderr line and exits with status 1
+        assert exc.value.code == message.format(**files)
+        assert "\n" not in exc.value.code
+        assert capsys.readouterr().out == ""
+        assert not os.path.exists(files["out"])
+
+    def test_bad_input_exit_status_and_stderr(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        for argv, message in (self.BAD_INPUTS["epsilon"], self.BAD_INPUTS["random-0-thm2"]):
+            done = subprocess.run([sys.executable, "-m", "gptlab.cli", *argv], capture_output=True,
+                                  text=True, env=env, cwd=tmp_path)
+            assert (done.returncode, done.stdout, done.stderr) == (1, "", message + "\n")
 
     def test_compat_check_and_max_lambda(self, capsys):
         out = self.run(capsys, "compat", "check", "--theory", "polygon-psi:4", "--pair")

@@ -1,6 +1,7 @@
 """Distribution widths and measurement-error measures."""
 
 import math
+import re
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -68,6 +69,15 @@ class TestMetricSpace:
         bad = FiniteMetricSpace(points=(0, 1), dist=((0.0, 1.0), (2.0, 0.0)))
         with pytest.raises(ValueError, match="symmetric"):
             bad.validate(FLOAT)
+
+    @pytest.mark.parametrize("points", [(0, 0), (0, 1, 0), ("a", "b", "b"), ([0], [1], [0])],
+                             ids=["pair", "apart", "labels", "unhashable"])
+    def test_repeated_point_caught(self, points):
+        # index() finds only the first of two equal labels, so a ball found by
+        # the second one would be the first one's
+        repeated = [p for i, p in enumerate(points) if p in points[:i]][0]
+        with pytest.raises(ValueError, match=f"^point {re.escape(repr(repeated))} is repeated$"):
+            FiniteMetricSpace.discrete(points).validate(FLOAT)
 
     def test_list_built_metric_is_the_tuple_built_one(self):
         t = make_polygon(5)
