@@ -25,7 +25,11 @@ joint returned is one that the stabiliser fixes.  The group is known
 once kept on the instance, or sought within a budget by its second
 compat LP of any kind (``_over_orbits``): the search pays off only over
 repeated calls, so a one-shot call solves the full LP, as does every call
-on a theory whose group is too large for its LP.
+on a theory whose group is too large for its LP.  The instance also keeps
+one record per measurement pair (``Theory.pair_records``): the pair's
+stabiliser and, per LP kind, its orbit numbering.  Like the group, a record
+pays off only over repeated calls on one instance and pair; a hit builds and
+solves the LP that a miss would.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ def is_jointly_measurable(t: Theory, f: Measurement, g: Measurement) -> Compatib
     the verdict is the full LP's, and the witness a joint that it fixes."""
     eqs = [(cells, {}, e) for cells, e in
            zip(_marginal_cells(f.n_outcomes, g.n_outcomes), f.effects + g.effects)]
-    p, joint = _joint_lp(t, f, g, f.n_outcomes * g.n_outcomes, eqs)
+    p, joint = _joint_lp(t, f, g, "is_jointly_measurable", f.n_outcomes * g.n_outcomes, eqs)
     res = lp_feasible(p, t.ctx)
     if not res.feasible:
         return CompatibilityResult(False, None)
@@ -182,8 +186,13 @@ def _over_orbits(t: Theory) -> bool:
     ``_SEARCH_WORK`` vertex coordinates (nodes times ``n_vertices ** 2``) per
     tableau cell of the full fuzzing LP (4 ``dim`` rows by 4 facet-normal
     columns).  A group with more elements than that LP has cells is not used
-    either, as every call seeks the pair's stabiliser element by element.
-    Then every LP on the instance is the full LP.
+    either, as each pair's stabiliser is sought element by element.  Then
+    every LP on the instance is the full LP.
+
+    Once this holds, the first call on a pair finds its stabiliser and the
+    first of each LP kind its orbits, and the instance keeps them for that
+    pair (``_pair_orbits``): a saving over repeated calls on one instance and
+    pair only, as a fresh instance or another pair starts without them.
     """
     cells = 16 * t.dim * len(t.facet_table[0])
     if t.group_cache is None:
@@ -259,29 +268,50 @@ def _orbits(t: Theory, elements, block_images, scalar_images):
     return (np.cumsum(least == np.arange(len(least))) - 1)[least]
 
 
-def _joint_lp(t: Theory, f: Measurement, g: Measurement, n_blocks: int, eqs,
-              gap_images=None, **lp):
-    """``(p, joint)``: ``cones.cone_lp`` over `n_blocks` vectors, the joint's cells
-    ``a * nb + b`` first, with the equations `eqs` and the keywords `lp`, and the
-    map from a point of ``p`` to its joint.  Once the group is known
-    (``_over_orbits``), over the joints that the pair's stabiliser fixes: an
-    element sends cell ``(a, b)`` to ``(pf[a], pg[b])``, or, exchanging f and g,
-    to ``(pg[b], pf[a])``, and reverses the scalars (the two sup-gaps; one scalar
-    stays); ``gap_images(swap, pf, pg)`` lists the images of the later blocks."""
-    _check_dims(t, f.effects + g.effects)
+def _pair_orbits(t: Theory, f: Measurement, g: Measurement, kind: str, gap_images,
+                 n_scalars: int):
+    """The orbits of the `kind` LP's variables under the pair's stabiliser, as
+    ``_orbits`` numbers them: an element sends cell ``(a, b)`` to
+    ``(pf[a], pg[b])``, or, exchanging f and g, to ``(pg[b], pf[a])``, and reverses
+    the `n_scalars` scalars (the two sup-gaps; one scalar stays);
+    ``gap_images(swap, pf, pg)`` lists the images of the later blocks.
+
+    The stabiliser and each kind's numbering are kept on ``t``, in one record per
+    pair (``Theory.pair_records``).  The pair is keyed by its values, so a pair
+    rebuilt with equal effects finds its record; the numbering, read-only, is
+    the one a miss computes."""
     na, nb = f.n_outcomes, g.n_outcomes
-    orbits = None
-    if _over_orbits(t):
-        elements, swap, pf, pg = _stabiliser(t, f, g)
+    key = (na, f.effects + g.effects)
+    record = t.pair_records.get(key)
+    if record is None:
+        record = t.pair_records[key] = (_stabiliser(t, f, g), {})
+    (elements, swap, pf, pg), numbered = record
+    if kind not in numbered:
         a, b = np.divmod(np.arange(na * nb), nb)
         fa, gb = pf[:, a], pg[:, b]
         images = [np.where(swap[:, None], gb * nb + fa, fa * nb + gb)]
         images += gap_images(swap, pf, pg) if gap_images else []
-        scalars = np.arange(len(lp.get("objective", ())))
+        scalars = np.arange(n_scalars)
         orbits = _orbits(t, elements, np.column_stack(images),
                          np.where(swap[:, None], scalars[::-1], scalars))
+        orbits.flags.writeable = False
+        numbered[kind] = orbits
+    return numbered[kind]
+
+
+def _joint_lp(t: Theory, f: Measurement, g: Measurement, kind: str, n_blocks: int, eqs,
+              gap_images=None, **lp):
+    """``(p, joint)``: ``cones.cone_lp`` over `n_blocks` vectors, the joint's cells
+    ``a * nb + b`` first, with the equations `eqs` and the keywords `lp`, and the
+    map from a point of ``p`` to its joint.  Once the group is known
+    (``_over_orbits``), over the joints that the pair's stabiliser fixes, with the
+    orbits of the `kind` LP that ``_pair_orbits`` keeps."""
+    _check_dims(t, f.effects + g.effects)
+    orbits = None
+    if _over_orbits(t):
+        orbits = _pair_orbits(t, f, g, kind, gap_images, len(lp.get("objective", ())))
     p, effects = cone_lp(t.facet_table[:2], t.ctx, n_blocks, eqs, orbits=orbits, **lp)
-    return p, lambda point: _joint(f, g, effects(point, na * nb))
+    return p, lambda point: _joint(f, g, effects(point, f.n_outcomes * g.n_outcomes))
 
 
 def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
@@ -328,7 +358,8 @@ def min_mur_linf(t: Theory, f: Measurement, g: Measurement) -> MurResult:
                 images += [to + base + (k ^ flip) for k in (0, 1)]
         return images
 
-    p, joint = _joint_lp(t, f, g, n_blocks, eqs, gap_images, objective=[ctx.one()] * 2)
+    p, joint = _joint_lp(t, f, g, "min_mur_linf", n_blocks, eqs, gap_images,
+                          objective=[ctx.one()] * 2)
     res = lp_solve(p, ctx)
     if res.status != "optimal":
         raise RuntimeError(f"measurement-error LP ended {res.status}")
@@ -354,8 +385,8 @@ def max_fuzz_lambda(t: Theory, f: Measurement, g: Measurement, with_joint: bool 
     # marginal = lambda e + (1 - lambda) u/2, i.e. marginal + lambda (u/2 - e) = u/2
     eqs = [(cells, {0: vsub(half_u, e)}, half_u)
            for cells, e in zip(_marginal_cells(2, 2), f.effects + g.effects)]
-    p, joint = _joint_lp(t, f, g, 4, eqs, objective=[ctx.one()], sense="max",
-                         upper=[ctx.one()])
+    p, joint = _joint_lp(t, f, g, "max_fuzz_lambda", 4, eqs, objective=[ctx.one()],
+                         sense="max", upper=[ctx.one()])
     res = lp_solve(p, ctx)
     if res.status != "optimal":
         raise RuntimeError(f"fuzzing LP ended {res.status}")

@@ -518,6 +518,37 @@ def default_battery() -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_config(cfg: dict) -> None:
+    """Raise a ValueError that names the first battery value of the wrong type or length."""
+    theories = cfg["theorem_theories"]
+    if not isinstance(theories, dict):
+        raise ValueError(f"config theorem_theories must map kinds to lists, got {theories!r}")
+    kinds = [k for k in theories if k not in ("polygon", "classical", "even")]
+    if kinds:
+        raise ValueError(f"unknown theorem_theories kinds {kinds}; "
+                         "known: polygon, classical, even")
+    for key in ("joints_per_case", "propc_cases"):
+        if not (_is_int(cfg[key]) and cfg[key] >= 0):
+            raise ValueError(f"config {key} must be a non-negative int, got {cfg[key]!r}")
+    eps = cfg["eps_grid"]
+    if not (isinstance(eps, (list, tuple)) and len(eps) >= 2 and all(
+            isinstance(e, (int, float)) and not isinstance(e, bool) for e in eps)):
+        raise ValueError(f"config eps_grid must hold at least two numbers, got {eps!r}")
+    try:
+        _cor1_eps(*eps[:2])
+    except ValueError as exc:
+        raise ValueError(f"config eps_grid: {exc}") from None
+    lists = {"polygons": cfg["polygons"],
+             **{f"theorem_theories {kind}": sizes for kind, sizes in theories.items()}}
+    for key, sizes in lists.items():
+        if not (isinstance(sizes, (list, tuple)) and all(map(_is_int, sizes))):
+            raise ValueError(f"config {key} must be a list of ints, got {sizes!r}")
+
+
 def run_report(config: Optional[dict] = None, out_dir: str = "report",
                seed: int = 0) -> dict:
     """Run the declared battery and write JSON + CSV outputs.
@@ -531,10 +562,7 @@ def run_report(config: Optional[dict] = None, out_dir: str = "report",
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; known: {', '.join(cfg)}")
     cfg.update(config or ())
-    kinds = [k for k in cfg["theorem_theories"] if k not in ("polygon", "classical", "even")]
-    if kinds:
-        raise ValueError(f"unknown theorem_theories kinds {kinds}; "
-                         "known: polygon, classical, even")
+    _check_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     rows = []  # check, theory, n, param, lhs, rhs, verdict

@@ -131,9 +131,9 @@ class Coordinates:
 @dataclass(frozen=True)
 class Theory:
     """A polytopic state space with its unit effect.  Frozen covers the value fields only:
-    ``facet_table``, ``effect_action``, ``group_cache``, ``lp_runs`` and ``coordinates`` are
-    per-instance slots, which ``replace`` does not copy; the caches fill on first use from
-    ``vertices``, which are kept as tuples, as ``unit_effect`` is."""
+    ``facet_table``, ``effect_action``, ``group_cache``, ``lp_runs``, ``pair_records`` and
+    ``coordinates`` are per-instance slots, which ``replace`` does not copy; the caches fill
+    on first use from ``vertices``, which are kept as tuples, as ``unit_effect`` is."""
 
     name: str
     vertices: tuple
@@ -149,6 +149,10 @@ class Theory:
     # ``compat``'s LPs of any kind (joint measurability, MUR, fuzzing) run on this
     # instance, counted up to 2: the second one seeks the group (``compat._over_orbits``)
     lp_runs: int = field(default=0, init=False, repr=False, compare=False)
+    # ``compat``'s symmetry reduction per measurement pair, once the LPs run over orbits:
+    # ``(f.n_outcomes, f.effects + g.effects)`` -> the pair's stabiliser and, per LP kind,
+    # its orbit numbering (``compat._pair_orbits``)
+    pair_records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the record that made this theory from the one ``Coordinates.theory`` was given
     coordinates: Coordinates = field(default=Coordinates(), init=False, repr=False,
                                      compare=False)

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -637,6 +638,80 @@ class TestOrbitReduction:
         assert abs(max_fuzz_lambda(t, f, g) - want) <= 1e-9
 
 
+def classical_pair():
+    t = make_classical(3)
+    ms = enumerate_ideal_measurements(t, 2)
+    return t, ms[0], ms[-1]
+
+
+class TestPairRecords:
+    # the stabiliser and each LP kind's orbit numbering are kept on the instance,
+    # one record per pair (``Theory.pair_records``): a repeated call computes
+    # neither again, and answers as the call that computed them did
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+        for name in ("_stabiliser", "_orbits"):
+            real = getattr(compat, name)
+            monkeypatch.setattr(compat, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: (lambda t: (t, *perpendicular_ideal_pair(t)))(
+            psi_transform(make_polygon(16))), id="psi-16"),
+        pytest.param(classical_pair, id="classical-3"),
+    ])
+    def test_repeated_calls_reuse_the_record(self, make, monkeypatch):
+        t, f, g = make()
+        automorphism_group(t)
+        calls = self.counted(monkeypatch)
+        kinds = (is_jointly_measurable, min_mur_linf,
+                 lambda *a: max_fuzz_lambda(*a, with_joint=True))
+        first = [repr(kind(t, f, g)) for kind in kinds]
+        assert calls == ["_stabiliser", "_orbits", "_orbits", "_orbits"]
+        calls.clear()
+        for _ in range(2):
+            assert [repr(kind(t, f, g)) for kind in kinds] == first
+        assert calls == []
+        (key, (_, numbered)), = t.pair_records.items()
+        assert key == (f.n_outcomes, f.effects + g.effects)
+        assert sorted(numbered) == ["is_jointly_measurable", "max_fuzz_lambda", "min_mur_linf"]
+        assert not any(orbits.flags.writeable for orbits in numbered.values())
+
+    def test_records_are_keyed_by_the_pair_values(self, monkeypatch):
+        # a pair rebuilt with new objects and equal effects finds the record; another
+        # pair, the same measurements in the other order included, gets its own
+        t = psi_transform(make_polygon(16))
+        automorphism_group(t)
+        f, g = binary_ideal_measurement(t, 3), binary_ideal_measurement(t, 10)
+        want = repr(max_fuzz_lambda(t, f, g, with_joint=True))
+        calls = self.counted(monkeypatch)
+        rebuilt = binary_ideal_measurement(t, 3), binary_ideal_measurement(t, 10)
+        assert rebuilt[0] is not f and rebuilt == (f, g)
+        assert repr(max_fuzz_lambda(t, *rebuilt, with_joint=True)) == want
+        assert calls == [] and len(t.pair_records) == 1
+        fresh = psi_transform(make_polygon(16))
+        automorphism_group(fresh)
+        for pair in ((g, f), (f, binary_ideal_measurement(t, 5))):
+            got = repr(max_fuzz_lambda(t, *pair, with_joint=True))
+            assert calls == ["_stabiliser", "_orbits"]
+            assert got == repr(max_fuzz_lambda(fresh, *pair, with_joint=True))
+            calls.clear()
+        assert len(t.pair_records) == 3
+
+    def test_copies_start_with_no_records(self):
+        t = make_polygon(8)
+        automorphism_group(t)
+        f, g = binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 2)
+        min_mur_linf(t, f, g)
+        assert len(t.pair_records) == 1
+        copies = (t.with_group(t.group_cache), psi_transform(t), replace(t))
+        assert all(c.pair_records == {} for c in copies)
+        assert copies[2] == t and repr(copies[2]) == repr(t)
+
+
 def stabiliser_bruteforce(t, f, g) -> set:
     """``(element, swap, pf, pg)`` for every group element that maps the pair onto
     itself, from each element, transposed, applied effect by effect."""
@@ -753,24 +828,30 @@ class TestMutantsAreCaught:
         # (pf[a], pg[b]), not to the transposed (pg[b], pf[a]); joint measurability
         # has no other blocks and no scalars, so that is all that changes.  A
         # compatible fuzzified pair that an exchange maps onto itself then reads
-        # incompatible
+        # incompatible.  Each phase solves on fresh instances with their groups kept,
+        # as a solved instance keeps the pair's stabiliser
         real = compat._stabiliser
 
         def untransposed(t, f, g):
             elements, swap, pf, pg = real(t, f, g)
             return elements, np.zeros_like(swap), pf, pg
 
-        pairs = []
-        for n in (8, 16):
+        def instance(n):
             t = psi_transform(make_polygon(n))
             automorphism_group(t)
+            return t
+
+        pairs = []
+        for n in (8, 16):
+            t = instance(n)
             f, g = binary_ideal_measurement(t, 0), binary_ideal_measurement(t, 3)
             lam = 0.9 * max_fuzz_lambda(t, f, g)
-            pairs.append((t, fuzzify(t, f, lam), fuzzify(t, g, lam)))
-        for t, f, g in pairs:
+            pairs.append((n, fuzzify(t, f, lam), fuzzify(t, g, lam)))
+        for n, f, g in pairs:
+            t = instance(n)
             assert any(real(t, f, g)[1])
             assert_jm_matches_full(t, f, g)
         monkeypatch.setattr(compat, "_stabiliser", untransposed)
-        for t, f, g in pairs:
+        for n, f, g in pairs:
             with pytest.raises(AssertionError, match="is_jointly_measurable"):
-                assert_jm_matches_full(t, f, g)
+                assert_jm_matches_full(instance(n), f, g)

@@ -478,6 +478,19 @@ class TestScanOracle:
             harness.verify_grid(t, f, f, product_joint(f), [(0.2, 0.2), (0.0, 0.5)])
 
 
+def test_verify_mode_runs_the_named_verifier():
+    t = harness.prepare_conforming(make_polygon(5))
+    f, g = harness.ideal_pair_for(t)
+    j = harness.random_joint(t, f, g, np.random.default_rng(3))
+    direct = {"thm1": harness.verify_thm1(t, f, g, j, 0.1, 0.3),
+              "cor1": harness.verify_cor1(t, f, g, j, 0.1, 0.3),
+              "thm2": harness.verify_thm2(t, f, g, j)}
+    for mode, want in direct.items():
+        assert repr(harness.verify_mode(mode, t, f, g, j, 0.1, 0.3)) == repr(want)
+    with pytest.raises(ValueError, match="unknown mode 'thm3'"):
+        harness.verify_mode("thm3", t, f, g, j, 0.1, 0.3)
+
+
 class TestNonConformingJoint:
     """A joint whose cell normalizes outside the pentagon: only thm1 tests membership."""
 
@@ -524,6 +537,26 @@ class TestReport:
         assert out["n_pass"] == 0 and out["n_fail"] == 0
         data = json.loads(open(out["report"]).read())
         assert data["schema"] == 1 and data["results"] == []
+
+    @pytest.mark.parametrize("config, message", [
+        ({"joints_per_case": "3"}, "config joints_per_case must be a non-negative int, got '3'"),
+        ({"propc_cases": -1}, "config propc_cases must be a non-negative int, got -1"),
+        ({"joints_per_case": True}, "config joints_per_case must be a non-negative int, got True"),
+        ({"eps_grid": [0.1]}, "config eps_grid must hold at least two numbers, got [0.1]"),
+        ({"eps_grid": [0.1, "0.2"]},
+         "config eps_grid must hold at least two numbers, got [0.1, '0.2']"),
+        ({"eps_grid": [0.6, 0.5, 0.1]}, "config eps_grid: confidence levels must satisfy "
+                                        "eps1, eps2 in (0,1], eps1+eps2 <= 1"),
+        ({"polygons": [4, "8"]}, "config polygons must be a list of ints, got [4, '8']"),
+        ({"theorem_theories": {"even": [4.0]}},
+         "config theorem_theories even must be a list of ints, got [4.0]"),
+        ({"theorem_theories": [5]}, "config theorem_theories must map kinds to lists, got [5]"),
+    ])
+    def test_bad_config_values_fail_before_anything_is_written(self, tmp_path, config, message):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError) as exc:
+            harness.run_report(config, out_dir=str(out), seed=0)
+        assert str(exc.value) == message and not out.exists()
 
     def test_plot_data_columns(self, tmp_path):
         cfg = {"theorem_theories": {}, "joints_per_case": 0, "propc_cases": 0,
@@ -789,6 +822,12 @@ class TestCli:
         "config-kind": (["report", "run", "--config", "{kind}", "--out", "{out}"],
                         "report run: unknown theorem_theories kinds ['polygn']; known: polygon, "
                         "classical, even"),
+        "config-count-type": (["report", "run", "--config", "{count}", "--out", "{out}"],
+                              "report run: config joints_per_case must be a non-negative int, "
+                              "got '3'"),
+        "config-short-eps": (["report", "run", "--config", "{short}", "--out", "{out}"],
+                             "report run: config eps_grid must hold at least two numbers, "
+                             "got [0.1]"),
     }
 
     @pytest.mark.parametrize("name", list(BAD_INPUTS))
@@ -808,7 +847,9 @@ class TestCli:
             "out": str(tmp_path / "out"),
         }
         for key, text in {"malformed": "{bad", "listed": "[1]", "typo": '{"joint_per_case": 1}',
-                          "kind": '{"theorem_theories": {"polygn": [5]}}'}.items():
+                          "kind": '{"theorem_theories": {"polygn": [5]}}',
+                          "count": '{"joints_per_case": "3"}', "short": '{"eps_grid": [0.1]}'
+                          }.items():
             files[key] = str(tmp_path / f"{key}.json")
             pathlib.Path(files[key]).write_text(text)
         save_measurement(ms[-1], files["ternary"])
