@@ -151,7 +151,8 @@ class Theory:
     lp_runs: int = field(default=0, init=False, repr=False, compare=False)
     # ``compat``'s symmetry reduction per measurement pair, once the LPs run over orbits:
     # ``(f.n_outcomes, f.effects + g.effects)`` -> the pair's stabiliser and, per LP kind,
-    # its orbit numbering (``compat._pair_orbits``)
+    # its orbit numbering (``compat._pair_orbits``); one record per pair seen, for the
+    # instance's life
     pair_records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the record that made this theory from the one ``Coordinates.theory`` was given
     coordinates: Coordinates = field(default=Coordinates(), init=False, repr=False,

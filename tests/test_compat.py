@@ -638,12 +638,6 @@ class TestOrbitReduction:
         assert abs(max_fuzz_lambda(t, f, g) - want) <= 1e-9
 
 
-def classical_pair():
-    t = make_classical(3)
-    ms = enumerate_ideal_measurements(t, 2)
-    return t, ms[0], ms[-1]
-
-
 class TestPairRecords:
     # the stabiliser and each LP kind's orbit numbering are kept on the instance,
     # one record per pair (``Theory.pair_records``): a repeated call computes
@@ -661,7 +655,9 @@ class TestPairRecords:
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: (lambda t: (t, *perpendicular_ideal_pair(t)))(
             psi_transform(make_polygon(16))), id="psi-16"),
-        pytest.param(classical_pair, id="classical-3"),
+        pytest.param(lambda: (lambda t, ms: (t, ms[0], ms[-1]))(
+            make_classical(3), enumerate_ideal_measurements(make_classical(3), 2)),
+            id="classical-3"),
     ])
     def test_repeated_calls_reuse_the_record(self, make, monkeypatch):
         t, f, g = make()
