@@ -18,18 +18,18 @@ outcomes or exchanges the two measurements with the grid transposed, so
 averaging a feasible or optimal joint over that stabiliser gives one that
 it fixes.  On a theory instance whose group is known they run over fixed
 joints only: one variable per orbit of (cell, ray) pairs (Boedi, Herr &
-Joswig, Math. Program. 137, 2013), whose column is the sum of its
-members' columns in the full LP (``Theory.effect_action``).  The verdict
-or optimum is the full LP's, float bits within the tolerance, and the
-joint returned is one that the stabiliser fixes.  The group is known
-once kept on the instance, or sought within a budget by its second
-compat LP of any kind (``_over_orbits``): the search pays off only over
-repeated calls, so a one-shot call solves the full LP, as does every call
-on a theory whose group is too large for its LP.  The instance also keeps
+Joswig, Math. Program. 137, 2013), the rays moved as ``r -> r T``
+(``_facet_perms``), whose column is the sum of its members' columns in
+the full LP.  The verdict or optimum is the full LP's, float bits within
+the tolerance, and the joint returned is one that the stabiliser fixes.
+The group is known once kept on the instance, or sought within a budget
+by its second compat LP of any kind (``_over_orbits``): the search pays
+off only over repeated calls, so a one-shot call solves the full LP, as
+does every call on a theory whose group is too large for its LP.  The instance also keeps
 one record per measurement pair (``Theory.pair_records``): the pair's
-stabiliser and, per LP kind, its orbit numbering.  Like the group, a record
-pays off only over repeated calls on one instance and pair; a hit builds and
-solves the LP that a miss would.
+stabiliser, its action on the rays and, per LP kind, its orbit numbering.
+Like the group, a record pays off only over repeated calls on one instance
+and pair; a hit builds and solves the LP that a miss would.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .cones import cone_lp
 from .linprog import lp_feasible, lp_solve
 from .model import FiniteMetricSpace, Measurement, Theory, outcome_metric, prob_table
 from .scalars import narrowed, ordered_matmul, stacked, vadd, vscale, vsub
-from .symmetry import automorphism_group
+from .symmetry import _BATCH_CELLS, _matches, automorphism_group
 
 
 @dataclass(frozen=True)
@@ -177,11 +177,11 @@ _SEARCH_WORK = 1000
 def _over_orbits(t: Theory) -> bool:
     """Whether the compat LPs on ``t`` run over orbits of the group.
 
-    Orbits pay off on a reused theory instance only: finding the group and
-    its action, once per instance, costs what several smaller LPs save (on
-    the psi-48-gon, about eight).  So a group kept on the instance is used at
-    once; otherwise the first compat LP of any kind on the instance is the
-    full LP, and the second seeks the group, for itself and every later call.
+    Orbits pay off on a reused theory instance only: finding the group, once
+    per instance, costs what several smaller LPs save (on the psi-48-gon,
+    about eight).  So a group kept on the instance is used at once; otherwise
+    the first compat LP of any kind on the instance is the full LP, and the
+    second seeks the group, for itself and every later call.
     The search gives up once its leaf check could compare more than
     ``_SEARCH_WORK`` vertex coordinates (nodes times ``n_vertices ** 2``) per
     tableau cell of the full fuzzing LP (4 ``dim`` rows by 4 facet-normal
@@ -189,10 +189,11 @@ def _over_orbits(t: Theory) -> bool:
     either, as each pair's stabiliser is sought element by element.  Then
     every LP on the instance is the full LP.
 
-    Once this holds, the first call on a pair finds its stabiliser and the
-    first of each LP kind its orbits, and the instance keeps them for that
-    pair (``_pair_orbits``): a saving over repeated calls on one instance and
-    pair only, as a fresh instance or another pair starts without them.
+    Once this holds, the first call on a pair finds its stabiliser and its
+    action on the rays, the first of each LP kind its orbits, and the instance
+    keeps them for that pair (``_pair_orbits``): a saving over repeated calls
+    on one instance and pair only, as a fresh instance or another pair starts
+    without them.
     """
     cells = 16 * t.dim * len(t.facet_table[0])
     if t.group_cache is None:
@@ -213,9 +214,9 @@ def _stabiliser(t: Theory, f: Measurement, g: Measurement) -> tuple:
     Element ``k`` fixes the pair when it relabels the outcomes of both
     (``swap`` False: ``f_a -> f_pf[a]`` and ``g_b -> g_pg[b]``) or exchanges
     them (``swap`` True: ``f_a -> g_pf[a]`` and ``g_b -> f_pg[b]``), its images
-    ``e T`` of the effects (as in ``Theory.effect_action``) equal to the
-    context's tolerance.  The stabiliser is a group, so acting by ``T^-1``
-    would find the same elements and swaps.  Only the elements that send the
+    ``e T`` of the effects equal to the context's tolerance (``symmetry._matches``,
+    as ``_facet_perms`` matches the rays').  The stabiliser is a group, so acting
+    by ``T^-1`` would find the same elements and swaps.  Only the elements that send the
     first effect to one of the pair's are checked on the others.
     """
     ctx = t.ctx
@@ -223,10 +224,10 @@ def _stabiliser(t: Theory, f: Measurement, g: Measurement) -> tuple:
     na, m = f.n_outcomes, f.n_outcomes + g.n_outcomes
     e, _ = stacked(f.effects + g.effects, ctx)
     e, maps, target = narrowed(e, maps, t.dim, den * e)
-    first = ctx.eq(ordered_matmul(e[:1], maps), target).all(axis=-1)
+    first = _matches(ordered_matmul(e[:1], maps), target, ctx)[:, 0]
     elements = np.flatnonzero(first.any(axis=-1))
     # hit[k, a, b]: element elements[k] sends effect a to effect b
-    hit = ctx.eq(ordered_matmul(e, maps[elements])[:, :, None], target).all(axis=-1)
+    hit = _matches(ordered_matmul(e, maps[elements]), target, ctx)
     # per swap (a relabelling, an exchange) an allowed image of every effect, itself
     # if allowed (so equal effects keep the identity) or else the first, kept where
     # the images form a bijection
@@ -253,15 +254,31 @@ def _swap_weights(na: int, m: int) -> tuple:
     return weight, offset
 
 
-def _orbits(t: Theory, elements, block_images, scalar_images):
+def _facet_perms(t: Theory, elements) -> np.ndarray:
+    """``facet_perms[n, j]``: the ray of ``Theory.facet_table`` that element
+    ``elements[n]``, the state map ``T``, sends ray ``r_j`` to.  ``T`` fixes
+    ``omega_M`` and maps facets onto facets, so ``r_j T`` is a ray, found as
+    ``_stabiliser`` finds effects, a batch of elements at a time."""
+    ctx, rays = t.ctx, t.facet_table[0]
+    maps, den = automorphism_group(t).stack(ctx)
+    rays, maps, target = narrowed(rays, maps[elements], t.dim, den * rays)
+    perms, step = [], max(1, _BATCH_CELLS // (len(rays) * rays.size))
+    for start in range(0, len(maps), step):
+        hit = _matches(ordered_matmul(rays, maps[start:start + step]), target, ctx)
+        if not hit.any(axis=-1).all():
+            raise RuntimeError(f"the group of theory {t.name!r} does not permute its facets")
+        perms.append(hit.argmax(axis=-1))
+    return np.concatenate(perms)
+
+
+def _orbits(facet_perms, block_images, scalar_images):
     """Per variable of ``cones.cone_lp`` (block-major ``(block, ray)`` pairs, then
     the scalars), its orbit under the stabiliser: the least index that an element
-    sends it to, numbered from 0.  Element ``elements[n]`` sends block ``i`` to
-    ``block_images[n, i]``, ray ``j`` to its facet permutation's ``j``-th entry
-    and scalar ``j`` to ``scalar_images[n, j]``."""
-    facet_perms = t.effect_action[elements]
+    sends it to, numbered from 0.  Element ``n`` sends block ``i`` to
+    ``block_images[n, i]``, ray ``j`` to ``facet_perms[n, j]`` and scalar ``j`` to
+    ``scalar_images[n, j]``."""
     nf = facet_perms.shape[1]
-    mu = (block_images[:, :, None] * nf + facet_perms[:, None, :]).reshape(len(elements), -1)
+    mu = (block_images[:, :, None] * nf + facet_perms[:, None, :]).reshape(len(facet_perms), -1)
     least = np.concatenate((mu, block_images.shape[1] * nf + scalar_images), axis=1).min(axis=0)
     # least[i] is the first member of i's orbit, so the first members, counted in
     # order, number the orbits as they come
@@ -276,23 +293,25 @@ def _pair_orbits(t: Theory, f: Measurement, g: Measurement, kind: str, gap_image
     the `n_scalars` scalars (the two sup-gaps; one scalar stays);
     ``gap_images(swap, pf, pg)`` lists the images of the later blocks.
 
-    The stabiliser and each kind's numbering are kept on ``t``, in one record per
-    pair (``Theory.pair_records``).  The pair is keyed by its values, so a pair
+    The stabiliser's relabellings and action on the rays (``_facet_perms``) and each
+    kind's numbering are kept on ``t``, in one record per pair
+    (``Theory.pair_records``).  The pair is keyed by its values, so a pair
     rebuilt with equal effects finds its record; the numbering, read-only, is
     the one a miss computes."""
     na, nb = f.n_outcomes, g.n_outcomes
     key = (na, f.effects + g.effects)
     record = t.pair_records.get(key)
     if record is None:
-        record = t.pair_records[key] = (_stabiliser(t, f, g), {})
-    (elements, swap, pf, pg), numbered = record
+        elements, swap, pf, pg = _stabiliser(t, f, g)
+        record = t.pair_records[key] = ((swap, pf, pg, _facet_perms(t, elements)), {})
+    (swap, pf, pg, facet_perms), numbered = record
     if kind not in numbered:
         a, b = np.divmod(np.arange(na * nb), nb)
         fa, gb = pf[:, a], pg[:, b]
         images = [np.where(swap[:, None], gb * nb + fa, fa * nb + gb)]
         images += gap_images(swap, pf, pg) if gap_images else []
         scalars = np.arange(n_scalars)
-        orbits = _orbits(t, elements, np.column_stack(images),
+        orbits = _orbits(facet_perms, np.column_stack(images),
                          np.where(swap[:, None], scalars[::-1], scalars))
         orbits.flags.writeable = False
         numbered[kind] = orbits

@@ -523,7 +523,8 @@ def _is_int(x) -> bool:
 
 
 def _check_config(cfg: dict) -> None:
-    """Raise a ValueError that names the first battery value of the wrong type or length."""
+    """Raise a ValueError that names the first battery value of the wrong type,
+    length or range, before ``run_report`` writes anything."""
     theories = cfg["theorem_theories"]
     if not isinstance(theories, dict):
         raise ValueError(f"config theorem_theories must map kinds to lists, got {theories!r}")
@@ -547,6 +548,10 @@ def _check_config(cfg: dict) -> None:
     for key, sizes in lists.items():
         if not (isinstance(sizes, (list, tuple)) and all(map(_is_int, sizes))):
             raise ValueError(f"config {key} must be a list of ints, got {sizes!r}")
+        even, least = key.endswith("even"), {"classical": 1, "even": 4}.get(key.split()[-1], 3)
+        if any(n < least or even and n % 2 for n in sizes):
+            raise ValueError(f"config {key} must hold{' even' if even else ''} sizes >= {least}, "
+                             f"got {sizes!r}")
 
 
 def run_report(config: Optional[dict] = None, out_dir: str = "report",

@@ -15,21 +15,20 @@ analogue of a projection-valued measure.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    _BATCH_CELLS,
-    Coordinates,
     FiniteMetricSpace,
     Measurement,
     Theory,
     effect_eval,
     in_state_space,
     polygon_radius,
+    psi_coordinates,
+    psi_transform,
 )
 from .scalars import (
     Context,
@@ -42,7 +41,7 @@ from .scalars import (
     vscale,
     vsub,
 )
-from .symmetry import _coder, is_self_dual
+from .symmetry import _BATCH_CELLS, _coder, is_self_dual
 
 
 @dataclass(frozen=True)
@@ -123,30 +122,8 @@ def fuzzify(t: Theory, m: Measurement, lam) -> Measurement:
 
 
 # ---------------------------------------------------------------------------
-# affine re-expression of even polygons
-
-@functools.cache
-def psi_coordinates(n: int) -> Coordinates:
-    """The stretch of the even n-gon, kept per side count: states by
-    ``diag(r, r, 1)``, effects by ``diag(1/r, 1/r, 1)``, ``r`` the polygon radius."""
-    r = polygon_radius(n)
-    s = 1.0 / r
-    return Coordinates(((((r, 0.0, 0.0), (0.0, r, 0.0), (0.0, 0.0, 1.0)),
-                         ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, 1.0))),))
-
-
-def psi_transform(t: Theory) -> Theory:
-    """Re-express an even polygon: states stretched, effects shrunk.
-
-    Probabilities are preserved because the state map and the effect map
-    are contragredient; the result's ``coordinates`` undo it by ``inverse``.
-    """
-    if t.n is None or t.n % 2 != 0:
-        raise ValueError("the re-expression is defined for even polygons only")
-    if t.kind != "polygon":
-        raise ValueError("the re-expression expects a raw polygon")
-    return psi_coordinates(t.n).theory(t, t.group_cache, name=t.name + "-psi", kind="polygon-psi")
-
+# affine re-expression of even polygons: the stretch (``psi_coordinates``) and
+# ``psi_transform`` are built-ins of ``model``, named here too
 
 def psi_map_effect(e, n: int, inverse: bool = False):
     """Map one effect into (or back from) the re-expressed polygon."""
@@ -202,7 +179,7 @@ def enumerate_ideal_measurements(t: Theory, max_outcomes: int) -> tuple:
     denominators, and the search adds, compares and keys no Fraction.  It
     grows the multisets of candidates breadth first, one array step per
     outcome count, as ``symmetry._search_group`` grows its partial maps,
-    on at most ``model._BATCH_CELLS`` cells at a time.  The candidates
+    on at most ``symmetry._BATCH_CELLS`` cells at a time.  The candidates
     become scalars once, by ``scalars.unstacked``, after the search.
     """
     if int(max_outcomes) != max_outcomes:

@@ -52,16 +52,6 @@ from .scalars import (
 if TYPE_CHECKING:
     from .symmetry import SymmetryGroup
 
-# array cells per batch: vertex-image comparisons per batch of candidate maps and
-# candidate images per batch of partial maps in the group search, vertex indices
-# gathered per batch of group elements in ``Theory.effect_action``, remainder
-# vertex values per batch of multisets in the ideal-measurement search.  Bounds their
-# memory on polytopes with many vertices or many search nodes.  1 << 16 keeps the
-# searches of the psi-polygons 4..48 within about 1 MB of resident memory (1 << 20
-# took 3.7 MB, and 7 MB when the check compared whole rows) and runs no slower
-_BATCH_CELLS = 1 << 16
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     """`a`, which a write now raises ValueError on, as ``SymmetryGroup.nums``."""
     a.flags.writeable = False
@@ -131,9 +121,9 @@ class Coordinates:
 @dataclass(frozen=True)
 class Theory:
     """A polytopic state space with its unit effect.  Frozen covers the value fields only:
-    ``facet_table``, ``effect_action``, ``group_cache``, ``lp_runs``, ``pair_records`` and
-    ``coordinates`` are per-instance slots, which ``replace`` does not copy; the caches fill
-    on first use from ``vertices``, which are kept as tuples, as ``unit_effect`` is."""
+    ``facet_table``, ``group_cache``, ``lp_runs``, ``pair_records`` and ``coordinates`` are
+    per-instance slots, which ``replace`` does not copy; the caches fill on first use from
+    ``vertices``, which are kept as tuples, as ``unit_effect`` is."""
 
     name: str
     vertices: tuple
@@ -150,9 +140,9 @@ class Theory:
     # instance, counted up to 2: the second one seeks the group (``compat._over_orbits``)
     lp_runs: int = field(default=0, init=False, repr=False, compare=False)
     # ``compat``'s symmetry reduction per measurement pair, once the LPs run over orbits:
-    # ``(f.n_outcomes, f.effects + g.effects)`` -> the pair's stabiliser and, per LP kind,
-    # its orbit numbering (``compat._pair_orbits``); one record per pair seen, for the
-    # instance's life
+    # ``(f.n_outcomes, f.effects + g.effects)`` -> the pair's stabiliser, its action on
+    # the facet rays and, per LP kind, its orbit numbering (``compat._pair_orbits``); one
+    # record per pair seen, for the instance's life
     pair_records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the record that made this theory from the one ``Coordinates.theory`` was given
     coordinates: Coordinates = field(default=Coordinates(), init=False, repr=False,
@@ -206,41 +196,6 @@ class Theory:
         else:
             rays, den = normals * (self.n_vertices / sums), 1
         return _read_only(rays), den, _read_only(tight)
-
-    @cached_property
-    def effect_action(self) -> tuple:
-        """``facet_perms``: how the automorphism group acts on effects, as a read-only
-        array.  Found on first use and kept on this instance.
-
-        Element ``k``, the state map ``T``, sends the row ``e`` to ``e T`` and fixes
-        ``omega_M``.  So the row ``r_j T`` of ``facet_table``'s ray ``r_j`` keeps
-        ``r . omega_M`` and, as ``r T . v = r . T v``, vanishes on exactly the vertices
-        that ``T`` sends into facet ``j``: it is the ray of the facet that holds them.
-        ``facet_perms[k, j]`` is that ray, found by matching each such vertex set exactly
-        with a facet's (``facet_table``'s incidence), a batch of elements at a time, so
-        memory grows with the group's vertex permutations, not facets x elements x vertices.
-        """
-        from .symmetry import automorphism_group
-
-        g, tight = automorphism_group(self), self.facet_table[2]
-        nf, nv = tight.shape
-        # facet j's vertices as ascending indices padded with nv, one byte string
-        # per facet.  back[k, i] is the vertex that element k sends onto v_i (nv
-        # stays nv), so back[k] of facet j's list, sorted, is the list of r_j T's facet
-        idx = np.sort(np.where(tight, np.arange(nv), nv))[:, :tight.sum(axis=1).max()].copy()
-        key = idx.view(np.dtype((np.void, idx.shape[1] * idx.itemsize)))[:, 0]
-        order = np.argsort(key)
-        back = np.full((g.order, nv + 1), nv)
-        np.put_along_axis(back, np.array(g.perms), np.arange(nv), axis=1)
-        facet_perms = np.empty((g.order, nf), dtype=np.intp)
-        step = max(1, _BATCH_CELLS // idx.size)
-        for start in range(0, g.order, step):
-            images = np.sort(np.take(back[start:start + step], idx, axis=1)).view(key.dtype)[..., 0]
-            found = order[np.searchsorted(key[order], images).clip(max=nf - 1)]
-            if not (key[found] == images).all():
-                raise RuntimeError(f"the group of theory {self.name!r} does not permute its facets")
-            facet_perms[start:start + step] = found
-        return _read_only(facet_perms)
 
     def with_group(self, group) -> "Theory":
         """A copy with no coordinate record that keeps ``group`` as its automorphism group."""
@@ -526,6 +481,29 @@ def make_polygon(n: int) -> Theory:
     )
 
 
+@functools.cache
+def psi_coordinates(n: int) -> Coordinates:
+    """The stretch of the even n-gon, kept per side count: states by
+    ``diag(r, r, 1)``, effects by ``diag(1/r, 1/r, 1)``, ``r`` the polygon radius."""
+    r = polygon_radius(n)
+    s = 1.0 / r
+    return Coordinates(((((r, 0.0, 0.0), (0.0, r, 0.0), (0.0, 0.0, 1.0)),
+                         ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, 1.0))),))
+
+
+def psi_transform(t: Theory) -> Theory:
+    """Re-express an even polygon: states stretched, effects shrunk.
+
+    Probabilities are preserved because the state map and the effect map
+    are contragredient; the result's ``coordinates`` undo it by ``inverse``.
+    """
+    if t.n is None or t.n % 2 != 0:
+        raise ValueError("the re-expression is defined for even polygons only")
+    if t.kind != "polygon":
+        raise ValueError("the re-expression expects a raw polygon")
+    return psi_coordinates(t.n).theory(t, t.group_cache, name=t.name + "-psi", kind="polygon-psi")
+
+
 def make_disc_approx(m: int) -> Theory:
     """Finite inner approximation of the disc theory by an m-gon (m >= 8)."""
     if m < 8:
@@ -543,8 +521,6 @@ def builtin_theory(kind: str, n: int) -> Theory:
         raise ValueError(f"unknown built-in theory kind {kind!r}")
     if kind == "classical":
         return make_classical(n)
-    from .ideal import psi_transform
-
     return psi_transform(make_polygon(n)) if kind == "polygon-psi" else make_polygon(n)
 
 

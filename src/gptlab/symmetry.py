@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import _BATCH_CELLS, Coordinates, Theory, theory_to_float
+from .model import Coordinates, Theory, theory_to_float
 from .scalars import (
     Context,
     EXACT,
@@ -75,6 +75,14 @@ from .scalars import (
     vscale,
     vsub,
 )
+
+
+# array cells per batch: image comparisons per batch of candidate maps in the group
+# search and of stabiliser elements in ``compat._facet_perms``, candidate images per
+# batch of partial maps, remainder vertex values per batch of multisets in the ideal
+# search.  1 << 16 keeps the searches of the psi-polygons 4..48 within about 1 MB of
+# resident memory (1 << 20 took 3.7 MB, 7 MB comparing whole rows) and no slower
+_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +161,23 @@ def _vertex_perms(maps, w, target, ctx):
     found = []
     for start in range(0, len(maps), step):
         images = np.swapaxes(ordered_matmul(maps[start:start + step], w.T), 1, 2)  # t_k w_j
-        # hit[k, j, c], one coordinate at a time: temporaries of a d-th of the batch
-        hit = ctx.eq(images[:, :, None, 0], target[:, 0])
-        for a in range(1, w.shape[1]):
-            hit &= ctx.eq(images[:, :, None, a], target[:, a])
+        hit = _matches(images, target, ctx)  # hit[k, j, c]: t_k w_j is target[c]
         perms = hit.argmax(axis=-1)
         ok = hit.any(axis=-1).all(axis=-1)  # every image is a target row
         ok &= (np.sort(perms, axis=-1) == np.arange(len(w))).all(axis=-1)  # and a bijection
         found += [(tuple(perms[k].tolist()), start + k) for k in np.flatnonzero(ok)]
     found.sort()
     return [p for p, _ in found], maps[[k for _, k in found]]
+
+
+def _matches(images, rows, ctx: Context) -> np.ndarray:
+    """``hit[..., i, j]``: the row ``images[..., i, :]`` equals ``rows[j]`` to ctx's
+    tolerance.  Compared one coordinate at a time, so each temporary holds a d-th of
+    the images against every row."""
+    hit = ctx.eq(images[..., None, 0], rows[:, 0])
+    for a in range(1, rows.shape[1]):
+        hit &= ctx.eq(images[..., None, a], rows[:, a])
+    return hit
 
 
 def _coder(pool, ctx: Context):

@@ -640,11 +640,23 @@ def cone_lp_reference(rays, ctx: Context, n_blocks: int, eqs, objective=(), sens
     return p, vectors
 
 
-def orbits_reference(t, elements, block_images, scalar_images):
+def facet_action_reference(t):
+    """``facet_perms[k, j]``: the ray of ``Theory.facet_table`` that group element
+    ``k``, the state map ``T``, sends ray ``r_j`` to under ``r -> r T``, for the
+    whole group, by exact vertex sets.  ``r_j T . v = r_j . T v`` vanishes on
+    exactly the vertices that ``T`` sends into facet ``j``, so ``r_j T`` is the
+    ray of the facet that holds exactly those (the incidence ``tight``)."""
+    tight = t.facet_table[2]
+    facets = {frozenset(np.flatnonzero(row).tolist()): j for j, row in enumerate(tight)}
+    return np.array([[facets[frozenset(np.flatnonzero(row[list(perm)]).tolist())]
+                      for row in tight] for perm in automorphism_group(t).perms])
+
+
+def orbits_reference(facet_perms, block_images, scalar_images):
     """The oracle for `compat._orbits`: each variable's least image, found one
     element and one variable at a time, and the orbits numbered by
     ``np.unique(least, return_inverse=True)``, in the order of their first members."""
-    facet_perms = t.effect_action[elements].tolist()
+    facet_perms = facet_perms.tolist()
     nf, n_blocks = len(facet_perms[0]), block_images.shape[1]
     least = []
     for x in range(n_blocks * nf + scalar_images.shape[1]):

@@ -759,7 +759,7 @@ def test_stabiliser_matches_bruteforce(case):
 
 @pytest.mark.parametrize("case", STABILISER_CASES)
 def test_stabiliser_is_a_group(case):
-    # closed under composition and inverse: the orbits of ``Theory.effect_action``,
+    # closed under composition and inverse: the orbits of ``compat._orbits``,
     # where each element acts by itself and not by its inverse, rely on it
     t, f, g = case()
     elements, swap, _, _ = compat._stabiliser(t, f, g)
@@ -810,13 +810,23 @@ class TestMutantsAreCaught:
     def test_merged_orbits(self, monkeypatch):
         real = compat._orbits
 
-        def merge_two(t, elements, block_images, scalar_images):
-            orbits = real(t, elements, block_images, scalar_images)
+        def merge_two(facet_perms, block_images, scalar_images):
+            orbits = real(facet_perms, block_images, scalar_images)
             # the last orbit of (block, ray) pairs joins the first
-            last = orbits[:block_images.shape[1] * t.effect_action.shape[1]].max()
+            last = orbits[:block_images.shape[1] * facet_perms.shape[1]].max()
             return np.unique(np.where(orbits == last, 0, orbits), return_inverse=True)[1]
 
         monkeypatch.setattr(compat, "_orbits", merge_two)
+        assert all(self.caught(t, f, g) for t, f, g in self.pairs())
+
+    def test_rolled_facet_perms(self, monkeypatch):
+        # each element sends ray j to where it sends ray j - 1, so the orbits join
+        # rays that the stabiliser does not relate
+        real = compat._facet_perms
+        for t, f, g in self.pairs():
+            assert not self.caught(t, f, g)
+        monkeypatch.setattr(compat, "_facet_perms",
+                            lambda t, elements: np.roll(real(t, elements), 1, axis=1))
         assert all(self.caught(t, f, g) for t, f, g in self.pairs())
 
     def test_untransposed_exchange(self, monkeypatch):

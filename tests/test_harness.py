@@ -551,12 +551,27 @@ class TestReport:
         ({"theorem_theories": {"even": [4.0]}},
          "config theorem_theories even must be a list of ints, got [4.0]"),
         ({"theorem_theories": [5]}, "config theorem_theories must map kinds to lists, got [5]"),
+        ({"theorem_theories": {"even": [5]}},
+         "config theorem_theories even must hold even sizes >= 4, got [5]"),
+        ({"theorem_theories": {"even": [2]}},
+         "config theorem_theories even must hold even sizes >= 4, got [2]"),
+        ({"theorem_theories": {"polygon": [2]}},
+         "config theorem_theories polygon must hold sizes >= 3, got [2]"),
+        ({"polygons": [4, 0]}, "config polygons must hold sizes >= 3, got [4, 0]"),
+        ({"theorem_theories": {"classical": [0]}},
+         "config theorem_theories classical must hold sizes >= 1, got [0]"),
     ])
     def test_bad_config_values_fail_before_anything_is_written(self, tmp_path, config, message):
         out = tmp_path / "out"
         with pytest.raises(ValueError) as exc:
             harness.run_report(config, out_dir=str(out), seed=0)
         assert str(exc.value) == message and not out.exists()
+
+    def test_least_sizes_run(self, tmp_path):
+        cfg = {"theorem_theories": {"polygon": [3], "classical": [1], "even": [4]},
+               "joints_per_case": 1, "propc_cases": 0, "polygons": [3, 4]}
+        out = harness.run_report(cfg, out_dir=str(tmp_path / "least"), seed=0)
+        assert out["n_pass"] > 0 and out["n_fail"] == 0
 
     def test_plot_data_columns(self, tmp_path):
         cfg = {"theorem_theories": {}, "joints_per_case": 0, "propc_cases": 0,

@@ -481,12 +481,11 @@ class TestFacetTable:
         monkeypatch.setattr(model, "dual_cone", lambda *a: calls.append(a) or real(*a))
         t = make()
         f, g = harness.ideal_pair_for(t)
-        automorphism_group(t)  # kept, so the compat LP runs over orbits and reads the action
+        automorphism_group(t)  # kept, so the compat LP runs over orbits
         validate_theory(t)
         assert in_state_space(t, t.vertices[0])
         assert is_self_dual(t) == (t.kind != "polygon-psi")  # both read the rays
-        assert t.effect_action.shape[1] == len(t.facet_table[0])
-        min_mur_linf(t, f, g)
+        min_mur_linf(t, f, g)  # matches the stabiliser's ray images with the rays
         assert len(calls) == 1
         min_mur_linf(make(), f, g)  # a fresh instance describes its own facets
         assert len(calls) == 2
@@ -494,11 +493,11 @@ class TestFacetTable:
     @pytest.mark.parametrize("make", [lambda: make_classical(3),
                                       lambda: psi_transform(make_polygon(8))],
                              ids=["classical-3", "psi-8"])
-    def test_table_and_action_are_read_only(self, make):
+    def test_table_is_read_only(self, make):
         # a write would change every later membership test and compat LP on the instance
         t = make()
-        (rays, _den, tight), action = t.facet_table, t.effect_action
-        for array in (rays, tight, action):
+        rays, _den, tight = t.facet_table
+        for array in (rays, tight):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = array[0, 1]
         with pytest.raises(ValueError, match="read-only"):

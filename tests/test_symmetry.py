@@ -21,13 +21,14 @@ import gptlab.cones
 import gptlab.symmetry
 from gptlab.cli import main as cli_main
 from gptlab.cones import Cone, cone_member, dual_cone, normalize_ray
-from gptlab.harness import prepare_conforming
+from gptlab.harness import ideal_pair_for, prepare_conforming
 from gptlab.ideal import (
     binary_ideal_measurement, indecomposable_pure_effects, psi_coordinates, psi_map_effect,
     psi_map_measurement, psi_transform,
 )
 from gptlab.model import (
-    Coordinates, Theory, load_theory, make_classical, make_polygon, prob_table, theory_to_float,
+    Coordinates, Measurement, Theory, load_theory, make_classical, make_polygon, prob_table,
+    theory_to_float,
 )
 from gptlab.scalars import (
     EXACT, FLOAT, InnerProduct, identity, inverse, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
@@ -48,7 +49,8 @@ from gptlab.symmetry import (
 
 from helpers import (
     assert_validation_matches_oracle, averaged_gram_per_element, automorphism_orders_bruteforce,
-    canonical_group_per_element, canonical_theory_reference, dual_cone_reference, j_positive_lp,
+    canonical_group_per_element, canonical_theory_reference, dual_cone_reference,
+    facet_action_reference, j_positive_lp,
     maximally_mixed_per_element, projector_per_element, psi_effect_reference,
     psi_theory_reference, rescale_unit_norm_reference, search_group_full_depth,
     search_group_reference, self_dual_lp, vertex_extreme,
@@ -1070,22 +1072,37 @@ def test_theory_layer_solves_no_lp(monkeypatch, tmp_path, capsys):
 
 
 class TestEffectAction:
-    """``Theory.effect_action``: the group's action on effects, against each
-    element applied to each ray, and the group kept on the theory instance."""
+    """Each pair record's action on effects (``compat._facet_perms``), against each
+    element applied to each ray and against the whole group's action by exact vertex
+    sets (``facet_action_reference``).  The trivial pair ``(u/2, u/2)`` with itself
+    is fixed by every element, so its record holds the whole group's action."""
 
-    def assert_permutes_scaled_normals(self, t):
+    @staticmethod
+    def record(t, f, g) -> tuple:
+        """``(elements, facet_perms)``: the pair's stabiliser and its record's action."""
+        gptlab.compat._pair_orbits(t, f, g, "is_jointly_measurable", None, 0)
+        (_swap, _pf, _pg, facet_perms), _ = t.pair_records[(f.n_outcomes, f.effects + g.effects)]
+        return gptlab.compat._stabiliser(t, f, g)[0], facet_perms
+
+    def assert_permutes_scaled_normals(self, t, pairs=()):
         ctx = t.ctx
-        facet_perms, g = t.effect_action, automorphism_group(t)
+        half = vscale(1 / ctx.convert(2), t.unit_effect)
+        trivial = Measurement((0, 1), (half, half))
+        group, reference = automorphism_group(t).elements, facet_action_reference(t)
         rays = unstacked(*t.facet_table[:2], ctx).tolist()
         k = ctx.convert(t.n_vertices)
         omega_m = tuple(sum(v[c] for v in t.vertices) / k for c in range(t.dim))
         assert all(ctx.eq(sum(a * b for a, b in zip(r, omega_m)), 1) for r in rays)
-        assert facet_perms.shape == (g.order, len(rays))
-        for element, perm in zip(g.elements, facet_perms.tolist()):
-            act = transpose(element)  # the row r goes to r T, the column to T^T r
-            assert sorted(perm) == list(range(len(rays)))
-            for r, image in zip(rays, perm):
-                assert ctx.vec_eq(mat_vec(act, r), rays[image])
+        assert len(self.record(t, trivial, trivial)[0]) == len(group)
+        for f, g in [(trivial, trivial), *pairs]:
+            elements, facet_perms = self.record(t, f, g)
+            assert facet_perms.tolist() == reference[elements].tolist()
+            assert facet_perms.shape == (len(elements), len(rays))
+            for element, perm in zip(elements.tolist(), facet_perms.tolist()):
+                act = transpose(group[element])  # the row r goes to r T, the column to T^T r
+                assert sorted(perm) == list(range(len(rays)))
+                for r, image in zip(rays, perm):
+                    assert ctx.vec_eq(mat_vec(act, r), rays[image])
 
     @pytest.mark.parametrize("make", [
         *[pytest.param(lambda n=n: make_polygon(n), id=f"polygon-{n}") for n in range(3, 13)],
@@ -1094,25 +1111,36 @@ class TestEffectAction:
         *[pytest.param(lambda n=n: make_classical(n), id=f"classical-{n}") for n in range(1, 6)],
     ])
     def test_elements_permute_scaled_normals(self, make):
-        self.assert_permutes_scaled_normals(make())
+        t = make()
+        self.assert_permutes_scaled_normals(t, [ideal_pair_for(t)])
 
-    def test_memory_follows_the_group(self):
-        # the action is found from the facets' vertex index lists, a batch of
-        # elements at a time, not a facets-by-elements-by-vertices incidence (16 MB
-        # of bools here)
-        t = make_polygon(200)
-        automorphism_group(t)
+    def test_match_memory_is_batched(self):
+        # the trivial pair's stabiliser is the whole group (192 elements on psi-96):
+        # its rays' images meet the rays a batch of elements at a time, not as one
+        # elements-by-rays-by-rays comparison (18 MB at its peak, against 0.6 MB)
+        t = psi_transform(make_polygon(96))
+        half = vscale(0.5, t.unit_effect)
+        trivial = Measurement((0, 1), (half, half))
+        elements = gptlab.compat._stabiliser(t, trivial, trivial)[0]
         tracemalloc.start()
         try:
-            facet_perms = t.effect_action
+            facet_perms = gptlab.compat._facet_perms(t, elements)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert facet_perms.shape == (400, 200) and peak < 4 << 20
+        assert facet_perms.shape == (192, 96) and peak < 2 << 20
 
     def test_structure_polytopes(self, tmp_path):
         for path in structure_theory_files(tmp_path, seed=5).values():
             self.assert_permutes_scaled_normals(load_theory(path))
+
+    def test_a_map_that_is_no_automorphism_raises(self):
+        # a group kept on the theory whose element stretches the pentagon: its rays'
+        # images are no rays
+        stretch = ((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        wrong = SymmetryGroup.from_elements([stretch], [tuple(range(5))], FLOAT)
+        with pytest.raises(RuntimeError, match="'polygon-5' does not permute its facets"):
+            gptlab.compat._facet_perms(make_polygon(5).with_group(wrong), np.array([0]))
 
     def test_group_found_once_per_instance(self, monkeypatch):
         calls = []
@@ -1121,7 +1149,8 @@ class TestEffectAction:
                             lambda t, max_nodes: calls.append(t.name) or search(t, max_nodes))
         t = psi_transform(make_polygon(12))
         g = automorphism_group(t)
-        assert automorphism_group(t) is g and t.effect_action is t.effect_action
+        assert automorphism_group(t) is g
+        self.record(t, *ideal_pair_for(t))
         assert calls == ["polygon-12-psi"]
         # a copy, even an equal one, searches again: its vertices may have moved
         copy = replace(t, name="copy")
